@@ -382,7 +382,7 @@ pub fn w003_hash_iteration(file: &str, tokens: &[Token], regions: &[(u32, u32)])
 }
 
 /// MLPT-W004 — panic-class calls in engine non-test code. The engine
-/// has typed surfaces (`EngineError`, `TraceOutcome::Partial`) for
+/// has typed surfaces (`TraceOutcome::Partial`, `WireError`) for
 /// everything genuinely fallible; a panic in a sweep takes down every
 /// other destination's session with it.
 pub fn w004_panic_class(file: &str, tokens: &[Token], regions: &[(u32, u32)]) -> Vec<Finding> {
@@ -410,7 +410,7 @@ pub fn w004_panic_class(file: &str, tokens: &[Token], regions: &[(u32, u32)]) ->
                 t,
                 format!(
                     "`.{}()` can panic mid-sweep — convert genuinely fallible paths to the \
-                     typed `EngineError`/`TraceOutcome` surfaces, or pragma provably \
+                     typed `TraceOutcome`/`WireError` surfaces, or pragma provably \
                      infallible ones with the invariant as the reason",
                     t.text
                 ),
@@ -422,7 +422,7 @@ pub fn w004_panic_class(file: &str, tokens: &[Token], regions: &[(u32, u32)]) ->
                 t,
                 format!(
                     "`{}!` aborts the whole sweep — convert genuinely fallible paths to the \
-                     typed `EngineError`/`TraceOutcome` surfaces, or pragma provably \
+                     typed `TraceOutcome`/`WireError` surfaces, or pragma provably \
                      infallible ones with the invariant as the reason",
                     t.text
                 ),

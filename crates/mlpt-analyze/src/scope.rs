@@ -95,8 +95,8 @@ impl ScopeConfig {
                     .includes(&["crates/mlpt-core/src/", "crates/mlpt-sim/src/"]),
             ),
             // MLPT-W004 — panic-class calls. Scoped to the engine
-            // surfaces that have typed errors (`EngineError`,
-            // `TraceOutcome::Partial`) to use instead: the sweep
+            // surfaces that have typed errors (`TraceOutcome::Partial`,
+            // `WireError`) to use instead: the sweep
             // engine, sessions, shards, the stop set, the wire crate
             // (already clean — this keeps it that way), and the CLI
             // front-end.

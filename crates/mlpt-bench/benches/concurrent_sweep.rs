@@ -6,14 +6,11 @@
 //! * **sequential** — the pre-engine survey loop: one `SimNetwork` and
 //!   one blocking `TransportProber` per destination, traces run one after
 //!   another. Every per-trace probe round is its own transport crossing.
-//! * **fixed table (eager admission)** — the pre-streaming engine: every
-//!   session enters the table up front; batches collapse into a tail of
-//!   tiny dispatches as stragglers drain.
 //! * **streaming admission** — destinations stream into the engine as
 //!   in-flight tokens free up, keeping batches full until the list runs
 //!   dry.
 //!
-//! All paths do the identical wire work (asserted here, property-tested
+//! Both paths do the identical wire work (asserted here, property-tested
 //! in `tests/sweep_equivalence.rs`). The headline metrics:
 //!
 //! * **probe-dispatch throughput** — probes moved per transport
@@ -21,10 +18,10 @@
 //!   syscall plus one round-trip wait, so probes-per-crossing bounds how
 //!   fast a vantage point drains a destination list.
 //! * **tail utilization** — probes per dispatch over the *last 10% of
-//!   probes*. The fixed table's tail collapses (a handful of straggler
-//!   sessions per cycle); streaming admission keeps the tail within 2×
-//!   of the full-sweep average. This bench FAILS (guarding CI) if the
-//!   streaming tail regresses below half the full-sweep average.
+//!   probes*. A fixed session table's tail collapses (a handful of
+//!   straggler sessions per cycle); streaming admission keeps the tail
+//!   within 2× of the full-sweep average. This bench FAILS (guarding CI)
+//!   if the streaming tail regresses below half the full-sweep average.
 //! * **wall clock** — with `simulator_workers > 1`, `MultiNetwork`
 //!   spreads disjoint lanes over threads inside each crossing, so large
 //!   merged batches convert into a real wall-clock speedup on multicore
@@ -120,9 +117,9 @@ fn run_sequential(internet: &SyntheticInternet, destinations: usize) -> (Vec<Tra
     (traces, crossings, probes)
 }
 
-/// One sweep over the shared network: sessions streamed (or eagerly
-/// tabled) into the engine. Returns traces, stats and the per-cycle
-/// batch-size series for tail measurements.
+/// One sweep over the shared network: sessions streamed into the
+/// engine. Returns traces, stats and the per-cycle batch-size series for
+/// tail measurements.
 fn run_sweep(
     internet: &SyntheticInternet,
     destinations: usize,
@@ -720,11 +717,7 @@ fn stop_set_stage() -> serde_json::Value {
             "probe ledger out of balance at width {width}"
         );
         // Determinism rule 5: admission modes replay the identical sweep.
-        for admission in [
-            Admission::Eager,
-            Admission::CostAware,
-            Admission::CostAwareWindowed(32),
-        ] {
+        for admission in [Admission::CostAware, Admission::CostAwareWindowed(32)] {
             let (again, again_stats, _) = run(width, admission, Some(stop_cfg));
             assert_eq!(
                 again, traces,
@@ -1030,11 +1023,6 @@ fn main() {
     // a heavy trace is a long chain of tiny rounds, and once the source
     // is dry nothing can fill the batches around it).
     let max_in_flight = env_usize("MLPT_BENCH_IN_FLIGHT", 32);
-    // The fixed-table engine's shipped configuration (PR 2): admit-all
-    // with a big token budget. Its batches are huge up front and then
-    // collapse into the straggler tail — the behaviour streaming
-    // admission replaces.
-    let fixed_table_budget = 2048;
     // Quick mode (CI pull requests) runs the identical workload — the
     // tail guard must test the acceptance configuration — with fewer
     // wall-clock samples.
@@ -1049,8 +1037,8 @@ fn main() {
     let workers = host_cpus.clamp(2, 16);
     let internet = SyntheticInternet::new(InternetConfig::default());
 
-    // Correctness first: both engine modes must reproduce the sequential
-    // traces bit for bit before their throughput means anything.
+    // Correctness first: the engine must reproduce the sequential traces
+    // bit for bit before its throughput means anything.
     let (seq_traces, seq_crossings, seq_probes) = run_sequential(&internet, destinations);
     let (stream_traces, stream_stats, stream_cycles) = run_sweep(
         &internet,
@@ -1059,20 +1047,11 @@ fn main() {
         Admission::Streaming,
         max_in_flight,
     );
-    let (fixed_traces, fixed_stats, fixed_cycles) = run_sweep(
-        &internet,
-        destinations,
-        1,
-        Admission::Eager,
-        fixed_table_budget,
-    );
     assert_eq!(seq_traces.len(), stream_traces.len());
-    for ((a, b), c) in seq_traces.iter().zip(&stream_traces).zip(&fixed_traces) {
+    for (a, b) in seq_traces.iter().zip(&stream_traces) {
         assert_eq!(a, b, "streaming sweep diverged for {}", a.destination);
-        assert_eq!(a, c, "fixed-table sweep diverged for {}", a.destination);
     }
     assert_eq!(seq_probes, stream_stats.probes_sent);
-    assert_eq!(seq_probes, fixed_stats.probes_sent);
 
     // Also keep the old blocking entry point honest: trace_mda is the
     // same machine under a thin driver.
@@ -1099,22 +1078,19 @@ fn main() {
 
     // Tail utilization: probes/dispatch over the last 10% of probes.
     let stream_overall = stream_stats.probes_per_dispatch();
-    let fixed_overall = fixed_stats.probes_per_dispatch();
     let stream_tail = tail_probes_per_dispatch(&stream_cycles, 0.10);
-    let fixed_tail = tail_probes_per_dispatch(&fixed_cycles, 0.10);
     let stream_tail_ratio = stream_tail / stream_overall;
     if std::env::var("MLPT_BENCH_EXPLORE").is_ok_and(|v| !v.is_empty()) {
         // Parameter-exploration mode: report tail numbers and stop.
         println!(
-            "explore: dest {destinations} budget {max_in_flight}: overall {stream_overall:.1} \
-             (fixed {fixed_overall:.1}), tail {stream_tail:.1} (fixed {fixed_tail:.1}), \
-             ratio {stream_tail_ratio:.3}, cycles {} (fixed {})",
-            stream_stats.dispatch_cycles, fixed_stats.dispatch_cycles
+            "explore: dest {destinations} budget {max_in_flight}: overall {stream_overall:.1}, \
+             tail {stream_tail:.1}, ratio {stream_tail_ratio:.3}, cycles {}",
+            stream_stats.dispatch_cycles
         );
         return;
     }
     // The CI floor: streaming admission must keep the tail within 2x of
-    // the full-sweep average (the fixed table collapses far below).
+    // the full-sweep average (a fixed session table collapses far below).
     assert!(
         stream_tail_ratio >= 0.5,
         "streaming tail utilization regressed: tail {stream_tail:.1} vs \
@@ -1238,7 +1214,6 @@ fn main() {
         "quick_mode": quick,
         "workload": "synthetic-Internet MDA traces (the ip_survey inner loop)",
         "streaming_max_in_flight": max_in_flight,
-        "fixed_table_max_in_flight": fixed_table_budget,
         // Headline: probe-dispatch throughput = probes per transport
         // crossing. One crossing = one sendmmsg + one RTT wait on a real
         // backend; the sequential loop pays one per per-trace round, the
@@ -1246,22 +1221,18 @@ fn main() {
         "dispatch_throughput_speedup": dispatch_throughput_speedup,
         "probes_per_dispatch": {
             "sequential_full_trace_loop": seq_throughput,
-            "fixed_table_engine": fixed_overall,
             "streaming_engine": stream_overall,
         },
         // Tail utilization: probes/dispatch over the last 10% of probes.
         // Streaming admission must stay within 2x of its own full-sweep
-        // average (enforced above); the fixed table collapses.
+        // average (enforced above).
         "tail_probes_per_dispatch_last10pct": {
-            "fixed_table_engine": fixed_tail,
             "streaming_engine": stream_tail,
             "streaming_tail_over_average": stream_tail_ratio,
-            "fixed_tail_over_average": fixed_tail / fixed_overall,
             "floor_enforced": 0.5,
         },
         "transport_crossings": {
             "sequential_full_trace_loop": seq_crossings,
-            "fixed_table_engine": fixed_stats.dispatch_cycles,
             "streaming_engine": stream_stats.dispatch_cycles,
         },
         "probes_sent_each": seq_probes,
@@ -1295,8 +1266,8 @@ fn main() {
     println!("[concurrent_sweep results written to {out_path}]");
     println!(
         "dispatch throughput: {seq_throughput:.2} -> {stream_overall:.2} probes/crossing \
-         ({dispatch_throughput_speedup:.1}x); tail(10%) {stream_tail:.1} streaming vs \
-         {fixed_tail:.1} fixed-table; wall clock {wall_clock_speedup:?}x \
+         ({dispatch_throughput_speedup:.1}x); tail(10%) {stream_tail:.1}; \
+         wall clock {wall_clock_speedup:?}x \
          ({workers} workers, {host_cpus} cpus)"
     );
 }

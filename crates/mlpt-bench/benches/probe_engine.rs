@@ -6,18 +6,17 @@
 //!   reusable packet/reply buffers, interned-address routing tables;
 //! * **single** — the legacy path preserved in
 //!   [`mlpt_bench::reference::ReferenceNetwork`]: one allocating
-//!   `send_packet` per probe over per-packet `HashMap` lookups, driven by
-//!   `DispatchMode::PerProbe` (a unit test asserts both paths do
-//!   identical work, probe for probe).
+//!   `send_packet` per probe over per-packet `HashMap` lookups, driven
+//!   one probe at a time through [`mlpt_bench::reference::PerProbe`] (a
+//!   unit test asserts both paths do identical work, probe for probe).
 //!
 //! Besides the human-readable criterion output, results and pairwise
 //! speedups are written to `BENCH_probe_engine.json` at the workspace
 //! root for machine consumption.
 
 use criterion::{black_box, Bencher, Criterion};
-use mlpt_bench::reference::ReferenceNetwork;
+use mlpt_bench::reference::{PerProbe, ReferenceNetwork};
 use mlpt_core::prelude::*;
-use mlpt_core::prober::DispatchMode;
 use mlpt_sim::SimNetwork;
 use mlpt_survey::{InternetConfig, SyntheticInternet};
 use mlpt_topo::{canonical, MultipathTopology};
@@ -47,8 +46,7 @@ fn bench_trace_single(b: &mut Bencher, topo: &MultipathTopology) {
     let mut seed = 0u64;
     b.iter(|| {
         seed += 1;
-        let mut prober = TransportProber::new(&mut net, SRC, topo.destination())
-            .with_dispatch(DispatchMode::PerProbe);
+        let mut prober = PerProbe(TransportProber::new(&mut net, SRC, topo.destination()));
         black_box(trace_mda_lite(&mut prober, &TraceConfig::new(seed)))
     });
 }

@@ -8,19 +8,45 @@
 //! `Vec` per probe. Behaviour is identical to [`mlpt_sim::SimNetwork`]
 //! for fault-free UDP probing (same hasher, same RNG stream, same IP-ID
 //! engine), so `probe_engine` benchmarks compare equal work — only the
-//! dispatch machinery differs.
+//! dispatch machinery differs. [`PerProbe`] supplies the matching
+//! one-probe-at-a-time prober.
 //!
 //! This module exists solely so the `probe_engine` benchmark can report
 //! an honest before/after number; nothing in the product path uses it.
 
+use mlpt_core::prober::{DirectObservation, ProbeObservation, Prober};
 use mlpt_sim::{FlowHasher, IpIdEngine, ReplyClass, RouterProfile};
 use mlpt_topo::{MultipathTopology, RouterId};
 use mlpt_wire::icmp::{IcmpExtensions, IcmpMessage, CODE_PORT_UNREACHABLE};
 use mlpt_wire::ipv4::{Ipv4Header, PROTO_ICMP, PROTO_UDP};
 use mlpt_wire::probe::parse_udp_probe;
 use mlpt_wire::transport::{BatchTransport, PacketTransport};
+use mlpt_wire::FlowId;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+
+/// The per-probe baseline prober: forwards every probe to the wrapped
+/// prober but keeps the trait's default one-at-a-time
+/// [`Prober::probe_batch`], so each probe crosses the transport alone.
+pub struct PerProbe<P>(pub P);
+
+impl<P: Prober> Prober for PerProbe<P> {
+    fn probe(&mut self, flow: FlowId, ttl: u8) -> Option<ProbeObservation> {
+        self.0.probe(flow, ttl)
+    }
+
+    fn direct_probe(&mut self, target: Ipv4Addr) -> Option<DirectObservation> {
+        self.0.direct_probe(target)
+    }
+
+    fn probes_sent(&self) -> u64 {
+        self.0.probes_sent()
+    }
+
+    fn destination(&self) -> Ipv4Addr {
+        self.0.destination()
+    }
+}
 
 /// The legacy-architecture simulator (see module docs). Fault-free,
 /// per-flow balancing, well-behaved routers — the configuration every
@@ -177,7 +203,6 @@ impl BatchTransport for ReferenceNetwork {}
 mod tests {
     use super::*;
     use mlpt_core::prelude::*;
-    use mlpt_core::prober::DispatchMode;
     use mlpt_sim::SimNetwork;
     use mlpt_topo::canonical;
 
@@ -190,12 +215,11 @@ mod tests {
     fn reference_matches_sim_network() {
         for topo in [canonical::fig1_unmeshed(), canonical::fig1_meshed()] {
             let seed = 11u64;
-            let mut legacy = TransportProber::new(
+            let mut legacy = PerProbe(TransportProber::new(
                 ReferenceNetwork::new(topo.clone(), seed),
                 SRC,
                 topo.destination(),
-            )
-            .with_dispatch(DispatchMode::PerProbe);
+            ));
             let legacy_trace = trace_mda_lite(&mut legacy, &TraceConfig::new(seed));
 
             let mut current =
@@ -204,7 +228,7 @@ mod tests {
 
             assert_eq!(legacy_trace.probes_sent, current_trace.probes_sent);
             assert_eq!(legacy_trace.to_topology(), current_trace.to_topology());
-            assert_eq!(legacy.log().indirect, current.log().indirect);
+            assert_eq!(legacy.0.log().indirect, current.log().indirect);
         }
     }
 }

@@ -29,8 +29,8 @@
 //! how a contradiction is classified, whether recovery re-enters or
 //! finalizes partial — is a pure function of the session's own committed
 //! state and the replies it receives. The sweep scheduler (any of the
-//! four admission modes) decides only *when* audit rounds go on the
-//! wire, never *what* they contain or conclude.
+//! admission modes) decides only *when* audit rounds go on the wire,
+//! never *what* they contain or conclude.
 
 use crate::discovery::Discovery;
 use crate::prober::{ProbeObservation, ProbeSpec};

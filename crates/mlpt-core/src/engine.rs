@@ -112,17 +112,13 @@ use std::net::Ipv4Addr;
 /// How sessions enter the engine's live table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Admission {
-    /// Every session enters the table before the first dispatch — the
-    /// pre-streaming fixed-table behaviour, kept for A/B comparison.
-    /// Batches shrink as the table drains.
-    Eager,
     /// Sessions are admitted as in-flight tokens free up: a new session
     /// enters whenever the live sessions' pending probes sit below the
     /// in-flight budget, keeping batches full until the source runs dry.
     #[default]
     Streaming,
     /// Streaming admission, heaviest first: the source is drained up
-    /// front (an `Eager`-style memory bound buys the lookahead), ordered
+    /// front (memory linear in the source buys the lookahead), ordered
     /// by descending [`ProbeSession::predicted_cost`] (ties by source
     /// index), and admitted under the same in-flight gating as
     /// [`Streaming`](Self::Streaming); deferred sessions re-enter
@@ -166,7 +162,7 @@ impl Admission {
         match self {
             Self::CostAware => usize::MAX,
             Self::CostAwareWindowed(window) => window.max(1),
-            Self::Eager | Self::Streaming => 1,
+            Self::Streaming => 1,
         }
     }
 }
@@ -218,14 +214,11 @@ pub struct SweepConfig {
     /// Per-round retry waves for unanswered probes, matching
     /// [`crate::prober::TransportProber::with_retries`] semantics.
     pub retries: u8,
-    /// Whether sessions stream in under the budget or all enter up front.
+    /// The order sessions stream in under the budget.
     pub admission: Admission,
     /// AIMD budget controller; `None` keeps the budget fixed at
     /// [`max_in_flight`](Self::max_in_flight).
     pub adaptive: Option<AdaptiveBudget>,
-    /// Hard cap on concurrently admitted sessions (memory bound for
-    /// survey-scale streams). `usize::MAX` = unlimited.
-    pub max_admitted: usize,
     /// Deadline policy for the pending table: every dispatched probe's
     /// timeout (ticks from its send instant) is drawn from this policy
     /// by the session's own [`ProbeTimer`].
@@ -254,9 +247,8 @@ pub struct SweepConfig {
     /// pulled session has finished. Commits apply in source-index order
     /// with first-writer-wins per `(TTL, interface)`, so the set's
     /// contents — and through them every elision — are decided by
-    /// source order, never by scheduling: eager, streaming and
-    /// cost-aware sweeps stay bit-identical and replay exactly from
-    /// seed.
+    /// source order, never by scheduling: streaming and cost-aware
+    /// sweeps stay bit-identical and replay exactly from seed.
     pub stop_set: Option<StopSetConfig>,
 }
 
@@ -267,35 +259,12 @@ impl Default for SweepConfig {
             retries: 0,
             admission: Admission::default(),
             adaptive: None,
-            max_admitted: usize::MAX,
             retry: RetryPolicy::default(),
             stall_rounds: 0,
             stop_set: None,
         }
     }
 }
-
-/// Errors surfaced by the engine's session table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineError {
-    /// Two registered sessions trace towards the same destination: their
-    /// reply tags would be ambiguous, so the table refuses the second
-    /// one. (Streamed sources handle this by *deferring* the second
-    /// session until the first finishes instead.)
-    DuplicateDestination(Ipv4Addr),
-}
-
-impl std::fmt::Display for EngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineError::DuplicateDestination(d) => {
-                write!(f, "a session towards {d} is already registered")
-            }
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
 
 /// Counters describing one sweep's dispatch behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -797,9 +766,6 @@ pub struct SweepEngine<T: SplitTransport> {
     transport: T,
     source: Ipv4Addr,
     config: SweepConfig,
-    /// Sessions registered via [`add_session`](Self::add_session),
-    /// drained as the stream by [`run`](Self::run).
-    registered: Vec<Box<dyn TraceSession>>,
     stats: SweepStats,
     demux: ReplyDemux,
     packets: PacketBatch,
@@ -846,7 +812,6 @@ impl<T: SplitTransport> SweepEngine<T> {
             source,
             budget: config.max_in_flight as f64,
             config,
-            registered: Vec::new(),
             stats: SweepStats::default(),
             demux: ReplyDemux::default(),
             packets: PacketBatch::new(),
@@ -862,7 +827,6 @@ impl<T: SplitTransport> SweepEngine<T> {
     pub fn with_config(mut self, config: SweepConfig) -> Self {
         self.config = config;
         self.config.max_in_flight = self.config.max_in_flight.max(1);
-        self.config.max_admitted = self.config.max_admitted.max(1);
         self.config.retry.base_timeout = self.config.retry.base_timeout.max(1);
         if let Some(adaptive) = &mut self.config.adaptive {
             adaptive.min_in_flight = adaptive.min_in_flight.clamp(1, self.config.max_in_flight);
@@ -875,22 +839,6 @@ impl<T: SplitTransport> SweepEngine<T> {
         }
         self.budget = self.config.max_in_flight as f64;
         self
-    }
-
-    /// Registers a session for [`run`](Self::run); its destination must
-    /// be unique among registered sessions. Returns the session's index
-    /// (traces come back in the same order).
-    pub fn add_session(&mut self, session: Box<dyn TraceSession>) -> Result<usize, EngineError> {
-        let destination = session.destination();
-        if self
-            .registered
-            .iter()
-            .any(|s| s.destination() == destination)
-        {
-            return Err(EngineError::DuplicateDestination(destination));
-        }
-        self.registered.push(session);
-        Ok(self.registered.len() - 1)
     }
 
     /// Dispatch statistics so far.
@@ -927,13 +875,6 @@ impl<T: SplitTransport> SweepEngine<T> {
     /// Consumes the engine, returning the transport.
     pub fn into_transport(self) -> T {
         self.transport
-    }
-
-    /// Drives every registered session to completion, returning their
-    /// traces in registration order.
-    pub fn run(&mut self) -> Vec<Trace> {
-        let sessions = std::mem::take(&mut self.registered);
-        self.run_stream(sessions)
     }
 
     /// Streams trace sessions from `sessions` through the engine,
@@ -1289,12 +1230,10 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
         }
     }
 
-    /// Pulls sessions from the stream into the live table. Streaming and
-    /// cost-aware admission stop once the pending backlog covers the
-    /// budget (or the session cap is reached); eager admission drains
-    /// the source. A session whose destination is already live — or
-    /// already has earlier sessions waiting on it — is deferred until
-    /// the destination frees up: its reply tags would be ambiguous, and
+    /// Pulls sessions from the stream into the live table, stopping once
+    /// the pending backlog covers the budget. A session whose destination
+    /// is already live — or already has earlier sessions waiting on it —
+    /// is deferred until the destination frees up: its reply tags would be ambiguous, and
     /// a shared lane makes per-destination order observable, so waiters
     /// re-enter strictly in source order. Deferred sessions whose
     /// destinations were freed re-enter before new source pulls, so the
@@ -1312,12 +1251,7 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
             // generation whose sessions all finished instantly must
             // still open the next one within this very admission call.
             self.close_generation(*source_done);
-            if self.eng.config.admission != Admission::Eager
-                && self.pending >= self.eng.current_budget()
-            {
-                return;
-            }
-            if self.slots.len() >= self.eng.config.max_admitted {
+            if self.pending >= self.eng.current_budget() {
                 return;
             }
             // Freed deferred sessions re-enter first: their destinations
@@ -1789,6 +1723,16 @@ mod tests {
         Ipv4Addr::new(198, 51, (i >> 8) as u8, i as u8)
     }
 
+    /// Streams a single trace session through `engine`.
+    fn run_one<T: SplitTransport>(
+        engine: &mut SweepEngine<T>,
+        session: impl TraceSession + 'static,
+    ) -> Trace {
+        engine
+            .run_stream([Box::new(session) as Box<dyn TraceSession>])
+            .remove(0)
+    }
+
     #[test]
     fn demux_routes_interleaved_replies() {
         let mut demux = ReplyDemux::default();
@@ -2032,21 +1976,6 @@ mod tests {
         assert_eq!(final_in_flight_budget, 114);
     }
 
-    #[test]
-    fn duplicate_destination_rejected() {
-        let topo = canonical::simplest_diamond();
-        let net = SimNetwork::new(topo.clone(), 1);
-        let mut engine = SweepEngine::new(net, SRC);
-        let d = topo.destination();
-        engine
-            .add_session(Box::new(MdaSession::new(d, TraceConfig::new(1))))
-            .expect("first session");
-        let err = engine
-            .add_session(Box::new(MdaSession::new(d, TraceConfig::new(2))))
-            .expect_err("duplicate must be rejected");
-        assert_eq!(err, EngineError::DuplicateDestination(d));
-    }
-
     /// A streamed source with a duplicate destination defers the second
     /// session until the first finishes, instead of failing: both traces
     /// come back, in source order.
@@ -2075,10 +2004,7 @@ mod tests {
         let d = topo.destination();
 
         let mut engine = SweepEngine::new(SimNetwork::new(topo.clone(), 5), SRC);
-        engine
-            .add_session(Box::new(MdaLiteSession::new(d, TraceConfig::new(9))))
-            .expect("unique destination");
-        let sweep = engine.run().remove(0);
+        let sweep = run_one(&mut engine, MdaLiteSession::new(d, TraceConfig::new(9)));
 
         let mut prober = TransportProber::new(SimNetwork::new(topo, 5), SRC, d);
         let blocking = crate::mda_lite::trace_mda_lite(&mut prober, &TraceConfig::new(9));
@@ -2099,10 +2025,7 @@ mod tests {
                     max_in_flight,
                     ..SweepConfig::default()
                 });
-            engine
-                .add_session(Box::new(MdaSession::new(d, TraceConfig::new(4))))
-                .expect("unique destination");
-            let trace = engine.run().remove(0);
+            let trace = run_one(&mut engine, MdaSession::new(d, TraceConfig::new(4)));
             (trace, *engine.stats())
         };
         let (big, big_stats) = run(4096);
@@ -2132,14 +2055,10 @@ mod tests {
             retries: 2,
             ..SweepConfig::default()
         });
-        engine
-            .add_session(Box::new(SingleFlowSession::new(
-                d,
-                TraceConfig::new(1),
-                FlowId(0),
-            )))
-            .expect("unique destination");
-        let trace = engine.run().remove(0);
+        let trace = run_one(
+            &mut engine,
+            SingleFlowSession::new(d, TraceConfig::new(1), FlowId(0)),
+        );
         assert!(!trace.reached_destination);
 
         let mut prober = TransportProber::new(lossy(), SRC, d).with_retries(2);
@@ -2147,46 +2066,6 @@ mod tests {
             crate::single_flow::trace_single_flow(&mut prober, &TraceConfig::new(1), FlowId(0));
         assert_eq!(trace.probes_sent, prober.probes_sent());
         assert_eq!(trace.discovery, blocking.discovery);
-    }
-
-    /// Streaming and eager admission produce identical per-destination
-    /// traces; streaming admits lazily (the live table stays bounded).
-    #[test]
-    fn streaming_matches_eager_admission() {
-        let lanes: Vec<mlpt_topo::MultipathTopology> = (0..12u32)
-            .map(|i| canonical::fig1_meshed().translated(0x0100_0000 * (i + 1)))
-            .collect();
-        let run = |admission: Admission| -> (Vec<Trace>, SweepStats) {
-            let nets: Vec<SimNetwork> = lanes
-                .iter()
-                .enumerate()
-                .map(|(i, t)| SimNetwork::new(t.clone(), 7 + i as u64))
-                .collect();
-            let net = mlpt_sim::MultiNetwork::new(nets).expect("unique destinations");
-            let mut engine = SweepEngine::new(net, SRC).with_config(SweepConfig {
-                max_in_flight: 16,
-                admission,
-                ..SweepConfig::default()
-            });
-            let sessions: Vec<Box<dyn TraceSession>> = lanes
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    Box::new(MdaSession::new(t.destination(), TraceConfig::new(i as u64)))
-                        as Box<dyn TraceSession>
-                })
-                .collect();
-            let traces = engine.run_stream(sessions);
-            (traces, *engine.stats())
-        };
-        let (eager, eager_stats) = run(Admission::Eager);
-        let (streaming, streaming_stats) = run(Admission::Streaming);
-        assert_eq!(eager, streaming);
-        assert_eq!(eager_stats.probes_sent, streaming_stats.probes_sent);
-        assert_eq!(eager_stats.sessions_admitted, 12);
-        assert_eq!(streaming_stats.sessions_admitted, 12);
-        // The tiny budget forces streaming to hold sessions back.
-        assert!(streaming_stats.max_batch <= 16);
     }
 
     /// The AIMD controller ramps down under loss and never changes what a
@@ -2209,10 +2088,7 @@ mod tests {
                 adaptive,
                 ..SweepConfig::default()
             });
-            engine
-                .add_session(Box::new(MdaSession::new(d, TraceConfig::new(3))))
-                .expect("unique destination");
-            let trace = engine.run().remove(0);
+            let trace = run_one(&mut engine, MdaSession::new(d, TraceConfig::new(3)));
             (trace, *engine.stats())
         };
         let (fixed, _) = run(None);
@@ -2481,10 +2357,7 @@ mod tests {
                 retries: 2,
                 ..SweepConfig::default()
             });
-            engine
-                .add_session(Box::new(MdaLiteSession::new(d, TraceConfig::new(2))))
-                .expect("unique destination");
-            let _ = engine.run();
+            let _ = run_one(&mut engine, MdaLiteSession::new(d, TraceConfig::new(2)));
             let stats = engine.stats();
             assert_eq!(
                 stats.probes_timed_out
@@ -2529,10 +2402,7 @@ mod tests {
             stall_rounds: 3,
             ..SweepConfig::default()
         });
-        engine
-            .add_session(Box::new(MdaLiteSession::new(d, TraceConfig::new(7))))
-            .expect("unique destination");
-        let trace = engine.run().remove(0);
+        let trace = run_one(&mut engine, MdaLiteSession::new(d, TraceConfig::new(7)));
         assert!(!trace.reached_destination);
         assert!(trace.outcome.is_partial());
         let TraceOutcome::Partial {
@@ -2561,10 +2431,7 @@ mod tests {
         let topo = canonical::fig1_unmeshed();
         let d = topo.destination();
         let mut engine = SweepEngine::new(SimNetwork::new(topo, 3), SRC);
-        engine
-            .add_session(Box::new(MdaLiteSession::new(d, TraceConfig::new(3))))
-            .expect("unique destination");
-        let trace = engine.run().remove(0);
+        let trace = run_one(&mut engine, MdaLiteSession::new(d, TraceConfig::new(3)));
         assert_eq!(trace.outcome, crate::trace::TraceOutcome::Complete);
         assert_eq!(engine.stats().sessions_partial, 0);
     }
@@ -2608,13 +2475,17 @@ mod tests {
             let traces = engine.run_stream(sessions);
             (traces, *engine.stats())
         };
-        let (eager, eager_stats) = run(Admission::Eager, 512);
+        // A budget above the sweep's probe count admits every session up
+        // front: the opposite extreme from the tight streaming budget.
+        const ALL_IN: usize = 1 << 20;
+        let (all_in, all_in_stats) = run(Admission::Streaming, ALL_IN);
+        assert!(all_in_stats.probes_sent < ALL_IN as u64);
         let (streaming, _) = run(Admission::Streaming, 16);
         let (cost_aware, cost_stats) = run(Admission::CostAware, 48);
-        assert_eq!(eager, streaming);
-        assert_eq!(eager, cost_aware);
-        assert_eq!(eager_stats.probes_sent, cost_stats.probes_sent);
-        assert_eq!(eager_stats.sessions_partial, cost_stats.sessions_partial);
+        assert_eq!(all_in, streaming);
+        assert_eq!(all_in, cost_aware);
+        assert_eq!(all_in_stats.probes_sent, cost_stats.probes_sent);
+        assert_eq!(all_in_stats.sessions_partial, cost_stats.sessions_partial);
     }
 
     /// The tentpole end-to-end: sweeping a Doubletree family with a

@@ -81,7 +81,7 @@ pub mod trace;
 pub use artifact::{ArtifactKind, AuditVerdict, ReprobeBudget, RouteAudit, RouteHealth};
 pub use config::TraceConfig;
 pub use discovery::{Discovery, FlowAllocator};
-pub use engine::{AdaptiveBudget, Admission, EngineError, SweepConfig, SweepEngine, SweepStats};
+pub use engine::{AdaptiveBudget, Admission, SweepConfig, SweepEngine, SweepStats};
 pub use mda::trace_mda;
 pub use mda_lite::trace_mda_lite;
 pub use pending::{ProbeTimer, RetryPolicy};

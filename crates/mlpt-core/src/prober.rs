@@ -58,18 +58,6 @@ impl ProbeSpec {
     }
 }
 
-/// How a [`TransportProber`] moves probes across the transport.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Vectorized: whole rounds through [`BatchTransport::send_batch`]
-    /// with reusable packet/reply buffers (the fast path).
-    #[default]
-    Batched,
-    /// Legacy one-probe-at-a-time dispatch. Kept for benchmarking the
-    /// batched path against its predecessor and for equivalence tests.
-    PerProbe,
-}
-
 /// What one traceroute-style (indirect) probe observed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeObservation {
@@ -184,7 +172,6 @@ pub struct TransportProber<T: PacketTransport> {
     echo_identifier: u16,
     retries: u8,
     probes_sent: u64,
-    dispatch: DispatchMode,
     log: ProbeLog,
     /// Reusable encode buffer for one round of probe packets.
     scratch_packets: PacketBatch,
@@ -205,7 +192,6 @@ impl<T: PacketTransport> TransportProber<T> {
             echo_identifier: ECHO_IDENTIFIER,
             retries: 0,
             probes_sent: 0,
-            dispatch: DispatchMode::default(),
             log: ProbeLog::default(),
             scratch_packets: PacketBatch::new(),
             scratch_replies: ReplyBatch::new(),
@@ -215,23 +201,12 @@ impl<T: PacketTransport> TransportProber<T> {
 
     /// Sets how many times an unanswered probe is retried (default 0).
     /// Retries matter only under fault injection; each retry counts as a
-    /// sent probe, as it would on the wire. In batched dispatch, retries
-    /// happen per round (all unanswered probes re-sent together) instead
+    /// sent probe, as it would on the wire. [`Prober::probe_batch`]
+    /// retries per round (all unanswered probes re-sent together) instead
     /// of immediately per probe.
     pub fn with_retries(mut self, retries: u8) -> Self {
         self.retries = retries;
         self
-    }
-
-    /// Selects the dispatch mode (default [`DispatchMode::Batched`]).
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
-    /// The dispatch mode in force.
-    pub fn dispatch(&self) -> DispatchMode {
-        self.dispatch
     }
 
     /// The accumulated observation log.
@@ -319,10 +294,6 @@ impl<T: BatchTransport> Prober for TransportProber<T> {
     /// replies. Unanswered probes are retried in follow-up rounds (up to
     /// the configured retry count).
     fn probe_batch(&mut self, specs: &[ProbeSpec]) -> Vec<Option<ProbeObservation>> {
-        if self.dispatch == DispatchMode::PerProbe {
-            // Legacy path: sequential, for A/B comparison.
-            return specs.iter().map(|s| self.probe(s.flow, s.ttl)).collect();
-        }
         let mut results: Vec<Option<ProbeObservation>> = vec![None; specs.len()];
         let mut pending = std::mem::take(&mut self.scratch_pending);
         pending.clear();
@@ -501,6 +472,25 @@ mod tests {
         assert!(ids.windows(2).any(|w| w[0] != w[1]));
     }
 
+    /// The per-probe oracle: forwards every probe to the wrapped prober
+    /// but keeps the trait's default one-at-a-time `probe_batch`.
+    struct PerProbe<P>(P);
+
+    impl<P: Prober> Prober for PerProbe<P> {
+        fn probe(&mut self, flow: FlowId, ttl: u8) -> Option<ProbeObservation> {
+            self.0.probe(flow, ttl)
+        }
+        fn direct_probe(&mut self, target: Ipv4Addr) -> Option<DirectObservation> {
+            self.0.direct_probe(target)
+        }
+        fn probes_sent(&self) -> u64 {
+            self.0.probes_sent()
+        }
+        fn destination(&self) -> Ipv4Addr {
+            self.0.destination()
+        }
+    }
+
     #[test]
     fn probe_batch_matches_sequential_exactly() {
         // The headline equivalence: batched and per-probe dispatch over
@@ -514,12 +504,12 @@ mod tests {
         let mut batched = prober_over(topo.clone(), 99);
         let batch_results = batched.probe_batch(&specs);
 
-        let mut sequential = prober_over(topo, 99).with_dispatch(DispatchMode::PerProbe);
+        let mut sequential = PerProbe(prober_over(topo, 99));
         let seq_results = sequential.probe_batch(&specs);
 
         assert_eq!(batch_results, seq_results);
         assert_eq!(batched.probes_sent(), sequential.probes_sent());
-        assert_eq!(batched.log().indirect, sequential.log().indirect);
+        assert_eq!(batched.log().indirect, sequential.0.log().indirect);
     }
 
     #[test]

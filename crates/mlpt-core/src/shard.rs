@@ -531,7 +531,7 @@ mod tests {
             commit_width: 4,
             ..StopSetConfig::default()
         });
-        for admission in [Admission::Eager, Admission::Streaming, Admission::CostAware] {
+        for admission in [Admission::Streaming, Admission::CostAware] {
             for stop_cfg in [None, stop] {
                 let cfg = config(admission, stop_cfg);
                 // Unsharded reference.

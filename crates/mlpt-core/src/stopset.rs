@@ -32,9 +32,9 @@
 //! `(TTL, interface)` key — and generation `g + 1` is not admitted
 //! until every pulled session has completed. Which admission mode runs
 //! the sweep, how the budget slices rounds, and which lane finishes
-//! first therefore cannot change a single snapshot, so eager ==
-//! streaming == cost-aware stay bit-identical and sweeps replay
-//! exactly from seed. Generation 0 adopts the empty snapshot and
+//! first therefore cannot change a single snapshot, so streaming and
+//! cost-aware sweeps stay bit-identical and sweeps replay exactly from
+//! seed. Generation 0 adopts the empty snapshot and
 //! behaves exactly like a sweep without a stop set.
 //!
 //! # Honesty

@@ -179,30 +179,57 @@ fn mda_lite_spurious_switch_rate_is_small() {
 }
 
 /// The batched probe engine must be a pure performance change: for every
-/// algorithm, batched and legacy per-probe dispatch over identically
-/// seeded simulators yield bit-identical observation streams, probe
-/// counts, and discovered topologies.
+/// algorithm, batched dispatch and one-probe-at-a-time dispatch over
+/// identically seeded simulators yield bit-identical observation
+/// streams, probe counts, and discovered topologies.
 #[cfg(test)]
 mod batch_equivalence {
     use super::*;
-    use mlpt_core::prober::DispatchMode;
+    use mlpt_core::{DirectObservation, ProbeObservation};
+
+    /// The per-probe oracle: forwards every probe to the wrapped prober
+    /// but keeps the trait's default one-at-a-time `probe_batch`.
+    struct PerProbe<P>(P);
+
+    impl<P: Prober> Prober for PerProbe<P> {
+        fn probe(&mut self, flow: FlowId, ttl: u8) -> Option<ProbeObservation> {
+            self.0.probe(flow, ttl)
+        }
+        fn direct_probe(&mut self, target: Ipv4Addr) -> Option<DirectObservation> {
+            self.0.direct_probe(target)
+        }
+        fn probes_sent(&self) -> u64 {
+            self.0.probes_sent()
+        }
+        fn destination(&self) -> Ipv4Addr {
+            self.0.destination()
+        }
+    }
+
+    fn trace_with<P: Prober>(prober: &mut P, seed: u64, algo: u8) -> Trace {
+        let config = TraceConfig::new(seed);
+        match algo {
+            0 => trace_mda(prober, &config),
+            1 => trace_mda_lite(prober, &config),
+            _ => trace_single_flow(prober, &config, FlowId(7)),
+        }
+    }
 
     fn run_with(
         topo: &MultipathTopology,
         seed: u64,
-        dispatch: DispatchMode,
+        per_probe: bool,
         algo: u8,
-    ) -> (Trace, Vec<mlpt_core::ProbeObservation>, u64) {
+    ) -> (Trace, Vec<ProbeObservation>, u64) {
         let net = SimNetwork::new(topo.clone(), seed);
-        let mut prober = TransportProber::new(net, SRC, topo.destination()).with_dispatch(dispatch);
-        let config = TraceConfig::new(seed);
-        let trace = match algo {
-            0 => trace_mda(&mut prober, &config),
-            1 => trace_mda_lite(&mut prober, &config),
-            _ => trace_single_flow(&mut prober, &config, FlowId(7)),
+        let mut oracle = PerProbe(TransportProber::new(net, SRC, topo.destination()));
+        let trace = if per_probe {
+            trace_with(&mut oracle, seed, algo)
+        } else {
+            trace_with(&mut oracle.0, seed, algo)
         };
-        let sent = prober.probes_sent();
-        let (_net, log) = prober.into_parts();
+        let sent = oracle.0.probes_sent();
+        let (_net, log) = oracle.0.into_parts();
         (trace, log.indirect, sent)
     }
 
@@ -216,9 +243,9 @@ mod batch_equivalence {
             algo in 0u8..3,
         ) {
             let (batched, batched_log, batched_sent) =
-                run_with(&topo, seed, DispatchMode::Batched, algo);
+                run_with(&topo, seed, false, algo);
             let (legacy, legacy_log, legacy_sent) =
-                run_with(&topo, seed, DispatchMode::PerProbe, algo);
+                run_with(&topo, seed, true, algo);
 
             // Same wire behaviour, packet for packet.
             prop_assert_eq!(batched_log, legacy_log, "observation streams diverged");

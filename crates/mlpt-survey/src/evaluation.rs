@@ -11,18 +11,17 @@
 //! the **concurrent sweep engine**: scenarios are chunked, each chunk
 //! shares one [`mlpt_sim::MultiNetwork`] per variant pass (a fresh
 //! same-seeded network per run, so every run sees the same network
-//! conditions, exactly as the legacy back-to-back loop did), and the
+//! conditions, like back-to-back runs on a stable network), and the
 //! chunk's sessions stream into one [`SweepEngine`] per pass. Because
 //! sweep traces are bit-identical to sequential ones and traces are
 //! reported under their stream index, the ratios are identical to the
-//! thread-per-scenario implementation — and independent of chunking,
-//! worker count and admission order. The legacy loop survives behind
-//! [`DispatchMode::PerProbe`] for A/B comparison.
+//! thread-per-scenario implementation this replaced (a golden digest of
+//! its outcome pins them) — and independent of chunking, worker count
+//! and admission order.
 
 use crate::generator::{SyntheticInternet, TraceScenario};
 use crate::parallel::ordered_parallel_map;
 use mlpt_core::prelude::*;
-use mlpt_core::prober::DispatchMode;
 use mlpt_core::TraceSession;
 use mlpt_sim::MultiNetwork;
 use mlpt_stats::{EmpiricalCdf, RatioSummary};
@@ -94,34 +93,21 @@ pub struct EvaluationConfig {
     pub workers: usize,
     /// Seed for the tracing side.
     pub trace_seed: u64,
-    /// How probes cross the transport. [`DispatchMode::Batched`] runs
-    /// the five variants on the sweep engine; [`DispatchMode::PerProbe`]
-    /// keeps the legacy thread-per-scenario loop for A/B comparison.
-    pub dispatch: DispatchMode,
     /// Scenarios per sweep chunk (each chunk shares one network per
     /// variant pass and streams its sessions into one engine).
     pub sweep_chunk: usize,
     /// In-flight probe budget per sweep engine.
     pub sweep_in_flight: usize,
-    /// Deadline policy for dispatched probes (see
-    /// [`mlpt_core::RetryPolicy`]).
-    pub sweep_retry: RetryPolicy,
-    /// Stall watchdog: all-silent rounds before a session is finalized
-    /// as partial (0 = off).
-    pub sweep_stall_rounds: u32,
 }
 
 impl Default for EvaluationConfig {
     fn default() -> Self {
         Self {
-            dispatch: DispatchMode::Batched,
             scenarios: 500,
             workers: crate::parallel::default_workers(),
             trace_seed: 0xE7A1,
             sweep_chunk: 64,
             sweep_in_flight: 256,
-            sweep_retry: RetryPolicy::default(),
-            sweep_stall_rounds: 0,
         }
     }
 }
@@ -200,21 +186,18 @@ fn ratio(a: u64, b: u64) -> f64 {
 }
 
 /// A scenario's base seed: the *network* seed of all five of its runs
-/// ("same network conditions per run"). The single source of truth for
-/// both execution paths — the legacy/sweep bit-identity depends on them
-/// agreeing.
+/// ("same network conditions per run").
 fn scenario_base_seed(trace_seed: u64, id: usize) -> u64 {
     trace_seed ^ (id as u64).wrapping_mul(0xD1B5_4A32)
 }
 
-/// The trace seed of one variant run of one scenario (shared by both
-/// execution paths so they are bit-identical).
+/// The trace seed of one variant run of one scenario.
 fn variant_seed(trace_seed: u64, id: usize, variant: usize) -> u64 {
     scenario_base_seed(trace_seed, id).wrapping_add(1 + variant as u64)
 }
 
 /// The sans-IO session of one variant run (the sweep-engine analogue of
-/// the legacy `trace_mda`/`trace_mda_lite`/`trace_single_flow` calls).
+/// the blocking `trace_mda`/`trace_mda_lite`/`trace_single_flow` calls).
 fn variant_session(scenario: &TraceScenario, seed: u64, variant: usize) -> Box<dyn TraceSession> {
     let destination = scenario.topology.destination();
     let cfg = TraceConfig::new(seed);
@@ -235,116 +218,78 @@ pub fn evaluate_scenarios(
     /// scenario carried no diamond.
     type PerScenario = Option<(RunCounts, [RunCounts; 4])>;
 
-    let rows: Vec<PerScenario> = if config.dispatch == DispatchMode::PerProbe {
-        // Legacy comparison path: one full trace (and one simulator) per
-        // run, thread-per-scenario concurrency.
-        ordered_parallel_map(config.scenarios, config.workers, |id| {
-            let scenario = internet.scenario(id);
-            if !scenario.has_diamond {
-                return None;
+    // Worker threads scale across scenario chunks; inside a chunk the
+    // five variants run as five streamed sweeps, each over a fresh
+    // same-seeded network per scenario (same conditions per run). Traces
+    // land under their stream index, so rows are in scenario order no
+    // matter how admission interleaves or which worker claims the chunk.
+    //
+    // Cap the chunk size so there are at least `workers` chunks (chunks
+    // are the unit of thread parallelism; chunking is pure scheduling,
+    // so this never changes the outcome).
+    let chunk_size = config
+        .sweep_chunk
+        .max(1)
+        .min(config.scenarios.div_ceil(config.workers.max(1)).max(1));
+    let chunks = config.scenarios.div_ceil(chunk_size);
+    let per_chunk: Vec<Vec<PerScenario>> = ordered_parallel_map(chunks, config.workers, |c| {
+        let ids: Vec<usize> =
+            (c * chunk_size..((c + 1) * chunk_size).min(config.scenarios)).collect();
+        let scenarios: Vec<TraceScenario> = ids.iter().map(|&id| internet.scenario(id)).collect();
+        let kept: Vec<&TraceScenario> = scenarios.iter().filter(|s| s.has_diamond).collect();
+        // counts_of[variant][kept index]
+        let mut counts_of: Vec<Vec<Option<RunCounts>>> = vec![vec![None; kept.len()]; 5];
+        if !kept.is_empty() {
+            let source = kept[0].source;
+            assert!(
+                kept.iter().all(|s| s.source == source),
+                "sweep chunks assume a single vantage point"
+            );
+            for (variant, slot) in counts_of.iter_mut().enumerate() {
+                let lanes: Vec<mlpt_sim::SimNetwork> = kept
+                    .iter()
+                    .map(|s| {
+                        // Network seed: the scenario's base seed —
+                        // same conditions for all five of its runs.
+                        s.build_network(scenario_base_seed(config.trace_seed, s.id))
+                    })
+                    .collect();
+                let net = MultiNetwork::new(lanes)
+                    .expect("synthetic-Internet destinations are scenario-unique");
+                let mut engine = SweepEngine::new(net, source).with_config(SweepConfig {
+                    max_in_flight: config.sweep_in_flight.max(1),
+                    admission: Admission::Streaming,
+                    ..SweepConfig::default()
+                });
+                let sessions = kept.iter().map(|s| {
+                    variant_session(s, variant_seed(config.trace_seed, s.id, variant), variant)
+                });
+                engine.run_stream_with(sessions, |index, trace| {
+                    slot[index] = Some(counts(&trace));
+                });
             }
-            let base_seed = scenario_base_seed(config.trace_seed, id);
-            let run = |variant: usize| -> Trace {
-                // Each run sees the same network conditions (same network
-                // seed) but uses its own flow randomness, like
-                // back-to-back runs on a stable network.
-                let mut prober = scenario.build_prober(base_seed, config.dispatch);
-                let cfg = TraceConfig::new(variant_seed(config.trace_seed, id, variant));
-                match variant {
-                    0 | 1 => trace_mda(&mut prober, &cfg),
-                    2 => trace_mda_lite(&mut prober, &cfg.with_phi(2)),
-                    3 => trace_mda_lite(&mut prober, &cfg.with_phi(4)),
-                    _ => trace_single_flow(&mut prober, &cfg, FlowId(0)),
+        }
+        // Re-align the kept rows with the chunk's full id range.
+        let mut kept_iter = 0usize;
+        scenarios
+            .iter()
+            .map(|s| {
+                if !s.has_diamond {
+                    return None;
                 }
-            };
-            let first = counts(&run(0));
-            let variants = [
-                counts(&run(1)),
-                counts(&run(2)),
-                counts(&run(3)),
-                counts(&run(4)),
-            ];
-            Some((first, variants))
-        })
-    } else {
-        // Sweep path: worker threads scale across scenario chunks; inside
-        // a chunk the five variants run as five streamed sweeps, each
-        // over a fresh same-seeded network per scenario (same conditions
-        // per run, as the legacy loop). Traces land under their stream
-        // index, so rows are in scenario order no matter how admission
-        // interleaves or which worker claims the chunk.
-        // Cap the chunk size so there are at least `workers` chunks
-        // (chunks are the unit of thread parallelism; chunking is pure
-        // scheduling, so this never changes the outcome).
-        let chunk_size = config
-            .sweep_chunk
-            .max(1)
-            .min(config.scenarios.div_ceil(config.workers.max(1)).max(1));
-        let chunks = config.scenarios.div_ceil(chunk_size);
-        let nested: Vec<Vec<PerScenario>> = ordered_parallel_map(chunks, config.workers, |c| {
-            let ids: Vec<usize> =
-                (c * chunk_size..((c + 1) * chunk_size).min(config.scenarios)).collect();
-            let scenarios: Vec<TraceScenario> =
-                ids.iter().map(|&id| internet.scenario(id)).collect();
-            let kept: Vec<&TraceScenario> = scenarios.iter().filter(|s| s.has_diamond).collect();
-            // counts_of[variant][kept index]
-            let mut counts_of: Vec<Vec<Option<RunCounts>>> = vec![vec![None; kept.len()]; 5];
-            if !kept.is_empty() {
-                let source = kept[0].source;
-                assert!(
-                    kept.iter().all(|s| s.source == source),
-                    "sweep chunks assume a single vantage point"
-                );
-                for (variant, slot) in counts_of.iter_mut().enumerate() {
-                    let lanes: Vec<mlpt_sim::SimNetwork> = kept
-                        .iter()
-                        .map(|s| {
-                            // Network seed: the run's base seed, as
-                            // build_prober used — same conditions for
-                            // all five runs of a scenario.
-                            s.build_network(scenario_base_seed(config.trace_seed, s.id))
-                        })
-                        .collect();
-                    let net = MultiNetwork::new(lanes)
-                        .expect("synthetic-Internet destinations are scenario-unique");
-                    let mut engine = SweepEngine::new(net, source).with_config(SweepConfig {
-                        max_in_flight: config.sweep_in_flight.max(1),
-                        admission: Admission::Streaming,
-                        retry: config.sweep_retry,
-                        stall_rounds: config.sweep_stall_rounds,
-                        ..SweepConfig::default()
-                    });
-                    let sessions = kept.iter().map(|s| {
-                        variant_session(s, variant_seed(config.trace_seed, s.id, variant), variant)
-                    });
-                    engine.run_stream_with(sessions, |index, trace| {
-                        slot[index] = Some(counts(&trace));
-                    });
-                }
-            }
-            // Re-align the kept rows with the chunk's full id range.
-            let mut kept_iter = 0usize;
-            scenarios
-                .iter()
-                .map(|s| {
-                    if !s.has_diamond {
-                        return None;
-                    }
-                    let k = kept_iter;
-                    kept_iter += 1;
-                    let take = |v: usize| counts_of[v][k].expect("variant run completed");
-                    Some((take(0), [take(1), take(2), take(3), take(4)]))
-                })
-                .collect()
-        });
-        nested.into_iter().flatten().collect()
-    };
+                let k = kept_iter;
+                kept_iter += 1;
+                let take = |v: usize| counts_of[v][k].expect("variant run completed");
+                Some((take(0), [take(1), take(2), take(3), take(4)]))
+            })
+            .collect()
+    });
 
     let mut ratios: Vec<Vec<TraceRatios>> = vec![Vec::new(); 4];
     let mut aggregates: Vec<(RatioSummary, RatioSummary, RatioSummary)> =
         vec![Default::default(); 4];
     let mut measured_traces = 0usize;
-    for row in rows.into_iter().flatten() {
+    for row in per_chunk.into_iter().flatten().flatten() {
         measured_traces += 1;
         let (first, variants) = row;
         for (i, v) in variants.iter().enumerate() {
@@ -396,28 +341,21 @@ mod tests {
     }
 
     /// The sweep-engine path reproduces the legacy thread-per-scenario
-    /// loop exactly: same per-run traces, so same ratios, bit for bit.
+    /// loop exactly — same per-run traces, so same ratios, bit for bit:
+    /// the outcome is that loop's, frozen as a golden digest (FNV-1a-64
+    /// of its `Debug` rendering).
     #[test]
     fn sweep_and_legacy_paths_agree() {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(21));
-        let base = EvaluationConfig {
+        let config = EvaluationConfig {
             scenarios: 30,
             workers: 2,
             trace_seed: 11,
-            dispatch: DispatchMode::Batched,
             sweep_chunk: 7, // deliberately uneven chunks
             sweep_in_flight: 32,
-            ..EvaluationConfig::default()
         };
-        let sweep = evaluate_scenarios(&internet, &base);
-        let legacy = evaluate_scenarios(
-            &internet,
-            &EvaluationConfig {
-                dispatch: DispatchMode::PerProbe,
-                ..base
-            },
-        );
-        outcomes_equal(&sweep, &legacy);
+        let sweep = evaluate_scenarios(&internet, &config);
+        assert_eq!(crate::debug_digest(&sweep), 0x62e7_8e4b_707a_fdd2);
     }
 
     /// Regression for the ordering audit: scenario/variant output order
@@ -434,10 +372,8 @@ mod tests {
                     scenarios: 24,
                     workers,
                     trace_seed: 3,
-                    dispatch: DispatchMode::Batched,
                     sweep_chunk,
                     sweep_in_flight,
-                    ..EvaluationConfig::default()
                 },
             )
         };

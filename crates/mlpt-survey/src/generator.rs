@@ -104,23 +104,6 @@ pub struct TraceScenario {
 }
 
 impl TraceScenario {
-    /// Builds a ready-to-trace prober over this scenario's simulator,
-    /// with the requested probe-dispatch mode. Survey runs go through
-    /// this so a whole campaign flips between batched and per-probe
-    /// dispatch with one config field.
-    pub fn build_prober(
-        &self,
-        seed: u64,
-        dispatch: mlpt_core::prober::DispatchMode,
-    ) -> mlpt_core::prober::TransportProber<mlpt_sim::SimNetwork> {
-        mlpt_core::prober::TransportProber::new(
-            self.build_network(seed),
-            self.source,
-            self.topology.destination(),
-        )
-        .with_dispatch(dispatch)
-    }
-
     /// Builds the packet-level simulator for this scenario.
     pub fn build_network(&self, seed: u64) -> mlpt_sim::SimNetwork {
         let mut builder = mlpt_sim::SimNetwork::builder(self.topology.clone())

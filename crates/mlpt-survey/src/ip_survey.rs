@@ -17,14 +17,13 @@
 //! individual traces. Because sweeps are bit-identical to sequential
 //! tracing (per-lane RNG streams, tag-based reply demux, admission-order
 //! independence), the survey's numbers are unchanged from the
-//! thread-per-scenario implementation it replaces; the legacy per-trace
-//! loop survives behind [`DispatchMode::PerProbe`] for A/B comparison.
+//! thread-per-scenario implementation it replaced; a golden digest of
+//! that implementation's report pins them.
 
 use crate::accounting::SurveyAccumulator;
 use crate::generator::SyntheticInternet;
 use crate::parallel::ordered_parallel_map;
 use mlpt_core::prelude::*;
-use mlpt_core::prober::DispatchMode;
 use mlpt_core::{MdaSession, TraceSession};
 use mlpt_sim::MultiNetwork;
 use mlpt_stats::{EmpiricalCdf, Histogram, JointHistogram};
@@ -42,22 +41,13 @@ pub struct IpSurveyConfig {
     pub trace_seed: u64,
     /// φ used when computing Fig. 2's meshing-miss probabilities.
     pub phi: u32,
-    /// How probes cross the transport (batched by default).
-    pub dispatch: DispatchMode,
     /// Destinations sharing one simulated network per worker chunk; the
     /// chunk's sessions *stream* into the sweep engine under the
-    /// in-flight budget (ignored on the legacy
-    /// [`DispatchMode::PerProbe`] path).
+    /// in-flight budget.
     pub sweep_batch: usize,
     /// In-flight probe budget per sweep engine (the streaming-admission
     /// headroom).
     pub sweep_in_flight: usize,
-    /// Deadline policy for dispatched probes (see
-    /// [`mlpt_core::RetryPolicy`]).
-    pub sweep_retry: RetryPolicy,
-    /// Stall watchdog: all-silent rounds before a session is finalized
-    /// as partial (0 = off).
-    pub sweep_stall_rounds: u32,
     /// Shared Doubletree stop set per sweep chunk (`None` = off). The
     /// synthetic Internet draws scenario topologies from disjoint
     /// address blocks, so cross-destination hits are rare; the knob is
@@ -78,11 +68,8 @@ impl Default for IpSurveyConfig {
             workers: crate::parallel::default_workers(),
             trace_seed: 0xA11A,
             phi: 2,
-            dispatch: DispatchMode::Batched,
             sweep_batch: 128,
             sweep_in_flight: 256,
-            sweep_retry: RetryPolicy::default(),
-            sweep_stall_rounds: 0,
             sweep_stop_set: None,
             sweep_shards: 1,
         }
@@ -216,7 +203,7 @@ pub fn run_ip_survey(internet: &SyntheticInternet, config: &IpSurveyConfig) -> I
     let trace_seed_of =
         |id: usize| -> u64 { config.trace_seed ^ (id as u64).wrapping_mul(0x9E37_79B9) };
 
-    /// Post-processing shared by both tracing paths.
+    /// Post-processing of one finished trace.
     fn analyse(trace: &Trace, phi: u32) -> PerTrace {
         let Some(topology) = trace.to_topology() else {
             return PerTrace {
@@ -245,95 +232,80 @@ pub fn run_ip_survey(internet: &SyntheticInternet, config: &IpSurveyConfig) -> I
         }
     }
 
-    let per_trace: Vec<PerTrace> = if config.dispatch == DispatchMode::PerProbe {
-        // Legacy comparison path: one full trace (and one simulator) per
-        // scenario, thread-per-scenario concurrency.
-        ordered_parallel_map(config.scenarios, config.workers, |id| {
-            let scenario = internet.scenario(id);
-            let seed = trace_seed_of(id);
-            let mut prober = scenario.build_prober(seed, config.dispatch);
-            let trace = trace_mda(&mut prober, &TraceConfig::new(seed));
-            analyse(&trace, config.phi)
-        })
-    } else {
-        // Sweep path: each chunk of destinations shares one MultiNetwork
-        // (one lane per scenario); the chunk's sessions stream into the
-        // concurrent engine, which admits them as in-flight tokens free
-        // up — no fixed per-batch session table, so dispatch batches
-        // stay full until the chunk's destination list is exhausted.
-        // Worker threads scale across chunks, i.e. across networks.
-        // Per-lane determinism makes the traces bit-identical to the
-        // legacy loop, and admission-order independence makes the
-        // output independent of scheduling.
-        // Cap the chunk size so there are at least `workers` chunks:
-        // chunks are the unit of thread parallelism, and chunking is
-        // pure scheduling (the report is identical however the sweep is
-        // sliced — see the regression test), so shrinking chunks to
-        // keep every worker busy is always safe.
-        let chunk_size = config
-            .sweep_batch
-            .max(1)
-            .min(config.scenarios.div_ceil(config.workers.max(1)).max(1));
-        let chunks = config.scenarios.div_ceil(chunk_size);
-        let nested: Vec<Vec<PerTrace>> = ordered_parallel_map(chunks, config.workers, |b| {
-            let ids: Vec<usize> =
-                (b * chunk_size..((b + 1) * chunk_size).min(config.scenarios)).collect();
-            // One generator pass per scenario: the lane, destination and
-            // source all come from the same materialisation.
-            let scenarios: Vec<_> = ids.iter().map(|&id| internet.scenario(id)).collect();
-            let lanes: Vec<mlpt_sim::SimNetwork> = scenarios
-                .iter()
-                .map(|s| s.build_network(trace_seed_of(s.id)))
-                .collect();
-            let net = MultiNetwork::new(lanes)
-                .expect("synthetic-Internet destinations are scenario-unique");
-            // The engine probes every lane from one vantage point; the
-            // generator pins a single source today, so assert that holds
-            // rather than silently mis-sourcing a chunk if it changes.
-            let source = scenarios[0].source;
-            assert!(
-                scenarios.iter().all(|s| s.source == source),
-                "sweep chunks assume a single vantage point"
-            );
-            let sweep_config = SweepConfig {
-                max_in_flight: config.sweep_in_flight.max(1),
-                admission: Admission::Streaming,
-                retry: config.sweep_retry,
-                stall_rounds: config.sweep_stall_rounds,
-                stop_set: config.sweep_stop_set,
-                ..SweepConfig::default()
-            };
-            let sessions = scenarios.iter().map(|scenario| {
-                Box::new(MdaSession::new(
-                    scenario.topology.destination(),
-                    TraceConfig::new(trace_seed_of(scenario.id)),
-                )) as Box<dyn TraceSession>
-            });
-            // Analyse each trace as it completes; indices pin results to
-            // stream order, independent of completion order.
-            let mut per: Vec<Option<PerTrace>> = (0..scenarios.len()).map(|_| None).collect();
-            let shards = config.sweep_shards.max(1);
-            if shards > 1 {
-                // Sharded engine: the chunk's lanes split by the same
-                // destination hash that partitions its sessions.
-                let mut engine =
-                    ShardedSweepEngine::new(net.split_by(shards, |d| shard_of(d, shards)), source)
-                        .with_config(sweep_config);
-                engine.run_stream_with(sessions, |index, trace| {
-                    per[index] = Some(analyse(&trace, config.phi));
-                });
-            } else {
-                let mut engine = SweepEngine::new(net, source).with_config(sweep_config);
-                engine.run_stream_with(sessions, |index, trace| {
-                    per[index] = Some(analyse(&trace, config.phi));
-                });
-            }
-            per.into_iter()
-                .map(|p| p.expect("every streamed session reports a trace"))
-                .collect()
+    // Each chunk of destinations shares one MultiNetwork (one lane per
+    // scenario); the chunk's sessions stream into the concurrent engine,
+    // which admits them as in-flight tokens free up — no fixed per-batch
+    // session table, so dispatch batches stay full until the chunk's
+    // destination list is exhausted. Worker threads scale across chunks,
+    // i.e. across networks. Per-lane determinism makes the traces
+    // bit-identical to sequential tracing, and admission-order
+    // independence makes the output independent of scheduling.
+    //
+    // Cap the chunk size so there are at least `workers` chunks: chunks
+    // are the unit of thread parallelism, and chunking is pure
+    // scheduling (the report is identical however the sweep is sliced —
+    // see the regression test), so shrinking chunks to keep every worker
+    // busy is always safe.
+    let chunk_size = config
+        .sweep_batch
+        .max(1)
+        .min(config.scenarios.div_ceil(config.workers.max(1)).max(1));
+    let chunks = config.scenarios.div_ceil(chunk_size);
+    let per_chunk: Vec<Vec<PerTrace>> = ordered_parallel_map(chunks, config.workers, |b| {
+        let ids: Vec<usize> =
+            (b * chunk_size..((b + 1) * chunk_size).min(config.scenarios)).collect();
+        // One generator pass per scenario: the lane, destination and
+        // source all come from the same materialisation.
+        let scenarios: Vec<_> = ids.iter().map(|&id| internet.scenario(id)).collect();
+        let lanes: Vec<mlpt_sim::SimNetwork> = scenarios
+            .iter()
+            .map(|s| s.build_network(trace_seed_of(s.id)))
+            .collect();
+        let net =
+            MultiNetwork::new(lanes).expect("synthetic-Internet destinations are scenario-unique");
+        // The engine probes every lane from one vantage point; the
+        // generator pins a single source today, so assert that holds
+        // rather than silently mis-sourcing a chunk if it changes.
+        let source = scenarios[0].source;
+        assert!(
+            scenarios.iter().all(|s| s.source == source),
+            "sweep chunks assume a single vantage point"
+        );
+        let sweep_config = SweepConfig {
+            max_in_flight: config.sweep_in_flight.max(1),
+            admission: Admission::Streaming,
+            stop_set: config.sweep_stop_set,
+            ..SweepConfig::default()
+        };
+        let sessions = scenarios.iter().map(|scenario| {
+            Box::new(MdaSession::new(
+                scenario.topology.destination(),
+                TraceConfig::new(trace_seed_of(scenario.id)),
+            )) as Box<dyn TraceSession>
         });
-        nested.into_iter().flatten().collect()
-    };
+        // Analyse each trace as it completes; indices pin results to
+        // stream order, independent of completion order.
+        let mut per: Vec<Option<PerTrace>> = (0..scenarios.len()).map(|_| None).collect();
+        let shards = config.sweep_shards.max(1);
+        if shards > 1 {
+            // Sharded engine: the chunk's lanes split by the same
+            // destination hash that partitions its sessions.
+            let mut engine =
+                ShardedSweepEngine::new(net.split_by(shards, |d| shard_of(d, shards)), source)
+                    .with_config(sweep_config);
+            engine.run_stream_with(sessions, |index, trace| {
+                per[index] = Some(analyse(&trace, config.phi));
+            });
+        } else {
+            let mut engine = SweepEngine::new(net, source).with_config(sweep_config);
+            engine.run_stream_with(sessions, |index, trace| {
+                per[index] = Some(analyse(&trace, config.phi));
+            });
+        }
+        per.into_iter()
+            .map(|p| p.expect("every streamed session reports a trace"))
+            .collect()
+    });
 
     let mut report = IpSurveyReport {
         traces: config.scenarios,
@@ -343,28 +315,17 @@ pub fn run_ip_survey(internet: &SyntheticInternet, config: &IpSurveyConfig) -> I
         meshing_miss_measured: Vec::new(),
         meshing_miss_distinct: Vec::new(),
     };
-    let mut distinct_seen: std::collections::BTreeSet<mlpt_topo::DiamondKey> =
-        std::collections::BTreeSet::new();
-    for (id, t) in per_trace.into_iter().enumerate() {
+    for (id, t) in per_chunk.into_iter().flatten().enumerate() {
         report.exploitable += usize::from(t.exploitable);
         report.load_balanced += usize::from(t.load_balanced);
         for m in t.diamonds {
-            let fresh = distinct_seen.insert(m.key);
             report.diamonds.record(id, m);
-            // The distinct meshing-miss population takes each diamond's
-            // pairs once.
-            if fresh {
-                // Recorded below via per-pair values of this trace only.
-            }
         }
         report.meshing_miss_measured.extend(t.meshing_miss.iter());
-        if !t.meshing_miss.is_empty() {
-            // Distinct view: approximate by taking pairs from first
-            // encounters only; a pair's value is identical across repeat
-            // encounters of the same structure, so dedup at diamond level
-            // suffices for the population shape.
-            report.meshing_miss_distinct.extend(t.meshing_miss);
-        }
+        // Distinct view: a pair's value is identical across repeat
+        // encounters of the same structure, so the deduplication below
+        // yields the distinct population's shape.
+        report.meshing_miss_distinct.extend(t.meshing_miss);
     }
     // Dedup the distinct meshing population.
     report
@@ -386,7 +347,6 @@ mod tests {
             workers: 4,
             trace_seed: 77,
             phi: 2,
-            dispatch: DispatchMode::Batched,
             sweep_batch: 16,
             sweep_in_flight: 64,
             ..IpSurveyConfig::default()
@@ -394,36 +354,23 @@ mod tests {
         run_ip_survey(&internet, &config)
     }
 
-    /// The sweep engine is a pure scheduling change: the survey's numbers
-    /// are identical to the legacy thread-per-scenario loop.
+    /// The sweep engine is a pure scheduling change: the survey's report
+    /// is the one the legacy thread-per-scenario loop produced, frozen as
+    /// a golden digest (FNV-1a-64 of its `Debug` rendering).
     #[test]
     fn sweep_and_legacy_paths_agree() {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(11));
-        let base = IpSurveyConfig {
+        let config = IpSurveyConfig {
             scenarios: 40,
             workers: 2,
             trace_seed: 5,
             phi: 2,
-            dispatch: DispatchMode::Batched,
             sweep_batch: 7,      // deliberately uneven chunks
             sweep_in_flight: 24, // small enough that admission actually streams
             ..IpSurveyConfig::default()
         };
-        let sweep = run_ip_survey(&internet, &base);
-        let legacy = run_ip_survey(
-            &internet,
-            &IpSurveyConfig {
-                dispatch: DispatchMode::PerProbe,
-                ..base
-            },
-        );
-        assert_eq!(sweep.exploitable, legacy.exploitable);
-        assert_eq!(sweep.load_balanced, legacy.load_balanced);
-        assert_eq!(
-            sweep.diamonds.measured_count(),
-            legacy.diamonds.measured_count()
-        );
-        assert_eq!(sweep.meshing_miss_measured, legacy.meshing_miss_measured);
+        let sweep = run_ip_survey(&internet, &config);
+        assert_eq!(crate::debug_digest(&sweep), 0x7561_26a2_1d08_12fc);
     }
 
     /// Chunking, worker counts and the streaming-admission budget are
@@ -440,7 +387,6 @@ mod tests {
                     workers,
                     trace_seed: 9,
                     phi: 2,
-                    dispatch: DispatchMode::Batched,
                     sweep_batch,
                     sweep_in_flight,
                     ..IpSurveyConfig::default()
@@ -469,12 +415,10 @@ mod tests {
                     workers: 2,
                     trace_seed: 3,
                     phi: 2,
-                    dispatch: DispatchMode::Batched,
                     sweep_batch: 12,
                     sweep_in_flight: 32,
                     sweep_stop_set: stop.then(StopSetConfig::default),
                     sweep_shards,
-                    ..IpSurveyConfig::default()
                 },
             )
         };

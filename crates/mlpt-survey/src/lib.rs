@@ -21,7 +21,7 @@
 //!   Tables 2–3), streamed through the sweep engine as sessionized
 //!   multilevel traces.
 //! * [`parallel`] — a small deterministic fork-join helper used to fan
-//!   sweep chunks (and the legacy per-scenario A/B paths) over threads.
+//!   sweep chunks over threads.
 
 pub mod accounting;
 pub mod evaluation;
@@ -38,3 +38,14 @@ pub use router_survey::{
     disjoint_scenario_groups, run_router_survey, scenario_cost_hint, ResolutionCase,
     RouterSurveyConfig, RouterSurveyReport,
 };
+
+/// FNV-1a-64 of a value's `Debug` rendering: the golden digest the
+/// survey tests pin whole reports to.
+#[cfg(test)]
+pub(crate) fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
+    format!("{value:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}

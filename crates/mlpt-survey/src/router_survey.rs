@@ -14,30 +14,26 @@
 //! * Table 3 — what alias resolution does to each unique diamond;
 //! * Figs. 13 & 14 — max-width distributions before/after resolution.
 //!
-//! Scenarios run through the **concurrent sweep engine** by default:
-//! each worker chunk builds one [`mlpt_sim::MultiNetwork`] whose lanes
-//! are the per-scenario simulators and streams one
-//! [`MultilevelSession`] per destination — trace, Round 0–10 alias
-//! rounds and (optionally) the direct comparator campaigns all
-//! interleaved across destinations under the engine's streaming
-//! admission and in-flight budget. Scenarios whose topologies share
-//! interface addresses (the 48/56/96-wide core structures are shared
-//! across routes by construction) are split into address-disjoint
-//! sub-sweeps, because echo probes route by interface address. Per-lane
-//! determinism makes every aggregate bit-identical to the legacy
-//! thread-per-scenario loop, which survives behind
-//! [`DispatchMode::PerProbe`] for A/B comparison.
+//! Scenarios run through the **concurrent sweep engine**: each worker
+//! chunk builds one [`mlpt_sim::MultiNetwork`] whose lanes are the
+//! per-scenario simulators and streams one [`MultilevelSession`] per
+//! destination — trace, Round 0–10 alias rounds and (optionally) the
+//! direct comparator campaigns all interleaved across destinations
+//! under the engine's streaming admission and in-flight budget.
+//! Scenarios whose topologies share interface addresses (the
+//! 48/56/96-wide core structures are shared across routes by
+//! construction) are split into address-disjoint sub-sweeps, because
+//! echo probes route by interface address. Per-lane determinism makes
+//! every aggregate bit-identical to the thread-per-scenario blocking
+//! loop this replaced (a golden digest of its report pins them).
 
 use crate::generator::{SyntheticInternet, TraceScenario};
 use crate::parallel::ordered_parallel_map;
 use mlpt_alias::evidence::EvidenceBase;
-use mlpt_alias::multilevel::{
-    trace_multilevel, MultilevelConfig, MultilevelOutcome, MultilevelSession,
-};
+use mlpt_alias::multilevel::{MultilevelConfig, MultilevelOutcome, MultilevelSession};
 use mlpt_alias::resolver::{judge_set, SeriesSource, SetVerdict};
-use mlpt_alias::rounds::{run_rounds, ProbeMethod, RoundsConfig};
+use mlpt_alias::rounds::{ProbeMethod, RoundsConfig};
 use mlpt_core::prelude::*;
-use mlpt_core::prober::DispatchMode;
 use mlpt_sim::MultiNetwork;
 use mlpt_stats::{Histogram, JointHistogram};
 use mlpt_topo::diamond::{all_diamond_metrics, find_diamonds};
@@ -179,18 +175,12 @@ pub struct RouterSurveyConfig {
     pub workers: usize,
     /// Seed for the tracing side.
     pub trace_seed: u64,
-    /// How probes cross the transport. [`DispatchMode::Batched`]
-    /// (default) streams the multilevel sessions through the sweep
-    /// engine; [`DispatchMode::PerProbe`] keeps the legacy
-    /// thread-per-scenario blocking loop for A/B comparison.
-    pub dispatch: DispatchMode,
     /// Alias-resolution protocol (rounds, replies, MBT parameters).
     pub rounds: RoundsConfig,
     /// Whether to run the direct-probing comparator for Table 2
     /// (roughly doubles alias probing cost).
     pub with_direct_comparison: bool,
-    /// Destinations sharing one simulated network per worker chunk on
-    /// the sweep path (ignored on the legacy path).
+    /// Destinations sharing one simulated network per worker chunk.
     pub sweep_batch: usize,
     /// In-flight probe budget per sweep engine (the streaming-admission
     /// headroom).
@@ -211,12 +201,6 @@ pub struct RouterSurveyConfig {
     /// but are themselves bit-identical across admission modes and
     /// budgets.
     pub hop_fanout: bool,
-    /// Deadline policy for dispatched probes (see
-    /// [`mlpt_core::RetryPolicy`]).
-    pub sweep_retry: RetryPolicy,
-    /// Stall watchdog: all-silent rounds before a session is finalized
-    /// as partial (0 = off).
-    pub sweep_stall_rounds: u32,
     /// Shared Doubletree stop set for each sub-sweep's trace phases
     /// (`None` = off). Sub-sweeps are address-disjoint by construction,
     /// so this mainly exercises the mid-path start + backward probing
@@ -233,7 +217,6 @@ pub struct RouterSurveyConfig {
 impl Default for RouterSurveyConfig {
     fn default() -> Self {
         Self {
-            dispatch: DispatchMode::Batched,
             scenarios: 300,
             workers: crate::parallel::default_workers(),
             trace_seed: 0x5E52,
@@ -243,8 +226,6 @@ impl Default for RouterSurveyConfig {
             sweep_in_flight: 512,
             admission: Admission::Streaming,
             hop_fanout: false,
-            sweep_retry: RetryPolicy::default(),
-            sweep_stall_rounds: 0,
             sweep_stop_set: None,
             sweep_shards: 1,
         }
@@ -351,66 +332,6 @@ fn scenario_tail(
     }
 }
 
-/// One scenario on the legacy blocking path: thread-per-scenario prober,
-/// trace + rounds + comparator driven sequentially.
-fn legacy_scenario(
-    internet: &SyntheticInternet,
-    config: &RouterSurveyConfig,
-    id: usize,
-) -> Option<PerScenario> {
-    let num_rounds = config.rounds.rounds as usize;
-    let scenario = internet.scenario(id);
-    if !scenario.has_diamond {
-        return None;
-    }
-    let seed = trace_seed_of(config, id);
-    let mut prober = scenario.build_prober(seed, config.dispatch);
-    let ml_config = MultilevelConfig {
-        trace: TraceConfig::new(seed),
-        rounds: config.rounds.clone(),
-    };
-    let result = trace_multilevel(&mut prober, &ml_config);
-
-    // Table 2: judge the union of router sets under both methods.
-    let mut verdicts = VerdictMatrix::default();
-    if config.with_direct_comparison {
-        let trace = &result.trace;
-        for ttl in 1..=trace.discovery.max_observed_ttl() {
-            let candidates: BTreeSet<Ipv4Addr> = trace
-                .discovery
-                .vertices_at(ttl)
-                .iter()
-                .copied()
-                .filter(|&a| a != trace.destination && !mlpt_topo::is_star(a))
-                .collect();
-            if candidates.len() < 2 {
-                continue;
-            }
-            // Evidence so far (trace + indirect rounds) …
-            let mut base = EvidenceBase::from_log(prober.log(), &candidates);
-            // … plus a direct-probing campaign of the same size.
-            let direct_cfg = RoundsConfig {
-                method: ProbeMethod::Direct,
-                ..config.rounds.clone()
-            };
-            let direct_reports =
-                run_rounds(&mut prober, trace, &candidates, &mut base, &direct_cfg);
-
-            let indirect_partition = result.final_partition(ttl);
-            let direct_partition = direct_reports.last().map(|r| &r.partition);
-            record_verdicts(
-                &mut verdicts,
-                &base,
-                indirect_partition,
-                direct_partition,
-                &config.rounds.mbt,
-            );
-        }
-    }
-
-    Some(scenario_tail(&result, verdicts, num_rounds))
-}
-
 /// Records the Table 2 verdicts for one hop: the union of router sets
 /// either method identified, judged under both series sources over the
 /// campaign's final evidence.
@@ -439,9 +360,9 @@ fn record_verdicts(
 fn streamed_scenario(outcome: MultilevelOutcome, config: &RouterSurveyConfig) -> PerScenario {
     let num_rounds = config.rounds.rounds as usize;
     let mut verdicts = VerdictMatrix::default();
-    // The comparator campaigns ran inside the session (seeded from its
-    // log at exactly the points the legacy loop seeded them); judge the
-    // same set unions over their final evidence.
+    // The comparator campaigns ran inside the session, each seeded from
+    // its probe log once every hop's indirect rounds were done; judge the
+    // set unions over their final evidence.
     for (ttl, comparison) in &outcome.direct {
         record_verdicts(
             &mut verdicts,
@@ -544,8 +465,6 @@ fn sweep_chunk(
         let sweep_config = SweepConfig {
             max_in_flight: config.sweep_in_flight.max(1),
             admission: config.admission,
-            retry: config.sweep_retry,
-            stall_rounds: config.sweep_stall_rounds,
             stop_set: config.sweep_stop_set,
             ..SweepConfig::default()
         };
@@ -598,30 +517,21 @@ pub fn run_router_survey(
     config: &RouterSurveyConfig,
 ) -> RouterSurveyReport {
     let num_rounds = config.rounds.rounds as usize;
-    let rows: Vec<Option<PerScenario>> = if config.dispatch == DispatchMode::PerProbe {
-        // Legacy comparison path: one full pipeline (and one simulator)
-        // per scenario, thread-per-scenario concurrency.
-        ordered_parallel_map(config.scenarios, config.workers, |id| {
-            legacy_scenario(internet, config, id)
-        })
-    } else {
-        // Sweep path: chunks of scenarios share engines; worker threads
-        // scale across chunks. Chunking and admission are pure
-        // scheduling — rows come back under source indices, so the
-        // report is identical however the sweep is sliced.
-        let chunk_size = config
-            .sweep_batch
-            .max(1)
-            .min(config.scenarios.div_ceil(config.workers.max(1)).max(1));
-        let chunks = config.scenarios.div_ceil(chunk_size);
-        let nested: Vec<Vec<Option<PerScenario>>> =
-            ordered_parallel_map(chunks, config.workers, |b| {
-                let ids: Vec<usize> =
-                    (b * chunk_size..((b + 1) * chunk_size).min(config.scenarios)).collect();
-                sweep_chunk(internet, config, &ids)
-            });
-        nested.into_iter().flatten().collect()
-    };
+    // Chunks of scenarios share engines; worker threads scale across
+    // chunks. Chunking and admission are pure scheduling — rows come back
+    // under source indices, so the report is identical however the sweep
+    // is sliced.
+    let chunk_size = config
+        .sweep_batch
+        .max(1)
+        .min(config.scenarios.div_ceil(config.workers.max(1)).max(1));
+    let chunks = config.scenarios.div_ceil(chunk_size);
+    let per_chunk: Vec<Vec<Option<PerScenario>>> =
+        ordered_parallel_map(chunks, config.workers, |b| {
+            let ids: Vec<usize> =
+                (b * chunk_size..((b + 1) * chunk_size).min(config.scenarios)).collect();
+            sweep_chunk(internet, config, &ids)
+        });
 
     // Aggregate.
     let mut global_pairs: Vec<BTreeSet<(Ipv4Addr, Ipv4Addr)>> =
@@ -637,7 +547,7 @@ pub fn run_router_survey(
     let mut traces = 0usize;
     let mut scenario_ids = Vec::new();
 
-    for (id, row) in rows.into_iter().enumerate() {
+    for (id, row) in per_chunk.into_iter().flatten().enumerate() {
         let Some(row) = row else { continue };
         traces += 1;
         scenario_ids.push(id);
@@ -809,11 +719,13 @@ mod tests {
     /// change. Every aggregate — the Fig. 5 series, the Table 2 verdict
     /// matrix, the Table 3 resolution counts, the Fig. 12 router sizes
     /// and the Fig. 13/14 width histograms — is identical to the legacy
-    /// thread-per-scenario blocking loop, bit for bit.
+    /// thread-per-scenario blocking loop, bit for bit: the report is
+    /// that loop's, frozen as a golden digest (FNV-1a-64 of its `Debug`
+    /// rendering).
     #[test]
     fn streamed_and_legacy_paths_agree() {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(3));
-        let base = RouterSurveyConfig {
+        let config = RouterSurveyConfig {
             scenarios: 24,
             workers: 2,
             trace_seed: 99,
@@ -827,33 +739,13 @@ mod tests {
             sweep_in_flight: 48, // small enough that admission actually streams
             ..RouterSurveyConfig::default()
         };
-        let streamed = run_router_survey(&internet, &base);
-        let legacy = run_router_survey(
-            &internet,
-            &RouterSurveyConfig {
-                dispatch: mlpt_core::prober::DispatchMode::PerProbe,
-                ..base.clone()
-            },
-        );
+        let streamed = run_router_survey(&internet, &config);
         assert!(streamed.traces > 3, "population too small to mean much");
-        assert_eq!(streamed.traces, legacy.traces);
-        assert_eq!(streamed.scenario_ids, legacy.scenario_ids);
-        assert_eq!(streamed.traces_with_aliases, legacy.traces_with_aliases);
-        assert_eq!(streamed.router_sizes_distinct, legacy.router_sizes_distinct);
-        assert_eq!(
-            streamed.router_sizes_aggregated,
-            legacy.router_sizes_aggregated
-        );
-        assert_eq!(streamed.round_metrics, legacy.round_metrics);
-        assert_eq!(streamed.verdicts, legacy.verdicts);
-        assert_eq!(streamed.resolution_counts, legacy.resolution_counts);
-        assert_eq!(streamed.width_before, legacy.width_before);
-        assert_eq!(streamed.width_after, legacy.width_after);
-        assert_eq!(streamed.width_change, legacy.width_change);
         assert!(
             streamed.verdicts.total > 0,
             "the comparator must have judged some sets"
         );
+        assert_eq!(crate::debug_digest(&streamed), 0x2b8c_a784_7f9f_3cc6);
     }
 
     /// Chunking, worker counts and the in-flight budget are pure

@@ -249,8 +249,7 @@ impl ReplyBatch {
 ///   instead blocks in `recv_replies` until the last deadline expires.
 ///
 /// The simulator implements this natively (impairment schedules can
-/// delay replies past their deadlines); [`Synchronous`] adapts any
-/// [`BatchTransport`] whose replies resolve instantly.
+/// delay replies past their deadlines).
 pub trait SplitTransport: PacketTransport {
     /// Send half: dispatches every probe of `probes`, recording for each
     /// the deadline `send_tick + timeouts[i]`. `timeouts.len()` must
@@ -260,74 +259,6 @@ pub trait SplitTransport: PacketTransport {
     /// Recv half: resolves the batch most recently sent (see the trait
     /// docs for the slot semantics). `replies` is cleared first.
     fn recv_replies(&mut self, replies: &mut ReplyBatch);
-}
-
-/// Adapter implementing [`SplitTransport`] over any [`BatchTransport`].
-///
-/// A synchronous transport's replies resolve on the send tick itself, so
-/// no reply can ever miss its deadline: `send_probes` runs the whole
-/// batch through [`BatchTransport::send_batch`] into an internal buffer
-/// and `recv_replies` hands the buffer out. Timeouts are accepted (the
-/// contract requires them) but unobservable.
-#[derive(Debug, Default)]
-pub struct Synchronous<T: BatchTransport> {
-    inner: T,
-    buffered: ReplyBatch,
-}
-
-impl<T: BatchTransport> Synchronous<T> {
-    /// Wraps a synchronous batch transport.
-    pub fn new(inner: T) -> Self {
-        Self {
-            inner,
-            buffered: ReplyBatch::new(),
-        }
-    }
-
-    /// Consumes the adapter, returning the wrapped transport.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped transport.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: BatchTransport> PacketTransport for Synchronous<T> {
-    fn send_packet(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
-        self.inner.send_packet(packet)
-    }
-    fn send_packet_into(&mut self, packet: &[u8], reply: &mut Vec<u8>) -> bool {
-        self.inner.send_packet_into(packet, reply)
-    }
-    fn now(&self) -> u64 {
-        self.inner.now()
-    }
-}
-
-impl<T: BatchTransport> BatchTransport for Synchronous<T> {
-    fn send_batch(&mut self, probes: &PacketBatch, replies: &mut ReplyBatch) {
-        self.inner.send_batch(probes, replies);
-    }
-}
-
-impl<T: BatchTransport> SplitTransport for Synchronous<T> {
-    fn send_probes(&mut self, probes: &PacketBatch, timeouts: &[u64]) {
-        debug_assert_eq!(probes.len(), timeouts.len(), "one timeout per probe");
-        self.inner.send_batch(probes, &mut self.buffered);
-    }
-
-    fn recv_replies(&mut self, replies: &mut ReplyBatch) {
-        std::mem::swap(replies, &mut self.buffered);
-        self.buffered.clear();
-    }
 }
 
 /// Blanket implementation so `&mut T` can be passed where a transport is
@@ -416,34 +347,6 @@ mod tests {
             assert_eq!(replies.get(i).map(<[u8]>::to_vec), expected, "slot {i}");
             assert_eq!(replies.timestamp(i), b.now());
         }
-    }
-
-    #[test]
-    fn synchronous_adapter_matches_send_batch() {
-        let mut batch = PacketBatch::new();
-        for i in 0..6u8 {
-            batch.push(&[i; 4]);
-        }
-        let mut expected = ReplyBatch::new();
-        let mut plain = Echo { clock: 0 };
-        plain.send_batch(&batch, &mut expected);
-
-        let mut split = Synchronous::new(Echo { clock: 0 });
-        // Timeouts are unobservable on a synchronous transport: replies
-        // resolve on the send tick, so even a zero deadline is met.
-        split.send_probes(&batch, &[0; 6]);
-        let mut got = ReplyBatch::new();
-        split.recv_replies(&mut got);
-        assert_eq!(got.len(), expected.len());
-        for i in 0..expected.len() {
-            assert_eq!(got.get(i), expected.get(i), "slot {i}");
-            assert_eq!(got.timestamp(i), expected.timestamp(i), "slot {i}");
-        }
-        assert_eq!(split.now(), plain.now());
-        // A second recv yields the (empty) internal buffer, not stale data.
-        let mut again = ReplyBatch::new();
-        split.recv_replies(&mut again);
-        assert!(again.is_empty());
     }
 
     #[test]

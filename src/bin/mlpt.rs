@@ -77,9 +77,9 @@ commands:
                --adaptive-budget AIMD budget controller: ramps up while
                                  replies are clean, multiplicatively backs
                                  off on loss/rate-limiting, per-lane fair
-               --admission MODE  streaming (default) | eager (fixed
-                                 table) | cost-aware (heaviest predicted
-                                 sessions first; identical results) |
+               --admission MODE  streaming (default) | cost-aware
+                                 (heaviest predicted sessions first;
+                                 identical results) |
                                  cost-aware-windowed:K (same, over a
                                  sliding K-session window for unbounded
                                  --stdin streams)
@@ -143,10 +143,10 @@ commands:
                --max-in-flight P max probes in flight per dispatch
                                  (default 1024)
                --adaptive-budget AIMD in-flight budget controller
-               --admission MODE  streaming (default) | eager |
-                                 cost-aware (wide-hop destinations start
-                                 first, ordered by predicted alias cost
-                                 from the scenario topology; results are
+               --admission MODE  streaming (default) | cost-aware
+                                 (wide-hop destinations start first,
+                                 ordered by predicted alias cost from
+                                 the scenario topology; results are
                                  identical, only the schedule changes) |
                                  cost-aware-windowed:K (sliding window)
                --stop-set        share a Doubletree stop set across the
@@ -383,12 +383,11 @@ fn parse_admission(value: &str) -> Admission {
     }
     match value {
         "streaming" => Admission::Streaming,
-        "eager" => Admission::Eager,
         "cost-aware" => Admission::CostAware,
         other => {
             eprintln!(
                 "unknown admission mode {other} \
-                 (streaming|eager|cost-aware|cost-aware-windowed:K)"
+                 (streaming|cost-aware|cost-aware-windowed:K)"
             );
             exit(2);
         }
@@ -398,7 +397,6 @@ fn parse_admission(value: &str) -> Admission {
 fn admission_name(admission: Admission) -> String {
     match admission {
         Admission::Streaming => "streaming".into(),
-        Admission::Eager => "eager".into(),
         Admission::CostAware => "cost-aware".into(),
         Admission::CostAwareWindowed(window) => format!("cost-aware-windowed:{window}"),
     }
@@ -719,7 +717,6 @@ fn cmd_sweep(args: &[String]) {
             0
         },
         stop_set: stop_set_config(opts.stop_set, opts.start_ttl),
-        ..SweepConfig::default()
     };
     let algo = opts.algo.clone();
     if !matches!(algo.as_str(), "mda" | "lite" | "single") {
@@ -1160,7 +1157,6 @@ fn cmd_alias(args: &[String]) {
             },
             stall_rounds: if fault_schedule.is_some() { 8 } else { 0 },
             stop_set: stop_set_config(stop_set, start_ttl),
-            ..SweepConfig::default()
         };
         let sessions = group.iter().map(|&i| {
             MultilevelSession::new(

@@ -303,7 +303,7 @@ proptest! {
         replies in 3u32..9,
         budget_kind in 0u8..3,
         adaptive_on in any::<bool>(),
-        admission_kind in 0u8..3,
+        admission_kind in 0u8..2,
         order_seed in any::<u64>(),
     ) {
         let faults = fault_plan(fault_kind);
@@ -383,9 +383,8 @@ proptest! {
             .expect("translated lanes have unique destinations");
         let mut engine = SweepEngine::new(net, SRC).with_config(SweepConfig {
             max_in_flight,
-            admission: match admission_kind % 3 {
+            admission: match admission_kind % 2 {
                 0 => Admission::Streaming,
-                1 => Admission::Eager,
                 _ => Admission::CostAware,
             },
             adaptive: adaptive_on.then(|| AdaptiveBudget {
@@ -420,7 +419,7 @@ proptest! {
 
     /// Per-hop fan-out is a protocol variant, not a schedule: the wave
     /// sequence is fixed by the trace outcome alone, so *any* engine
-    /// schedule — admission policy (streaming FIFO, eager, cost-aware),
+    /// schedule — admission policy (streaming FIFO, cost-aware),
     /// admission order, in-flight budget, adaptive controller —
     /// reproduces the blocking fanned driver bit for bit: the same
     /// per-address IP-ID series, per-round partitions, probe accounting
@@ -437,7 +436,7 @@ proptest! {
         replies in 3u32..9,
         budget_kind in 0u8..3,
         adaptive_on in any::<bool>(),
-        admission_kind in 0u8..3,
+        admission_kind in 0u8..2,
         order_seed in any::<u64>(),
     ) {
         let faults = fault_plan(fault_kind);
@@ -490,9 +489,8 @@ proptest! {
             .expect("translated lanes have unique destinations");
         let mut engine = SweepEngine::new(net, SRC).with_config(SweepConfig {
             max_in_flight,
-            admission: match admission_kind % 3 {
+            admission: match admission_kind % 2 {
                 0 => Admission::Streaming,
-                1 => Admission::Eager,
                 _ => Admission::CostAware,
             },
             adaptive: adaptive_on.then(|| AdaptiveBudget {

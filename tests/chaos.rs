@@ -204,7 +204,6 @@ fn every_topology_preset_terminates_with_golden_artifact_counts() {
 #[test]
 fn topology_sweeps_agree_across_admission_modes_and_replay() {
     let modes = [
-        Admission::Eager,
         Admission::Streaming,
         Admission::CostAware,
         Admission::CostAwareWindowed(2),

@@ -333,23 +333,7 @@ fn sweep_adaptive_budget_backs_off_on_rate_limited_lanes() {
 }
 
 #[test]
-fn sweep_eager_admission_mode_selectable() {
-    let out = mlpt()
-        .args([
-            "sweep",
-            "--topology",
-            "simplest",
-            "--destinations",
-            "3",
-            "--admission",
-            "eager",
-            "--json",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-    let report: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
-    assert_eq!(report["admission"], "eager");
+fn sweep_unknown_admission_mode_rejected() {
     assert!(!mlpt()
         .args(["sweep", "--admission", "bogus"])
         .output()

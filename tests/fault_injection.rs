@@ -107,8 +107,9 @@ fn rate_limit_visible_in_capture() {
 /// schedule on one lane) degrades *only* its own lane: the sweep
 /// terminates, the dark destination reports an honest
 /// `TraceOutcome::Partial` with the prefix it discovered before the
-/// cut, every other destination still completes, and all three
-/// admission modes agree bit-for-bit — including on the partial trace.
+/// cut, every other destination still completes, and every admission
+/// schedule (all sessions admitted at once, a tight streaming budget,
+/// cost-aware) agrees bit-for-bit — including on the partial trace.
 #[test]
 fn midsweep_blackhole_partials_only_the_dark_lane() {
     let lanes: Vec<MultipathTopology> = (0..4u32)
@@ -156,19 +157,23 @@ fn midsweep_blackhole_partials_only_the_dark_lane() {
             (traces, *engine.stats())
         };
 
-    let (eager, stats) = sweep(Admission::Eager, 512, true);
+    // A budget above the sweep's probe count admits every session up
+    // front: the opposite extreme from the tight streaming budget.
+    const ALL_IN: usize = 1 << 20;
+    let (all_in, stats) = sweep(Admission::Streaming, ALL_IN, true);
+    assert!(stats.probes_sent < ALL_IN as u64);
     let (streaming, _) = sweep(Admission::Streaming, 16, true);
     let (cost_aware, _) = sweep(Admission::CostAware, 48, true);
 
     // The dark destination: terminated, honest partial, prefix intact.
     assert!(
-        eager[DARK].outcome.is_partial(),
+        all_in[DARK].outcome.is_partial(),
         "{:?}",
-        eager[DARK].outcome
+        all_in[DARK].outcome
     );
-    assert!(!eager[DARK].reached_destination);
+    assert!(!all_in[DARK].reached_destination);
     assert!(
-        !eager[DARK].vertices_at(1).is_empty(),
+        !all_in[DARK].vertices_at(1).is_empty(),
         "the prefix discovered before the cut must survive"
     );
     assert_eq!(stats.sessions_partial, 1);
@@ -179,7 +184,7 @@ fn midsweep_blackhole_partials_only_the_dark_lane() {
     // The healthy lanes are untouched by their dark neighbour: complete,
     // destination reached, and bit-identical to an all-clean sweep.
     let (clean, _) = sweep(Admission::Streaming, 64, false);
-    for (i, trace) in eager.iter().enumerate() {
+    for (i, trace) in all_in.iter().enumerate() {
         assert_eq!(trace, &streaming[i], "admission modes diverged on lane {i}");
         assert_eq!(
             trace, &cost_aware[i],

@@ -3,8 +3,8 @@
 //! running each trace sequentially on its own simulator — for every
 //! algorithm (MDA, MDA-Lite, single-flow), across topologies, fault
 //! plans (loss *and* ICMP rate limiting), session counts, in-flight
-//! budgets (fixed *and* adaptive), admission modes (fixed-table eager,
-//! streaming FIFO, cost-aware heaviest-first) and admission orders.
+//! budgets (fixed *and* adaptive), admission modes (streaming FIFO,
+//! cost-aware heaviest-first) and admission orders.
 //!
 //! Sequential baseline: per destination, a fresh `SimNetwork` (same seed
 //! as the sweep's lane) under a blocking `TransportProber` driver.
@@ -205,13 +205,6 @@ proptest! {
             &lanes, &order, &faults, algo, probe_budget, retries,
             max_in_flight, Admission::Streaming, adaptive,
         );
-        // Fixed-table (eager) sweep in lane order: the pre-streaming
-        // engine's behaviour.
-        let identity: Vec<usize> = (0..lanes.len()).collect();
-        let (eager, eager_stats) = sweep(
-            &lanes, &identity, &faults, algo, probe_budget, retries,
-            max_in_flight, Admission::Eager, None,
-        );
         // Cost-aware sweep in the permuted order: the engine reorders by
         // predicted cost internally, which must stay pure scheduling.
         let (cost_aware, cost_stats) = sweep(
@@ -221,9 +214,7 @@ proptest! {
 
         // Sequential baseline, destination by destination.
         let mut total_sequential_probes = 0u64;
-        for (((lane, streamed), eagered), costed) in
-            lanes.iter().zip(&streaming).zip(&eager).zip(&cost_aware)
-        {
+        for ((lane, streamed), costed) in lanes.iter().zip(&streaming).zip(&cost_aware) {
             let (sequential, sent) =
                 sequential_trace(algo, lane, &faults, retries, probe_budget);
             total_sequential_probes += sent;
@@ -231,12 +222,6 @@ proptest! {
                 streamed,
                 &sequential,
                 "streaming trace towards {} diverged",
-                lane.topology.destination()
-            );
-            prop_assert_eq!(
-                eagered,
-                &sequential,
-                "fixed-table trace towards {} diverged",
                 lane.topology.destination()
             );
             prop_assert_eq!(
@@ -250,7 +235,6 @@ proptest! {
         // All engines did exactly the sequential loops' wire work,
         // merged into (far fewer) cross-destination dispatches.
         prop_assert_eq!(stats.probes_sent, total_sequential_probes);
-        prop_assert_eq!(eager_stats.probes_sent, total_sequential_probes);
         prop_assert_eq!(cost_stats.probes_sent, total_sequential_probes);
         prop_assert_eq!(cost_stats.sessions_completed, lanes.len() as u64);
         prop_assert_eq!(stats.malformed_replies, 0);
@@ -293,8 +277,8 @@ proptest! {
 
     /// Graceful degradation is still pure scheduling: under *any*
     /// generated fault schedule — including ones that blackhole the
-    /// path outright — every admission mode terminates, the three
-    /// modes' traces agree bit for bit, a rerun from the same seeds is
+    /// path outright — every admission mode terminates, the modes'
+    /// traces agree bit for bit, a rerun from the same seeds is
     /// bit-identical, and the retry-wave accounting partitions
     /// `probes_sent` exactly.
     ///
@@ -356,13 +340,11 @@ proptest! {
         // Terminates under every admission mode (reaching this line at
         // all is the liveness claim; the watchdog is what guarantees it
         // when the schedule goes dark).
-        let (eager, eager_stats) = run(Admission::Eager);
         let (streaming, streaming_stats) = run(Admission::Streaming);
         let (cost_aware, cost_stats) = run(Admission::CostAware);
 
         // Bit-for-bit agreement across admission modes.
-        prop_assert_eq!(&eager, &streaming);
-        prop_assert_eq!(&eager, &cost_aware);
+        prop_assert_eq!(&streaming, &cost_aware);
 
         // Reproducible: the same seeds replay to the same sweep.
         let (replay, replay_stats) = run(Admission::Streaming);
@@ -374,7 +356,7 @@ proptest! {
         );
 
         // The retry-wave accounting invariant partitions probes_sent.
-        for stats in [&eager_stats, &streaming_stats, &cost_stats] {
+        for stats in [&streaming_stats, &cost_stats] {
             prop_assert_eq!(
                 stats.probes_timed_out
                     + stats.replies_delivered
@@ -385,7 +367,7 @@ proptest! {
             prop_assert_eq!(stats.sessions_admitted, lanes.len() as u64);
             prop_assert_eq!(stats.sessions_completed, lanes.len() as u64);
         }
-        prop_assert_eq!(eager_stats.sessions_partial, cost_stats.sessions_partial);
+        prop_assert_eq!(streaming_stats.sessions_partial, cost_stats.sessions_partial);
     }
 }
 
@@ -437,7 +419,7 @@ proptest! {
 
     /// Under *any* generated mutation timeline — branches appearing and
     /// vanishing, hops inserted and spliced out, successor sets flapping
-    /// — every admission mode terminates, all four modes' traces and
+    /// — every admission mode terminates, all three modes' traces and
     /// robustness counters agree bit for bit, a rerun from the same
     /// seeds replays exactly, and the retry-wave accounting still
     /// partitions `probes_sent`. Route-change recovery is protocol,
@@ -499,30 +481,28 @@ proptest! {
         // Terminates under every admission mode (reaching this line is
         // the liveness claim: bounded audits, bounded recoveries, and
         // flow hunts that survive a route that keeps changing).
-        let (eager, eager_stats) = run(Admission::Eager);
         let (streaming, streaming_stats) = run(Admission::Streaming);
         let (cost_aware, cost_stats) = run(Admission::CostAware);
         let (windowed, windowed_stats) = run(Admission::CostAwareWindowed(2));
 
-        // Bit-for-bit agreement across all four admission modes.
-        prop_assert_eq!(&eager, &streaming);
-        prop_assert_eq!(&eager, &cost_aware);
-        prop_assert_eq!(&eager, &windowed);
+        // Bit-for-bit agreement across all three admission modes.
+        prop_assert_eq!(&streaming, &cost_aware);
+        prop_assert_eq!(&streaming, &windowed);
 
         // Replay from the seeds is exact, counters included.
         let (replay, replay_stats) = run(Admission::Streaming);
         prop_assert_eq!(&streaming, &replay);
         prop_assert_eq!(streaming_stats, replay_stats);
 
-        for stats in [&eager_stats, &streaming_stats, &cost_stats, &windowed_stats] {
+        for stats in [&streaming_stats, &cost_stats, &windowed_stats] {
             // Recovery decisions are protocol state: every mode sees the
             // same artifacts, recoveries and honest partials.
-            prop_assert_eq!(stats.artifacts_detected, eager_stats.artifacts_detected);
-            prop_assert_eq!(stats.route_recoveries, eager_stats.route_recoveries);
-            prop_assert_eq!(stats.reprobes_sent, eager_stats.reprobes_sent);
+            prop_assert_eq!(stats.artifacts_detected, streaming_stats.artifacts_detected);
+            prop_assert_eq!(stats.route_recoveries, streaming_stats.route_recoveries);
+            prop_assert_eq!(stats.reprobes_sent, streaming_stats.reprobes_sent);
             prop_assert_eq!(
                 stats.route_changed_partials,
-                eager_stats.route_changed_partials
+                streaming_stats.route_changed_partials
             );
             prop_assert_eq!(stats.sessions_admitted, lanes.len() as u64);
             prop_assert_eq!(stats.sessions_completed, lanes.len() as u64);
@@ -640,7 +620,7 @@ proptest! {
     /// A stop-set sweep over a shared-prefix family discovers the same
     /// union topology as the sequential-shaped baseline (each
     /// destination's prefix is reconstructable from the shared set),
-    /// stays bit-identical across all four admission modes, and
+    /// stays bit-identical across all three admission modes, and
     /// replays exactly from the seeds. For the single-flow tracer the
     /// probe ledger is exact: sent + elided equals the classic sweep's
     /// wire count.
@@ -696,7 +676,6 @@ proptest! {
         // Determinism rule 5: stop-set contents are protocol state, so
         // every admission mode replays the identical sweep.
         for admission in [
-            Admission::Eager,
             Admission::CostAware,
             Admission::CostAwareWindowed(window),
             Admission::Streaming, // the replay-from-seed case
@@ -959,7 +938,6 @@ proptest! {
             plain_run(&lanes, &faults, &topo, algo, stop_cfg);
 
         for admission in [
-            Admission::Eager,
             Admission::Streaming,
             Admission::CostAware,
             Admission::CostAwareWindowed(2),
