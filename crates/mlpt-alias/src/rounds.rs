@@ -118,11 +118,7 @@ fn indirect_targets(
     for ttl in 1..=trace.discovery.max_observed_ttl() {
         for &addr in trace.discovery.vertices_at(ttl) {
             if candidates.contains(&addr) && !map.contains_key(&addr) {
-                let flows: Vec<FlowId> = trace
-                    .discovery
-                    .flows_reaching(ttl, addr)
-                    .into_iter()
-                    .collect();
+                let flows: Vec<FlowId> = trace.discovery.flows_at(ttl, addr).collect();
                 if !flows.is_empty() {
                     map.insert(addr, (flows, ttl));
                 }

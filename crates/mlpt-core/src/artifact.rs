@@ -175,7 +175,7 @@ impl RouteAudit {
         let mut specs = Vec::new();
         'hops: for ttl in 1..=state.max_observed_ttl() {
             for vertex in state.vertices_at(ttl) {
-                let Some(&flow) = state.flows_reaching(ttl, *vertex).iter().next() else {
+                let Some(flow) = state.flows_at(ttl, *vertex).next() else {
                     continue;
                 };
                 specs.push(ProbeSpec::new(flow, ttl));

@@ -81,7 +81,7 @@ impl TraceReport {
                 .iter()
                 .map(|&address| ReportVertex {
                     address,
-                    flows: trace.discovery.flows_reaching(ttl, address).len(),
+                    flows: trace.discovery.flows_at(ttl, address).len(),
                     is_destination: address == trace.destination,
                 })
                 .collect();

@@ -507,6 +507,8 @@ struct SessionCore {
     /// True when the budget truncated the last emitted round — the
     /// state-machine analogue of `send_probe_batch` returning false.
     round_cut: bool,
+    /// Scratch for [`Discovery::probes_via`]'s successor set.
+    successors: Vec<Ipv4Addr>,
 }
 
 impl SessionCore {
@@ -521,6 +523,7 @@ impl SessionCore {
             round: Vec::new(),
             spare: Vec::new(),
             round_cut: false,
+            successors: Vec::new(),
         }
     }
 
@@ -577,8 +580,7 @@ impl SessionCore {
     /// (run_mda's entry behaviour, needed when the MDA resumes over
     /// MDA-Lite evidence).
     fn reserve_used_flows(&mut self) {
-        let used: Vec<FlowId> = self.state.used_flows().iter().copied().collect();
-        self.flows.reserve(used);
+        self.flows.reserve(self.state.used_flows().iter().copied());
     }
 }
 
@@ -790,8 +792,10 @@ impl MdaMachine {
                     }
                     VertexSub::Eval => {
                         let parent = parents.pending[parents.idx];
-                        let (sent_via, successors) = core.state.probes_via(parent, self.ttl);
-                        let k = successors.len().max(1);
+                        let sent_via =
+                            core.state
+                                .probes_via(parent, self.ttl, &mut core.successors);
+                        let k = core.successors.len().max(1);
                         if core.config.stopping.should_stop(k, sent_via) {
                             parents.finish_parent();
                             continue;
@@ -801,8 +805,7 @@ impl MdaMachine {
                         let mut specs = core.specs_buffer();
                         specs.extend(
                             core.state
-                                .flows_reaching(self.ttl - 1, parent)
-                                .into_iter()
+                                .flows_at(self.ttl - 1, parent)
                                 .filter(|&f| !core.state.flow_probed_at(self.ttl, f))
                                 .take(owed)
                                 .map(|f| ProbeSpec::new(f, self.ttl)),
@@ -1268,9 +1271,8 @@ impl MdaLiteSession {
                         .vertices
                         .iter()
                         .map(|&v| {
-                            phi.saturating_sub(
-                                self.core.state.flows_reaching(mesh.from_ttl, v).len(),
-                            ) as u64
+                            phi.saturating_sub(self.core.state.flows_at(mesh.from_ttl, v).len())
+                                as u64
                         })
                         .sum();
                     if deficit == 0 {
@@ -1316,8 +1318,7 @@ impl MdaLiteSession {
                         specs.extend(
                             self.core
                                 .state
-                                .flows_reaching(mesh.from_ttl, v)
-                                .into_iter()
+                                .flows_at(mesh.from_ttl, v)
                                 .take(phi)
                                 .filter(|&f| !self.core.state.flow_probed_at(mesh.to_ttl, f))
                                 .map(|f| ProbeSpec::new(f, mesh.to_ttl)),
@@ -1339,18 +1340,17 @@ impl MdaLiteSession {
                 }
                 LitePhase::MeshDetect(mesh) => {
                     let earlier = mesh.from_ttl.min(mesh.to_ttl);
+                    let state = &self.core.state;
                     let meshed = if mesh.wider_prev {
-                        self.core
-                            .state
-                            .edges_from(earlier)
-                            .values()
-                            .any(|succs| succs.len() >= 2)
+                        state
+                            .vertices_at(earlier)
+                            .iter()
+                            .any(|&v| state.successors(earlier, v).len() >= 2)
                     } else {
-                        self.core
-                            .state
-                            .reverse_edges_from(earlier)
-                            .values()
-                            .any(|preds| preds.len() >= 2)
+                        state
+                            .vertices_at(earlier + 1)
+                            .iter()
+                            .any(|&v| state.predecessors(earlier + 1, v).len() >= 2)
                     };
                     if meshed {
                         self.switched = Some(SwitchReason::MeshingDetected { ttl: self.ttl - 1 });
@@ -1595,26 +1595,21 @@ impl TraceSession for MdaLiteSession {
 /// (Sec. 2.3.1): forward probes for successor-less vertices, backward
 /// probes for predecessor-less ones.
 fn build_edge_work(state: &Discovery, ttl: u8, work: &mut Vec<ProbeSpec>) {
-    let edges = state.edges_from(ttl - 1);
-    let rev = state.reverse_edges_from(ttl - 1);
-
     for &u in state.vertices_at(ttl - 1) {
-        if edges.get(&u).is_none_or(BTreeSet::is_empty) {
-            if let Some(&f) = state
-                .flows_reaching(ttl - 1, u)
-                .iter()
-                .find(|&&f| !state.flow_probed_at(ttl, f))
+        if state.successors(ttl - 1, u).next().is_none() {
+            if let Some(f) = state
+                .flows_at(ttl - 1, u)
+                .find(|&f| !state.flow_probed_at(ttl, f))
             {
                 work.push(ProbeSpec::new(f, ttl));
             }
         }
     }
     for &v in state.vertices_at(ttl) {
-        if rev.get(&v).is_none_or(BTreeSet::is_empty) {
-            if let Some(&f) = state
-                .flows_reaching(ttl, v)
-                .iter()
-                .find(|&&f| !state.flow_probed_at(ttl - 1, f))
+        if state.predecessors(ttl, v).next().is_none() {
+            if let Some(f) = state
+                .flows_at(ttl, v)
+                .find(|&f| !state.flow_probed_at(ttl - 1, f))
             {
                 work.push(ProbeSpec::new(f, ttl - 1));
             }
@@ -1624,29 +1619,23 @@ fn build_edge_work(state: &Discovery, ttl: u8, work: &mut Vec<ProbeSpec>) {
 
 /// Width-asymmetry test (Sec. 2.3.3).
 pub(crate) fn pair_is_asymmetric(state: &Discovery, ttl: u8) -> bool {
-    let edges = state.edges_from(ttl - 1);
-    let rev = state.reverse_edges_from(ttl - 1);
-
-    let succ_counts: Vec<usize> = state
+    /// True if the nonzero counts are not all equal (vertices with no
+    /// evidence don't testify).
+    fn uneven(counts: impl Iterator<Item = usize>) -> bool {
+        let mut testified = counts.filter(|&c| c > 0);
+        testified
+            .next()
+            .is_some_and(|first| testified.any(|c| c != first))
+    }
+    let succ_counts = state
         .vertices_at(ttl - 1)
         .iter()
-        .map(|v| edges.get(v).map_or(0, BTreeSet::len))
-        .collect();
-    let pred_counts: Vec<usize> = state
+        .map(|&v| state.successors(ttl - 1, v).len());
+    let pred_counts = state
         .vertices_at(ttl)
         .iter()
-        .map(|v| rev.get(v).map_or(0, BTreeSet::len))
-        .collect();
-
-    let uneven = |counts: &[usize]| {
-        counts
-            .iter()
-            .filter(|&&c| c > 0) // vertices with no evidence don't testify
-            .collect::<BTreeSet<_>>()
-            .len()
-            > 1
-    };
-    uneven(&succ_counts) || uneven(&pred_counts)
+        .map(|&v| state.predecessors(ttl, v).len());
+    uneven(succ_counts) || uneven(pred_counts)
 }
 
 /// Direction of the stop-set-aware single-flow probing legs.

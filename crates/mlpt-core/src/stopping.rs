@@ -26,6 +26,7 @@
 //! paper's arithmetic reproduces to the probe.
 
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A table of stopping points n₁ … n_K with the failure bound that
 /// produced it.
@@ -80,13 +81,21 @@ impl StoppingPoints {
     }
 
     /// The classic 95 % table (α = 0.05): 6, 11, 16, 21, 27, 33, …
+    /// Computed once per process; every call hands out a clone.
     pub fn mda95() -> Self {
-        Self::exact(0.05, DEFAULT_MAX_BRANCHING)
+        static TABLE: OnceLock<StoppingPoints> = OnceLock::new();
+        TABLE
+            .get_or_init(|| Self::exact(0.05, DEFAULT_MAX_BRANCHING))
+            .clone()
     }
 
-    /// The 99 % table (α = 0.01).
+    /// The 99 % table (α = 0.01), computed once per process like
+    /// [`StoppingPoints::mda95`].
     pub fn mda99() -> Self {
-        Self::exact(0.01, DEFAULT_MAX_BRANCHING)
+        static TABLE: OnceLock<StoppingPoints> = OnceLock::new();
+        TABLE
+            .get_or_init(|| Self::exact(0.01, DEFAULT_MAX_BRANCHING))
+            .clone()
     }
 
     /// The values the paper quotes from Veitch et al.'s Table 1:
@@ -165,6 +174,20 @@ mod tests {
     fn classic_95_table() {
         let sp = StoppingPoints::mda95();
         assert_eq!(&sp.as_slice()[..6], &[6, 11, 16, 21, 27, 33]);
+    }
+
+    #[test]
+    fn cached_tables_equal_the_exact_search() {
+        assert_eq!(
+            StoppingPoints::mda95(),
+            StoppingPoints::exact(0.05, DEFAULT_MAX_BRANCHING)
+        );
+        assert_eq!(
+            StoppingPoints::mda99(),
+            StoppingPoints::exact(0.01, DEFAULT_MAX_BRANCHING)
+        );
+        // Later calls hand out the same table again.
+        assert_eq!(StoppingPoints::mda95(), StoppingPoints::mda95());
     }
 
     #[test]

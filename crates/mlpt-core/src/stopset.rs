@@ -315,21 +315,13 @@ pub fn contribution_from_discovery(
     probes_elided: u64,
     stop_hits: u64,
 ) -> StopContribution {
-    let mut entries = Vec::new();
+    let mut entries = Vec::with_capacity(state.total_vertices());
     for ttl in 1..=state.max_observed_ttl() {
-        let predecessors = if ttl >= 2 {
-            state.reverse_edges_from(ttl - 1)
-        } else {
-            BTreeMap::new()
-        };
         for &interface in state.vertices_at(ttl) {
-            let predecessor = predecessors
-                .get(&interface)
-                .and_then(|preds| preds.iter().next().copied());
             entries.push(StopSeen {
                 ttl,
                 interface,
-                predecessor,
+                predecessor: state.predecessors(ttl, interface).next(),
             });
         }
     }

@@ -1,0 +1,214 @@
+//! Allocation gate for the session layer.
+//!
+//! A per-thread counting global allocator charges every allocation made
+//! inside a session's `poll`, `next_rounds`, `on_replies` and
+//! `take_trace` (reallocations included, as the repository benchmark
+//! counts them); the prober, the simulator and the test's own
+//! bookkeeping run uncounted. Sessions and seeds are fixed, so the
+//! counts are exact, and each bound is the measured count rounded up in
+//! the third decimal. A change that makes the session layer allocate
+//! more per probe fails here before any wall clock notices; one that
+//! makes it allocate less should lower the bound.
+
+use mlpt_core::prelude::*;
+use mlpt_core::SharedStopSet;
+use mlpt_sim::SimNetwork;
+use mlpt_topo::canonical;
+use mlpt_topo::MultipathTopology;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::net::Ipv4Addr;
+
+const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
+
+thread_local! {
+    /// Whether allocations on this thread are being counted.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations counted on this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting allocations on threads that asked.
+struct Counting;
+
+impl Counting {
+    fn charge() {
+        let _ = COUNTING.try_with(|on| {
+            if on.get() {
+                let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+            }
+        });
+    }
+}
+
+// SAFETY: every method forwards to `System` with the caller's layout
+// unchanged; the counter only observes calls and never touches memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::charge();
+        // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::charge();
+        // SAFETY: forwarded verbatim; the caller upholds the contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::charge();
+        // SAFETY: `ptr`/`layout` came from this allocator and the caller
+        // guarantees `new_size` is valid for `layout.align()`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` with this thread's allocations counted.
+fn counted<T>(f: impl FnOnce() -> T) -> T {
+    COUNTING.with(|on| on.set(true));
+    let out = f();
+    COUNTING.with(|on| on.set(false));
+    out
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// What a hand-driven session cost.
+#[derive(Debug, Default, Clone, Copy)]
+struct Cost {
+    allocs: u64,
+    probes: u64,
+}
+
+impl Cost {
+    fn per_probe(self) -> f64 {
+        self.allocs as f64 / self.probes as f64
+    }
+}
+
+/// Drives `session` to completion over a simulated `topology`, counting
+/// only the session's own calls.
+fn drive_counted(
+    session: &mut dyn TraceSession,
+    topology: &MultipathTopology,
+    net_seed: u64,
+) -> (Trace, Cost) {
+    let mut prober = TransportProber::new(
+        SimNetwork::new(topology.clone(), net_seed),
+        SRC,
+        topology.destination(),
+    );
+    let before = allocs();
+    while counted(|| session.poll()) == SessionState::Probing {
+        let round = counted(|| session.next_rounds());
+        let results = prober.probe_batch(round);
+        counted(|| session.on_replies(&results));
+    }
+    let probes = prober.probes_sent();
+    let trace = counted(|| session.take_trace(probes));
+    let cost = Cost {
+        allocs: allocs() - before,
+        probes,
+    };
+    (trace, cost)
+}
+
+/// Asserts `cost` stays within `bound` allocations per probe.
+fn assert_within(name: &str, cost: Cost, bound: f64) {
+    eprintln!(
+        "{name}: {} allocations over {} probes = {:.4} per probe (bound {bound})",
+        cost.allocs,
+        cost.probes,
+        cost.per_probe()
+    );
+    assert!(cost.probes > 0, "{name}: nothing was probed");
+    assert!(
+        cost.per_probe() <= bound,
+        "{name}: {:.4} allocations per probe exceeds the bound {bound}",
+        cost.per_probe()
+    );
+}
+
+/// MDA-Lite over `topology` for several seeds, summed.
+fn mda_lite_cost(topology: &MultipathTopology, expect_switch: bool) -> Cost {
+    let mut total = Cost::default();
+    for seed in 1..=4u64 {
+        let mut session = MdaLiteSession::new(topology.destination(), TraceConfig::new(seed));
+        let (trace, cost) = drive_counted(&mut session, topology, seed);
+        assert!(trace.reached_destination);
+        assert_eq!(trace.switched.is_some(), expect_switch, "seed {seed}");
+        total.allocs += cost.allocs;
+        total.probes += cost.probes;
+    }
+    total
+}
+
+/// MDA-Lite on the paper's meshed Fig. 1 diamond: meshing detection
+/// escalates every run to the full MDA, so node control runs too.
+#[test]
+fn mda_lite_escalating_to_mda_on_fig1_meshed() {
+    let cost = mda_lite_cost(&canonical::fig1_meshed(), true);
+    // 273 allocations over 493 probes.
+    assert_within("fig1_meshed", cost, 0.554);
+}
+
+/// MDA-Lite on the width-asymmetric topology (Sec. 2.4.1).
+#[test]
+fn mda_lite_on_asymmetric() {
+    let cost = mda_lite_cost(&canonical::asymmetric(), true);
+    // 984 allocations over 3925 probes.
+    assert_within("asymmetric", cost, 0.251);
+}
+
+/// Single-flow sessions adopting a non-empty stop-set snapshot on
+/// shared-prefix lanes: forward from mid-path, then backward to the
+/// shared-stop hit.
+#[test]
+fn single_flow_with_stop_set_on_shared_prefix_lanes() {
+    let lane = |i| canonical::shared_prefix_lane(20, 4, i);
+    // Lane 0 probes classically and seeds the shared set.
+    let first = lane(0);
+    let mut seed_session =
+        SingleFlowSession::new(first.destination(), TraceConfig::new(0), FlowId(9));
+    seed_session.adopt_stop_set(&StopSnapshot::empty());
+    let (trace, _) = drive_counted(&mut seed_session, &first, 0);
+    assert!(trace.reached_destination);
+    let contribution = seed_session
+        .stop_contribution()
+        .expect("stop-set sessions contribute");
+    let mut shared = SharedStopSet::new();
+    shared.commit(0, &contribution);
+    let snapshot = shared.snapshot(&StopSetConfig::default());
+    assert!(!snapshot.is_empty());
+
+    let mut total = Cost::default();
+    let mut elided = 0;
+    for i in 1..=8usize {
+        let topology = lane(i);
+        let mut session = SingleFlowSession::new(
+            topology.destination(),
+            TraceConfig::new(i as u64),
+            FlowId(9),
+        );
+        session.adopt_stop_set(&snapshot);
+        let (trace, cost) = drive_counted(&mut session, &topology, i as u64);
+        assert!(trace.reached_destination);
+        elided += trace.probes_elided;
+        total.allocs += cost.allocs;
+        total.probes += cost.probes;
+    }
+    assert!(elided > 0, "the shared prefix must be elided");
+    // 224 allocations over 120 probes.
+    assert_within("shared_prefix", total, 1.867);
+}

@@ -501,7 +501,7 @@ fn render_hops(trace: &Trace, routers: Option<&RouterMap>) {
                 parts.push("*".into());
                 continue;
             }
-            let flows = trace.discovery.flows_reaching(ttl, v).len();
+            let flows = trace.discovery.flows_at(ttl, v).len();
             match routers.and_then(|r| r.router_of(v)) {
                 Some(router) => parts.push(format!("{v} [R{}] ({flows} flows)", router.0)),
                 None => parts.push(format!("{v} ({flows} flows)")),

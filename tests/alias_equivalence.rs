@@ -49,8 +49,7 @@ fn legacy_targets(
     for ttl in 1..=trace.discovery.max_observed_ttl() {
         for &a in trace.discovery.vertices_at(ttl) {
             if candidates.contains(&a) && !map.contains_key(&a) {
-                let flows: Vec<FlowId> =
-                    trace.discovery.flows_reaching(ttl, a).into_iter().collect();
+                let flows: Vec<FlowId> = trace.discovery.flows_at(ttl, a).collect();
                 if !flows.is_empty() {
                     map.insert(a, (flows, ttl));
                 }
