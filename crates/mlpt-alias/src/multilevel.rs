@@ -21,7 +21,7 @@ use mlpt_core::stopset::{StopContribution, StopSnapshot};
 use mlpt_core::trace::Trace;
 use mlpt_topo::router::collapse;
 use mlpt_topo::{MultipathTopology, RouterMap};
-use mlpt_wire::transport::BatchTransport;
+use mlpt_wire::transport::PacketTransport;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
@@ -627,7 +627,7 @@ impl ProbeSession for MultilevelSession {
 
 /// Runs Multilevel MDA-Lite Paris Traceroute over a packet transport —
 /// the blocking driver over [`MultilevelSession`].
-pub fn trace_multilevel<T: BatchTransport>(
+pub fn trace_multilevel<T: PacketTransport>(
     prober: &mut TransportProber<T>,
     config: &MultilevelConfig,
 ) -> MultilevelTrace {

@@ -9,7 +9,6 @@
 
 pub mod experiments;
 pub mod progress;
-pub mod reference;
 pub mod render;
 pub mod scale;
 

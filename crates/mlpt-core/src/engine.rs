@@ -100,7 +100,8 @@ use crate::pending::{ProbeTimer, RetryPolicy};
 use crate::prober::{DirectObservation, ProbeObservation, ECHO_IDENTIFIER, ECHO_TTL};
 use crate::session::TraceSession;
 use crate::session::{ProbeOutcome, ProbeRequest, ProbeSession, SessionState, TraceProbeSession};
-use crate::stopset::{SharedStopSet, StopContribution, StopSetConfig, StopSnapshot};
+use crate::shard::run_generations;
+use crate::stopset::{StopSetConfig, StopSnapshot};
 use crate::trace::{PartialReason, Trace};
 use mlpt_wire::probe::{
     build_echo_probe_into, build_udp_probe_into, parse_reply, ProbePacket, ReplyKind,
@@ -232,23 +233,26 @@ pub struct SweepConfig {
     /// modes and budgets.
     pub stall_rounds: u32,
     /// Doubletree-style shared stop set (see [`crate::stopset`]):
-    /// `Some` makes the sweep own a [`SharedStopSet`], hand every
-    /// admitted session a generation snapshot via
-    /// [`ProbeSession::adopt_stop_set`], and commit finished sessions'
-    /// contributions back in source-index order at generation
-    /// boundaries. `None` (the default) keeps classic full-path
-    /// probing.
+    /// `Some` runs the sweep through the generation coordinator in
+    /// [`crate::shard`], which owns a
+    /// [`SharedStopSet`](crate::stopset::SharedStopSet), hands every
+    /// session a generation snapshot via
+    /// [`ProbeSession::adopt_stop_set`] as it is pulled, and commits
+    /// finished sessions' contributions back in source-index order at
+    /// generation boundaries. `None` (the default) keeps classic
+    /// full-path probing.
     ///
     /// Determinism rule 5 extension: the stop set is **protocol
     /// state**. Sessions are partitioned into generations of
     /// [`StopSetConfig::commit_width`] consecutive source indices; a
     /// generation's sessions all see the snapshot closed over strictly
-    /// earlier generations, and a new generation opens only once every
-    /// pulled session has finished. Commits apply in source-index order
-    /// with first-writer-wins per `(TTL, interface)`, so the set's
-    /// contents — and through them every elision — are decided by
-    /// source order, never by scheduling: streaming and cost-aware
-    /// sweeps stay bit-identical and replay exactly from seed.
+    /// earlier generations, and the next generation is pulled only once
+    /// every session of this one has finished. Commits apply in
+    /// source-index order with first-writer-wins per `(TTL, interface)`,
+    /// so the set's contents — and through them every elision — are
+    /// decided by source order, never by scheduling: streaming and
+    /// cost-aware sweeps stay bit-identical and replay exactly from
+    /// seed.
     pub stop_set: Option<StopSetConfig>,
 }
 
@@ -336,8 +340,9 @@ pub struct SweepStats {
     /// Probes the sweep's sessions never put on the wire thanks to
     /// shared-stop-set short-circuits (backward local-stop hits,
     /// forward global-stop hits, scan-phase hits), summed from the
-    /// per-session [`StopContribution::probes_elided`] estimates. `0`
-    /// unless [`SweepConfig::stop_set`] is active.
+    /// per-session
+    /// [`StopContribution::probes_elided`](crate::stopset::StopContribution::probes_elided)
+    /// estimates. `0` unless [`SweepConfig::stop_set`] is active.
     pub probes_elided: u64,
     /// Stop-set hits across the sweep: probes whose responder was found
     /// in the session's adopted snapshot, ending a probing direction
@@ -736,31 +741,6 @@ fn reorder_by_cost<S: ProbeSession>(sessions: Vec<S>, base: usize) -> VecDeque<(
         .collect()
 }
 
-/// Per-run shared-stop-set state ([`SweepConfig::stop_set`]).
-///
-/// The counters live here rather than in [`SweepStats`] because stats
-/// persist and merge across runs while generations are strictly
-/// run-local: a fresh run starts at generation 0 with an empty set.
-struct StopRunState {
-    /// The sweep-wide set, mutated only at generation boundaries.
-    set: SharedStopSet,
-    /// The snapshot handed to the currently open generation's sessions
-    /// at pull time (closed over strictly earlier generations).
-    snapshot: StopSnapshot,
-    cfg: StopSetConfig,
-    /// Generation currently admitting: sessions with source index in
-    /// `open_gen * commit_width ..` belong to it.
-    open_gen: usize,
-    /// Finished sessions' contributions awaiting the generation
-    /// boundary, tagged with their source index for the deterministic
-    /// source-order commit.
-    staged_contribs: Vec<(usize, StopContribution)>,
-    /// Sessions pulled from the source so far (staged included).
-    pulled: usize,
-    /// Sessions handed to the sink so far.
-    completed: usize,
-}
-
 /// The sweep scheduler (see module docs).
 pub struct SweepEngine<T: SplitTransport> {
     transport: T,
@@ -799,8 +779,6 @@ struct SweepRun<'e, T: SplitTransport, S: ProbeSession> {
     pending: usize,
     /// Replies delivered during the current cycle.
     cycle_delivered: usize,
-    /// Shared-stop-set state when [`SweepConfig::stop_set`] is active.
-    stops: Option<StopRunState>,
 }
 
 impl<T: SplitTransport> SweepEngine<T> {
@@ -888,14 +866,7 @@ impl<T: SplitTransport> SweepEngine<T> {
     where
         I: IntoIterator<Item = Box<dyn TraceSession>>,
     {
-        let mut out: Vec<Option<Trace>> = Vec::new();
-        self.run_stream_with(sessions, |index, trace| {
-            if out.len() <= index {
-                out.resize_with(index + 1, || None);
-            }
-            out[index] = Some(trace);
-        });
-        out.into_iter().flatten().collect()
+        in_source_order(|sink| self.run_stream_with(sessions, sink))
     }
 
     /// Streams trace sessions through the engine, handing each finished
@@ -908,16 +879,8 @@ impl<T: SplitTransport> SweepEngine<T> {
         F: FnMut(usize, Trace),
     {
         let adapted = sessions.into_iter().map(TraceProbeSession::new);
-        self.run_sessions_with(adapted, |index, mut session, probes_sent| {
-            let outcome = session.outcome();
-            let mut trace = session.inner_mut().take_trace(probes_sent);
-            // The engine-side verdict (watchdog aborts) wins over a
-            // clean session outcome, but a session that already declared
-            // itself partial (e.g. `RouteChanged`) keeps its own verdict.
-            if outcome.is_partial() {
-                trace.outcome = outcome;
-            }
-            sink(index, trace);
+        self.run_sessions_with(adapted, |index, session, probes_sent| {
+            sink(index, finish_trace(session, probes_sent));
         });
     }
 
@@ -927,24 +890,34 @@ impl<T: SplitTransport> SweepEngine<T> {
     /// wire-level packet count the engine spent on it (retries
     /// included), so the caller extracts whatever result the session
     /// type accumulates — a trace, an alias partition, a full
-    /// multilevel outcome.
-    pub fn run_sessions_with<S, I, F>(&mut self, sessions: I, mut sink: F)
+    /// multilevel outcome. With [`SweepConfig::stop_set`] active the
+    /// source runs through the stop-set generation coordinator shared
+    /// with [`crate::shard::ShardedSweepEngine`].
+    pub fn run_sessions_with<S, I, F>(&mut self, sessions: I, sink: F)
     where
         S: ProbeSession,
         I: IntoIterator<Item = S>,
         F: FnMut(usize, S, u64),
     {
-        let mut iter = sessions.into_iter();
-        self.last_stop_snapshot = None;
-        let stops = self.config.stop_set.map(|cfg| StopRunState {
-            set: SharedStopSet::default(),
-            snapshot: StopSnapshot::empty(),
-            cfg,
-            open_gen: 0,
-            staged_contribs: Vec::new(),
-            pulled: 0,
-            completed: 0,
-        });
+        let (counters, snapshot) = run_generations(
+            self.config.stop_set,
+            sessions,
+            |generation, emit| self.stream_sessions(generation, emit),
+            sink,
+        );
+        self.stats.merge(&counters);
+        self.last_stop_snapshot = snapshot;
+    }
+
+    /// The plain streaming loop: drives `source` to completion, handing
+    /// each finished session to `sink` under its position in `source`.
+    /// Knows nothing of stop sets; the generation coordinator calls it
+    /// once per generation.
+    pub(crate) fn stream_sessions<S: ProbeSession>(
+        &mut self,
+        source: &mut dyn Iterator<Item = S>,
+        sink: &mut dyn FnMut(usize, S, u64),
+    ) {
         let mut run = SweepRun {
             eng: self,
             slots: Vec::new(),
@@ -952,10 +925,43 @@ impl<T: SplitTransport> SweepEngine<T> {
             deferred: DeferredSessions::new(),
             pending: 0,
             cycle_delivered: 0,
-            stops,
         };
-        run.run_source(&mut iter, &mut sink);
+        run.run_source(source, sink);
     }
+
+    /// The config in force (after [`with_config`](Self::with_config)'s
+    /// clamping).
+    pub(crate) fn config(&self) -> &SweepConfig {
+        &self.config
+    }
+}
+
+/// Collects traces handed to `run`'s sink into source order.
+pub(crate) fn in_source_order(run: impl FnOnce(&mut dyn FnMut(usize, Trace))) -> Vec<Trace> {
+    let mut out: Vec<Option<Trace>> = Vec::new();
+    run(&mut |index, trace| {
+        if out.len() <= index {
+            out.resize_with(index + 1, || None);
+        }
+        out[index] = Some(trace);
+    });
+    out.into_iter().flatten().collect()
+}
+
+/// Turns a finished trace session into its trace. The engine-side
+/// verdict (watchdog aborts) wins over a clean session outcome, but a
+/// session that already declared itself partial (e.g. `RouteChanged`)
+/// keeps its own verdict.
+pub(crate) fn finish_trace(
+    mut session: TraceProbeSession<Box<dyn TraceSession>>,
+    probes_sent: u64,
+) -> Trace {
+    let outcome = session.outcome();
+    let mut trace = session.inner_mut().take_trace(probes_sent);
+    if outcome.is_partial() {
+        trace.outcome = outcome;
+    }
+    trace
 }
 
 impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
@@ -979,13 +985,6 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
             if !self.gather_packets() {
                 if self.deferred.is_empty() && staged.is_empty() && source_done {
                     break;
-                }
-                if self.deferred.is_empty() && self.slots.is_empty() && !source_done {
-                    // Stop-set generation gating kept the source shut
-                    // while the last generation drained; the admission
-                    // pass above has now closed it, so the next pass
-                    // pulls the new generation. Nothing live: just loop.
-                    continue;
                 }
                 // Unreachable in practice: a deferred session waits on a
                 // live destination, but nothing is live. The next
@@ -1013,19 +1012,11 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
 
         // Defensive drain: a session that wedged in the empty-round path
         // still reports a result rather than vanishing.
-        while let Some(mut slot) = self.slots.pop() {
+        while let Some(slot) = self.slots.pop() {
             self.live_dests.remove(&u32::from(slot.destination));
             self.eng.stats.sessions_completed += 1;
             self.collect_route_health(&slot);
-            self.harvest_contribution(&mut slot);
             sink(slot.out_index, slot.session, slot.probes_sent);
-        }
-        // Commit any contributions the defensive drain just harvested,
-        // then publish the final snapshot for callers (prefix
-        // reconstruction, cross-run inspection).
-        self.close_generation(true);
-        if let Some(stops) = self.stops.take() {
-            self.eng.last_stop_snapshot = Some(stops.set.snapshot(&stops.cfg));
         }
         self.eng.stats.final_in_flight_budget = self.eng.current_budget();
     }
@@ -1056,60 +1047,8 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
         }
     }
 
-    /// Collects a finished session's firsthand stop-set contribution
-    /// (staged until its generation closes) and its elision counters.
-    /// No-op without an active stop set.
-    fn harvest_contribution(&mut self, slot: &mut SessionSlot<S>) {
-        let Some(stops) = &mut self.stops else {
-            return;
-        };
-        stops.completed += 1;
-        if let Some(contribution) = slot.session.stop_contribution() {
-            self.eng.stats.probes_elided += contribution.probes_elided;
-            self.eng.stats.stop_set_hits += contribution.stop_hits;
-            stops.staged_contribs.push((slot.out_index, contribution));
-        }
-    }
-
-    /// Closes the open generation once every pulled session has
-    /// finished and the source has reached the generation boundary (or
-    /// run dry): commits the staged contributions in **source-index
-    /// order** (first-writer-wins per `(TTL, interface)` — determinism
-    /// rule 5), rebuilds the snapshot the next generation will adopt,
-    /// and opens that generation for pulling.
-    fn close_generation(&mut self, source_done: bool) {
-        let Some(stops) = &mut self.stops else {
-            return;
-        };
-        // Staged and deferred sessions count as pulled but not
-        // completed, so this single check also waits for them.
-        if stops.completed < stops.pulled {
-            return;
-        }
-        let width = stops.cfg.commit_width.max(1);
-        let boundary = stops.pulled >= (stops.open_gen + 1).saturating_mul(width);
-        let partial = source_done && stops.pulled > stops.open_gen.saturating_mul(width);
-        if !boundary && !partial {
-            return;
-        }
-        stops
-            .staged_contribs
-            .sort_unstable_by_key(|&(index, _)| index);
-        let evictions_before = stops.set.evictions();
-        for (index, contribution) in std::mem::take(&mut stops.staged_contribs) {
-            stops.set.commit(index, &contribution);
-        }
-        self.eng.stats.stop_set_evictions += stops.set.evictions() - evictions_before;
-        stops.snapshot = stops.set.snapshot(&stops.cfg);
-        stops.open_gen = stops.pulled.div_ceil(width);
-    }
-
     /// Hands out the next session to admit: the staged chunk first,
-    /// then a fresh chunk pulled from the source. With an active stop
-    /// set, pulls are gated at the open generation's boundary (`None`
-    /// until the generation closes) and every pulled session adopts the
-    /// generation's snapshot right here — pull time, not admission
-    /// time, so deferral cannot change what a session sees.
+    /// then a fresh chunk pulled from the source.
     fn pull_next(
         &mut self,
         source: &mut dyn Iterator<Item = S>,
@@ -1118,16 +1057,7 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
         source_done: &mut bool,
     ) -> Option<(usize, S)> {
         if staged.is_empty() && !*source_done {
-            let mut chunk = self.eng.config.admission.chunk_len();
-            if let Some(stops) = &self.stops {
-                let width = stops.cfg.commit_width.max(1);
-                let generation_end = (stops.open_gen + 1).saturating_mul(width);
-                let room = generation_end.saturating_sub(*next_out);
-                if room == 0 {
-                    return None; // wait for the open generation to close
-                }
-                chunk = chunk.min(room);
-            }
+            let chunk = self.eng.config.admission.chunk_len();
             let mut pulled: Vec<S> = Vec::new();
             while pulled.len() < chunk {
                 match source.next() {
@@ -1149,12 +1079,6 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
                     .map(|(i, session)| (base + i, session))
                     .collect()
             };
-            if let Some(stops) = &mut self.stops {
-                stops.pulled = *next_out;
-                for (_, session) in staged.iter_mut() {
-                    session.adopt_stop_set(&stops.snapshot);
-                }
-            }
         }
         staged.pop_front()
     }
@@ -1192,7 +1116,7 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
         match state {
             SessionState::Finished => {
                 let cost_aware = self.cost_aware();
-                let mut slot = self.slots.swap_remove(i);
+                let slot = self.slots.swap_remove(i);
                 let dest = u32::from(slot.destination);
                 self.live_dests.remove(&dest);
                 // The destination is free again: release its next waiter
@@ -1200,7 +1124,6 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
                 self.deferred.on_destination_freed(dest, cost_aware);
                 self.eng.stats.sessions_completed += 1;
                 self.collect_route_health(&slot);
-                self.harvest_contribution(&mut slot);
                 sink(slot.out_index, slot.session, slot.probes_sent);
                 Pumped::Finished
             }
@@ -1247,10 +1170,6 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
         sink: &mut dyn FnMut(usize, S, u64),
     ) {
         loop {
-            // Generation boundaries are checked every pass: a
-            // generation whose sessions all finished instantly must
-            // still open the next one within this very admission call.
-            self.close_generation(*source_done);
             if self.pending >= self.eng.current_budget() {
                 return;
             }

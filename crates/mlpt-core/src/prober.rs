@@ -2,22 +2,22 @@
 //!
 //! Tracing algorithms think in terms of "send flow f at TTL t, which
 //! interface answered?" — the [`Prober`] trait. [`TransportProber`]
-//! implements it over any [`BatchTransport`] by building real probe
+//! implements it over any [`PacketTransport`] by building real probe
 //! datagrams and parsing real replies, so every algorithmic probe
 //! round-trips through the wire substrate exactly as a real tool's
 //! packets would.
 //!
 //! Two dispatch shapes exist. [`Prober::probe`] sends one probe
-//! synchronously. [`Prober::probe_batch`] moves a whole round of probes
+//! synchronously. [`Prober::probe_batch`] handles a whole round of probes
 //! (e.g. every flow identifier a hop still owes under the stopping rule)
-//! across the transport in one call; `TransportProber` encodes the round
-//! into a reusable [`PacketBatch`], dispatches it with one
-//! [`BatchTransport::send_batch`], and decodes the packed replies — no
-//! per-probe allocations, no per-probe virtual dispatch. The default
-//! trait implementation falls back to sequential `probe` calls, so any
-//! `Prober` is batch-callable. Batched and sequential dispatch produce
-//! bit-identical observation streams on a synchronous transport (same
-//! packet order, same sequence numbers, same clock progression).
+//! at once; `TransportProber` encodes the round into a reusable
+//! [`PacketBatch`], sends it packet by packet into a reusable
+//! [`ReplyBatch`], and decodes the packed replies — no per-probe
+//! allocations. The default trait implementation falls back to
+//! sequential `probe` calls, so any `Prober` is batch-callable. Both
+//! shapes produce bit-identical observation streams on a synchronous
+//! transport (same packet order, same sequence numbers, same clock
+//! progression).
 //!
 //! Every observation (interface, IP ID, reply TTL, MPLS labels,
 //! timestamp) is also recorded in a [`ProbeLog`], which is the "for free"
@@ -28,7 +28,7 @@ use mlpt_wire::icmp::MplsLabelStackEntry;
 use mlpt_wire::probe::{
     build_echo_probe, build_udp_probe_into, parse_reply, ProbePacket, ReplyKind, ReplyPacket,
 };
-use mlpt_wire::transport::{BatchTransport, PacketBatch, PacketTransport, ReplyBatch};
+use mlpt_wire::transport::{PacketBatch, PacketTransport, ReplyBatch};
 use mlpt_wire::FlowId;
 use std::net::Ipv4Addr;
 
@@ -161,7 +161,7 @@ pub struct ProbeLog {
     pub direct: Vec<DirectObservation>,
 }
 
-/// A [`Prober`] over a [`BatchTransport`], building and parsing real
+/// A [`Prober`] over a [`PacketTransport`], building and parsing real
 /// packets. Batched rounds reuse the packet/reply scratch buffers below,
 /// so steady-state probing performs no heap allocations on the send path.
 pub struct TransportProber<T: PacketTransport> {
@@ -244,7 +244,7 @@ impl<T: PacketTransport> TransportProber<T> {
     }
 }
 
-impl<T: BatchTransport> Prober for TransportProber<T> {
+impl<T: PacketTransport> Prober for TransportProber<T> {
     fn probe(&mut self, flow: FlowId, ttl: u8) -> Option<ProbeObservation> {
         for _attempt in 0..=self.retries {
             let sequence = self.next_sequence();
@@ -289,10 +289,10 @@ impl<T: BatchTransport> Prober for TransportProber<T> {
         None
     }
 
-    /// Vectorized dispatch: encodes the whole round into the reusable
-    /// packet batch, crosses the transport once, and decodes the packed
-    /// replies. Unanswered probes are retried in follow-up rounds (up to
-    /// the configured retry count).
+    /// Round dispatch: encodes the whole round into the reusable packet
+    /// batch, sends it packet by packet, and decodes the packed replies.
+    /// Unanswered probes are retried in follow-up rounds (up to the
+    /// configured retry count).
     fn probe_batch(&mut self, specs: &[ProbeSpec]) -> Vec<Option<ProbeObservation>> {
         let mut results: Vec<Option<ProbeObservation>> = vec![None; specs.len()];
         let mut pending = std::mem::take(&mut self.scratch_pending);
@@ -320,9 +320,15 @@ impl<T: BatchTransport> Prober for TransportProber<T> {
             }
             self.probes_sent += pending.len() as u64;
 
-            // One transport crossing for the whole round.
+            // Send in order, stamping each slot with the clock right
+            // after its send.
             let mut replies = std::mem::take(&mut self.scratch_replies);
-            self.transport.send_batch(&packets, &mut replies);
+            replies.clear();
+            for packet in packets.iter() {
+                let transport = &mut self.transport;
+                replies.push_with(0, |buf| transport.send_packet_into(packet, buf));
+                replies.set_last_timestamp(self.transport.now());
+            }
 
             // Decode, keeping unanswered specs for the next attempt.
             let mut write = 0usize;
@@ -534,5 +540,31 @@ mod tests {
         let mut p = prober_over(canonical::simplest_diamond(), 1);
         assert!(p.probe_batch(&[]).is_empty());
         assert_eq!(p.probes_sent(), 0);
+    }
+
+    /// MDA-Lite through `probe_batch` on the fig1 pair (seed 11), pinned
+    /// as FNV-1a-64 digests of the observation log and the trace. The
+    /// digests were taken while a frozen pre-batching simulator, driven
+    /// one probe at a time, still produced the identical log.
+    #[test]
+    fn mda_lite_observation_log_matches_golden() {
+        let digests: Vec<u64> = [canonical::fig1_unmeshed(), canonical::fig1_meshed()]
+            .into_iter()
+            .map(|topo| {
+                let mut prober = prober_over(topo, 11);
+                let trace =
+                    crate::mda_lite::trace_mda_lite(&mut prober, &crate::TraceConfig::new(11));
+                format!("{:?}{trace:?}", prober.log().indirect)
+                    .bytes()
+                    .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+                        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+                    })
+            })
+            .collect();
+        assert_eq!(
+            digests,
+            [0xcd11_183c_0494_0f3a, 0xc773_be95_16af_8b44],
+            "digests now: {digests:#018x?}"
+        );
     }
 }

@@ -21,32 +21,39 @@
 //! `MultiNetwork::split_by` in `mlpt-sim` takes it as the assignment
 //! closure, so a shard's lanes are exactly its sessions' lanes.
 //!
-//! # Generation-barrier stop-set commit
+//! # The generation coordinator
 //!
-//! The PR 7 shared stop set is **protocol state** (determinism rule 5):
-//! its contents must be decided by source order, never by scheduling.
-//! Sharding threatens that — two shards racing to commit would make the
-//! set depend on thread timing. The sharded engine therefore keeps the
-//! set **outside** the shards and commits at generation barriers:
+//! The shared stop set ([`crate::stopset`]) is **protocol state**
+//! (determinism rule 5): its contents must be decided by source order,
+//! never by scheduling. One coordinator, `run_generations`, keeps it
+//! that way for both engines — [`SweepEngine::run_sessions_with`] and
+//! [`ShardedSweepEngine::run_sessions_with`] both run their source
+//! through it:
 //!
 //! 1. Sessions are pulled from the source in generations of
-//!    [`StopSetConfig::commit_width`] consecutive source indices; every
-//!    session of generation *g* adopts the identical snapshot closed
-//!    over generations `< g` (generation 0 adopts the empty snapshot).
-//! 2. The generation's sessions are partitioned by [`shard_of`] and
-//!    each shard runs its slice to completion — a **barrier**: no shard
-//!    starts generation *g+1* until every shard finished *g*.
-//! 3. The shards' contributions merge in **source-index order**
-//!    (first-writer-wins per `(TTL, interface)`, evictions first), the
-//!    snapshot is rebuilt once, and the identical snapshot fans out to
-//!    every shard's generation *g+1*.
+//!    [`StopSetConfig::commit_width`] consecutive source indices, each
+//!    generation only after the previous one has committed; every
+//!    session of generation *g* adopts, as it is pulled, the identical
+//!    snapshot closed over generations `< g` (generation 0 adopts the
+//!    empty snapshot).
+//! 2. The generation goes to a runner, which drives it to completion —
+//!    a **barrier**: nothing of generation *g+1* is pulled until every
+//!    session of *g* has finished. A [`SweepEngine`] (and a one-shard
+//!    [`ShardedSweepEngine`]) streams the generation through its plain
+//!    scheduler loop; several shards partition it by [`shard_of`] and
+//!    run their slices on scoped worker threads.
+//! 3. Each finished session's contribution is harvested before the
+//!    caller's sink sees the session; at the barrier the contributions
+//!    commit in **source-index order** (first-writer-wins per
+//!    `(TTL, interface)`, evictions first) and the snapshot is rebuilt
+//!    once for generation *g+1*.
 //!
-//! This is exactly the unsharded engine's commit schedule — same
-//! generation boundaries, same commit order, same snapshots — so every
-//! per-destination outcome is bit-identical for any shard count, any
-//! admission mode and any budget, and replays exactly from seed.
-//! Without a stop set the whole source is one generation and shards
-//! never synchronise mid-sweep.
+//! Same generation boundaries, same commit order, same snapshots for
+//! any shard count, admission mode and budget, so every
+//! per-destination outcome is bit-identical and replays exactly from
+//! seed. Without a stop set the whole source is one generation: a
+//! single engine streams it lazily, and shards never synchronise
+//! mid-sweep.
 //!
 //! # Accounting
 //!
@@ -54,11 +61,10 @@
 //! [`ShardedSweepEngine::shard_stats`]); [`ShardedSweepEngine::stats`]
 //! merges them through the audited [`SweepStats::merge`] (sums
 //! saturate; high-water marks take the max) plus the shard layer's own
-//! counters: stop-set elisions/hits/evictions (harvested at the
-//! barrier, since the inner engines run stop-set-less) and
-//! [`SweepStats::generation_barrier_stalls`]. A stall is a
-//! shard-generation that finished its slice early and parked at the
-//! barrier while the slowest shard kept dispatching — counted by
+//! counters: stop-set elisions/hits/evictions (harvested by the
+//! coordinator) and [`SweepStats::generation_barrier_stalls`]. A stall
+//! is a shard-generation that finished its slice early and parked at
+//! the barrier while the slowest shard kept dispatching — counted by
 //! comparing per-shard *dispatch-cycle deltas* across the generation
 //! (virtual work, not wall clock), so the counter is deterministic and
 //! replayable like everything else.
@@ -81,7 +87,7 @@
 //!
 //! [`MultiNetwork::split_by`]: ../../mlpt_sim/struct.MultiNetwork.html
 
-use crate::engine::{SweepConfig, SweepEngine, SweepStats};
+use crate::engine::{finish_trace, in_source_order, SweepConfig, SweepEngine, SweepStats};
 use crate::session::{ProbeSession, TraceProbeSession, TraceSession};
 use crate::stopset::{SharedStopSet, StopContribution, StopSetConfig, StopSnapshot};
 use crate::trace::Trace;
@@ -103,13 +109,75 @@ pub fn shard_of(destination: Ipv4Addr, shards: usize) -> usize {
     (u32::from(destination).wrapping_mul(0x9E37_79B1) as usize) % shards
 }
 
+/// The stop-set generation coordinator (see module docs): pulls
+/// `sessions` generation by generation, has each session adopt the
+/// current snapshot as it is pulled, hands each generation to `run` with
+/// a sink taking generation-relative indices, harvests every finished
+/// session's contribution before `sink` sees it under its source index,
+/// and commits in source-index order at each generation's end. Without a
+/// stop set the whole source is one generation.
+///
+/// Returns the stop-set counters (elisions, hits, evictions) for the
+/// caller's [`SweepStats`], and the final snapshot when a stop set ran.
+pub(crate) fn run_generations<S, I, R, F>(
+    stop_set: Option<StopSetConfig>,
+    sessions: I,
+    mut run: R,
+    mut sink: F,
+) -> (SweepStats, Option<StopSnapshot>)
+where
+    S: ProbeSession,
+    I: IntoIterator<Item = S>,
+    R: FnMut(&mut dyn Iterator<Item = S>, &mut dyn FnMut(usize, S, u64)),
+    F: FnMut(usize, S, u64),
+{
+    let width = stop_set.map_or(usize::MAX, |cfg| cfg.commit_width.max(1));
+    let mut source = sessions.into_iter();
+    let mut set = SharedStopSet::default();
+    // What the open generation adopts; `None` without a stop set.
+    let mut snapshot = stop_set.map(|_| StopSnapshot::empty());
+    let mut counters = SweepStats::default();
+    let mut base = 0usize;
+    loop {
+        let mut pulled = 0usize;
+        let mut staged: Vec<(usize, StopContribution)> = Vec::new();
+        let mut generation = source.by_ref().take(width).map(|mut session| {
+            pulled += 1;
+            if let Some(snapshot) = &snapshot {
+                session.adopt_stop_set(snapshot);
+            }
+            session
+        });
+        run(&mut generation, &mut |index, mut session, probes_sent| {
+            if stop_set.is_some() {
+                if let Some(contribution) = session.stop_contribution() {
+                    counters.probes_elided += contribution.probes_elided;
+                    counters.stop_set_hits += contribution.stop_hits;
+                    staged.push((base + index, contribution));
+                }
+            }
+            sink(base + index, session, probes_sent);
+        });
+        if let Some(cfg) = &stop_set {
+            staged.sort_unstable_by_key(|&(index, _)| index);
+            for (index, contribution) in &staged {
+                set.commit(*index, contribution);
+            }
+            snapshot = Some(set.snapshot(cfg));
+        }
+        base += pulled;
+        if pulled < width {
+            break;
+        }
+    }
+    counters.stop_set_evictions = set.evictions();
+    (counters, snapshot)
+}
+
 /// N independent [`SweepEngine`] shards behind one engine-shaped
 /// surface (see module docs).
 pub struct ShardedSweepEngine<T: SplitTransport> {
     engines: Vec<SweepEngine<T>>,
-    /// The sweep-level config; shards run with `stop_set: None` (the
-    /// set lives here, committed at generation barriers).
-    config: SweepConfig,
     /// Shard-layer counters the inner engines cannot see: stop-set
     /// elisions/hits/evictions and generation-barrier stalls.
     extra: SweepStats,
@@ -133,43 +201,27 @@ impl<T: SplitTransport> ShardedSweepEngine<T> {
             !transports.is_empty(),
             "a sharded engine needs at least one shard transport"
         );
-        let engines = transports
-            .into_iter()
-            .map(|t| SweepEngine::new(t, source))
-            .collect();
-        let mut this = Self {
-            engines,
-            config: SweepConfig::default(),
+        Self {
+            engines: transports
+                .into_iter()
+                .map(|t| SweepEngine::new(t, source))
+                .collect(),
             extra: SweepStats::default(),
             merged: SweepStats::default(),
             last_stop_snapshot: None,
-        };
-        this.apply_config();
-        this
+        }
     }
 
-    /// Replaces the tuning knobs. Every shard gets the same config with
-    /// [`SweepConfig::stop_set`] stripped — the shared set is
-    /// coordinated here, at generation barriers, not inside a shard.
+    /// Replaces the tuning knobs of every shard. The shared stop set
+    /// ([`SweepConfig::stop_set`]) is coordinated across the shards, at
+    /// generation barriers (see module docs).
     pub fn with_config(mut self, config: SweepConfig) -> Self {
-        self.config = config;
-        if let Some(stop) = &mut self.config.stop_set {
-            stop.commit_width = stop.commit_width.max(1);
-            stop.start_ttl = stop.start_ttl.max(1);
-        }
-        self.apply_config();
+        self.engines = self
+            .engines
+            .into_iter()
+            .map(|engine| engine.with_config(config))
+            .collect();
         self
-    }
-
-    /// Pushes the current config (stop set stripped) into every shard.
-    fn apply_config(&mut self) {
-        let shard_config = SweepConfig {
-            stop_set: None,
-            ..self.config
-        };
-        for engine in std::mem::take(&mut self.engines) {
-            self.engines.push(engine.with_config(shard_config));
-        }
     }
 
     /// Number of shards.
@@ -206,16 +258,6 @@ impl<T: SplitTransport> ShardedSweepEngine<T> {
             .map(|e| e.into_transport())
             .collect()
     }
-
-    /// Rebuilds the merged stats from the shard engines and the layer
-    /// counters.
-    fn remerge(&mut self) {
-        let mut merged = self.extra;
-        for engine in &self.engines {
-            merged.merge(engine.stats());
-        }
-        self.merged = merged;
-    }
 }
 
 impl<T: SplitTransport + Send> ShardedSweepEngine<T> {
@@ -226,214 +268,149 @@ impl<T: SplitTransport + Send> ShardedSweepEngine<T> {
     where
         I: IntoIterator<Item = Box<dyn TraceSession>>,
     {
-        let mut out: Vec<Option<Trace>> = Vec::new();
-        self.run_stream_with(sessions, |index, trace| {
-            if out.len() <= index {
-                out.resize_with(index + 1, || None);
-            }
-            out[index] = Some(trace);
-        });
-        out.into_iter().flatten().collect()
+        in_source_order(|sink| self.run_stream_with(sessions, sink))
     }
 
     /// Streams trace sessions through the sharded engine, handing each
     /// finished trace to `sink` with its source index — the sharded
-    /// analogue of [`SweepEngine::run_stream_with`]. Traces are emitted
-    /// in source order within each generation.
+    /// analogue of [`SweepEngine::run_stream_with`].
     pub fn run_stream_with<I, F>(&mut self, sessions: I, mut sink: F)
     where
         I: IntoIterator<Item = Box<dyn TraceSession>>,
         F: FnMut(usize, Trace),
     {
         let adapted = sessions.into_iter().map(TraceProbeSession::new);
-        self.run_sessions_with(adapted, |index, mut session, probes_sent| {
-            let outcome = session.outcome();
-            let mut trace = session.inner_mut().take_trace(probes_sent);
-            // Engine-side verdict (watchdog aborts) wins over a clean
-            // session outcome; a self-declared partial keeps its
-            // verdict — same rule as the unsharded engine.
-            if outcome.is_partial() {
-                trace.outcome = outcome;
-            }
-            sink(index, trace);
+        self.run_sessions_with(adapted, |index, session, probes_sent| {
+            sink(index, finish_trace(session, probes_sent));
         });
     }
 
     /// The generalised entry point — the sharded analogue of
     /// [`SweepEngine::run_sessions_with`]: streams any `Send` probe
     /// session type through the shards, handing each finished session
-    /// back with its source index and wire-level probe count. Sessions
-    /// are emitted in source order within each generation.
-    pub fn run_sessions_with<S, I, F>(&mut self, sessions: I, mut sink: F)
+    /// back with its source index and wire-level probe count. One
+    /// shard streams its source exactly like a [`SweepEngine`]; several
+    /// emit their sessions in source order within each generation.
+    pub fn run_sessions_with<S, I, F>(&mut self, sessions: I, sink: F)
     where
         S: ProbeSession + Send,
         I: IntoIterator<Item = S>,
         F: FnMut(usize, S, u64),
     {
-        self.last_stop_snapshot = None;
-        let stop_cfg: Option<StopSetConfig> = self.config.stop_set;
-        // Without a stop set there is nothing to synchronise on: the
-        // whole source is one generation and shards run free.
-        let width = match &stop_cfg {
-            Some(cfg) => cfg.commit_width.max(1),
-            None => usize::MAX,
+        let stop_set = self.engines[0].config().stop_set;
+        let (counters, snapshot) = match self.engines.as_mut_slice() {
+            [engine] => run_generations(
+                stop_set,
+                sessions,
+                |generation, emit| engine.stream_sessions(generation, emit),
+                sink,
+            ),
+            engines => {
+                let stalls = &mut self.extra.generation_barrier_stalls;
+                run_generations(
+                    stop_set,
+                    sessions,
+                    |generation, emit| *stalls += fan_out(engines, generation, emit),
+                    sink,
+                )
+            }
         };
-        let mut set = SharedStopSet::default();
-        let mut snapshot = StopSnapshot::empty();
-        let mut iter = sessions.into_iter();
-        let mut next_index = 0usize;
-
-        loop {
-            // Pull one generation in source order; every session adopts
-            // the snapshot closed over earlier generations (empty for
-            // generation 0) at pull time, exactly like the unsharded
-            // engine.
-            let mut generation: Vec<(usize, S)> = Vec::new();
-            while generation.len() < width {
-                let Some(mut session) = iter.next() else {
-                    break;
-                };
-                if stop_cfg.is_some() {
-                    session.adopt_stop_set(&snapshot);
-                }
-                generation.push((next_index, session));
-                next_index += 1;
-            }
-            if generation.is_empty() {
-                break;
-            }
-
-            // Partition by destination; same-destination sessions land
-            // on the same shard, so reply tags stay unambiguous.
-            let shards = self.engines.len();
-            let mut batches: Vec<Vec<(usize, S)>> = (0..shards).map(|_| Vec::new()).collect();
-            for (index, session) in generation {
-                batches[shard_of(session.destination(), shards)].push((index, session));
-            }
-
-            // Barrier-stall accounting baseline: dispatch cycles before
-            // this generation, per participating shard.
-            let cycles_before: Vec<u64> = self
-                .engines
-                .iter()
-                .map(|e| e.stats().dispatch_cycles)
-                .collect();
-            let participating: Vec<usize> = batches
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| !b.is_empty())
-                .map(|(i, _)| i)
-                .collect();
-
-            let harvest = stop_cfg.is_some();
-            let mut results: Vec<(usize, S, u64, Option<StopContribution>)> =
-                if participating.len() <= 1 {
-                    // One busy shard (or none): no parallelism to buy,
-                    // run inline and skip the scope entirely.
-                    match participating.first() {
-                        Some(&shard) => run_shard(
-                            &mut self.engines[shard],
-                            std::mem::take(&mut batches[shard]),
-                            harvest,
-                        ),
-                        None => Vec::new(),
-                    }
-                } else {
-                    // Disjoint shards on scoped worker threads. Shard
-                    // state is engine state: budgets, stats and demux
-                    // tables persist across generations on their own
-                    // shard, untouched by the others.
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = self
-                            .engines
-                            .iter_mut()
-                            .zip(batches)
-                            .filter(|(_, batch)| !batch.is_empty())
-                            .map(|(engine, batch)| {
-                                scope.spawn(move || run_shard(engine, batch, harvest))
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            // mlpt: allow(MLPT-W004, reason = "join() only fails if a worker panicked; re-raising that panic on the coordinator is the correct propagation")
-                            .flat_map(|h| h.join().expect("a sweep shard panicked"))
-                            .collect()
-                    })
-                };
-
-            // Barrier stalls: shards that finished the generation in
-            // fewer dispatch cycles than the slowest one idled at the
-            // barrier for the difference. Only meaningful when two or
-            // more shards actually ran.
-            if participating.len() > 1 {
-                let deltas: Vec<u64> = participating
-                    .iter()
-                    .map(|&i| self.engines[i].stats().dispatch_cycles - cycles_before[i])
-                    .collect();
-                let slowest = deltas.iter().copied().max().unwrap_or(0);
-                self.extra.generation_barrier_stalls +=
-                    deltas.iter().filter(|&&d| d < slowest).count() as u64;
-            }
-
-            // Emit in source order within the generation (determinism
-            // of the emission sequence, not just of its contents), then
-            // commit contributions in the same order — first-writer-
-            // wins resolves exactly as in the unsharded engine.
-            results.sort_by_key(|&(index, _, _, _)| index);
-            let mut staged: Vec<(usize, StopContribution)> = Vec::new();
-            for (index, session, probes_sent, contribution) in results {
-                if let Some(contribution) = contribution {
-                    self.extra.probes_elided += contribution.probes_elided;
-                    self.extra.stop_set_hits += contribution.stop_hits;
-                    staged.push((index, contribution));
-                }
-                sink(index, session, probes_sent);
-            }
-            if let Some(cfg) = &stop_cfg {
-                let evictions_before = set.evictions();
-                for (index, contribution) in staged {
-                    set.commit(index, &contribution);
-                }
-                self.extra.stop_set_evictions += set.evictions() - evictions_before;
-                snapshot = set.snapshot(cfg);
-            }
+        self.extra.merge(&counters);
+        self.last_stop_snapshot = snapshot;
+        let mut merged = self.extra;
+        for engine in &self.engines {
+            merged.merge(engine.stats());
         }
-
-        if let Some(cfg) = &stop_cfg {
-            self.last_stop_snapshot = Some(set.snapshot(cfg));
-        }
-        self.remerge();
+        self.merged = merged;
     }
 }
 
+/// Runs one generation across several shards: partitions it by
+/// [`shard_of`] (same-destination sessions land on the same shard, so
+/// reply tags stay unambiguous), drives the busy shards on scoped worker
+/// threads, then emits every session in source order. Returns the
+/// generation's barrier stalls: busy shards that finished in fewer
+/// dispatch cycles than the slowest one idled at the barrier.
+fn fan_out<T, S>(
+    engines: &mut [SweepEngine<T>],
+    generation: &mut dyn Iterator<Item = S>,
+    emit: &mut dyn FnMut(usize, S, u64),
+) -> u64
+where
+    T: SplitTransport + Send,
+    S: ProbeSession + Send,
+{
+    let shards = engines.len();
+    let mut batches: Vec<Vec<(usize, S)>> = (0..shards).map(|_| Vec::new()).collect();
+    for (index, session) in generation.enumerate() {
+        batches[shard_of(session.destination(), shards)].push((index, session));
+    }
+    let cycles_before: Vec<u64> = engines.iter().map(|e| e.stats().dispatch_cycles).collect();
+    let participating: Vec<usize> = batches
+        .iter()
+        .enumerate()
+        .filter(|(_, b)| !b.is_empty())
+        .map(|(i, _)| i)
+        .collect();
+
+    let mut results: Vec<(usize, S, u64)> = if participating.len() <= 1 {
+        // One busy shard (or none): no parallelism to buy, run inline
+        // and skip the scope entirely.
+        match participating.first() {
+            Some(&shard) => run_shard(&mut engines[shard], std::mem::take(&mut batches[shard])),
+            None => Vec::new(),
+        }
+    } else {
+        // Disjoint shards on scoped worker threads. Shard state is
+        // engine state: budgets, stats and demux tables persist across
+        // generations on their own shard, untouched by the others.
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = engines
+                .iter_mut()
+                .zip(batches)
+                .filter(|(_, batch)| !batch.is_empty())
+                .map(|(engine, batch)| scope.spawn(move || run_shard(engine, batch)))
+                .collect();
+            handles
+                .into_iter()
+                // mlpt: allow(MLPT-W004, reason = "join() only fails if a worker panicked; re-raising that panic on the coordinator is the correct propagation")
+                .flat_map(|h| h.join().expect("a sweep shard panicked"))
+                .collect()
+        })
+    };
+
+    let mut stalls = 0;
+    if participating.len() > 1 {
+        let deltas: Vec<u64> = participating
+            .iter()
+            .map(|&i| engines[i].stats().dispatch_cycles - cycles_before[i])
+            .collect();
+        let slowest = deltas.iter().copied().max().unwrap_or(0);
+        stalls = deltas.iter().filter(|&&d| d < slowest).count() as u64;
+    }
+
+    // Emit in source order within the generation: determinism of the
+    // emission sequence, not just of its contents.
+    results.sort_by_key(|&(index, _, _)| index);
+    for (index, session, probes_sent) in results {
+        emit(index, session, probes_sent);
+    }
+    stalls
+}
+
 /// Runs one shard's slice of a generation to completion on its own
-/// engine, returning `(source index, session, probes sent, stop
-/// contribution)` per session. Contributions are harvested here, at
-/// finish time (the shard engines run stop-set-less; the shared set is
-/// committed at the barrier), before the session reaches the caller's
-/// sink — same order as the unsharded engine's harvest.
+/// engine, returning `(generation index, session, probes sent)` per
+/// session.
 fn run_shard<T: SplitTransport, S: ProbeSession>(
     engine: &mut SweepEngine<T>,
     batch: Vec<(usize, S)>,
-    harvest: bool,
-) -> Vec<(usize, S, u64, Option<StopContribution>)> {
-    let mut globals = Vec::with_capacity(batch.len());
-    let sessions: Vec<S> = batch
-        .into_iter()
-        .map(|(index, session)| {
-            globals.push(index);
-            session
-        })
-        .collect();
-    let mut out = Vec::with_capacity(globals.len());
-    engine.run_sessions_with(sessions, |local, mut session, probes_sent| {
-        let contribution = if harvest {
-            session.stop_contribution()
-        } else {
-            None
-        };
-        out.push((globals[local], session, probes_sent, contribution));
-    });
+) -> Vec<(usize, S, u64)> {
+    let indices: Vec<usize> = batch.iter().map(|&(index, _)| index).collect();
+    let mut out = Vec::with_capacity(indices.len());
+    engine.stream_sessions(
+        &mut batch.into_iter().map(|(_, session)| session),
+        &mut |local, session, probes_sent| out.push((indices[local], session, probes_sent)),
+    );
     out
 }
 
@@ -618,6 +595,33 @@ mod tests {
         let (traces_b, stats_b) = run();
         assert_eq!(traces_a, traces_b);
         assert_eq!(stats_a, stats_b, "replay must reproduce every counter");
+    }
+
+    /// One shard streams its source like a plain engine: without a stop
+    /// set, the first session finishes long before the source is drained.
+    #[test]
+    fn one_shard_pulls_its_source_lazily() {
+        let topos = lane_topos(64);
+        let net =
+            mlpt_sim::MultiNetwork::new(nets_for(&topos, |_| true)).expect("unique destinations");
+        let mut engine = ShardedSweepEngine::new(vec![net], SRC).with_config(SweepConfig {
+            max_in_flight: 16,
+            ..SweepConfig::default()
+        });
+        let pulled = std::cell::Cell::new(0usize);
+        let sessions = sessions_for(&topos)
+            .into_iter()
+            .inspect(|_| pulled.set(pulled.get() + 1));
+        let mut pulled_at_first_finish = None;
+        engine.run_stream_with(sessions, |_, _| {
+            pulled_at_first_finish.get_or_insert(pulled.get());
+        });
+        let first = pulled_at_first_finish.expect("every session finishes");
+        assert!(
+            first < topos.len(),
+            "all {first} sessions were pulled before the first finished"
+        );
+        assert_eq!(pulled.get(), topos.len());
     }
 
     #[test]

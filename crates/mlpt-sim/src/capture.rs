@@ -130,10 +130,6 @@ impl<T: PacketTransport> PacketTransport for CapturingTransport<T> {
     }
 }
 
-/// Batched dispatch still captures every probe and reply: the default
-/// shim routes through the capturing `send_packet_into` above.
-impl<T: PacketTransport> mlpt_wire::BatchTransport for CapturingTransport<T> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,7 @@
 //! Multi-destination routing: one transport, many simulated networks.
 //!
-//! A sweep traces many destinations at once, but PR 1's probe engine has
-//! exactly one [`BatchTransport`] under the prober. [`MultiNetwork`]
-//! closes that gap: it hosts one [`SimNetwork`] **lane** per destination
+//! A sweep traces many destinations at once over one transport.
+//! [`MultiNetwork`] is that transport: it hosts one [`SimNetwork`] **lane** per destination
 //! and routes every injected probe to its lane by the packet's
 //! destination address (UDP probes by traced destination, ICMP echoes by
 //! target interface), exactly as one vantage-point NIC faces many remote
@@ -20,7 +19,7 @@
 //! transport half of the sweep engine's headline invariant — concurrent
 //! sweeps reproduce sequential traces exactly.
 //!
-//! The vectorized [`BatchTransport::send_batch`] path can optionally
+//! The vectorized [`SplitTransport::send_probes`] path can optionally
 //! process lanes on worker threads ([`MultiNetwork::with_workers`]):
 //! because lanes are disjoint, the merged reply batch is identical
 //! regardless of thread timing, so parallelism is invisible except in
@@ -32,9 +31,7 @@
 use crate::network::{PendingBatch, SimNetwork, TrafficCounters};
 use crate::pool::WorkerPool;
 use mlpt_wire::ipv4::{Ipv4Header, PROTO_ICMP, PROTO_UDP};
-use mlpt_wire::transport::{
-    BatchTransport, PacketBatch, PacketTransport, ReplyBatch, SplitTransport,
-};
+use mlpt_wire::transport::{PacketBatch, PacketTransport, ReplyBatch, SplitTransport};
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 
@@ -98,7 +95,7 @@ pub struct MultiNetwork {
     /// The persistent worker pool, spawned lazily on the first parallel
     /// crossing (serial-only networks never pay for threads).
     pool: Option<WorkerPool>,
-    /// Virtual ticks every lane's clock advances after each `send_batch`.
+    /// Virtual ticks every lane's clock advances after each crossing.
     cycle_gap: u64,
     /// In-flight batch of the split (send/recv) transport exchange.
     pending: PendingBatch,
@@ -145,7 +142,7 @@ impl MultiNetwork {
         })
     }
 
-    /// Sets how many worker threads `send_batch` may spread lanes over
+    /// Sets how many worker threads a crossing may spread lanes over
     /// (default: [`env_default_workers`] — 1 unless `MLPT_SIM_WORKERS`
     /// overrides it). Purely a wall-clock knob: the replies are
     /// identical for any worker count.
@@ -206,7 +203,7 @@ impl MultiNetwork {
     }
 
     /// Advances every lane's virtual clock by `ticks` after each
-    /// `send_batch`, modelling the round-trip pause between a scheduler's
+    /// crossing, modelling the round-trip pause between a scheduler's
     /// dispatch cycles. With a gap, per-router ICMP token buckets
     /// ([`crate::FaultPlan::with_rate_limit_window`]) refill between
     /// cycles, so *burst size per cycle* — not just total probe count —
@@ -290,38 +287,13 @@ impl MultiNetwork {
             _ => None,
         }
     }
-}
 
-impl PacketTransport for MultiNetwork {
-    fn send_packet(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
-        let lane = self.lane_for(packet)?;
-        self.lane_mut(lane).send_packet(packet)
-    }
-
-    fn send_packet_into(&mut self, packet: &[u8], reply: &mut Vec<u8>) -> bool {
-        match self.lane_for(packet) {
-            Some(lane) => self.lane_mut(lane).send_packet_into(packet, reply),
-            None => false,
-        }
-    }
-
-    /// Total virtual time across lanes (each lane's clock ticks only for
-    /// its own packets). Per-probe timestamps — the values observations
-    /// carry — come from the owning lane via `send_batch`.
-    fn now(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.lock().expect("lane mutex poisoned").clock())
-            .sum()
-    }
-}
-
-impl BatchTransport for MultiNetwork {
-    /// Routes each packet to its lane and stamps each reply slot with the
-    /// *lane's* clock, so a session's observations carry the same
-    /// timestamps a dedicated per-destination simulator would produce.
-    /// With more than one worker, disjoint lanes are processed in
-    /// parallel and the replies merged back in slot order.
+    /// The send half's crossing: routes each packet to its lane and
+    /// stamps each reply slot with the *lane's* clock, so a session's
+    /// observations carry the same timestamps a dedicated
+    /// per-destination simulator would produce. With more than one
+    /// worker, disjoint lanes are processed in parallel and the replies
+    /// merged back in slot order.
     fn send_batch(&mut self, probes: &PacketBatch, replies: &mut ReplyBatch) {
         replies.clear();
         let lane_of: Vec<Option<usize>> = probes.iter().map(|p| self.lane_for(p)).collect();
@@ -413,6 +385,30 @@ impl BatchTransport for MultiNetwork {
             }
         }
         self.apply_cycle_gap();
+    }
+}
+
+impl PacketTransport for MultiNetwork {
+    fn send_packet(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
+        let lane = self.lane_for(packet)?;
+        self.lane_mut(lane).send_packet(packet)
+    }
+
+    fn send_packet_into(&mut self, packet: &[u8], reply: &mut Vec<u8>) -> bool {
+        match self.lane_for(packet) {
+            Some(lane) => self.lane_mut(lane).send_packet_into(packet, reply),
+            None => false,
+        }
+    }
+
+    /// Total virtual time across lanes (each lane's clock ticks only for
+    /// its own packets). Per-probe timestamps — the values observations
+    /// carry — come from the owning lane via the split exchange.
+    fn now(&self) -> u64 {
+        self.lanes
+            .iter()
+            .map(|l| l.lock().expect("lane mutex poisoned").clock())
+            .sum()
     }
 }
 

@@ -40,9 +40,7 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-pub use mlpt_wire::transport::{
-    BatchTransport, PacketBatch, PacketTransport, ReplyBatch, SplitTransport,
-};
+pub use mlpt_wire::transport::{PacketBatch, PacketTransport, ReplyBatch, SplitTransport};
 
 /// Traffic counters maintained by the simulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -412,7 +410,8 @@ impl PendingBatch {
     /// Drains the pending batch into `out`, applying deadline semantics:
     /// a reply counts only if its latency fits inside the probe's
     /// timeout; answered slots are stamped `send + latency`, unanswered
-    /// slots resolve at their deadline `send + timeout`.
+    /// slots resolve at their deadline `send + timeout`. Both sums
+    /// saturate: the timeout is caller-set and may sit at `u64::MAX`.
     pub(crate) fn resolve_into(&mut self, out: &mut ReplyBatch) -> u64 {
         out.clear();
         let mut late = 0u64;
@@ -422,7 +421,7 @@ impl PendingBatch {
             let latency = self.latencies[i];
             match self.replies.get(i) {
                 Some(bytes) if latency <= timeout => {
-                    out.push_with(sent + latency, |buf| {
+                    out.push_with(sent.saturating_add(latency), |buf| {
                         buf.extend_from_slice(bytes);
                         true
                     });
@@ -431,10 +430,10 @@ impl PendingBatch {
                     // The reply exists but arrived after the deadline:
                     // the caller sees a timeout.
                     late += 1;
-                    out.push_with(sent + timeout, |_| false);
+                    out.push_with(sent.saturating_add(timeout), |_| false);
                 }
                 None => {
-                    out.push_with(sent + timeout, |_| false);
+                    out.push_with(sent.saturating_add(timeout), |_| false);
                 }
             }
         }
@@ -873,18 +872,13 @@ impl PacketTransport for SimNetwork {
     }
 }
 
-/// The simulator inherits the sequential-equivalent `send_batch` shim:
-/// its `send_packet_into` is already allocation-free, so the default loop
-/// is the vectorized fast path.
-impl BatchTransport for SimNetwork {}
-
 /// Native deadline semantics: the send half routes every probe and
 /// records the reply latency the schedule imposes at its processing
 /// tick; the recv half suppresses replies that missed their deadline.
 /// Receiving costs no virtual time — deadlines live on the same
 /// packet-driven clock the replies are stamped with, so with a
-/// latency-free schedule the split exchange is byte-identical to
-/// [`BatchTransport::send_batch`].
+/// latency-free schedule the split exchange is byte-identical to sending
+/// the probes one at a time through [`PacketTransport::send_packet`].
 impl SplitTransport for SimNetwork {
     fn send_probes(&mut self, probes: &PacketBatch, timeouts: &[u64]) {
         debug_assert_eq!(probes.len(), timeouts.len(), "one timeout per probe");
@@ -1200,8 +1194,11 @@ mod tests {
 
     #[test]
     fn send_batch_bit_identical_to_sequential() {
-        // The batched transport path must produce byte-for-byte the same
-        // replies and timestamps as one-at-a-time dispatch.
+        // A round sent packet by packet through `send_packet_into` into
+        // a packed reply batch, each slot stamped with the clock right
+        // after its send (the prober's round path), must produce
+        // byte-for-byte the same replies and timestamps as one-at-a-time
+        // `send_packet`.
         let topo = canonical::fig1_meshed();
         let dst = topo.destination();
         let mut batch = PacketBatch::new();
@@ -1224,7 +1221,10 @@ mod tests {
 
         let mut batched = SimNetwork::new(topo.clone(), 13);
         let mut replies = ReplyBatch::new();
-        batched.send_batch(&batch, &mut replies);
+        for packet in batch.iter() {
+            replies.push_with(0, |buf| batched.send_packet_into(packet, buf));
+            replies.set_last_timestamp(batched.now());
+        }
 
         let mut sequential = SimNetwork::new(topo, 13);
         for (i, packet) in batch.iter().enumerate() {
@@ -1268,32 +1268,37 @@ mod tests {
         assert_eq!(net.counters().probes_blackholed, 3);
     }
 
+    /// With a latency-free schedule the split exchange is byte-for-byte
+    /// one-at-a-time dispatch: same replies, answered slots stamped with
+    /// the clock right after their send, same traffic counters.
     #[test]
     fn split_transport_matches_batch_without_latency() {
         use mlpt_wire::transport::SplitTransport;
         let topo = canonical::fig1_meshed();
         let dst = topo.destination();
         let mut batch = PacketBatch::new();
-        for flow in 0..24u16 {
+        for flow in 0..32u16 {
             for ttl in 1..=4u8 {
                 batch.push(&probe(flow, ttl, dst));
             }
         }
-        let mut expected = ReplyBatch::new();
-        SimNetwork::new(topo.clone(), 13).send_batch(&batch, &mut expected);
 
-        let mut split = SimNetwork::new(topo, 13);
+        let mut split = SimNetwork::new(topo.clone(), 13);
         let timeouts = vec![1u64; batch.len()];
         split.send_probes(&batch, &timeouts);
         let mut got = ReplyBatch::new();
         split.recv_replies(&mut got);
-        assert_eq!(got.len(), expected.len());
-        for i in 0..expected.len() {
-            assert_eq!(got.get(i), expected.get(i), "slot {i}");
-            if expected.get(i).is_some() {
-                assert_eq!(got.timestamp(i), expected.timestamp(i), "slot {i}");
+
+        let mut sequential = SimNetwork::new(topo, 13);
+        assert_eq!(got.len(), batch.len());
+        for (i, packet) in batch.iter().enumerate() {
+            let expected = sequential.send_packet(packet);
+            assert_eq!(got.get(i).map(<[u8]>::to_vec), expected, "slot {i}");
+            if expected.is_some() {
+                assert_eq!(got.timestamp(i), sequential.now(), "timestamp {i}");
             }
         }
+        assert_eq!(split.counters(), sequential.counters());
     }
 
     #[test]

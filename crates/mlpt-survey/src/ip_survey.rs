@@ -8,11 +8,13 @@
 //! Scenarios are traced by the **concurrent sweep engine**: destinations
 //! are grouped into chunks of [`IpSurveyConfig::sweep_batch`], each
 //! chunk shares one [`mlpt_sim::MultiNetwork`] whose lanes are the
-//! per-scenario simulators, and one [`mlpt_core::SweepEngine`] *streams*
-//! the chunk's [`MdaSession`]s over it: sessions are admitted as
-//! in-flight tokens free up rather than entering a fixed table up front,
-//! so cross-destination batches stay full until the chunk's destination
-//! list runs dry instead of collapsing into a tail of tiny dispatches.
+//! per-scenario simulators, and one sweep engine *streams* the chunk's
+//! [`MdaSession`]s over it (a [`mlpt_core::ShardedSweepEngine`], with one
+//! shard unless [`IpSurveyConfig::sweep_shards`] asks for more): sessions
+//! are admitted as in-flight tokens free up rather than entering a fixed
+//! table up front, so cross-destination batches stay full until the
+//! chunk's destination list runs dry instead of collapsing into a tail of
+//! tiny dispatches.
 //! Worker threads scale across *networks* (chunks), not across
 //! individual traces. Because sweeps are bit-identical to sequential
 //! tracing (per-lane RNG streams, tag-based reply demux, admission-order
@@ -286,22 +288,15 @@ pub fn run_ip_survey(internet: &SyntheticInternet, config: &IpSurveyConfig) -> I
         // Analyse each trace as it completes; indices pin results to
         // stream order, independent of completion order.
         let mut per: Vec<Option<PerTrace>> = (0..scenarios.len()).map(|_| None).collect();
+        // The chunk's lanes split by the same destination hash that
+        // partitions its sessions.
         let shards = config.sweep_shards.max(1);
-        if shards > 1 {
-            // Sharded engine: the chunk's lanes split by the same
-            // destination hash that partitions its sessions.
-            let mut engine =
-                ShardedSweepEngine::new(net.split_by(shards, |d| shard_of(d, shards)), source)
-                    .with_config(sweep_config);
-            engine.run_stream_with(sessions, |index, trace| {
-                per[index] = Some(analyse(&trace, config.phi));
-            });
-        } else {
-            let mut engine = SweepEngine::new(net, source).with_config(sweep_config);
-            engine.run_stream_with(sessions, |index, trace| {
-                per[index] = Some(analyse(&trace, config.phi));
-            });
-        }
+        let mut engine =
+            ShardedSweepEngine::new(net.split_by(shards, |d| shard_of(d, shards)), source)
+                .with_config(sweep_config);
+        engine.run_stream_with(sessions, |index, trace| {
+            per[index] = Some(analyse(&trace, config.phi));
+        });
         per.into_iter()
             .map(|p| p.expect("every streamed session reports a trace"))
             .collect()

@@ -491,22 +491,15 @@ fn sweep_chunk(
             }
             session
         });
+        // The sub-sweep's lanes split by the same destination hash that
+        // partitions its sessions.
         let shards = config.sweep_shards.max(1);
-        if shards > 1 {
-            // Sharded engine: the sub-sweep's lanes split by the same
-            // destination hash that partitions its sessions.
-            let mut engine =
-                ShardedSweepEngine::new(net.split_by(shards, |d| shard_of(d, shards)), source)
-                    .with_config(sweep_config);
-            engine.run_sessions_with(sessions, |index, session, _wire_probes| {
-                rows[members[index]] = Some(streamed_scenario(session.finish(), config));
-            });
-        } else {
-            let mut engine = SweepEngine::new(net, source).with_config(sweep_config);
-            engine.run_sessions_with(sessions, |index, session, _wire_probes| {
-                rows[members[index]] = Some(streamed_scenario(session.finish(), config));
-            });
-        }
+        let mut engine =
+            ShardedSweepEngine::new(net.split_by(shards, |d| shard_of(d, shards)), source)
+                .with_config(sweep_config);
+        engine.run_sessions_with(sessions, |index, session, _wire_probes| {
+            rows[members[index]] = Some(streamed_scenario(session.finish(), config));
+        });
     }
     rows
 }

@@ -37,7 +37,7 @@ pub use probe::{
     build_echo_probe, build_echo_probe_into, build_udp_probe, build_udp_probe_into, parse_reply,
     ProbePacket, ReplyKind, ReplyPacket,
 };
-pub use transport::{BatchTransport, PacketBatch, PacketTransport, ReplyBatch, SplitTransport};
+pub use transport::{PacketBatch, PacketTransport, ReplyBatch, SplitTransport};
 pub use udp::UdpHeader;
 
 /// Errors arising while parsing or emitting packets.

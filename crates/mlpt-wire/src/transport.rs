@@ -12,15 +12,12 @@
 //! * the classic one-probe verb [`PacketTransport::send_packet`], plus its
 //!   allocation-free variant [`PacketTransport::send_packet_into`] that
 //!   writes the reply into a caller-owned buffer;
-//! * the vectorized verb [`BatchTransport::send_batch`], which moves a
-//!   whole round of probes across the boundary in one call using packed
+//! * the split verbs of [`SplitTransport`], which move a whole batch of
+//!   probes across the boundary in one send and resolve every probe
+//!   against its own deadline in one receive, using packed
 //!   [`PacketBatch`]/[`ReplyBatch`] buffers whose allocations amortize to
-//!   zero across rounds.
-//!
-//! `send_batch` has a default implementation over `send_packet_into`, so
-//! any single-probe transport joins the batched world with an empty
-//! `impl BatchTransport for T {}`. Transports with a real vectorized path
-//! (io_uring, sendmmsg, a simulator that pipelines parsing) override it.
+//!   zero across rounds. This is the seam a vectorized backend
+//!   (io_uring, `sendmmsg`) plugs into.
 
 /// A packed sequence of probe datagrams awaiting dispatch.
 ///
@@ -182,35 +179,9 @@ pub trait PacketTransport {
     fn now(&self) -> u64;
 }
 
-/// Vectorized dispatch over a [`PacketTransport`].
-pub trait BatchTransport: PacketTransport {
-    /// Sends every packet of `probes` in order, recording each reply (or
-    /// its absence) and the post-send transport timestamp into `replies`.
-    /// `replies` is cleared first.
-    ///
-    /// The default shim dispatches sequentially through
-    /// [`PacketTransport::send_packet_into`], which preserves single-probe
-    /// semantics exactly (same packet order, same clock progression).
-    fn send_batch(&mut self, probes: &PacketBatch, replies: &mut ReplyBatch) {
-        replies.clear();
-        for packet in probes.iter() {
-            // Split-borrow dance: `self` is needed both to send and for
-            // the timestamp, so send first into a detached closure.
-            let mut sent = false;
-            let this = &mut *self;
-            replies.push_with(0, |buf| {
-                sent = this.send_packet_into(packet, buf);
-                sent
-            });
-            let t = self.now();
-            replies.set_last_timestamp(t);
-        }
-    }
-}
-
 impl ReplyBatch {
-    /// Overwrites the most recent slot's timestamp (used by the default
-    /// `send_batch` shim, which learns the time only after sending).
+    /// Overwrites the most recent slot's timestamp (for senders that
+    /// learn the time only after sending).
     pub fn set_last_timestamp(&mut self, timestamp: u64) {
         if let Some(last) = self.timestamps.last_mut() {
             *last = timestamp;
@@ -222,7 +193,7 @@ impl ReplyBatch {
 /// **receive** are separate verbs, with a per-probe timeout deadline
 /// carried across the boundary.
 ///
-/// [`BatchTransport::send_batch`] bakes in the synchronous fiction that
+/// [`PacketTransport::send_packet`] bakes in the synchronous fiction that
 /// every probe resolves before the call returns — which leaves a caller
 /// no way to express "give up on this probe after N ticks". The split
 /// contract fixes that: [`send_probes`](Self::send_probes) dispatches a
@@ -275,45 +246,9 @@ impl<T: PacketTransport + ?Sized> PacketTransport for &mut T {
     }
 }
 
-impl<T: BatchTransport + ?Sized> BatchTransport for &mut T {
-    fn send_batch(&mut self, probes: &PacketBatch, replies: &mut ReplyBatch) {
-        (**self).send_batch(probes, replies)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Echoes every packet back with a byte appended; drops every third.
-    struct Echo {
-        clock: u64,
-    }
-
-    impl PacketTransport for Echo {
-        fn send_packet(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
-            let mut reply = Vec::new();
-            if self.send_packet_into(packet, &mut reply) {
-                Some(reply)
-            } else {
-                None
-            }
-        }
-        fn send_packet_into(&mut self, packet: &[u8], reply: &mut Vec<u8>) -> bool {
-            self.clock += 1;
-            if self.clock.is_multiple_of(3) {
-                return false;
-            }
-            reply.extend_from_slice(packet);
-            reply.push(0xEE);
-            true
-        }
-        fn now(&self) -> u64 {
-            self.clock
-        }
-    }
-
-    impl BatchTransport for Echo {}
 
     #[test]
     fn packet_batch_packs_and_iterates() {
@@ -329,24 +264,6 @@ mod tests {
         assert_eq!(collected.len(), 3);
         batch.clear();
         assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn default_send_batch_matches_sequential() {
-        let mut batch = PacketBatch::new();
-        for i in 0..6u8 {
-            batch.push(&[i; 4]);
-        }
-        let mut replies = ReplyBatch::new();
-        let mut a = Echo { clock: 0 };
-        a.send_batch(&batch, &mut replies);
-
-        let mut b = Echo { clock: 0 };
-        for (i, packet) in batch.iter().enumerate() {
-            let expected = b.send_packet(packet);
-            assert_eq!(replies.get(i).map(<[u8]>::to_vec), expected, "slot {i}");
-            assert_eq!(replies.timestamp(i), b.now());
-        }
     }
 
     #[test]

@@ -742,20 +742,14 @@ fn cmd_sweep(args: &[String]) {
         }
     });
 
-    // Sharded or single engine: sharding is pure scheduling, so the
-    // traces and every protocol-level counter are identical either way.
-    let (traces, stats, per_shard): (Vec<_>, SweepStats, Option<Vec<SweepStats>>) =
-        if opts.shards > 1 {
-            let parts = net.split_by(opts.shards, |d| shard_of(d, opts.shards));
-            let mut engine = ShardedSweepEngine::new(parts, source).with_config(sweep_config);
-            let traces = engine.run_stream(sessions);
-            let per = engine.shard_stats().into_iter().copied().collect();
-            (traces, *engine.stats(), Some(per))
-        } else {
-            let mut engine = SweepEngine::new(net, source).with_config(sweep_config);
-            let traces = engine.run_stream(sessions);
-            (traces, *engine.stats(), None)
-        };
+    // Sharding is pure scheduling: the traces and every protocol-level
+    // counter are identical for any shard count.
+    let parts = net.split_by(opts.shards, |d| shard_of(d, opts.shards));
+    let mut engine = ShardedSweepEngine::new(parts, source).with_config(sweep_config);
+    let traces = engine.run_stream(sessions);
+    let stats = *engine.stats();
+    let per_shard: Option<Vec<SweepStats>> =
+        (opts.shards > 1).then(|| engine.shard_stats().into_iter().copied().collect());
 
     if opts.json {
         let destinations: Vec<serde_json::Value> = traces
@@ -1173,25 +1167,17 @@ fn cmd_alias(args: &[String]) {
                 false,
             ))
         });
-        if shards > 1 {
-            // Sharded sub-sweep: lanes split by the same destination
-            // hash that partitions the sessions — pure scheduling, the
-            // outcomes are bit-identical to the single engine.
-            let parts = net.split_by(shards, |d| shard_of(d, shards));
-            let mut engine = ShardedSweepEngine::new(parts, source).with_config(sweep_config);
-            engine.run_sessions_with(sessions, |idx, session, _wire| {
-                outcomes[group[idx]] = Some(session.finish());
-            });
-            stats.merge(engine.stats());
-            for (slot, shard) in per_shard.iter_mut().zip(engine.shard_stats()) {
-                slot.merge(shard);
-            }
-        } else {
-            let mut engine = SweepEngine::new(net, source).with_config(sweep_config);
-            engine.run_sessions_with(sessions, |idx, session, _wire| {
-                outcomes[group[idx]] = Some(session.finish());
-            });
-            stats.merge(engine.stats());
+        // Lanes split by the same destination hash that partitions the
+        // sessions — pure scheduling, the outcomes are bit-identical for
+        // any shard count.
+        let parts = net.split_by(shards, |d| shard_of(d, shards));
+        let mut engine = ShardedSweepEngine::new(parts, source).with_config(sweep_config);
+        engine.run_sessions_with(sessions, |idx, session, _wire| {
+            outcomes[group[idx]] = Some(session.finish());
+        });
+        stats.merge(engine.stats());
+        for (slot, shard) in per_shard.iter_mut().zip(engine.shard_stats()) {
+            slot.merge(shard);
         }
     }
 

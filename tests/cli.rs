@@ -283,6 +283,62 @@ fn sweep_sharded_output_matches_unsharded() {
         .is_some());
 }
 
+/// The alias twin of `sweep_sharded_output_matches_unsharded`: with a
+/// stop set, `--shards 2` reproduces the unsharded scenarios and every
+/// protocol-level counter.
+#[test]
+fn alias_sharded_output_matches_unsharded() {
+    let base = [
+        "alias",
+        "3",
+        "5",
+        "9",
+        "--stop-set",
+        "--rounds",
+        "2",
+        "--replies",
+        "6",
+        "--json",
+    ];
+    let run = |extra: &[&str]| -> serde_json::Value {
+        let out = mlpt()
+            .args(base.iter().copied().chain(extra.iter().copied()))
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success());
+        serde_json::from_slice(&out.stdout).expect("valid JSON")
+    };
+    let plain = run(&[]);
+    let sharded = run(&["--shards", "2"]);
+
+    assert_eq!(plain["shards"].as_u64(), Some(1));
+    assert!(plain["per_shard"].is_null());
+    assert_eq!(sharded["shards"].as_u64(), Some(2));
+    assert_eq!(
+        sharded["per_shard"]
+            .as_array()
+            .expect("per-shard array")
+            .len(),
+        2
+    );
+    assert_eq!(plain["scenarios"], sharded["scenarios"]);
+    for key in [
+        "probes_sent",
+        "replies_delivered",
+        "probes_timed_out",
+        "probes_elided",
+        "stop_set_hits",
+        "sessions_admitted",
+        "sessions_completed",
+        "sessions_partial",
+    ] {
+        assert_eq!(
+            plain["stats"][key], sharded["stats"][key],
+            "protocol counter {key} diverged under --shards 2"
+        );
+    }
+}
+
 /// The adaptive budget demonstrably backs off on a rate-limited sweep:
 /// lossy cycles are detected, the budget drops below the ceiling, and
 /// the summary reports the controller's counters.

@@ -85,6 +85,31 @@ fn retries_restore_discovery() {
     assert!(retried.1 > plain.1, "retries must cost probes");
 }
 
+/// A caller-set deadline at the top of the tick range: a lost reply
+/// resolves at `send tick + timeout`, which must saturate rather than
+/// overflow.
+#[test]
+fn maximal_probe_timeout_survives_reply_loss() {
+    let topo = canonical::fig1_meshed();
+    let net = SimNetwork::builder(topo.clone())
+        .faults(FaultPlan::with_loss(0.0, 0.5))
+        .seed(3)
+        .build();
+    let config = SweepConfig {
+        retries: 1,
+        retry: mlpt::core::RetryPolicy {
+            base_timeout: u64::MAX,
+            ..mlpt::core::RetryPolicy::default()
+        },
+        ..SweepConfig::default()
+    };
+    let mut engine = SweepEngine::new(net, SRC).with_config(config);
+    let session = MdaLiteSession::new(topo.destination(), TraceConfig::new(3));
+    let traces = engine.run_stream([Box::new(session) as Box<dyn TraceSession>]);
+    assert_eq!(traces.len(), 1);
+    assert!(engine.stats().probes_timed_out > 0, "the loss must bite");
+}
+
 /// Rate limiting plus capture: suppressed replies appear as probe-only
 /// records in the pcap, and the simulator counts them.
 #[test]
