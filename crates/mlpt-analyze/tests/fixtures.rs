@@ -164,4 +164,17 @@ fn workspace_analyzes_clean() {
         "live determinism findings:\n{}",
         rendered.join("\n")
     );
+    // The pragma ceiling: each suppression is an audited exception, and
+    // their number may not grow.
+    let suppressed: Vec<String> = report
+        .suppressed
+        .iter()
+        .map(|s| s.finding.render())
+        .collect();
+    assert!(
+        suppressed.len() <= 12,
+        "{} pragma suppressions exceed the ceiling of 12:\n{}",
+        suppressed.len(),
+        suppressed.join("\n")
+    );
 }

@@ -772,8 +772,9 @@ fn stop_set_stage() -> serde_json::Value {
 }
 
 /// One sharded sweep over the synthetic-Internet workload: the
-/// destination space split across `shards` engine shards, each driven
-/// on its own scoped thread over its own transport partition.
+/// destination space split across `shards` engine shards, each over its
+/// own transport partition — shard 0 on the calling thread, every other
+/// shard on a worker thread that lasts the whole sweep.
 fn run_sharded_sweep(
     internet: &SyntheticInternet,
     destinations: usize,

@@ -157,13 +157,13 @@ impl Admission {
 
     /// Sessions pulled from the source per staging chunk: the full
     /// source for [`CostAware`](Self::CostAware) (its documented
-    /// lookahead), `K` for the windowed variant, one at a time for the
-    /// FIFO modes.
-    fn chunk_len(self) -> usize {
+    /// lookahead), `K` for the windowed variant. The FIFO mode stages
+    /// nothing and admits straight from the source (`None`).
+    fn chunk_len(self) -> Option<usize> {
         match self {
-            Self::CostAware => usize::MAX,
-            Self::CostAwareWindowed(window) => window.max(1),
-            Self::Streaming => 1,
+            Self::CostAware => Some(usize::MAX),
+            Self::CostAwareWindowed(window) => Some(window.max(1)),
+            Self::Streaming => None,
         }
     }
 }
@@ -976,7 +976,7 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
         // Sessions pulled from the source but not yet admitted: the
         // cost-aware modes stage (and reorder) whole chunks at a time —
         // the full source under `CostAware`, `K` under
-        // `CostAwareWindowed(K)` — the FIFO modes one session at a time.
+        // `CostAwareWindowed(K)`. FIFO admission stages nothing.
         let mut staged: VecDeque<(usize, S)> = VecDeque::new();
 
         loop {
@@ -1047,8 +1047,9 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
         }
     }
 
-    /// Hands out the next session to admit: the staged chunk first,
-    /// then a fresh chunk pulled from the source.
+    /// Hands out the next session to admit: under FIFO admission straight
+    /// from the source; under the cost-aware modes the staged chunk
+    /// first, then a fresh chunk pulled from the source.
     fn pull_next(
         &mut self,
         source: &mut dyn Iterator<Item = S>,
@@ -1056,8 +1057,19 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
         next_out: &mut usize,
         source_done: &mut bool,
     ) -> Option<(usize, S)> {
+        let Some(chunk) = self.eng.config.admission.chunk_len() else {
+            if *source_done {
+                return None;
+            }
+            let Some(session) = source.next() else {
+                *source_done = true;
+                return None;
+            };
+            let out = *next_out;
+            *next_out += 1;
+            return Some((out, session));
+        };
         if staged.is_empty() && !*source_done {
-            let chunk = self.eng.config.admission.chunk_len();
             let mut pulled: Vec<S> = Vec::new();
             while pulled.len() < chunk {
                 match source.next() {
@@ -1070,15 +1082,7 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
             }
             let base = *next_out;
             *next_out += pulled.len();
-            *staged = if self.eng.config.admission.is_cost_aware() {
-                reorder_by_cost(pulled, base)
-            } else {
-                pulled
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, session)| (base + i, session))
-                    .collect()
-            };
+            *staged = reorder_by_cost(pulled, base);
         }
         staged.pop_front()
     }

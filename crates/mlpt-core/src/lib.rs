@@ -19,10 +19,10 @@
 //!   with cross-destination batch merging, kind-tagged reply
 //!   demultiplexing and an in-flight token budget.
 //! * [`shard`] — the [`ShardedSweepEngine`]: the destination space
-//!   partitioned deterministically across N engine shards driven on
-//!   scoped worker threads, with the shared stop set committed across
-//!   shards at source-order generation barriers (bit-identical to the
-//!   single engine for any shard count).
+//!   partitioned deterministically across N engine shards driven in
+//!   parallel by sweep-long worker threads, with the shared stop set
+//!   committed across shards at source-order generation barriers
+//!   (bit-identical to the single engine for any shard count).
 //! * [`mda`] — the classic Multipath Detection Algorithm with node
 //!   control (thin blocking driver over its session).
 //! * [`mda_lite`] — MDA-Lite: hop-by-hop discovery, deterministic edge

@@ -8,7 +8,9 @@
 //! [`ShardedSweepEngine`] splits the destination space across N
 //! independent engine **shards**, each owning its own transport,
 //! pending table, retry waves and AIMD budget, and drives disjoint
-//! shards on scoped worker threads.
+//! shards in parallel: shard 0 on the calling thread, every other shard
+//! on a worker thread that lives for the whole call and parks between
+//! generations.
 //!
 //! # Partition function
 //!
@@ -40,13 +42,16 @@
 //!    a **barrier**: nothing of generation *g+1* is pulled until every
 //!    session of *g* has finished. A [`SweepEngine`] (and a one-shard
 //!    [`ShardedSweepEngine`]) streams the generation through its plain
-//!    scheduler loop; several shards partition it by [`shard_of`] and
-//!    run their slices on scoped worker threads.
+//!    scheduler loop; several shards partition it by [`shard_of`], send
+//!    each worker its slice over a channel, and run shard 0's slice on
+//!    the calling thread meanwhile. No thread is spawned per generation.
 //! 3. Each finished session's contribution is harvested before the
-//!    caller's sink sees the session; at the barrier the contributions
-//!    commit in **source-index order** (first-writer-wins per
-//!    `(TTL, interface)`, evictions first) and the snapshot is rebuilt
-//!    once for generation *g+1*.
+//!    caller's sink sees the session; at the barrier the generation's
+//!    snapshot is dropped, the contributions commit in **source-index
+//!    order** (first-writer-wins per `(TTL, interface)`, evictions
+//!    first), and generation *g+1* takes its snapshot. Both steps are
+//!    cheap: with no older snapshot alive the commits write the shared
+//!    map in place, and a snapshot is an `Arc` clone.
 //!
 //! Same generation boundaries, same commit order, same snapshots for
 //! any shard count, admission mode and budget, so every
@@ -93,6 +98,7 @@ use crate::stopset::{SharedStopSet, StopContribution, StopSetConfig, StopSnapsho
 use crate::trace::Trace;
 use mlpt_wire::transport::SplitTransport;
 use std::net::Ipv4Addr;
+use std::sync::mpsc;
 
 /// The deterministic destination→shard partition function.
 ///
@@ -159,6 +165,10 @@ where
             sink(base + index, session, probes_sent);
         });
         if let Some(cfg) = &stop_set {
+            // Every session of the generation has been through `sink`, so
+            // dropping the open snapshot lets the commits below write the
+            // map in place (a caller still holding sessions pays a copy).
+            snapshot.take();
             staged.sort_unstable_by_key(|&(index, _)| index);
             for (index, contribution) in &staged {
                 set.commit(*index, contribution);
@@ -291,29 +301,56 @@ impl<T: SplitTransport + Send> ShardedSweepEngine<T> {
     /// back with its source index and wire-level probe count. One
     /// shard streams its source exactly like a [`SweepEngine`]; several
     /// emit their sessions in source order within each generation.
+    ///
+    /// With several shards the call opens one thread scope: shards 1 to
+    /// N−1 each get a worker thread for the whole call, which runs one
+    /// generation slice per job, and shard 0 runs its slices on the
+    /// calling thread. A panic on any of them, or in `sink`, panics the
+    /// call once every worker has been joined.
     pub fn run_sessions_with<S, I, F>(&mut self, sessions: I, sink: F)
     where
         S: ProbeSession + Send,
         I: IntoIterator<Item = S>,
         F: FnMut(usize, S, u64),
     {
-        let stop_set = self.engines[0].config().stop_set;
-        let (counters, snapshot) = match self.engines.as_mut_slice() {
-            [engine] => run_generations(
+        let Some((local, rest)) = self.engines.split_first_mut() else {
+            return; // unreachable: `new` rejects an empty transport vector
+        };
+        let stop_set = local.config().stop_set;
+        let (counters, snapshot) = if rest.is_empty() {
+            run_generations(
                 stop_set,
                 sessions,
-                |generation, emit| engine.stream_sessions(generation, emit),
+                |generation, emit| local.stream_sessions(generation, emit),
                 sink,
-            ),
-            engines => {
-                let stalls = &mut self.extra.generation_barrier_stalls;
+            )
+        } else {
+            let stalls = &mut self.extra.generation_barrier_stalls;
+            std::thread::scope(|scope| {
+                let workers: Vec<Worker<S>> = rest
+                    .iter_mut()
+                    .map(|engine| {
+                        let (jobs, inbox) = mpsc::channel();
+                        let (outbox, results) = mpsc::channel();
+                        // The worker ends when the caller drops `jobs`,
+                        // normally or while unwinding.
+                        scope.spawn(move || {
+                            for slice in inbox {
+                                if outbox.send(run_shard(engine, slice)).is_err() {
+                                    break;
+                                }
+                            }
+                        });
+                        Worker { jobs, results }
+                    })
+                    .collect();
                 run_generations(
                     stop_set,
                     sessions,
-                    |generation, emit| *stalls += fan_out(engines, generation, emit),
+                    |generation, emit| *stalls += fan_out(local, &workers, generation, emit),
                     sink,
                 )
-            }
+            })
         };
         self.extra.merge(&counters);
         self.last_stop_snapshot = snapshot;
@@ -325,69 +362,68 @@ impl<T: SplitTransport + Send> ShardedSweepEngine<T> {
     }
 }
 
+/// What one shard hands back for its slice of a generation: `(generation
+/// index, session, probes sent)` per session, and the dispatch cycles
+/// the slice took.
+type SliceOutput<S> = (Vec<(usize, S, u64)>, u64);
+
+/// The caller's end of one shard's sweep-long worker thread.
+struct Worker<S> {
+    /// One generation slice per job.
+    jobs: mpsc::Sender<Vec<(usize, S)>>,
+    /// One output per job, in job order.
+    results: mpsc::Receiver<SliceOutput<S>>,
+}
+
 /// Runs one generation across several shards: partitions it by
 /// [`shard_of`] (same-destination sessions land on the same shard, so
-/// reply tags stay unambiguous), drives the busy shards on scoped worker
-/// threads, then emits every session in source order. Returns the
-/// generation's barrier stalls: busy shards that finished in fewer
-/// dispatch cycles than the slowest one idled at the barrier.
-fn fan_out<T, S>(
-    engines: &mut [SweepEngine<T>],
+/// reply tags stay unambiguous), hands each busy worker shard its slice,
+/// runs shard 0's slice on the calling thread meanwhile, then emits
+/// every session in source order. Returns the generation's barrier
+/// stalls: busy shards that finished in fewer dispatch cycles than the
+/// slowest one idled at the barrier.
+fn fan_out<T: SplitTransport, S: ProbeSession>(
+    local: &mut SweepEngine<T>,
+    workers: &[Worker<S>],
     generation: &mut dyn Iterator<Item = S>,
     emit: &mut dyn FnMut(usize, S, u64),
-) -> u64
-where
-    T: SplitTransport + Send,
-    S: ProbeSession + Send,
-{
-    let shards = engines.len();
-    let mut batches: Vec<Vec<(usize, S)>> = (0..shards).map(|_| Vec::new()).collect();
+) -> u64 {
+    let shards = workers.len() + 1;
+    let mut own = Vec::new();
+    let mut slices: Vec<Vec<(usize, S)>> = workers.iter().map(|_| Vec::new()).collect();
     for (index, session) in generation.enumerate() {
-        batches[shard_of(session.destination(), shards)].push((index, session));
-    }
-    let cycles_before: Vec<u64> = engines.iter().map(|e| e.stats().dispatch_cycles).collect();
-    let participating: Vec<usize> = batches
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| !b.is_empty())
-        .map(|(i, _)| i)
-        .collect();
-
-    let mut results: Vec<(usize, S, u64)> = if participating.len() <= 1 {
-        // One busy shard (or none): no parallelism to buy, run inline
-        // and skip the scope entirely.
-        match participating.first() {
-            Some(&shard) => run_shard(&mut engines[shard], std::mem::take(&mut batches[shard])),
-            None => Vec::new(),
+        match shard_of(session.destination(), shards) {
+            0 => own.push((index, session)),
+            shard => slices[shard - 1].push((index, session)),
         }
-    } else {
-        // Disjoint shards on scoped worker threads. Shard state is
-        // engine state: budgets, stats and demux tables persist across
-        // generations on their own shard, untouched by the others.
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = engines
-                .iter_mut()
-                .zip(batches)
-                .filter(|(_, batch)| !batch.is_empty())
-                .map(|(engine, batch)| scope.spawn(move || run_shard(engine, batch)))
-                .collect();
-            handles
-                .into_iter()
-                // mlpt: allow(MLPT-W004, reason = "join() only fails if a worker panicked; re-raising that panic on the coordinator is the correct propagation")
-                .flat_map(|h| h.join().expect("a sweep shard panicked"))
-                .collect()
-        })
-    };
-
-    let mut stalls = 0;
-    if participating.len() > 1 {
-        let deltas: Vec<u64> = participating
-            .iter()
-            .map(|&i| engines[i].stats().dispatch_cycles - cycles_before[i])
-            .collect();
-        let slowest = deltas.iter().copied().max().unwrap_or(0);
-        stalls = deltas.iter().filter(|&&d| d < slowest).count() as u64;
     }
+    let mut busy = Vec::new();
+    for (worker, slice) in workers.iter().zip(slices) {
+        if !slice.is_empty() {
+            // A worker that panicked drops its inbox; the receive below
+            // reports it.
+            let _ = worker.jobs.send(slice);
+            busy.push(worker);
+        }
+    }
+    let mut results = Vec::new();
+    let mut cycles = Vec::new();
+    if !own.is_empty() {
+        let (out, spent) = run_shard(local, own);
+        results = out;
+        cycles.push(spent);
+    }
+    for worker in busy {
+        let (out, spent) = worker
+            .results
+            .recv()
+            // mlpt: allow(MLPT-W004, reason = "recv() fails only if the worker panicked; panicking here unwinds the scope, which joins every worker")
+            .expect("a sweep shard worker panicked");
+        results.extend(out);
+        cycles.push(spent);
+    }
+    let slowest = cycles.iter().copied().max().unwrap_or(0);
+    let stalls = cycles.iter().filter(|&&spent| spent < slowest).count() as u64;
 
     // Emit in source order within the generation: determinism of the
     // emission sequence, not just of its contents.
@@ -399,19 +435,21 @@ where
 }
 
 /// Runs one shard's slice of a generation to completion on its own
-/// engine, returning `(generation index, session, probes sent)` per
-/// session.
+/// engine. Shard state is engine state: budgets, stats and demux tables
+/// persist across generations on their own shard, untouched by the
+/// others.
 fn run_shard<T: SplitTransport, S: ProbeSession>(
     engine: &mut SweepEngine<T>,
-    batch: Vec<(usize, S)>,
-) -> Vec<(usize, S, u64)> {
-    let indices: Vec<usize> = batch.iter().map(|&(index, _)| index).collect();
+    slice: Vec<(usize, S)>,
+) -> SliceOutput<S> {
+    let cycles_before = engine.stats().dispatch_cycles;
+    let indices: Vec<usize> = slice.iter().map(|&(index, _)| index).collect();
     let mut out = Vec::with_capacity(indices.len());
     engine.stream_sessions(
-        &mut batch.into_iter().map(|(_, session)| session),
+        &mut slice.into_iter().map(|(_, session)| session),
         &mut |local, session, probes_sent| out.push((indices[local], session, probes_sent)),
     );
-    out
+    (out, engine.stats().dispatch_cycles - cycles_before)
 }
 
 #[cfg(test)]
@@ -419,9 +457,12 @@ mod tests {
     use super::*;
     use crate::config::TraceConfig;
     use crate::engine::{AdaptiveBudget, Admission};
-    use crate::session::MdaLiteSession;
-    use mlpt_sim::SimNetwork;
+    use crate::session::{MdaLiteSession, ProbeOutcome, ProbeRequest, SessionState};
+    use mlpt_sim::{MultiNetwork, SimNetwork};
     use mlpt_topo::canonical;
+    use std::collections::HashSet;
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
 
     const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
 
@@ -453,9 +494,12 @@ mod tests {
         assert!(hit.iter().all(|&h| h), "all shards reachable: {hit:?}");
     }
 
+    /// `n` disjoint copies of the meshed Fig. 1 diamond. The `+ i` varies
+    /// the low address bits, which is what spreads the destinations over
+    /// 2 and 4 shards (`shard_of` keeps an address's parity).
     fn lane_topos(n: u32) -> Vec<mlpt_topo::MultipathTopology> {
         (0..n)
-            .map(|i| canonical::fig1_meshed().translated(0x0100_0000 * (i + 1)))
+            .map(|i| canonical::fig1_meshed().translated(0x0100_0000 * (i + 1) + i))
             .collect()
     }
 
@@ -482,6 +526,22 @@ mod tests {
                 )) as Box<dyn TraceSession>
             })
             .collect()
+    }
+
+    /// A `shards`-shard engine over `topos`, transports split by
+    /// [`shard_of`].
+    fn sharded(
+        topos: &[mlpt_topo::MultipathTopology],
+        shards: usize,
+        cfg: SweepConfig,
+    ) -> ShardedSweepEngine<MultiNetwork> {
+        let transports: Vec<_> = (0..shards)
+            .map(|s| {
+                MultiNetwork::new(nets_for(topos, |d| shard_of(d, shards) == s))
+                    .expect("unique destinations")
+            })
+            .collect();
+        ShardedSweepEngine::new(transports, SRC).with_config(cfg)
     }
 
     fn config(admission: Admission, stop: Option<StopSetConfig>) -> SweepConfig {
@@ -512,22 +572,14 @@ mod tests {
             for stop_cfg in [None, stop] {
                 let cfg = config(admission, stop_cfg);
                 // Unsharded reference.
-                let net = mlpt_sim::MultiNetwork::new(nets_for(&topos, |_| true))
-                    .expect("unique destinations");
+                let net =
+                    MultiNetwork::new(nets_for(&topos, |_| true)).expect("unique destinations");
                 let mut plain = SweepEngine::new(net, SRC).with_config(cfg);
                 let want = plain.run_stream(sessions_for(&topos));
                 let want_stats = *plain.stats();
 
                 for shards in [1usize, 2, 3, 4] {
-                    let transports: Vec<_> = (0..shards)
-                        .map(|s| {
-                            mlpt_sim::MultiNetwork::new(nets_for(&topos, |d| {
-                                shard_of(d, shards) == s
-                            }))
-                            .expect("unique destinations")
-                        })
-                        .collect();
-                    let mut sharded = ShardedSweepEngine::new(transports, SRC).with_config(cfg);
+                    let mut sharded = sharded(&topos, shards, cfg);
                     let got = sharded.run_stream(sessions_for(&topos));
                     assert_eq!(want, got, "{admission:?} stop={stop_cfg:?} shards={shards}");
                     let got_stats = *sharded.stats();
@@ -581,13 +633,7 @@ mod tests {
             }),
         );
         let run = || {
-            let transports: Vec<_> = (0..3usize)
-                .map(|s| {
-                    mlpt_sim::MultiNetwork::new(nets_for(&topos, |d| shard_of(d, 3) == s))
-                        .expect("unique destinations")
-                })
-                .collect();
-            let mut engine = ShardedSweepEngine::new(transports, SRC).with_config(cfg);
+            let mut engine = sharded(&topos, 3, cfg);
             let traces = engine.run_stream(sessions_for(&topos));
             (traces, *engine.stats())
         };
@@ -602,8 +648,7 @@ mod tests {
     #[test]
     fn one_shard_pulls_its_source_lazily() {
         let topos = lane_topos(64);
-        let net =
-            mlpt_sim::MultiNetwork::new(nets_for(&topos, |_| true)).expect("unique destinations");
+        let net = MultiNetwork::new(nets_for(&topos, |_| true)).expect("unique destinations");
         let mut engine = ShardedSweepEngine::new(vec![net], SRC).with_config(SweepConfig {
             max_in_flight: 16,
             ..SweepConfig::default()
@@ -622,6 +667,121 @@ mod tests {
             "all {first} sessions were pulled before the first finished"
         );
         assert_eq!(pulled.get(), topos.len());
+    }
+
+    /// A trace session that records the thread of every `poll` and, when
+    /// told to, panics as its first replies arrive.
+    struct Watched {
+        inner: TraceProbeSession<Box<dyn TraceSession>>,
+        threads: Arc<Mutex<HashSet<ThreadId>>>,
+        explode: bool,
+    }
+
+    impl ProbeSession for Watched {
+        fn poll(&mut self) -> SessionState {
+            self.threads
+                .lock()
+                .expect("no poll panics while holding the lock")
+                .insert(std::thread::current().id());
+            self.inner.poll()
+        }
+
+        fn next_rounds(&self) -> &[ProbeRequest] {
+            self.inner.next_rounds()
+        }
+
+        fn on_replies(&mut self, results: &mut [Option<ProbeOutcome>]) {
+            assert!(!self.explode, "session exploded");
+            self.inner.on_replies(results);
+        }
+
+        fn destination(&self) -> Ipv4Addr {
+            self.inner.destination()
+        }
+
+        fn adopt_stop_set(&mut self, snapshot: &StopSnapshot) {
+            self.inner.adopt_stop_set(snapshot);
+        }
+
+        fn stop_contribution(&mut self) -> Option<StopContribution> {
+            self.inner.stop_contribution()
+        }
+    }
+
+    /// `Watched` sessions over `topos`; the one at source index
+    /// `explode`, if any, panics.
+    fn watched(
+        topos: &[mlpt_topo::MultipathTopology],
+        threads: &Arc<Mutex<HashSet<ThreadId>>>,
+        explode: Option<usize>,
+    ) -> Vec<Watched> {
+        sessions_for(topos)
+            .into_iter()
+            .enumerate()
+            .map(|(i, session)| Watched {
+                inner: TraceProbeSession::new(session),
+                threads: Arc::clone(threads),
+                explode: explode == Some(i),
+            })
+            .collect()
+    }
+
+    /// 16 lanes in generations of 2: eight stop-set generations.
+    fn two_shards_eight_generations(
+        topos: &[mlpt_topo::MultipathTopology],
+    ) -> ShardedSweepEngine<MultiNetwork> {
+        let stop = StopSetConfig {
+            commit_width: 2,
+            ..StopSetConfig::default()
+        };
+        sharded(topos, 2, config(Admission::Streaming, Some(stop)))
+    }
+
+    /// Worker shards live as long as the call: across every generation
+    /// of a 2-shard stop-set sweep, shard 0's sessions run on the
+    /// caller's thread and shard 1's on one worker thread.
+    #[test]
+    fn shard_workers_last_the_whole_sweep() {
+        let topos = lane_topos(16);
+        let mut engine = two_shards_eight_generations(&topos);
+        let threads = Arc::new(Mutex::new(HashSet::new()));
+        let mut finished = 0;
+        engine.run_sessions_with(watched(&topos, &threads, None), |_, _, _| finished += 1);
+        assert_eq!(finished, topos.len());
+        let threads = threads.lock().expect("every session finished");
+        assert!(
+            threads.contains(&std::thread::current().id()),
+            "shard 0 runs on the caller: {threads:?}"
+        );
+        assert_eq!(threads.len(), 2, "one thread per shard: {threads:?}");
+    }
+
+    /// A session panicking on a worker shard panics the call instead of
+    /// leaving the caller waiting for that shard.
+    #[test]
+    #[should_panic(expected = "a sweep shard worker panicked")]
+    fn worker_shard_panic_reaches_the_caller() {
+        let topos = lane_topos(16);
+        let victim = topos
+            .iter()
+            .position(|t| shard_of(t.destination(), 2) == 1)
+            .expect("shard 1 owns a lane");
+        let mut engine = two_shards_eight_generations(&topos);
+        let threads = Arc::new(Mutex::new(HashSet::new()));
+        engine.run_sessions_with(watched(&topos, &threads, Some(victim)), |_, _, _| {});
+    }
+
+    /// A sink panicking on the caller's thread mid-sweep panics the call
+    /// once the parked workers are joined.
+    #[test]
+    #[should_panic(expected = "sink exploded")]
+    fn sink_panic_joins_the_workers() {
+        let topos = lane_topos(16);
+        let mut engine = two_shards_eight_generations(&topos);
+        let threads = Arc::new(Mutex::new(HashSet::new()));
+        engine.run_sessions_with(watched(&topos, &threads, None), |index, _, _| {
+            assert!(index < 4, "sink exploded");
+        });
     }
 
     #[test]

@@ -16,8 +16,12 @@
 //!   order.
 //! * [`StopSnapshot`] is the cheap, immutable view a session adopts at
 //!   admission: membership lookups plus the sweep's current mid-path
-//!   start TTL. Snapshots are `Arc`-backed, so handing one to every
-//!   session of a generation is O(1).
+//!   start TTL. Snapshots share the master copy's `Arc`-backed map, so
+//!   taking one is O(1) and allocation-free, and so is handing it to
+//!   every session of a generation. The master copy is copy-on-write:
+//!   a commit copies the map only while an older snapshot is still
+//!   alive, and the coordinator drops the open generation's snapshot
+//!   before it commits, so sweeps commit in place.
 //! * [`StopSetConfig`] is the knob set: the (configurable or adaptive)
 //!   start TTL and the commit width.
 //!
@@ -221,11 +225,27 @@ impl StopSnapshot {
 
 /// The engine-owned master stop set (see module docs for the commit
 /// discipline that keeps it deterministic).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SharedStopSet {
-    entries: BTreeMap<(u8, u32), StopMeta>,
-    dest_ttls: Vec<u8>,
+    /// Shared with every live snapshot; commits write through
+    /// [`Arc::make_mut`].
+    entries: Arc<BTreeMap<(u8, u32), StopMeta>>,
+    /// Committed destination TTLs, counted per TTL value.
+    dest_ttl_counts: [usize; 256],
+    /// Sum of `dest_ttl_counts`.
+    dest_ttl_total: usize,
     evictions: u64,
+}
+
+impl Default for SharedStopSet {
+    fn default() -> Self {
+        Self {
+            entries: Arc::default(),
+            dest_ttl_counts: [0; 256],
+            dest_ttl_total: 0,
+            evictions: 0,
+        }
+    }
 }
 
 impl SharedStopSet {
@@ -248,17 +268,22 @@ impl SharedStopSet {
     /// for calling this in ascending `contributor` (source-index) order
     /// within each generation; the first writer of a key wins, so that
     /// order is what makes the merged contents deterministic.
+    ///
+    /// Writes in place unless a snapshot taken earlier is still alive;
+    /// then the map is copied first, so that snapshot never sees this
+    /// commit.
     pub fn commit(&mut self, contributor: usize, contribution: &StopContribution) {
+        let entries = Arc::make_mut(&mut self.entries);
         // Firsthand contradictions first: an evicted key freed here may
         // legitimately be re-claimed by this same contribution's fresh
         // post-change evidence below.
         for &(ttl, interface) in &contribution.evict {
-            if self.entries.remove(&(ttl, u32::from(interface))).is_some() {
+            if entries.remove(&(ttl, u32::from(interface))).is_some() {
                 self.evictions += 1;
             }
         }
         for seen in &contribution.entries {
-            self.entries
+            entries
                 .entry((seen.ttl, u32::from(seen.interface)))
                 .or_insert(StopMeta {
                     predecessor: seen.predecessor,
@@ -271,7 +296,8 @@ impl SharedStopSet {
         }
         if contribution.reached {
             if let Some(dt) = contribution.dest_ttl {
-                self.dest_ttls.push(dt);
+                self.dest_ttl_counts[usize::from(dt)] += 1;
+                self.dest_ttl_total += 1;
             }
         }
     }
@@ -281,21 +307,34 @@ impl SharedStopSet {
         self.evictions
     }
 
-    /// Builds the immutable snapshot the next generation adopts,
-    /// deriving the start TTL per `config` (fixed, or adaptive from the
-    /// median committed destination TTL).
+    /// The immutable snapshot the next generation adopts, with the start
+    /// TTL per `config` (fixed, or adaptive from the median committed
+    /// destination TTL). O(1) and allocation-free: the snapshot shares
+    /// the committed map, and a later [`commit`](Self::commit) copies it
+    /// only while this snapshot is still alive.
     pub fn snapshot(&self, config: &StopSetConfig) -> StopSnapshot {
-        let start_ttl = if config.adaptive_start && !self.dest_ttls.is_empty() {
-            let mut ttls = self.dest_ttls.clone();
-            ttls.sort_unstable();
-            (ttls[ttls.len() / 2] / 2).max(2)
-        } else {
-            config.start_ttl
+        let start_ttl = match self.median_dest_ttl() {
+            Some(median) if config.adaptive_start => (median / 2).max(2),
+            _ => config.start_ttl,
         };
         StopSnapshot {
-            entries: Arc::new(self.entries.clone()),
+            entries: Arc::clone(&self.entries),
             start_ttl,
         }
+    }
+
+    /// The upper median of the committed destination TTLs — the element
+    /// at index `len / 2` of their sorted list — or `None` before any
+    /// reached destination committed.
+    fn median_dest_ttl(&self) -> Option<u8> {
+        let mut rank = self.dest_ttl_total / 2;
+        for (ttl, &count) in (0..=u8::MAX).zip(&self.dest_ttl_counts) {
+            if rank < count {
+                return Some(ttl);
+            }
+            rank -= count;
+        }
+        None
     }
 }
 
@@ -412,6 +451,10 @@ mod tests {
         }
         // Median destination TTL 24 → start at 12.
         assert_eq!(set.snapshot(&cfg).start_ttl(), 12);
+        // An even count takes the upper median: 28 of 20, 24, 28, 32.
+        let path: Vec<Ipv4Addr> = (0..32).map(|h| addr(h, 3)).collect();
+        set.commit(3, &contribution(path[31], &path, None));
+        assert_eq!(set.snapshot(&cfg).start_ttl(), 14);
         let fixed = StopSetConfig {
             adaptive_start: false,
             ..cfg

@@ -1,4 +1,4 @@
-//! Allocation gate for the session layer.
+//! Allocation gate for the session layer and the stop-set coordinator.
 //!
 //! A per-thread counting global allocator charges every allocation made
 //! inside a session's `poll`, `next_rounds`, `on_replies` and
@@ -8,9 +8,11 @@
 //! counts are exact, and each bound is the measured count rounded up in
 //! the third decimal. A change that makes the session layer allocate
 //! more per probe fails here before any wall clock notices; one that
-//! makes it allocate less should lower the bound.
+//! makes it allocate less should lower the bound. The stop-set gate
+//! counts the shared set's `commit` and `snapshot` calls the same way.
 
 use mlpt_core::prelude::*;
+use mlpt_core::stopset::StopSeen;
 use mlpt_core::SharedStopSet;
 use mlpt_sim::SimNetwork;
 use mlpt_topo::canonical;
@@ -211,4 +213,81 @@ fn single_flow_with_stop_set_on_shared_prefix_lanes() {
     assert!(elided > 0, "the shared prefix must be elided");
     // 224 allocations over 120 probes.
     assert_within("shared_prefix", total, 1.867);
+}
+
+/// The contribution a lossless single-flow session reports for a
+/// single-path lane: every hop, each with its predecessor.
+fn lane_contribution(lane: &MultipathTopology) -> StopContribution {
+    let path: Vec<Ipv4Addr> = lane.hops().iter().map(|hop| hop[0]).collect();
+    let entries = path
+        .iter()
+        .enumerate()
+        .map(|(h, &interface)| StopSeen {
+            ttl: lane.ttl_of_hop(h),
+            interface,
+            predecessor: h.checked_sub(1).map(|p| path[p]),
+        })
+        .collect();
+    StopContribution {
+        entries,
+        destination: Some(lane.destination()),
+        flow: Some(FlowId(9)),
+        dest_ttl: Some(lane.ttl_of_hop(path.len() - 1)),
+        reached: true,
+        ..StopContribution::default()
+    }
+}
+
+/// The coordinator's stop-set work per generation, as a sweep of 1024
+/// shared-prefix lanes in generations of 16 does it: commit the
+/// generation in source order, then snapshot for the next one, with the
+/// open generation's snapshot dropped before the commit. A snapshot
+/// must not allocate at all, and commits allocate only as the map
+/// grows — never a copy of it.
+#[test]
+fn stop_set_generations_commit_in_place() {
+    const GENERATIONS: usize = 64;
+    const WIDTH: usize = 16;
+    let config = StopSetConfig::default();
+    let mut set = SharedStopSet::new();
+    let mut snapshot = StopSnapshot::empty();
+    let mut commit_allocs = 0;
+    for generation in 0..GENERATIONS {
+        let first = generation * WIDTH;
+        let contributions: Vec<StopContribution> = (first..first + WIDTH)
+            .map(|lane| lane_contribution(&canonical::shared_prefix_lane(20, 4, lane)))
+            .collect();
+        drop(snapshot);
+        let before = allocs();
+        counted(|| {
+            for (i, contribution) in contributions.iter().enumerate() {
+                set.commit(first + i, contribution);
+            }
+        });
+        commit_allocs += allocs() - before;
+        let before = allocs();
+        snapshot = counted(|| set.snapshot(&config));
+        let made = allocs() - before;
+        assert_eq!(
+            made, 0,
+            "generation {generation}: snapshot() allocated {made} times"
+        );
+    }
+    // The 20 shared prefix hops, plus 4 private hops and the destination
+    // per lane.
+    assert_eq!(snapshot.len(), 20 + 5 * GENERATIONS * WIDTH);
+    assert_eq!(
+        snapshot.start_ttl(),
+        12,
+        "half the median destination TTL of 25"
+    );
+    eprintln!(
+        "stop set: {commit_allocs} allocations over {} commits",
+        GENERATIONS * WIDTH
+    );
+    // Measured: BTreeMap node allocations only.
+    assert!(
+        commit_allocs <= 852,
+        "{commit_allocs} commit allocations exceed the bound 852"
+    );
 }
