@@ -9,7 +9,7 @@
 //! aliases, whereas a single out-of-sequence identifier is used to place
 //! the addresses into separate alias sets."
 
-use crate::series::{classify_series, is_monotonic, IpIdSample, SeriesClass};
+use crate::series::{classify_series, monotonic_step, IpIdSample, SeriesClass};
 use serde::{Deserialize, Serialize};
 
 /// Tunables for the MBT.
@@ -45,31 +45,50 @@ pub enum PairCompatibility {
 }
 
 /// Merges two timestamp-sorted series and checks monotonicity.
+///
+/// The merge streams: it walks both series in timestamp order (`a`
+/// first on equal timestamps) and applies the step rule of
+/// [`is_monotonic`](crate::series::is_monotonic) to each step of the
+/// merged order, allocating nothing and returning at the first failing
+/// step. Independent counters usually fail on the first step that
+/// crosses from one series to the other.
 pub fn merged_monotonic(a: &[IpIdSample], b: &[IpIdSample], params: &MbtParams) -> bool {
-    let mut merged: Vec<IpIdSample> = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if a[i].timestamp <= b[j].timestamp {
-            merged.push(a[i]);
-            i += 1;
-        } else {
-            merged.push(b[j]);
-            j += 1;
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    let mut prev: Option<&IpIdSample> = None;
+    while let Some(sample) = match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if x.timestamp > y.timestamp => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    } {
+        if prev
+            .is_some_and(|prev| !monotonic_step(prev, sample, params.velocity_bound, params.slack))
+        {
+            return false;
         }
+        prev = Some(sample);
     }
-    merged.extend_from_slice(&a[i..]);
-    merged.extend_from_slice(&b[j..]);
-    is_monotonic(&merged, params.velocity_bound, params.slack)
+    true
 }
 
 /// Runs the MBT on a pair of address series.
 pub fn test_pair(a: &[IpIdSample], b: &[IpIdSample], params: &MbtParams) -> PairCompatibility {
     let ca = classify_series(a, params.velocity_bound, params.slack);
     let cb = classify_series(b, params.velocity_bound, params.slack);
+    test_classified((a, ca), (b, cb), params)
+}
+
+/// [`test_pair`] on series whose classes are already known. The
+/// resolver classifies each candidate's series once per
+/// [`resolve`](crate::resolver::resolve) and judges every pair from
+/// those classes.
+pub(crate) fn test_classified(
+    (a, ca): (&[IpIdSample], SeriesClass),
+    (b, cb): (&[IpIdSample], SeriesClass),
+    params: &MbtParams,
+) -> PairCompatibility {
     if !ca.usable() || !cb.usable() {
-        return PairCompatibility::Unknown;
-    }
-    if merged_monotonic(a, b, params) {
+        PairCompatibility::Unknown
+    } else if merged_monotonic(a, b, params) {
         PairCompatibility::Compatible
     } else {
         PairCompatibility::Incompatible

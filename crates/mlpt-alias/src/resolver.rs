@@ -7,9 +7,15 @@
 //! respecting negative evidence produces the partition. Each resulting
 //! multi-address set is then given one of the paper's three outcomes:
 //! accepted as a router, rejected, or "unable to determine".
+//!
+//! [`resolve`] and [`judge_set`] classify each candidate's IP-ID series
+//! once per call and judge every pair from those classes; the MBT's
+//! merge ([`crate::mbt::merged_monotonic`]) allocates nothing and stops
+//! at the first violation.
 
-use crate::evidence::EvidenceBase;
-use crate::mbt::{test_pair, MbtParams, PairCompatibility};
+use crate::evidence::{AddressEvidence, EvidenceBase};
+use crate::mbt::{test_classified, MbtParams, PairCompatibility};
+use crate::series::{classify_series, IpIdSample, SeriesClass};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -41,6 +47,64 @@ pub enum SeriesSource {
     Direct,
 }
 
+/// One candidate's evidence, with the series its [`SeriesSource`]
+/// selects classified once.
+struct Candidate<'a> {
+    evidence: &'a AddressEvidence,
+    series: &'a [IpIdSample],
+    class: SeriesClass,
+}
+
+impl<'a> Candidate<'a> {
+    /// Looks `addr` up and classifies its series; `None` when the base
+    /// holds no evidence for it.
+    fn classify(
+        base: &'a EvidenceBase,
+        addr: Ipv4Addr,
+        source: SeriesSource,
+        params: &MbtParams,
+    ) -> Option<Self> {
+        let evidence = base.get(addr)?;
+        let series = match source {
+            SeriesSource::Indirect => &evidence.indirect_series,
+            SeriesSource::Direct => &evidence.direct_series,
+        };
+        Some(Candidate {
+            evidence,
+            series,
+            class: classify_series(series, params.velocity_bound, params.slack),
+        })
+    }
+
+    /// The MBT can never conclude for this series: its IDs are
+    /// constant, random or echoing (not merely too few).
+    fn unusable_for_good(&self) -> bool {
+        matches!(
+            self.class,
+            SeriesClass::Constant(_) | SeriesClass::EchoesProbe | SeriesClass::NonMonotonic
+        )
+    }
+
+    /// Both fingerprint components are measured.
+    fn complete(&self) -> bool {
+        let fingerprint = &self.evidence.fingerprint;
+        fingerprint.indirect_initial_ttl.is_some() && fingerprint.direct_initial_ttl.is_some()
+    }
+}
+
+/// Classifies every address of `addrs` once.
+fn classify_all<'a>(
+    base: &'a EvidenceBase,
+    addrs: impl IntoIterator<Item = Ipv4Addr>,
+    source: SeriesSource,
+    params: &MbtParams,
+) -> Vec<Option<Candidate<'a>>> {
+    addrs
+        .into_iter()
+        .map(|addr| Candidate::classify(base, addr, source, params))
+        .collect()
+}
+
 /// Judges one pair from the accumulated evidence.
 pub fn judge_pair(
     base: &EvidenceBase,
@@ -49,9 +113,24 @@ pub fn judge_pair(
     source: SeriesSource,
     params: &MbtParams,
 ) -> PairVerdict {
-    let (Some(ea), Some(eb)) = (base.get(a), base.get(b)) else {
+    judge_candidates(
+        Candidate::classify(base, a, source, params).as_ref(),
+        Candidate::classify(base, b, source, params).as_ref(),
+        params,
+    )
+}
+
+/// [`judge_pair`] on classified candidates; a missing one leaves the
+/// pair undetermined.
+fn judge_candidates(
+    a: Option<&Candidate<'_>>,
+    b: Option<&Candidate<'_>>,
+    params: &MbtParams,
+) -> PairVerdict {
+    let (Some(a), Some(b)) = (a, b) else {
         return PairVerdict::Undetermined;
     };
+    let (ea, eb) = (a.evidence, b.evidence);
 
     // Signature-based negative evidence first: cheap and decisive.
     if ea.fingerprint.conflicts(&eb.fingerprint) {
@@ -61,11 +140,7 @@ pub fn judge_pair(
         return PairVerdict::NotAlias;
     }
 
-    let (sa, sb) = match source {
-        SeriesSource::Indirect => (&ea.indirect_series, &eb.indirect_series),
-        SeriesSource::Direct => (&ea.direct_series, &eb.direct_series),
-    };
-    match test_pair(sa, sb, params) {
+    match test_classified((a.series, a.class), (b.series, b.class), params) {
         PairCompatibility::Incompatible => PairVerdict::NotAlias,
         PairCompatibility::Compatible => PairVerdict::Alias,
         PairCompatibility::Unknown => {
@@ -83,30 +158,10 @@ pub fn judge_pair(
             // (Sec. 4.1). Note the direct fingerprint component only
             // exists from Round 1 on, which is part of why Round 0 recall
             // trails Round 10 (Fig. 5).
-            let unusable_for_good = |e: &crate::evidence::AddressEvidence| {
-                let class = crate::series::classify_series(
-                    match source {
-                        SeriesSource::Indirect => &e.indirect_series,
-                        SeriesSource::Direct => &e.direct_series,
-                    },
-                    params.velocity_bound,
-                    params.slack,
-                );
-                matches!(
-                    class,
-                    crate::series::SeriesClass::Constant(_)
-                        | crate::series::SeriesClass::EchoesProbe
-                        | crate::series::SeriesClass::NonMonotonic
-                )
-            };
-            let complete = |e: &crate::evidence::AddressEvidence| {
-                e.fingerprint.indirect_initial_ttl.is_some()
-                    && e.fingerprint.direct_initial_ttl.is_some()
-            };
-            if unusable_for_good(ea)
-                && unusable_for_good(eb)
-                && complete(ea)
-                && complete(eb)
+            if a.unusable_for_good()
+                && b.unusable_for_good()
+                && a.complete()
+                && b.complete()
                 && ea.fingerprint == eb.fingerprint
             {
                 PairVerdict::WeakAlias
@@ -184,6 +239,10 @@ pub fn precision_recall(candidate: &AliasPartition, reference: &AliasPartition) 
 /// Builds the partition over `candidates`: union-find over `Alias` pairs,
 /// refusing merges that would place a `NotAlias` pair in one set (the
 /// deterministic analogue of the MBT's split-refine loop).
+///
+/// Each candidate's series is classified once per call; the n(n−1)/2
+/// pair verdicts reuse those classes, and the MBT's merge allocates
+/// nothing and stops at the first violation.
 pub fn resolve(
     base: &EvidenceBase,
     candidates: &BTreeSet<Ipv4Addr>,
@@ -191,21 +250,21 @@ pub fn resolve(
     params: &MbtParams,
 ) -> AliasPartition {
     let addrs: Vec<Ipv4Addr> = candidates.iter().copied().collect();
-    let index: BTreeMap<Ipv4Addr, usize> = addrs.iter().enumerate().map(|(i, &a)| (a, i)).collect();
+    let classified = classify_all(base, addrs.iter().copied(), source, params);
 
-    // Pair verdicts.
+    // Pair verdicts; `conflict` is the n×n matrix of `NotAlias` pairs.
     let n = addrs.len();
     let mut alias_pairs: Vec<(usize, usize)> = Vec::new();
-    let mut conflict = vec![BTreeSet::<usize>::new(); n];
+    let mut conflict = vec![false; n * n];
     let mut weak_pairs: Vec<(usize, usize)> = Vec::new();
     for i in 0..n {
         for j in i + 1..n {
-            match judge_pair(base, addrs[i], addrs[j], source, params) {
+            match judge_candidates(classified[i].as_ref(), classified[j].as_ref(), params) {
                 PairVerdict::Alias => alias_pairs.push((i, j)),
                 PairVerdict::WeakAlias => weak_pairs.push((i, j)),
                 PairVerdict::NotAlias => {
-                    conflict[i].insert(j);
-                    conflict[j].insert(i);
+                    conflict[i * n + j] = true;
+                    conflict[j * n + i] = true;
                 }
                 PairVerdict::Undetermined => {}
             }
@@ -224,7 +283,7 @@ pub fn resolve(
         }
         x
     }
-    let mut members: Vec<BTreeSet<usize>> = (0..n).map(|i| BTreeSet::from([i])).collect();
+    let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
 
     for (i, j) in alias_pairs {
         let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
@@ -234,7 +293,7 @@ pub fn resolve(
         // A merge is blocked if any cross pair conflicts.
         let blocked = members[ri]
             .iter()
-            .any(|&x| members[rj].iter().any(|&y| conflict[x].contains(&y)));
+            .any(|&x| members[rj].iter().any(|&y| conflict[x * n + y]));
         if blocked {
             continue;
         }
@@ -250,16 +309,14 @@ pub fn resolve(
 
     let mut sets: Vec<BTreeSet<Ipv4Addr>> = Vec::new();
     let mut seen_roots = BTreeMap::new();
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..n {
+    for (i, &addr) in addrs.iter().enumerate() {
         let root = find(&mut parent, i);
         let entry = seen_roots.entry(root).or_insert_with(|| {
             sets.push(BTreeSet::new());
             sets.len() - 1
         });
-        sets[*entry].insert(addrs[i]);
+        sets[*entry].insert(addr);
     }
-    let _ = index;
     sets.sort();
     AliasPartition { sets }
 }
@@ -278,18 +335,19 @@ pub enum SetVerdict {
     Unable,
 }
 
-/// Judges a candidate set under one series source.
+/// Judges a candidate set under one series source, classifying each
+/// member's series once.
 pub fn judge_set(
     base: &EvidenceBase,
     set: &BTreeSet<Ipv4Addr>,
     source: SeriesSource,
     params: &MbtParams,
 ) -> SetVerdict {
-    let addrs: Vec<Ipv4Addr> = set.iter().copied().collect();
+    let classified = classify_all(base, set.iter().copied(), source, params);
     let mut any_unknown = false;
-    for i in 0..addrs.len() {
-        for j in i + 1..addrs.len() {
-            match judge_pair(base, addrs[i], addrs[j], source, params) {
+    for (i, a) in classified.iter().enumerate() {
+        for b in &classified[i + 1..] {
+            match judge_candidates(a.as_ref(), b.as_ref(), params) {
                 PairVerdict::NotAlias => return SetVerdict::Reject,
                 // A weak (signature-only) pair is not a validation: the
                 // method is unable to confirm the set (the paper's
@@ -309,7 +367,6 @@ pub fn judge_set(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::IpIdSample;
 
     fn addr(x: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, x)

@@ -55,12 +55,24 @@ pub fn forward_distance(a: u16, b: u16) -> u16 {
 /// bound: `0 < fwd <= velocity_bound * elapsed + slack`. Duplicated
 /// timestamps are tolerated with pure-slack allowance.
 pub fn is_monotonic(samples: &[IpIdSample], velocity_bound: f64, slack: u32) -> bool {
-    samples.windows(2).all(|w| {
-        let elapsed = w[1].timestamp.saturating_sub(w[0].timestamp) as f64;
-        let fwd = u32::from(forward_distance(w[0].ip_id, w[1].ip_id));
-        let limit = velocity_bound * elapsed + f64::from(slack);
-        fwd >= 1 && f64::from(fwd) <= limit
-    })
+    samples
+        .windows(2)
+        .all(|w| monotonic_step(&w[0], &w[1], velocity_bound, slack))
+}
+
+/// One step of [`is_monotonic`]: `next` advances forward from `prev`
+/// within the velocity bound. The MBT's streaming merge applies it to
+/// each step of the merged order.
+pub(crate) fn monotonic_step(
+    prev: &IpIdSample,
+    next: &IpIdSample,
+    velocity_bound: f64,
+    slack: u32,
+) -> bool {
+    let elapsed = next.timestamp.saturating_sub(prev.timestamp) as f64;
+    let fwd = u32::from(forward_distance(prev.ip_id, next.ip_id));
+    let limit = velocity_bound * elapsed + f64::from(slack);
+    fwd >= 1 && f64::from(fwd) <= limit
 }
 
 /// Minimum samples before the MBT will classify a series.

@@ -24,12 +24,16 @@
 //!    [`RetryPolicy`] (see [`crate::pending`]), and a probe whose reply
 //!    misses its deadline resolves as a typed timeout instead of
 //!    blocking the sweep;
-//! 4. **demultiplexes** replies back to their sessions by kind-tagged
-//!    keys — ICMP errors by the destination/sequence recovered from the
-//!    quoted probe ([`mlpt_wire::probe::ReplyPacket`]), Echo Replies by
-//!    the responding interface and the echoed ICMP sequence — not by
-//!    slot position, so interleaved, lost and malformed replies are all
-//!    handled;
+//! 4. **demultiplexes** replies back to their sessions by slot: the
+//!    transport puts probe *i*'s reply in slot *i*, and the engine
+//!    accepts it only if the tag it gives back (kind, address,
+//!    sequence) equals probe *i*'s — for ICMP errors the destination
+//!    and sequence of the quoted probe
+//!    ([`mlpt_wire::probe::ReplyPacket`]), for Echo Replies the
+//!    responding interface and the echoed ICMP sequence — and, for UDP
+//!    probes, it quotes the probed flow. Lost slots time out; malformed
+//!    replies and replies found in another probe's slot are counted and
+//!    resolve as unanswered;
 //! 5. **adapts** the budget: an AIMD controller ([`AdaptiveBudget`])
 //!    ramps the budget up additively while replies are clean and backs
 //!    off multiplicatively when a cycle starts losing replies (loss or
@@ -64,13 +68,11 @@
 //!     + malformed_replies + mismatched_replies == probes_sent
 //! ```
 //!
-//! (modulo the pathological 16-bit sequence collision, which charges an
-//! extra `mismatched_replies` at dispatch time; see
-//! [`SweepStats::mismatched_replies`]). The split transport guarantees
-//! one reply slot per probe: an unanswered slot is a **timeout** — the
-//! probe's deadline expired with no reply, or the reply was lost on the
-//! wire — and feeds the next retry wave exactly as a lost reply always
-//! did. Retry waves are bounded by [`SweepConfig::retries`]; a round
+//! exactly: each probe's reply is looked for in its own slot and
+//! nowhere else. The split transport guarantees one reply slot per
+//! probe: an unanswered slot is a **timeout** — the probe's deadline
+//! expired with no reply, or the reply was lost on the wire — and feeds
+//! the next retry wave exactly as a lost reply always did. Retry waves are bounded by [`SweepConfig::retries`]; a round
 //! that exhausts its waves with probes still unanswered charges them to
 //! [`SweepStats::retries_exhausted`] and hands the session an honest
 //! `None` for each, so no fault schedule can wedge a sweep. The
@@ -104,7 +106,7 @@ use crate::shard::run_generations;
 use crate::stopset::{StopSetConfig, StopSnapshot};
 use crate::trace::{PartialReason, Trace};
 use mlpt_wire::probe::{
-    build_echo_probe_into, build_udp_probe_into, parse_reply, ProbePacket, ReplyKind,
+    build_echo_probe_into, build_udp_probe_into, parse_reply, ProbePacket, ReplyKind, ReplyPacket,
 };
 use mlpt_wire::transport::{PacketBatch, ReplyBatch, SplitTransport};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -281,8 +283,9 @@ pub struct SweepStats {
     pub replies_delivered: u64,
     /// Replies that failed to parse as IPv4+ICMP.
     pub malformed_replies: u64,
-    /// Parsed replies whose tags matched no in-flight probe, or whose
-    /// quoted flow contradicted the probe they claimed to answer.
+    /// Parsed replies that do not answer the probe whose slot they
+    /// fill: the tag they give back (kind, address, sequence) differs
+    /// from that probe's, or they quote another flow.
     pub mismatched_replies: u64,
     /// Largest single dispatch batch.
     pub max_batch: usize,
@@ -479,10 +482,10 @@ impl SweepStats {
     }
 }
 
-/// The probe kind a demux tag belongs to. Keys are kind-tagged so a UDP
-/// probe towards destination D and an echo probe aimed at interface D
-/// can never claim each other's replies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The probe kind a tag belongs to, so that a reply to a UDP probe
+/// towards destination D and one to an echo probe aimed at interface D
+/// can never pass for each other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TagKind {
     /// Tag recovered from an ICMP error's quoted probe.
     Udp,
@@ -490,43 +493,36 @@ enum TagKind {
     Echo,
 }
 
-/// Demultiplexer for in-flight probes: maps the kind-tagged
-/// (address, sequence) pair recovered from a reply back to the dispatch
-/// entry that sent it. For UDP probes the address is the quoted probe
-/// destination (unique per live session); for echo probes it is the
-/// pinged interface. Sequence numbers are per-session, so the triple is
-/// unique while a probe is in flight.
-#[derive(Debug, Default)]
-struct ReplyDemux {
-    in_flight: HashMap<(TagKind, u32, u16), usize>,
+/// The tag a probe carries and a reply to it gives back. For UDP probes
+/// the address is the probe's destination, which an ICMP error quotes
+/// together with the sequence; for echo probes it is the pinged
+/// interface, which answers itself and echoes the sequence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ProbeTag {
+    kind: TagKind,
+    address: Ipv4Addr,
+    sequence: u16,
 }
 
-impl ReplyDemux {
-    fn clear(&mut self) {
-        self.in_flight.clear();
-    }
-
-    /// Registers a dispatched probe; returns false on a tag collision
-    /// (which the caller counts — the older entry survives).
-    fn register(&mut self, kind: TagKind, address: Ipv4Addr, sequence: u16, token: usize) -> bool {
-        match self.in_flight.entry((kind, u32::from(address), sequence)) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(token);
-                true
-            }
+impl ProbeTag {
+    /// The tag `reply` gives back, or `None` when it carries no usable
+    /// one (no quote, or an echo under a foreign identifier).
+    fn of_reply(reply: &ReplyPacket) -> Option<Self> {
+        match reply.kind {
+            ReplyKind::EchoReply => match reply.echo {
+                Some((ECHO_IDENTIFIER, sequence)) => Some(ProbeTag {
+                    kind: TagKind::Echo,
+                    address: reply.responder,
+                    sequence,
+                }),
+                _ => None,
+            },
+            _ => Some(ProbeTag {
+                kind: TagKind::Udp,
+                address: reply.probe_destination?,
+                sequence: reply.probe_sequence?,
+            }),
         }
-    }
-
-    /// Claims the probe a reply answers, by tag. Each probe can be
-    /// claimed once; unknown tags return `None`.
-    fn claim(&mut self, kind: TagKind, address: Ipv4Addr, sequence: u16) -> Option<usize> {
-        self.in_flight.remove(&(kind, u32::from(address), sequence))
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.in_flight.len()
     }
 }
 
@@ -593,11 +589,15 @@ impl<S> SessionSlot<S> {
     }
 }
 
-/// One in-flight probe of the current dispatch cycle.
+/// One in-flight probe of the current dispatch cycle. Entry *i* is the
+/// probe in batch position *i*, whose reply the transport puts in slot
+/// *i*.
 #[derive(Debug, Clone, Copy)]
 struct DispatchEntry {
     session: usize,
     spec: usize,
+    /// The tag the probe's reply must give back.
+    tag: ProbeTag,
 }
 
 /// Outcome of pumping an idle slot's state machine.
@@ -747,7 +747,6 @@ pub struct SweepEngine<T: SplitTransport> {
     source: Ipv4Addr,
     config: SweepConfig,
     stats: SweepStats,
-    demux: ReplyDemux,
     packets: PacketBatch,
     /// Per-probe deadlines (ticks from send), parallel to `packets`.
     timeouts: Vec<u64>,
@@ -791,7 +790,6 @@ impl<T: SplitTransport> SweepEngine<T> {
             budget: config.max_in_flight as f64,
             config,
             stats: SweepStats::default(),
-            demux: ReplyDemux::default(),
             packets: PacketBatch::new(),
             timeouts: Vec::new(),
             replies: ReplyBatch::new(),
@@ -1160,11 +1158,11 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
     /// Pulls sessions from the stream into the live table, stopping once
     /// the pending backlog covers the budget. A session whose destination
     /// is already live — or already has earlier sessions waiting on it —
-    /// is deferred until the destination frees up: its reply tags would be ambiguous, and
-    /// a shared lane makes per-destination order observable, so waiters
-    /// re-enter strictly in source order. Deferred sessions whose
-    /// destinations were freed re-enter before new source pulls, so the
-    /// admission path is O(1) amortized per session (no queue rescans).
+    /// is deferred until the destination frees up: a shared lane makes
+    /// per-destination order observable, so waiters re-enter strictly in
+    /// source order. Deferred sessions whose destinations were freed
+    /// re-enter before new source pulls, so the admission path is O(1)
+    /// amortized per session (no queue rescans).
     fn admit_sessions(
         &mut self,
         source: &mut dyn Iterator<Item = S>,
@@ -1245,7 +1243,6 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
         self.eng.packets.clear();
         self.eng.timeouts.clear();
         self.eng.dispatch.clear();
-        self.eng.demux.clear();
         self.cycle_delivered = 0;
         let budget = self.eng.current_budget();
         let adaptive = self.eng.config.adaptive.is_some();
@@ -1322,7 +1319,7 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
             self.eng
                 .timeouts
                 .push(slot.timer.next_timeout(slot.attempt, slot.backoff_depth));
-            let registered = match request {
+            let tag = match request {
                 ProbeRequest::Udp(spec) => {
                     let probe = ProbePacket {
                         source,
@@ -1334,12 +1331,11 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
                     self.eng
                         .packets
                         .push_with(|buf| build_udp_probe_into(&probe, buf));
-                    self.eng.demux.register(
-                        TagKind::Udp,
-                        slot.destination,
+                    ProbeTag {
+                        kind: TagKind::Udp,
+                        address: slot.destination,
                         sequence,
-                        self.eng.dispatch.len(),
-                    )
+                    }
                 }
                 ProbeRequest::Echo { target } => {
                     self.eng.packets.push_with(|buf| {
@@ -1352,23 +1348,17 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
                             buf,
                         )
                     });
-                    self.eng.demux.register(
-                        TagKind::Echo,
-                        target,
+                    ProbeTag {
+                        kind: TagKind::Echo,
+                        address: target,
                         sequence,
-                        self.eng.dispatch.len(),
-                    )
+                    }
                 }
             };
-            if !registered {
-                // A 16-bit sequence collision inside one cycle: only
-                // possible for absurdly large rounds. Count it and
-                // let the probe resolve as lost.
-                self.eng.stats.mismatched_replies += 1;
-            }
             self.eng.dispatch.push(DispatchEntry {
                 session: i,
                 spec: spec_idx,
+                tag,
             });
             slot.probes_sent += 1;
             slot.round_wire += 1;
@@ -1378,8 +1368,13 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
         }
     }
 
-    /// Routes every reply of the cycle back to its probe by its
-    /// kind-tagged demux key.
+    /// Checks every reply of the cycle against the probe whose slot it
+    /// fills. The split transport returns one slot per probe, in probe
+    /// order, so the reply in slot *i* is accepted only if the tag it
+    /// gives back equals probe *i*'s tag and it quotes probe *i*'s flow
+    /// (the acceptance rule Paris traceroute matches replies by).
+    /// Anything else is charged to [`SweepStats::mismatched_replies`]
+    /// and its probe resolves as unanswered.
     fn demux_replies(&mut self) {
         for slot_idx in 0..self.eng.replies.len() {
             let Some(bytes) = self.eng.replies.get(slot_idx) else {
@@ -1393,80 +1388,49 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
                 self.eng.stats.malformed_replies += 1;
                 continue;
             };
-            // Kind-specific tag recovery: errors quote the probe they
-            // answer; Echo Replies echo the ICMP identifier/sequence and
-            // come from the pinged interface itself.
-            let token = match parsed.kind {
-                ReplyKind::EchoReply => match parsed.echo {
-                    Some((identifier, sequence)) if identifier == ECHO_IDENTIFIER => self
-                        .eng
-                        .demux
-                        .claim(TagKind::Echo, parsed.responder, sequence),
-                    // A stray echo reply (foreign identifier or no echo
-                    // header): nothing to demultiplex against.
-                    _ => None,
-                },
-                _ => match (parsed.probe_destination, parsed.probe_sequence) {
-                    (Some(dest), Some(sequence)) => {
-                        self.eng.demux.claim(TagKind::Udp, dest, sequence)
-                    }
-                    // No usable quote: nothing to demultiplex against.
-                    _ => None,
-                },
-            };
-            let Some(token) = token else {
+            let Some(&entry) = self.eng.dispatch.get(slot_idx) else {
+                debug_assert!(false, "more reply slots than probes");
                 self.eng.stats.mismatched_replies += 1;
                 continue;
             };
-            let Some(entry) = self.eng.dispatch.get(token) else {
-                debug_assert!(false, "demux token out of bounds");
+            if ProbeTag::of_reply(&parsed) != Some(entry.tag) {
                 self.eng.stats.mismatched_replies += 1;
                 continue;
-            };
-            let (session_idx, spec_idx) = (entry.session, entry.spec);
-
-            let Some(slot) = self.slots.get_mut(session_idx) else {
+            }
+            let Some(slot) = self.slots.get_mut(entry.session) else {
                 debug_assert!(false, "dispatch entry names an unknown session");
                 self.eng.stats.mismatched_replies += 1;
                 continue;
             };
-            let Some(&request) = slot.round.get(spec_idx) else {
+            let Some(&request) = slot.round.get(entry.spec) else {
                 debug_assert!(false, "dispatch entry outlived its round");
                 self.eng.stats.mismatched_replies += 1;
                 continue;
             };
             let timestamp = self.eng.replies.timestamp(slot_idx);
+            // The tags matched, so the reply's kind is the request's: an
+            // ICMP error for a UDP probe, an Echo Reply from the pinged
+            // target, echoing its sequence, for an echo probe.
             let outcome = match request {
                 // The shared acceptance rule (also TransportProber's):
                 // the reply must quote the flow we probed with.
-                ProbeRequest::Udp(spec) if parsed.kind != ReplyKind::EchoReply => {
+                ProbeRequest::Udp(spec) => {
                     ProbeObservation::from_reply(spec, parsed, slot.destination, timestamp)
                         .map(ProbeOutcome::Udp)
                 }
-                // The claim key guarantees the responder is the pinged
-                // target and the sequence matches — the same acceptance
-                // rule TransportProber::direct_probe applies.
-                ProbeRequest::Echo { target } if parsed.kind == ReplyKind::EchoReply => {
-                    parsed.echo.map(|(_, sequence)| {
-                        debug_assert_eq!(parsed.responder, target, "claim key mismatch");
-                        ProbeOutcome::Echo(DirectObservation {
-                            target: parsed.responder,
-                            ip_id: parsed.reply_ip_id,
-                            probe_ip_id: sequence,
-                            reply_ttl: parsed.reply_ttl,
-                            timestamp,
-                        })
-                    })
-                }
-                // Kind-tagged keys make a crossed claim impossible; be
-                // defensive anyway.
-                _ => None,
+                ProbeRequest::Echo { target } => Some(ProbeOutcome::Echo(DirectObservation {
+                    target,
+                    ip_id: parsed.reply_ip_id,
+                    probe_ip_id: entry.tag.sequence,
+                    reply_ttl: parsed.reply_ttl,
+                    timestamp,
+                })),
             };
             let Some(outcome) = outcome else {
                 self.eng.stats.mismatched_replies += 1;
                 continue;
             };
-            if let Some(result) = slot.results.get_mut(spec_idx) {
+            if let Some(result) = slot.results.get_mut(entry.spec) {
                 *result = Some(outcome);
                 slot.delivered_cycle += 1;
                 self.cycle_delivered += 1;
@@ -1638,13 +1602,10 @@ mod tests {
     use crate::trace::Trace;
     use mlpt_sim::SimNetwork;
     use mlpt_topo::canonical;
+    use mlpt_wire::transport::PacketTransport;
     use mlpt_wire::FlowId;
 
     const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
-
-    fn dest(i: u16) -> Ipv4Addr {
-        Ipv4Addr::new(198, 51, (i >> 8) as u8, i as u8)
-    }
 
     /// Streams a single trace session through `engine`.
     fn run_one<T: SplitTransport>(
@@ -1656,59 +1617,301 @@ mod tests {
             .remove(0)
     }
 
-    #[test]
-    fn demux_routes_interleaved_replies() {
-        let mut demux = ReplyDemux::default();
-        // Two sessions' probes registered interleaved.
-        assert!(demux.register(TagKind::Udp, dest(1), 1, 10));
-        assert!(demux.register(TagKind::Udp, dest(2), 1, 20));
-        assert!(demux.register(TagKind::Udp, dest(1), 2, 11));
-        assert!(demux.register(TagKind::Udp, dest(2), 2, 21));
-        // Replies claimed out of order still find their probes.
-        assert_eq!(demux.claim(TagKind::Udp, dest(2), 2), Some(21));
-        assert_eq!(demux.claim(TagKind::Udp, dest(1), 1), Some(10));
-        assert_eq!(demux.claim(TagKind::Udp, dest(2), 1), Some(20));
-        assert_eq!(demux.claim(TagKind::Udp, dest(1), 2), Some(11));
+    /// A session probing one fixed round, keeping what came back.
+    struct OneRound {
+        destination: Ipv4Addr,
+        round: Vec<ProbeRequest>,
+        got: Vec<Option<ProbeOutcome>>,
+        wire: u64,
+        done: bool,
     }
 
-    #[test]
-    fn demux_lost_and_unknown_replies() {
-        let mut demux = ReplyDemux::default();
-        assert!(demux.register(TagKind::Udp, dest(1), 7, 0));
-        // An unknown tag (wrong destination or sequence) claims nothing.
-        assert_eq!(demux.claim(TagKind::Udp, dest(1), 8), None);
-        assert_eq!(demux.claim(TagKind::Udp, dest(9), 7), None);
-        // A lost reply simply never claims; the entry drains on clear.
-        assert_eq!(demux.len(), 1);
-        demux.clear();
-        assert_eq!(demux.len(), 0);
-        // Double delivery: the second claim of the same tag fails.
-        assert!(demux.register(TagKind::Udp, dest(1), 7, 0));
-        assert_eq!(demux.claim(TagKind::Udp, dest(1), 7), Some(0));
-        assert_eq!(demux.claim(TagKind::Udp, dest(1), 7), None);
+    impl OneRound {
+        fn new(destination: Ipv4Addr, round: Vec<ProbeRequest>) -> Self {
+            OneRound {
+                destination,
+                round,
+                got: Vec::new(),
+                wire: 0,
+                done: false,
+            }
+        }
     }
 
-    #[test]
-    fn demux_rejects_tag_collisions() {
-        let mut demux = ReplyDemux::default();
-        assert!(demux.register(TagKind::Udp, dest(1), 1, 0));
-        assert!(
-            !demux.register(TagKind::Udp, dest(1), 1, 5),
-            "collision must be flagged"
+    impl ProbeSession for OneRound {
+        fn poll(&mut self) -> SessionState {
+            if self.done {
+                SessionState::Finished
+            } else {
+                SessionState::Probing
+            }
+        }
+        fn next_rounds(&self) -> &[ProbeRequest] {
+            &self.round
+        }
+        fn on_replies(&mut self, results: &mut [Option<ProbeOutcome>]) {
+            self.got.extend(results.iter_mut().map(Option::take));
+            self.done = true;
+        }
+        fn destination(&self) -> Ipv4Addr {
+            self.destination
+        }
+        fn note_wire_probes(&mut self, count: u64) {
+            self.wire += count;
+        }
+    }
+
+    /// Streams one [`OneRound`] session through `engine`, handing back
+    /// the finished session and its wire-probe count.
+    fn run_round<T: SplitTransport>(
+        engine: &mut SweepEngine<T>,
+        session: OneRound,
+    ) -> (OneRound, u64) {
+        let mut finished = Vec::new();
+        engine.run_sessions_with([session], |index, session, probes| {
+            assert_eq!(index, 0);
+            finished.push((session, probes));
+        });
+        finished.pop().expect("one session")
+    }
+
+    /// One crossing's reply slots as owned `(reply, timestamp)` pairs.
+    type Slots = Vec<(Option<Vec<u8>>, u64)>;
+
+    /// A transport whose reply slots pass through `rewrite` (given the
+    /// crossing's probes) before the engine reads them.
+    struct Rewriting<T, F> {
+        inner: T,
+        sent: Vec<Vec<u8>>,
+        rewrite: F,
+    }
+
+    impl<T: SplitTransport, F> PacketTransport for Rewriting<T, F> {
+        fn send_packet(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
+            self.inner.send_packet(packet)
+        }
+        fn now(&self) -> u64 {
+            self.inner.now()
+        }
+    }
+
+    impl<T: SplitTransport, F: FnMut(&[Vec<u8>], &mut Slots)> SplitTransport for Rewriting<T, F> {
+        fn send_probes(&mut self, probes: &PacketBatch, timeouts: &[u64]) {
+            self.sent = probes.iter().map(<[u8]>::to_vec).collect();
+            self.inner.send_probes(probes, timeouts);
+        }
+        fn recv_replies(&mut self, replies: &mut ReplyBatch) {
+            self.inner.recv_replies(replies);
+            let mut slots: Slots = replies
+                .iter()
+                .map(|(reply, at)| (reply.map(<[u8]>::to_vec), at))
+                .collect();
+            (self.rewrite)(&self.sent, &mut slots);
+            replies.clear();
+            for (reply, at) in slots {
+                replies.push_with(at, |buf| match reply {
+                    Some(bytes) => {
+                        buf.extend_from_slice(&bytes);
+                        true
+                    }
+                    None => false,
+                });
+            }
+        }
+    }
+
+    /// Swaps the first two answered slots of a crossing; returns whether
+    /// it found two.
+    fn swap_first_answered(slots: &mut Slots) -> bool {
+        let answered: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].0.is_some()).collect();
+        let [first, second, ..] = answered[..] else {
+            return false;
+        };
+        let reply = slots[first].0.take();
+        slots[first].0 = slots[second].0.replace(reply.expect("answered"));
+        true
+    }
+
+    /// Asserts the four-bucket accounting invariant of the module docs.
+    fn assert_partitioned(stats: &SweepStats) {
+        assert_eq!(
+            stats.probes_timed_out
+                + stats.replies_delivered
+                + stats.malformed_replies
+                + stats.mismatched_replies,
+            stats.probes_sent
         );
-        // The first registration survives.
-        assert_eq!(demux.claim(TagKind::Udp, dest(1), 1), Some(0));
     }
 
-    /// UDP and echo tags live in disjoint key spaces: a UDP probe towards
-    /// destination D never claims an Echo Reply from interface D.
+    /// The slot contract: a reply is checked against the probe whose
+    /// slot it fills. Two replies crossed between slots are both
+    /// mismatched, even though each names an in-flight probe, and
+    /// neither reaches a session.
     #[test]
-    fn demux_kinds_are_disjoint() {
-        let mut demux = ReplyDemux::default();
-        assert!(demux.register(TagKind::Udp, dest(1), 1, 0));
-        assert!(demux.register(TagKind::Echo, dest(1), 1, 9));
-        assert_eq!(demux.claim(TagKind::Echo, dest(1), 1), Some(9));
-        assert_eq!(demux.claim(TagKind::Udp, dest(1), 1), Some(0));
+    fn crossed_slot_replies_are_mismatched() {
+        let topo = canonical::fig1_unmeshed();
+        let d = topo.destination();
+        let round = (1..=4)
+            .map(|ttl| ProbeRequest::Udp(ProbeSpec::new(FlowId(5), ttl)))
+            .collect();
+        let net = Rewriting {
+            inner: SimNetwork::new(topo, 3),
+            sent: Vec::new(),
+            rewrite: |_: &[Vec<u8>], slots: &mut Slots| {
+                assert!(swap_first_answered(slots));
+            },
+        };
+        let mut engine = SweepEngine::new(net, SRC);
+        let (session, probes) = run_round(&mut engine, OneRound::new(d, round));
+        assert_eq!(probes, 4);
+        assert!(session.got[..2].iter().all(Option::is_none));
+        assert!(session.got[2..].iter().all(Option::is_some));
+        let stats = engine.stats();
+        assert_eq!(stats.mismatched_replies, 2);
+        assert_eq!(stats.replies_delivered, 2);
+        assert_partitioned(stats);
+    }
+
+    /// The same swap on every crossing of a lossy multi-session sweep
+    /// with retries: exactly the crossed replies are mismatched, and the
+    /// four buckets still partition `probes_sent`.
+    #[test]
+    fn crossed_slots_keep_the_accounting_exact() {
+        use mlpt_sim::{FaultPlan, MultiNetwork};
+        let lanes = (0..4u32)
+            .map(|i| {
+                let topo = canonical::fig1_meshed().translated(0x0100_0000 * (i + 1) + i);
+                SimNetwork::builder(topo)
+                    .faults(FaultPlan::with_loss(0.0, 0.1))
+                    .seed(u64::from(i))
+                    .build()
+            })
+            .collect::<Vec<_>>();
+        let dests: Vec<Ipv4Addr> = lanes.iter().map(|l| l.topology().destination()).collect();
+        let mut swaps = 0u64;
+        let net = Rewriting {
+            inner: MultiNetwork::new(lanes).expect("distinct destinations"),
+            sent: Vec::new(),
+            rewrite: |_: &[Vec<u8>], slots: &mut Slots| {
+                swaps += u64::from(swap_first_answered(slots));
+            },
+        };
+        let mut engine = SweepEngine::new(net, SRC).with_config(SweepConfig {
+            retries: 2,
+            ..SweepConfig::default()
+        });
+        let sessions = dests.iter().map(|&d| {
+            Box::new(MdaLiteSession::new(d, TraceConfig::new(1))) as Box<dyn TraceSession>
+        });
+        let traces = engine.run_stream(sessions);
+        assert_eq!(traces.len(), 4);
+        let stats = *engine.stats();
+        drop(engine);
+        assert!(swaps > 0);
+        assert_eq!(stats.mismatched_replies, 2 * swaps);
+        assert_eq!(stats.malformed_replies, 0);
+        assert_partitioned(&stats);
+    }
+
+    /// Tags are kind-tagged: a reply of the other kind that gives back a
+    /// probe's address and sequence, placed in that probe's slot, is
+    /// mismatched. Here an Echo Reply from the destination echoing a UDP
+    /// probe's sequence, and a Time Exceeded quoting a UDP probe towards
+    /// an echo probe's target with that probe's sequence.
+    #[test]
+    fn replies_of_the_other_kind_are_mismatched() {
+        use mlpt_topo::graph::addr;
+        use mlpt_wire::icmp::{emit_echo_into, emit_error_into, IcmpType, CODE_TTL_EXCEEDED};
+        use mlpt_wire::ipv4::PROTO_ICMP;
+        use mlpt_wire::probe::{build_udp_probe, parse_udp_probe};
+        use mlpt_wire::Ipv4Header;
+        let topo = canonical::simplest_diamond();
+        let d = topo.destination();
+        let round = vec![
+            ProbeRequest::Udp(ProbeSpec::new(FlowId(2), 1)),
+            ProbeRequest::Udp(ProbeSpec::new(FlowId(2), 9)),
+            ProbeRequest::Echo { target: addr(1, 0) },
+        ];
+        let datagram = |from: Ipv4Addr, icmp: &[u8]| {
+            let ip = Ipv4Header::new(from, SRC, PROTO_ICMP, 60, 7, icmp.len());
+            let mut reply = ip.emit().to_vec();
+            reply.extend_from_slice(icmp);
+            reply
+        };
+        let net = Rewriting {
+            inner: SimNetwork::new(topo, 1),
+            sent: Vec::new(),
+            rewrite: |sent: &[Vec<u8>], slots: &mut Slots| {
+                let udp = parse_udp_probe(&sent[1]).expect("a UDP probe");
+                let mut icmp = Vec::new();
+                emit_echo_into(
+                    IcmpType::EchoReply,
+                    ECHO_IDENTIFIER,
+                    udp.sequence,
+                    b"",
+                    &mut icmp,
+                );
+                slots[1].0 = Some(datagram(udp.destination, &icmp));
+
+                // An echo probe carries its sequence in its IP ID too.
+                let (echo, _) = Ipv4Header::parse(&sent[2]).expect("an echo probe");
+                let quoted = build_udp_probe(&ProbePacket {
+                    source: SRC,
+                    destination: echo.destination,
+                    flow: FlowId(2),
+                    ttl: 1,
+                    sequence: echo.identification,
+                });
+                icmp.clear();
+                emit_error_into(
+                    IcmpType::TimeExceeded,
+                    CODE_TTL_EXCEEDED,
+                    &quoted,
+                    &[],
+                    &mut icmp,
+                );
+                slots[2].0 = Some(datagram(addr(0, 0), &icmp));
+            },
+        };
+        let mut engine = SweepEngine::new(net, SRC);
+        let (session, _) = run_round(&mut engine, OneRound::new(d, round));
+        assert!(matches!(session.got[0], Some(ProbeOutcome::Udp(_))));
+        assert_eq!(session.got[1..], [None, None]);
+        assert_eq!(engine.stats().mismatched_replies, 2);
+        assert_partitioned(engine.stats());
+    }
+
+    /// A reply quoting another sequence than its slot's probe carries
+    /// (here the next one the session would send) is mismatched.
+    #[test]
+    fn reply_quoting_another_sequence_is_mismatched() {
+        let topo = canonical::simplest_diamond();
+        let d = topo.destination();
+        let round = vec![ProbeRequest::Udp(ProbeSpec::new(FlowId(4), 1))];
+        let net = Rewriting {
+            inner: SimNetwork::new(topo, 1),
+            sent: Vec::new(),
+            rewrite: |_: &[Vec<u8>], slots: &mut Slots| {
+                let reply = slots[0].0.as_mut().expect("answered");
+                let parsed = parse_reply(reply).expect("a valid reply");
+                assert_eq!(parsed.probe_sequence, Some(1));
+                // The quote's IP ID sits at byte 4 of the quoted header,
+                // after the 20-byte reply header and the 8-byte ICMP
+                // header. The quote's own checksum may go stale (tools
+                // parse quotes leniently); the ICMP checksum is redone.
+                reply[20 + 8 + 5] = 2;
+                reply[22..24].copy_from_slice(&[0, 0]);
+                let sum = mlpt_wire::checksum::internet_checksum(&reply[20..]);
+                reply[22..24].copy_from_slice(&sum.to_be_bytes());
+                assert_eq!(parse_reply(reply).unwrap().probe_sequence, Some(2));
+            },
+        };
+        let mut engine = SweepEngine::new(net, SRC);
+        let (session, _) = run_round(&mut engine, OneRound::new(d, round));
+        assert_eq!(session.got, vec![None]);
+        assert_eq!(engine.stats().mismatched_replies, 1);
+        assert_eq!(engine.stats().replies_delivered, 0);
+        assert_partitioned(engine.stats());
     }
 
     /// The merge audit behind sharded-sweep aggregation: summed
@@ -2196,55 +2399,19 @@ mod tests {
     fn mixed_kind_session_round_trips() {
         use mlpt_topo::graph::addr;
 
-        struct MixedSession {
-            destination: Ipv4Addr,
-            round: Vec<ProbeRequest>,
-            got: Vec<Option<ProbeOutcome>>,
-            wire: u64,
-            done: bool,
-        }
-        impl ProbeSession for MixedSession {
-            fn poll(&mut self) -> SessionState {
-                if self.done {
-                    SessionState::Finished
-                } else {
-                    SessionState::Probing
-                }
-            }
-            fn next_rounds(&self) -> &[ProbeRequest] {
-                &self.round
-            }
-            fn on_replies(&mut self, results: &mut [Option<ProbeOutcome>]) {
-                self.got.extend(results.iter_mut().map(Option::take));
-                self.done = true;
-            }
-            fn destination(&self) -> Ipv4Addr {
-                self.destination
-            }
-            fn note_wire_probes(&mut self, count: u64) {
-                self.wire += count;
-            }
-        }
-
         let topo = canonical::simplest_diamond();
         let d = topo.destination();
         let target = addr(1, 0);
-        let session = MixedSession {
-            destination: d,
-            round: vec![
+        let session = OneRound::new(
+            d,
+            vec![
                 ProbeRequest::Udp(ProbeSpec::new(FlowId(3), 1)),
                 ProbeRequest::Echo { target },
                 ProbeRequest::Udp(ProbeSpec::new(FlowId(3), 3)),
             ],
-            got: Vec::new(),
-            wire: 0,
-            done: false,
-        };
+        );
         let mut engine = SweepEngine::new(SimNetwork::new(topo, 1), SRC);
-        let mut finished: Vec<(usize, MixedSession, u64)> = Vec::new();
-        engine.run_sessions_with([session], |i, s, probes| finished.push((i, s, probes)));
-        let (index, session, probes) = finished.pop().expect("one session");
-        assert_eq!(index, 0);
+        let (session, probes) = run_round(&mut engine, session);
         assert_eq!(probes, 3);
         assert_eq!(session.wire, 3);
         assert_eq!(session.got.len(), 3);

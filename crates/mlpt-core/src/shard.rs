@@ -435,9 +435,9 @@ fn fan_out<T: SplitTransport, S: ProbeSession>(
 }
 
 /// Runs one shard's slice of a generation to completion on its own
-/// engine. Shard state is engine state: budgets, stats and demux tables
-/// persist across generations on their own shard, untouched by the
-/// others.
+/// engine. Shard state is engine state: budgets, stats and dispatch
+/// buffers persist across generations on their own shard, untouched by
+/// the others.
 fn run_shard<T: SplitTransport, S: ProbeSession>(
     engine: &mut SweepEngine<T>,
     slice: Vec<(usize, S)>,

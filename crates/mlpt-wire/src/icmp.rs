@@ -103,13 +103,18 @@ impl MplsLabelStackEntry {
                 got: data.len(),
             });
         }
-        let word = u32::from_be_bytes([data[0], data[1], data[2], data[3]]);
-        Ok(Self {
+        Ok(Self::from_word([data[0], data[1], data[2], data[3]]))
+    }
+
+    /// Decodes one 4-byte entry.
+    fn from_word(bytes: [u8; 4]) -> Self {
+        let word = u32::from_be_bytes(bytes);
+        Self {
             label: word >> 12,
             exp: ((word >> 9) & 0x7) as u8,
             bottom_of_stack: (word >> 8) & 0x1 == 1,
             ttl: (word & 0xFF) as u8,
-        })
+        }
     }
 }
 
@@ -137,48 +142,72 @@ impl IcmpExtensions {
 
     /// Parses an extension structure, verifying version and checksum.
     pub fn parse(data: &[u8]) -> WireResult<Self> {
-        if data.len() < 4 {
-            return Err(WireError::Truncated {
-                what: "ICMP extension header",
-                needed: 4,
-                got: data.len(),
-            });
-        }
-        let version = data[0] >> 4;
-        if version != 2 {
-            return Err(WireError::Unsupported {
-                what: "ICMP extension version",
-                value: u16::from(version),
-            });
-        }
-        if internet_checksum(data) != 0 {
-            return Err(WireError::BadChecksum {
-                what: "ICMP extension",
-            });
-        }
-        let mut ext = IcmpExtensions::default();
-        let mut offset = 4;
-        while offset + 4 <= data.len() {
-            let obj_len = usize::from(u16::from_be_bytes([data[offset], data[offset + 1]]));
-            let class = data[offset + 2];
-            let ctype = data[offset + 3];
-            if obj_len < 4 || offset + obj_len > data.len() {
-                return Err(WireError::BadLength {
-                    what: "ICMP extension object",
-                });
-            }
-            if class == 1 && ctype == 1 {
-                let mut pos = offset + 4;
-                while pos + 4 <= offset + obj_len {
-                    ext.mpls_stack
-                        .push(MplsLabelStackEntry::parse(&data[pos..])?);
-                    pos += 4;
-                }
-            }
-            offset += obj_len;
-        }
-        Ok(ext)
+        validate_extensions(data)?;
+        Ok(IcmpExtensions {
+            mpls_stack: mpls_entries(data).collect(),
+        })
     }
+}
+
+/// Validates an RFC 4884 extension structure: a 4-byte header with
+/// version 2, a verifying checksum, and objects whose length fields fit.
+fn validate_extensions(data: &[u8]) -> WireResult<()> {
+    if data.len() < 4 {
+        return Err(WireError::Truncated {
+            what: "ICMP extension header",
+            needed: 4,
+            got: data.len(),
+        });
+    }
+    let version = data[0] >> 4;
+    if version != 2 {
+        return Err(WireError::Unsupported {
+            what: "ICMP extension version",
+            value: u16::from(version),
+        });
+    }
+    if internet_checksum(data) != 0 {
+        return Err(WireError::BadChecksum {
+            what: "ICMP extension",
+        });
+    }
+    extension_objects(data).try_for_each(|object| object.map(drop))
+}
+
+/// Walks the objects of an RFC 4884 extension structure (after its
+/// header) as `(class, c-type, payload)`. An object whose length field
+/// does not fit ends the walk with an error.
+fn extension_objects(data: &[u8]) -> impl Iterator<Item = WireResult<(u8, u8, &[u8])>> {
+    let mut rest = data.get(4..).unwrap_or_default();
+    std::iter::from_fn(move || {
+        if rest.len() < 4 {
+            return None;
+        }
+        let len = usize::from(u16::from_be_bytes([rest[0], rest[1]]));
+        if len < 4 || len > rest.len() {
+            rest = &[];
+            return Some(Err(WireError::BadLength {
+                what: "ICMP extension object",
+            }));
+        }
+        let (object, tail) = rest.split_at(len);
+        rest = tail;
+        Some(Ok((object[2], object[3], &object[4..])))
+    })
+}
+
+/// The MPLS label-stack entries (class 1, c-type 1 objects) of a
+/// validated extension structure, outermost first. Empty for an empty
+/// structure.
+fn mpls_entries(data: &[u8]) -> impl Iterator<Item = MplsLabelStackEntry> + '_ {
+    extension_objects(data)
+        .filter_map(Result::ok)
+        .filter(|&(class, ctype, _)| class == 1 && ctype == 1)
+        .flat_map(|(_, _, payload)| {
+            payload.chunks_exact(4).map(|entry| {
+                MplsLabelStackEntry::from_word([entry[0], entry[1], entry[2], entry[3]])
+            })
+        })
 }
 
 /// Appends an RFC 4884 extension structure (header + MPLS object) to a
@@ -207,6 +236,139 @@ pub fn emit_extensions_into(mpls_stack: &[MplsLabelStackEntry], out: &mut Vec<u8
 /// Minimum length to which the quoted datagram is padded when RFC 4884
 /// extensions follow it.
 pub const RFC4884_QUOTE_LEN: usize = 128;
+
+/// A validated ICMP message, borrowed from the datagram that carries it.
+///
+/// [`IcmpView::parse`] is the single ICMP validator: it checks the
+/// minimum length, the ICMP checksum and the type, and for error
+/// messages the RFC 4884 length and the extension structure (version,
+/// checksum, object lengths). The accessors then read the quote, the
+/// echo fields and the MPLS entries in place, so a view allocates
+/// nothing. [`IcmpMessage::parse`] builds its owned message from a view,
+/// and [`crate::probe::parse_reply`] reads replies through one.
+#[derive(Debug, Clone, Copy)]
+pub struct IcmpView<'a> {
+    icmp_type: IcmpType,
+    /// The whole message, header included.
+    data: &'a [u8],
+    /// The quoted datagram of an error message, or an echo's payload.
+    body: &'a [u8],
+    /// The validated RFC 4884 extension structure; empty when absent.
+    extensions: &'a [u8],
+}
+
+impl<'a> IcmpView<'a> {
+    /// Validates a complete ICMP message (see the type docs).
+    pub fn parse(data: &'a [u8]) -> WireResult<Self> {
+        if data.len() < 8 {
+            return Err(WireError::Truncated {
+                what: "ICMP message",
+                needed: 8,
+                got: data.len(),
+            });
+        }
+        if internet_checksum(data) != 0 {
+            return Err(WireError::BadChecksum { what: "ICMP" });
+        }
+        let icmp_type = IcmpType::from_wire(data[0])?;
+        let body = &data[8..];
+        let (body, extensions) = match icmp_type {
+            IcmpType::TimeExceeded | IcmpType::DestinationUnreachable => {
+                // RFC 4884: the quote's length in 32-bit words sits in
+                // the second byte of the rest-of-header; zero means no
+                // extensions follow the quote.
+                let quote_len = usize::from(data[5]) * 4;
+                if quote_len == 0 {
+                    (body, &[][..])
+                } else {
+                    if quote_len > body.len() {
+                        return Err(WireError::BadLength {
+                            what: "RFC 4884 length",
+                        });
+                    }
+                    let (quote, extensions) = body.split_at(quote_len);
+                    if !extensions.is_empty() {
+                        validate_extensions(extensions)?;
+                    }
+                    (quote, extensions)
+                }
+            }
+            IcmpType::EchoRequest | IcmpType::EchoReply => (body, &[][..]),
+        };
+        Ok(IcmpView {
+            icmp_type,
+            data,
+            body,
+            extensions,
+        })
+    }
+
+    /// The message's ICMP type.
+    pub fn icmp_type(&self) -> IcmpType {
+        self.icmp_type
+    }
+
+    /// The message's code field.
+    pub fn code(&self) -> u8 {
+        self.data[1]
+    }
+
+    /// For error messages, the quoted datagram; `None` for echo messages.
+    pub fn quoted(&self) -> Option<&'a [u8]> {
+        match self.icmp_type {
+            IcmpType::TimeExceeded | IcmpType::DestinationUnreachable => Some(self.body),
+            IcmpType::EchoRequest | IcmpType::EchoReply => None,
+        }
+    }
+
+    /// For echo messages, `(identifier, sequence, payload)`; `None` for
+    /// error messages.
+    pub fn echo(&self) -> Option<(u16, u16, &'a [u8])> {
+        match self.icmp_type {
+            IcmpType::EchoRequest | IcmpType::EchoReply => Some((
+                u16::from_be_bytes([self.data[4], self.data[5]]),
+                u16::from_be_bytes([self.data[6], self.data[7]]),
+                self.body,
+            )),
+            IcmpType::TimeExceeded | IcmpType::DestinationUnreachable => None,
+        }
+    }
+
+    /// The MPLS label stack of an error message's extensions, outermost
+    /// first; empty when none is attached.
+    pub fn mpls_stack(&self) -> impl Iterator<Item = MplsLabelStackEntry> + 'a {
+        mpls_entries(self.extensions)
+    }
+
+    /// The owned form of the message.
+    fn to_message(self) -> IcmpMessage {
+        let extensions = || IcmpExtensions {
+            mpls_stack: self.mpls_stack().collect(),
+        };
+        let (identifier, sequence, payload) = self.echo().unwrap_or_default();
+        match self.icmp_type {
+            IcmpType::TimeExceeded => IcmpMessage::TimeExceeded {
+                quoted: self.body.to_vec(),
+                extensions: extensions(),
+            },
+            IcmpType::DestinationUnreachable => IcmpMessage::DestinationUnreachable {
+                code: self.code(),
+                quoted: self.body.to_vec(),
+                extensions: extensions(),
+            },
+            IcmpType::EchoRequest => IcmpMessage::EchoRequest {
+                identifier,
+                sequence,
+                payload: payload.to_vec(),
+            },
+            IcmpType::EchoReply => IcmpMessage::EchoReply {
+                identifier,
+                sequence,
+                payload: payload.to_vec(),
+            },
+        }
+    }
+}
 
 /// A parsed or buildable ICMP message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -305,92 +467,24 @@ impl IcmpMessage {
         }
     }
 
-    /// Parses a complete ICMP message, verifying its checksum.
+    /// Parses a complete ICMP message, verifying its checksum: the owned
+    /// form of [`IcmpView::parse`].
     pub fn parse(data: &[u8]) -> WireResult<Self> {
-        if data.len() < 8 {
-            return Err(WireError::Truncated {
-                what: "ICMP message",
-                needed: 8,
-                got: data.len(),
-            });
-        }
-        if internet_checksum(data) != 0 {
-            return Err(WireError::BadChecksum { what: "ICMP" });
-        }
-        let icmp_type = IcmpType::from_wire(data[0])?;
-        let code = data[1];
-        match icmp_type {
-            IcmpType::TimeExceeded | IcmpType::DestinationUnreachable => {
-                let length_words = usize::from(data[5]);
-                let body = &data[8..];
-                let (quoted, extensions) = if length_words > 0 {
-                    let quote_len = length_words * 4;
-                    if quote_len > body.len() {
-                        return Err(WireError::BadLength {
-                            what: "RFC 4884 length",
-                        });
-                    }
-                    let ext = if body.len() > quote_len {
-                        IcmpExtensions::parse(&body[quote_len..])?
-                    } else {
-                        IcmpExtensions::default()
-                    };
-                    (body[..quote_len].to_vec(), ext)
-                } else {
-                    (body.to_vec(), IcmpExtensions::default())
-                };
-                match icmp_type {
-                    IcmpType::TimeExceeded => Ok(IcmpMessage::TimeExceeded { quoted, extensions }),
-                    _ => Ok(IcmpMessage::DestinationUnreachable {
-                        code,
-                        quoted,
-                        extensions,
-                    }),
-                }
-            }
-            IcmpType::EchoRequest | IcmpType::EchoReply => {
-                let identifier = u16::from_be_bytes([data[4], data[5]]);
-                let sequence = u16::from_be_bytes([data[6], data[7]]);
-                let payload = data[8..].to_vec();
-                match icmp_type {
-                    IcmpType::EchoRequest => Ok(IcmpMessage::EchoRequest {
-                        identifier,
-                        sequence,
-                        payload,
-                    }),
-                    _ => Ok(IcmpMessage::EchoReply {
-                        identifier,
-                        sequence,
-                        payload,
-                    }),
-                }
-            }
-        }
+        IcmpView::parse(data).map(|view| view.to_message())
     }
 
     /// Reads an Echo Request's fields without copying the payload — the
     /// allocation-free parse the simulator uses on its hot path.
-    /// Verifies the checksum like [`IcmpMessage::parse`].
+    /// Validates like [`IcmpMessage::parse`].
     pub fn parse_echo_request(data: &[u8]) -> WireResult<(u16, u16, &[u8])> {
-        if data.len() < 8 {
-            return Err(WireError::Truncated {
-                what: "ICMP message",
-                needed: 8,
-                got: data.len(),
-            });
-        }
-        if internet_checksum(data) != 0 {
-            return Err(WireError::BadChecksum { what: "ICMP" });
-        }
-        if IcmpType::from_wire(data[0])? != IcmpType::EchoRequest {
-            return Err(WireError::Unsupported {
+        let view = IcmpView::parse(data)?;
+        match view.echo() {
+            Some(echo) if view.icmp_type() == IcmpType::EchoRequest => Ok(echo),
+            _ => Err(WireError::Unsupported {
                 what: "ICMP type (expected echo request)",
                 value: u16::from(data[0]),
-            });
+            }),
         }
-        let identifier = u16::from_be_bytes([data[4], data[5]]);
-        let sequence = u16::from_be_bytes([data[6], data[7]]);
-        Ok((identifier, sequence, &data[8..]))
     }
 
     /// For error messages, the quoted datagram; None for echo messages.
@@ -554,6 +648,41 @@ mod tests {
         assert_eq!(&parsed.quoted().unwrap()[..28], &sample_quote()[..]);
         assert_eq!(parsed.quoted().unwrap().len(), RFC4884_QUOTE_LEN);
         assert_eq!(parsed.mpls_stack(), msg.mpls_stack());
+    }
+
+    /// The view borrows the quote and the echo payload from the message
+    /// bytes and decodes the MPLS stack the owned parse returns.
+    #[test]
+    fn view_reads_in_place() {
+        let stack = vec![
+            MplsLabelStackEntry::new(100, 0, false, 250),
+            MplsLabelStackEntry::new(200, 1, true, 249),
+        ];
+        let bytes = IcmpMessage::TimeExceeded {
+            quoted: sample_quote(),
+            extensions: IcmpExtensions {
+                mpls_stack: stack.clone(),
+            },
+        }
+        .emit();
+        let view = IcmpView::parse(&bytes).unwrap();
+        assert_eq!(view.icmp_type(), IcmpType::TimeExceeded);
+        let quoted = view.quoted().unwrap();
+        assert_eq!(quoted.len(), RFC4884_QUOTE_LEN);
+        assert!(std::ptr::eq(quoted, &bytes[8..8 + RFC4884_QUOTE_LEN]));
+        assert_eq!(view.mpls_stack().collect::<Vec<_>>(), stack);
+        assert_eq!(view.echo(), None);
+
+        let bytes = IcmpMessage::EchoReply {
+            identifier: 9,
+            sequence: 4,
+            payload: vec![1, 2],
+        }
+        .emit();
+        let view = IcmpView::parse(&bytes).unwrap();
+        assert_eq!(view.echo(), Some((9, 4, &bytes[8..])));
+        assert_eq!(view.quoted(), None);
+        assert_eq!(view.mpls_stack().count(), 0);
     }
 
     #[test]

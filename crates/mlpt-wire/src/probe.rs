@@ -11,7 +11,7 @@
 //! sequence number out of the quoted datagram, exactly as a real tool must.
 
 use crate::flow::{FlowId, PARIS_DPORT};
-use crate::icmp::{IcmpMessage, MplsLabelStackEntry, CODE_PORT_UNREACHABLE};
+use crate::icmp::{IcmpType, IcmpView, MplsLabelStackEntry, CODE_PORT_UNREACHABLE};
 use crate::ipv4::{Ipv4Header, PROTO_ICMP, PROTO_UDP};
 use crate::udp::{self, UdpHeader};
 use crate::{WireError, WireResult};
@@ -152,9 +152,9 @@ pub struct ReplyPacket {
     /// Flow ID recovered from the quoted probe (None for echo replies).
     pub probe_flow: Option<FlowId>,
     /// Destination of the quoted probe (None for echo replies). Together
-    /// with `probe_flow` and `probe_sequence` this is the demultiplexing
-    /// tag a concurrent sweep uses to hand a reply back to the session
-    /// that sent the probe.
+    /// with `probe_sequence` this is the tag a concurrent sweep checks
+    /// against the probe whose slot the reply fills (and `probe_flow`
+    /// must be that probe's flow).
     pub probe_destination: Option<Ipv4Addr>,
     /// TTL of the probe as originally sent, recovered from the quote where
     /// possible (routers quote the datagram with TTL already expired, so
@@ -165,15 +165,19 @@ pub struct ReplyPacket {
     pub probe_sequence: Option<u16>,
     /// Echo identifier/sequence for EchoReply messages. Together with
     /// [`responder`](Self::responder) (an Echo Reply comes from the
-    /// pinged interface itself) this is the demultiplexing tag a
-    /// concurrent sweep uses for direct probes — the Echo-Reply
-    /// counterpart of the quoted-probe tag carried by error replies.
+    /// pinged interface itself) this is the tag a concurrent sweep
+    /// checks for direct probes — the Echo-Reply counterpart of the
+    /// quoted-probe tag carried by error replies.
     pub echo: Option<(u16, u16)>,
     /// MPLS label stack attached via RFC 4884/4950, outermost first.
     pub mpls_stack: Vec<MplsLabelStackEntry>,
 }
 
 /// Parses a complete reply datagram (IPv4 + ICMP).
+///
+/// The ICMP part is validated by [`IcmpView`], and the quote and the
+/// echo fields are read in place: a reply allocates only when it carries
+/// an MPLS stack.
 pub fn parse_reply(data: &[u8]) -> WireResult<ReplyPacket> {
     let (ip, ihl) = Ipv4Header::parse(data)?;
     if ip.protocol != PROTO_ICMP {
@@ -182,68 +186,35 @@ pub fn parse_reply(data: &[u8]) -> WireResult<ReplyPacket> {
             value: u16::from(ip.protocol),
         });
     }
-    let icmp = IcmpMessage::parse(&data[ihl..])?;
-    let mpls_stack = icmp.mpls_stack().to_vec();
-
-    let (kind, probe_flow, probe_destination, quoted_ttl, probe_sequence, echo) = match &icmp {
-        IcmpMessage::TimeExceeded { quoted, .. } => {
-            let info = parse_quote(quoted);
-            (
-                ReplyKind::TimeExceeded,
-                info.as_ref().and_then(|q| q.flow),
-                info.as_ref().map(|q| q.destination),
-                info.as_ref().map(|q| q.ttl),
-                info.as_ref().map(|q| q.sequence),
-                None,
-            )
+    let icmp = IcmpView::parse(&data[ihl..])?;
+    let kind = match icmp.icmp_type() {
+        IcmpType::TimeExceeded => ReplyKind::TimeExceeded,
+        IcmpType::DestinationUnreachable if icmp.code() == CODE_PORT_UNREACHABLE => {
+            ReplyKind::PortUnreachable
         }
-        IcmpMessage::DestinationUnreachable { code, quoted, .. } => {
-            let info = parse_quote(quoted);
-            let kind = if *code == CODE_PORT_UNREACHABLE {
-                ReplyKind::PortUnreachable
-            } else {
-                ReplyKind::OtherUnreachable(*code)
-            };
-            (
-                kind,
-                info.as_ref().and_then(|q| q.flow),
-                info.as_ref().map(|q| q.destination),
-                info.as_ref().map(|q| q.ttl),
-                info.as_ref().map(|q| q.sequence),
-                None,
-            )
-        }
-        IcmpMessage::EchoReply {
-            identifier,
-            sequence,
-            ..
-        } => (
-            ReplyKind::EchoReply,
-            None,
-            None,
-            None,
-            None,
-            Some((*identifier, *sequence)),
-        ),
-        IcmpMessage::EchoRequest { .. } => {
+        IcmpType::DestinationUnreachable => ReplyKind::OtherUnreachable(icmp.code()),
+        IcmpType::EchoReply => ReplyKind::EchoReply,
+        IcmpType::EchoRequest => {
             return Err(WireError::Unsupported {
                 what: "reply ICMP type (echo request)",
                 value: 8,
             })
         }
     };
-
+    let quote = icmp.quoted().and_then(parse_quote);
     Ok(ReplyPacket {
         responder: ip.source,
         kind,
         reply_ip_id: ip.identification,
         reply_ttl: ip.ttl,
-        probe_flow,
-        probe_destination,
-        quoted_ttl,
-        probe_sequence,
-        echo,
-        mpls_stack,
+        probe_flow: quote.as_ref().and_then(|q| q.flow),
+        probe_destination: quote.as_ref().map(|q| q.destination),
+        quoted_ttl: quote.as_ref().map(|q| q.ttl),
+        probe_sequence: quote.as_ref().map(|q| q.sequence),
+        echo: icmp
+            .echo()
+            .map(|(identifier, sequence, _)| (identifier, sequence)),
+        mpls_stack: icmp.mpls_stack().collect(),
     })
 }
 
@@ -278,7 +249,7 @@ fn parse_quote(quoted: &[u8]) -> Option<QuoteInfo> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::icmp::IcmpExtensions;
+    use crate::icmp::{IcmpExtensions, IcmpMessage};
 
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const DST: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 9);

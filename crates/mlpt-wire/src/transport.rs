@@ -209,7 +209,12 @@ impl ReplyBatch {
 ///
 /// * Every `send_probes` must be followed by exactly one `recv_replies`
 ///   before the next `send_probes`; the reply batch has one slot per
-///   probe, in probe order.
+///   probe, in probe order. A backend fills slot *i* with probe *i*'s
+///   reply, matched by the tag the reply quotes (an ICMP error's quoted
+///   probe) or echoes (an Echo Reply's identifier and sequence). The
+///   sweep engine verifies that tag and counts a reply found in another
+///   probe's slot as mismatched, so a backend that receives replies out
+///   of order must put each back in its probe's slot.
 /// * A slot is answered **iff** its reply arrived at or before its
 ///   deadline. Answered slots carry the reply's arrival tick as their
 ///   timestamp; unanswered slots resolve at their deadline.
