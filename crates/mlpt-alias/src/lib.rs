@@ -36,5 +36,5 @@ pub use multilevel::{
     MultilevelTrace,
 };
 pub use resolver::{resolve, AliasPartition, PairVerdict, SetVerdict};
-pub use rounds::{run_rounds, AliasRoundsSession, ProbeMethod, RoundReport, RoundsConfig};
+pub use rounds::{AliasRoundsSession, ProbeMethod, RoundReport, RoundsConfig};
 pub use series::{classify_series, IpIdSample, SeriesClass};

@@ -12,16 +12,17 @@ use crate::evidence::EvidenceBase;
 use crate::resolver::AliasPartition;
 use crate::rounds::{AliasRoundsSession, RoundReport, RoundsConfig};
 use mlpt_core::config::TraceConfig;
-use mlpt_core::prober::{ProbeLog, Prober, TransportProber};
+use mlpt_core::engine::SweepEngine;
+use mlpt_core::prober::ProbeLog;
 use mlpt_core::session::{
-    drive_probes, MdaLiteSession, ProbeOutcome, ProbeRequest, ProbeSession, SessionState,
-    TraceProbeSession, TraceSession,
+    MdaLiteSession, ProbeOutcome, ProbeRequest, ProbeSession, SessionState, TraceProbeSession,
+    TraceSession,
 };
 use mlpt_core::stopset::{StopContribution, StopSnapshot};
 use mlpt_core::trace::Trace;
 use mlpt_topo::router::collapse;
 use mlpt_topo::{MultipathTopology, RouterMap};
-use mlpt_wire::transport::PacketTransport;
+use mlpt_wire::transport::SplitTransport;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
@@ -205,11 +206,10 @@ impl FannedRounds {
 /// `on_replies` surface the sweep engine can interleave across
 /// destinations.
 ///
-/// The session keeps its own [`ProbeLog`] (the observations a blocking
-/// run would find in its prober's log), so each alias stage seeds its
-/// evidence base from exactly the data the legacy implementation saw at
-/// the same point: trace observations plus every earlier stage's
-/// probing.
+/// The session keeps its own [`ProbeLog`] of every observation it
+/// received, so each alias stage seeds its evidence base from exactly
+/// the data the legacy implementation saw at the same point: trace
+/// observations plus every earlier stage's probing.
 pub struct MultilevelSession {
     destination: Ipv4Addr,
     config: MultilevelConfig,
@@ -532,9 +532,8 @@ impl ProbeSession for MultilevelSession {
     }
 
     fn on_replies(&mut self, results: &mut [Option<ProbeOutcome>]) {
-        // Log every delivered observation first, in request order — the
-        // stream a blocking prober would have accumulated — then forward
-        // to the stage that emitted the round.
+        // Log every delivered observation first, in request order, then
+        // forward to the stage that emitted the round.
         for result in results.iter() {
             match result {
                 Some(ProbeOutcome::Udp(obs)) => self.log.indirect.push(obs.clone()),
@@ -625,15 +624,15 @@ impl ProbeSession for MultilevelSession {
     }
 }
 
-/// Runs Multilevel MDA-Lite Paris Traceroute over a packet transport —
-/// the blocking driver over [`MultilevelSession`].
-pub fn trace_multilevel<T: PacketTransport>(
-    prober: &mut TransportProber<T>,
+/// Runs Multilevel MDA-Lite Paris Traceroute towards `destination`: one
+/// [`MultilevelSession`], run to completion on `engine`.
+pub fn trace_multilevel<T: SplitTransport>(
+    engine: &mut SweepEngine<T>,
+    destination: Ipv4Addr,
     config: &MultilevelConfig,
 ) -> MultilevelTrace {
-    let mut session = MultilevelSession::new(prober.destination(), config.clone());
-    drive_probes(&mut session, prober);
-    session.finish().multilevel
+    let session = MultilevelSession::new(destination, config.clone());
+    engine.run_session(session).0.finish().multilevel
 }
 
 #[cfg(test)]
@@ -669,8 +668,9 @@ mod tests {
             .routers(routers.clone())
             .seed(21)
             .build();
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
-        let result = trace_multilevel(&mut prober, &MultilevelConfig::new(21));
+        let mut engine = SweepEngine::new(net, SRC);
+        let config = MultilevelConfig::new(21);
+        let result = trace_multilevel(&mut engine, topo.destination(), &config);
 
         // IP level: 4-wide diamond.
         let ip = result.ip_topology.as_ref().unwrap();
@@ -706,8 +706,9 @@ mod tests {
             .routers(routers)
             .seed(33)
             .build();
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
-        let result = trace_multilevel(&mut prober, &MultilevelConfig::new(33));
+        let mut engine = SweepEngine::new(net, SRC);
+        let config = MultilevelConfig::new(33);
+        let result = trace_multilevel(&mut engine, topo.destination(), &config);
         let router = result.router_topology.as_ref().unwrap();
         assert!(find_diamonds(router).is_empty(), "diamond must dissolve");
     }
@@ -718,8 +719,9 @@ mod tests {
         // router-level view equals the IP-level view.
         let (topo, _) = grouped();
         let net = SimNetwork::builder(topo.clone()).seed(44).build();
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
-        let result = trace_multilevel(&mut prober, &MultilevelConfig::new(44));
+        let mut engine = SweepEngine::new(net, SRC);
+        let config = MultilevelConfig::new(44);
+        let result = trace_multilevel(&mut engine, topo.destination(), &config);
         let ip = result.ip_topology.as_ref().unwrap();
         let router = result.router_topology.as_ref().unwrap();
         assert_eq!(ip.hop(1).len(), router.hop(1).len());
@@ -753,8 +755,9 @@ mod tests {
             .profile(RouterId(1), profile_b)
             .seed(55)
             .build();
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
-        let result = trace_multilevel(&mut prober, &MultilevelConfig::new(55));
+        let mut engine = SweepEngine::new(net, SRC);
+        let config = MultilevelConfig::new(55);
+        let result = trace_multilevel(&mut engine, topo.destination(), &config);
         assert!(result.router_map.are_aliases(addr(1, 0), addr(1, 1)));
         assert!(result.router_map.are_aliases(addr(1, 2), addr(1, 3)));
         assert!(!result.router_map.are_aliases(addr(1, 0), addr(1, 2)));
@@ -771,11 +774,9 @@ mod tests {
                 .routers(routers.clone())
                 .seed(21)
                 .build();
-            let mut prober = TransportProber::new(net, SRC, topo.destination());
-            let mut session = MultilevelSession::new(topo.destination(), MultilevelConfig::new(21))
+            let session = MultilevelSession::new(topo.destination(), MultilevelConfig::new(21))
                 .with_hop_fanout(fanout);
-            drive_probes(&mut session, &mut prober);
-            session.finish()
+            SweepEngine::new(net, SRC).run_session(session).0.finish()
         };
         let sequential = run(false);
         let fanned = run(true);
@@ -821,31 +822,13 @@ mod tests {
                 .routers(routers.clone())
                 .seed(21)
                 .build();
-            let mut prober = TransportProber::new(net, SRC, topo.destination());
-            let mut session = MultilevelSession::new(topo.destination(), MultilevelConfig::new(21))
+            let session = MultilevelSession::new(topo.destination(), MultilevelConfig::new(21))
                 .with_hop_fanout(fanout);
-            // Count parent round-trips by hand (drive_probes hides them).
-            let mut rounds = 0usize;
-            let mut requests: Vec<ProbeRequest> = Vec::new();
-            while session.poll() == SessionState::Probing {
-                rounds += 1;
-                requests.clear();
-                requests.extend_from_slice(session.next_rounds());
-                let mut results: Vec<Option<ProbeOutcome>> = Vec::new();
-                let before = prober.probes_sent();
-                for request in &requests {
-                    match request {
-                        ProbeRequest::Udp(spec) => {
-                            results.push(prober.probe(spec.flow, spec.ttl).map(ProbeOutcome::Udp))
-                        }
-                        ProbeRequest::Echo { target } => {
-                            results.push(prober.direct_probe(*target).map(ProbeOutcome::Echo))
-                        }
-                    }
-                }
-                session.note_wire_probes(prober.probes_sent() - before);
-                session.on_replies(&mut results);
-            }
+            let mut engine = SweepEngine::new(net, SRC);
+            let (session, _) = engine.run_session(session);
+            // Every parent round fits one crossing (no retries, rounds far
+            // below the in-flight budget), so crossings count round-trips.
+            let rounds = engine.stats().dispatch_cycles;
             (session.finish(), rounds)
         };
         let (sequential, sequential_rounds) = run(false);
@@ -909,8 +892,9 @@ mod tests {
             .routers(routers)
             .seed(66)
             .build();
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
-        let result = trace_multilevel(&mut prober, &MultilevelConfig::new(66));
+        let mut engine = SweepEngine::new(net, SRC);
+        let config = MultilevelConfig::new(66);
+        let result = trace_multilevel(&mut engine, topo.destination(), &config);
         assert!(result.hop_reports.contains_key(&2));
         assert!(!result.hop_reports.contains_key(&1), "single-vertex hop");
         assert_eq!(result.hop_reports[&2].len(), 11, "rounds 0..=10");

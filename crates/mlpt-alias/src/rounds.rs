@@ -17,8 +17,10 @@
 //! so the per-round probe order is part of the protocol, not a
 //! scheduling detail. The session therefore emits each protocol round as
 //! one deterministic request list (whose order no driver may change),
-//! and any conforming driver — the blocking [`run_rounds`] loop or the
-//! concurrent sweep engine — produces bit-identical evidence.
+//! and the sweep engine produces bit-identical evidence however it
+//! schedules the session: alone (`SweepEngine::run_session`, seeding
+//! `base` with [`EvidenceBase::from_log`] first) or interleaved with
+//! other destinations.
 //!
 //! Conveniently, the protocol's probe sequence does not depend on
 //! replies at all (unlike the tracing algorithms): every round's
@@ -29,8 +31,7 @@
 use crate::evidence::EvidenceBase;
 use crate::mbt::MbtParams;
 use crate::resolver::{resolve, AliasPartition, SeriesSource};
-use mlpt_core::prober::Prober;
-use mlpt_core::session::{drive_probes, ProbeOutcome, ProbeRequest, ProbeSession, SessionState};
+use mlpt_core::session::{ProbeOutcome, ProbeRequest, ProbeSession, SessionState};
 use mlpt_core::trace::Trace;
 use mlpt_wire::FlowId;
 use serde::{Deserialize, Serialize};
@@ -329,27 +330,6 @@ impl ProbeSession for AliasRoundsSession {
     }
 }
 
-/// Runs the protocol over one candidate set — the blocking driver over
-/// [`AliasRoundsSession`], dispatching through a [`Prober`] exactly as
-/// the pre-session implementation did. `base` must already hold the
-/// Round 0 evidence (seed it with [`EvidenceBase::from_log`]); reports
-/// are returned for rounds 0 ..= `config.rounds` and `base` holds the
-/// final evidence.
-pub fn run_rounds<P: Prober>(
-    prober: &mut P,
-    trace: &Trace,
-    candidates: &BTreeSet<Ipv4Addr>,
-    base: &mut EvidenceBase,
-    config: &RoundsConfig,
-) -> Vec<RoundReport> {
-    let seeded = std::mem::take(base);
-    let mut session = AliasRoundsSession::new(trace, candidates, seeded, config.clone());
-    drive_probes(&mut session, prober);
-    let (reports, finished) = session.into_parts();
-    *base = finished;
-    reports
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,16 +372,21 @@ mod tests {
             .profile(RouterId(1), profile_b)
             .seed(seed)
             .build();
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
-        let trace = trace_mda_lite(&mut prober, &TraceConfig::new(seed));
+        let mut engine = SweepEngine::new(net, SRC);
+        let traced = LoggedSession::new(MdaLiteSession::new(
+            topo.destination(),
+            TraceConfig::new(seed),
+        ));
+        let (trace, traced) = engine.run_trace(traced);
         let candidates: BTreeSet<Ipv4Addr> = trace.vertices_at(2).iter().copied().collect();
         assert_eq!(candidates.len(), 4, "trace must find all four interfaces");
-        let mut base = EvidenceBase::from_log(prober.log(), &candidates);
+        let base = EvidenceBase::from_log(traced.log(), &candidates);
         let config = RoundsConfig {
             method,
             ..RoundsConfig::default()
         };
-        run_rounds(&mut prober, &trace, &candidates, &mut base, &config)
+        let session = AliasRoundsSession::new(&trace, &candidates, base, config);
+        engine.run_session(session).0.into_parts().0
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! The workload is a survey slice: N synthetic-Internet destinations
 //! traced with the full MDA, exactly as `run_ip_survey` traces them.
 //!
-//! * **sequential** — the pre-engine survey loop: one `SimNetwork` and
-//!   one blocking `TransportProber` per destination, traces run one after
-//!   another. Every per-trace probe round is its own transport crossing.
+//! * **sequential** — the pre-engine survey loop: one `SimNetwork` per
+//!   destination, traces run one after another, each a one-session
+//!   sweep. Crossings are counted as the former blocking loop made them:
+//!   every per-trace probe round is its own transport crossing.
 //! * **streaming admission** — destinations stream into the engine as
 //!   in-flight tokens free up, keeping batches full until the list runs
 //!   dry.
@@ -35,8 +36,9 @@
 //! An **alias-rounds sweep stage** runs the full multilevel pipeline
 //! (trace + Round 0–10 alias resolution, the Sec. 4.2 protocol that
 //! dominates a router-level survey's probe budget) as sessionized
-//! `MultilevelSession`s: the blocking former inner loop — per-probe echo
-//! crossings, per-round UDP crossings — vs all destinations streamed
+//! `MultilevelSession`s: one destination at a time, counted with the
+//! former blocking inner loop's crossings — per-probe echo crossings,
+//! per-round UDP crossings — vs all destinations streamed
 //! through one engine. Probes/crossing and tail utilization are emitted
 //! and floored (CI gates), with the per-destination outcomes asserted
 //! bit-identical first.
@@ -71,8 +73,9 @@ use criterion::{black_box, Criterion};
 use mlpt_alias::multilevel::{MultilevelConfig, MultilevelOutcome, MultilevelSession};
 use mlpt_core::engine::{AdaptiveBudget, Admission, SweepConfig, SweepEngine, SweepStats};
 use mlpt_core::prelude::*;
-use mlpt_core::prober::ProbeSpec;
-use mlpt_core::session::{drive, ProbeOutcome, ProbeRequest, ProbeSession, TraceSession};
+use mlpt_core::session::{
+    ProbeOutcome, ProbeRequest, ProbeSession, TraceProbeSession, TraceSession,
+};
 use mlpt_sim::{FaultPlan, MultiNetwork, SimNetwork};
 use mlpt_survey::{disjoint_scenario_groups, InternetConfig, SyntheticInternet, TraceScenario};
 use serde_json::json;
@@ -86,6 +89,58 @@ fn build_lane(internet: &SyntheticInternet, id: usize) -> SimNetwork {
     internet.scenario(id).build_network(trace_seed_of(id))
 }
 
+/// Counts the transport crossings the former blocking loop spent on a
+/// session: one per maximal run of UDP requests in a round (one batched
+/// send) and one per echo request (one ping, one round-trip wait). A
+/// trace round is all UDP, so it counts once.
+struct BlockingCrossings<S> {
+    inner: S,
+    crossings: u64,
+}
+
+impl<S: ProbeSession> ProbeSession for BlockingCrossings<S> {
+    fn poll(&mut self) -> SessionState {
+        self.inner.poll()
+    }
+
+    fn next_rounds(&self) -> &[ProbeRequest] {
+        self.inner.next_rounds()
+    }
+
+    fn on_replies(&mut self, results: &mut [Option<ProbeOutcome>]) {
+        let round = self.inner.next_rounds();
+        let starts = (0..round.len()).filter(|&i| match round[i] {
+            ProbeRequest::Echo { .. } => true,
+            ProbeRequest::Udp(_) => i == 0 || !matches!(round[i - 1], ProbeRequest::Udp(_)),
+        });
+        self.crossings += starts.count() as u64;
+        self.inner.on_replies(results);
+    }
+
+    fn destination(&self) -> std::net::Ipv4Addr {
+        self.inner.destination()
+    }
+
+    fn note_wire_probes(&mut self, count: u64) {
+        self.inner.note_wire_probes(count);
+    }
+}
+
+/// Runs `session` alone on a fresh engine over `lane`, returning it with
+/// the former blocking loop's crossing count and the packets sent.
+fn run_one<S: ProbeSession>(
+    lane: SimNetwork,
+    source: std::net::Ipv4Addr,
+    session: S,
+) -> (S, u64, u64) {
+    let counted = BlockingCrossings {
+        inner: session,
+        crossings: 0,
+    };
+    let (counted, probes) = SweepEngine::new(lane, source).run_session(counted);
+    (counted.inner, counted.crossings, probes)
+}
+
 /// The sequential full-trace loop (the survey's former inner loop), also
 /// counting its transport crossings: every probe round of every trace is
 /// one dispatch.
@@ -95,24 +150,18 @@ fn run_sequential(internet: &SyntheticInternet, destinations: usize) -> (Vec<Tra
     let mut probes = 0u64;
     for id in 0..destinations {
         let scenario = internet.scenario(id);
-        let mut prober = TransportProber::new(
-            build_lane(internet, id),
-            scenario.source,
-            scenario.topology.destination(),
-        );
-        // Drive the same session the engine runs, counting rounds: each
-        // round is one probe_batch call, i.e. one transport crossing.
-        let mut session = MdaSession::new(
+        let session = MdaSession::new(
             scenario.topology.destination(),
             TraceConfig::new(trace_seed_of(id)),
         );
-        while session.poll() == SessionState::Probing {
-            let results = prober.probe_batch(session.next_rounds());
-            session.on_replies(&results);
-            crossings += 1;
-        }
-        probes += prober.probes_sent();
-        traces.push(session.take_trace(prober.probes_sent()));
+        let (mut session, rounds, sent) = run_one(
+            build_lane(internet, id),
+            scenario.source,
+            TraceProbeSession::new(session),
+        );
+        crossings += rounds;
+        probes += sent;
+        traces.push(session.inner_mut().take_trace(sent));
     }
     (traces, crossings, probes)
 }
@@ -253,11 +302,12 @@ fn backoff_experiment() -> serde_json::Value {
     })
 }
 
-/// Blocking baseline of the alias stage: the former router-survey inner
-/// loop's crossing pattern — every echo probe is its own transport
-/// crossing (one ping, one round-trip wait), every run of UDP probes one
-/// batched crossing — driven through the same sessions so the wire work
-/// is identical by construction.
+/// Blocking baseline of the alias stage: one destination at a time,
+/// counted with the former router-survey inner loop's crossing pattern —
+/// every echo probe is its own transport crossing (one ping, one
+/// round-trip wait), every run of UDP probes one batched crossing —
+/// driven through the same sessions so the wire work is identical by
+/// construction.
 fn run_alias_sequential(
     internet: &SyntheticInternet,
     ids: &[usize],
@@ -268,54 +318,20 @@ fn run_alias_sequential(
     let mut probes = 0u64;
     for &id in ids {
         let scenario = internet.scenario(id);
-        let mut prober = TransportProber::new(
-            scenario.build_network(trace_seed_of(id)),
-            scenario.source,
-            scenario.topology.destination(),
-        );
-        let mut session = MultilevelSession::new(
+        let session = MultilevelSession::new(
             scenario.topology.destination(),
             MultilevelConfig {
                 trace: TraceConfig::new(trace_seed_of(id)),
                 rounds: rounds.clone(),
             },
         );
-        let mut requests: Vec<ProbeRequest> = Vec::new();
-        let mut specs: Vec<ProbeSpec> = Vec::new();
-        let mut results: Vec<Option<ProbeOutcome>> = Vec::new();
-        while session.poll() == SessionState::Probing {
-            let before = prober.probes_sent();
-            requests.clear();
-            requests.extend_from_slice(session.next_rounds());
-            results.clear();
-            let mut i = 0;
-            while i < requests.len() {
-                match requests[i] {
-                    ProbeRequest::Udp(_) => {
-                        specs.clear();
-                        while let Some(ProbeRequest::Udp(spec)) = requests.get(i) {
-                            specs.push(*spec);
-                            i += 1;
-                        }
-                        crossings += 1;
-                        results.extend(
-                            prober
-                                .probe_batch(&specs)
-                                .into_iter()
-                                .map(|o| o.map(ProbeOutcome::Udp)),
-                        );
-                    }
-                    ProbeRequest::Echo { target } => {
-                        crossings += 1;
-                        results.push(prober.direct_probe(target).map(ProbeOutcome::Echo));
-                        i += 1;
-                    }
-                }
-            }
-            session.note_wire_probes(prober.probes_sent() - before);
-            session.on_replies(&mut results);
-        }
-        probes += prober.probes_sent();
+        let (session, counted, sent) = run_one(
+            scenario.build_network(trace_seed_of(id)),
+            scenario.source,
+            session,
+        );
+        crossings += counted;
+        probes += sent;
         outcomes.push(session.finish());
     }
     (outcomes, crossings, probes)
@@ -1054,27 +1070,17 @@ fn main() {
     }
     assert_eq!(seq_probes, stream_stats.probes_sent);
 
-    // Also keep the old blocking entry point honest: trace_mda is the
-    // same machine under a thin driver.
+    // The single-trace entry point is the same machine on the same
+    // engine.
     {
         let scenario = internet.scenario(0);
-        let mut prober = TransportProber::new(
-            build_lane(&internet, 0),
-            scenario.source,
+        let mut engine = SweepEngine::new(build_lane(&internet, 0), scenario.source);
+        let single = trace_mda(
+            &mut engine,
             scenario.topology.destination(),
+            &TraceConfig::new(trace_seed_of(0)),
         );
-        let blocking = trace_mda(&mut prober, &TraceConfig::new(trace_seed_of(0)));
-        assert_eq!(&blocking, &seq_traces[0]);
-        let mut prober = TransportProber::new(
-            build_lane(&internet, 0),
-            scenario.source,
-            scenario.topology.destination(),
-        );
-        let mut session = MdaSession::new(
-            scenario.topology.destination(),
-            TraceConfig::new(trace_seed_of(0)),
-        );
-        assert_eq!(drive(&mut session, &mut prober), blocking);
+        assert_eq!(&single, &seq_traces[0]);
     }
 
     // Tail utilization: probes/dispatch over the last 10% of probes.

@@ -38,10 +38,9 @@ pub fn run_phi(scale: Scale) -> ExperimentResult {
         let mut probes = 0u64;
         for seed in 0..runs as u64 {
             let net = SimNetwork::new(topo.clone(), seed);
-            let mut prober =
-                TransportProber::new(net, "192.0.2.1".parse().unwrap(), topo.destination());
+            let mut engine = SweepEngine::new(net, "192.0.2.1".parse().unwrap());
             let config = TraceConfig::new(seed).with_phi(phi);
-            let trace = trace_mda_lite(&mut prober, &config);
+            let trace = trace_mda_lite(&mut engine, topo.destination(), &config);
             if matches!(trace.switched, Some(SwitchReason::MeshingDetected { .. })) {
                 detected += 1;
             }
@@ -104,10 +103,12 @@ pub fn run_faults(scale: Scale) -> ExperimentResult {
                     .faults(plan)
                     .seed(seed)
                     .build();
-                let mut prober =
-                    TransportProber::new(net, "192.0.2.1".parse().unwrap(), topo.destination())
-                        .with_retries(retries);
-                let trace = trace_mda(&mut prober, &TraceConfig::new(seed));
+                let mut engine =
+                    SweepEngine::new(net, "192.0.2.1".parse().unwrap()).with_config(SweepConfig {
+                        retries,
+                        ..SweepConfig::default()
+                    });
+                let trace = trace_mda(&mut engine, topo.destination(), &TraceConfig::new(seed));
                 vertex_fraction += trace.total_vertices() as f64 / truth_vertices;
                 probes += trace.probes_sent;
                 reached += usize::from(trace.reached_destination);
@@ -162,10 +163,9 @@ pub fn run_stopping(scale: Scale) -> ExperimentResult {
         let mut probes = 0u64;
         for seed in 0..runs as u64 {
             let net = SimNetwork::new(topo.clone(), seed);
-            let mut prober =
-                TransportProber::new(net, "192.0.2.1".parse().unwrap(), topo.destination());
+            let mut engine = SweepEngine::new(net, "192.0.2.1".parse().unwrap());
             let config = TraceConfig::new(seed).with_stopping(stopping.clone());
-            let trace = trace_mda(&mut prober, &config);
+            let trace = trace_mda(&mut engine, topo.destination(), &config);
             if trace.total_vertices() < topo.total_vertices() {
                 failures += 1;
             }
@@ -225,9 +225,8 @@ pub fn run_weighted(scale: Scale) -> ExperimentResult {
                 builder = builder.weights(0, divergence, weights.clone());
             }
             let net = builder.build();
-            let mut prober =
-                TransportProber::new(net, "192.0.2.1".parse().unwrap(), topo.destination());
-            let trace = trace_mda_lite(&mut prober, &TraceConfig::new(seed));
+            let mut engine = SweepEngine::new(net, "192.0.2.1".parse().unwrap());
+            let trace = trace_mda_lite(&mut engine, topo.destination(), &TraceConfig::new(seed));
             vertex_fraction += trace.total_vertices() as f64 / topo.total_vertices() as f64;
             probes += trace.probes_sent;
         }

@@ -30,8 +30,8 @@ pub fn run(scale: Scale) -> ExperimentResult {
         let dst = net.topology().destination();
         let truth_vertices = net.topology().total_vertices();
         let truth_edges = net.topology().total_edges();
-        let mut prober = TransportProber::new(net, "192.0.2.1".parse().unwrap(), dst);
-        let trace = trace_mda(&mut prober, &TraceConfig::new(seed));
+        let mut engine = SweepEngine::new(net, "192.0.2.1".parse().unwrap());
+        let trace = trace_mda(&mut engine, dst, &TraceConfig::new(seed));
         let topo = match trace.to_topology() {
             Some(t) => t,
             None => return false,

@@ -21,13 +21,12 @@ fn mean_probes(topo: &MultipathTopology, runs: usize, lite: bool) -> (Summary, u
     let mut switched = 0usize;
     for seed in 0..runs as u64 {
         let net = SimNetwork::new(topo.clone(), seed.wrapping_mul(31).wrapping_add(7));
-        let mut prober =
-            TransportProber::new(net, "192.0.2.1".parse().unwrap(), topo.destination());
+        let mut engine = SweepEngine::new(net, "192.0.2.1".parse().unwrap());
         let config = TraceConfig::new(seed).with_stopping(StoppingPoints::veitch_table1());
         let trace = if lite {
-            trace_mda_lite(&mut prober, &config)
+            trace_mda_lite(&mut engine, topo.destination(), &config)
         } else {
-            trace_mda(&mut prober, &config)
+            trace_mda(&mut engine, topo.destination(), &config)
         };
         if trace.switched.is_some() {
             switched += 1;

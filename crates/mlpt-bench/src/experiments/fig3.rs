@@ -9,11 +9,10 @@
 //! the MDA's packet total.
 
 use super::ExperimentResult;
-use crate::progress::{replay, sample_at};
+use crate::progress::{logged_trace, replay, sample_at};
 use crate::render::{f3, table};
 use crate::Scale;
 use mlpt_core::prelude::*;
-use mlpt_sim::SimNetwork;
 use mlpt_stats::Summary;
 use mlpt_topo::canonical;
 use serde_json::json;
@@ -42,18 +41,18 @@ pub fn run(scale: Scale) -> ExperimentResult {
 
         for seed in 0..runs as u64 {
             // MDA run defines the normalisation.
-            let net = SimNetwork::new(topo.clone(), seed);
-            let mut prober =
-                TransportProber::new(net, "192.0.2.1".parse().unwrap(), topo.destination());
-            let mda_trace = trace_mda(&mut prober, &TraceConfig::new(seed));
+            let config = TraceConfig::new(seed);
+            let (mda_trace, mda_log) = logged_trace(
+                &topo,
+                seed,
+                MdaSession::new(topo.destination(), config.clone()),
+            );
             let mda_total = mda_trace.probes_sent;
-            let mda_curve = replay(prober.log(), &topo);
+            let mda_curve = replay(&mda_log, &topo);
 
-            let net = SimNetwork::new(topo.clone(), seed);
-            let mut prober =
-                TransportProber::new(net, "192.0.2.1".parse().unwrap(), topo.destination());
-            let lite_trace = trace_mda_lite(&mut prober, &TraceConfig::new(seed));
-            let lite_curve = replay(prober.log(), &topo);
+            let (lite_trace, lite_log) =
+                logged_trace(&topo, seed, MdaLiteSession::new(topo.destination(), config));
+            let lite_curve = replay(&lite_log, &topo);
             lite_packet_ratio.record(lite_trace.probes_sent as f64 / mda_total as f64);
 
             for (gi, &x) in GRID.iter().enumerate() {

@@ -6,11 +6,30 @@
 //! log is a complete record: replaying it reconstructs the discovery
 //! curve exactly.
 
-use mlpt_core::prober::ProbeLog;
+use mlpt_core::engine::SweepEngine;
+use mlpt_core::prober::{LoggedSession, ProbeLog};
+use mlpt_core::session::TraceSession;
+use mlpt_core::trace::Trace;
+use mlpt_sim::SimNetwork;
 use mlpt_topo::MultipathTopology;
 use mlpt_wire::FlowId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+
+/// Traces `topo` with `session` over a simulator seeded `seed`, returning
+/// the trace and its observation log.
+pub fn logged_trace(
+    topo: &MultipathTopology,
+    seed: u64,
+    session: impl TraceSession,
+) -> (Trace, ProbeLog) {
+    let mut engine = SweepEngine::new(
+        SimNetwork::new(topo.clone(), seed),
+        Ipv4Addr::new(192, 0, 2, 1),
+    );
+    let (trace, logged) = engine.run_trace(LoggedSession::new(session));
+    (trace, logged.into_log())
+}
 
 /// One point on a discovery curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,18 +143,24 @@ pub fn sample_at(
 mod tests {
     use super::*;
     use mlpt_core::prelude::*;
-    use mlpt_sim::SimNetwork;
     use mlpt_topo::canonical;
+
+    /// An MDA trace of `topo` (simulator and trace seeded `seed`) and
+    /// its observation log.
+    fn mda_logged(topo: &MultipathTopology, seed: u64) -> (Trace, ProbeLog) {
+        logged_trace(
+            topo,
+            seed,
+            MdaSession::new(topo.destination(), TraceConfig::new(seed)),
+        )
+    }
 
     #[test]
     fn replay_monotone_and_complete() {
         let topo = canonical::fig1_unmeshed();
-        let net = SimNetwork::new(topo.clone(), 5);
-        let mut prober =
-            TransportProber::new(net, "192.0.2.1".parse().unwrap(), topo.destination());
-        let trace = trace_mda(&mut prober, &TraceConfig::new(5));
+        let (trace, log) = mda_logged(&topo, 5);
         assert!(trace.reached_destination);
-        let curve = replay(prober.log(), &topo);
+        let curve = replay(&log, &topo);
         assert!(!curve.is_empty());
         // Monotone non-decreasing.
         for w in curve.windows(2) {
@@ -151,11 +176,8 @@ mod tests {
     #[test]
     fn sample_fractions() {
         let topo = canonical::simplest_diamond();
-        let net = SimNetwork::new(topo.clone(), 2);
-        let mut prober =
-            TransportProber::new(net, "192.0.2.1".parse().unwrap(), topo.destination());
-        let _ = trace_mda(&mut prober, &TraceConfig::new(2));
-        let curve = replay(prober.log(), &topo);
+        let (_, log) = mda_logged(&topo, 2);
+        let curve = replay(&log, &topo);
         let total = curve.last().unwrap().packets;
         let (v0, e0) = sample_at(&curve, &topo, total, 0.0);
         let (v1, e1) = sample_at(&curve, &topo, total, 1.0);

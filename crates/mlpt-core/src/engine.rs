@@ -44,15 +44,18 @@
 //! 6. hands completed rounds back to their sessions, which advance their
 //!    state machines and produce the next rounds.
 //!
-//! Per destination, the engine emits the *identical* packet sequence a
-//! dedicated [`crate::prober::TransportProber`] would (same sequence
-//! numbers, same retry waves), so a sweep's per-destination results are
-//! bit-identical to running each session sequentially on its own — no
-//! matter how admission interleaves or the budget slices rounds. The
-//! property tests in `tests/sweep_equivalence.rs` (traces) and
+//! Per destination, the engine emits the *identical* packet sequence
+//! whatever else shares the sweep (same sequence numbers, same retry
+//! waves), so a sweep's per-destination results are bit-identical to
+//! running each session on its own — a one-session sweep
+//! ([`SweepEngine::run_session`]), which is all a single-trace entry
+//! point such as [`crate::mda::trace_mda`] is — no matter how admission
+//! interleaves or the budget slices rounds. The property tests in
+//! `tests/sweep_equivalence.rs` (traces) and
 //! `tests/alias_equivalence.rs` (alias-resolution rounds, where the
 //! interleaved IP-ID series are semantically load-bearing for the MBT)
-//! enforce exactly that across admission modes, budgets and fault plans.
+//! hold every sweep to a one-probe-at-a-time reference driver kept
+//! test-side, across admission modes, budgets and fault plans.
 //!
 //! Malformed or mismatched replies never panic a sweep: the demux path
 //! is unwrap-free, counting anomalies in [`SweepStats`] and treating the
@@ -214,8 +217,10 @@ pub struct SweepConfig {
     /// for the next cycle (order within each session is preserved). With
     /// an [`AdaptiveBudget`] this is the controller's ceiling.
     pub max_in_flight: usize,
-    /// Per-round retry waves for unanswered probes, matching
-    /// [`crate::prober::TransportProber::with_retries`] semantics.
+    /// Per-round retry waves for unanswered probes: once a round has
+    /// crossed, its unanswered probes are re-sent together, up to
+    /// `retries` more times. Each retry counts as a sent probe, as it
+    /// would on the wire; retries matter only under loss.
     pub retries: u8,
     /// The order sessions stream in under the budget.
     pub admission: Admission,
@@ -533,9 +538,8 @@ struct SessionSlot<S> {
     /// Index of this session in the source stream — results are reported
     /// back under it, so output order is admission-independent.
     out_index: usize,
-    /// Per-session sequence counter (same discipline as
-    /// `TransportProber::next_sequence`: first probe is sequence 1,
-    /// shared across UDP and echo probes).
+    /// Per-session sequence counter: the first probe is sequence 1, and
+    /// UDP and echo probes share the counter.
     sequence: u16,
     /// Wire-level packets sent for this session, retries included.
     probes_sent: u64,
@@ -878,8 +882,32 @@ impl<T: SplitTransport> SweepEngine<T> {
     {
         let adapted = sessions.into_iter().map(TraceProbeSession::new);
         self.run_sessions_with(adapted, |index, session, probes_sent| {
-            sink(index, finish_trace(session, probes_sent));
+            sink(index, finish_trace(session, probes_sent).0);
         });
+    }
+
+    /// Runs one session to completion — a sweep of one destination —
+    /// and returns it with the wire-level packet count the engine spent
+    /// on it (retries included). This is how every single-destination
+    /// entry point ([`trace_mda`](crate::mda::trace_mda) and its
+    /// siblings, `mlpt_alias::multilevel::trace_multilevel`) runs.
+    pub fn run_session<S: ProbeSession>(&mut self, session: S) -> (S, u64) {
+        let mut finished = None;
+        self.run_sessions_with(std::iter::once(session), |_, session, probes_sent| {
+            finished = Some((session, probes_sent));
+        });
+        // mlpt: allow(MLPT-W004, reason = "invariant: run_sessions_with hands every session of its source to the sink")
+        finished.expect("the sink received the session")
+    }
+
+    /// Runs one trace session to completion (see
+    /// [`run_session`](Self::run_session)) and returns its trace together
+    /// with the finished session, whose own state — a
+    /// [`LoggedSession`](crate::prober::LoggedSession)'s observation log,
+    /// say — the caller may still want.
+    pub fn run_trace<S: TraceSession>(&mut self, session: S) -> (Trace, S) {
+        let (session, probes_sent) = self.run_session(TraceProbeSession::new(session));
+        finish_trace(session, probes_sent)
     }
 
     /// The generalised entry point: streams any [`ProbeSession`] type
@@ -946,20 +974,20 @@ pub(crate) fn in_source_order(run: impl FnOnce(&mut dyn FnMut(usize, Trace))) ->
     out.into_iter().flatten().collect()
 }
 
-/// Turns a finished trace session into its trace. The engine-side
-/// verdict (watchdog aborts) wins over a clean session outcome, but a
-/// session that already declared itself partial (e.g. `RouteChanged`)
-/// keeps its own verdict.
-pub(crate) fn finish_trace(
-    mut session: TraceProbeSession<Box<dyn TraceSession>>,
+/// Turns a finished trace session into its trace, handing the session
+/// back. The engine-side verdict (watchdog aborts) wins over a clean
+/// session outcome, but a session that already declared itself partial
+/// (e.g. `RouteChanged`) keeps its own verdict.
+pub(crate) fn finish_trace<S: TraceSession>(
+    mut session: TraceProbeSession<S>,
     probes_sent: u64,
-) -> Trace {
+) -> (Trace, S) {
     let outcome = session.outcome();
     let mut trace = session.inner_mut().take_trace(probes_sent);
     if outcome.is_partial() {
         trace.outcome = outcome;
     }
-    trace
+    (trace, session.into_inner())
 }
 
 impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
@@ -1412,8 +1440,8 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
             // ICMP error for a UDP probe, an Echo Reply from the pinged
             // target, echoing its sequence, for an echo probe.
             let outcome = match request {
-                // The shared acceptance rule (also TransportProber's):
-                // the reply must quote the flow we probed with.
+                // The acceptance rule for UDP probes: the reply must
+                // quote the flow we probed with.
                 ProbeRequest::Udp(spec) => {
                     ProbeObservation::from_reply(spec, parsed, slot.destination, timestamp)
                         .map(ProbeOutcome::Udp)
@@ -1597,7 +1625,7 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
 mod tests {
     use super::*;
     use crate::config::TraceConfig;
-    use crate::prober::{ProbeSpec, Prober, TransportProber};
+    use crate::prober::ProbeSpec;
     use crate::session::{MdaLiteSession, MdaSession, SingleFlowSession};
     use crate::trace::Trace;
     use mlpt_sim::SimNetwork;
@@ -1606,16 +1634,6 @@ mod tests {
     use mlpt_wire::FlowId;
 
     const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
-
-    /// Streams a single trace session through `engine`.
-    fn run_one<T: SplitTransport>(
-        engine: &mut SweepEngine<T>,
-        session: impl TraceSession + 'static,
-    ) -> Trace {
-        engine
-            .run_stream([Box::new(session) as Box<dyn TraceSession>])
-            .remove(0)
-    }
 
     /// A session probing one fixed round, keeping what came back.
     struct OneRound {
@@ -1659,20 +1677,6 @@ mod tests {
         fn note_wire_probes(&mut self, count: u64) {
             self.wire += count;
         }
-    }
-
-    /// Streams one [`OneRound`] session through `engine`, handing back
-    /// the finished session and its wire-probe count.
-    fn run_round<T: SplitTransport>(
-        engine: &mut SweepEngine<T>,
-        session: OneRound,
-    ) -> (OneRound, u64) {
-        let mut finished = Vec::new();
-        engine.run_sessions_with([session], |index, session, probes| {
-            assert_eq!(index, 0);
-            finished.push((session, probes));
-        });
-        finished.pop().expect("one session")
     }
 
     /// One crossing's reply slots as owned `(reply, timestamp)` pairs.
@@ -1762,7 +1766,7 @@ mod tests {
             },
         };
         let mut engine = SweepEngine::new(net, SRC);
-        let (session, probes) = run_round(&mut engine, OneRound::new(d, round));
+        let (session, probes) = engine.run_session(OneRound::new(d, round));
         assert_eq!(probes, 4);
         assert!(session.got[..2].iter().all(Option::is_none));
         assert!(session.got[2..].iter().all(Option::is_some));
@@ -1874,7 +1878,7 @@ mod tests {
             },
         };
         let mut engine = SweepEngine::new(net, SRC);
-        let (session, _) = run_round(&mut engine, OneRound::new(d, round));
+        let (session, _) = engine.run_session(OneRound::new(d, round));
         assert!(matches!(session.got[0], Some(ProbeOutcome::Udp(_))));
         assert_eq!(session.got[1..], [None, None]);
         assert_eq!(engine.stats().mismatched_replies, 2);
@@ -1907,7 +1911,7 @@ mod tests {
             },
         };
         let mut engine = SweepEngine::new(net, SRC);
-        let (session, _) = run_round(&mut engine, OneRound::new(d, round));
+        let (session, _) = engine.run_session(OneRound::new(d, round));
         assert_eq!(session.got, vec![None]);
         assert_eq!(engine.stats().mismatched_replies, 1);
         assert_eq!(engine.stats().replies_delivered, 0);
@@ -2122,21 +2126,30 @@ mod tests {
         assert_eq!(engine.stats().sessions_completed, 2);
     }
 
+    /// FNV-1a-64 of a value's `Debug` rendering.
+    fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
+        format!("{value:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
     /// A single-session sweep over a plain SimNetwork is bit-identical to
-    /// the blocking driver over an identically seeded network.
+    /// what the retired blocking driver (one blocking prober per trace)
+    /// produced over an identically seeded network: its trace digest and
+    /// packet count, frozen while both ran.
     #[test]
     fn single_session_sweep_matches_blocking_driver() {
         let topo = canonical::fig1_meshed();
         let d = topo.destination();
-
-        let mut engine = SweepEngine::new(SimNetwork::new(topo.clone(), 5), SRC);
-        let sweep = run_one(&mut engine, MdaLiteSession::new(d, TraceConfig::new(9)));
-
-        let mut prober = TransportProber::new(SimNetwork::new(topo, 5), SRC, d);
-        let blocking = crate::mda_lite::trace_mda_lite(&mut prober, &TraceConfig::new(9));
-
-        assert_eq!(sweep, blocking);
-        assert_eq!(sweep.probes_sent, prober.probes_sent());
+        let mut engine = SweepEngine::new(SimNetwork::new(topo, 5), SRC);
+        let sweep = engine
+            .run_trace(MdaLiteSession::new(d, TraceConfig::new(9)))
+            .0;
+        assert_eq!(debug_digest(&sweep), 0x52de_575f_a229_bc59);
+        assert_eq!(sweep.probes_sent, 125);
+        assert_eq!(engine.stats().probes_sent, 125);
     }
 
     /// The token budget only slices rounds across cycles; it never
@@ -2151,7 +2164,7 @@ mod tests {
                     max_in_flight,
                     ..SweepConfig::default()
                 });
-            let trace = run_one(&mut engine, MdaSession::new(d, TraceConfig::new(4)));
+            let trace = engine.run_trace(MdaSession::new(d, TraceConfig::new(4))).0;
             (trace, *engine.stats())
         };
         let (big, big_stats) = run(4096);
@@ -2162,36 +2175,33 @@ mod tests {
         assert!(tiny_stats.max_batch <= 2);
     }
 
-    /// Retry waves across the engine match TransportProber::with_retries
-    /// under total loss.
+    /// Retry waves keep the retired blocking prober's retry semantics:
+    /// under total loss every probe goes out `1 + retries` times, and
+    /// the trace's evidence and packet count equal what the blocking
+    /// prober produced with two retries (frozen while both ran).
     #[test]
     fn retries_match_prober_semantics() {
         use mlpt_sim::FaultPlan;
         let topo = canonical::simplest_diamond();
         let d = topo.destination();
-        let lossy = || {
-            SimNetwork::builder(topo.clone())
-                .faults(FaultPlan::with_loss(1.0, 0.0))
-                .seed(1)
-                .build()
-        };
-
-        let mut engine = SweepEngine::new(lossy(), SRC).with_config(SweepConfig {
+        let lossy = SimNetwork::builder(topo)
+            .faults(FaultPlan::with_loss(1.0, 0.0))
+            .seed(1)
+            .build();
+        let mut engine = SweepEngine::new(lossy, SRC).with_config(SweepConfig {
             max_in_flight: 1024,
             retries: 2,
             ..SweepConfig::default()
         });
-        let trace = run_one(
-            &mut engine,
-            SingleFlowSession::new(d, TraceConfig::new(1), FlowId(0)),
-        );
+        let session = SingleFlowSession::new(d, TraceConfig::new(1), FlowId(0));
+        let trace = engine.run_trace(session).0;
         assert!(!trace.reached_destination);
-
-        let mut prober = TransportProber::new(lossy(), SRC, d).with_retries(2);
-        let blocking =
-            crate::single_flow::trace_single_flow(&mut prober, &TraceConfig::new(1), FlowId(0));
-        assert_eq!(trace.probes_sent, prober.probes_sent());
-        assert_eq!(trace.discovery, blocking.discovery);
+        assert_eq!(trace.probes_sent, 120);
+        assert_eq!(
+            engine.stats().probes_sent,
+            3 * engine.stats().retries_exhausted
+        );
+        assert_eq!(debug_digest(&trace.discovery), 0xe376_8309_cba6_2bd6);
     }
 
     /// The AIMD controller ramps down under loss and never changes what a
@@ -2214,7 +2224,7 @@ mod tests {
                 adaptive,
                 ..SweepConfig::default()
             });
-            let trace = run_one(&mut engine, MdaSession::new(d, TraceConfig::new(3)));
+            let trace = engine.run_trace(MdaSession::new(d, TraceConfig::new(3))).0;
             (trace, *engine.stats())
         };
         let (fixed, _) = run(None);
@@ -2411,7 +2421,7 @@ mod tests {
             ],
         );
         let mut engine = SweepEngine::new(SimNetwork::new(topo, 1), SRC);
-        let (session, probes) = run_round(&mut engine, session);
+        let (session, probes) = engine.run_session(session);
         assert_eq!(probes, 3);
         assert_eq!(session.wire, 3);
         assert_eq!(session.got.len(), 3);
@@ -2447,7 +2457,7 @@ mod tests {
                 retries: 2,
                 ..SweepConfig::default()
             });
-            let _ = run_one(&mut engine, MdaLiteSession::new(d, TraceConfig::new(2)));
+            let _ = engine.run_trace(MdaLiteSession::new(d, TraceConfig::new(2)));
             let stats = engine.stats();
             assert_eq!(
                 stats.probes_timed_out
@@ -2492,7 +2502,9 @@ mod tests {
             stall_rounds: 3,
             ..SweepConfig::default()
         });
-        let trace = run_one(&mut engine, MdaLiteSession::new(d, TraceConfig::new(7)));
+        let trace = engine
+            .run_trace(MdaLiteSession::new(d, TraceConfig::new(7)))
+            .0;
         assert!(!trace.reached_destination);
         assert!(trace.outcome.is_partial());
         let TraceOutcome::Partial {
@@ -2521,7 +2533,9 @@ mod tests {
         let topo = canonical::fig1_unmeshed();
         let d = topo.destination();
         let mut engine = SweepEngine::new(SimNetwork::new(topo, 3), SRC);
-        let trace = run_one(&mut engine, MdaLiteSession::new(d, TraceConfig::new(3)));
+        let trace = engine
+            .run_trace(MdaLiteSession::new(d, TraceConfig::new(3)))
+            .0;
         assert_eq!(trace.outcome, crate::trace::TraceOutcome::Complete);
         assert_eq!(engine.stats().sessions_partial, 0);
     }

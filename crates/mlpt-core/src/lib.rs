@@ -1,7 +1,7 @@
 //! Core algorithms of Multilevel MDA-Lite Paris Traceroute.
 //!
 //! This crate implements the paper's route-tracing algorithms over any
-//! byte-level [`mlpt_wire::PacketTransport`]:
+//! byte-level [`mlpt_wire::SplitTransport`]:
 //!
 //! * [`stopping`] — the failure-controlled stopping points n_k
 //!   (Veitch et al.), with the exact inclusion–exclusion rule and the
@@ -9,34 +9,32 @@
 //! * [`session`] — the algorithms themselves, as resumable **sans-IO
 //!   state machines** ([`TraceSession`]): MDA, MDA-Lite and single-flow
 //!   emit probe rounds and consume observations without touching a
-//!   transport, so one implementation serves both blocking drivers and
-//!   the concurrent sweep engine. The [`ProbeSession`] generalisation
+//!   transport, so the sweep engine drives one trace and thousands
+//!   alike. The [`ProbeSession`] generalisation
 //!   speaks typed probe requests (TTL-limited UDP *and* ICMP echo), so
 //!   protocols beyond tracing — above all alias resolution — run as
 //!   sessions too.
-//! * [`engine`] — the [`SweepEngine`]: many sessions (one per
-//!   destination) interleaved over one shared [`mlpt_wire`] transport,
-//!   with cross-destination batch merging, kind-tagged reply
-//!   demultiplexing and an in-flight token budget.
+//! * [`engine`] — the [`SweepEngine`], the one driver: many sessions
+//!   (one per destination) interleaved over one shared [`mlpt_wire`]
+//!   transport, with cross-destination batch merging, slot-verified
+//!   reply demultiplexing and an in-flight token budget. A single trace
+//!   is a sweep of one session ([`SweepEngine::run_session`]).
 //! * [`shard`] — the [`ShardedSweepEngine`]: the destination space
 //!   partitioned deterministically across N engine shards driven in
 //!   parallel by sweep-long worker threads, with the shared stop set
 //!   committed across shards at source-order generation barriers
 //!   (bit-identical to the single engine for any shard count).
 //! * [`mda`] — the classic Multipath Detection Algorithm with node
-//!   control (thin blocking driver over its session).
+//!   control (one-session sweep over its session).
 //! * [`mda_lite`] — MDA-Lite: hop-by-hop discovery, deterministic edge
 //!   completion, the φ-probe meshing test, the width-asymmetry test, and
-//!   switchover to the full MDA (thin blocking driver).
+//!   switchover to the full MDA (one-session sweep).
 //! * [`single_flow`] — Paris traceroute with a single flow identifier
-//!   (the RIPE Atlas baseline; thin blocking driver).
-//! * [`prober`] — the probe/observe interface and its packet-building
-//!   implementation, plus the observation log that feeds alias
-//!   resolution.
+//!   (the RIPE Atlas baseline; one-session sweep).
+//! * [`prober`] — probe specs and observations, plus the observation
+//!   log ([`LoggedSession`]) that feeds alias resolution.
 //! * [`discovery`] / [`trace`] — the evidence base shared by the
 //!   algorithms and the trace result type with topology conversion.
-//! * [`detect`] — per-packet load-balancer detection (an extension the
-//!   paper's model assumes away; Sec. 2.1 assumption 2).
 //! * [`stopset`] — Doubletree-style sweep-wide shared stop sets:
 //!   `(TTL, interface)` pairs confirmed by earlier sessions let later
 //!   sessions start mid-path, probe backward to a shared-stop hit, and
@@ -55,15 +53,14 @@
 //! let topology = canonical::fig1_unmeshed();
 //! let destination = topology.destination();
 //! let network = SimNetwork::new(topology, 42);
-//! let mut prober = TransportProber::new(network, "192.0.2.1".parse().unwrap(), destination);
-//! let trace = trace_mda_lite(&mut prober, &TraceConfig::new(42));
+//! let mut engine = SweepEngine::new(network, "192.0.2.1".parse().unwrap());
+//! let trace = trace_mda_lite(&mut engine, destination, &TraceConfig::new(42));
 //! assert!(trace.reached_destination);
 //! assert_eq!(trace.vertices_at(2).len(), 4); // the four load-balanced interfaces
 //! ```
 
 pub mod artifact;
 pub mod config;
-pub mod detect;
 pub mod discovery;
 pub mod engine;
 pub mod mda;
@@ -85,11 +82,11 @@ pub use engine::{AdaptiveBudget, Admission, SweepConfig, SweepEngine, SweepStats
 pub use mda::trace_mda;
 pub use mda_lite::trace_mda_lite;
 pub use pending::{ProbeTimer, RetryPolicy};
-pub use prober::{DirectObservation, ProbeLog, ProbeObservation, Prober, TransportProber};
+pub use prober::{DirectObservation, LoggedSession, ProbeLog, ProbeObservation};
 pub use report::TraceReport;
 pub use session::{
-    drive_probes, MdaLiteSession, MdaSession, ProbeOutcome, ProbeRequest, ProbeSession,
-    SessionState, SingleFlowSession, TraceProbeSession, TraceSession,
+    MdaLiteSession, MdaSession, ProbeOutcome, ProbeRequest, ProbeSession, SessionState,
+    SingleFlowSession, TraceProbeSession, TraceSession,
 };
 pub use shard::{shard_of, ShardedSweepEngine};
 pub use single_flow::trace_single_flow;
@@ -108,7 +105,7 @@ pub mod prelude {
     pub use crate::mda::trace_mda;
     pub use crate::mda_lite::trace_mda_lite;
     pub use crate::pending::RetryPolicy;
-    pub use crate::prober::{Prober, TransportProber};
+    pub use crate::prober::LoggedSession;
     pub use crate::session::{
         MdaLiteSession, MdaSession, ProbeOutcome, ProbeRequest, ProbeSession, SessionState,
         SingleFlowSession, TraceSession,

@@ -14,38 +14,42 @@
 //! costs 11·n₁ + δ probes, the meshed one 8·n₂ + 3·n₁ + δ′.
 //!
 //! The algorithm itself lives in [`crate::session::MdaSession`], a sans-IO
-//! state machine; this entry point is the thin single-session driver that
-//! owns a [`Prober`] for one blocking trace, exactly as before the
-//! session refactor.
+//! state machine; this entry point runs one session on a
+//! [`SweepEngine`], the one driver.
 
 use crate::config::TraceConfig;
-use crate::prober::Prober;
-use crate::session::{drive, MdaSession};
+use crate::engine::SweepEngine;
+use crate::session::MdaSession;
 use crate::trace::Trace;
+use mlpt_wire::transport::SplitTransport;
+use std::net::Ipv4Addr;
 
-/// Traces the multipath topology towards the prober's destination with the
-/// full MDA.
-pub fn trace_mda<P: Prober>(prober: &mut P, config: &TraceConfig) -> Trace {
-    let mut session = MdaSession::new(prober.destination(), config.clone());
-    drive(&mut session, prober)
+/// Traces the multipath topology towards `destination` with the full
+/// MDA, as a one-session sweep on `engine`.
+pub fn trace_mda<T: SplitTransport>(
+    engine: &mut SweepEngine<T>,
+    destination: Ipv4Addr,
+    config: &TraceConfig,
+) -> Trace {
+    engine
+        .run_trace(MdaSession::new(destination, config.clone()))
+        .0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prober::TransportProber;
     use crate::stopping::StoppingPoints;
     use mlpt_sim::SimNetwork;
     use mlpt_topo::{canonical, MultipathTopology};
-    use std::net::Ipv4Addr;
 
     const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
 
     fn run_on(topo: &MultipathTopology, seed: u64) -> Trace {
         let net = SimNetwork::new(topo.clone(), seed);
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
+        let mut engine = SweepEngine::new(net, SRC);
         let config = TraceConfig::new(seed ^ 0xAA);
-        trace_mda(&mut prober, &config)
+        trace_mda(&mut engine, topo.destination(), &config)
     }
 
     /// Discovery soundness + completeness against ground truth.
@@ -129,9 +133,9 @@ mod tests {
         let runs = 20;
         for seed in 0..runs {
             let net = SimNetwork::new(topo.clone(), seed);
-            let mut prober = TransportProber::new(net, SRC, topo.destination());
+            let mut engine = SweepEngine::new(net, SRC);
             let config = TraceConfig::new(seed).with_stopping(StoppingPoints::veitch_table1());
-            let trace = trace_mda(&mut prober, &config);
+            let trace = trace_mda(&mut engine, topo.destination(), &config);
             total += trace.probes_sent;
         }
         let mean = total as f64 / runs as f64;
@@ -149,9 +153,9 @@ mod tests {
         let runs = 20;
         for seed in 0..runs {
             let net = SimNetwork::new(topo.clone(), seed);
-            let mut prober = TransportProber::new(net, SRC, topo.destination());
+            let mut engine = SweepEngine::new(net, SRC);
             let config = TraceConfig::new(seed).with_stopping(StoppingPoints::veitch_table1());
-            let trace = trace_mda(&mut prober, &config);
+            let trace = trace_mda(&mut engine, topo.destination(), &config);
             total += trace.probes_sent;
         }
         let mean = total as f64 / runs as f64;
@@ -165,9 +169,9 @@ mod tests {
     fn budget_exhaustion_is_reported() {
         let topo = canonical::meshed();
         let net = SimNetwork::new(topo.clone(), 1);
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
+        let mut engine = SweepEngine::new(net, SRC);
         let config = TraceConfig::new(1).with_probe_budget(50);
-        let trace = trace_mda(&mut prober, &config);
+        let trace = trace_mda(&mut engine, topo.destination(), &config);
         assert!(trace.budget_exhausted);
         assert!(trace.probes_sent <= 51);
     }

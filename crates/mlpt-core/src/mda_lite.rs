@@ -23,39 +23,45 @@
 //! switched run enjoys no probe economy.
 //!
 //! The algorithm lives in [`crate::session::MdaLiteSession`], a sans-IO
-//! state machine; this entry point is the thin single-session driver that
-//! owns a [`Prober`] for one blocking trace.
+//! state machine; this entry point runs one session on a
+//! [`SweepEngine`], the one driver.
 
 use crate::config::TraceConfig;
-use crate::prober::Prober;
-use crate::session::{drive, MdaLiteSession};
+use crate::engine::SweepEngine;
+use crate::session::MdaLiteSession;
 use crate::trace::Trace;
+use mlpt_wire::transport::SplitTransport;
+use std::net::Ipv4Addr;
 
-/// Traces the multipath topology with MDA-Lite (switching to the full MDA
-/// when meshing or non-uniformity is detected).
-pub fn trace_mda_lite<P: Prober>(prober: &mut P, config: &TraceConfig) -> Trace {
-    let mut session = MdaLiteSession::new(prober.destination(), config.clone());
-    drive(&mut session, prober)
+/// Traces the multipath topology towards `destination` with MDA-Lite
+/// (switching to the full MDA when meshing or non-uniformity is
+/// detected), as a one-session sweep on `engine`.
+pub fn trace_mda_lite<T: SplitTransport>(
+    engine: &mut SweepEngine<T>,
+    destination: Ipv4Addr,
+    config: &TraceConfig,
+) -> Trace {
+    engine
+        .run_trace(MdaLiteSession::new(destination, config.clone()))
+        .0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prober::TransportProber;
     use crate::stopping::StoppingPoints;
     use crate::trace::SwitchReason;
     use mlpt_sim::SimNetwork;
     use mlpt_topo::{canonical, MultipathTopology};
     use std::collections::BTreeSet;
-    use std::net::Ipv4Addr;
 
     const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
 
     fn run_on(topo: &MultipathTopology, seed: u64) -> Trace {
         let net = SimNetwork::new(topo.clone(), seed);
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
+        let mut engine = SweepEngine::new(net, SRC);
         let config = TraceConfig::new(seed ^ 0x55);
-        trace_mda_lite(&mut prober, &config)
+        trace_mda_lite(&mut engine, topo.destination(), &config)
     }
 
     fn assert_complete(topo: &MultipathTopology, trace: &Trace) {
@@ -136,13 +142,13 @@ mod tests {
         let mut mda_total = 0u64;
         for seed in 0..10u64 {
             let net = SimNetwork::new(topo.clone(), seed);
-            let mut p = TransportProber::new(net, SRC, topo.destination());
+            let mut p = SweepEngine::new(net, SRC);
             let config = TraceConfig::new(seed);
-            lite_total += trace_mda_lite(&mut p, &config).probes_sent;
+            lite_total += trace_mda_lite(&mut p, topo.destination(), &config).probes_sent;
 
             let net = SimNetwork::new(topo.clone(), seed);
-            let mut p = TransportProber::new(net, SRC, topo.destination());
-            mda_total += crate::mda::trace_mda(&mut p, &config).probes_sent;
+            let mut p = SweepEngine::new(net, SRC);
+            mda_total += crate::mda::trace_mda(&mut p, topo.destination(), &config).probes_sent;
         }
         assert!(
             (lite_total as f64) < 0.8 * mda_total as f64,
@@ -159,9 +165,9 @@ mod tests {
         let mut totals = Vec::new();
         for seed in 0..20u64 {
             let net = SimNetwork::new(topo.clone(), seed);
-            let mut p = TransportProber::new(net, SRC, topo.destination());
+            let mut p = SweepEngine::new(net, SRC);
             let config = TraceConfig::new(seed).with_stopping(StoppingPoints::veitch_table1());
-            let trace = trace_mda_lite(&mut p, &config);
+            let trace = trace_mda_lite(&mut p, topo.destination(), &config);
             if trace.switched.is_none() {
                 totals.push(trace.probes_sent);
             }

@@ -129,17 +129,16 @@ impl TraceReport {
 mod tests {
     use super::*;
     use crate::config::TraceConfig;
+    use crate::engine::SweepEngine;
     use crate::mda_lite::trace_mda_lite;
-    use crate::prober::TransportProber;
     use mlpt_sim::SimNetwork;
     use mlpt_topo::canonical;
 
     fn report() -> TraceReport {
         let topo = canonical::fig1_unmeshed();
         let net = SimNetwork::new(topo.clone(), 7);
-        let mut prober =
-            TransportProber::new(net, "192.0.2.1".parse().unwrap(), topo.destination());
-        let trace = trace_mda_lite(&mut prober, &TraceConfig::new(7));
+        let mut engine = SweepEngine::new(net, "192.0.2.1".parse().unwrap());
+        let trace = trace_mda_lite(&mut engine, topo.destination(), &TraceConfig::new(7));
         TraceReport::from_trace(&trace)
     }
 

@@ -1,10 +1,9 @@
 //! Sans-IO probe sessions: probing protocols as resumable state
 //! machines.
 //!
-//! The MDA, MDA-Lite and single-flow tracers used to be blocking
-//! functions that owned a [`Prober`] for the duration of one trace. This
-//! module re-expresses each of them as a **session**: a state machine
-//! that never touches a transport. A session is driven by repeating
+//! The MDA, MDA-Lite and single-flow tracers are **sessions**: state
+//! machines that never touch a transport. A session is driven by
+//! repeating
 //!
 //! 1. [`TraceSession::poll`] — advances the machine until it either has a
 //!    round of probes ready ([`SessionState::Probing`]) or is done
@@ -15,12 +14,12 @@
 //!    spec (in spec order; `None` marks loss) and lets the machine
 //!    transition.
 //!
-//! Because sessions perform no IO, *any* driver produces the identical
-//! trace: the single-session driver [`drive`] behind [`trace_mda`],
-//! [`trace_mda_lite`] and [`trace_single_flow`]; or the concurrent sweep
-//! scheduler in [`crate::engine`], which interleaves many sessions'
-//! rounds over one shared transport. The state machines emit probe
-//! rounds in **exactly** the order the original blocking implementations
+//! The one driver is the sweep engine in [`crate::engine`], which
+//! interleaves many sessions' rounds over one shared transport; a single
+//! trace ([`trace_mda`], [`trace_mda_lite`], [`trace_single_flow`]) is a
+//! sweep of one session. Because sessions perform no IO, the schedule
+//! never changes a trace. The state machines emit probe rounds in
+//! **exactly** the order the original blocking implementations
 //! dispatched them — including flow-allocator draws on budget-exhausted
 //! paths — so a session-driven trace is bit-identical to its blocking
 //! ancestor, probe for probe.
@@ -36,8 +35,7 @@
 //! poll / next round / absorb replies contract, but over typed
 //! [`ProbeRequest`]s and [`ProbeOutcome`]s. The sweep engine schedules
 //! `ProbeSession`s; trace sessions join in through the
-//! [`TraceProbeSession`] adapter, and [`drive_probes`] is the blocking
-//! single-session driver (the alias analogue of [`drive`]).
+//! [`TraceProbeSession`] adapter.
 //!
 //! [`trace_mda`]: crate::mda::trace_mda
 //! [`trace_mda_lite`]: crate::mda_lite::trace_mda_lite
@@ -46,7 +44,7 @@
 use crate::artifact::{AuditVerdict, RouteAudit, RouteHealth};
 use crate::config::TraceConfig;
 use crate::discovery::{Discovery, FlowAllocator};
-use crate::prober::{DirectObservation, ProbeObservation, ProbeSpec, Prober};
+use crate::prober::{DirectObservation, ProbeObservation, ProbeSpec};
 use crate::stopset::{contribution_from_discovery, StopContribution, StopSeen, StopSnapshot};
 use crate::trace::{Algorithm, PartialReason, SwitchReason, Trace, TraceOutcome};
 use mlpt_wire::FlowId;
@@ -302,50 +300,6 @@ impl<S: TraceSession> ProbeSession for TraceProbeSession<S> {
     }
 }
 
-/// Drives a [`ProbeSession`] to completion over a [`Prober`] — the
-/// blocking single-session driver behind `run_rounds` and
-/// `trace_multilevel` in `mlpt-alias`. Returns the wire-level packet
-/// count (retries included).
-///
-/// Consecutive UDP requests are dispatched as one
-/// [`Prober::probe_batch`] round (bit-identical to per-probe dispatch on
-/// a synchronous transport without retries); echo requests go through
-/// [`Prober::direct_probe`] one at a time, exactly as the blocking alias
-/// protocol always dispatched them.
-pub fn drive_probes<S: ProbeSession + ?Sized, P: Prober>(session: &mut S, prober: &mut P) -> u64 {
-    let start = prober.probes_sent();
-    let mut requests: Vec<ProbeRequest> = Vec::new();
-    let mut specs: Vec<ProbeSpec> = Vec::new();
-    let mut outcomes: Vec<Option<ProbeOutcome>> = Vec::new();
-    while session.poll() == SessionState::Probing {
-        let round_start = prober.probes_sent();
-        requests.clear();
-        requests.extend_from_slice(session.next_rounds());
-        outcomes.clear();
-        let mut i = 0;
-        while i < requests.len() {
-            match requests[i] {
-                ProbeRequest::Udp(_) => {
-                    specs.clear();
-                    while let Some(ProbeRequest::Udp(spec)) = requests.get(i) {
-                        specs.push(*spec);
-                        i += 1;
-                    }
-                    let results = prober.probe_batch(&specs);
-                    outcomes.extend(results.into_iter().map(|o| o.map(ProbeOutcome::Udp)));
-                }
-                ProbeRequest::Echo { target } => {
-                    outcomes.push(prober.direct_probe(target).map(ProbeOutcome::Echo));
-                    i += 1;
-                }
-            }
-        }
-        session.note_wire_probes(prober.probes_sent() - round_start);
-        session.on_replies(&mut outcomes);
-    }
-    prober.probes_sent() - start
-}
-
 /// A resumable, transport-free tracing session.
 ///
 /// The contract: call [`poll`](TraceSession::poll); while it returns
@@ -455,17 +409,6 @@ impl<S: TraceSession + ?Sized> TraceSession for Box<S> {
     fn route_health(&self) -> Option<RouteHealth> {
         (**self).route_health()
     }
-}
-
-/// Drives a session to completion over a [`Prober`] — the single-session
-/// driver behind the classic blocking entry points.
-pub fn drive<S: TraceSession + ?Sized, P: Prober>(session: &mut S, prober: &mut P) -> Trace {
-    let before = prober.probes_sent();
-    while session.poll() == SessionState::Probing {
-        let results = prober.probe_batch(session.next_rounds());
-        session.on_replies(&results);
-    }
-    session.take_trace(prober.probes_sent() - before)
 }
 
 /// True once every vertex known at `ttl` is the destination (and at least
@@ -2016,37 +1959,68 @@ impl TraceSession for SingleFlowSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prober::TransportProber;
+    use crate::engine::SweepEngine;
     use mlpt_sim::SimNetwork;
     use mlpt_topo::canonical;
 
     const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
 
-    /// A session can be driven round by round by hand, and the pending
-    /// round is stable across repeated polls.
+    /// Forwards to the wrapped session, checking the driver-facing
+    /// contract on every poll: polling again changes nothing, the
+    /// pending round is stable, and a round is empty exactly when the
+    /// session has finished.
+    struct Checked<S> {
+        inner: S,
+        rounds: usize,
+    }
+
+    impl<S: TraceSession> TraceSession for Checked<S> {
+        fn poll(&mut self) -> SessionState {
+            let state = self.inner.poll();
+            let round = self.inner.next_rounds().to_vec();
+            assert_eq!(self.inner.poll(), state, "poll is idempotent");
+            assert_eq!(
+                self.inner.next_rounds(),
+                round,
+                "the pending round is stable"
+            );
+            assert_eq!(state == SessionState::Probing, !round.is_empty());
+            state
+        }
+        fn next_rounds(&self) -> &[ProbeSpec] {
+            self.inner.next_rounds()
+        }
+        fn on_replies(&mut self, results: &[Option<ProbeObservation>]) {
+            self.rounds += 1;
+            self.inner.on_replies(results);
+        }
+        fn destination(&self) -> Ipv4Addr {
+            self.inner.destination()
+        }
+        fn take_trace(&mut self, probes_sent: u64) -> Trace {
+            self.inner.take_trace(probes_sent)
+        }
+    }
+
+    fn engine(topo: &mlpt_topo::MultipathTopology, seed: u64) -> SweepEngine<SimNetwork> {
+        SweepEngine::new(SimNetwork::new(topo.clone(), seed), SRC)
+    }
+
+    /// A session can be driven round by round through its public
+    /// contract alone, and the pending round is stable across repeated
+    /// polls.
     #[test]
     fn manual_drive_matches_driver() {
         let topo = canonical::fig1_unmeshed();
         let config = TraceConfig::new(9);
+        let checked = Checked {
+            inner: MdaSession::new(topo.destination(), config.clone()),
+            rounds: 0,
+        };
+        let (manual, checked) = engine(&topo, 4).run_trace(checked);
+        assert!(checked.rounds > 1, "a multipath trace takes several rounds");
 
-        let mut manual_prober =
-            TransportProber::new(SimNetwork::new(topo.clone(), 4), SRC, topo.destination());
-        let mut session = MdaSession::new(topo.destination(), config.clone());
-        let mut rounds = 0usize;
-        while session.poll() == SessionState::Probing {
-            assert_eq!(session.poll(), SessionState::Probing, "poll is idempotent");
-            assert!(!session.next_rounds().is_empty());
-            let specs: Vec<ProbeSpec> = session.next_rounds().to_vec();
-            let results = manual_prober.probe_batch(&specs);
-            session.on_replies(&results);
-            rounds += 1;
-        }
-        assert!(rounds > 1, "a multipath trace takes several rounds");
-        let manual = session.take_trace(manual_prober.probes_sent());
-
-        let mut prober =
-            TransportProber::new(SimNetwork::new(topo.clone(), 4), SRC, topo.destination());
-        let via_driver = crate::mda::trace_mda(&mut prober, &config);
+        let via_driver = crate::mda::trace_mda(&mut engine(&topo, 4), topo.destination(), &config);
         assert_eq!(manual.probes_sent, via_driver.probes_sent);
         assert_eq!(manual.discovery, via_driver.discovery);
     }
@@ -2055,26 +2029,20 @@ mod tests {
     #[test]
     fn rounds_are_never_empty() {
         let topo = canonical::fig1_meshed();
-        let mut prober =
-            TransportProber::new(SimNetwork::new(topo.clone(), 2), SRC, topo.destination());
-        let mut session = MdaLiteSession::new(topo.destination(), TraceConfig::new(2));
-        while session.poll() == SessionState::Probing {
-            assert!(!session.next_rounds().is_empty());
-            let results = prober.probe_batch(session.next_rounds());
-            session.on_replies(&results);
-        }
-        assert!(session.take_trace(prober.probes_sent()).reached_destination);
+        let checked = Checked {
+            inner: MdaLiteSession::new(topo.destination(), TraceConfig::new(2)),
+            rounds: 0,
+        };
+        let (trace, _) = engine(&topo, 2).run_trace(checked);
+        assert!(trace.reached_destination);
     }
 
     /// A finished session stays finished and reports an empty round.
     #[test]
     fn finished_is_terminal() {
         let topo = canonical::simplest_diamond();
-        let mut prober =
-            TransportProber::new(SimNetwork::new(topo.clone(), 1), SRC, topo.destination());
-        let mut session =
-            SingleFlowSession::new(topo.destination(), TraceConfig::new(1), FlowId(3));
-        let trace = drive(&mut session, &mut prober);
+        let session = SingleFlowSession::new(topo.destination(), TraceConfig::new(1), FlowId(3));
+        let (trace, mut session) = engine(&topo, 1).run_trace(session);
         assert!(trace.reached_destination);
         assert_eq!(session.poll(), SessionState::Finished);
         assert!(session.next_rounds().is_empty());

@@ -291,7 +291,7 @@ impl<T: SplitTransport + Send> ShardedSweepEngine<T> {
     {
         let adapted = sessions.into_iter().map(TraceProbeSession::new);
         self.run_sessions_with(adapted, |index, session, probes_sent| {
-            sink(index, finish_trace(session, probes_sent));
+            sink(index, finish_trace(session, probes_sent).0);
         });
     }
 

@@ -7,30 +7,35 @@
 //! and discovers one vertex and one edge per hop.
 
 use crate::config::TraceConfig;
-use crate::prober::Prober;
-use crate::session::{drive, SingleFlowSession};
+use crate::engine::SweepEngine;
+use crate::session::SingleFlowSession;
 use crate::trace::Trace;
+use mlpt_wire::transport::SplitTransport;
 use mlpt_wire::FlowId;
+use std::net::Ipv4Addr;
 
-/// Traces a single path using one flow identifier.
+/// Traces a single path towards `destination` using one flow identifier.
 ///
 /// The algorithm lives in [`SingleFlowSession`], a sans-IO state machine
-/// emitting one single-spec round per hop; this entry point is the thin
-/// single-session driver. Dispatch rides the batched probe engine like
-/// the multipath algorithms: the hop's outcome gates whether the next TTL
-/// is probed at all.
-pub fn trace_single_flow<P: Prober>(prober: &mut P, config: &TraceConfig, flow: FlowId) -> Trace {
-    let mut session = SingleFlowSession::new(prober.destination(), config.clone(), flow);
-    drive(&mut session, prober)
+/// emitting one single-spec round per hop; this entry point runs it as a
+/// one-session sweep on `engine`, like the multipath algorithms: the
+/// hop's outcome gates whether the next TTL is probed at all.
+pub fn trace_single_flow<T: SplitTransport>(
+    engine: &mut SweepEngine<T>,
+    destination: Ipv4Addr,
+    config: &TraceConfig,
+    flow: FlowId,
+) -> Trace {
+    engine
+        .run_trace(SingleFlowSession::new(destination, config.clone(), flow))
+        .0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prober::TransportProber;
     use mlpt_sim::SimNetwork;
     use mlpt_topo::canonical;
-    use std::net::Ipv4Addr;
 
     const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
 
@@ -38,9 +43,9 @@ mod tests {
     fn traces_one_path() {
         let topo = canonical::fig1_unmeshed();
         let net = SimNetwork::new(topo.clone(), 7);
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
+        let mut engine = SweepEngine::new(net, SRC);
         let config = TraceConfig::new(7);
-        let trace = trace_single_flow(&mut prober, &config, FlowId(5));
+        let trace = trace_single_flow(&mut engine, topo.destination(), &config, FlowId(5));
         assert!(trace.reached_destination);
         // One vertex per hop.
         for ttl in 1..=topo.num_hops() as u8 {
@@ -54,9 +59,9 @@ mod tests {
     fn discovers_fraction_of_wide_hop() {
         let topo = canonical::max_length_2();
         let net = SimNetwork::new(topo.clone(), 7);
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
+        let mut engine = SweepEngine::new(net, SRC);
         let config = TraceConfig::new(7);
-        let trace = trace_single_flow(&mut prober, &config, FlowId(5));
+        let trace = trace_single_flow(&mut engine, topo.destination(), &config, FlowId(5));
         // 1 of 28 middle vertices: heavy undercount, tiny probe bill.
         assert_eq!(trace.total_vertices(), 3);
         assert_eq!(trace.probes_sent, 3);
@@ -67,13 +72,13 @@ mod tests {
         let topo = canonical::meshed();
         let a = {
             let net = SimNetwork::new(topo.clone(), 3);
-            let mut p = TransportProber::new(net, SRC, topo.destination());
-            trace_single_flow(&mut p, &TraceConfig::new(1), FlowId(9))
+            let mut p = SweepEngine::new(net, SRC);
+            trace_single_flow(&mut p, topo.destination(), &TraceConfig::new(1), FlowId(9))
         };
         let b = {
             let net = SimNetwork::new(topo.clone(), 3);
-            let mut p = TransportProber::new(net, SRC, topo.destination());
-            trace_single_flow(&mut p, &TraceConfig::new(2), FlowId(9))
+            let mut p = SweepEngine::new(net, SRC);
+            trace_single_flow(&mut p, topo.destination(), &TraceConfig::new(2), FlowId(9))
         };
         for ttl in 1..=topo.num_hops() as u8 {
             assert_eq!(a.vertices_at(ttl), b.vertices_at(ttl));

@@ -4,7 +4,7 @@
 //! A per-thread counting global allocator charges every allocation made
 //! inside a session's `poll`, `next_rounds`, `on_replies` and
 //! `take_trace` (reallocations included, as the repository benchmark
-//! counts them); the prober, the simulator and the test's own
+//! counts them); the engine driving it, the simulator and the test's own
 //! bookkeeping run uncounted. Sessions and seeds are fixed, so the
 //! counts are exact, and each bound is the measured count rounded up in
 //! the third decimal. A change that makes the session layer allocate
@@ -88,10 +88,10 @@ fn counted<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Runs `f` with this thread's allocations not counted, then restores
-/// whether they were.
-fn uncounted<T>(f: impl FnOnce() -> T) -> T {
-    let was = COUNTING.with(|on| on.replace(false));
+/// Runs `f` with this thread's allocations counted or not, then
+/// restores whether they were.
+fn metered<T>(counted: bool, f: impl FnOnce() -> T) -> T {
+    let was = COUNTING.with(|on| on.replace(counted));
     let out = f();
     COUNTING.with(|on| on.set(was));
     out
@@ -101,7 +101,7 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// What a hand-driven session cost.
+/// What a session cost.
 #[derive(Debug, Default, Clone, Copy)]
 struct Cost {
     allocs: u64,
@@ -114,31 +114,22 @@ impl Cost {
     }
 }
 
-/// Drives `session` to completion over a simulated `topology`, counting
-/// only the session's own calls.
-fn drive_counted(
-    session: &mut dyn TraceSession,
+/// Runs `session` to completion on a sweep engine over a simulated
+/// `topology`, counting only the session's own calls; returns the
+/// session too.
+fn drive_counted<S: TraceSession>(
+    session: S,
     topology: &MultipathTopology,
     net_seed: u64,
-) -> (Trace, Cost) {
-    let mut prober = TransportProber::new(
-        SimNetwork::new(topology.clone(), net_seed),
-        SRC,
-        topology.destination(),
-    );
+) -> (Trace, Cost, S) {
+    let mut engine = SweepEngine::new(SimNetwork::new(topology.clone(), net_seed), SRC);
     let before = allocs();
-    while counted(|| session.poll()) == SessionState::Probing {
-        let round = counted(|| session.next_rounds());
-        let results = prober.probe_batch(round);
-        counted(|| session.on_replies(&results));
-    }
-    let probes = prober.probes_sent();
-    let trace = counted(|| session.take_trace(probes));
+    let (trace, session) = engine.run_trace(Metered(session, true));
     let cost = Cost {
         allocs: allocs() - before,
-        probes,
+        probes: trace.probes_sent,
     };
-    (trace, cost)
+    (trace, cost, session.0)
 }
 
 /// Asserts `cost` stays within `bound` allocations per probe.
@@ -161,8 +152,8 @@ fn assert_within(name: &str, cost: Cost, bound: f64) {
 fn mda_lite_cost(topology: &MultipathTopology, expect_switch: bool) -> Cost {
     let mut total = Cost::default();
     for seed in 1..=4u64 {
-        let mut session = MdaLiteSession::new(topology.destination(), TraceConfig::new(seed));
-        let (trace, cost) = drive_counted(&mut session, topology, seed);
+        let session = MdaLiteSession::new(topology.destination(), TraceConfig::new(seed));
+        let (trace, cost, _) = drive_counted(session, topology, seed);
         assert!(trace.reached_destination);
         assert_eq!(trace.switched.is_some(), expect_switch, "seed {seed}");
         total.allocs += cost.allocs;
@@ -199,7 +190,7 @@ fn single_flow_with_stop_set_on_shared_prefix_lanes() {
     let mut seed_session =
         SingleFlowSession::new(first.destination(), TraceConfig::new(0), FlowId(9));
     seed_session.adopt_stop_set(&StopSnapshot::empty());
-    let (trace, _) = drive_counted(&mut seed_session, &first, 0);
+    let (trace, _, mut seed_session) = drive_counted(seed_session, &first, 0);
     assert!(trace.reached_destination);
     let contribution = seed_session
         .stop_contribution()
@@ -219,7 +210,7 @@ fn single_flow_with_stop_set_on_shared_prefix_lanes() {
             FlowId(9),
         );
         session.adopt_stop_set(&snapshot);
-        let (trace, cost) = drive_counted(&mut session, &topology, i as u64);
+        let (trace, cost, _) = drive_counted(session, &topology, i as u64);
         assert!(trace.reached_destination);
         elided += trace.probes_elided;
         total.allocs += cost.allocs;
@@ -341,74 +332,75 @@ fn parse_reply_allocates_nothing_without_mpls() {
     }
 }
 
-/// A session or a transport whose calls go uncounted, so the engine
-/// gate charges the engine alone. Forwards every trait method, provided
-/// ones included, so wrapping switches no behaviour off.
-struct Uncounted<T>(T);
+/// A session or a transport whose calls are counted (`true`) or not,
+/// whatever the caller counts: the engine gate charges the engine alone,
+/// the session gates the session alone. Forwards every trait method,
+/// provided ones included, so wrapping switches no behaviour off.
+struct Metered<T>(T, bool);
 
-impl<S: TraceSession> TraceSession for Uncounted<S> {
+impl<S: TraceSession> TraceSession for Metered<S> {
     fn poll(&mut self) -> SessionState {
-        uncounted(|| self.0.poll())
+        metered(self.1, || self.0.poll())
     }
 
     fn next_rounds(&self) -> &[ProbeSpec] {
-        uncounted(|| self.0.next_rounds())
+        metered(self.1, || self.0.next_rounds())
     }
 
     fn on_replies(&mut self, results: &[Option<ProbeObservation>]) {
-        uncounted(|| self.0.on_replies(results))
+        metered(self.1, || self.0.on_replies(results))
     }
 
     fn destination(&self) -> Ipv4Addr {
-        uncounted(|| self.0.destination())
+        metered(self.1, || self.0.destination())
     }
 
     fn take_trace(&mut self, probes_sent: u64) -> Trace {
-        uncounted(|| self.0.take_trace(probes_sent))
+        metered(self.1, || self.0.take_trace(probes_sent))
     }
 
     fn predicted_cost(&self) -> u64 {
-        uncounted(|| self.0.predicted_cost())
+        metered(self.1, || self.0.predicted_cost())
     }
 
     fn adopt_stop_set(&mut self, snapshot: &StopSnapshot) {
-        uncounted(|| self.0.adopt_stop_set(snapshot))
+        metered(self.1, || self.0.adopt_stop_set(snapshot))
     }
 
     fn stop_contribution(&mut self) -> Option<StopContribution> {
-        uncounted(|| self.0.stop_contribution())
+        metered(self.1, || self.0.stop_contribution())
     }
 
     fn should_retry(&self, spec: &ProbeSpec) -> bool {
-        uncounted(|| self.0.should_retry(spec))
+        metered(self.1, || self.0.should_retry(spec))
     }
 
     fn route_health(&self) -> Option<RouteHealth> {
-        uncounted(|| self.0.route_health())
+        metered(self.1, || self.0.route_health())
     }
 }
 
-impl<T: PacketTransport> PacketTransport for Uncounted<T> {
+impl<T: PacketTransport> PacketTransport for Metered<T> {
     fn send_packet(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
-        uncounted(|| self.0.send_packet(packet))
+        metered(self.1, || self.0.send_packet(packet))
     }
 
     fn send_packet_into(&mut self, packet: &[u8], reply: &mut Vec<u8>) -> bool {
-        uncounted(|| self.0.send_packet_into(packet, reply))
+        metered(self.1, || self.0.send_packet_into(packet, reply))
     }
 
     fn now(&self) -> u64 {
-        uncounted(|| self.0.now())
+        metered(self.1, || self.0.now())
     }
 }
 
-impl<T: SplitTransport> SplitTransport for Uncounted<T> {
+impl<T: SplitTransport> SplitTransport for Metered<T> {
     fn send_probes(&mut self, probes: &PacketBatch, timeouts: &[u64]) {
-        uncounted(|| self.0.send_probes(probes, timeouts))
+        metered(self.1, || self.0.send_probes(probes, timeouts))
     }
 
     fn recv_replies(&mut self, replies: &mut ReplyBatch) {
-        uncounted(|| self.0.recv_replies(replies))
+        metered(self.1, || self.0.recv_replies(replies))
     }
 }
 
@@ -434,7 +426,7 @@ fn engine_sweep_allocations() {
         .map(|lane| lane.topology().destination())
         .collect();
     let net = MultiNetwork::new(lanes).expect("distinct destinations");
-    let mut engine = SweepEngine::new(Uncounted(net), SRC).with_config(SweepConfig {
+    let mut engine = SweepEngine::new(Metered(net, false), SRC).with_config(SweepConfig {
         retries: 2,
         ..SweepConfig::default()
     });
@@ -446,7 +438,7 @@ fn engine_sweep_allocations() {
             .enumerate()
             .map(|(i, &destination)| {
                 let config = TraceConfig::new(i as u64);
-                Box::new(Uncounted(MdaLiteSession::new(destination, config)))
+                Box::new(Metered(MdaLiteSession::new(destination, config), false))
                     as Box<dyn TraceSession>
             })
             .collect();

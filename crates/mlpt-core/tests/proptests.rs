@@ -56,8 +56,8 @@ proptest! {
     #[test]
     fn mda_sound_and_terminating(topo in arb_topology(), seed in any::<u64>()) {
         let net = SimNetwork::new(topo.clone(), seed);
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
-        let trace = trace_mda(&mut prober, &TraceConfig::new(seed));
+        let mut engine = SweepEngine::new(net, SRC);
+        let trace = trace_mda(&mut engine, topo.destination(), &TraceConfig::new(seed));
         prop_assert!(trace.reached_destination);
         prop_assert!(!trace.budget_exhausted);
         assert_sound(&topo, &trace)?;
@@ -72,8 +72,8 @@ proptest! {
     #[test]
     fn mda_lite_sound(topo in arb_topology(), seed in any::<u64>()) {
         let net = SimNetwork::new(topo.clone(), seed);
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
-        let trace = trace_mda_lite(&mut prober, &TraceConfig::new(seed));
+        let mut engine = SweepEngine::new(net, SRC);
+        let trace = trace_mda_lite(&mut engine, topo.destination(), &TraceConfig::new(seed));
         prop_assert!(trace.reached_destination);
         assert_sound(&topo, &trace)?;
     }
@@ -83,8 +83,8 @@ proptest! {
     #[test]
     fn trace_topology_valid_subset(topo in arb_topology(), seed in any::<u64>()) {
         let net = SimNetwork::new(topo.clone(), seed);
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
-        let trace = trace_mda(&mut prober, &TraceConfig::new(seed));
+        let mut engine = SweepEngine::new(net, SRC);
+        let trace = trace_mda(&mut engine, topo.destination(), &TraceConfig::new(seed));
         let got = trace.to_topology().expect("reached destination");
         prop_assert_eq!(got.num_hops(), topo.num_hops());
         for i in 0..topo.num_hops() {
@@ -98,8 +98,8 @@ proptest! {
     #[test]
     fn single_flow_walks_a_path(topo in arb_topology(), seed in any::<u64>(), flow in any::<u16>()) {
         let net = SimNetwork::new(topo.clone(), seed);
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
-        let trace = trace_single_flow(&mut prober, &TraceConfig::new(seed), FlowId(flow));
+        let mut engine = SweepEngine::new(net, SRC);
+        let trace = trace_single_flow(&mut engine, topo.destination(), &TraceConfig::new(seed), FlowId(flow));
         prop_assert!(trace.reached_destination);
         prop_assert_eq!(trace.probes_sent, topo.num_hops() as u64);
         let mut prev: Option<Ipv4Addr> = None;
@@ -125,12 +125,12 @@ proptest! {
         prop_assume!(clean);
         let run = |which: u8| -> u64 {
             let net = SimNetwork::new(topo.clone(), seed);
-            let mut prober = TransportProber::new(net, SRC, topo.destination());
+            let mut engine = SweepEngine::new(net, SRC);
             let config = TraceConfig::new(seed);
             match which {
-                0 => trace_single_flow(&mut prober, &config, FlowId(1)).probes_sent,
-                1 => trace_mda_lite(&mut prober, &config).probes_sent,
-                _ => trace_mda(&mut prober, &config).probes_sent,
+                0 => trace_single_flow(&mut engine, topo.destination(), &config, FlowId(1)).probes_sent,
+                1 => trace_mda_lite(&mut engine, topo.destination(), &config).probes_sent,
+                _ => trace_mda(&mut engine, topo.destination(), &config).probes_sent,
             }
         };
         let single = run(0);
@@ -164,8 +164,8 @@ fn mda_lite_spurious_switch_rate_is_small() {
     let mut switched = 0u64;
     for seed in 0..runs {
         let net = SimNetwork::new(topo.clone(), seed);
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
-        let trace = trace_mda_lite(&mut prober, &TraceConfig::new(seed));
+        let mut engine = SweepEngine::new(net, SRC);
+        let trace = trace_mda_lite(&mut engine, topo.destination(), &TraceConfig::new(seed));
         assert!(trace.reached_destination, "seed {seed}");
         if trace.switched.is_some() {
             switched += 1;
@@ -176,106 +176,4 @@ fn mda_lite_spurious_switch_rate_is_small() {
         rate < 0.15,
         "spurious switch rate {rate} ({switched}/{runs}) too high for a clean fan"
     );
-}
-
-/// The batched probe engine must be a pure performance change: for every
-/// algorithm, batched dispatch and one-probe-at-a-time dispatch over
-/// identically seeded simulators yield bit-identical observation
-/// streams, probe counts, and discovered topologies.
-#[cfg(test)]
-mod batch_equivalence {
-    use super::*;
-    use mlpt_core::{DirectObservation, ProbeObservation};
-
-    /// The per-probe oracle: forwards every probe to the wrapped prober
-    /// but keeps the trait's default one-at-a-time `probe_batch`.
-    struct PerProbe<P>(P);
-
-    impl<P: Prober> Prober for PerProbe<P> {
-        fn probe(&mut self, flow: FlowId, ttl: u8) -> Option<ProbeObservation> {
-            self.0.probe(flow, ttl)
-        }
-        fn direct_probe(&mut self, target: Ipv4Addr) -> Option<DirectObservation> {
-            self.0.direct_probe(target)
-        }
-        fn probes_sent(&self) -> u64 {
-            self.0.probes_sent()
-        }
-        fn destination(&self) -> Ipv4Addr {
-            self.0.destination()
-        }
-    }
-
-    fn trace_with<P: Prober>(prober: &mut P, seed: u64, algo: u8) -> Trace {
-        let config = TraceConfig::new(seed);
-        match algo {
-            0 => trace_mda(prober, &config),
-            1 => trace_mda_lite(prober, &config),
-            _ => trace_single_flow(prober, &config, FlowId(7)),
-        }
-    }
-
-    fn run_with(
-        topo: &MultipathTopology,
-        seed: u64,
-        per_probe: bool,
-        algo: u8,
-    ) -> (Trace, Vec<ProbeObservation>, u64) {
-        let net = SimNetwork::new(topo.clone(), seed);
-        let mut oracle = PerProbe(TransportProber::new(net, SRC, topo.destination()));
-        let trace = if per_probe {
-            trace_with(&mut oracle, seed, algo)
-        } else {
-            trace_with(&mut oracle.0, seed, algo)
-        };
-        let sent = oracle.0.probes_sent();
-        let (_net, log) = oracle.0.into_parts();
-        (trace, log.indirect, sent)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
-        #[test]
-        fn batched_and_per_probe_discover_identical_topologies(
-            topo in arb_topology(),
-            seed in any::<u64>(),
-            algo in 0u8..3,
-        ) {
-            let (batched, batched_log, batched_sent) =
-                run_with(&topo, seed, false, algo);
-            let (legacy, legacy_log, legacy_sent) =
-                run_with(&topo, seed, true, algo);
-
-            // Same wire behaviour, packet for packet.
-            prop_assert_eq!(batched_log, legacy_log, "observation streams diverged");
-            prop_assert_eq!(batched_sent, legacy_sent, "probe counts diverged");
-            prop_assert_eq!(batched.probes_sent, legacy.probes_sent);
-            prop_assert_eq!(batched.switched, legacy.switched);
-            prop_assert_eq!(batched.reached_destination, legacy.reached_destination);
-
-            // Same evidence, hop by hop.
-            let max_ttl = batched
-                .discovery
-                .max_observed_ttl()
-                .max(legacy.discovery.max_observed_ttl());
-            for ttl in 1..=max_ttl {
-                prop_assert_eq!(
-                    batched.vertices_at(ttl),
-                    legacy.vertices_at(ttl),
-                    "vertex sets diverged at ttl {}",
-                    ttl
-                );
-                prop_assert_eq!(
-                    batched.discovery.edges_from(ttl),
-                    legacy.discovery.edges_from(ttl),
-                    "edges diverged at ttl {}",
-                    ttl
-                );
-            }
-
-            // And the same final topology, bit for bit.
-            prop_assert_eq!(batched.to_topology(), legacy.to_topology());
-        }
-    }
 }

@@ -5,9 +5,11 @@
 //! [`PacketTransport`], records every probe and reply with its virtual
 //! timestamp, and serialises the capture as a standard little-endian
 //! pcap file (LINKTYPE_RAW 101: packets begin at the IPv4 header) that
-//! Wireshark or tcpdump can open.
+//! Wireshark or tcpdump can open. It is also a [`SplitTransport`], so
+//! the sweep engine (`mlpt_core::engine::SweepEngine`) can drive a trace
+//! through it.
 
-use mlpt_wire::transport::PacketTransport;
+use mlpt_wire::transport::{PacketBatch, PacketTransport, ReplyBatch, SplitTransport};
 
 /// Direction of a captured packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,10 +31,15 @@ pub struct CapturedPacket {
     pub bytes: Vec<u8>,
 }
 
-/// A transport wrapper that records all traffic.
+/// A transport wrapper that records all traffic. As a
+/// [`SplitTransport`] it serializes the inner transport's crossings,
+/// exchanging one probe at a time (see the impl), which suits the
+/// single-destination `SimNetwork` it wraps for `mlpt trace --pcap`.
 pub struct CapturingTransport<T: PacketTransport> {
     inner: T,
     packets: Vec<CapturedPacket>,
+    /// Replies of the batch most recently sent, awaiting `recv_replies`.
+    replies: ReplyBatch,
 }
 
 impl<T: PacketTransport> CapturingTransport<T> {
@@ -41,6 +48,7 @@ impl<T: PacketTransport> CapturingTransport<T> {
         Self {
             inner,
             packets: Vec::new(),
+            replies: ReplyBatch::new(),
         }
     }
 
@@ -127,6 +135,40 @@ impl<T: PacketTransport> PacketTransport for CapturingTransport<T> {
 
     fn now(&self) -> u64 {
         self.inner.now()
+    }
+}
+
+/// Serializes the inner transport's crossings: `send_probes` exchanges
+/// each probe of the batch with the inner transport on its own, through
+/// [`PacketTransport::send_packet_into`], so the capture lists every
+/// probe next to its reply in send order, exactly as a one-probe-at-a-time
+/// caller would have produced it. The exchange is synchronous: a reply
+/// arrives at its probe's send tick, within any deadline, and an
+/// unanswered slot resolves at its deadline.
+impl<T: PacketTransport> SplitTransport for CapturingTransport<T> {
+    fn send_probes(&mut self, probes: &PacketBatch, timeouts: &[u64]) {
+        debug_assert_eq!(probes.len(), timeouts.len(), "one timeout per probe");
+        let mut replies = std::mem::take(&mut self.replies);
+        replies.clear();
+        for (packet, &timeout) in probes.iter().zip(timeouts) {
+            let mut answered = false;
+            replies.push_with(0, |buf| {
+                answered = self.send_packet_into(packet, buf);
+                answered
+            });
+            let sent = self.inner.now();
+            replies.set_last_timestamp(if answered {
+                sent
+            } else {
+                sent.saturating_add(timeout)
+            });
+        }
+        self.replies = replies;
+    }
+
+    fn recv_replies(&mut self, replies: &mut ReplyBatch) {
+        std::mem::swap(replies, &mut self.replies);
+        self.replies.clear();
     }
 }
 

@@ -251,6 +251,17 @@ impl<T: PacketTransport + ?Sized> PacketTransport for &mut T {
     }
 }
 
+/// Blanket implementation so a caller can lend a split transport to an
+/// engine and keep it (to read its counters or capture afterwards).
+impl<T: SplitTransport + ?Sized> SplitTransport for &mut T {
+    fn send_probes(&mut self, probes: &PacketBatch, timeouts: &[u64]) {
+        (**self).send_probes(probes, timeouts)
+    }
+    fn recv_replies(&mut self, replies: &mut ReplyBatch) {
+        (**self).recv_replies(replies)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

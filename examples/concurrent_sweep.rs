@@ -76,12 +76,12 @@ fn main() {
     // scheduling, never results.
     for (id, sweep_trace) in traces.iter().enumerate() {
         let scenario = internet.scenario(id);
-        let mut prober = TransportProber::new(
-            scenario.build_network(seed_of(id)),
-            scenario.source,
+        let mut engine = SweepEngine::new(scenario.build_network(seed_of(id)), scenario.source);
+        let sequential = trace_mda(
+            &mut engine,
             scenario.topology.destination(),
+            &TraceConfig::new(seed_of(id)),
         );
-        let sequential = trace_mda(&mut prober, &TraceConfig::new(seed_of(id)));
         assert_eq!(
             sweep_trace, &sequential,
             "sweep and sequential traces must be bit-identical"

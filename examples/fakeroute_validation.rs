@@ -31,8 +31,8 @@ fn main() {
     let report = validate_tool(&topology, &nks, 20, 500, 42, 0.95, |net, seed| {
         let destination = net.topology().destination();
         let want_vertices = net.topology().total_vertices();
-        let mut prober = TransportProber::new(net, "192.0.2.1".parse().unwrap(), destination);
-        let trace = trace_mda(&mut prober, &TraceConfig::new(seed));
+        let mut engine = SweepEngine::new(net, "192.0.2.1".parse().unwrap());
+        let trace = trace_mda(&mut engine, destination, &TraceConfig::new(seed));
         trace.total_vertices() == want_vertices
     });
     println!(
@@ -43,21 +43,19 @@ fn main() {
         report.analytic_within_interval()
     );
 
-    // Now a deliberately broken tool: a "traceroute -m" style prober that
-    // sends only 3 probes per hop. It must fail far above the bound.
+    // Now a deliberately broken tool: three single-flow traceroutes, so
+    // only 3 probes per hop. It must fail far above the bound.
     println!("\nvalidating a broken tool (3 probes per hop) ...");
     let broken = validate_tool(&topology, &nks, 20, 500, 42, 0.95, |net, seed| {
         let destination = net.topology().destination();
         let want = net.topology().total_vertices();
-        let mut prober = TransportProber::new(net, "192.0.2.1".parse().unwrap(), destination);
+        let mut engine = SweepEngine::new(net, "192.0.2.1".parse().unwrap());
         let mut found = std::collections::BTreeSet::new();
         for s in 0..3u16 {
+            let flow = FlowId(seed as u16 ^ (s * 64));
+            let trace = trace_single_flow(&mut engine, destination, &TraceConfig::new(seed), flow);
             for ttl in 1..=3u8 {
-                if let Some(obs) =
-                    prober.probe(FlowId(seed as u16 ^ (s * 64 + u16::from(ttl))), ttl)
-                {
-                    found.insert((ttl, obs.responder));
-                }
+                found.extend(trace.vertices_at(ttl).iter().map(|&v| (ttl, v)));
             }
         }
         found.len() == want

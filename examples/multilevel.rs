@@ -46,16 +46,12 @@ fn main() {
         .seed(99)
         .build();
 
-    let mut prober = TransportProber::new(
-        network,
-        "192.0.2.1".parse().unwrap(),
-        topology.destination(),
-    );
+    let mut engine = SweepEngine::new(network, "192.0.2.1".parse().unwrap());
     let config = MultilevelConfig {
         trace: TraceConfig::new(5),
         rounds: RoundsConfig::default(),
     };
-    let result = trace_multilevel(&mut prober, &config);
+    let result = trace_multilevel(&mut engine, topology.destination(), &config);
 
     println!("IP-level view (what classic MDA-Lite reports):");
     let ip = result.ip_topology.as_ref().expect("destination reached");

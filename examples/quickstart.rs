@@ -22,13 +22,14 @@ fn main() {
         topology.total_edges()
     );
 
-    // Fakeroute serves real ICMP replies for real UDP probes.
+    // Fakeroute serves real ICMP replies for real UDP probes; the sweep
+    // engine drives the trace, here a sweep of one destination.
     let network = SimNetwork::new(topology.clone(), 2026);
-    let mut prober = TransportProber::new(network, "192.0.2.1".parse().unwrap(), destination);
+    let mut engine = SweepEngine::new(network, "192.0.2.1".parse().unwrap());
 
     // Trace with MDA-Lite (95 % stopping points, phi = 2).
     let config = TraceConfig::new(7);
-    let trace = trace_mda_lite(&mut prober, &config);
+    let trace = trace_mda_lite(&mut engine, destination, &config);
 
     println!("MDA-Lite trace to {destination}:");
     for ttl in 1..=trace.destination_ttl().unwrap_or(0) {
@@ -45,8 +46,8 @@ fn main() {
 
     // Compare with the full MDA on the same network conditions.
     let network = SimNetwork::new(topology.clone(), 2026);
-    let mut prober = TransportProber::new(network, "192.0.2.1".parse().unwrap(), destination);
-    let mda = trace_mda(&mut prober, &config);
+    let mut engine = SweepEngine::new(network, "192.0.2.1".parse().unwrap());
+    let mda = trace_mda(&mut engine, destination, &config);
     println!(
         "\nfull MDA on the same topology: {} probes ({}% more than MDA-Lite)",
         mda.probes_sent,

@@ -44,10 +44,13 @@ fn main() {
                     .faults(faults)
                     .seed(seed)
                     .build();
-                let mut prober =
-                    TransportProber::new(net, "192.0.2.1".parse().unwrap(), topology.destination())
-                        .with_retries(retries);
-                let trace = trace_mda_lite(&mut prober, &TraceConfig::new(seed));
+                let mut engine =
+                    SweepEngine::new(net, "192.0.2.1".parse().unwrap()).with_config(SweepConfig {
+                        retries,
+                        ..SweepConfig::default()
+                    });
+                let config = TraceConfig::new(seed);
+                let trace = trace_mda_lite(&mut engine, topology.destination(), &config);
                 vertices += trace.total_vertices() as f64 / truth;
                 probes += trace.probes_sent;
             }

@@ -22,6 +22,9 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::process::exit;
 
+/// The address every probe is sent from (TEST-NET-1).
+const SOURCE: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
@@ -234,6 +237,37 @@ fn topology_schedule_preset(name: &str) -> TopologySchedule {
     })
 }
 
+/// Parses the value of numeric flag `flag`, which must lie in `range`,
+/// exiting with status 2 and a message naming the flag otherwise.
+fn number<T, R>(flag: &str, value: &str, range: R) -> T
+where
+    T: std::str::FromStr + PartialOrd,
+    R: std::ops::RangeBounds<T> + std::fmt::Debug,
+{
+    match value.parse() {
+        Ok(n) if range.contains(&n) => n,
+        _ => {
+            eprintln!("{flag} needs a number in {range:?}, got {value:?}");
+            exit(2);
+        }
+    }
+}
+
+/// Parses a `--rate-limit N/W` value: N replies per W ticks, both
+/// positive. Exits with status 2 otherwise.
+fn parse_rate_limit(value: &str) -> (u32, u64) {
+    let parsed = value
+        .split_once('/')
+        .and_then(|(n, w)| Some((n.parse::<u32>().ok()?, w.parse::<u64>().ok()?)));
+    match parsed {
+        Some((n, w)) if n > 0 && w > 0 => (n, w),
+        _ => {
+            eprintln!("--rate-limit needs N/W (replies per window ticks)");
+            exit(2);
+        }
+    }
+}
+
 fn parse_options(args: &[String]) -> Options {
     let mut opts = Options {
         topology: None,
@@ -272,70 +306,34 @@ fn parse_options(args: &[String]) -> Options {
                 exit(2);
             })
         };
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        match flag {
             "--topology" => opts.topology = Some(need(i).clone()),
-            "--scenario" => {
-                opts.scenario = Some(need(i).parse().unwrap_or_else(|_| {
-                    eprintln!("--scenario needs a number");
-                    exit(2);
-                }))
-            }
+            "--scenario" => opts.scenario = Some(number(flag, need(i), 0..)),
             "--algo" => opts.algo = need(i).clone(),
             "--stopping" => opts.stopping = need(i).clone(),
-            "--phi" => opts.phi = need(i).parse().unwrap_or(2),
-            "--seed" => opts.seed = need(i).parse().unwrap_or(1),
-            "--loss" => opts.loss = need(i).parse().unwrap_or(0.0),
-            "--rounds" => opts.rounds = need(i).parse().unwrap_or(10),
-            "--destinations" => opts.destinations = need(i).parse().unwrap_or(8),
-            "--budget" | "--max-in-flight" => opts.budget = need(i).parse().unwrap_or(1024),
+            "--phi" => opts.phi = number(flag, need(i), 2..),
+            "--seed" => opts.seed = number(flag, need(i), 0..),
+            "--loss" => opts.loss = number(flag, need(i), 0.0..=1.0),
+            "--rounds" => opts.rounds = number(flag, need(i), 0..),
+            "--destinations" => opts.destinations = number(flag, need(i), 0..),
+            "--budget" | "--max-in-flight" => opts.budget = number(flag, need(i), 0..),
             "--admission" => opts.admission = parse_admission(need(i)),
             "--stop-set" => {
                 opts.stop_set = true;
                 i += 1;
                 continue;
             }
-            "--start-ttl" => {
-                opts.start_ttl = Some(need(i).parse().unwrap_or_else(|_| {
-                    eprintln!("--start-ttl needs a TTL (1..=255)");
-                    exit(2);
-                }))
-            }
-            "--cycle-gap" => opts.cycle_gap = need(i).parse().unwrap_or(0),
-            "--rate-limit" => {
-                let spec = need(i);
-                let parsed = spec
-                    .split_once('/')
-                    .and_then(|(n, w)| Some((n.parse::<u32>().ok()?, w.parse::<u64>().ok()?)));
-                match parsed {
-                    Some((n, w)) if n > 0 && w > 0 => opts.rate_limit = Some((n, w)),
-                    _ => {
-                        eprintln!("--rate-limit needs N/W (replies per window ticks)");
-                        exit(2);
-                    }
-                }
-            }
+            "--start-ttl" => opts.start_ttl = Some(number(flag, need(i), 0..)),
+            "--cycle-gap" => opts.cycle_gap = number(flag, need(i), 0..),
+            "--rate-limit" => opts.rate_limit = Some(parse_rate_limit(need(i))),
             "--fault-schedule" => opts.fault_schedule = Some(fault_schedule_preset(need(i))),
             "--topology-schedule" => {
                 opts.topology_schedule = Some(topology_schedule_preset(need(i)))
             }
-            "--reprobe-budget" => {
-                opts.reprobe_budget = Some(need(i).parse().unwrap_or_else(|_| {
-                    eprintln!("--reprobe-budget needs a probe count");
-                    exit(2);
-                }))
-            }
-            "--probe-timeout" => {
-                opts.probe_timeout = need(i).parse().unwrap_or_else(|_| {
-                    eprintln!("--probe-timeout needs a tick count");
-                    exit(2);
-                })
-            }
-            "--max-retries" => {
-                opts.max_retries = need(i).parse().unwrap_or_else(|_| {
-                    eprintln!("--max-retries needs a small number");
-                    exit(2);
-                })
-            }
+            "--reprobe-budget" => opts.reprobe_budget = Some(number(flag, need(i), 0..)),
+            "--probe-timeout" => opts.probe_timeout = number(flag, need(i), 0..),
+            "--max-retries" => opts.max_retries = number(flag, need(i), 0..),
             "--adaptive-budget" => {
                 opts.adaptive = true;
                 i += 1;
@@ -346,8 +344,8 @@ fn parse_options(args: &[String]) -> Options {
                 i += 1;
                 continue;
             }
-            "--workers" => opts.workers = need(i).parse().unwrap_or(1),
-            "--shards" => opts.shards = need(i).parse::<usize>().unwrap_or(1).max(1),
+            "--workers" => opts.workers = number(flag, need(i), 0..),
+            "--shards" => opts.shards = number::<usize, _>(flag, need(i), 0..).max(1),
             "--json" => {
                 opts.json = true;
                 i += 1;
@@ -435,16 +433,14 @@ fn canonical_topology(name: &str) -> mlpt::topo::MultipathTopology {
 }
 
 /// Resolves the target: a canonical topology or a synthetic scenario.
-fn build_network(opts: &Options) -> (SimNetwork, Ipv4Addr, Ipv4Addr, Option<RouterMap>) {
-    // mlpt: allow(MLPT-W004, reason = "parsing a static dotted-quad literal cannot fail")
-    let source: Ipv4Addr = "192.0.2.1".parse().expect("static");
+fn build_network(opts: &Options) -> (SimNetwork, Ipv4Addr, Option<RouterMap>) {
     if let Some(n) = opts.scenario {
         let internet = SyntheticInternet::new(InternetConfig::default());
         let scenario = internet.scenario(n);
         let destination = scenario.topology.destination();
         let truth = scenario.routers.clone();
         let net = scenario.build_network(opts.seed);
-        return (net, source, destination, Some(truth));
+        return (net, destination, Some(truth));
     }
     let topology = canonical_topology(opts.topology.as_deref().unwrap_or("fig1-unmeshed"));
     let destination = topology.destination();
@@ -456,7 +452,7 @@ fn build_network(opts: &Options) -> (SimNetwork, Ipv4Addr, Ipv4Addr, Option<Rout
         })
         .seed(opts.seed)
         .build();
-    (net, source, destination, None)
+    (net, destination, None)
 }
 
 fn stopping_points(name: &str) -> StoppingPoints {
@@ -513,17 +509,20 @@ fn render_hops(trace: &Trace, routers: Option<&RouterMap>) {
 
 fn cmd_trace(args: &[String]) {
     let opts = parse_options(args);
-    let (net, source, destination, _truth) = build_network(&opts);
-    let capture = mlpt::sim::CapturingTransport::new(net);
-    let mut prober = TransportProber::new(capture, source, destination);
+    let (net, destination, _truth) = build_network(&opts);
+    let mut capture = mlpt::sim::CapturingTransport::new(net);
+    let mut engine = SweepEngine::new(&mut capture, SOURCE);
     let config = TraceConfig::new(opts.seed)
         .with_stopping(stopping_points(&opts.stopping))
         .with_phi(opts.phi);
 
     let trace = match opts.algo.as_str() {
-        "mda" => trace_mda(&mut prober, &config),
-        "lite" => trace_mda_lite(&mut prober, &config),
-        "single" => trace_single_flow(&mut prober, &config, FlowId(opts.seed as u16)),
+        "mda" => trace_mda(&mut engine, destination, &config),
+        "lite" => trace_mda_lite(&mut engine, destination, &config),
+        "single" => {
+            let flow = FlowId(opts.seed as u16);
+            trace_single_flow(&mut engine, destination, &config, flow)
+        }
         other => {
             eprintln!("unknown algorithm {other} (mda|lite|single)");
             exit(2);
@@ -531,10 +530,7 @@ fn cmd_trace(args: &[String]) {
     };
 
     if let Some(path) = &opts.pcap {
-        match prober
-            .transport_mut()
-            .write_pcap(std::path::Path::new(path))
-        {
+        match capture.write_pcap(std::path::Path::new(path)) {
             Ok(()) => eprintln!("[pcap written to {path}]"),
             Err(e) => {
                 eprintln!("failed to write pcap: {e}");
@@ -619,8 +615,6 @@ fn cmd_sweep(args: &[String]) {
         eprintln!("destination list is capped at 200 (address-block replication)");
         exit(2);
     }
-    // mlpt: allow(MLPT-W004, reason = "parsing a static dotted-quad literal cannot fail")
-    let source: Ipv4Addr = "192.0.2.1".parse().expect("static");
     let mut config = TraceConfig::new(opts.seed)
         .with_stopping(stopping_points(&opts.stopping))
         .with_phi(opts.phi);
@@ -745,7 +739,7 @@ fn cmd_sweep(args: &[String]) {
     // Sharding is pure scheduling: the traces and every protocol-level
     // counter are identical for any shard count.
     let parts = net.split_by(opts.shards, |d| shard_of(d, opts.shards));
-    let mut engine = ShardedSweepEngine::new(parts, source).with_config(sweep_config);
+    let mut engine = ShardedSweepEngine::new(parts, SOURCE).with_config(sweep_config);
     let traces = engine.run_stream(sessions);
     let stats = *engine.stats();
     let per_shard: Option<Vec<SweepStats>> =
@@ -964,14 +958,15 @@ fn cmd_alias(args: &[String]) {
                 exit(2);
             })
         };
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        match flag {
             "--stdin" => {
                 stdin_list = true;
                 i += 1;
                 continue;
             }
-            "--rounds" => rounds = need(i).parse().unwrap_or(10),
-            "--replies" => replies = need(i).parse().unwrap_or(30),
+            "--rounds" => rounds = number(flag, need(i), 0..),
+            "--replies" => replies = number(flag, need(i), 0..),
             "--method" => {
                 method = match need(i).as_str() {
                     "indirect" => ProbeMethod::Indirect,
@@ -982,7 +977,7 @@ fn cmd_alias(args: &[String]) {
                     }
                 }
             }
-            "--budget" | "--max-in-flight" => budget = need(i).parse().unwrap_or(1024),
+            "--budget" | "--max-in-flight" => budget = number(flag, need(i), 0..),
             "--adaptive-budget" => {
                 adaptive = true;
                 i += 1;
@@ -994,46 +989,19 @@ fn cmd_alias(args: &[String]) {
                 i += 1;
                 continue;
             }
-            "--start-ttl" => {
-                start_ttl = Some(need(i).parse().unwrap_or_else(|_| {
-                    eprintln!("--start-ttl needs a TTL (1..=255)");
-                    exit(2);
-                }))
-            }
+            "--start-ttl" => start_ttl = Some(number(flag, need(i), 0..)),
             "--fanout" => {
                 fanout = true;
                 i += 1;
                 continue;
             }
-            "--rate-limit" => {
-                let spec = need(i);
-                let parsed = spec
-                    .split_once('/')
-                    .and_then(|(n, w)| Some((n.parse::<u32>().ok()?, w.parse::<u64>().ok()?)));
-                match parsed {
-                    Some((n, w)) if n > 0 && w > 0 => rate_limit = Some((n, w)),
-                    _ => {
-                        eprintln!("--rate-limit needs N/W (replies per window ticks)");
-                        exit(2);
-                    }
-                }
-            }
+            "--rate-limit" => rate_limit = Some(parse_rate_limit(need(i))),
             "--fault-schedule" => fault_schedule = Some(fault_schedule_preset(need(i))),
-            "--probe-timeout" => {
-                probe_timeout = need(i).parse().unwrap_or_else(|_| {
-                    eprintln!("--probe-timeout needs a tick count");
-                    exit(2);
-                })
-            }
-            "--max-retries" => {
-                max_retries = need(i).parse().unwrap_or_else(|_| {
-                    eprintln!("--max-retries needs a small number");
-                    exit(2);
-                })
-            }
-            "--shards" => shards = need(i).parse::<usize>().unwrap_or(1).max(1),
-            "--cycle-gap" => cycle_gap = need(i).parse().unwrap_or(0),
-            "--seed" => seed = need(i).parse().unwrap_or(1),
+            "--probe-timeout" => probe_timeout = number(flag, need(i), 0..),
+            "--max-retries" => max_retries = number(flag, need(i), 0..),
+            "--shards" => shards = number::<usize, _>(flag, need(i), 0..).max(1),
+            "--cycle-gap" => cycle_gap = number(flag, need(i), 0..),
+            "--seed" => seed = number(flag, need(i), 0..),
             "--json" => {
                 json = true;
                 i += 1;
@@ -1394,8 +1362,8 @@ fn cmd_alias(args: &[String]) {
 
 fn cmd_multilevel(args: &[String]) {
     let opts = parse_options(args);
-    let (net, source, destination, truth) = build_network(&opts);
-    let mut prober = TransportProber::new(net, source, destination);
+    let (net, destination, truth) = build_network(&opts);
+    let mut engine = SweepEngine::new(net, SOURCE);
     let config = MultilevelConfig {
         trace: TraceConfig::new(opts.seed)
             .with_stopping(stopping_points(&opts.stopping))
@@ -1405,7 +1373,7 @@ fn cmd_multilevel(args: &[String]) {
             ..RoundsConfig::default()
         },
     };
-    let result = trace_multilevel(&mut prober, &config);
+    let result = trace_multilevel(&mut engine, destination, &config);
 
     println!(
         "mlpt: multilevel MDA-Lite to {destination}, seed {}",

@@ -17,6 +17,7 @@
 //! * [`sim`] — the Fakeroute packet-level simulator and analytic failure
 //!   bounds ([`mlpt_sim`]).
 //! * [`core`] — the MDA, MDA-Lite and single-flow tracing algorithms
+//!   and the sweep engine that drives them, one destination or many
 //!   ([`mlpt_core`]).
 //! * [`alias`] — the Monotonic Bounds Test, fingerprinting, MPLS
 //!   labeling and the multilevel tracer ([`mlpt_alias`]).
@@ -34,9 +35,10 @@
 //! let destination = topology.destination();
 //! let network = mlpt::sim::SimNetwork::new(topology, 42);
 //!
-//! // Trace it with MDA-Lite over real probe packets.
-//! let mut prober = TransportProber::new(network, "192.0.2.1".parse().unwrap(), destination);
-//! let trace = trace_mda_lite(&mut prober, &TraceConfig::new(42));
+//! // Trace it with MDA-Lite over real probe packets: a sweep of one
+//! // destination on the sweep engine.
+//! let mut engine = SweepEngine::new(network, "192.0.2.1".parse().unwrap());
+//! let trace = trace_mda_lite(&mut engine, destination, &TraceConfig::new(42));
 //!
 //! assert!(trace.reached_destination);
 //! assert_eq!(trace.vertices_at(2).len(), 4); // four load-balanced interfaces

@@ -187,8 +187,15 @@ fn sick_lane_does_not_starve_the_sweep() {
         let net = SimNetwork::builder(topo.clone())
             .seed(40 + i as u64)
             .build();
-        let mut prober = TransportProber::new(net, SRC, topo.destination()).with_retries(6);
-        let sequential = trace_mda(&mut prober, &TraceConfig::new(90 + i as u64));
+        let mut engine = SweepEngine::new(net, SRC).with_config(SweepConfig {
+            retries: 6,
+            ..SweepConfig::default()
+        });
+        let sequential = trace_mda(
+            &mut engine,
+            topo.destination(),
+            &TraceConfig::new(90 + i as u64),
+        );
         assert_eq!(&traces[i], &sequential, "healthy lane {i} perturbed");
     }
 }

@@ -12,26 +12,29 @@
 //! sequence, so the *interleaving* of the per-address probes is
 //! semantically load-bearing. A scheduler that reordered probes within a
 //! session's round would change verdicts, not just timing. The reference
-//! below is the pre-session blocking implementation of `run_rounds`,
-//! kept verbatim as test-local code.
+//! below is the pre-session blocking implementation of the rounds loop,
+//! kept verbatim as test-local code, probing through the
+//! one-probe-at-a-time reference driver of `tests/support`.
 //!
 //! A deterministic companion test shows the AIMD budget backing off an
 //! echo-heavy alias sweep into rate-limited windows (inter-cycle gap >
 //! 0) while the final partitions still match ground truth.
 
+mod support;
+
 use mlpt::alias::evidence::EvidenceBase;
 use mlpt::alias::multilevel::{MultilevelConfig, MultilevelOutcome, MultilevelSession};
 use mlpt::alias::resolver::resolve;
-use mlpt::alias::rounds::{run_rounds, ProbeMethod, RoundReport, RoundsConfig};
+use mlpt::alias::rounds::{ProbeMethod, RoundReport, RoundsConfig};
 use mlpt::core::engine::{AdaptiveBudget, Admission, SweepConfig, SweepEngine};
 use mlpt::core::prelude::*;
-use mlpt::core::prober::Prober;
 use mlpt::sim::{FaultPlan, IpIdProfile, MultiNetwork, RouterProfile, SimNetwork};
 use mlpt::topo::graph::addr;
 use mlpt::topo::{MultipathTopology, RouterId, RouterMap};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use support::PerProbe;
 
 const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
 
@@ -59,9 +62,9 @@ fn legacy_targets(
     map
 }
 
-/// The pre-session blocking `run_rounds`, word for word.
-fn legacy_rounds<P: Prober>(
-    prober: &mut P,
+/// The pre-session blocking rounds loop, word for word.
+fn legacy_rounds(
+    prober: &mut PerProbe<SimNetwork>,
     trace: &Trace,
     candidates: &BTreeSet<Ipv4Addr>,
     base: &mut EvidenceBase,
@@ -133,11 +136,12 @@ struct LegacyMultilevel {
 }
 
 fn legacy_multilevel(
-    prober: &mut TransportProber<SimNetwork>,
+    prober: &mut PerProbe<SimNetwork>,
+    destination: Ipv4Addr,
     trace_config: &TraceConfig,
     rounds: &RoundsConfig,
 ) -> LegacyMultilevel {
-    let trace = trace_mda_lite(prober, trace_config);
+    let trace = prober.trace(MdaLiteSession::new(destination, trace_config.clone()));
     let after_trace = prober.probes_sent();
     let mut hop_reports = BTreeMap::new();
     let mut hop_evidence = BTreeMap::new();
@@ -287,10 +291,9 @@ fn assert_outcome_matches(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Sessionized Round 0–10 == legacy blocking rounds, bit for bit:
-    /// via the blocking `run_rounds` driver, and via the sweep engine
-    /// interleaving whole multilevel sessions across destinations under
-    /// arbitrary admission orders and budgets.
+    /// Sessionized Round 0–10 == legacy blocking rounds, bit for bit,
+    /// via the sweep engine interleaving whole multilevel sessions
+    /// across destinations under arbitrary admission orders and budgets.
     #[test]
     fn sessionized_rounds_match_legacy_blocking(
         widths in proptest::collection::vec(2u8..5, 1..5),
@@ -318,17 +321,16 @@ proptest! {
             .map(|(i, &w)| lane_for(i, w, profile_sels[i % profile_sels.len()], base_seed))
             .collect();
 
-        // Blocking references, one dedicated prober per lane.
+        // Blocking references, one dedicated reference driver per lane.
         let references: Vec<(LegacyMultilevel, u64)> = lanes
             .iter()
             .map(|lane| {
-                let mut prober = TransportProber::new(
-                    build_network(lane, &faults),
-                    SRC,
-                    lane.topology.destination(),
-                );
+                let destination = lane.topology.destination();
+                let mut prober =
+                    PerProbe::new(build_network(lane, &faults), SRC, destination, 0);
                 let reference = legacy_multilevel(
                     &mut prober,
+                    destination,
                     &TraceConfig::new(lane.trace_seed),
                     &rounds_config,
                 );
@@ -337,37 +339,8 @@ proptest! {
             })
             .collect();
 
-        // Path 1: the public blocking driver (`run_rounds` is now a
-        // drive() loop over the session) must reproduce the reference
-        // reports and evidence exactly.
-        for lane in &lanes {
-            let mut prober = TransportProber::new(
-                build_network(lane, &faults),
-                SRC,
-                lane.topology.destination(),
-            );
-            let trace = trace_mda_lite(&mut prober, &TraceConfig::new(lane.trace_seed));
-            for ttl in 1..=trace.discovery.max_observed_ttl() {
-                let candidates: BTreeSet<Ipv4Addr> = trace
-                    .discovery
-                    .vertices_at(ttl)
-                    .iter()
-                    .copied()
-                    .filter(|&a| a != trace.destination && !mlpt::topo::is_star(a))
-                    .collect();
-                if candidates.len() < 2 {
-                    continue;
-                }
-                let mut base = EvidenceBase::from_log(prober.log(), &candidates);
-                let reports = run_rounds(&mut prober, &trace, &candidates, &mut base, &rounds_config);
-                let reference = &references[lanes.iter().position(|l| std::ptr::eq(l, lane)).unwrap()].0;
-                prop_assert_eq!(Some(&reports), reference.hop_reports.get(&ttl));
-                prop_assert_eq!(Some(&base), reference.hop_evidence.get(&ttl));
-            }
-        }
-
-        // Path 2: the sweep engine interleaving whole multilevel
-        // sessions across destinations, in a permuted admission order.
+        // The sweep engine interleaving whole multilevel sessions across
+        // destinations, in a permuted admission order.
         let max_in_flight = match budget_kind % 3 {
             0 => 5usize, // slices nearly every round across cycles
             1 => 64,
@@ -451,16 +424,13 @@ proptest! {
             .map(|(i, &w)| lane_for(i, w, profile_sels[i % profile_sels.len()], base_seed))
             .collect();
 
-        // The canonical fanned outcome: the blocking single-session
-        // driver over an identically seeded lane.
+        // The canonical fanned outcome: the one-probe-at-a-time
+        // reference driver over an identically seeded lane.
         let references: Vec<(MultilevelOutcome, u64)> = lanes
             .iter()
             .map(|lane| {
-                let mut prober = TransportProber::new(
-                    build_network(lane, &faults),
-                    SRC,
-                    lane.topology.destination(),
-                );
+                let mut prober =
+                    PerProbe::new(build_network(lane, &faults), SRC, lane.topology.destination(), 0);
                 let mut session = MultilevelSession::new(
                     lane.topology.destination(),
                     MultilevelConfig {
@@ -469,7 +439,7 @@ proptest! {
                     },
                 )
                 .with_hop_fanout(true);
-                let wire = mlpt::core::drive_probes(&mut session, &mut prober);
+                let wire = prober.drive(&mut session);
                 (session.finish(), wire)
             })
             .collect();

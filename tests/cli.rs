@@ -111,6 +111,30 @@ fn unknown_arguments_rejected() {
         .success());
 }
 
+/// Bad numeric values exit 2 with a message naming the flag: values
+/// out of range (which used to panic further in) and values that do not
+/// parse (which used to fall back to the default silently).
+#[test]
+fn bad_numeric_values_rejected() {
+    for args in [
+        &["trace", "--loss", "1.5"][..],
+        &["sweep", "--loss", "1.5"],
+        &["trace", "--phi", "1"],
+        &["multilevel", "--phi", "0"],
+        &["trace", "--loss", "abc"],
+        &["trace", "--loss", "-0.5"],
+        &["trace", "--seed", "x"],
+        &["sweep", "--destinations", "x"],
+        &["alias", "3", "--seed", "x"],
+    ] {
+        let out = mlpt().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "mlpt {args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let flag = args[args.len() - 2];
+        assert!(stderr.contains(flag), "mlpt {args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn topologies_lists_all_seven() {
     let out = mlpt().arg("topologies").output().unwrap();

@@ -23,12 +23,12 @@ fn full_discovery_on_canonical_suite() {
         }
         for lite in [false, true] {
             let net = SimNetwork::new(topo.clone(), 11);
-            let mut prober = TransportProber::new(net, SRC, topo.destination());
+            let mut engine = SweepEngine::new(net, SRC);
             let config = TraceConfig::new(13);
             let trace = if lite {
-                trace_mda_lite(&mut prober, &config)
+                trace_mda_lite(&mut engine, topo.destination(), &config)
             } else {
-                trace_mda(&mut prober, &config)
+                trace_mda(&mut engine, topo.destination(), &config)
             };
             assert!(trace.reached_destination, "{name} lite={lite}");
             let got = trace.to_topology().expect("reached");
@@ -51,14 +51,15 @@ fn lite_economy_claim() {
         let mut mda_probes = 0u64;
         for seed in 0..8u64 {
             let net = SimNetwork::new(topo.clone(), seed);
-            let mut prober = TransportProber::new(net, SRC, topo.destination());
-            let lite = trace_mda_lite(&mut prober, &TraceConfig::new(seed));
+            let mut engine = SweepEngine::new(net, SRC);
+            let lite = trace_mda_lite(&mut engine, topo.destination(), &TraceConfig::new(seed));
             assert!(lite.switched.is_none());
             lite_probes += lite.probes_sent;
 
             let net = SimNetwork::new(topo.clone(), seed);
-            let mut prober = TransportProber::new(net, SRC, topo.destination());
-            mda_probes += trace_mda(&mut prober, &TraceConfig::new(seed)).probes_sent;
+            let mut engine = SweepEngine::new(net, SRC);
+            mda_probes +=
+                trace_mda(&mut engine, topo.destination(), &TraceConfig::new(seed)).probes_sent;
         }
         assert!(
             (lite_probes as f64) < 0.75 * mda_probes as f64,
@@ -76,8 +77,8 @@ fn switchover_behaviour_matches_paper() {
     for seed in 0..runs {
         let topo = canonical::meshed();
         let net = SimNetwork::new(topo.clone(), seed);
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
-        let trace = trace_mda_lite(&mut prober, &TraceConfig::new(seed));
+        let mut engine = SweepEngine::new(net, SRC);
+        let trace = trace_mda_lite(&mut engine, topo.destination(), &TraceConfig::new(seed));
         // Every run must escalate to the full MDA. The detection that
         // fires first is seed-dependent: the meshing test usually wins,
         // but partial edge evidence on the 48-wide hops can trip the
@@ -96,8 +97,8 @@ fn switchover_behaviour_matches_paper() {
     for seed in 0..runs {
         let topo = canonical::asymmetric();
         let net = SimNetwork::new(topo.clone(), seed);
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
-        let trace = trace_mda_lite(&mut prober, &TraceConfig::new(seed));
+        let mut engine = SweepEngine::new(net, SRC);
+        let trace = trace_mda_lite(&mut engine, topo.destination(), &TraceConfig::new(seed));
         assert!(trace.switched.is_some(), "asymmetric must switch");
     }
 }
@@ -108,8 +109,13 @@ fn switchover_behaviour_matches_paper() {
 fn single_flow_is_one_true_path() {
     let topo = canonical::meshed();
     let net = SimNetwork::new(topo.clone(), 4);
-    let mut prober = TransportProber::new(net, SRC, topo.destination());
-    let trace = trace_single_flow(&mut prober, &TraceConfig::new(4), FlowId(77));
+    let mut engine = SweepEngine::new(net, SRC);
+    let trace = trace_single_flow(
+        &mut engine,
+        topo.destination(),
+        &TraceConfig::new(4),
+        FlowId(77),
+    );
     assert!(trace.reached_destination);
     let mut prev: Option<Ipv4Addr> = None;
     for ttl in 1..=trace.destination_ttl().unwrap() {
@@ -138,8 +144,8 @@ fn failure_rate_matches_analytic_bound() {
     let mut failures = 0u64;
     for seed in 0..runs {
         let net = SimNetwork::new(topo.clone(), seed);
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
-        let trace = trace_mda(&mut prober, &TraceConfig::new(seed));
+        let mut engine = SweepEngine::new(net, SRC);
+        let trace = trace_mda(&mut engine, topo.destination(), &TraceConfig::new(seed));
         if trace.total_vertices() < topo.total_vertices() {
             failures += 1;
         }
@@ -149,25 +155,4 @@ fn failure_rate_matches_analytic_bound() {
         (rate - analytic).abs() < 0.015,
         "empirical {rate} vs analytic {analytic}"
     );
-}
-
-/// Per-packet load balancing is detected by the pre-flight check and
-/// (per the MDA model) breaks flow stability.
-#[test]
-fn per_packet_detection() {
-    use mlpt::core::detect::check_per_packet;
-    use mlpt::sim::BalanceMode;
-    let topo = canonical::max_length_2();
-    let net = SimNetwork::builder(topo.clone())
-        .mode(BalanceMode::PerPacket)
-        .seed(3)
-        .build();
-    let mut prober = TransportProber::new(net, SRC, topo.destination());
-    let report = check_per_packet(&mut prober, FlowId(5), 2, 20);
-    assert!(report.is_per_packet());
-
-    let net = SimNetwork::new(topo.clone(), 3);
-    let mut prober = TransportProber::new(net, SRC, topo.destination());
-    let report = check_per_packet(&mut prober, FlowId(5), 2, 20);
-    assert!(!report.is_per_packet());
 }

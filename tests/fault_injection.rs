@@ -20,9 +20,9 @@ fn total_loss_is_reported_honestly() {
         .faults(FaultPlan::with_loss(1.0, 0.0))
         .seed(1)
         .build();
-    let mut prober = TransportProber::new(net, SRC, topo.destination());
+    let mut engine = SweepEngine::new(net, SRC);
     let config = TraceConfig::new(1);
-    let trace = trace_mda_lite(&mut prober, &config);
+    let trace = trace_mda_lite(&mut engine, topo.destination(), &config);
     assert!(!trace.reached_destination);
     assert_eq!(trace.total_vertices(), 0);
     assert!(trace.to_topology().is_none());
@@ -40,8 +40,8 @@ fn loss_degrades_gracefully() {
             .faults(FaultPlan::with_loss(0.0, 0.2))
             .seed(seed)
             .build();
-        let mut prober = TransportProber::new(net, SRC, topo.destination());
-        let trace = trace_mda(&mut prober, &TraceConfig::new(seed));
+        let mut engine = SweepEngine::new(net, SRC);
+        let trace = trace_mda(&mut engine, topo.destination(), &TraceConfig::new(seed));
         found += trace.total_vertices();
         // Soundness under loss.
         for ttl in 1..=topo.num_hops() as u8 {
@@ -69,9 +69,11 @@ fn retries_restore_discovery() {
                 .faults(FaultPlan::with_loss(0.0, 0.25))
                 .seed(seed)
                 .build();
-            let mut prober =
-                TransportProber::new(net, SRC, topo.destination()).with_retries(retries);
-            let trace = trace_mda(&mut prober, &TraceConfig::new(seed));
+            let mut engine = SweepEngine::new(net, SRC).with_config(SweepConfig {
+                retries,
+                ..SweepConfig::default()
+            });
+            let trace = trace_mda(&mut engine, topo.destination(), &TraceConfig::new(seed));
             let slot = if retries == 0 {
                 &mut plain
             } else {
@@ -120,8 +122,8 @@ fn rate_limit_visible_in_capture() {
         .seed(2)
         .build();
     let mut capture = CapturingTransport::new(net);
-    let mut prober = TransportProber::new(&mut capture, SRC, topo.destination());
-    let _ = trace_mda_lite(&mut prober, &TraceConfig::new(2));
+    let mut engine = SweepEngine::new(&mut capture, SRC);
+    let _ = trace_mda_lite(&mut engine, topo.destination(), &TraceConfig::new(2));
     let (probes, replies) = capture.counts();
     assert!(probes > replies, "rate limiting must suppress replies");
     let (net, _) = capture.into_parts();
@@ -246,8 +248,11 @@ fn multilevel_under_loss() {
         .faults(FaultPlan::with_loss(0.0, 0.1))
         .seed(5)
         .build();
-    let mut prober = TransportProber::new(net, SRC, topo.destination()).with_retries(2);
-    let result = trace_multilevel(&mut prober, &MultilevelConfig::new(5));
+    let mut engine = SweepEngine::new(net, SRC).with_config(SweepConfig {
+        retries: 2,
+        ..SweepConfig::default()
+    });
+    let result = trace_multilevel(&mut engine, topo.destination(), &MultilevelConfig::new(5));
     assert!(result.trace.reached_destination);
     // No cross-router merges.
     assert!(!result.router_map.are_aliases(addr(1, 1), addr(1, 2)));

@@ -35,8 +35,9 @@ fn multilevel_recovers_ground_truth_aliases() {
         .routers(truth.clone())
         .seed(17)
         .build();
-    let mut prober = TransportProber::new(net, SRC, topo.destination());
-    let result = trace_multilevel(&mut prober, &MultilevelConfig::new(17));
+    let mut engine = SweepEngine::new(net, SRC);
+    let config = MultilevelConfig::new(17);
+    let result = trace_multilevel(&mut engine, topo.destination(), &config);
 
     // Exactly the ground-truth pairing, nothing across routers.
     for i in 0..6u8 {
@@ -82,8 +83,9 @@ fn mixed_evidence_sources_cooperate() {
         .profile(RouterId(2), profile_c)
         .seed(23)
         .build();
-    let mut prober = TransportProber::new(net, SRC, topo.destination());
-    let result = trace_multilevel(&mut prober, &MultilevelConfig::new(23));
+    let mut engine = SweepEngine::new(net, SRC);
+    let config = MultilevelConfig::new(23);
+    let result = trace_multilevel(&mut engine, topo.destination(), &config);
 
     assert!(result.router_map.are_aliases(addr(1, 0), addr(1, 1)), "MBT");
     assert!(
@@ -106,7 +108,7 @@ fn direct_vs_indirect_disagreement_reproduced() {
     // counter: indirect probing must reject, direct probing must accept —
     // the 14.4% cell of Table 2.
     use mlpt::alias::evidence::EvidenceBase;
-    use mlpt::alias::rounds::run_rounds;
+    use mlpt::alias::rounds::AliasRoundsSession;
     use std::collections::BTreeSet;
 
     let (topo, truth) = three_router_diamond();
@@ -119,24 +121,27 @@ fn direct_vs_indirect_disagreement_reproduced() {
         .profile(RouterId(0), per_if)
         .seed(31)
         .build();
-    let mut prober = TransportProber::new(net, SRC, topo.destination());
-    let trace = trace_mda_lite(&mut prober, &TraceConfig::new(31));
+    let mut engine = SweepEngine::new(net, SRC);
+    let traced = LoggedSession::new(MdaLiteSession::new(
+        topo.destination(),
+        TraceConfig::new(31),
+    ));
+    let (trace, traced) = engine.run_trace(traced);
     let candidates: BTreeSet<Ipv4Addr> = trace.vertices_at(2).iter().copied().collect();
     assert_eq!(candidates.len(), 6);
 
-    let mut base = EvidenceBase::from_log(prober.log(), &candidates);
-    let indirect = run_rounds(
-        &mut prober,
-        &trace,
-        &candidates,
-        &mut base,
-        &RoundsConfig::default(),
-    );
+    // The indirect campaign, then the direct one on top of its evidence.
+    let mut rounds = |base, config| {
+        let session = AliasRoundsSession::new(&trace, &candidates, base, config);
+        engine.run_session(session).0.into_parts()
+    };
+    let base = EvidenceBase::from_log(traced.log(), &candidates);
+    let (indirect, base) = rounds(base, RoundsConfig::default());
     let direct_cfg = RoundsConfig {
         method: ProbeMethod::Direct,
         ..RoundsConfig::default()
     };
-    let direct = run_rounds(&mut prober, &trace, &candidates, &mut base, &direct_cfg);
+    let (direct, _) = rounds(base, direct_cfg);
 
     let ind = &indirect.last().unwrap().partition;
     let dir = &direct.last().unwrap().partition;
@@ -151,7 +156,7 @@ fn alias_probing_cost_is_accounted() {
         .routers(truth)
         .seed(3)
         .build();
-    let mut prober = TransportProber::new(net, SRC, topo.destination());
+    let mut engine = SweepEngine::new(net, SRC);
     let config = MultilevelConfig {
         trace: TraceConfig::new(3),
         rounds: RoundsConfig {
@@ -160,12 +165,12 @@ fn alias_probing_cost_is_accounted() {
             ..RoundsConfig::default()
         },
     };
-    let result = trace_multilevel(&mut prober, &config);
+    let result = trace_multilevel(&mut engine, topo.destination(), &config);
     // 6 candidates: round 1 = 6 direct + 180 indirect; rounds 2..10 = 180
     // each → 6 + 10*180 = 1806.
     assert_eq!(result.alias_probes, 1806);
     assert_eq!(
-        prober.probes_sent(),
+        engine.stats().probes_sent,
         result.trace.probes_sent + result.alias_probes
     );
 }

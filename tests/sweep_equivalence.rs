@@ -7,7 +7,8 @@
 //! cost-aware heaviest-first) and admission orders.
 //!
 //! Sequential baseline: per destination, a fresh `SimNetwork` (same seed
-//! as the sweep's lane) under a blocking `TransportProber` driver.
+//! as the sweep's lane) under the one-probe-at-a-time reference driver
+//! of `tests/support`, which shares none of the engine's dispatch loop.
 //! Sweep: one shared `MultiNetwork` over all lanes, one sans-IO session
 //! per destination, rounds interleaved by the `SweepEngine` into
 //! cross-destination batches with tag-based reply demultiplexing.
@@ -19,13 +20,17 @@
 //! admission schedule — which is exactly what lets the engine reorder
 //! and adapt freely at survey scale.
 
+mod support;
+
 use mlpt::core::engine::{AdaptiveBudget, Admission, SweepConfig, SweepEngine};
 use mlpt::core::prelude::*;
 use mlpt::core::session::TraceSession;
 use mlpt::sim::{FaultPlan, FaultSchedule, FaultSpec, MultiNetwork, SimNetwork};
-use mlpt::topo::{canonical, MultipathTopology};
+use mlpt::topo::graph::addr;
+use mlpt::topo::{canonical, MultipathTopology, TopologyBuilder};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
+use support::PerProbe;
 
 const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
 
@@ -95,17 +100,11 @@ fn sequential_trace(
     retries: u8,
     probe_budget: u64,
 ) -> (Trace, u64) {
-    let net = build_network(lane, faults);
-    let mut prober =
-        TransportProber::new(net, SRC, lane.topology.destination()).with_retries(retries);
+    let destination = lane.topology.destination();
+    let mut reference = PerProbe::new(build_network(lane, faults), SRC, destination, retries);
     let config = TraceConfig::new(lane.trace_seed).with_probe_budget(probe_budget);
-    let trace = match algo % 3 {
-        0 => trace_mda(&mut prober, &config),
-        1 => trace_mda_lite(&mut prober, &config),
-        _ => trace_single_flow(&mut prober, &config, FlowId(7)),
-    };
-    let sent = prober.probes_sent();
-    (trace, sent)
+    let trace = reference.trace(make_session(algo, destination, config));
+    (trace, reference.probes_sent())
 }
 
 /// Runs one sweep over the lanes, with sessions fed to the engine in
@@ -245,6 +244,52 @@ proptest! {
     }
 }
 
+/// Random unmeshed multipath topologies: 1 to 5 multi-vertex hops of
+/// width 1 to 6 between a single first hop and the destination.
+fn arb_topology() -> impl Strategy<Value = MultipathTopology> {
+    proptest::collection::vec(1usize..=6, 1..6).prop_map(|mut widths| {
+        widths.insert(0, 1);
+        widths.push(1);
+        let mut b = TopologyBuilder::default();
+        for (h, &w) in widths.iter().enumerate() {
+            b.add_hop((0..w).map(|i| addr(h, i)));
+        }
+        for h in 0..widths.len() - 1 {
+            b.connect_unmeshed(h);
+        }
+        b.build().expect("valid")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One trace on the engine and on the one-probe-at-a-time reference,
+    /// over identically seeded simulators of a random topology: the same
+    /// observation stream, probe count and trace, for every algorithm.
+    #[test]
+    fn engine_matches_per_probe_reference_on_random_topologies(
+        topo in arb_topology(),
+        seed in any::<u64>(),
+        algo in 0u8..3,
+    ) {
+        let destination = topo.destination();
+        let session = || make_session(algo, destination, TraceConfig::new(seed));
+        let mut engine = SweepEngine::new(SimNetwork::new(topo.clone(), seed), SRC);
+        let (swept, logged) = engine.run_trace(LoggedSession::new(session()));
+        let mut reference = PerProbe::new(SimNetwork::new(topo, seed), SRC, destination, 0);
+        let expected = reference.trace(session());
+
+        prop_assert_eq!(
+            &logged.log().indirect,
+            &reference.log().indirect,
+            "observation streams diverged"
+        );
+        prop_assert_eq!(engine.stats().probes_sent, reference.probes_sent());
+        prop_assert_eq!(swept, expected);
+    }
+}
+
 /// One impairment spec drawn from the property inputs. The vocabulary
 /// covers everything [`FaultSpec`] can express: loss on either
 /// direction, reply latency, mid-path blackholes and ICMP rate limits.
@@ -282,8 +327,8 @@ proptest! {
     /// bit-identical, and the retry-wave accounting partitions
     /// `probes_sent` exactly.
     ///
-    /// (No sequential baseline here on purpose: the blocking
-    /// `TransportProber` cannot express deadlines, so under latency or
+    /// (No sequential baseline here on purpose: the one-probe-at-a-time
+    /// reference cannot express deadlines, so under latency or
     /// blackholes it legitimately observes a different world than the
     /// deadline-driven engine.)
     #[test]
@@ -544,7 +589,6 @@ proptest! {
 
 use mlpt::core::engine::SweepStats;
 use mlpt::core::StopSnapshot;
-use mlpt::topo::graph::addr;
 
 /// The per-destination path as `(TTL, interface)` pairs, canonically
 /// ordered (discovery order within a hop is presentation, not topology).
