@@ -1,13 +1,18 @@
-//! Golden digests of the single-trace entry points, end to end through
-//! the `mlpt` binary.
+//! Golden digests of the `mlpt` commands, end to end through the
+//! binary.
 //!
-//! `mlpt trace` and `mlpt multilevel` run one session per invocation.
-//! Their observable output — stdout, stderr, exit code and, with
+//! `mlpt trace` and `mlpt multilevel` run one session per invocation;
+//! `mlpt sweep` and `mlpt alias` run many destinations through one
+//! sweep. Their observable output — stdout, stderr, exit code and, with
 //! `--pcap`, the capture's bytes — is pinned here as FNV-1a-64 digests.
-//! The grid covers all three tracers, the stopping tables, `--phi`,
-//! reply loss, synthetic-Internet scenarios, `--json`, `--draw` and the
-//! multilevel pipeline. A digest mismatch means a trace, its probe
-//! accounting or its packet sequence changed, not only its rendering.
+//! The single-trace grid covers all three tracers, the stopping tables,
+//! `--phi`, reply loss, synthetic-Internet scenarios, `--json`, `--draw`
+//! and the multilevel pipeline; the sweep grid covers the tracers,
+//! shards, simulator workers, admission modes, the stop set, the
+//! adaptive budget, fault and topology schedules, retries, alias
+//! methods, hop fan-out and address-disjoint sub-sweeps. A digest
+//! mismatch means a trace, its probe accounting or its packet sequence
+//! changed, not only its rendering.
 
 use std::process::Command;
 
@@ -60,9 +65,33 @@ multilevel --scenario 17 --rounds 5                                        8a8ab
 multilevel --topology fig1-meshed --rounds 5 --loss 0.1 --seed 3           77bd37b6963d1020
 multilevel --scenario 3 --seed 4                                           7c62966d8345d42a";
 
-#[test]
-fn trace_and_multilevel_outputs_match_goldens() {
-    let changed: Vec<String> = GOLDENS
+/// The sweep commands' invocations and digests, in the same layout.
+const SWEEP_GOLDENS: &str = "\
+sweep --topology fig1-meshed --destinations 6 --algo mda --seed 4                         f7e8e027fc1f1955
+sweep --topology simplest --destinations 3 --algo single --seed 2                         ac5f34dcb677c919
+sweep --destinations 3 --seed 2                                                           053b2f80a3287125
+sweep --topology shared-prefix --destinations 12 --stop-set --shards 2 --seed 3           acd2cfdd02774c28
+sweep --topology shared-prefix --destinations 8 --stop-set --start-ttl 12 --algo single   acfb472cbe67723b
+sweep --topology meshed --destinations 3 --budget 64 --workers 2                          f0a532d227bbeb6b
+sweep --topology symmetric --destinations 5 --admission cost-aware --json                 a80ec7251f606b13
+sweep --topology fig1-meshed --destinations 9 --stop-set --shards 2 --seed 5 --json       247ac0ca4e62c12a
+sweep --topology fig1-meshed --destinations 4 --adaptive-budget --rate-limit 3/12 --cycle-gap 12 --max-in-flight 64 a14c3c6901b149ab
+sweep --destinations 2 --algo mda --fault-schedule midtrace-blackhole --max-retries 1 --seed 3 c241b6a9fd1f52b4
+sweep --destinations 4 --algo mda --topology-schedule route-flap --max-retries 1 --seed 3 e17a68b4d7d64d19
+sweep --topology fig1-meshed --destinations 3 --algo mda --loss 0.3 --max-retries 2 --probe-timeout 64 --seed 7 9b3249e5db86923a
+sweep --topology asymmetric --destinations 2 --reprobe-budget 32 --admission cost-aware-windowed:1 --seed 6 480aff851d1ea5e2
+alias 3 5 --rounds 2 --replies 6                                                          6c0e7192a012dd22
+alias 3 --method direct --rounds 2 --replies 6 --json                                     13b649dce0a923a2
+alias 3 5 9 --fanout --shards 2 --stop-set --rounds 2 --replies 6                         87ef32bba99942b9
+alias 3 5 9 --stop-set --shards 2 --rounds 2 --replies 6 --json                           7944c0cc1842be47
+alias 62 129 --shards 2 --rounds 2 --replies 6 --json                                     b0a781293e03caf5
+alias 3 5 --admission cost-aware --adaptive-budget --rate-limit 3/12 --cycle-gap 12 --max-in-flight 64 --rounds 2 --replies 6 05b0c40c66b84542
+alias 3 --fault-schedule flap --max-retries 1 --probe-timeout 64 --rounds 2 --replies 6 --seed 2 27d9cc3114a961f3";
+
+/// The lines of a golden table whose invocation's digest changed, with
+/// the digest it has now.
+fn changed_digests(goldens: &str) -> Vec<String> {
+    goldens
         .lines()
         .filter_map(|line| {
             let (args, want) = line.rsplit_once(' ').expect("arguments and digest");
@@ -70,7 +99,18 @@ fn trace_and_multilevel_outputs_match_goldens() {
             let want = u64::from_str_radix(want, 16).expect("hex digest");
             (got != want).then(|| format!("{} {got:016x}", args.trim_end()))
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn trace_and_multilevel_outputs_match_goldens() {
+    let changed = changed_digests(GOLDENS);
+    assert!(changed.is_empty(), "digests now:\n{}", changed.join("\n"));
+}
+
+#[test]
+fn sweep_and_alias_outputs_match_goldens() {
+    let changed = changed_digests(SWEEP_GOLDENS);
     assert!(changed.is_empty(), "digests now:\n{}", changed.join("\n"));
 }
 
