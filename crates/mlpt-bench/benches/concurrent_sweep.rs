@@ -86,7 +86,9 @@ fn trace_seed_of(id: usize) -> u64 {
 }
 
 fn build_lane(internet: &SyntheticInternet, id: usize) -> SimNetwork {
-    internet.scenario(id).build_network(trace_seed_of(id))
+    internet
+        .scenario(id)
+        .build_network(trace_seed_of(id), FaultPlan::none())
 }
 
 /// Counts the transport crossings the former blocking loop spent on a
@@ -326,7 +328,7 @@ fn run_alias_sequential(
             },
         );
         let (session, counted, sent) = run_one(
-            scenario.build_network(trace_seed_of(id)),
+            scenario.build_network(trace_seed_of(id), FaultPlan::none()),
             scenario.source,
             session,
         );
@@ -361,7 +363,7 @@ fn alias_sweep_stage(internet: &SyntheticInternet, destinations: usize) -> serde
     for group in groups {
         let lanes: Vec<SimNetwork> = group
             .iter()
-            .map(|&i| scenarios[i].build_network(trace_seed_of(ids[i])))
+            .map(|&i| scenarios[i].build_network(trace_seed_of(ids[i]), FaultPlan::none()))
             .collect();
         let net = MultiNetwork::new(lanes).expect("disjoint groups have unique destinations");
         let source = scenarios[group[0]].source;

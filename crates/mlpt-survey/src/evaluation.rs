@@ -8,11 +8,12 @@
 //! discovered, edges discovered, and packets sent."
 
 //! The five variant runs of every diamond-bearing scenario execute on
-//! the **concurrent sweep engine**: scenarios are chunked, each chunk
-//! shares one [`mlpt_sim::MultiNetwork`] per variant pass (a fresh
-//! same-seeded network per run, so every run sees the same network
-//! conditions, like back-to-back runs on a stable network), and the
-//! chunk's sessions stream into one [`SweepEngine`] per pass. Because
+//! the **concurrent sweep engine**, through the scenario-sweep driver
+//! ([`crate::sweep`]): scenarios are chunked, each chunk shares one
+//! [`mlpt_sim::MultiNetwork`] per variant pass (a fresh same-seeded
+//! network per run, so every run sees the same network conditions, like
+//! back-to-back runs on a stable network), and the chunk's sessions
+//! stream into one one-shard engine per pass. Because
 //! sweep traces are bit-identical to sequential ones and traces are
 //! reported under their stream index, the ratios are identical to the
 //! thread-per-scenario implementation this replaced (a golden digest of
@@ -20,12 +21,13 @@
 //! and admission order.
 
 use crate::generator::{SyntheticInternet, TraceScenario};
-use crate::parallel::ordered_parallel_map;
+use crate::sweep::{in_chunks, SweepPlan};
 use mlpt_core::prelude::*;
 use mlpt_core::TraceSession;
-use mlpt_sim::MultiNetwork;
+use mlpt_sim::{env_default_workers, FaultPlan};
 use mlpt_stats::{EmpiricalCdf, RatioSummary};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Which of the five runs a ratio series belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -214,82 +216,62 @@ pub fn evaluate_scenarios(
     internet: &SyntheticInternet,
     config: &EvaluationConfig,
 ) -> EvaluationOutcome {
-    /// First-MDA counts plus each variant's counts, or None if the
-    /// scenario carried no diamond.
-    type PerScenario = Option<(RunCounts, [RunCounts; 4])>;
-
     // Worker threads scale across scenario chunks; inside a chunk the
-    // five variants run as five streamed sweeps, each over a fresh
-    // same-seeded network per scenario (same conditions per run). Traces
-    // land under their stream index, so rows are in scenario order no
-    // matter how admission interleaves or which worker claims the chunk.
-    //
-    // Cap the chunk size so there are at least `workers` chunks (chunks
-    // are the unit of thread parallelism; chunking is pure scheduling,
-    // so this never changes the outcome).
-    let chunk_size = config
-        .sweep_chunk
-        .max(1)
-        .min(config.scenarios.div_ceil(config.workers.max(1)).max(1));
-    let chunks = config.scenarios.div_ceil(chunk_size);
-    let per_chunk: Vec<Vec<PerScenario>> = ordered_parallel_map(chunks, config.workers, |c| {
-        let ids: Vec<usize> =
-            (c * chunk_size..((c + 1) * chunk_size).min(config.scenarios)).collect();
-        let scenarios: Vec<TraceScenario> = ids.iter().map(|&id| internet.scenario(id)).collect();
-        let kept: Vec<&TraceScenario> = scenarios.iter().filter(|s| s.has_diamond).collect();
+    // five variants run as five streamed one-shard sweeps, each over a
+    // fresh same-seeded network per scenario (same conditions per run).
+    // Traces land under their stream index, so rows are in scenario
+    // order no matter how admission interleaves or which worker claims
+    // the chunk.
+    let plan = SweepPlan {
+        config: SweepConfig {
+            max_in_flight: config.sweep_in_flight.max(1),
+            ..SweepConfig::default()
+        },
+        shards: 1,
+        workers: env_default_workers(),
+        cycle_gap: 0,
+    };
+    let chunk = |ids: Range<usize>| {
+        let kept: Vec<TraceScenario> = ids
+            .map(|id| internet.scenario(id))
+            .filter(|s| s.has_diamond)
+            .collect();
+        let group = [(0..kept.len()).collect()];
         // counts_of[variant][kept index]
-        let mut counts_of: Vec<Vec<Option<RunCounts>>> = vec![vec![None; kept.len()]; 5];
-        if !kept.is_empty() {
-            let source = kept[0].source;
-            assert!(
-                kept.iter().all(|s| s.source == source),
-                "sweep chunks assume a single vantage point"
-            );
-            for (variant, slot) in counts_of.iter_mut().enumerate() {
-                let lanes: Vec<mlpt_sim::SimNetwork> = kept
-                    .iter()
-                    .map(|s| {
-                        // Network seed: the scenario's base seed —
-                        // same conditions for all five of its runs.
-                        s.build_network(scenario_base_seed(config.trace_seed, s.id))
-                    })
-                    .collect();
-                let net = MultiNetwork::new(lanes)
-                    .expect("synthetic-Internet destinations are scenario-unique");
-                let mut engine = SweepEngine::new(net, source).with_config(SweepConfig {
-                    max_in_flight: config.sweep_in_flight.max(1),
-                    admission: Admission::Streaming,
-                    ..SweepConfig::default()
-                });
-                let sessions = kept.iter().map(|s| {
-                    variant_session(s, variant_seed(config.trace_seed, s.id, variant), variant)
-                });
-                engine.run_stream_with(sessions, |index, trace| {
-                    slot[index] = Some(counts(&trace));
-                });
-            }
-        }
-        // Re-align the kept rows with the chunk's full id range.
-        let mut kept_iter = 0usize;
-        scenarios
-            .iter()
-            .map(|s| {
-                if !s.has_diamond {
-                    return None;
-                }
-                let k = kept_iter;
-                kept_iter += 1;
-                let take = |v: usize| counts_of[v][k].expect("variant run completed");
-                Some((take(0), [take(1), take(2), take(3), take(4)]))
+        let counts_of: Vec<Vec<RunCounts>> = (0..5)
+            .map(|variant| {
+                // Network seed: the scenario's base seed — same
+                // conditions for all five of its runs.
+                let lane = |s: &TraceScenario| {
+                    let seed = scenario_base_seed(config.trace_seed, s.id);
+                    (s.source, s.build_network(seed, FaultPlan::none()))
+                };
+                let lanes = kept.iter().map(lane).collect();
+                plan.run(lanes, &group, |engine, members, emit| {
+                    let sessions = members.iter().map(|&i| {
+                        let seed = variant_seed(config.trace_seed, kept[i].id, variant);
+                        variant_session(&kept[i], seed, variant)
+                    });
+                    engine.run_stream_with(sessions, |index, trace| emit(index, counts(&trace)));
+                })
+                .expect("synthetic-Internet destinations are scenario-unique")
+                .results
             })
-            .collect()
-    });
+            .collect();
+        (0..kept.len())
+            .map(|k| {
+                let take = |v: usize| counts_of[v][k];
+                (take(0), [take(1), take(2), take(3), take(4)])
+            })
+            .collect::<Vec<_>>()
+    };
+    let rows = in_chunks(config.scenarios, config.sweep_chunk, config.workers, chunk);
 
     let mut ratios: Vec<Vec<TraceRatios>> = vec![Vec::new(); 4];
     let mut aggregates: Vec<(RatioSummary, RatioSummary, RatioSummary)> =
         vec![Default::default(); 4];
     let mut measured_traces = 0usize;
-    for row in per_chunk.into_iter().flatten().flatten() {
+    for row in rows {
         measured_traces += 1;
         let (first, variants) = row;
         for (i, v) in variants.iter().enumerate() {

@@ -29,7 +29,9 @@
 //! whole synthetic Internet is reproducible and never materialised in
 //! memory at once.
 
-use mlpt_sim::{CounterBehavior, IpIdProfile, MplsProfile, RouterProfile};
+use mlpt_sim::{
+    CounterBehavior, FaultSchedule, IpIdProfile, MplsProfile, RouterProfile, SimNetwork,
+};
 use mlpt_topo::{MultipathTopology, RouterId, RouterMap, TopologyBuilder};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -104,10 +106,12 @@ pub struct TraceScenario {
 }
 
 impl TraceScenario {
-    /// Builds the packet-level simulator for this scenario.
-    pub fn build_network(&self, seed: u64) -> mlpt_sim::SimNetwork {
-        let mut builder = mlpt_sim::SimNetwork::builder(self.topology.clone())
+    /// Builds the packet-level simulator for this scenario, impaired by
+    /// `faults` (a static `FaultPlan` or a [`FaultSchedule`]).
+    pub fn build_network(&self, seed: u64, faults: impl Into<FaultSchedule>) -> SimNetwork {
+        let mut builder = SimNetwork::builder(self.topology.clone())
             .routers(self.routers.clone())
+            .fault_schedule(faults.into())
             .seed(seed);
         for (router, profile) in &self.profiles {
             builder = builder.profile(*router, *profile);
@@ -665,7 +669,7 @@ mod tests {
         use mlpt_wire::transport::PacketTransport;
         let net = internet();
         let s = net.scenario(3);
-        let mut sim = s.build_network(9);
+        let mut sim = s.build_network(9, FaultSchedule::none());
         let probe = mlpt_wire::probe::build_udp_probe(&mlpt_wire::probe::ProbePacket {
             source: s.source,
             destination: s.topology.destination(),

@@ -5,10 +5,11 @@
 //! diamonds, and aggregates the metric distributions behind Figs. 7–11,
 //! plus the Fig. 2 meshing-detection-failure analysis.
 //!
-//! Scenarios are traced by the **concurrent sweep engine**: destinations
-//! are grouped into chunks of [`IpSurveyConfig::sweep_batch`], each
-//! chunk shares one [`mlpt_sim::MultiNetwork`] whose lanes are the
-//! per-scenario simulators, and one sweep engine *streams* the chunk's
+//! Scenarios are traced by the **concurrent sweep engine**, through the
+//! scenario-sweep driver ([`crate::sweep`]): destinations are grouped
+//! into chunks of [`IpSurveyConfig::sweep_batch`], each chunk shares one
+//! [`mlpt_sim::MultiNetwork`] whose lanes are the per-scenario
+//! simulators, and one sweep engine *streams* the chunk's
 //! [`MdaSession`]s over it (a [`mlpt_core::ShardedSweepEngine`], with one
 //! shard unless [`IpSurveyConfig::sweep_shards`] asks for more): sessions
 //! are admitted as in-flight tokens free up rather than entering a fixed
@@ -23,14 +24,15 @@
 //! that implementation's report pins them.
 
 use crate::accounting::SurveyAccumulator;
-use crate::generator::SyntheticInternet;
-use crate::parallel::ordered_parallel_map;
+use crate::generator::{SyntheticInternet, TraceScenario};
+use crate::sweep::{in_chunks, SweepPlan};
 use mlpt_core::prelude::*;
 use mlpt_core::{MdaSession, TraceSession};
-use mlpt_sim::MultiNetwork;
+use mlpt_sim::{env_default_workers, FaultPlan};
 use mlpt_stats::{EmpiricalCdf, Histogram, JointHistogram};
 use mlpt_topo::diamond::{all_diamond_metrics, find_diamonds, meshing_miss_probability};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Configuration of an IP-level survey run.
 #[derive(Debug, Clone)]
@@ -242,65 +244,45 @@ pub fn run_ip_survey(internet: &SyntheticInternet, config: &IpSurveyConfig) -> I
     // i.e. across networks. Per-lane determinism makes the traces
     // bit-identical to sequential tracing, and admission-order
     // independence makes the output independent of scheduling.
-    //
-    // Cap the chunk size so there are at least `workers` chunks: chunks
-    // are the unit of thread parallelism, and chunking is pure
-    // scheduling (the report is identical however the sweep is sliced —
-    // see the regression test), so shrinking chunks to keep every worker
-    // busy is always safe.
-    let chunk_size = config
-        .sweep_batch
-        .max(1)
-        .min(config.scenarios.div_ceil(config.workers.max(1)).max(1));
-    let chunks = config.scenarios.div_ceil(chunk_size);
-    let per_chunk: Vec<Vec<PerTrace>> = ordered_parallel_map(chunks, config.workers, |b| {
-        let ids: Vec<usize> =
-            (b * chunk_size..((b + 1) * chunk_size).min(config.scenarios)).collect();
-        // One generator pass per scenario: the lane, destination and
-        // source all come from the same materialisation.
-        let scenarios: Vec<_> = ids.iter().map(|&id| internet.scenario(id)).collect();
-        let lanes: Vec<mlpt_sim::SimNetwork> = scenarios
-            .iter()
-            .map(|s| s.build_network(trace_seed_of(s.id)))
-            .collect();
-        let net =
-            MultiNetwork::new(lanes).expect("synthetic-Internet destinations are scenario-unique");
-        // The engine probes every lane from one vantage point; the
-        // generator pins a single source today, so assert that holds
-        // rather than silently mis-sourcing a chunk if it changes.
-        let source = scenarios[0].source;
-        assert!(
-            scenarios.iter().all(|s| s.source == source),
-            "sweep chunks assume a single vantage point"
-        );
-        let sweep_config = SweepConfig {
+    let plan = SweepPlan {
+        config: SweepConfig {
             max_in_flight: config.sweep_in_flight.max(1),
-            admission: Admission::Streaming,
             stop_set: config.sweep_stop_set,
             ..SweepConfig::default()
-        };
-        let sessions = scenarios.iter().map(|scenario| {
-            Box::new(MdaSession::new(
-                scenario.topology.destination(),
-                TraceConfig::new(trace_seed_of(scenario.id)),
-            )) as Box<dyn TraceSession>
-        });
-        // Analyse each trace as it completes; indices pin results to
-        // stream order, independent of completion order.
-        let mut per: Vec<Option<PerTrace>> = (0..scenarios.len()).map(|_| None).collect();
-        // The chunk's lanes split by the same destination hash that
-        // partitions its sessions.
-        let shards = config.sweep_shards.max(1);
-        let mut engine =
-            ShardedSweepEngine::new(net.split_by(shards, |d| shard_of(d, shards)), source)
-                .with_config(sweep_config);
-        engine.run_stream_with(sessions, |index, trace| {
-            per[index] = Some(analyse(&trace, config.phi));
-        });
-        per.into_iter()
-            .map(|p| p.expect("every streamed session reports a trace"))
-            .collect()
-    });
+        },
+        shards: config.sweep_shards,
+        workers: env_default_workers(),
+        cycle_gap: 0,
+    };
+    let chunk = |ids: Range<usize>| {
+        // One generator pass per scenario: the lane, destination and
+        // source all come from the same materialisation.
+        let scenarios: Vec<TraceScenario> = ids.map(|id| internet.scenario(id)).collect();
+        let lanes = scenarios
+            .iter()
+            .map(|s| {
+                (
+                    s.source,
+                    s.build_network(trace_seed_of(s.id), FaultPlan::none()),
+                )
+            })
+            .collect();
+        let group = [(0..scenarios.len()).collect()];
+        plan.run(lanes, &group, |engine, members, emit| {
+            let sessions = members.iter().map(|&i| {
+                let trace = TraceConfig::new(trace_seed_of(scenarios[i].id));
+                let destination = scenarios[i].topology.destination();
+                Box::new(MdaSession::new(destination, trace)) as Box<dyn TraceSession>
+            });
+            // Analyse each trace as it completes.
+            engine.run_stream_with(sessions, |index, trace| {
+                emit(index, analyse(&trace, config.phi));
+            });
+        })
+        .expect("synthetic-Internet destinations are scenario-unique")
+        .results
+    };
+    let per_trace = in_chunks(config.scenarios, config.sweep_batch, config.workers, chunk);
 
     let mut report = IpSurveyReport {
         traces: config.scenarios,
@@ -310,7 +292,7 @@ pub fn run_ip_survey(internet: &SyntheticInternet, config: &IpSurveyConfig) -> I
         meshing_miss_measured: Vec::new(),
         meshing_miss_distinct: Vec::new(),
     };
-    for (id, t) in per_chunk.into_iter().flatten().enumerate() {
+    for (id, t) in per_trace.into_iter().enumerate() {
         report.exploitable += usize::from(t.exploitable);
         report.load_balanced += usize::from(t.load_balanced);
         for m in t.diamonds {

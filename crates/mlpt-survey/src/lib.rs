@@ -20,8 +20,10 @@
 //! * [`router_survey`] — the router-level survey (Figs. 5, 12–14,
 //!   Tables 2–3), streamed through the sweep engine as sessionized
 //!   multilevel traces.
-//! * [`parallel`] — a small deterministic fork-join helper used to fan
-//!   sweep chunks over threads.
+//! * [`sweep`] — the scenario-sweep driver every many-destination sweep
+//!   runs through (the surveys and the CLI's `sweep` and `alias`).
+//! * [`parallel`] — a small deterministic fork-join helper, which the
+//!   driver uses to fan sweep chunks over threads.
 
 pub mod accounting;
 pub mod evaluation;
@@ -29,6 +31,7 @@ pub mod generator;
 pub mod ip_survey;
 pub mod parallel;
 pub mod router_survey;
+pub mod sweep;
 
 pub use accounting::{DiamondObservation, SurveyAccumulator};
 pub use evaluation::{evaluate_scenarios, EvaluationConfig, EvaluationOutcome, TraceRatios};

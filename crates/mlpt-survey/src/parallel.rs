@@ -5,25 +5,18 @@
 //! results *in index order*, so parallel runs are bit-identical to
 //! sequential ones.
 //!
-//! Its role has narrowed as the surveys moved onto the concurrent sweep
-//! engine: the IP-level survey, the evaluation and the router-level
-//! survey all use it only to fan *chunks* out across workers — each
-//! chunk drives one `SweepEngine` over one shared `MultiNetwork`. No
-//! probing phase depends on thread-per-scenario concurrency; within a
-//! chunk, concurrency is the engine's streaming admission, not threads.
+//! Its one caller is the scenario-sweep driver's
+//! [`crate::sweep::in_chunks`], which hands it whole sweep chunks: within
+//! a chunk, concurrency is the engine's streaming admission, not threads.
 //!
 //! The implementation is safe Rust on `std::thread::scope`: the result
 //! vector is split into disjoint mutable chunks up front, and workers
 //! claim whole chunks from a shared worklist **front to back** (a
-//! `VecDeque` drained from the head). Claiming from the head matters:
-//! chunks were previously popped off the back of a `Vec`, which handed
-//! work out back-to-front — the head of the index range was processed
-//! *last*, so early results (the ones a consumer typically streams or a
-//! progress meter reports first) materialised at the very end of the
-//! run. Each slot is owned by exactly one chunk, so exclusive access is
-//! enforced by the borrow checker instead of a raw-pointer argument.
-//! Chunks are deliberately finer-grained than the worker count so
-//! stragglers (expensive scenarios cluster) still load-balance.
+//! `VecDeque` drained from the head), so early results materialise
+//! first. Each slot is owned by exactly one chunk, so exclusive access is
+//! enforced by the borrow checker. Chunks are finer-grained than the
+//! worker count so stragglers (expensive scenarios cluster) still
+//! load-balance.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

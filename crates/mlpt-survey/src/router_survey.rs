@@ -14,8 +14,9 @@
 //! * Table 3 — what alias resolution does to each unique diamond;
 //! * Figs. 13 & 14 — max-width distributions before/after resolution.
 //!
-//! Scenarios run through the **concurrent sweep engine**: each worker
-//! chunk builds one [`mlpt_sim::MultiNetwork`] whose lanes are the
+//! Scenarios run through the **concurrent sweep engine**, through the
+//! scenario-sweep driver ([`crate::sweep`]): each worker chunk builds
+//! one [`mlpt_sim::MultiNetwork`] per sub-sweep whose lanes are the
 //! per-scenario simulators and streams one [`MultilevelSession`] per
 //! destination — trace, Round 0–10 alias rounds and (optionally) the
 //! direct comparator campaigns all interleaved across destinations
@@ -28,19 +29,20 @@
 //! loop this replaced (a golden digest of its report pins them).
 
 use crate::generator::{SyntheticInternet, TraceScenario};
-use crate::parallel::ordered_parallel_map;
+use crate::sweep::{in_chunks, SweepPlan};
 use mlpt_alias::evidence::EvidenceBase;
 use mlpt_alias::multilevel::{MultilevelConfig, MultilevelOutcome, MultilevelSession};
 use mlpt_alias::resolver::{judge_set, SeriesSource, SetVerdict};
 use mlpt_alias::rounds::{ProbeMethod, RoundsConfig};
 use mlpt_core::prelude::*;
-use mlpt_sim::MultiNetwork;
+use mlpt_sim::{env_default_workers, FaultPlan};
 use mlpt_stats::{Histogram, JointHistogram};
 use mlpt_topo::diamond::{all_diamond_metrics, find_diamonds};
 use mlpt_topo::{DiamondKey, MultipathTopology, RouterMap};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 /// What happened to an IP-level diamond at the router level (Table 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -404,10 +406,11 @@ pub fn scenario_cost_hint(
 }
 
 /// Partitions scenarios into groups whose topologies share no interface
-/// addresses, greedily in input order. Lanes of one [`MultiNetwork`]
-/// must own disjoint address sets — UDP probes route by (unique)
-/// destination, but echo probes route by interface, and the synthetic
-/// Internet deliberately shares its wide core structures across routes.
+/// addresses, greedily in input order. Lanes of one
+/// [`mlpt_sim::MultiNetwork`] must own disjoint address sets — UDP
+/// probes route by (unique) destination, but echo probes route by
+/// interface, and the synthetic Internet deliberately shares its wide
+/// core structures across routes.
 /// Returns indices into `scenarios`.
 pub fn disjoint_scenario_groups(scenarios: &[&TraceScenario]) -> Vec<Vec<usize>> {
     let mut groups: Vec<(Vec<usize>, HashSet<u32>)> = Vec::new();
@@ -432,76 +435,26 @@ pub fn disjoint_scenario_groups(scenarios: &[&TraceScenario]) -> Vec<Vec<usize>>
     groups.into_iter().map(|(members, _)| members).collect()
 }
 
-/// One worker chunk of the sweep path: every diamond-carrying scenario
-/// of `ids` becomes a [`MultilevelSession`] lane; address-disjoint
-/// groups share one engine each.
-fn sweep_chunk(
-    internet: &SyntheticInternet,
-    config: &RouterSurveyConfig,
-    ids: &[usize],
-) -> Vec<Option<PerScenario>> {
-    let scenarios: Vec<TraceScenario> = ids.iter().map(|&id| internet.scenario(id)).collect();
-    let mut rows: Vec<Option<PerScenario>> = Vec::new();
-    rows.resize_with(scenarios.len(), || None);
-
-    let active: Vec<usize> = (0..scenarios.len())
-        .filter(|&i| scenarios[i].has_diamond)
-        .collect();
-    let active_refs: Vec<&TraceScenario> = active.iter().map(|&i| &scenarios[i]).collect();
-
-    for group in disjoint_scenario_groups(&active_refs) {
-        // Indices into `scenarios` of this address-disjoint sub-sweep.
-        let members: Vec<usize> = group.into_iter().map(|g| active[g]).collect();
-        let lanes: Vec<mlpt_sim::SimNetwork> = members
-            .iter()
-            .map(|&i| scenarios[i].build_network(trace_seed_of(config, ids[i])))
-            .collect();
-        let net = MultiNetwork::new(lanes).expect("disjoint groups have unique destinations");
-        let source = scenarios[members[0]].source;
-        assert!(
-            members.iter().all(|&i| scenarios[i].source == source),
-            "sweep chunks assume a single vantage point"
-        );
-        let sweep_config = SweepConfig {
-            max_in_flight: config.sweep_in_flight.max(1),
-            admission: config.admission,
-            stop_set: config.sweep_stop_set,
-            ..SweepConfig::default()
-        };
-        let sessions = members.iter().map(|&i| {
-            let seed = trace_seed_of(config, ids[i]);
-            let mut session = MultilevelSession::new(
-                scenarios[i].topology.destination(),
-                MultilevelConfig {
-                    trace: TraceConfig::new(seed),
-                    rounds: config.rounds.clone(),
-                },
-            )
-            .with_hop_fanout(config.hop_fanout)
-            .with_cost_hint(scenario_cost_hint(
-                &scenarios[i],
-                &config.rounds,
-                config.with_direct_comparison,
-            ));
-            if config.with_direct_comparison {
-                session = session.with_direct_comparison(RoundsConfig {
-                    method: ProbeMethod::Direct,
-                    ..config.rounds.clone()
-                });
-            }
-            session
-        });
-        // The sub-sweep's lanes split by the same destination hash that
-        // partitions its sessions.
-        let shards = config.sweep_shards.max(1);
-        let mut engine =
-            ShardedSweepEngine::new(net.split_by(shards, |d| shard_of(d, shards)), source)
-                .with_config(sweep_config);
-        engine.run_sessions_with(sessions, |index, session, _wire_probes| {
-            rows[members[index]] = Some(streamed_scenario(session.finish(), config));
-        });
+/// One scenario's sweep session: its multilevel trace, with the direct
+/// comparator campaigns when the survey runs them.
+fn multilevel_session(scenario: &TraceScenario, config: &RouterSurveyConfig) -> MultilevelSession {
+    let comparator = config.with_direct_comparison;
+    let session = MultilevelSession::new(
+        scenario.topology.destination(),
+        MultilevelConfig {
+            trace: TraceConfig::new(trace_seed_of(config, scenario.id)),
+            rounds: config.rounds.clone(),
+        },
+    )
+    .with_hop_fanout(config.hop_fanout)
+    .with_cost_hint(scenario_cost_hint(scenario, &config.rounds, comparator));
+    if !comparator {
+        return session;
     }
-    rows
+    session.with_direct_comparison(RoundsConfig {
+        method: ProbeMethod::Direct,
+        ..config.rounds.clone()
+    })
 }
 
 /// Runs the router-level survey.
@@ -514,17 +467,46 @@ pub fn run_router_survey(
     // chunks. Chunking and admission are pure scheduling — rows come back
     // under source indices, so the report is identical however the sweep
     // is sliced.
-    let chunk_size = config
-        .sweep_batch
-        .max(1)
-        .min(config.scenarios.div_ceil(config.workers.max(1)).max(1));
-    let chunks = config.scenarios.div_ceil(chunk_size);
-    let per_chunk: Vec<Vec<Option<PerScenario>>> =
-        ordered_parallel_map(chunks, config.workers, |b| {
-            let ids: Vec<usize> =
-                (b * chunk_size..((b + 1) * chunk_size).min(config.scenarios)).collect();
-            sweep_chunk(internet, config, &ids)
-        });
+    let plan = SweepPlan {
+        config: SweepConfig {
+            max_in_flight: config.sweep_in_flight.max(1),
+            admission: config.admission,
+            stop_set: config.sweep_stop_set,
+            ..SweepConfig::default()
+        },
+        shards: config.sweep_shards,
+        workers: env_default_workers(),
+        cycle_gap: 0,
+    };
+    // Every diamond-carrying scenario of a chunk becomes a
+    // [`MultilevelSession`] lane; address-disjoint groups share one
+    // engine each. Rows come back with their scenario ids, in source
+    // order.
+    let chunk = |ids: Range<usize>| {
+        let scenarios: Vec<TraceScenario> = ids
+            .map(|id| internet.scenario(id))
+            .filter(|s| s.has_diamond)
+            .collect();
+        let lane = |s: &TraceScenario| {
+            let network = s.build_network(trace_seed_of(config, s.id), FaultPlan::none());
+            (s.source, network)
+        };
+        let lanes = scenarios.iter().map(lane).collect();
+        let groups = disjoint_scenario_groups(&scenarios.iter().collect::<Vec<_>>());
+        let rows = plan
+            .run(lanes, &groups, |engine, members, emit| {
+                let sessions = members
+                    .iter()
+                    .map(|&i| multilevel_session(&scenarios[i], config));
+                engine.run_sessions_with(sessions, |index, session, _wire_probes| {
+                    emit(index, streamed_scenario(session.finish(), config));
+                });
+            })
+            .expect("disjoint groups have unique destinations")
+            .results;
+        scenarios.iter().map(|s| s.id).zip(rows).collect::<Vec<_>>()
+    };
+    let rows = in_chunks(config.scenarios, config.sweep_batch, config.workers, chunk);
 
     // Aggregate.
     let mut global_pairs: Vec<BTreeSet<(Ipv4Addr, Ipv4Addr)>> =
@@ -540,8 +522,7 @@ pub fn run_router_survey(
     let mut traces = 0usize;
     let mut scenario_ids = Vec::new();
 
-    for (id, row) in per_chunk.into_iter().flatten().enumerate() {
-        let Some(row) = row else { continue };
+    for (id, row) in rows {
         traces += 1;
         scenario_ids.push(id);
         for (r, pairs) in row.pair_sets.iter().enumerate() {

@@ -28,7 +28,11 @@ fn main() {
 
     // 1. One SimNetwork lane per destination.
     let lanes: Vec<mlpt::sim::SimNetwork> = (0..destinations)
-        .map(|id| internet.scenario(id).build_network(seed_of(id)))
+        .map(|id| {
+            internet
+                .scenario(id)
+                .build_network(seed_of(id), FaultPlan::none())
+        })
         .collect();
 
     // 2. One shared transport over all lanes.
@@ -76,7 +80,10 @@ fn main() {
     // scheduling, never results.
     for (id, sweep_trace) in traces.iter().enumerate() {
         let scenario = internet.scenario(id);
-        let mut engine = SweepEngine::new(scenario.build_network(seed_of(id)), scenario.source);
+        let mut engine = SweepEngine::new(
+            scenario.build_network(seed_of(id), FaultPlan::none()),
+            scenario.source,
+        );
         let sequential = trace_mda(
             &mut engine,
             scenario.topology.destination(),

@@ -6,24 +6,317 @@
 //! in this environment; the tracing stack is transport-agnostic).
 //!
 //! ```text
-//! mlpt trace  [--topology NAME | --scenario N] [--algo mda|lite|single]
-//!             [--stopping 95|99|veitch] [--phi K] [--seed S] [--loss P]
-//!             [--json] [--pcap FILE]
-//! mlpt multilevel [--topology NAME | --scenario N] [--rounds R] [--seed S]
+//! mlpt trace      [--topology NAME | --scenario N] [--algo mda|lite|single] ...
+//! mlpt sweep      [--topology NAME --destinations N | --stdin] ...
+//! mlpt alias      N [N ...] | --stdin ...
+//! mlpt multilevel [--topology NAME | --scenario N] [--rounds R] ...
 //! mlpt topologies
 //! ```
+//!
+//! Every flag is declared once, in [`FLAGS`], with the commands that
+//! accept it; `mlpt help` is rendered from that table. A flag a command
+//! does not accept, or one another flag would leave without effect,
+//! exits with status 2 and names itself.
 
-use mlpt::alias::rounds::RoundsConfig;
+use mlpt::alias::multilevel::{MultilevelOutcome, MultilevelSession};
+use mlpt::alias::rounds::{ProbeMethod, RoundsConfig};
+use mlpt::core::TraceReport;
 use mlpt::prelude::*;
-use mlpt::sim::{FaultPlan, FaultSchedule, TopologySchedule};
-use mlpt::survey::{InternetConfig, SyntheticInternet};
+use mlpt::sim::env_default_workers;
+use mlpt::survey::sweep::{SweepOutput, SweepPlan};
+use mlpt::survey::{disjoint_scenario_groups, scenario_cost_hint};
+use mlpt::survey::{InternetConfig, SyntheticInternet, TraceScenario};
 use mlpt::topo::{canonical, is_star};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::process::exit;
 
 /// The address every probe is sent from (TEST-NET-1).
 const SOURCE: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
+
+/// The commands, as bits of [`Flag::commands`].
+const TRACE: u8 = 1;
+const SWEEP: u8 = 2;
+const ALIAS: u8 = 4;
+const MULTILEVEL: u8 = 8;
+const TOPOLOGIES: u8 = 16;
+
+/// Each command's name, bit and usage summary (`\n` continues it), in
+/// usage order.
+const COMMANDS: [(&str, u8, &str); 5] = [
+    ("trace", TRACE, "multipath trace at the IP level"),
+    (
+        "sweep",
+        SWEEP,
+        "trace many destinations concurrently: their sessions stream\n\
+         through one sweep engine over one shared transport",
+    ),
+    (
+        "alias",
+        ALIAS,
+        "alias resolution for many synthetic-Internet scenarios at\n\
+         once: one multilevel session (trace + Round 0..R) per\n\
+         destination, streamed through the sweep engine in\n\
+         address-disjoint sub-sweeps\n\
+         N [N ...]         scenario numbers, as positional args",
+    ),
+    (
+        "multilevel",
+        MULTILEVEL,
+        "MDA-Lite trace + in-trace alias resolution (router view)",
+    ),
+    ("topologies", TOPOLOGIES, "list canonical topologies"),
+];
+
+/// One command-line flag.
+struct Flag {
+    /// The flag as usage shows it: its name, then the placeholder of its
+    /// value unless it is a switch.
+    usage: &'static str,
+    /// The commands that accept the flag.
+    commands: u8,
+    /// The usage text; `\n` continues it on the next line.
+    help: &'static str,
+    /// Checks the value given after the flag (spelled as the user spelled
+    /// it) and stores it, exiting with status 2 if it is out of range.
+    set: fn(&mut Options, &str, &str),
+}
+
+impl Flag {
+    fn name(&self) -> &'static str {
+        self.usage.split(' ').next().unwrap_or_default()
+    }
+}
+
+/// Every flag of every command, in usage order.
+const FLAGS: &[Flag] = &[
+    Flag {
+        usage: "--topology NAME",
+        commands: TRACE | SWEEP | MULTILEVEL,
+        help: "canonical topology (see `mlpt topologies`);\n\
+               sweep also takes `shared-prefix`: lanes\n\
+               sharing one near-source prefix",
+        set: |o, _, v| o.topology = Some(v.to_string()),
+    },
+    Flag {
+        usage: "--scenario N",
+        commands: TRACE | MULTILEVEL,
+        help: "synthetic-Internet scenario number",
+        set: |o, f, v| o.scenario = Some(number(f, v, 0..)),
+    },
+    Flag {
+        usage: "--destinations N",
+        commands: SWEEP,
+        help: "concurrent destinations (default 8, at\n\
+               most 200): --topology replicated in\n\
+               disjoint address blocks",
+        set: |o, f, v| o.destinations = number(f, v, 1..=200),
+    },
+    Flag {
+        usage: "--stdin",
+        commands: SWEEP | ALIAS,
+        help: "read the destinations from stdin, one per\n\
+               line (# comments ok): topology names for\n\
+               sweep, scenario numbers for alias",
+        set: |o, _, _| o.stdin_list = true,
+    },
+    Flag {
+        usage: "--algo ALGO",
+        commands: TRACE | SWEEP,
+        help: "mda | lite (default) | single",
+        set: |o, _, v| o.algo = choice("algorithm", v, &["mda", "lite", "single"]),
+    },
+    Flag {
+        usage: "--stopping TABLE",
+        commands: TRACE | SWEEP | MULTILEVEL,
+        help: "95 (default) | 99 | veitch",
+        set: |o, _, v| o.stopping = choice("stopping table", v, &["95", "99", "veitch"]),
+    },
+    Flag {
+        usage: "--phi K",
+        commands: TRACE | SWEEP | MULTILEVEL,
+        help: "MDA-Lite meshing effort (default 2)",
+        set: |o, f, v| o.phi = number(f, v, 2..),
+    },
+    Flag {
+        usage: "--rounds R",
+        commands: ALIAS | MULTILEVEL,
+        help: "alias-resolution rounds (default 10)",
+        set: |o, f, v| o.rounds = number(f, v, 0..),
+    },
+    Flag {
+        usage: "--replies K",
+        commands: ALIAS,
+        help: "MBT replies attempted per address per\nround (default 30)",
+        set: |o, f, v| o.replies = number(f, v, 0..),
+    },
+    Flag {
+        usage: "--method M",
+        commands: ALIAS,
+        help: "indirect (MMLPT, default) | direct\n(MIDAR-style echo probing)",
+        set: |o, _, v| o.method = choice("method", v, &["indirect", "direct"]),
+    },
+    Flag {
+        usage: "--max-in-flight P",
+        commands: SWEEP | ALIAS,
+        help: "max probes in flight per dispatch\n(default 1024; --budget is an alias)",
+        set: |o, f, v| o.budget = number(f, v, 1..),
+    },
+    Flag {
+        usage: "--adaptive-budget",
+        commands: SWEEP | ALIAS,
+        help: "AIMD budget controller: ramps up on\n\
+               clean replies, backs off on loss or\n\
+               rate limiting, per-lane fair",
+        set: |o, _, _| o.adaptive = true,
+    },
+    Flag {
+        usage: "--admission MODE",
+        commands: SWEEP | ALIAS,
+        help: "streaming (default) | cost-aware\n\
+               (heaviest predicted sessions first) |\n\
+               cost-aware-windowed:K (the same, in a\n\
+               K-session window); identical results",
+        set: |o, _, v| o.admission = parse_admission(v),
+    },
+    Flag {
+        usage: "--stop-set",
+        commands: SWEEP | ALIAS,
+        help: "share a Doubletree stop set: later\n\
+               sessions start mid-path and elide the\n\
+               shared near-source prefix",
+        set: |o, _, _| o.stop_set = true,
+    },
+    Flag {
+        usage: "--start-ttl T",
+        commands: SWEEP | ALIAS,
+        help: "fixed mid-path start TTL for --stop-set\n\
+               (default: adapted to destination TTLs)",
+        set: |o, f, v| o.start_ttl = Some(number(f, v, 1..)),
+    },
+    Flag {
+        usage: "--fanout",
+        commands: ALIAS,
+        help: "run each destination's per-hop alias\n\
+               stages as one concurrent wave phase\n\
+               (a deterministic protocol variant)",
+        set: |o, _, _| o.fanout = true,
+    },
+    Flag {
+        usage: "--workers W",
+        commands: SWEEP,
+        help: "simulator worker threads (default 1)",
+        set: |o, f, v| o.workers = number(f, v, 1..),
+    },
+    Flag {
+        usage: "--shards N",
+        commands: SWEEP | ALIAS,
+        help: "engine shards, split by destination\n\
+               (default 1; results are bit-identical\n\
+               for any shard count)",
+        set: |o, f, v| o.shards = number(f, v, 1..),
+    },
+    Flag {
+        usage: "--cycle-gap T",
+        commands: SWEEP | ALIAS,
+        help: "virtual ticks between dispatch cycles,\n\
+               for rate limiters to refill (default 0)",
+        set: |o, f, v| o.cycle_gap = number(f, v, 0..),
+    },
+    Flag {
+        usage: "--loss P",
+        commands: TRACE | SWEEP | MULTILEVEL,
+        help: "inject reply loss probability",
+        set: |o, f, v| o.loss = number(f, v, 0.0..=1.0),
+    },
+    Flag {
+        usage: "--rate-limit N/W",
+        commands: SWEEP | ALIAS,
+        help: "ICMP rate limit: N replies per W ticks\nper router",
+        set: |o, _, v| o.rate_limit = Some(parse_rate_limit(v)),
+    },
+    Flag {
+        usage: "--fault-schedule NAME",
+        commands: SWEEP | ALIAS,
+        help: "impairments per lane over time, in place\n\
+               of --loss/--rate-limit (midtrace-blackhole\n\
+               | flap | congestion-ramp | rate-limit-burst\n\
+               | jitter-spread); arms the stall watchdog",
+        set: |o, _, v| {
+            let names = FaultSchedule::preset_names();
+            o.fault_schedule = Some(preset("fault schedule", v, FaultSchedule::preset, names));
+        },
+    },
+    Flag {
+        usage: "--topology-schedule NAME",
+        commands: SWEEP,
+        help: "route changes per lane over time\n\
+               (route-flap | lb-regrow | lb-shrink |\n\
+               tunnel-reveal); arms the route audit\n\
+               and the stall watchdog",
+        set: |o, _, v| {
+            let (lookup, names) = (TopologySchedule::preset, TopologySchedule::preset_names());
+            o.topology_schedule = Some(preset("topology schedule", v, lookup, names));
+        },
+    },
+    Flag {
+        usage: "--reprobe-budget N",
+        commands: SWEEP,
+        help: "audit probes per session for the route\n\
+               audit (default 256 when armed); arms\n\
+               the audit even without a schedule",
+        set: |o, f, v| o.reprobe_budget = Some(number(f, v, 0..)),
+    },
+    Flag {
+        usage: "--probe-timeout T",
+        commands: SWEEP | ALIAS,
+        help: "base probe deadline in virtual ticks\n\
+               (default 4096, backing off on lossy\n\
+               retry waves); binds when a\n\
+               --fault-schedule delays replies",
+        set: |o, f, v| o.probe_timeout = number(f, v, 1..),
+    },
+    Flag {
+        usage: "--max-retries R",
+        commands: TRACE | SWEEP | ALIAS | MULTILEVEL,
+        help: "retry waves per round for unanswered\nprobes (default 0)",
+        set: |o, f, v| o.max_retries = number(f, v, 0..),
+    },
+    Flag {
+        usage: "--seed S",
+        commands: TRACE | SWEEP | ALIAS | MULTILEVEL,
+        help: "seed (default 1); a sweep's base seed",
+        set: |o, f, v| o.seed = number(f, v, 0..),
+    },
+    Flag {
+        usage: "--json",
+        commands: TRACE | SWEEP | ALIAS,
+        help: "emit a machine-readable report",
+        set: |o, _, _| o.json = true,
+    },
+    Flag {
+        usage: "--pcap FILE",
+        commands: TRACE,
+        help: "write all probe/reply packets as pcap",
+        set: |o, _, v| o.pcap = Some(v.to_string()),
+    },
+    Flag {
+        usage: "--draw",
+        commands: TRACE,
+        help: "append an ASCII sketch of the topology",
+        set: |o, _, _| o.draw = true,
+    },
+];
+
+/// Flag pairs in which the second flag leaves the first without effect.
+const CANCELS: [(&str, &str); 6] = [
+    ("--topology", "--scenario"),
+    ("--topology", "--stdin"),
+    ("--destinations", "--stdin"),
+    ("--loss", "--fault-schedule"),
+    ("--rate-limit", "--fault-schedule"),
+    ("--draw", "--json"),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -31,210 +324,164 @@ fn main() {
         usage();
         exit(2);
     };
-    match command.as_str() {
-        "trace" => cmd_trace(&args[1..]),
-        "sweep" => cmd_sweep(&args[1..]),
-        "alias" => cmd_alias(&args[1..]),
-        "multilevel" => cmd_multilevel(&args[1..]),
-        "topologies" => cmd_topologies(),
-        "-h" | "--help" | "help" => usage(),
-        other => {
-            eprintln!("unknown command: {other}");
-            usage();
-            exit(2);
-        }
+    if matches!(command.as_str(), "-h" | "--help" | "help") {
+        usage();
+        return;
+    }
+    let Some(&(name, bit, _)) = COMMANDS.iter().find(|(name, ..)| name == &command.as_str()) else {
+        eprintln!("unknown command: {command}");
+        usage();
+        exit(2);
+    };
+    let opts = parse_options(name, bit, &args[1..]);
+    match bit {
+        TRACE => cmd_trace(opts),
+        SWEEP => cmd_sweep(opts),
+        ALIAS => cmd_alias(opts),
+        MULTILEVEL => cmd_multilevel(opts),
+        _ => cmd_topologies(),
     }
 }
 
+/// Prints the usage text: every command with the flags it accepts.
 fn usage() {
-    eprintln!(
-        "mlpt — Multilevel MDA-Lite Paris Traceroute (over the Fakeroute simulator)
-
-commands:
-  trace        multipath trace at the IP level
-               --topology NAME   canonical topology (see `mlpt topologies`)
-               --scenario N      synthetic-Internet scenario number
-               --algo ALGO       mda | lite (default) | single
-               --stopping TABLE  95 (default) | 99 | veitch
-               --phi K           MDA-Lite meshing effort (default 2)
-               --seed S          trace seed (default 1)
-               --loss P          inject reply loss probability
-               --json            emit a machine-readable trace report
-               --pcap FILE       write all probe/reply packets as pcap
-               --draw            append an ASCII sketch of the topology
-  sweep        trace many destinations concurrently over one transport;
-               destinations stream into the engine as in-flight tokens
-               free up, so batches stay full to the end of the list
-               --topology NAME   canonical topology replicated per
-                                 destination in disjoint address blocks;
-                                 the special name `shared-prefix` builds
-                                 a Doubletree family instead — all lanes
-                                 share one near-source prefix
-               --destinations N  concurrent destinations (default 8)
-               --stdin           read the destination list from stdin
-                                 instead: one canonical topology name per
-                                 line (blank lines and # comments skipped)
-               --algo ALGO       mda | lite (default) | single
-               --max-in-flight P max probes in flight per dispatch
-                                 (default 1024; --budget is an alias)
-               --adaptive-budget AIMD budget controller: ramps up while
-                                 replies are clean, multiplicatively backs
-                                 off on loss/rate-limiting, per-lane fair
-               --admission MODE  streaming (default) | cost-aware
-                                 (heaviest predicted sessions first;
-                                 identical results) |
-                                 cost-aware-windowed:K (same, over a
-                                 sliding K-session window for unbounded
-                                 --stdin streams)
-               --stop-set        share a sweep-wide Doubletree stop set:
-                                 later sessions start mid-path, probe
-                                 backward to a shared-stop hit and elide
-                                 the redundant near-source prefix
-               --start-ttl T     fixed mid-path start TTL for --stop-set
-                                 (default: adapt from committed
-                                 destination TTLs)
-               --workers W       simulator worker threads (default 1)
-               --shards N        engine shards: destinations partition
-                                 deterministically across N independent
-                                 sweep engines driven on worker threads
-                                 (default 1; results are bit-identical
-                                 for any shard count)
-               --cycle-gap T     virtual ticks between dispatch cycles
-                                 (lets rate-limited routers refill;
-                                 default 0)
-               --loss P          inject reply loss probability
-               --rate-limit N/W  ICMP rate limit: N replies per W ticks
-                                 per router
-               --fault-schedule NAME
-                                 time-scheduled impairments per lane
-                                 (midtrace-blackhole | flap |
-                                 congestion-ramp | rate-limit-burst);
-                                 overrides --loss/--rate-limit and arms
-                                 the stall watchdog
-               --topology-schedule NAME
-                                 time-scheduled route changes per lane
-                                 (route-flap | lb-regrow | lb-shrink |
-                                 tunnel-reveal); arms the route audit
-                                 (detection + bounded recovery) and the
-                                 stall watchdog
-               --reprobe-budget N
-                                 audit probes per session for the route
-                                 audit (default 256 when armed); arms
-                                 the audit even without a schedule
-               --probe-timeout T base probe deadline in virtual ticks
-                                 (default 4096; exponential backoff on
-                                 lossy retry waves)
-               --max-retries R   retry waves per round for unanswered
-                                 probes (default 0)
-               --seed S          base seed (default 1)
-               --json            emit a machine-readable sweep report
-  alias        alias-resolution rounds for many destinations at once:
-               each target is a synthetic-Internet scenario number; the
-               full multilevel pipeline (trace + Round 0..R protocol)
-               runs as one resumable session per destination, and all
-               sessions stream concurrently through the sweep engine
-               (scenarios sharing core interface addresses are split
-               into address-disjoint sub-sweeps automatically)
-               N [N ...]         scenario numbers, as positional args
-               --stdin           read scenario numbers from stdin
-                                 instead (one per line; # comments ok)
-               --rounds R        alias-resolution rounds (default 10)
-               --replies K       MBT replies attempted per address per
-                                 round (default 30)
-               --method M        indirect (MMLPT, default) | direct
-                                 (MIDAR-style echo probing)
-               --max-in-flight P max probes in flight per dispatch
-                                 (default 1024)
-               --adaptive-budget AIMD in-flight budget controller
-               --admission MODE  streaming (default) | cost-aware
-                                 (wide-hop destinations start first,
-                                 ordered by predicted alias cost from
-                                 the scenario topology; results are
-                                 identical, only the schedule changes) |
-                                 cost-aware-windowed:K (sliding window)
-               --stop-set        share a Doubletree stop set across the
-                                 trace phases of the sweep
-               --start-ttl T     fixed mid-path start TTL for --stop-set
-               --fanout          run each destination's per-hop alias
-                                 stages as one concurrent wave phase
-                                 instead of hop after hop (deterministic
-                                 protocol variant; cuts a wide
-                                 destination's round-trip chain)
-               --rate-limit N/W  ICMP rate limit: N replies per W ticks
-                                 per router
-               --fault-schedule NAME
-                                 time-scheduled impairments per lane
-                                 (midtrace-blackhole | flap |
-                                 congestion-ramp | rate-limit-burst);
-                                 overrides --rate-limit and arms the
-                                 stall watchdog
-               --probe-timeout T base probe deadline in virtual ticks
-                                 (default 4096)
-               --max-retries R   retry waves per round (default 0)
-               --shards N        engine shards per sub-sweep (default 1;
-                                 bit-identical for any shard count)
-               --cycle-gap T     virtual ticks between dispatch cycles
-               --seed S          base seed (default 1)
-               --json            emit a machine-readable report
-  multilevel   MDA-Lite trace + in-trace alias resolution (router view)
-               --rounds R        alias-resolution rounds (default 10)
-               (accepts the trace options above)
-  topologies   list canonical topologies"
+    let indent = " ".repeat(15);
+    let mut text = String::from(
+        "mlpt — Multilevel MDA-Lite Paris Traceroute (over the Fakeroute simulator)\n\ncommands:",
     );
+    for (name, bit, summary) in COMMANDS {
+        let mut summary = summary.lines();
+        text += &format!("\n  {name:<12} {}", summary.next().unwrap_or_default());
+        for line in summary {
+            text += &format!("\n{indent}{line}");
+        }
+        for flag in FLAGS.iter().filter(|flag| flag.commands & bit != 0) {
+            let mut help = flag.help.lines();
+            match flag.usage {
+                label if label.len() < 18 => {
+                    let first = help.next().unwrap_or_default();
+                    text += &format!("\n{indent}{label:<18}{first}");
+                }
+                label => text += &format!("\n{indent}{label}"),
+            }
+            for line in help {
+                text += &format!("\n{indent}{:18}{line}", "");
+            }
+        }
+    }
+    eprintln!("{text}");
 }
 
+/// The parsed command line: every flag's value, or its default.
+#[derive(Default)]
 struct Options {
+    /// Canonical names of the flags given, for [`CANCELS`].
+    given: Vec<&'static str>,
+    /// `alias`: the scenario numbers given as positional arguments.
+    targets: Vec<usize>,
     topology: Option<String>,
     scenario: Option<usize>,
+    destinations: usize,
+    stdin_list: bool,
     algo: String,
     stopping: String,
     phi: u32,
-    seed: u64,
-    loss: f64,
     rounds: u32,
-    destinations: usize,
+    replies: u32,
+    method: String,
     budget: usize,
     adaptive: bool,
     admission: Admission,
     stop_set: bool,
     start_ttl: Option<u8>,
-    stdin_list: bool,
+    fanout: bool,
+    workers: usize,
+    shards: usize,
     cycle_gap: u64,
+    loss: f64,
     rate_limit: Option<(u32, u64)>,
     fault_schedule: Option<FaultSchedule>,
     topology_schedule: Option<TopologySchedule>,
     reprobe_budget: Option<u64>,
     probe_timeout: u64,
     max_retries: u8,
-    workers: usize,
-    shards: usize,
+    seed: u64,
     json: bool,
     pcap: Option<String>,
     draw: bool,
 }
 
-/// Resolves a `--fault-schedule` preset name, exiting with the list of
-/// known presets on an unknown name.
-fn fault_schedule_preset(name: &str) -> FaultSchedule {
-    FaultSchedule::preset(name).unwrap_or_else(|| {
-        eprintln!(
-            "unknown fault schedule {name} (one of: {})",
-            FaultSchedule::preset_names().join(" | ")
-        );
-        exit(2);
-    })
+impl Options {
+    /// Every flag's default.
+    fn new() -> Self {
+        Self {
+            destinations: 8,
+            algo: "lite".into(),
+            stopping: "95".into(),
+            phi: 2,
+            rounds: 10,
+            replies: 30,
+            method: "indirect".into(),
+            budget: 1024,
+            workers: 1,
+            shards: 1,
+            probe_timeout: RetryPolicy::default().base_timeout,
+            seed: 1,
+            ..Self::default()
+        }
+    }
 }
 
-/// Resolves a `--topology-schedule` preset name, exiting with the list
-/// of known presets on an unknown name.
-fn topology_schedule_preset(name: &str) -> TopologySchedule {
-    TopologySchedule::preset(name).unwrap_or_else(|| {
-        eprintln!(
-            "unknown topology schedule {name} (one of: {})",
-            TopologySchedule::preset_names().join(" | ")
-        );
+/// Parses the arguments of command `name` (bit `bit`), exiting with
+/// status 2 and a message naming the flag on an unknown flag, a flag
+/// the command does not take, a missing or bad value, or a flag another
+/// flag leaves without effect (`--start-ttl` without `--stop-set`, or a
+/// pair of [`CANCELS`]).
+fn parse_options(name: &str, bit: u8, args: &[String]) -> Options {
+    let mut opts = Options::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let wanted = match arg.as_str() {
+            "--budget" => "--max-in-flight", // the one alias
+            arg => arg,
+        };
+        let Some(flag) = FLAGS.iter().find(|flag| flag.name() == wanted) else {
+            match arg.parse() {
+                Ok(target) if bit == ALIAS => opts.targets.push(target),
+                _ => {
+                    eprintln!("unknown option: {arg}");
+                    exit(2);
+                }
+            }
+            continue;
+        };
+        if flag.commands & bit == 0 {
+            eprintln!("mlpt {name} does not take {arg}");
+            exit(2);
+        }
+        let value = if flag.name() == flag.usage {
+            ""
+        } else {
+            args.next().map(String::as_str).unwrap_or_else(|| {
+                eprintln!("{arg} needs a value");
+                exit(2);
+            })
+        };
+        (flag.set)(&mut opts, arg, value);
+        opts.given.push(flag.name());
+    }
+    let given = |flag| opts.given.contains(&flag);
+    for (flag, by) in CANCELS {
+        if given(flag) && given(by) {
+            eprintln!("{flag} has no effect with {by}");
+            exit(2);
+        }
+    }
+    if given("--start-ttl") && !given("--stop-set") {
+        eprintln!("--start-ttl has no effect without --stop-set");
         exit(2);
-    })
+    }
+    opts
 }
 
 /// Parses the value of numeric flag `flag`, which must lie in `range`,
@@ -253,6 +500,25 @@ where
     }
 }
 
+/// Returns `value` if it is one of `choices`, exiting with status 2 and
+/// the list of choices otherwise.
+fn choice(what: &str, value: &str, choices: &[&str]) -> String {
+    if !choices.contains(&value) {
+        eprintln!("unknown {what} {value} ({})", choices.join("|"));
+        exit(2);
+    }
+    value.to_string()
+}
+
+/// Resolves a schedule preset by name, exiting with the list of known
+/// presets on an unknown name.
+fn preset<T>(kind: &str, name: &str, lookup: fn(&str) -> Option<T>, names: &[&str]) -> T {
+    lookup(name).unwrap_or_else(|| {
+        eprintln!("unknown {kind} {name} (one of: {})", names.join(" | "));
+        exit(2);
+    })
+}
+
 /// Parses a `--rate-limit N/W` value: N replies per W ticks, both
 /// positive. Exits with status 2 otherwise.
 fn parse_rate_limit(value: &str) -> (u32, u64) {
@@ -268,124 +534,16 @@ fn parse_rate_limit(value: &str) -> (u32, u64) {
     }
 }
 
-fn parse_options(args: &[String]) -> Options {
-    let mut opts = Options {
-        topology: None,
-        scenario: None,
-        algo: "lite".into(),
-        stopping: "95".into(),
-        phi: 2,
-        seed: 1,
-        loss: 0.0,
-        rounds: 10,
-        destinations: 8,
-        budget: 1024,
-        adaptive: false,
-        admission: Admission::Streaming,
-        stop_set: false,
-        start_ttl: None,
-        stdin_list: false,
-        cycle_gap: 0,
-        rate_limit: None,
-        fault_schedule: None,
-        topology_schedule: None,
-        reprobe_budget: None,
-        probe_timeout: RetryPolicy::default().base_timeout,
-        max_retries: 0,
-        workers: 1,
-        shards: 1,
-        json: false,
-        pcap: None,
-        draw: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| -> &String {
-            args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("{} needs a value", args[i]);
-                exit(2);
-            })
-        };
-        let flag = args[i].as_str();
-        match flag {
-            "--topology" => opts.topology = Some(need(i).clone()),
-            "--scenario" => opts.scenario = Some(number(flag, need(i), 0..)),
-            "--algo" => opts.algo = need(i).clone(),
-            "--stopping" => opts.stopping = need(i).clone(),
-            "--phi" => opts.phi = number(flag, need(i), 2..),
-            "--seed" => opts.seed = number(flag, need(i), 0..),
-            "--loss" => opts.loss = number(flag, need(i), 0.0..=1.0),
-            "--rounds" => opts.rounds = number(flag, need(i), 0..),
-            "--destinations" => opts.destinations = number(flag, need(i), 0..),
-            "--budget" | "--max-in-flight" => opts.budget = number(flag, need(i), 0..),
-            "--admission" => opts.admission = parse_admission(need(i)),
-            "--stop-set" => {
-                opts.stop_set = true;
-                i += 1;
-                continue;
-            }
-            "--start-ttl" => opts.start_ttl = Some(number(flag, need(i), 0..)),
-            "--cycle-gap" => opts.cycle_gap = number(flag, need(i), 0..),
-            "--rate-limit" => opts.rate_limit = Some(parse_rate_limit(need(i))),
-            "--fault-schedule" => opts.fault_schedule = Some(fault_schedule_preset(need(i))),
-            "--topology-schedule" => {
-                opts.topology_schedule = Some(topology_schedule_preset(need(i)))
-            }
-            "--reprobe-budget" => opts.reprobe_budget = Some(number(flag, need(i), 0..)),
-            "--probe-timeout" => opts.probe_timeout = number(flag, need(i), 0..),
-            "--max-retries" => opts.max_retries = number(flag, need(i), 0..),
-            "--adaptive-budget" => {
-                opts.adaptive = true;
-                i += 1;
-                continue;
-            }
-            "--stdin" => {
-                opts.stdin_list = true;
-                i += 1;
-                continue;
-            }
-            "--workers" => opts.workers = number(flag, need(i), 0..),
-            "--shards" => opts.shards = number::<usize, _>(flag, need(i), 0..).max(1),
-            "--json" => {
-                opts.json = true;
-                i += 1;
-                continue;
-            }
-            "--draw" => {
-                opts.draw = true;
-                i += 1;
-                continue;
-            }
-            "--pcap" => opts.pcap = Some(need(i).clone()),
-            other => {
-                eprintln!("unknown option: {other}");
-                exit(2);
-            }
-        }
-        i += 2;
-    }
-    opts
-}
-
 fn parse_admission(value: &str) -> Admission {
-    if let Some(window) = value.strip_prefix("cost-aware-windowed:") {
-        match window.parse::<usize>() {
-            Ok(k) if k > 0 => return Admission::CostAwareWindowed(k),
-            _ => {
-                eprintln!(
-                    "cost-aware-windowed needs a positive window, e.g. cost-aware-windowed:64"
-                );
-                exit(2);
-            }
+    match value.split_once(':') {
+        None if value == "streaming" => Admission::Streaming,
+        None if value == "cost-aware" => Admission::CostAware,
+        Some(("cost-aware-windowed", window)) => {
+            Admission::CostAwareWindowed(number("cost-aware-windowed", window, 1..))
         }
-    }
-    match value {
-        "streaming" => Admission::Streaming,
-        "cost-aware" => Admission::CostAware,
-        other => {
+        _ => {
             eprintln!(
-                "unknown admission mode {other} \
-                 (streaming|cost-aware|cost-aware-windowed:K)"
+                "unknown admission mode {value} (streaming|cost-aware|cost-aware-windowed:K)"
             );
             exit(2);
         }
@@ -398,21 +556,6 @@ fn admission_name(admission: Admission) -> String {
         Admission::CostAware => "cost-aware".into(),
         Admission::CostAwareWindowed(window) => format!("cost-aware-windowed:{window}"),
     }
-}
-
-/// Builds the sweep's shared-stop-set configuration from the CLI
-/// flags: `--stop-set` arms it, `--start-ttl` pins a fixed mid-path
-/// start TTL (otherwise the engine adapts it from committed
-/// destination TTLs).
-fn stop_set_config(stop_set: bool, start_ttl: Option<u8>) -> Option<StopSetConfig> {
-    stop_set.then(|| {
-        let mut cfg = StopSetConfig::default();
-        if let Some(ttl) = start_ttl {
-            cfg.start_ttl = ttl.max(1);
-            cfg.adaptive_start = false;
-        }
-        cfg
-    })
 }
 
 /// Resolves a canonical topology by CLI name.
@@ -432,38 +575,255 @@ fn canonical_topology(name: &str) -> mlpt::topo::MultipathTopology {
     }
 }
 
-/// Resolves the target: a canonical topology or a synthetic scenario.
+/// The impairments of every simulated lane: the `--fault-schedule`, or
+/// a static plan of `--loss` reply loss and `--rate-limit`.
+fn lane_faults(opts: &Options) -> FaultSchedule {
+    if let Some(schedule) = &opts.fault_schedule {
+        return schedule.clone();
+    }
+    let mut plan = FaultPlan::with_loss(0.0, opts.loss);
+    if let Some((replies, window)) = opts.rate_limit {
+        let window_plan = FaultPlan::with_rate_limit_window(replies, window);
+        plan.icmp_bucket_capacity = window_plan.icmp_bucket_capacity;
+        plan.icmp_tokens_per_tick = window_plan.icmp_tokens_per_tick;
+    }
+    plan.into()
+}
+
+/// The trace configuration of a session seeded with `seed`.
+fn trace_config(opts: &Options, seed: u64) -> TraceConfig {
+    let stopping = match opts.stopping.as_str() {
+        "99" => StoppingPoints::mda99(),
+        "veitch" => StoppingPoints::veitch_table1(),
+        _ => StoppingPoints::mda95(),
+    };
+    let mut config = TraceConfig::new(seed)
+        .with_stopping(stopping)
+        .with_phi(opts.phi);
+    // A mutation schedule (or an explicit budget) arms the route audit:
+    // sessions re-verify committed evidence after their stopping rule
+    // fires and re-trace contradicted suffixes under the bounded budget.
+    if opts.topology_schedule.is_some() || opts.reprobe_budget.is_some() {
+        config = config.with_reprobe(ReprobeBudget {
+            max_reprobes: opts.reprobe_budget.unwrap_or(256),
+            ..ReprobeBudget::default()
+        });
+    }
+    // Under a mutation schedule, node-control hunts against branches
+    // that no longer exist can otherwise grind through the whole u16
+    // flow space before the exhaustion guard stops them; a tight
+    // allowance keeps the sweep fast without affecting detection.
+    if opts.topology_schedule.is_some() {
+        config.node_control_attempts = 500;
+    }
+    config
+}
+
+/// The alias-resolution protocol of `alias` and `multilevel`.
+fn rounds_config(opts: &Options) -> RoundsConfig {
+    RoundsConfig {
+        rounds: opts.rounds,
+        replies_per_round: opts.replies,
+        method: match opts.method.as_str() {
+            "direct" => ProbeMethod::Direct,
+            _ => ProbeMethod::Indirect,
+        },
+        ..RoundsConfig::default()
+    }
+}
+
+/// The engine's tuning; a single trace is a one-session sweep.
+fn sweep_config(opts: &Options) -> SweepConfig {
+    SweepConfig {
+        max_in_flight: opts.budget,
+        admission: opts.admission,
+        adaptive: opts.adaptive.then(AdaptiveBudget::default),
+        retries: opts.max_retries,
+        retry: RetryPolicy {
+            base_timeout: opts.probe_timeout,
+            ..RetryPolicy::default()
+        },
+        // A hostile schedule can black-hole a lane mid-trace; arm the
+        // stall watchdog so that lane degrades to a partial trace
+        // instead of burning its whole retry budget into the dark.
+        stall_rounds: if opts.fault_schedule.is_some()
+            || opts.topology_schedule.is_some()
+            || opts.reprobe_budget.is_some()
+        {
+            8
+        } else {
+            0
+        },
+        // `--start-ttl` pins a fixed mid-path start TTL; otherwise the
+        // engine adapts it from committed destination TTLs.
+        stop_set: opts.stop_set.then(|| match opts.start_ttl {
+            Some(start_ttl) => StopSetConfig {
+                start_ttl,
+                adaptive_start: false,
+                ..StopSetConfig::default()
+            },
+            None => StopSetConfig::default(),
+        }),
+    }
+}
+
+/// How `sweep` and `alias` run through the scenario-sweep driver.
+fn sweep_plan(opts: &Options) -> SweepPlan {
+    SweepPlan {
+        config: sweep_config(opts),
+        shards: opts.shards,
+        workers: opts.workers,
+        cycle_gap: opts.cycle_gap,
+    }
+}
+
+/// A session of the `--algo` tracer towards `dest`.
+fn trace_session(opts: &Options, dest: Ipv4Addr, config: TraceConfig) -> Box<dyn TraceSession> {
+    match opts.algo.as_str() {
+        "mda" => Box::new(MdaSession::new(dest, config)),
+        "single" => Box::new(SingleFlowSession::new(
+            dest,
+            config,
+            FlowId(opts.seed as u16),
+        )),
+        _ => Box::new(MdaLiteSession::new(dest, config)),
+    }
+}
+
+/// Resolves the target of `trace` and `multilevel`: a canonical topology
+/// or a synthetic-Internet scenario (with its ground-truth routers).
 fn build_network(opts: &Options) -> (SimNetwork, Ipv4Addr, Option<RouterMap>) {
     if let Some(n) = opts.scenario {
-        let internet = SyntheticInternet::new(InternetConfig::default());
-        let scenario = internet.scenario(n);
-        let destination = scenario.topology.destination();
-        let truth = scenario.routers.clone();
-        let net = scenario.build_network(opts.seed);
-        return (net, destination, Some(truth));
+        let scenario = SyntheticInternet::new(InternetConfig::default()).scenario(n);
+        let net = scenario.build_network(opts.seed, lane_faults(opts));
+        return (net, scenario.topology.destination(), Some(scenario.routers));
     }
     let topology = canonical_topology(opts.topology.as_deref().unwrap_or("fig1-unmeshed"));
     let destination = topology.destination();
     let net = SimNetwork::builder(topology)
-        .faults(if opts.loss > 0.0 {
-            FaultPlan::with_loss(0.0, opts.loss)
-        } else {
-            FaultPlan::none()
-        })
+        .fault_schedule(lane_faults(opts))
         .seed(opts.seed)
         .build();
     (net, destination, None)
 }
 
-fn stopping_points(name: &str) -> StoppingPoints {
-    match name {
-        "95" => StoppingPoints::mda95(),
-        "99" => StoppingPoints::mda99(),
-        "veitch" => StoppingPoints::veitch_table1(),
-        other => {
-            eprintln!("unknown stopping table {other} (95|99|veitch)");
-            exit(2);
-        }
+/// The non-blank, non-comment lines of stdin, trimmed.
+fn stdin_lines() -> Vec<String> {
+    use std::io::BufRead;
+    std::io::stdin()
+        .lock()
+        .lines()
+        .map_while(Result::ok)
+        .map(|line| line.trim().to_string())
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .collect()
+}
+
+/// Prints a report as indented JSON.
+fn print_json(report: &serde_json::Value) {
+    println!(
+        "{}",
+        // mlpt: allow(MLPT-W004, reason = "report types serialize infallibly (no maps with non-string keys, no custom Serialize)")
+        serde_json::to_string_pretty(report).expect("serializable")
+    );
+}
+
+/// A sweep report's `per_shard` counters: `null` with one shard.
+fn per_shard_json(per_shard: &[SweepStats]) -> Option<Vec<serde_json::Value>> {
+    (per_shard.len() > 1).then(|| {
+        per_shard
+            .iter()
+            .map(|s| {
+                serde_json::json!({
+                    "dispatch_cycles": s.dispatch_cycles,
+                    "probes_sent": s.probes_sent,
+                    "probes_timed_out": s.probes_timed_out,
+                    "retries_exhausted": s.retries_exhausted,
+                    "budget_backoffs": s.budget_backoffs,
+                    "lane_backoffs": s.lane_backoffs,
+                })
+            })
+            .collect()
+    })
+}
+
+/// A sweep report's `stats` object: the merged counters.
+fn stats_json(stats: &SweepStats) -> serde_json::Value {
+    serde_json::json!({
+        "dispatch_cycles": stats.dispatch_cycles,
+        "probes_sent": stats.probes_sent,
+        "replies_delivered": stats.replies_delivered,
+        "malformed_replies": stats.malformed_replies,
+        "mismatched_replies": stats.mismatched_replies,
+        "max_batch": stats.max_batch,
+        "probes_per_dispatch": stats.probes_per_dispatch(),
+        "sessions_admitted": stats.sessions_admitted,
+        "sessions_completed": stats.sessions_completed,
+        "sessions_deferred": stats.sessions_deferred,
+        "clean_cycles": stats.clean_cycles,
+        "lossy_cycles": stats.lossy_cycles,
+        "budget_backoffs": stats.budget_backoffs,
+        "lane_backoffs": stats.lane_backoffs,
+        "final_in_flight_budget": stats.final_in_flight_budget,
+        "probes_timed_out": stats.probes_timed_out,
+        "retries_exhausted": stats.retries_exhausted,
+        "retries_elided": stats.retries_elided,
+        "sessions_partial": stats.sessions_partial,
+        "max_lane_backoff_depth": stats.max_lane_backoff_depth,
+        "probes_elided": stats.probes_elided,
+        "stop_set_hits": stats.stop_set_hits,
+        "artifacts_detected": stats.artifacts_detected,
+        "route_recoveries": stats.route_recoveries,
+        "reprobes_sent": stats.reprobes_sent,
+        "route_changed_partials": stats.route_changed_partials,
+        "stop_set_stale_hits": stats.stop_set_stale_hits,
+        "stop_set_evictions": stats.stop_set_evictions,
+        "generation_barrier_stalls": stats.generation_barrier_stalls,
+    })
+}
+
+/// Prints the counter lines `sweep` and `alias` share: robustness, and
+/// the stop set, shards and adaptive budget when they are in use.
+fn print_counters<R>(output: &SweepOutput<R>, opts: &Options) {
+    let stats = &output.stats;
+    println!(
+        "robustness: {} probes timed out, {} retries exhausted, {} partial sessions, \
+         max lane backoff depth {}, {} artifacts detected, {} route recoveries, \
+         {} reprobes, {} route-changed partials, {} stale stop hits",
+        stats.probes_timed_out,
+        stats.retries_exhausted,
+        stats.sessions_partial,
+        stats.max_lane_backoff_depth,
+        stats.artifacts_detected,
+        stats.route_recoveries,
+        stats.reprobes_sent,
+        stats.route_changed_partials,
+        stats.stop_set_stale_hits,
+    );
+    if opts.stop_set {
+        println!(
+            "stop set: {} probes elided, {} stop-set hits, {} retries elided",
+            stats.probes_elided, stats.stop_set_hits, stats.retries_elided,
+        );
+    }
+    if output.per_shard.len() > 1 {
+        let probes: Vec<String> = output
+            .per_shard
+            .iter()
+            .map(|s| s.probes_sent.to_string())
+            .collect();
+        println!(
+            "sharding: {} engine shards, {} generation-barrier stalls; per-shard probes {}",
+            output.per_shard.len(),
+            stats.generation_barrier_stalls,
+            probes.join("/"),
+        );
+    }
+    if opts.adaptive {
+        println!(
+            "adaptive budget: {} global backoffs, {} lane backoffs, final budget {}",
+            stats.budget_backoffs, stats.lane_backoffs, stats.final_in_flight_budget,
+        );
     }
 }
 
@@ -507,27 +867,12 @@ fn render_hops(trace: &Trace, routers: Option<&RouterMap>) {
     }
 }
 
-fn cmd_trace(args: &[String]) {
-    let opts = parse_options(args);
+fn cmd_trace(opts: Options) {
     let (net, destination, _truth) = build_network(&opts);
     let mut capture = mlpt::sim::CapturingTransport::new(net);
-    let mut engine = SweepEngine::new(&mut capture, SOURCE);
-    let config = TraceConfig::new(opts.seed)
-        .with_stopping(stopping_points(&opts.stopping))
-        .with_phi(opts.phi);
-
-    let trace = match opts.algo.as_str() {
-        "mda" => trace_mda(&mut engine, destination, &config),
-        "lite" => trace_mda_lite(&mut engine, destination, &config),
-        "single" => {
-            let flow = FlowId(opts.seed as u16);
-            trace_single_flow(&mut engine, destination, &config, flow)
-        }
-        other => {
-            eprintln!("unknown algorithm {other} (mda|lite|single)");
-            exit(2);
-        }
-    };
+    let mut engine = SweepEngine::new(&mut capture, SOURCE).with_config(sweep_config(&opts));
+    let session = trace_session(&opts, destination, trace_config(&opts, opts.seed));
+    let (trace, _) = engine.run_trace(session);
 
     if let Some(path) = &opts.pcap {
         match capture.write_pcap(std::path::Path::new(path)) {
@@ -539,12 +884,7 @@ fn cmd_trace(args: &[String]) {
         }
     }
     if opts.json {
-        let report = mlpt::core::TraceReport::from_trace(&trace);
-        println!(
-            "{}",
-            // mlpt: allow(MLPT-W004, reason = "report types serialize infallibly (no maps with non-string keys, no custom Serialize)")
-            serde_json::to_string_pretty(&report).expect("serializable")
-        );
+        print_json(&serde_json::to_value(&TraceReport::from_trace(&trace)));
         return;
     }
 
@@ -589,65 +929,20 @@ fn cmd_trace(args: &[String]) {
 /// simulator), their sessions *streamed* into the sweep engine over a
 /// single transport — new destinations are admitted as in-flight tokens
 /// free up, so batches stay full from the first probe to the last.
-fn cmd_sweep(args: &[String]) {
-    let opts = parse_options(args);
+fn cmd_sweep(opts: Options) {
     // The destination list: one canonical-topology name per lane, either
     // streamed in on stdin (one per line) or --topology replicated
     // --destinations times.
     let names: Vec<String> = if opts.stdin_list {
-        use std::io::BufRead;
-        std::io::stdin()
-            .lock()
-            .lines()
-            .map_while(Result::ok)
-            .map(|l| l.trim().to_string())
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .collect()
+        stdin_lines()
     } else {
         let name = opts.topology.clone().unwrap_or("fig1-unmeshed".into());
         vec![name; opts.destinations]
     };
-    if names.is_empty() {
-        eprintln!("destination list is empty (--destinations must be at least 1)");
+    if !(1..=200).contains(&names.len()) {
+        eprintln!("the destination list needs 1 to 200 entries (address-block replication)");
         exit(2);
     }
-    if names.len() > 200 {
-        eprintln!("destination list is capped at 200 (address-block replication)");
-        exit(2);
-    }
-    let mut config = TraceConfig::new(opts.seed)
-        .with_stopping(stopping_points(&opts.stopping))
-        .with_phi(opts.phi);
-    // A mutation schedule (or an explicit budget) arms the route audit:
-    // sessions re-verify committed evidence after their stopping rule
-    // fires and re-trace contradicted suffixes under the bounded budget.
-    if opts.topology_schedule.is_some() || opts.reprobe_budget.is_some() {
-        config = config.with_reprobe(ReprobeBudget {
-            max_reprobes: opts.reprobe_budget.unwrap_or(256),
-            ..ReprobeBudget::default()
-        });
-    }
-    // Under a mutation schedule, node-control hunts against branches
-    // that no longer exist can otherwise grind through the whole u16
-    // flow space before the exhaustion guard stops them; a tight
-    // allowance keeps the sweep fast without affecting detection.
-    if opts.topology_schedule.is_some() {
-        config.node_control_attempts = 500;
-    }
-    let faults = {
-        let mut plan = if opts.loss > 0.0 {
-            FaultPlan::with_loss(0.0, opts.loss)
-        } else {
-            FaultPlan::none()
-        };
-        if let Some((replies, window)) = opts.rate_limit {
-            let window_plan = FaultPlan::with_rate_limit_window(replies, window);
-            plan.icmp_bucket_capacity = window_plan.icmp_bucket_capacity;
-            plan.icmp_tokens_per_tick = window_plan.icmp_tokens_per_tick;
-        }
-        plan
-    };
-
     // One lane per destination: the topology shifted into its own /8-ish
     // block, simulated with its own seed, clock and RNG streams. The
     // `shared-prefix` family is the exception: its lanes deliberately
@@ -664,86 +959,40 @@ fn cmd_sweep(args: &[String]) {
             }
         })
         .collect();
-    let lanes: Vec<SimNetwork> = topologies
+    let faults = lane_faults(&opts);
+    let lanes = topologies
         .iter()
         .enumerate()
         .map(|(i, topo)| {
-            let mut builder =
-                SimNetwork::builder(topo.clone()).seed(opts.seed.wrapping_add(i as u64));
-            builder = match &opts.fault_schedule {
-                Some(schedule) => builder.fault_schedule(schedule.clone()),
-                None => builder.faults(faults),
-            };
+            let mut builder = SimNetwork::builder(topo.clone())
+                .seed(opts.seed.wrapping_add(i as u64))
+                .fault_schedule(faults.clone());
             if let Some(schedule) = &opts.topology_schedule {
                 builder = builder.topology_schedule(schedule.clone());
             }
-            builder.build()
+            (SOURCE, builder.build())
         })
         .collect();
-    let net = match mlpt::sim::MultiNetwork::new(lanes) {
-        Ok(net) => net
-            .with_workers(opts.workers)
-            .with_cycle_gap(opts.cycle_gap),
-        Err(e) => {
-            eprintln!("failed to assemble sweep network: {e}");
-            exit(2);
-        }
-    };
-
-    let sweep_config = SweepConfig {
-        max_in_flight: opts.budget,
-        admission: opts.admission,
-        adaptive: opts.adaptive.then(AdaptiveBudget::default),
-        retries: opts.max_retries,
-        retry: RetryPolicy {
-            base_timeout: opts.probe_timeout,
-            ..RetryPolicy::default()
-        },
-        // A hostile schedule can black-hole a lane mid-trace; arm the
-        // stall watchdog so that lane degrades to a partial trace
-        // instead of burning its whole retry budget into the dark.
-        stall_rounds: if opts.fault_schedule.is_some()
-            || opts.topology_schedule.is_some()
-            || opts.reprobe_budget.is_some()
-        {
-            8
-        } else {
-            0
-        },
-        stop_set: stop_set_config(opts.stop_set, opts.start_ttl),
-    };
-    let algo = opts.algo.clone();
-    if !matches!(algo.as_str(), "mda" | "lite" | "single") {
-        eprintln!("unknown algorithm {algo} (mda|lite|single)");
-        exit(2);
-    }
-    let sessions = topologies.iter().enumerate().map(|(i, topo)| {
-        let destination = topo.destination();
-        let session_config = TraceConfig {
-            seed: opts.seed.wrapping_add(i as u64),
-            ..config.clone()
-        };
-        match algo.as_str() {
-            "mda" => {
-                Box::new(MdaSession::new(destination, session_config)) as Box<dyn TraceSession>
-            }
-            "lite" => Box::new(MdaLiteSession::new(destination, session_config)),
-            _ => Box::new(SingleFlowSession::new(
-                destination,
-                session_config,
-                FlowId(opts.seed as u16),
-            )),
-        }
-    });
 
     // Sharding is pure scheduling: the traces and every protocol-level
     // counter are identical for any shard count.
-    let parts = net.split_by(opts.shards, |d| shard_of(d, opts.shards));
-    let mut engine = ShardedSweepEngine::new(parts, SOURCE).with_config(sweep_config);
-    let traces = engine.run_stream(sessions);
-    let stats = *engine.stats();
-    let per_shard: Option<Vec<SweepStats>> =
-        (opts.shards > 1).then(|| engine.shard_stats().into_iter().copied().collect());
+    let config = trace_config(&opts, opts.seed);
+    let group = [(0..topologies.len()).collect()];
+    let output = sweep_plan(&opts)
+        .run(lanes, &group, |engine, members, emit| {
+            let sessions = members.iter().map(|&i| {
+                let mut config = config.clone();
+                config.seed = opts.seed.wrapping_add(i as u64);
+                trace_session(&opts, topologies[i].destination(), config)
+            });
+            engine.run_stream_with(sessions, emit);
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("failed to assemble sweep network: {e}");
+            exit(2);
+        });
+    let traces = &output.results;
+    let stats = &output.stats;
 
     if opts.json {
         let destinations: Vec<serde_json::Value> = traces
@@ -760,66 +1009,17 @@ fn cmd_sweep(args: &[String]) {
                 })
             })
             .collect();
-        let report = serde_json::json!({
+        print_json(&serde_json::json!({
             "topologies": names,
             "algo": opts.algo,
             "admission": admission_name(opts.admission),
             "adaptive_budget": opts.adaptive,
             "max_in_flight": opts.budget,
             "shards": opts.shards,
-            "per_shard": per_shard.as_ref().map(|shards| {
-                shards
-                    .iter()
-                    .map(|s| {
-                        serde_json::json!({
-                            "dispatch_cycles": s.dispatch_cycles,
-                            "probes_sent": s.probes_sent,
-                            "probes_timed_out": s.probes_timed_out,
-                            "retries_exhausted": s.retries_exhausted,
-                            "budget_backoffs": s.budget_backoffs,
-                            "lane_backoffs": s.lane_backoffs,
-                        })
-                    })
-                    .collect::<Vec<_>>()
-            }),
+            "per_shard": per_shard_json(&output.per_shard),
             "destinations": destinations,
-            "stats": {
-                "dispatch_cycles": stats.dispatch_cycles,
-                "probes_sent": stats.probes_sent,
-                "replies_delivered": stats.replies_delivered,
-                "malformed_replies": stats.malformed_replies,
-                "mismatched_replies": stats.mismatched_replies,
-                "max_batch": stats.max_batch,
-                "probes_per_dispatch": stats.probes_per_dispatch(),
-                "sessions_admitted": stats.sessions_admitted,
-                "sessions_completed": stats.sessions_completed,
-                "sessions_deferred": stats.sessions_deferred,
-                "clean_cycles": stats.clean_cycles,
-                "lossy_cycles": stats.lossy_cycles,
-                "budget_backoffs": stats.budget_backoffs,
-                "lane_backoffs": stats.lane_backoffs,
-                "final_in_flight_budget": stats.final_in_flight_budget,
-                "probes_timed_out": stats.probes_timed_out,
-                "retries_exhausted": stats.retries_exhausted,
-                "retries_elided": stats.retries_elided,
-                "sessions_partial": stats.sessions_partial,
-                "max_lane_backoff_depth": stats.max_lane_backoff_depth,
-                "probes_elided": stats.probes_elided,
-                "stop_set_hits": stats.stop_set_hits,
-                "artifacts_detected": stats.artifacts_detected,
-                "route_recoveries": stats.route_recoveries,
-                "reprobes_sent": stats.reprobes_sent,
-                "route_changed_partials": stats.route_changed_partials,
-                "stop_set_stale_hits": stats.stop_set_stale_hits,
-                "stop_set_evictions": stats.stop_set_evictions,
-                "generation_barrier_stalls": stats.generation_barrier_stalls,
-            },
-        });
-        println!(
-            "{}",
-            // mlpt: allow(MLPT-W004, reason = "report types serialize infallibly (no maps with non-string keys, no custom Serialize)")
-            serde_json::to_string_pretty(&report).expect("serializable")
-        );
+            "stats": stats_json(stats),
+        }));
         return;
     }
 
@@ -840,7 +1040,7 @@ fn cmd_sweep(args: &[String]) {
             ""
         },
     );
-    for trace in &traces {
+    for trace in traces {
         println!(
             "  {}  {} probes, {} vertices, {} edges{}{}{}",
             trace.destination,
@@ -858,8 +1058,8 @@ fn cmd_sweep(args: &[String]) {
                 ""
             },
             match trace.outcome {
-                mlpt::core::TraceOutcome::Complete => String::new(),
-                mlpt::core::TraceOutcome::Partial { reason } => format!("  [partial: {reason}]"),
+                TraceOutcome::Complete => String::new(),
+                TraceOutcome::Partial { reason } => format!("  [partial: {reason}]"),
             },
         );
     }
@@ -881,41 +1081,7 @@ fn cmd_sweep(args: &[String]) {
         stats.clean_cycles,
         stats.lossy_cycles,
     );
-    println!(
-        "robustness: {} probes timed out, {} retries exhausted, {} partial sessions, \
-         max lane backoff depth {}, {} artifacts detected, {} route recoveries, \
-         {} reprobes, {} route-changed partials, {} stale stop hits",
-        stats.probes_timed_out,
-        stats.retries_exhausted,
-        stats.sessions_partial,
-        stats.max_lane_backoff_depth,
-        stats.artifacts_detected,
-        stats.route_recoveries,
-        stats.reprobes_sent,
-        stats.route_changed_partials,
-        stats.stop_set_stale_hits,
-    );
-    if opts.stop_set {
-        println!(
-            "stop set: {} probes elided, {} stop-set hits, {} retries elided",
-            stats.probes_elided, stats.stop_set_hits, stats.retries_elided,
-        );
-    }
-    if let Some(per) = &per_shard {
-        let probes: Vec<String> = per.iter().map(|s| s.probes_sent.to_string()).collect();
-        println!(
-            "sharding: {} engine shards, {} generation-barrier stalls; per-shard probes {}",
-            per.len(),
-            stats.generation_barrier_stalls,
-            probes.join("/"),
-        );
-    }
-    if opts.adaptive {
-        println!(
-            "adaptive budget: {} global backoffs, {} lane backoffs, final budget {}",
-            stats.budget_backoffs, stats.lane_backoffs, stats.final_in_flight_budget,
-        );
-    }
+    print_counters(&output, &opts);
 }
 
 /// Resolves router-level aliases for many destinations concurrently:
@@ -923,242 +1089,66 @@ fn cmd_sweep(args: &[String]) {
 /// through the sweep engine. Scenarios whose topologies share interface
 /// addresses (the generator's wide core structures) are grouped into
 /// address-disjoint sub-sweeps, because echo probes route by interface.
-fn cmd_alias(args: &[String]) {
-    use mlpt::alias::multilevel::{MultilevelConfig, MultilevelOutcome, MultilevelSession};
-    use mlpt::alias::rounds::ProbeMethod;
-    use mlpt::core::SweepStats;
-    use mlpt::survey::router_survey::disjoint_scenario_groups;
-    use mlpt::survey::TraceScenario;
-
-    let mut targets: Vec<usize> = Vec::new();
-    let mut stdin_list = false;
-    let mut rounds = 10u32;
-    let mut replies = 30u32;
-    let mut method = ProbeMethod::Indirect;
-    let mut budget = 1024usize;
-    let mut adaptive = false;
-    let mut admission = Admission::Streaming;
-    let mut stop_set = false;
-    let mut start_ttl: Option<u8> = None;
-    let mut fanout = false;
-    let mut rate_limit: Option<(u32, u64)> = None;
-    let mut fault_schedule: Option<FaultSchedule> = None;
-    let mut probe_timeout = RetryPolicy::default().base_timeout;
-    let mut max_retries = 0u8;
-    let mut shards = 1usize;
-    let mut cycle_gap = 0u64;
-    let mut seed = 1u64;
-    let mut json = false;
-
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| -> &String {
-            args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("{} needs a value", args[i]);
-                exit(2);
-            })
-        };
-        let flag = args[i].as_str();
-        match flag {
-            "--stdin" => {
-                stdin_list = true;
-                i += 1;
-                continue;
-            }
-            "--rounds" => rounds = number(flag, need(i), 0..),
-            "--replies" => replies = number(flag, need(i), 0..),
-            "--method" => {
-                method = match need(i).as_str() {
-                    "indirect" => ProbeMethod::Indirect,
-                    "direct" => ProbeMethod::Direct,
-                    other => {
-                        eprintln!("unknown method {other} (indirect|direct)");
-                        exit(2);
-                    }
-                }
-            }
-            "--budget" | "--max-in-flight" => budget = number(flag, need(i), 0..),
-            "--adaptive-budget" => {
-                adaptive = true;
-                i += 1;
-                continue;
-            }
-            "--admission" => admission = parse_admission(need(i)),
-            "--stop-set" => {
-                stop_set = true;
-                i += 1;
-                continue;
-            }
-            "--start-ttl" => start_ttl = Some(number(flag, need(i), 0..)),
-            "--fanout" => {
-                fanout = true;
-                i += 1;
-                continue;
-            }
-            "--rate-limit" => rate_limit = Some(parse_rate_limit(need(i))),
-            "--fault-schedule" => fault_schedule = Some(fault_schedule_preset(need(i))),
-            "--probe-timeout" => probe_timeout = number(flag, need(i), 0..),
-            "--max-retries" => max_retries = number(flag, need(i), 0..),
-            "--shards" => shards = number::<usize, _>(flag, need(i), 0..).max(1),
-            "--cycle-gap" => cycle_gap = number(flag, need(i), 0..),
-            "--seed" => seed = number(flag, need(i), 0..),
-            "--json" => {
-                json = true;
-                i += 1;
-                continue;
-            }
-            other => match other.parse::<usize>() {
-                Ok(id) => {
-                    targets.push(id);
-                    i += 1;
-                    continue;
-                }
-                Err(_) => {
-                    eprintln!("unknown option or target: {other}");
-                    exit(2);
-                }
-            },
-        }
-        i += 2;
-    }
-
-    if stdin_list {
-        use std::io::BufRead;
-        for line in std::io::stdin().lock().lines().map_while(Result::ok) {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            match line.parse::<usize>() {
-                Ok(id) => targets.push(id),
-                Err(_) => {
-                    eprintln!("not a scenario number: {line}");
-                    exit(2);
-                }
-            }
-        }
+fn cmd_alias(opts: Options) {
+    let mut targets = opts.targets.clone();
+    for line in opts.stdin_list.then(stdin_lines).unwrap_or_default() {
+        targets.push(number("--stdin", &line, 0..));
     }
     if targets.is_empty() {
         eprintln!("no targets: pass scenario numbers as arguments or via --stdin");
         exit(2);
     }
-    {
-        let mut sorted = targets.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != targets.len() {
-            eprintln!("duplicate scenario numbers in the target list");
-            exit(2);
-        }
+    if targets.iter().collect::<BTreeSet<_>>().len() != targets.len() {
+        eprintln!("duplicate scenario numbers in the target list");
+        exit(2);
     }
 
-    let faults = {
-        let mut plan = FaultPlan::none();
-        if let Some((n, w)) = rate_limit {
-            let window = FaultPlan::with_rate_limit_window(n, w);
-            plan.icmp_bucket_capacity = window.icmp_bucket_capacity;
-            plan.icmp_tokens_per_tick = window.icmp_tokens_per_tick;
-        }
-        plan
-    };
-    let rounds_config = RoundsConfig {
-        rounds,
-        replies_per_round: replies,
-        method,
-        ..RoundsConfig::default()
-    };
     let internet = SyntheticInternet::new(InternetConfig::default());
     let scenarios: Vec<TraceScenario> = targets.iter().map(|&id| internet.scenario(id)).collect();
-    let refs: Vec<&TraceScenario> = scenarios.iter().collect();
-
-    let mut outcomes: Vec<Option<MultilevelOutcome>> = Vec::new();
-    outcomes.resize_with(scenarios.len(), || None);
-    let mut stats = SweepStats::default();
-    // Per-shard counters accumulated across sub-sweeps (shard i of every
-    // sub-sweep merges into slot i).
-    let mut per_shard: Vec<SweepStats> = vec![SweepStats::default(); shards];
-    let mut sub_sweeps = 0usize;
-    for group in disjoint_scenario_groups(&refs) {
-        sub_sweeps += 1;
-        let lanes: Vec<SimNetwork> = group
-            .iter()
-            .map(|&i| {
-                let mut builder = SimNetwork::builder(scenarios[i].topology.clone())
-                    .routers(scenarios[i].routers.clone())
-                    .seed(seed.wrapping_add(targets[i] as u64));
-                builder = match &fault_schedule {
-                    Some(schedule) => builder.fault_schedule(schedule.clone()),
-                    None => builder.faults(faults),
-                };
-                for (router, profile) in &scenarios[i].profiles {
-                    builder = builder.profile(*router, *profile);
-                }
-                builder.build()
-            })
-            .collect();
-        let net = match mlpt::sim::MultiNetwork::new(lanes) {
-            Ok(net) => net.with_cycle_gap(cycle_gap),
-            Err(e) => {
-                eprintln!("failed to assemble alias sweep network: {e}");
-                exit(2);
-            }
-        };
-        let source = scenarios[group[0]].source;
-        assert!(
-            group.iter().all(|&i| scenarios[i].source == source),
-            "alias sweeps assume a single vantage point"
-        );
-        let sweep_config = SweepConfig {
-            max_in_flight: budget,
-            admission,
-            adaptive: adaptive.then(AdaptiveBudget::default),
-            retries: max_retries,
-            retry: RetryPolicy {
-                base_timeout: probe_timeout,
-                ..RetryPolicy::default()
-            },
-            stall_rounds: if fault_schedule.is_some() { 8 } else { 0 },
-            stop_set: stop_set_config(stop_set, start_ttl),
-        };
-        let sessions = group.iter().map(|&i| {
-            MultilevelSession::new(
-                scenarios[i].topology.destination(),
-                MultilevelConfig {
-                    trace: TraceConfig::new(seed.wrapping_add(targets[i] as u64)),
-                    rounds: rounds_config.clone(),
-                },
-            )
-            .with_hop_fanout(fanout)
-            .with_cost_hint(mlpt::survey::scenario_cost_hint(
-                &scenarios[i],
-                &rounds_config,
-                false,
-            ))
-        });
-        // Lanes split by the same destination hash that partitions the
-        // sessions — pure scheduling, the outcomes are bit-identical for
-        // any shard count.
-        let parts = net.split_by(shards, |d| shard_of(d, shards));
-        let mut engine = ShardedSweepEngine::new(parts, source).with_config(sweep_config);
-        engine.run_sessions_with(sessions, |idx, session, _wire| {
-            outcomes[group[idx]] = Some(session.finish());
-        });
-        stats.merge(engine.stats());
-        for (slot, shard) in per_shard.iter_mut().zip(engine.shard_stats()) {
-            slot.merge(shard);
-        }
-    }
-
-    let outcomes: Vec<MultilevelOutcome> = outcomes
-        .into_iter()
-        // mlpt: allow(MLPT-W004, reason = "invariant: run_sessions_with invokes the completion callback for every session, filling each slot")
-        .map(|o| o.expect("every session reports"))
+    let seed_of = |i: usize| opts.seed.wrapping_add(targets[i] as u64);
+    let faults = lane_faults(&opts);
+    let lanes = scenarios
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (s.source, s.build_network(seed_of(i), faults.clone())))
         .collect();
+    let groups = disjoint_scenario_groups(&scenarios.iter().collect::<Vec<_>>());
+    let multilevel = MultilevelConfig {
+        trace: trace_config(&opts, opts.seed),
+        rounds: rounds_config(&opts),
+    };
+    // Outcomes are bit-identical for any shard count; `alias` takes no
+    // `--workers`, so the simulator keeps its default worker count.
+    let plan = SweepPlan {
+        workers: env_default_workers(),
+        ..sweep_plan(&opts)
+    };
+    let output = plan
+        .run(lanes, &groups, |engine, members, emit| {
+            let sessions = members.iter().map(|&i| {
+                let mut config = multilevel.clone();
+                config.trace.seed = seed_of(i);
+                let hint = scenario_cost_hint(&scenarios[i], &multilevel.rounds, false);
+                MultilevelSession::new(scenarios[i].topology.destination(), config)
+                    .with_hop_fanout(opts.fanout)
+                    .with_cost_hint(hint)
+            });
+            engine.run_sessions_with(sessions, |index, session, _wire| {
+                emit(index, session.finish());
+            });
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("failed to assemble sweep network: {e}");
+            exit(2);
+        });
+    let outcomes: &[MultilevelOutcome] = &output.results;
+    let stats = &output.stats;
+    let sub_sweeps = groups.len();
 
-    if json {
+    if opts.json {
         let per_scenario: Vec<serde_json::Value> = targets
             .iter()
-            .zip(&outcomes)
+            .zip(outcomes)
             .map(|(&id, outcome)| {
                 let hops: Vec<serde_json::Value> = outcome
                     .multilevel
@@ -1189,89 +1179,42 @@ fn cmd_alias(args: &[String]) {
                 })
             })
             .collect();
-        let report = serde_json::json!({
-            "method": match method {
-                ProbeMethod::Indirect => "indirect",
-                ProbeMethod::Direct => "direct",
-            },
-            "rounds": rounds,
-            "replies_per_round": replies,
-            "admission": admission_name(admission),
-            "hop_fanout": fanout,
+        print_json(&serde_json::json!({
+            "method": opts.method,
+            "rounds": opts.rounds,
+            "replies_per_round": opts.replies,
+            "admission": admission_name(opts.admission),
+            "hop_fanout": opts.fanout,
             "sub_sweeps": sub_sweeps,
-            "shards": shards,
-            "per_shard": (shards > 1).then(|| {
-                per_shard
-                    .iter()
-                    .map(|s| {
-                        serde_json::json!({
-                            "dispatch_cycles": s.dispatch_cycles,
-                            "probes_sent": s.probes_sent,
-                            "probes_timed_out": s.probes_timed_out,
-                            "retries_exhausted": s.retries_exhausted,
-                            "budget_backoffs": s.budget_backoffs,
-                            "lane_backoffs": s.lane_backoffs,
-                        })
-                    })
-                    .collect::<Vec<_>>()
-            }),
+            "shards": opts.shards,
+            "per_shard": per_shard_json(&output.per_shard),
             "scenarios": per_scenario,
-            "stats": {
-                "dispatch_cycles": stats.dispatch_cycles,
-                "probes_sent": stats.probes_sent,
-                "replies_delivered": stats.replies_delivered,
-                "max_batch": stats.max_batch,
-                "probes_per_dispatch": stats.probes_per_dispatch(),
-                "sessions_admitted": stats.sessions_admitted,
-                "sessions_completed": stats.sessions_completed,
-                "sessions_deferred": stats.sessions_deferred,
-                "clean_cycles": stats.clean_cycles,
-                "lossy_cycles": stats.lossy_cycles,
-                "budget_backoffs": stats.budget_backoffs,
-                "lane_backoffs": stats.lane_backoffs,
-                "final_in_flight_budget": stats.final_in_flight_budget,
-                "probes_timed_out": stats.probes_timed_out,
-                "retries_exhausted": stats.retries_exhausted,
-                "retries_elided": stats.retries_elided,
-                "sessions_partial": stats.sessions_partial,
-                "max_lane_backoff_depth": stats.max_lane_backoff_depth,
-                "probes_elided": stats.probes_elided,
-                "stop_set_hits": stats.stop_set_hits,
-                "artifacts_detected": stats.artifacts_detected,
-                "route_recoveries": stats.route_recoveries,
-                "reprobes_sent": stats.reprobes_sent,
-                "route_changed_partials": stats.route_changed_partials,
-                "stop_set_stale_hits": stats.stop_set_stale_hits,
-                "stop_set_evictions": stats.stop_set_evictions,
-                "generation_barrier_stalls": stats.generation_barrier_stalls,
-            },
-        });
-        println!(
-            "{}",
-            // mlpt: allow(MLPT-W004, reason = "report types serialize infallibly (no maps with non-string keys, no custom Serialize)")
-            serde_json::to_string_pretty(&report).expect("serializable")
-        );
+            "stats": stats_json(stats),
+        }));
         return;
     }
 
     println!(
-        "mlpt alias: {} scenario(s), method {}, rounds 0..={rounds} x {replies} replies, \
+        "mlpt alias: {} scenario(s), method {}, rounds 0..={} x {} replies, \
          {} admission{}{}{}",
         targets.len(),
-        match method {
-            ProbeMethod::Indirect => "indirect",
-            ProbeMethod::Direct => "direct",
+        opts.method,
+        opts.rounds,
+        opts.replies,
+        admission_name(opts.admission),
+        if opts.adaptive {
+            ", adaptive budget"
+        } else {
+            ""
         },
-        admission_name(admission),
-        if adaptive { ", adaptive budget" } else { "" },
-        if fanout { ", hop fan-out" } else { "" },
+        if opts.fanout { ", hop fan-out" } else { "" },
         if sub_sweeps > 1 {
             format!(" ({sub_sweeps} address-disjoint sub-sweeps)")
         } else {
             String::new()
         },
     );
-    for (&id, outcome) in targets.iter().zip(&outcomes) {
+    for (&id, outcome) in targets.iter().zip(outcomes) {
         println!(
             "scenario {id} ({}): trace {} probes, alias {} probes",
             outcome.multilevel.trace.destination,
@@ -1320,58 +1263,15 @@ fn cmd_alias(args: &[String]) {
         stats.clean_cycles,
         stats.lossy_cycles,
     );
-    println!(
-        "robustness: {} probes timed out, {} retries exhausted, {} partial sessions, \
-         max lane backoff depth {}, {} artifacts detected, {} route recoveries, \
-         {} reprobes, {} route-changed partials, {} stale stop hits",
-        stats.probes_timed_out,
-        stats.retries_exhausted,
-        stats.sessions_partial,
-        stats.max_lane_backoff_depth,
-        stats.artifacts_detected,
-        stats.route_recoveries,
-        stats.reprobes_sent,
-        stats.route_changed_partials,
-        stats.stop_set_stale_hits,
-    );
-    if stop_set {
-        println!(
-            "stop set: {} probes elided, {} stop-set hits, {} retries elided",
-            stats.probes_elided, stats.stop_set_hits, stats.retries_elided,
-        );
-    }
-    if shards > 1 {
-        let probes: Vec<String> = per_shard
-            .iter()
-            .map(|s| s.probes_sent.to_string())
-            .collect();
-        println!(
-            "sharding: {} engine shards, {} generation-barrier stalls; per-shard probes {}",
-            shards,
-            stats.generation_barrier_stalls,
-            probes.join("/"),
-        );
-    }
-    if adaptive {
-        println!(
-            "adaptive budget: {} global backoffs, {} lane backoffs, final budget {}",
-            stats.budget_backoffs, stats.lane_backoffs, stats.final_in_flight_budget,
-        );
-    }
+    print_counters(&output, &opts);
 }
 
-fn cmd_multilevel(args: &[String]) {
-    let opts = parse_options(args);
+fn cmd_multilevel(opts: Options) {
     let (net, destination, truth) = build_network(&opts);
-    let mut engine = SweepEngine::new(net, SOURCE);
+    let mut engine = SweepEngine::new(net, SOURCE).with_config(sweep_config(&opts));
     let config = MultilevelConfig {
-        trace: TraceConfig::new(opts.seed)
-            .with_stopping(stopping_points(&opts.stopping))
-            .with_phi(opts.phi),
-        rounds: RoundsConfig {
-            rounds: opts.rounds,
-            ..RoundsConfig::default()
-        },
+        trace: trace_config(&opts, opts.seed),
+        rounds: rounds_config(&opts),
     };
     let result = trace_multilevel(&mut engine, destination, &config);
 

@@ -89,6 +89,14 @@ fn meshed_topology_reports_switch() {
     assert!(stdout.contains("switched to full MDA (meshing"), "{stdout}");
 }
 
+/// Exit status 2 and a message naming `flag`.
+fn assert_refused(args: &[&str], flag: &str) {
+    let out = mlpt().args(args).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "mlpt {args:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains(flag), "mlpt {args:?}: {stderr}");
+}
+
 #[test]
 fn unknown_arguments_rejected() {
     assert!(!mlpt()
@@ -109,6 +117,170 @@ fn unknown_arguments_rejected() {
         .unwrap()
         .status
         .success());
+
+    // Each flag a command once parsed and then ignored is refused, by
+    // name: a command and the flags (with a value) it does not take.
+    let not_taken: [(&str, &[&str]); 5] = [
+        (
+            "trace",
+            &[
+                "--rounds 2",
+                "--destinations 3",
+                "--max-in-flight 8",
+                "--budget 8",
+                "--admission cost-aware",
+                "--adaptive-budget",
+                "--stop-set",
+                "--start-ttl 3",
+                "--cycle-gap 4",
+                "--rate-limit 3/12",
+                "--fault-schedule flap",
+                "--topology-schedule route-flap",
+                "--reprobe-budget 8",
+                "--probe-timeout 64",
+                "--stdin",
+                "--workers 2",
+                "--shards 2",
+            ],
+        ),
+        (
+            "multilevel",
+            &[
+                "--algo mda",
+                "--json",
+                "--draw",
+                "--pcap capture.pcap",
+                "--destinations 3",
+                "--max-in-flight 8",
+                "--budget 8",
+                "--admission cost-aware",
+                "--adaptive-budget",
+                "--stop-set",
+                "--start-ttl 3",
+                "--cycle-gap 4",
+                "--rate-limit 3/12",
+                "--fault-schedule flap",
+                "--topology-schedule route-flap",
+                "--reprobe-budget 8",
+                "--probe-timeout 64",
+                "--stdin",
+                "--workers 2",
+                "--shards 2",
+            ],
+        ),
+        (
+            "sweep",
+            &[
+                "--scenario 3",
+                "--rounds 2",
+                "--draw",
+                "--pcap capture.pcap",
+            ],
+        ),
+        (
+            "alias",
+            &["--topology simplest", "--loss 0.1", "--workers 2"],
+        ),
+        ("topologies", &["--json"]),
+    ];
+    for (command, flags) in not_taken {
+        for flag in flags {
+            let mut args = vec![command];
+            args.extend(flag.split_whitespace());
+            assert_refused(&args, flag.split_whitespace().next().unwrap());
+        }
+    }
+
+    // A flag another flag leaves without effect is refused, by name.
+    for (args, flag) in [
+        (
+            &["trace", "--scenario", "3", "--topology", "simplest"][..],
+            "--topology",
+        ),
+        (
+            &["multilevel", "--scenario", "3", "--topology", "simplest"],
+            "--topology",
+        ),
+        (
+            &["sweep", "--stdin", "--topology", "simplest"],
+            "--topology",
+        ),
+        (
+            &["sweep", "--stdin", "--destinations", "3"],
+            "--destinations",
+        ),
+        (
+            &["sweep", "--fault-schedule", "flap", "--loss", "0.1"],
+            "--loss",
+        ),
+        (
+            &["sweep", "--fault-schedule", "flap", "--rate-limit", "3/12"],
+            "--rate-limit",
+        ),
+        (
+            &[
+                "alias",
+                "3",
+                "--fault-schedule",
+                "flap",
+                "--rate-limit",
+                "3/12",
+            ],
+            "--rate-limit",
+        ),
+        (&["sweep", "--start-ttl", "4"], "--start-ttl"),
+        (&["alias", "3", "--start-ttl", "4"], "--start-ttl"),
+        (&["trace", "--json", "--draw"], "--draw"),
+    ] {
+        assert_refused(args, flag);
+    }
+}
+
+/// `mlpt help` lists, under each command, exactly the flags the command
+/// accepts: a listed flag is never refused as "not taken", and every
+/// other flag is.
+#[test]
+fn usage_lists_exactly_the_accepted_flags() {
+    let out = mlpt().arg("help").output().expect("binary runs");
+    assert!(out.status.success());
+    let usage = String::from_utf8(out.stderr).unwrap();
+    let mut listed: Vec<(String, Vec<String>)> = Vec::new();
+    for line in usage.lines() {
+        if let Some(command) = line.strip_prefix("  ").filter(|l| !l.starts_with(' ')) {
+            let name = command.split_whitespace().next().unwrap().to_string();
+            listed.push((name, Vec::new()));
+        } else if let Some(flag) = line.strip_prefix(&" ".repeat(15)) {
+            if let (Some((_, flags)), true) = (listed.last_mut(), flag.starts_with("--")) {
+                flags.push(flag.split_whitespace().next().unwrap().to_string());
+            }
+        }
+    }
+    let commands: Vec<&str> = listed.iter().map(|(c, _)| c.as_str()).collect();
+    assert_eq!(
+        commands,
+        ["trace", "sweep", "alias", "multilevel", "topologies"]
+    );
+    let mut every: Vec<&String> = listed.iter().flat_map(|(_, flags)| flags).collect();
+    every.sort();
+    every.dedup();
+    assert!(every.len() >= 30, "{every:?}");
+    for (command, flags) in &listed {
+        for flag in &every {
+            // No value follows, so an accepted flag either runs the
+            // command or asks for its value; neither says "not take".
+            let out = mlpt()
+                .args([command.as_str(), flag.as_str()])
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            let refused = stderr.contains("does not take");
+            assert_eq!(
+                refused,
+                !flags.contains(flag),
+                "mlpt {command} {flag}: {stderr}"
+            );
+        }
+    }
 }
 
 /// Bad numeric values exit 2 with a message naming the flag: values
@@ -126,6 +298,17 @@ fn bad_numeric_values_rejected() {
         &["trace", "--seed", "x"],
         &["sweep", "--destinations", "x"],
         &["alias", "3", "--seed", "x"],
+        // Zero acted as one; it is out of range now.
+        &["sweep", "--shards", "0"],
+        &["alias", "3", "--shards", "0"],
+        &["sweep", "--workers", "0"],
+        &["sweep", "--max-in-flight", "0"],
+        &["alias", "3", "--budget", "0"],
+        &["sweep", "--probe-timeout", "0"],
+        &["alias", "3", "--probe-timeout", "0"],
+        &["sweep", "--stop-set", "--start-ttl", "0"],
+        &["alias", "3", "--stop-set", "--start-ttl", "0"],
+        &["sweep", "--destinations", "201"],
     ] {
         let out = mlpt().args(args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "mlpt {args:?}");
@@ -780,4 +963,63 @@ fn alias_reads_targets_from_stdin() {
         .unwrap()
         .status
         .success());
+}
+
+/// `--loss` acts on a synthetic-Internet scenario: the run differs from
+/// the lossless one and replays byte for byte.
+#[test]
+fn scenario_runs_take_loss() {
+    for (command, scenario, loss) in [("trace", "7", "0.5"), ("multilevel", "3", "0.3")] {
+        let run = |extra: &[&str]| {
+            let out = mlpt()
+                .args([command, "--scenario", scenario])
+                .args(extra)
+                .output()
+                .expect("binary runs");
+            assert!(out.status.success(), "mlpt {command} {extra:?}");
+            out.stdout
+        };
+        let lossy = run(&["--loss", loss]);
+        assert_ne!(lossy, run(&[]), "mlpt {command} --loss must act");
+        assert_eq!(lossy, run(&["--loss", loss]), "mlpt {command} must replay");
+    }
+}
+
+/// `--max-retries` buys a single trace retry waves too: on a lossy
+/// network it spends more probes than a run without it, and replays.
+#[test]
+fn single_trace_max_retries_spend_probes() {
+    let run = |extra: &[&str]| -> serde_json::Value {
+        let out = mlpt()
+            .args([
+                "trace",
+                "--topology",
+                "fig1-meshed",
+                "--loss",
+                "0.3",
+                "--json",
+            ])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success());
+        serde_json::from_slice(&out.stdout).expect("valid JSON")
+    };
+    let probes = |r: &serde_json::Value| r["probes_sent"].as_u64().unwrap();
+    let retried = run(&["--max-retries", "3"]);
+    assert!(probes(&retried) > probes(&run(&[])));
+    assert_eq!(retried, run(&["--max-retries", "3"]));
+
+    let multilevel = |extra: &[&str]| {
+        let out = mlpt()
+            .args(["multilevel", "--scenario", "3", "--loss", "0.3"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success());
+        out.stdout
+    };
+    let retried = multilevel(&["--max-retries", "2"]);
+    assert_ne!(retried, multilevel(&[]));
+    assert_eq!(retried, multilevel(&["--max-retries", "2"]));
 }

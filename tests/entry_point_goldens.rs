@@ -81,10 +81,10 @@ sweep --destinations 4 --algo mda --topology-schedule route-flap --max-retries 1
 sweep --topology fig1-meshed --destinations 3 --algo mda --loss 0.3 --max-retries 2 --probe-timeout 64 --seed 7 9b3249e5db86923a
 sweep --topology asymmetric --destinations 2 --reprobe-budget 32 --admission cost-aware-windowed:1 --seed 6 480aff851d1ea5e2
 alias 3 5 --rounds 2 --replies 6                                                          6c0e7192a012dd22
-alias 3 --method direct --rounds 2 --replies 6 --json                                     13b649dce0a923a2
+alias 3 --method direct --rounds 2 --replies 6 --json                                     8c8dfbd03be677c6
 alias 3 5 9 --fanout --shards 2 --stop-set --rounds 2 --replies 6                         87ef32bba99942b9
-alias 3 5 9 --stop-set --shards 2 --rounds 2 --replies 6 --json                           7944c0cc1842be47
-alias 62 129 --shards 2 --rounds 2 --replies 6 --json                                     b0a781293e03caf5
+alias 3 5 9 --stop-set --shards 2 --rounds 2 --replies 6 --json                           2a7d7fb3d0b9315d
+alias 62 129 --shards 2 --rounds 2 --replies 6 --json                                     60b8ef1f00daf389
 alias 3 5 --admission cost-aware --adaptive-budget --rate-limit 3/12 --cycle-gap 12 --max-in-flight 64 --rounds 2 --replies 6 05b0c40c66b84542
 alias 3 --fault-schedule flap --max-retries 1 --probe-timeout 64 --rounds 2 --replies 6 --seed 2 27d9cc3114a961f3";
 
