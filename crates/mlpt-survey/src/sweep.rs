@@ -51,11 +51,11 @@ pub struct SweepOutput<R> {
 
 impl SweepPlan {
     /// Sweeps `lanes` group by group; every lane belongs to exactly one
-    /// of `groups` (indices into `lanes`). For each group, `drive` runs
-    /// the group's engine over the sessions of the group's lanes and
-    /// hands each result to the sink with its position in the group
-    /// (trace sweeps call `run_stream_with`, alias sweeps
-    /// `run_sessions_with`).
+    /// of `groups` (indices into `lanes`; empty groups are skipped). For
+    /// each group, `drive` runs the group's engine over the sessions of
+    /// the group's lanes and hands each result to the sink with its
+    /// position in the group (trace sweeps call `run_stream_with`, alias
+    /// sweeps `run_sessions_with`).
     ///
     /// # Errors
     ///

@@ -13,8 +13,8 @@
 //! mlpt topologies
 //! ```
 //!
-//! Every flag is declared once, in [`FLAGS`], with the commands that
-//! accept it; `mlpt help` is rendered from that table. A flag a command
+//! Every flag is declared once, in the `FLAGS` table, with the commands
+//! that accept it; `mlpt help` is rendered from that table. A flag a command
 //! does not accept, or one another flag would leave without effect,
 //! exits with status 2 and names itself.
 
@@ -77,8 +77,9 @@ struct Flag {
     commands: u8,
     /// The usage text; `\n` continues it on the next line.
     help: &'static str,
-    /// Checks the value given after the flag (spelled as the user spelled
-    /// it) and stores it, exiting with status 2 if it is out of range.
+    /// Checks and stores the flag's value (empty for a switch), given the
+    /// flag as spelled for messages; exits with status 2 if the value is
+    /// out of range.
     set: fn(&mut Options, &str, &str),
 }
 
@@ -375,7 +376,7 @@ fn usage() {
 /// The parsed command line: every flag's value, or its default.
 #[derive(Default)]
 struct Options {
-    /// Canonical names of the flags given, for [`CANCELS`].
+    /// Names of the flags given, for the cancellation checks.
     given: Vec<&'static str>,
     /// `alias`: the scenario numbers given as positional arguments.
     targets: Vec<usize>,
@@ -974,10 +975,10 @@ fn cmd_sweep(opts: Options) {
         })
         .collect();
 
-    // Sharding is pure scheduling: the traces and every protocol-level
-    // counter are identical for any shard count.
     let config = trace_config(&opts, opts.seed);
     let group = [(0..topologies.len()).collect()];
+    // Sharding is pure scheduling: the traces and every protocol-level
+    // counter are identical for any shard count.
     let output = sweep_plan(&opts)
         .run(lanes, &group, |engine, members, emit| {
             let sessions = members.iter().map(|&i| {

@@ -193,46 +193,24 @@ fn unknown_arguments_rejected() {
 
     // A flag another flag leaves without effect is refused, by name.
     for (args, flag) in [
+        ("trace --scenario 3 --topology simplest", "--topology"),
+        ("multilevel --scenario 3 --topology simplest", "--topology"),
+        ("sweep --stdin --topology simplest", "--topology"),
+        ("sweep --stdin --destinations 3", "--destinations"),
+        ("sweep --fault-schedule flap --loss 0.1", "--loss"),
         (
-            &["trace", "--scenario", "3", "--topology", "simplest"][..],
-            "--topology",
-        ),
-        (
-            &["multilevel", "--scenario", "3", "--topology", "simplest"],
-            "--topology",
-        ),
-        (
-            &["sweep", "--stdin", "--topology", "simplest"],
-            "--topology",
-        ),
-        (
-            &["sweep", "--stdin", "--destinations", "3"],
-            "--destinations",
-        ),
-        (
-            &["sweep", "--fault-schedule", "flap", "--loss", "0.1"],
-            "--loss",
-        ),
-        (
-            &["sweep", "--fault-schedule", "flap", "--rate-limit", "3/12"],
+            "sweep --fault-schedule flap --rate-limit 3/12",
             "--rate-limit",
         ),
         (
-            &[
-                "alias",
-                "3",
-                "--fault-schedule",
-                "flap",
-                "--rate-limit",
-                "3/12",
-            ],
+            "alias 3 --fault-schedule flap --rate-limit 3/12",
             "--rate-limit",
         ),
-        (&["sweep", "--start-ttl", "4"], "--start-ttl"),
-        (&["alias", "3", "--start-ttl", "4"], "--start-ttl"),
-        (&["trace", "--json", "--draw"], "--draw"),
+        ("sweep --start-ttl 4", "--start-ttl"),
+        ("alias 3 --start-ttl 4", "--start-ttl"),
+        ("trace --json --draw", "--draw"),
     ] {
-        assert_refused(args, flag);
+        assert_refused(&args.split_whitespace().collect::<Vec<_>>(), flag);
     }
 }
 
@@ -249,10 +227,12 @@ fn usage_lists_exactly_the_accepted_flags() {
         if let Some(command) = line.strip_prefix("  ").filter(|l| !l.starts_with(' ')) {
             let name = command.split_whitespace().next().unwrap().to_string();
             listed.push((name, Vec::new()));
-        } else if let Some(flag) = line.strip_prefix(&" ".repeat(15)) {
-            if let (Some((_, flags)), true) = (listed.last_mut(), flag.starts_with("--")) {
-                flags.push(flag.split_whitespace().next().unwrap().to_string());
-            }
+        } else if let Some(flag) = line
+            .strip_prefix(&" ".repeat(15))
+            .filter(|l| l.starts_with("--"))
+        {
+            let (_, flags) = listed.last_mut().expect("a command heads its flags");
+            flags.push(flag.split_whitespace().next().unwrap().to_string());
         }
     }
     let commands: Vec<&str> = listed.iter().map(|(c, _)| c.as_str()).collect();
