@@ -329,7 +329,7 @@ fn main() {
         usage();
         return;
     }
-    let Some(&(name, bit, _)) = COMMANDS.iter().find(|(name, ..)| name == &command.as_str()) else {
+    let Some(&(name, bit, _)) = COMMANDS.iter().find(|c| c.0 == command.as_str()) else {
         eprintln!("unknown command: {command}");
         usage();
         exit(2);
