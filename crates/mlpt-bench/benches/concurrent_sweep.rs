@@ -1,1270 +1,141 @@
-//! Concurrent sweep vs the sequential full-trace loop, at survey scale.
+//! Wall-clock timing of the sweep engine at survey scale.
 //!
-//! The workload is a survey slice: N synthetic-Internet destinations
-//! traced with the full MDA, exactly as `run_ip_survey` traces them.
+//! The workload is `mlpt_bench::concurrent_sweep`'s survey slice: 512
+//! synthetic-Internet destinations traced with the full MDA. Timed runs:
 //!
-//! * **sequential** — the pre-engine survey loop: one `SimNetwork` per
-//!   destination, traces run one after another, each a one-session
-//!   sweep. Crossings are counted as the former blocking loop made them:
-//!   every per-trace probe round is its own transport crossing.
-//! * **streaming admission** — destinations stream into the engine as
-//!   in-flight tokens free up, keeping batches full until the list runs
-//!   dry.
+//! * the sequential full-trace loop, one `SimNetwork` per destination;
+//! * the streaming engine over one shared `MultiNetwork`, with 1 and
+//!   with N simulator worker threads spreading disjoint lanes inside
+//!   each crossing;
+//! * the sharded engine at shard counts {1, 2, 4, host_cpus}. On a host
+//!   with more than one CPU, 2 shards must beat 1 (best sample against
+//!   best sample) or the bench fails; on one CPU the shard threads
+//!   serialize, so the curve is recorded without the gate.
 //!
-//! Both paths do the identical wire work (asserted here, property-tested
-//! in `tests/sweep_equivalence.rs`). The headline metrics:
-//!
-//! * **probe-dispatch throughput** — probes moved per transport
-//!   crossing. On a raw-socket backend a crossing is one `sendmmsg`
-//!   syscall plus one round-trip wait, so probes-per-crossing bounds how
-//!   fast a vantage point drains a destination list.
-//! * **tail utilization** — probes per dispatch over the *last 10% of
-//!   probes*. A fixed session table's tail collapses (a handful of
-//!   straggler sessions per cycle); streaming admission keeps the tail
-//!   within 2× of the full-sweep average. This bench FAILS (guarding CI)
-//!   if the streaming tail regresses below half the full-sweep average.
-//! * **wall clock** — with `simulator_workers > 1`, `MultiNetwork`
-//!   spreads disjoint lanes over threads inside each crossing, so large
-//!   merged batches convert into a real wall-clock speedup on multicore
-//!   hosts (reported honestly along with the host's CPU count).
-//!
-//! An **adaptive-backoff experiment** (rate-limited lanes, inter-cycle
-//! clock gap) is also run and asserted: the AIMD budget sends measurably
-//! fewer probes into the rate-limited window than a fixed budget while
-//! discovering the identical topology.
-//!
-//! An **alias-rounds sweep stage** runs the full multilevel pipeline
-//! (trace + Round 0–10 alias resolution, the Sec. 4.2 protocol that
-//! dominates a router-level survey's probe budget) as sessionized
-//! `MultilevelSession`s: one destination at a time, counted with the
-//! former blocking inner loop's crossings — per-probe echo crossings,
-//! per-round UDP crossings — vs all destinations streamed
-//! through one engine. Probes/crossing and tail utilization are emitted
-//! and floored (CI gates), with the per-destination outcomes asserted
-//! bit-identical first.
-//!
-//! A **shared-stop-set stage** sweeps one shared-prefix destination
-//! family at widths 16/64/256/1024 with the Doubletree stop set on:
-//! per-destination topology equivalence (probed hops + reconstructed
-//! prefix vs the classic sweep), the exact probe ledger and admission
-//! bit-identity are asserted first; then probes/destination must fall
-//! strictly with width and land >= 30% below the width-16 figure at
-//! width 256 (CI gates).
-//!
-//! A **sharded-engine stage** partitions the same synthetic-Internet
-//! workload across N engine shards (`ShardedSweepEngine`), each shard a
-//! full engine on its own thread over its own transport split. Shard
-//! counts {1, 2, 4, host_cpus} are swept; bit-identity against the
-//! unsharded engine is asserted *before* any number is recorded, then
-//! the wall-clock scaling curve lands in the JSON. The 2-shard run must
-//! beat the 1-shard run only when the host actually has more than one
-//! CPU — on a single-CPU host the threads cannot run in parallel, which
-//! the report records honestly instead of gating.
-//!
-//! A **chaos stage** sweeps every built-in fault-schedule preset through
-//! the robustness stack (probe deadlines, bounded retries, the stall
-//! watchdog): liveness and the retry-wave accounting partition are
-//! asserted, per-preset timeout/partial figures are reported.
-//!
-//! Results land in `BENCH_concurrent_sweep.json` at the workspace root.
-//! Set `MLPT_BENCH_QUICK=1` (CI pull requests) for a reduced run.
+//! Each run is timed over several samples after one untimed warm-up
+//! run; `MLPT_BENCH_QUICK=1` (CI pull requests) takes fewer samples of
+//! the same workload. Results land in `BENCH_concurrent_sweep.json` at
+//! the workspace root: per run the median, quartiles and best wall-clock
+//! seconds, the sample count, and the probes and transport crossings the
+//! run made, with the host's CPU count. The deterministic gates on the
+//! same runs (bit-identity, probes per crossing, tail utilization) are
+//! tests: `crates/mlpt-bench/tests/sweep_gates.rs`.
 
-use criterion::{black_box, Criterion};
-use mlpt_alias::multilevel::{MultilevelConfig, MultilevelOutcome, MultilevelSession};
-use mlpt_core::engine::{AdaptiveBudget, Admission, SweepConfig, SweepEngine, SweepStats};
-use mlpt_core::prelude::*;
-use mlpt_core::session::{
-    ProbeOutcome, ProbeRequest, ProbeSession, TraceProbeSession, TraceSession,
+use mlpt_bench::concurrent_sweep::{
+    run_sequential, run_sharded_sweep, run_sweep, DESTINATIONS, MAX_IN_FLIGHT,
 };
-use mlpt_sim::{FaultPlan, MultiNetwork, SimNetwork};
-use mlpt_survey::{disjoint_scenario_groups, InternetConfig, SyntheticInternet, TraceScenario};
-use serde_json::json;
+use mlpt_survey::{InternetConfig, SyntheticInternet};
+use serde_json::{json, Value};
+use std::hint::black_box;
 use std::io::Write;
+use std::time::Instant;
 
-fn trace_seed_of(id: usize) -> u64 {
-    0xA11A ^ (id as u64).wrapping_mul(0x9E37_79B9)
-}
-
-fn build_lane(internet: &SyntheticInternet, id: usize) -> SimNetwork {
-    internet
-        .scenario(id)
-        .build_network(trace_seed_of(id), FaultPlan::none())
-}
-
-/// Counts the transport crossings the former blocking loop spent on a
-/// session: one per maximal run of UDP requests in a round (one batched
-/// send) and one per echo request (one ping, one round-trip wait). A
-/// trace round is all UDP, so it counts once.
-struct BlockingCrossings<S> {
-    inner: S,
-    crossings: u64,
-}
-
-impl<S: ProbeSession> ProbeSession for BlockingCrossings<S> {
-    fn poll(&mut self) -> SessionState {
-        self.inner.poll()
-    }
-
-    fn next_rounds(&self) -> &[ProbeRequest] {
-        self.inner.next_rounds()
-    }
-
-    fn on_replies(&mut self, results: &mut [Option<ProbeOutcome>]) {
-        let round = self.inner.next_rounds();
-        let starts = (0..round.len()).filter(|&i| match round[i] {
-            ProbeRequest::Echo { .. } => true,
-            ProbeRequest::Udp(_) => i == 0 || !matches!(round[i - 1], ProbeRequest::Udp(_)),
-        });
-        self.crossings += starts.count() as u64;
-        self.inner.on_replies(results);
-    }
-
-    fn destination(&self) -> std::net::Ipv4Addr {
-        self.inner.destination()
-    }
-
-    fn note_wire_probes(&mut self, count: u64) {
-        self.inner.note_wire_probes(count);
-    }
-}
-
-/// Runs `session` alone on a fresh engine over `lane`, returning it with
-/// the former blocking loop's crossing count and the packets sent.
-fn run_one<S: ProbeSession>(
-    lane: SimNetwork,
-    source: std::net::Ipv4Addr,
-    session: S,
-) -> (S, u64, u64) {
-    let counted = BlockingCrossings {
-        inner: session,
-        crossings: 0,
-    };
-    let (counted, probes) = SweepEngine::new(lane, source).run_session(counted);
-    (counted.inner, counted.crossings, probes)
-}
-
-/// The sequential full-trace loop (the survey's former inner loop), also
-/// counting its transport crossings: every probe round of every trace is
-/// one dispatch.
-fn run_sequential(internet: &SyntheticInternet, destinations: usize) -> (Vec<Trace>, u64, u64) {
-    let mut traces = Vec::with_capacity(destinations);
-    let mut crossings = 0u64;
-    let mut probes = 0u64;
-    for id in 0..destinations {
-        let scenario = internet.scenario(id);
-        let session = MdaSession::new(
-            scenario.topology.destination(),
-            TraceConfig::new(trace_seed_of(id)),
-        );
-        let (mut session, rounds, sent) = run_one(
-            build_lane(internet, id),
-            scenario.source,
-            TraceProbeSession::new(session),
-        );
-        crossings += rounds;
-        probes += sent;
-        traces.push(session.inner_mut().take_trace(sent));
-    }
-    (traces, crossings, probes)
-}
-
-/// One sweep over the shared network: sessions streamed into the
-/// engine. Returns traces, stats and the per-cycle batch-size series for
-/// tail measurements.
-fn run_sweep(
-    internet: &SyntheticInternet,
-    destinations: usize,
-    workers: usize,
-    admission: Admission,
-    max_in_flight: usize,
-) -> (Vec<Trace>, SweepStats, Vec<u32>) {
-    let lanes: Vec<SimNetwork> = (0..destinations)
-        .map(|id| build_lane(internet, id))
-        .collect();
-    let net = MultiNetwork::new(lanes)
-        .expect("scenario destinations are unique")
-        .with_workers(workers);
-    let mut engine = SweepEngine::new(net, internet.scenario(0).source).with_config(SweepConfig {
-        max_in_flight,
-        admission,
-        ..SweepConfig::default()
-    });
-    let sessions = (0..destinations).map(|id| {
-        Box::new(MdaSession::new(
-            internet.scenario(id).topology.destination(),
-            TraceConfig::new(trace_seed_of(id)),
-        )) as Box<dyn TraceSession>
-    });
-    let traces = engine.run_stream(sessions);
-    let stats = *engine.stats();
-    let cycles = engine.cycle_batches().to_vec();
-    (traces, stats, cycles)
-}
-
-/// Probes/dispatch over the cycles carrying the last `fraction` of the
-/// probes (walked from the end of the cycle series).
-fn tail_probes_per_dispatch(cycle_sizes: &[u32], fraction: f64) -> f64 {
-    let total: u64 = cycle_sizes.iter().map(|&c| u64::from(c)).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let want = ((total as f64 * fraction).ceil() as u64).max(1);
-    let mut got = 0u64;
-    let mut cycles = 0u64;
-    for &c in cycle_sizes.iter().rev() {
-        got += u64::from(c);
-        cycles += 1;
-        if got >= want {
-            break;
-        }
-    }
-    got as f64 / cycles as f64
-}
-
-/// The adaptive-backoff acceptance experiment: rate-limited lanes behind
-/// an inter-cycle clock gap, fixed vs AIMD budget.
-fn backoff_experiment() -> serde_json::Value {
-    const LANES: u32 = 8;
-    let topologies: Vec<mlpt_topo::MultipathTopology> = (0..LANES)
-        .map(|i| mlpt_topo::canonical::fig1_meshed().translated(0x0100_0000 * (i + 1)))
-        .collect();
-    let source: std::net::Ipv4Addr = "192.0.2.1".parse().expect("static");
-    let run = |adaptive: Option<AdaptiveBudget>| {
-        let lanes: Vec<SimNetwork> = topologies
-            .iter()
-            .enumerate()
-            .map(|(i, topo)| {
-                SimNetwork::builder(topo.clone())
-                    .faults(FaultPlan::with_rate_limit_window(3, 12))
-                    .seed(40 + i as u64)
-                    .build()
-            })
-            .collect();
-        let net = MultiNetwork::new(lanes)
-            .expect("unique destinations")
-            .with_cycle_gap(12);
-        let mut engine = SweepEngine::new(net, source).with_config(SweepConfig {
-            max_in_flight: 64,
-            retries: 6,
-            admission: Admission::Streaming,
-            adaptive,
-            ..SweepConfig::default()
-        });
-        let sessions = topologies.iter().enumerate().map(|(i, topo)| {
-            Box::new(MdaSession::new(
-                topo.destination(),
-                TraceConfig::new(90 + i as u64),
-            )) as Box<dyn TraceSession>
-        });
-        let traces = engine.run_stream(sessions);
-        let stats = *engine.stats();
-        let suppressed = engine.into_transport().counters().replies_rate_limited;
-        (traces, stats, suppressed)
-    };
-    let (fixed_traces, fixed_stats, fixed_suppressed) = run(None);
-    let (adaptive_traces, adaptive_stats, adaptive_suppressed) = run(Some(AdaptiveBudget {
-        min_in_flight: 4,
-        increase: 2,
-        backoff: 0.5,
-        loss_threshold: 0.02,
-    }));
-
-    // Same discovered topology (retry waves deliver every observation),
-    // measurably fewer probes into the rate-limited window.
-    for (fixed, adaptive) in fixed_traces.iter().zip(&adaptive_traces) {
-        assert_eq!(
-            fixed.discovery, adaptive.discovery,
-            "backoff must not change discovery"
-        );
-    }
-    assert!(
-        adaptive_suppressed * 3 <= fixed_suppressed * 2,
-        "adaptive must cut rate-limited suppressions by >=1/3: \
-         fixed {fixed_suppressed}, adaptive {adaptive_suppressed}"
-    );
-    assert!(adaptive_stats.probes_sent < fixed_stats.probes_sent);
-    assert!(adaptive_stats.budget_backoffs > 0 && adaptive_stats.lane_backoffs > 0);
-
-    json!({
-        "workload": format!("{LANES} rate-limited lanes (3 replies / 12 ticks per router), \
-                             cycle gap 12, retries 6"),
-        "fixed_budget": {
-            "probes_sent": fixed_stats.probes_sent,
-            "rate_limited_suppressions": fixed_suppressed,
-        },
-        "adaptive_budget": {
-            "probes_sent": adaptive_stats.probes_sent,
-            "rate_limited_suppressions": adaptive_suppressed,
-            "budget_backoffs": adaptive_stats.budget_backoffs,
-            "lane_backoffs": adaptive_stats.lane_backoffs,
-            "final_in_flight_budget": adaptive_stats.final_in_flight_budget,
-        },
-        "suppression_cut": 1.0 - adaptive_suppressed as f64 / fixed_suppressed.max(1) as f64,
-        "same_topology_discovered": true,
-    })
-}
-
-/// Blocking baseline of the alias stage: one destination at a time,
-/// counted with the former router-survey inner loop's crossing pattern —
-/// every echo probe is its own transport crossing (one ping, one
-/// round-trip wait), every run of UDP probes one batched crossing —
-/// driven through the same sessions so the wire work is identical by
-/// construction.
-fn run_alias_sequential(
-    internet: &SyntheticInternet,
-    ids: &[usize],
-    rounds: &mlpt_alias::rounds::RoundsConfig,
-) -> (Vec<MultilevelOutcome>, u64, u64) {
-    let mut outcomes = Vec::with_capacity(ids.len());
-    let mut crossings = 0u64;
-    let mut probes = 0u64;
-    for &id in ids {
-        let scenario = internet.scenario(id);
-        let session = MultilevelSession::new(
-            scenario.topology.destination(),
-            MultilevelConfig {
-                trace: TraceConfig::new(trace_seed_of(id)),
-                rounds: rounds.clone(),
-            },
-        );
-        let (session, counted, sent) = run_one(
-            scenario.build_network(trace_seed_of(id), FaultPlan::none()),
-            scenario.source,
-            session,
-        );
-        crossings += counted;
-        probes += sent;
-        outcomes.push(session.finish());
-    }
-    (outcomes, crossings, probes)
-}
-
-/// The alias-rounds sweep stage (see module docs): asserts bit-identical
-/// outcomes, then emits probes/crossing and tail utilization with CI
-/// floors.
-fn alias_sweep_stage(internet: &SyntheticInternet, destinations: usize) -> serde_json::Value {
-    let rounds = mlpt_alias::rounds::RoundsConfig::default(); // the paper's 10 x 30
-    let ids: Vec<usize> = (0..destinations).collect();
-    let (sequential, seq_crossings, seq_probes) = run_alias_sequential(internet, &ids, &rounds);
-
-    // Streamed: address-disjoint groups (scenarios share wide core
-    // structures, and echo probes route by interface address) each run
-    // one engine; groups run back to back, so the concatenated cycle
-    // series is the actual crossing sequence.
-    let scenarios: Vec<TraceScenario> = ids.iter().map(|&id| internet.scenario(id)).collect();
-    let refs: Vec<&TraceScenario> = scenarios.iter().collect();
-    let mut streamed: Vec<Option<(MultilevelOutcome, u64)>> = Vec::new();
-    streamed.resize_with(ids.len(), || None);
-    let mut stream_probes = 0u64;
-    let mut stream_crossings = 0u64;
-    let mut cycle_sizes: Vec<u32> = Vec::new();
-    let groups = disjoint_scenario_groups(&refs);
-    let num_groups = groups.len();
-    for group in groups {
-        let lanes: Vec<SimNetwork> = group
-            .iter()
-            .map(|&i| scenarios[i].build_network(trace_seed_of(ids[i]), FaultPlan::none()))
-            .collect();
-        let net = MultiNetwork::new(lanes).expect("disjoint groups have unique destinations");
-        let source = scenarios[group[0]].source;
-        assert!(
-            group.iter().all(|&i| scenarios[i].source == source),
-            "alias sweeps assume a single vantage point"
-        );
-        let mut engine = SweepEngine::new(net, source).with_config(SweepConfig {
-            max_in_flight: 256,
-            admission: Admission::Streaming,
-            ..SweepConfig::default()
-        });
-        let sessions = group.iter().map(|&i| {
-            MultilevelSession::new(
-                scenarios[i].topology.destination(),
-                MultilevelConfig {
-                    trace: TraceConfig::new(trace_seed_of(ids[i])),
-                    rounds: rounds.clone(),
-                },
-            )
-        });
-        engine.run_sessions_with(sessions, |index, session, wire| {
-            streamed[group[index]] = Some((session.finish(), wire));
-        });
-        stream_probes += engine.stats().probes_sent;
-        stream_crossings += engine.stats().dispatch_cycles;
-        cycle_sizes.extend_from_slice(engine.cycle_batches());
-    }
-
-    // Correctness before throughput: the streamed alias phase must be
-    // bit-identical to the blocking loop — trace, per-round partitions,
-    // per-address IP-ID evidence series, probe accounting.
-    assert_eq!(seq_probes, stream_probes, "wire work diverged");
-    for (i, slot) in streamed.into_iter().enumerate() {
-        let (outcome, _wire) = slot.expect("every session completed");
-        let reference = &sequential[i];
-        assert_eq!(
-            outcome.multilevel.trace, reference.multilevel.trace,
-            "scenario {i}: trace diverged"
-        );
-        assert_eq!(
-            outcome.multilevel.hop_reports, reference.multilevel.hop_reports,
-            "scenario {i}: alias rounds diverged"
-        );
-        assert_eq!(
-            outcome.hop_evidence, reference.hop_evidence,
-            "scenario {i}: IP-ID evidence diverged"
-        );
-        assert_eq!(
-            outcome.multilevel.alias_probes, reference.multilevel.alias_probes,
-            "scenario {i}: alias probe accounting diverged"
-        );
-    }
-
-    let seq_throughput = seq_probes as f64 / seq_crossings as f64;
-    let stream_throughput = stream_probes as f64 / stream_crossings as f64;
-    let speedup = stream_throughput / seq_throughput;
-    let tail = tail_probes_per_dispatch(&cycle_sizes, 0.10);
-    let tail_ratio = tail / stream_throughput;
-
-    // CI floors. The blocking alias loop pays one crossing per echo, so
-    // the sessionized sweep must amortize crossings by a wide margin;
-    // and streaming admission must keep the tail from collapsing.
-    assert!(
-        speedup >= 3.0,
-        "alias sweep dispatch throughput regressed: {stream_throughput:.1} vs \
-         blocking {seq_throughput:.1} probes/crossing ({speedup:.2}x < 3x)"
-    );
-    assert!(
-        tail_ratio >= 0.4,
-        "alias sweep tail utilization regressed: tail {tail:.1} vs \
-         overall {stream_throughput:.1} probes/dispatch (ratio {tail_ratio:.2} < 0.4)"
-    );
-
-    json!({
-        "workload": format!(
-            "{destinations} synthetic-Internet multilevel traces \
-             (MDA-Lite + Round 0..=10 x 30 alias protocol), {num_groups} \
-             address-disjoint sub-sweeps"
-        ),
-        "probes_sent_each": seq_probes,
-        "probes_per_crossing": {
-            "blocking_loop": seq_throughput,
-            "streaming_engine": stream_throughput,
-            "speedup": speedup,
-            "floor_enforced": 3.0,
-        },
-        "transport_crossings": {
-            "blocking_loop": seq_crossings,
-            "streaming_engine": stream_crossings,
-        },
-        "tail_probes_per_dispatch_last10pct": {
-            "streaming_engine": tail,
-            "streaming_tail_over_average": tail_ratio,
-            "floor_enforced": 0.4,
-        },
-        "outcomes_bit_identical": true,
-    })
-}
-
-/// The straggler-admission stage: a mixed sweep of many narrow (no
-/// alias work) and a few wide-hop destinations — the wide ones, each
-/// carrying an 8-interface hop whose Round 0–10 campaign costs ~2400
-/// probes, placed at the *end* of the source list. Under FIFO streaming
-/// admission the narrow backlog holds the wide destinations back, so
-/// their long alias wave chains start only once the cheap work is done
-/// and the chain length adds to the sweep's makespan; cost-aware
-/// admission reads the sessions' predicted-cost hints, starts the wide
-/// destinations first, and absorbs the narrow work into the wide waves'
-/// budget headroom. Outcomes are asserted bit-identical first — the
-/// policy may only move probes in time — then makespan (transport
-/// crossings: one sendmmsg + one RTT each on a real backend) and
-/// last-10% tail utilization are floored for CI.
-fn straggler_stage() -> serde_json::Value {
-    use mlpt_alias::rounds::RoundsConfig;
-    use mlpt_topo::graph::addr;
-    use mlpt_topo::MultipathTopology;
-
-    // Sized so the scheduling effect is real: the narrow sessions'
-    // pending backlog (~6 probes each) exceeds the in-flight budget, so
-    // FIFO streaming admission genuinely holds the last-listed wide
-    // destinations back until the narrow stream has drained — the
-    // straggler the ROADMAP describes — while the wide waves
-    // (4 x 8 x 30 = 960 probes) leave budget headroom for cost-aware
-    // admission to run the narrow work alongside them.
-    const NARROW: usize = 1200;
-    const WIDE: usize = 4;
-    const BUDGET: usize = 2048;
-
-    // Narrow lane: a straight 5-hop path — nothing to alias-resolve,
-    // a handful of single-probe-per-hop trace rounds.
-    let narrow_topology = || -> MultipathTopology {
-        let mut b = MultipathTopology::builder();
-        for hop in 0..5usize {
-            b.add_hop([addr(hop, 0)]);
-        }
-        for hop in 0..4usize {
-            b.connect_unmeshed(hop);
-        }
-        b.build().expect("valid path")
-    };
-    // Wide lane: a 1-8-1 diamond; the 8-interface hop drives a full
-    // Round 0-10 x 30 campaign (8 + 2400 probes) after its trace.
-    let wide_topology = || -> MultipathTopology {
-        let mut b = MultipathTopology::builder();
-        b.add_hop([addr(0, 0)]);
-        b.add_hop((0..8usize).map(|i| addr(1, i)));
-        b.add_hop([addr(2, 0)]);
-        b.connect_unmeshed(0);
-        b.connect_unmeshed(1);
-        b.build().expect("valid diamond")
-    };
-    // Narrow destinations first, the wide ones at the very end of the
-    // admission stream — the straggler layout. The block stride must
-    // clear each topology's own address span (< 0x0005_0000); it keeps
-    // up to 8191 lanes inside the 32-bit address space, far above the
-    // 1204 built here.
-    const BLOCK: u32 = 0x0008_0000;
-    let topologies: Vec<MultipathTopology> = (0..NARROW)
-        .map(|i| narrow_topology().translated(BLOCK * (i as u32 + 1)))
-        .chain((0..WIDE).map(|i| wide_topology().translated(BLOCK * ((NARROW + i) as u32 + 1))))
-        .collect();
-    let rounds = RoundsConfig::default();
-    let cost_hint = |topology: &MultipathTopology| -> u64 {
-        (0..topology.num_hops().saturating_sub(1))
-            .map(|hop| topology.hop(hop).len())
-            .filter(|&width| width >= 2)
-            .map(|width| rounds.predicted_probes(width))
-            .sum()
-    };
-    let source: std::net::Ipv4Addr = "192.0.2.1".parse().expect("static");
-
-    let run = |admission: Admission| {
-        let lanes: Vec<SimNetwork> = topologies
-            .iter()
-            .enumerate()
-            .map(|(i, topology)| SimNetwork::new(topology.clone(), 1000 + i as u64))
-            .collect();
-        let net = MultiNetwork::new(lanes).expect("translated lanes are unique");
-        let mut engine = SweepEngine::new(net, source).with_config(SweepConfig {
-            max_in_flight: BUDGET,
-            admission,
-            ..SweepConfig::default()
-        });
-        let sessions = topologies.iter().enumerate().map(|(i, topology)| {
-            MultilevelSession::new(
-                topology.destination(),
-                MultilevelConfig {
-                    trace: TraceConfig::new(77 + i as u64),
-                    rounds: rounds.clone(),
-                },
-            )
-            .with_hop_fanout(true)
-            .with_cost_hint(cost_hint(topology))
-        });
-        let mut outcomes: Vec<Option<MultilevelOutcome>> = Vec::new();
-        outcomes.resize_with(topologies.len(), || None);
-        engine.run_sessions_with(sessions, |index, session, _wire| {
-            outcomes[index] = Some(session.finish());
-        });
-        let stats = *engine.stats();
-        let cycles = engine.cycle_batches().to_vec();
-        (outcomes, stats, cycles)
-    };
-
-    let (fifo_outcomes, fifo_stats, fifo_cycles) = run(Admission::Streaming);
-    let (ca_outcomes, ca_stats, ca_cycles) = run(Admission::CostAware);
-
-    // Correctness before scheduling: cost-aware admission must move
-    // probes in time only.
-    assert_eq!(fifo_stats.probes_sent, ca_stats.probes_sent);
-    for (i, (fifo, ca)) in fifo_outcomes.iter().zip(&ca_outcomes).enumerate() {
-        let (fifo, ca) = (
-            fifo.as_ref().expect("completed"),
-            ca.as_ref().expect("completed"),
-        );
-        assert_eq!(
-            fifo.multilevel.trace, ca.multilevel.trace,
-            "destination {i}: trace diverged under cost-aware admission"
-        );
-        assert_eq!(
-            fifo.multilevel.hop_reports, ca.multilevel.hop_reports,
-            "destination {i}: alias rounds diverged under cost-aware admission"
-        );
-        assert_eq!(
-            fifo.hop_evidence, ca.hop_evidence,
-            "destination {i}: evidence series diverged under cost-aware admission"
-        );
-    }
-
-    let fifo_makespan = fifo_stats.dispatch_cycles;
-    let ca_makespan = ca_stats.dispatch_cycles;
-    let makespan_ratio = ca_makespan as f64 / fifo_makespan as f64;
-    let fifo_tail = tail_probes_per_dispatch(&fifo_cycles, 0.10);
-    let ca_tail = tail_probes_per_dispatch(&ca_cycles, 0.10);
-
-    // CI floors (the ISSUE's acceptance numbers): cost-aware admission
-    // must cut the mixed-width makespan by >= 10% and must not trade
-    // the tail away for it.
-    assert!(
-        makespan_ratio <= 0.9,
-        "cost-aware admission no longer cuts the straggler makespan: \
-         {ca_makespan} vs FIFO {fifo_makespan} crossings (ratio {makespan_ratio:.3} > 0.9)"
-    );
-    assert!(
-        ca_tail >= fifo_tail,
-        "cost-aware tail utilization fell below FIFO's: \
-         {ca_tail:.1} vs {fifo_tail:.1} probes/dispatch"
-    );
-
-    json!({
-        "workload": format!(
-            "{NARROW} straight-path + {WIDE} wide-hop (8-interface, Round 0..=10 x 30) \
-             destinations, wide ones last in the source list, per-hop fan-out on, \
-             in-flight budget {BUDGET}"
-        ),
-        "probes_sent_each": fifo_stats.probes_sent,
-        "makespan_transport_crossings": {
-            "fifo_streaming": fifo_makespan,
-            "cost_aware": ca_makespan,
-            "ratio": makespan_ratio,
-            "ceiling_enforced": 0.9,
-        },
-        "tail_probes_per_dispatch_last10pct": {
-            "fifo_streaming": fifo_tail,
-            "cost_aware": ca_tail,
-            "floor_enforced": "cost_aware >= fifo",
-        },
-        "outcomes_bit_identical": true,
-    })
-}
-
-/// The shared-stop-set stage (Doubletree redundancy elimination): one
-/// shared-prefix destination family — 20 common hops, then a 4-hop
-/// per-destination suffix — swept at widths 16/64/256/1024 with the
-/// sweep-wide stop set on (commit width 16, adaptive mid-path start).
-///
-/// Equivalence comes before any performance number: at every width the
-/// classic sweep (stop set off) is run first, and each stop-set trace's
-/// probed hops plus the prefix reconstructed from the final shared set
-/// must equal the classic per-destination path exactly; the probe
-/// ledger must balance (`sent + elided == classic sent`); and the stop
-/// run must be bit-identical across admission modes (determinism
-/// rule 5). Only then are probes/destination recorded. CI gates:
-/// probes/destination strictly decreases with width, and width 256
-/// spends >= 30% fewer probes per destination than width 16.
-fn stop_set_stage() -> serde_json::Value {
-    use mlpt_topo::canonical::shared_prefix_lane;
-    const PREFIX: usize = 20;
-    const SUFFIX: usize = 4;
-    const WIDTHS: [usize; 4] = [16, 64, 256, 1024];
-    let source: std::net::Ipv4Addr = "192.0.2.1".parse().expect("static");
-    let stop_cfg = StopSetConfig {
-        commit_width: 16,
-        ..StopSetConfig::default()
-    };
-
-    // A trace's path as canonically ordered `(TTL, interface)` pairs.
-    let path_of = |trace: &Trace| -> Vec<(u8, std::net::Ipv4Addr)> {
-        let mut pairs: Vec<(u8, std::net::Ipv4Addr)> = (1..=trace.discovery.max_observed_ttl())
-            .flat_map(|ttl| {
-                trace
-                    .discovery
-                    .vertices_at(ttl)
-                    .iter()
-                    .map(move |v| (ttl, *v))
-            })
-            .collect();
-        pairs.sort_unstable();
-        pairs
-    };
-
-    let run = |width: usize, admission: Admission, stop: Option<StopSetConfig>| {
-        let lanes: Vec<SimNetwork> = (0..width)
-            .map(|i| SimNetwork::new(shared_prefix_lane(PREFIX, SUFFIX, i), 300 + i as u64))
-            .collect();
-        let net = MultiNetwork::new(lanes).expect("per-lane destinations are unique");
-        let mut engine = SweepEngine::new(net, source).with_config(SweepConfig {
-            max_in_flight: 256,
-            admission,
-            stop_set: stop,
-            ..SweepConfig::default()
-        });
-        let sessions = (0..width).map(|i| {
-            let destination = shared_prefix_lane(PREFIX, SUFFIX, i).destination();
-            Box::new(SingleFlowSession::new(
-                destination,
-                TraceConfig::new(500 + i as u64),
-                FlowId(7),
-            )) as Box<dyn TraceSession>
-        });
-        let traces = engine.run_stream(sessions);
-        let stats = *engine.stats();
-        let snapshot = engine.stop_snapshot().cloned();
-        (traces, stats, snapshot)
-    };
-
-    let mut per_width = Vec::new();
-    let mut probes_per_destination = Vec::new();
-    for width in WIDTHS {
-        let (classic_traces, classic_stats, _) = run(width, Admission::Streaming, None);
-        let (traces, stats, snapshot) = run(width, Admission::Streaming, Some(stop_cfg));
-        let snapshot = snapshot.expect("stop-set run publishes a snapshot");
-
-        // Topology equivalence first: every destination's classic path
-        // must be recoverable from its stop-set trace plus the set.
-        for (classic, stopped) in classic_traces.iter().zip(&traces) {
-            assert!(stopped.reached_destination);
-            let probed = path_of(stopped);
-            let &(first_ttl, first_iface) = probed.first().expect("non-empty trace");
-            let mut full: Vec<(u8, std::net::Ipv4Addr)> = snapshot
-                .reconstruct_prefix(first_ttl, first_iface)
-                .into_iter()
-                .chain(probed)
-                .collect();
-            full.sort_unstable();
-            full.dedup();
-            assert_eq!(
-                full,
-                path_of(classic),
-                "stop-set sweep lost topology for {} at width {width}",
-                classic.destination
-            );
-        }
-        // Exact ledger: every elided probe is one the classic sweep sent.
-        assert_eq!(
-            stats.probes_sent + stats.probes_elided,
-            classic_stats.probes_sent,
-            "probe ledger out of balance at width {width}"
-        );
-        // Determinism rule 5: admission modes replay the identical sweep.
-        for admission in [Admission::CostAware, Admission::CostAwareWindowed(32)] {
-            let (again, again_stats, _) = run(width, admission, Some(stop_cfg));
-            assert_eq!(
-                again, traces,
-                "admission {admission:?} diverged at width {width}"
-            );
-            assert_eq!(again_stats.probes_sent, stats.probes_sent);
-            assert_eq!(again_stats.probes_elided, stats.probes_elided);
-        }
-
-        let per_dest = stats.probes_sent as f64 / width as f64;
-        probes_per_destination.push(per_dest);
-        per_width.push(json!({
-            "width": width,
-            "probes_sent": stats.probes_sent,
-            "probes_elided": stats.probes_elided,
-            "stop_set_hits": stats.stop_set_hits,
-            "classic_probes_sent": classic_stats.probes_sent,
-            "probes_per_destination": per_dest,
-        }));
-    }
-
-    // CI gates: sharing must compound with width, and the 256-wide sweep
-    // must spend >= 30% fewer probes per destination than the 16-wide.
-    for pair in probes_per_destination.windows(2) {
-        assert!(
-            pair[1] < pair[0],
-            "probes/destination must strictly decrease with width: {probes_per_destination:?}"
-        );
-    }
-    let reduction = 1.0 - probes_per_destination[2] / probes_per_destination[0];
-    assert!(
-        reduction >= 0.30,
-        "stop set no longer saves >=30% at width 256: \
-         {:.2} vs {:.2} probes/destination ({:.0}% reduction)",
-        probes_per_destination[2],
-        probes_per_destination[0],
-        reduction * 100.0
-    );
-
-    json!({
-        "workload": format!(
-            "shared-prefix family ({PREFIX} common hops + {SUFFIX}-hop private suffix), \
-             single-flow tracer, stop set commit width {}, adaptive mid-path start",
-            stop_cfg.commit_width
-        ),
-        "per_width": per_width,
-        "probes_per_destination_reduction_256_vs_16": reduction,
-        "floor_enforced": 0.30,
-        "topology_equivalence_asserted": true,
-        "admission_bit_identity_asserted": true,
-    })
-}
-
-/// One sharded sweep over the synthetic-Internet workload: the
-/// destination space split across `shards` engine shards, each over its
-/// own transport partition — shard 0 on the calling thread, every other
-/// shard on a worker thread that lasts the whole sweep.
-fn run_sharded_sweep(
-    internet: &SyntheticInternet,
-    destinations: usize,
-    shards: usize,
-    max_in_flight: usize,
-) -> (Vec<Trace>, SweepStats, Vec<SweepStats>) {
-    let lanes: Vec<SimNetwork> = (0..destinations)
-        .map(|id| build_lane(internet, id))
-        .collect();
-    let net = MultiNetwork::new(lanes).expect("scenario destinations are unique");
-    let parts = net.split_by(shards, |d| shard_of(d, shards));
-    let mut engine =
-        ShardedSweepEngine::new(parts, internet.scenario(0).source).with_config(SweepConfig {
-            max_in_flight,
-            admission: Admission::Streaming,
-            ..SweepConfig::default()
-        });
-    let sessions = (0..destinations).map(|id| {
-        Box::new(MdaSession::new(
-            internet.scenario(id).topology.destination(),
-            TraceConfig::new(trace_seed_of(id)),
-        )) as Box<dyn TraceSession>
-    });
-    let traces = engine.run_stream(sessions);
-    let stats = *engine.stats();
-    let per_shard = engine.shard_stats().into_iter().copied().collect();
-    (traces, stats, per_shard)
-}
-
-/// The sharded-engine stage (see module docs): bit-identity against the
-/// unsharded baseline asserted at every shard count *first*, then the
-/// wall-clock scaling curve. The multicore gate (2 shards beating 1)
-/// only arms when the host can actually run two shards at once.
-fn sharded_stage(
-    internet: &SyntheticInternet,
-    destinations: usize,
-    max_in_flight: usize,
-    samples: usize,
-    host_cpus: usize,
-    baseline: &[Trace],
-    baseline_probes: u64,
-) -> serde_json::Value {
-    let mut shard_counts = vec![1usize, 2, 4];
-    if !shard_counts.contains(&host_cpus) {
-        shard_counts.push(host_cpus);
-    }
-    shard_counts.sort_unstable();
-
-    // Correctness before any number: every shard count must reproduce
-    // the unsharded engine's traces and wire work bit for bit.
-    for &shards in &shard_counts {
-        let (traces, stats, per_shard) =
-            run_sharded_sweep(internet, destinations, shards, max_in_flight);
-        assert_eq!(traces.len(), baseline.len());
-        for (a, b) in baseline.iter().zip(&traces) {
-            assert_eq!(a, b, "{shards}-shard sweep diverged for {}", a.destination);
-        }
-        assert_eq!(stats.probes_sent, baseline_probes, "wire work diverged");
-        let summed: u64 = per_shard.iter().map(|s| s.probes_sent).sum();
-        assert_eq!(
-            summed, stats.probes_sent,
-            "per-shard counters out of balance"
-        );
-        for shard in &per_shard {
-            assert_eq!(
-                shard.probes_timed_out
-                    + shard.replies_delivered
-                    + shard.malformed_replies
-                    + shard.mismatched_replies,
-                shard.probes_sent,
-                "retry-wave accounting must partition per shard"
-            );
-        }
-    }
-
-    // Wall-clock scaling curve: best-of-samples per shard count (the
-    // minimum is the least noisy estimator of the work's true cost).
-    let mut measured = Vec::new();
-    let mut wall_by_shards = std::collections::BTreeMap::new();
-    for &shards in &shard_counts {
-        let mut best = f64::INFINITY;
-        let mut probes = 0u64;
-        let mut stalls = 0u64;
-        for _ in 0..samples.max(1) {
-            // Wall-clock timing is the whole point of a bench harness:
-            // MLPT-W001 exempts crates/mlpt-bench/ by scoping config
-            // (protocol code must use the virtual clock instead).
-            let started = std::time::Instant::now();
-            let (_, stats, _) = run_sharded_sweep(internet, destinations, shards, max_in_flight);
-            let wall = started.elapsed().as_secs_f64();
-            best = best.min(wall);
-            probes = stats.probes_sent;
-            stalls = stats.generation_barrier_stalls;
-        }
-        wall_by_shards.insert(shards, best);
-        measured.push((shards, best, probes, stalls));
-    }
-    let one_shard_wall = wall_by_shards[&1];
-    let curve: Vec<serde_json::Value> = measured
-        .iter()
-        .map(|&(shards, wall, probes, stalls)| {
-            json!({
-                "shards": shards,
-                "wall_s_best": wall,
-                "probes_sent": probes,
-                "generation_barrier_stalls": stalls,
-                "speedup_vs_1shard": one_shard_wall / wall,
-            })
+/// Runs `run` once untimed, then `samples` timed times. Returns the
+/// wall-clock seconds, sorted, and the probes sent and transport
+/// crossings `run` reports.
+fn time(samples: usize, mut run: impl FnMut() -> (u64, u64)) -> (Vec<f64>, (u64, u64)) {
+    let counts = run();
+    let mut walls: Vec<f64> = (0..samples)
+        .map(|_| {
+            let started = Instant::now();
+            black_box(run());
+            started.elapsed().as_secs_f64()
         })
         .collect();
-
-    // The multicore gate: with real parallel hardware, two shards must
-    // beat one. On a single-CPU host the threads serialize, so the gate
-    // would only measure scheduler overhead — recorded, not enforced.
-    let gate_armed = host_cpus > 1;
-    if gate_armed {
-        assert!(
-            wall_by_shards[&2] < one_shard_wall,
-            "2 shards must beat 1 shard on a {host_cpus}-CPU host: \
-             {:.3}s vs {:.3}s",
-            wall_by_shards[&2],
-            one_shard_wall
-        );
-    }
-
-    json!({
-        "workload": format!(
-            "{destinations} synthetic-Internet MDA traces, streaming admission, \
-             in-flight budget {max_in_flight} per shard"
-        ),
-        "bit_identity_asserted_first": true,
-        "scaling_curve": curve,
-        "host_cpus": host_cpus,
-        "multicore_gate_armed": gate_armed,
-        "caveat": if gate_armed {
-            "2-shard < 1-shard wall clock enforced".to_string()
-        } else {
-            format!(
-                "host has {host_cpus} CPU: shard threads serialize, so the curve \
-                 measures scheduler overhead, not parallel speedup; the 2-vs-1 \
-                 gate is disarmed"
-            )
-        },
-    })
+    walls.sort_by(f64::total_cmp);
+    (walls, counts)
 }
 
-/// The chaos stage: every built-in fault-schedule preset swept through
-/// the engine's robustness stack (deadlines, bounded retries, the stall
-/// watchdog). Liveness is the bench: each preset must terminate, keep
-/// the retry-wave accounting partition exact, and the all-dark preset
-/// must degrade every lane to an honest partial. Emits per-preset
-/// probe/timeout/partial figures for the JSON report.
-fn chaos_stage(lanes: usize) -> serde_json::Value {
-    use mlpt_sim::FaultSchedule;
-    let topologies: Vec<mlpt_topo::MultipathTopology> = (0..lanes)
-        .map(|i| mlpt_topo::canonical::fig1_meshed().translated(0x0100_0000 * (i as u32 + 1)))
-        .collect();
-    let source: std::net::Ipv4Addr = "192.0.2.1".parse().expect("static");
-    let presets: Vec<serde_json::Value> = FaultSchedule::preset_names()
-        .iter()
-        .map(|&preset| {
-            let nets: Vec<SimNetwork> = topologies
-                .iter()
-                .enumerate()
-                .map(|(i, topo)| {
-                    SimNetwork::builder(topo.clone())
-                        .fault_schedule(FaultSchedule::preset(preset).expect("known preset"))
-                        .seed(29 + i as u64)
-                        .build()
-                })
-                .collect();
-            let net = MultiNetwork::new(nets).expect("unique destinations");
-            let mut engine = SweepEngine::new(net, source).with_config(SweepConfig {
-                max_in_flight: 64,
-                retries: 1,
-                stall_rounds: 4,
-                admission: Admission::Streaming,
-                ..SweepConfig::default()
-            });
-            let sessions = topologies.iter().enumerate().map(|(i, topo)| {
-                Box::new(MdaSession::new(
-                    topo.destination(),
-                    TraceConfig::new(i as u64),
-                )) as Box<dyn TraceSession>
-            });
-            // Wall-clock timing is the whole point of a bench harness:
-            // MLPT-W001 exempts crates/mlpt-bench/ by scoping config
-            // (protocol code must use the virtual clock instead).
-            let started = std::time::Instant::now();
-            let traces = engine.run_stream(sessions);
-            let wall = started.elapsed();
-            let stats = *engine.stats();
-            assert_eq!(
-                stats.sessions_completed, lanes as u64,
-                "{preset}: every session must finalize"
-            );
-            assert_eq!(
-                stats.probes_timed_out
-                    + stats.replies_delivered
-                    + stats.malformed_replies
-                    + stats.mismatched_replies,
-                stats.probes_sent,
-                "{preset}: retry-wave accounting must partition probes_sent"
-            );
-            if preset == "midtrace-blackhole" {
-                assert_eq!(
-                    stats.sessions_partial, lanes as u64,
-                    "the all-dark preset must degrade every lane to partial"
-                );
-            }
-            let partial = traces.iter().filter(|t| t.outcome.is_partial()).count();
-            json!({
-                "preset": preset,
-                "probes_sent": stats.probes_sent,
-                "probes_timed_out": stats.probes_timed_out,
-                "retries_exhausted": stats.retries_exhausted,
-                "sessions_partial": stats.sessions_partial,
-                "partial_traces": partial,
-                "max_lane_backoff_depth": stats.max_lane_backoff_depth,
-                "wall_ns": wall.as_nanos() as u64,
-            })
-        })
-        .collect();
+/// One timed run's JSON record.
+fn record(id: &str, walls: &[f64], (probes, crossings): (u64, u64)) -> Value {
+    // Linear interpolation between the closest ranks.
+    let quantile = |q: f64| {
+        let rank = q * (walls.len() - 1) as f64;
+        let (lo, hi) = (walls[rank.floor() as usize], walls[rank.ceil() as usize]);
+        lo + (hi - lo) * rank.fract()
+    };
+    println!(
+        "{id:<36} median {:.3} s  q1 {:.3} s  q3 {:.3} s  ({} samples)",
+        quantile(0.5),
+        quantile(0.25),
+        quantile(0.75),
+        walls.len()
+    );
     json!({
-        "workload": format!(
-            "{lanes} fig1-meshed MDA lanes per preset, retries 1, stall watchdog 4 rounds"
-        ),
-        "all_presets_terminated": true,
-        "presets": presets,
+        "id": id,
+        "wall_s": {
+            "median": quantile(0.5),
+            "q1": quantile(0.25),
+            "q3": quantile(0.75),
+            "best": walls[0],
+            "samples": walls.len(),
+        },
+        "probes_sent": probes,
+        "transport_crossings": crossings,
     })
 }
 
 fn main() {
     let quick = std::env::var("MLPT_BENCH_QUICK").is_ok_and(|v| !v.is_empty());
-    let env_usize = |key: &str, default: usize| -> usize {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let destinations = env_usize("MLPT_BENCH_DESTINATIONS", 512);
-    // The streaming-admission headroom. Deliberately small relative to
-    // the destination count: the engine should still be admitting new
-    // sessions deep into the sweep, because leftover source is the only
-    // thing that can overlap the serial round chains of straggler
-    // sessions (the MDA's node-control hunts are one probe per round —
-    // a heavy trace is a long chain of tiny rounds, and once the source
-    // is dry nothing can fill the batches around it).
-    let max_in_flight = env_usize("MLPT_BENCH_IN_FLIGHT", 32);
-    // Quick mode (CI pull requests) runs the identical workload — the
-    // tail guard must test the acceptance configuration — with fewer
-    // wall-clock samples.
-    let samples = if quick { 2 } else { 5 };
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    // The acceptance workload runs the simulator with workers > 1 so
-    // lane processing inside each crossing is parallel; on a single-CPU
-    // host the threads exist but cannot speed anything up, which the
-    // reported host_cpus makes explicit.
+    let (samples, shard_samples) = if quick { (2, 1) } else { (5, 3) };
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers = host_cpus.clamp(2, 16);
     let internet = SyntheticInternet::new(InternetConfig::default());
 
-    // Correctness first: the engine must reproduce the sequential traces
-    // bit for bit before its throughput means anything.
-    let (seq_traces, seq_crossings, seq_probes) = run_sequential(&internet, destinations);
-    let (stream_traces, stream_stats, stream_cycles) = run_sweep(
-        &internet,
-        destinations,
-        workers,
-        Admission::Streaming,
-        max_in_flight,
-    );
-    assert_eq!(seq_traces.len(), stream_traces.len());
-    for (a, b) in seq_traces.iter().zip(&stream_traces) {
-        assert_eq!(a, b, "streaming sweep diverged for {}", a.destination);
+    let mut runs = Vec::new();
+    let (walls, counts) = time(samples, || {
+        let (_, crossings, probes) = run_sequential(&internet);
+        (probes, crossings)
+    });
+    runs.push(record("sequential_full_trace_loop", &walls, counts));
+    for (id, workers) in [
+        ("streaming_engine", workers),
+        ("streaming_engine_1worker", 1),
+    ] {
+        let (walls, counts) = time(samples, || {
+            let (_, stats, _) = run_sweep(&internet, workers);
+            (stats.probes_sent, stats.dispatch_cycles)
+        });
+        runs.push(record(id, &walls, counts));
     }
-    assert_eq!(seq_probes, stream_stats.probes_sent);
 
-    // The single-trace entry point is the same machine on the same
-    // engine.
-    {
-        let scenario = internet.scenario(0);
-        let mut engine = SweepEngine::new(build_lane(&internet, 0), scenario.source);
-        let single = trace_mda(
-            &mut engine,
-            scenario.topology.destination(),
-            &TraceConfig::new(trace_seed_of(0)),
+    let mut shard_counts = vec![1usize, 2, 4, host_cpus];
+    shard_counts.sort_unstable();
+    shard_counts.dedup();
+    let mut best = Vec::new();
+    for &shards in &shard_counts {
+        let (walls, counts) = time(shard_samples, || {
+            let (_, stats, _) = run_sharded_sweep(&internet, shards);
+            (stats.probes_sent, stats.dispatch_cycles)
+        });
+        best.push(walls[0]);
+        runs.push(record(&format!("sharded_engine/{shards}"), &walls, counts));
+    }
+    // With real parallel hardware, two shards must beat one. On a
+    // single-CPU host the threads serialize, so the comparison would
+    // only measure scheduler overhead: recorded, not enforced.
+    let gate_armed = host_cpus > 1;
+    if gate_armed {
+        assert!(
+            best[1] < best[0],
+            "2 shards must beat 1 shard on a {host_cpus}-CPU host: {:.3}s vs {:.3}s",
+            best[1],
+            best[0]
         );
-        assert_eq!(&single, &seq_traces[0]);
     }
-
-    // Tail utilization: probes/dispatch over the last 10% of probes.
-    let stream_overall = stream_stats.probes_per_dispatch();
-    let stream_tail = tail_probes_per_dispatch(&stream_cycles, 0.10);
-    let stream_tail_ratio = stream_tail / stream_overall;
-    if std::env::var("MLPT_BENCH_EXPLORE").is_ok_and(|v| !v.is_empty()) {
-        // Parameter-exploration mode: report tail numbers and stop.
-        println!(
-            "explore: dest {destinations} budget {max_in_flight}: overall {stream_overall:.1}, \
-             tail {stream_tail:.1}, ratio {stream_tail_ratio:.3}, cycles {}",
-            stream_stats.dispatch_cycles
-        );
-        return;
-    }
-    // The CI floor: streaming admission must keep the tail within 2x of
-    // the full-sweep average (a fixed session table collapses far below).
-    assert!(
-        stream_tail_ratio >= 0.5,
-        "streaming tail utilization regressed: tail {stream_tail:.1} vs \
-         overall {stream_overall:.1} probes/dispatch (ratio {stream_tail_ratio:.2} < 0.5)"
-    );
-    // Overall amortization must not regress below the 64-destination
-    // fixed-table figure of PR 2 (15.03 probes/dispatch).
-    assert!(
-        stream_overall >= 15.03,
-        "streaming overall probes/dispatch regressed below the \
-         64-destination fixed-table figure: {stream_overall:.2} < 15.03"
-    );
-
-    // Adaptive backoff acceptance experiment (asserts internally).
-    let backoff = backoff_experiment();
-
-    // Alias-rounds sweep stage (asserts bit-identity + floors
-    // internally). The workload is identical in quick mode; only the
-    // wall-clock sampling above shrinks.
-    let alias_destinations = env_usize("MLPT_BENCH_ALIAS_DESTINATIONS", 64);
-    let alias_sweep = alias_sweep_stage(&internet, alias_destinations);
-
-    // Straggler-admission stage (asserts bit-identical outcomes plus the
-    // makespan <= 0.9x and tail floors internally).
-    let straggler = straggler_stage();
-
-    // Shared-stop-set stage (asserts topology equivalence, the exact
-    // probe ledger and admission bit-identity, then gates the >=30%
-    // probes/destination reduction at width 256).
-    let stop_set = stop_set_stage();
-
-    // Sharded-engine stage (asserts bit-identity at every shard count
-    // before recording the wall-clock scaling curve; the 2-vs-1 gate
-    // arms only on multicore hosts).
-    let sharded = sharded_stage(
-        &internet,
-        destinations,
-        max_in_flight,
-        if quick { 1 } else { 3 },
-        host_cpus,
-        &seq_traces,
-        seq_probes,
-    );
-
-    // Chaos stage: every fault-schedule preset must terminate under the
-    // robustness stack (asserts liveness + accounting internally).
-    let chaos = chaos_stage(if quick { 4 } else { 16 });
-
-    // Wall-clock measurements.
-    let mut c = Criterion::default().sample_size(samples);
-    c.bench_function("sweep/sequential_full_trace_loop", |b| {
-        b.iter(|| black_box(run_sequential(&internet, destinations).2))
-    });
-    c.bench_function("sweep/streaming_engine", |b| {
-        b.iter(|| {
-            black_box(
-                run_sweep(
-                    &internet,
-                    destinations,
-                    workers,
-                    Admission::Streaming,
-                    max_in_flight,
-                )
-                .1
-                .probes_sent,
-            )
-        })
-    });
-    c.bench_function("sweep/streaming_engine_1worker", |b| {
-        b.iter(|| {
-            black_box(
-                run_sweep(
-                    &internet,
-                    destinations,
-                    1,
-                    Admission::Streaming,
-                    max_in_flight,
-                )
-                .1
-                .probes_sent,
-            )
-        })
-    });
-
-    let median_of = |id: &str| -> Option<f64> {
-        c.results()
-            .iter()
-            .find(|r| r.id == id)
-            .map(|r| r.median.as_secs_f64())
-    };
-    let seq_wall = median_of("sweep/sequential_full_trace_loop");
-    let sweep_wall = median_of("sweep/streaming_engine");
-    let sweep_wall_1w = median_of("sweep/streaming_engine_1worker");
-    let wall_clock_speedup = seq_wall.zip(sweep_wall).map(|(s, e)| s / e);
-    let wall_clock_speedup_1w = seq_wall.zip(sweep_wall_1w).map(|(s, e)| s / e);
-
-    // The headline: probes moved per transport crossing, sweep vs the
-    // sequential loop's one-round-per-crossing dispatch.
-    let seq_throughput = seq_probes as f64 / seq_crossings as f64;
-    let dispatch_throughput_speedup = stream_overall / seq_throughput;
-
-    let results: Vec<serde_json::Value> = c
-        .results()
-        .iter()
-        .map(|r| {
-            json!({
-                "id": r.id,
-                "mean_ns": r.mean.as_nanos() as u64,
-                "median_ns": r.median.as_nanos() as u64,
-                "min_ns": r.min.as_nanos() as u64,
-                "max_ns": r.max.as_nanos() as u64,
-                "samples": r.samples,
-                "iters_per_sample": r.iters_per_sample,
-            })
-        })
-        .collect();
 
     let payload = json!({
         "benchmark": "concurrent_sweep",
-        "destinations": destinations,
+        "workload": format!(
+            "{DESTINATIONS} synthetic-Internet MDA traces (the ip_survey inner loop), \
+             streaming admission, in-flight budget {MAX_IN_FLIGHT} per engine"
+        ),
         "quick_mode": quick,
-        "workload": "synthetic-Internet MDA traces (the ip_survey inner loop)",
-        "streaming_max_in_flight": max_in_flight,
-        // Headline: probe-dispatch throughput = probes per transport
-        // crossing. One crossing = one sendmmsg + one RTT wait on a real
-        // backend; the sequential loop pays one per per-trace round, the
-        // sweep amortizes one across every in-flight destination's round.
-        "dispatch_throughput_speedup": dispatch_throughput_speedup,
-        "probes_per_dispatch": {
-            "sequential_full_trace_loop": seq_throughput,
-            "streaming_engine": stream_overall,
-        },
-        // Tail utilization: probes/dispatch over the last 10% of probes.
-        // Streaming admission must stay within 2x of its own full-sweep
-        // average (enforced above).
-        "tail_probes_per_dispatch_last10pct": {
-            "streaming_engine": stream_tail,
-            "streaming_tail_over_average": stream_tail_ratio,
-            "floor_enforced": 0.5,
-        },
-        "transport_crossings": {
-            "sequential_full_trace_loop": seq_crossings,
-            "streaming_engine": stream_stats.dispatch_cycles,
-        },
-        "probes_sent_each": seq_probes,
-        "traces_bit_identical": true,
-        // Wall clock: the streaming engine with simulator_workers worker
-        // threads spreading disjoint lanes inside each crossing, vs the
-        // sequential loop. Honest hardware note: on a single-CPU host
-        // (host_cpus = 1) the worker threads cannot run in parallel, so
-        // the speedup degenerates to the scheduler-overhead ratio; on
-        // multicore hosts the merged batches convert into real speedup.
-        "wall_clock_speedup_sim": wall_clock_speedup,
-        "wall_clock_speedup_sim_1worker": wall_clock_speedup_1w,
-        "simulator_workers": workers,
         "host_cpus": host_cpus,
-        "adaptive_backoff": backoff,
-        "alias_sweep": alias_sweep,
-        "straggler_admission": straggler,
-        "stop_set_sweep": stop_set,
-        "sharded_engine": sharded,
-        "chaos": chaos,
-        "results": results,
+        "simulator_workers": workers,
+        "multicore_gate_armed": gate_armed,
+        "runs": runs,
     });
-
     let out_path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_concurrent_sweep.json"
@@ -1273,10 +144,4 @@ fn main() {
     file.write_all(serde_json::to_string_pretty(&payload).unwrap().as_bytes())
         .expect("write BENCH_concurrent_sweep.json");
     println!("[concurrent_sweep results written to {out_path}]");
-    println!(
-        "dispatch throughput: {seq_throughput:.2} -> {stream_overall:.2} probes/crossing \
-         ({dispatch_throughput_speedup:.1}x); tail(10%) {stream_tail:.1}; \
-         wall clock {wall_clock_speedup:?}x \
-         ({workers} workers, {host_cpus} cpus)"
-    );
 }

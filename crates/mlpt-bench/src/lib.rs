@@ -7,6 +7,7 @@
 //! can archive the JSON. See DESIGN.md §4 for the experiment index and
 //! EXPERIMENTS.md for paper-vs-measured records.
 
+pub mod concurrent_sweep;
 pub mod experiments;
 pub mod progress;
 pub mod render;

@@ -52,11 +52,6 @@ pub struct IpSurveyConfig {
     /// In-flight probe budget per sweep engine (the streaming-admission
     /// headroom).
     pub sweep_in_flight: usize,
-    /// Shared Doubletree stop set per sweep chunk (`None` = off). The
-    /// synthetic Internet draws scenario topologies from disjoint
-    /// address blocks, so cross-destination hits are rare; the knob is
-    /// here for generators that share near-source infrastructure.
-    pub sweep_stop_set: Option<StopSetConfig>,
     /// Engine shards per sweep chunk (`1` = the single engine). With
     /// more, each chunk's lanes and sessions are partitioned by
     /// [`mlpt_core::shard_of`] across a
@@ -74,7 +69,6 @@ impl Default for IpSurveyConfig {
             phi: 2,
             sweep_batch: 128,
             sweep_in_flight: 256,
-            sweep_stop_set: None,
             sweep_shards: 1,
         }
     }
@@ -247,7 +241,6 @@ pub fn run_ip_survey(internet: &SyntheticInternet, config: &IpSurveyConfig) -> I
     let plan = SweepPlan {
         config: SweepConfig {
             max_in_flight: config.sweep_in_flight.max(1),
-            stop_set: config.sweep_stop_set,
             ..SweepConfig::default()
         },
         shards: config.sweep_shards,
@@ -380,11 +373,11 @@ mod tests {
     }
 
     /// Engine sharding is pure scheduling too: the report is identical
-    /// for any shard count, with and without the shared stop set.
+    /// for any shard count.
     #[test]
     fn report_independent_of_shard_count() {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(21));
-        let run = |sweep_shards: usize, stop: bool| {
+        let run = |sweep_shards: usize| {
             run_ip_survey(
                 &internet,
                 &IpSurveyConfig {
@@ -394,24 +387,21 @@ mod tests {
                     phi: 2,
                     sweep_batch: 12,
                     sweep_in_flight: 32,
-                    sweep_stop_set: stop.then(StopSetConfig::default),
                     sweep_shards,
                 },
             )
         };
-        for stop in [false, true] {
-            let one = run(1, stop);
-            for shards in [2usize, 3] {
-                let many = run(shards, stop);
-                assert_eq!(one.exploitable, many.exploitable, "stop={stop}");
-                assert_eq!(one.load_balanced, many.load_balanced);
-                assert_eq!(
-                    one.diamonds.measured_count(),
-                    many.diamonds.measured_count()
-                );
-                assert_eq!(one.meshing_miss_measured, many.meshing_miss_measured);
-                assert_eq!(one.meshing_miss_distinct, many.meshing_miss_distinct);
-            }
+        let one = run(1);
+        for shards in [2usize, 3] {
+            let many = run(shards);
+            assert_eq!(one.exploitable, many.exploitable);
+            assert_eq!(one.load_balanced, many.load_balanced);
+            assert_eq!(
+                one.diamonds.measured_count(),
+                many.diamonds.measured_count()
+            );
+            assert_eq!(one.meshing_miss_measured, many.meshing_miss_measured);
+            assert_eq!(one.meshing_miss_distinct, many.meshing_miss_distinct);
         }
     }
 

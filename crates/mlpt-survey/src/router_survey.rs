@@ -203,11 +203,6 @@ pub struct RouterSurveyConfig {
     /// but are themselves bit-identical across admission modes and
     /// budgets.
     pub hop_fanout: bool,
-    /// Shared Doubletree stop set for each sub-sweep's trace phases
-    /// (`None` = off). Sub-sweeps are address-disjoint by construction,
-    /// so this mainly exercises the mid-path start + backward probing
-    /// order; it never changes discovered topology (rule 5).
-    pub sweep_stop_set: Option<StopSetConfig>,
     /// Engine shards per sub-sweep (`1` = the single engine). With
     /// more, each sub-sweep's lanes and sessions are partitioned by
     /// [`mlpt_core::shard_of`] across a
@@ -228,7 +223,6 @@ impl Default for RouterSurveyConfig {
             sweep_in_flight: 512,
             admission: Admission::Streaming,
             hop_fanout: false,
-            sweep_stop_set: None,
             sweep_shards: 1,
         }
     }
@@ -471,7 +465,6 @@ pub fn run_router_survey(
         config: SweepConfig {
             max_in_flight: config.sweep_in_flight.max(1),
             admission: config.admission,
-            stop_set: config.sweep_stop_set,
             ..SweepConfig::default()
         },
         shards: config.sweep_shards,

@@ -436,7 +436,8 @@ impl Options {
 /// Parses the arguments of command `name` (bit `bit`), exiting with
 /// status 2 and a message naming the flag on an unknown flag, a flag
 /// the command does not take, a missing or bad value, or a flag another
-/// flag leaves without effect (`--start-ttl` without `--stop-set`, or a
+/// flag leaves without effect (`--start-ttl` without `--stop-set`,
+/// `--phi` or `--stopping` with an `--algo` that does not read it, or a
 /// pair of [`CANCELS`]).
 fn parse_options(name: &str, bit: u8, args: &[String]) -> Options {
     let mut opts = Options::new();
@@ -481,6 +482,17 @@ fn parse_options(name: &str, bit: u8, args: &[String]) -> Options {
     if given("--start-ttl") && !given("--stop-set") {
         eprintln!("--start-ttl has no effect without --stop-set");
         exit(2);
+    }
+    // Only MDA-Lite reads φ; the single-flow tracer reads no stopping
+    // table.
+    for (flag, unread) in [
+        ("--phi", opts.algo != "lite"),
+        ("--stopping", opts.algo == "single"),
+    ] {
+        if given(flag) && unread {
+            eprintln!("{flag} has no effect with --algo {}", opts.algo);
+            exit(2);
+        }
     }
     opts
 }

@@ -16,11 +16,11 @@ use std::net::Ipv4Addr;
 const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
 const LANES: u32 = 4;
 
-/// One chaos sweep: every lane runs the preset on its own virtual
-/// clock; MDA keeps the probe volume high enough that every preset's
-/// step ticks land mid-trace.
-fn chaos_sweep(preset: &str) -> (Vec<Trace>, SweepStats) {
-    let lanes: Vec<MultipathTopology> = (0..LANES)
+/// One chaos sweep over `lanes` lanes: every lane runs the preset on
+/// its own virtual clock; MDA keeps the probe volume high enough that
+/// every preset's step ticks land mid-trace.
+fn chaos_sweep(preset: &str, lanes: u32) -> (Vec<Trace>, SweepStats) {
+    let lanes: Vec<MultipathTopology> = (0..lanes)
         .map(|i| canonical::fig1_meshed().translated(0x0100_0000 * (i + 1)))
         .collect();
     let net = MultiNetwork::new(
@@ -67,34 +67,47 @@ fn golden_partials(preset: &str) -> u64 {
     }
 }
 
+/// Runs at the golden width, then at 16 lanes, where the only pinned
+/// partial count is the all-dark preset's: every lane.
 #[test]
 fn every_preset_terminates_with_golden_partial_counts() {
-    for &preset in FaultSchedule::preset_names() {
-        let (traces, stats) = chaos_sweep(preset);
-        assert_eq!(traces.len(), LANES as usize, "{preset}: lane lost");
-        assert_eq!(
-            stats.sessions_completed, LANES as u64,
-            "{preset}: every session must finalize"
-        );
-        assert_eq!(
-            stats.sessions_partial,
-            golden_partials(preset),
-            "{preset}: partial-session golden moved"
-        );
-        assert_eq!(
-            traces.iter().filter(|t| t.outcome.is_partial()).count() as u64,
-            stats.sessions_partial,
-            "{preset}: outcomes must match the counter"
-        );
-        // The retry-wave accounting invariant survives every preset.
-        assert_eq!(
-            stats.probes_timed_out
-                + stats.replies_delivered
-                + stats.malformed_replies
-                + stats.mismatched_replies,
-            stats.probes_sent,
-            "{preset}: accounting must partition probes_sent"
-        );
+    for lanes in [LANES, 16] {
+        for &preset in FaultSchedule::preset_names() {
+            let (traces, stats) = chaos_sweep(preset, lanes);
+            assert_eq!(traces.len(), lanes as usize, "{preset}: lane lost");
+            assert_eq!(
+                stats.sessions_completed,
+                u64::from(lanes),
+                "{preset}: every session must finalize"
+            );
+            if lanes == LANES {
+                assert_eq!(
+                    stats.sessions_partial,
+                    golden_partials(preset),
+                    "{preset}: partial-session golden moved"
+                );
+            } else if preset == "midtrace-blackhole" {
+                assert_eq!(
+                    stats.sessions_partial,
+                    u64::from(lanes),
+                    "the all-dark preset must degrade every lane to partial"
+                );
+            }
+            assert_eq!(
+                traces.iter().filter(|t| t.outcome.is_partial()).count() as u64,
+                stats.sessions_partial,
+                "{preset}: outcomes must match the counter"
+            );
+            // The retry-wave accounting invariant survives every preset.
+            assert_eq!(
+                stats.probes_timed_out
+                    + stats.replies_delivered
+                    + stats.malformed_replies
+                    + stats.mismatched_replies,
+                stats.probes_sent,
+                "{preset}: accounting must partition probes_sent"
+            );
+        }
     }
 }
 
@@ -230,8 +243,8 @@ fn topology_sweeps_agree_across_admission_modes_and_replay() {
 #[test]
 fn chaos_sweeps_replay_bit_identically() {
     for &preset in FaultSchedule::preset_names() {
-        let (first, first_stats) = chaos_sweep(preset);
-        let (again, again_stats) = chaos_sweep(preset);
+        let (first, first_stats) = chaos_sweep(preset, LANES);
+        let (again, again_stats) = chaos_sweep(preset, LANES);
         assert_eq!(first, again, "{preset}: traces must replay");
         assert_eq!(
             first_stats.probes_sent, again_stats.probes_sent,

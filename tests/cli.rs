@@ -209,6 +209,12 @@ fn unknown_arguments_rejected() {
         ("sweep --start-ttl 4", "--start-ttl"),
         ("alias 3 --start-ttl 4", "--start-ttl"),
         ("trace --json --draw", "--draw"),
+        ("trace --algo mda --phi 4", "--phi"),
+        ("trace --algo single --phi 4", "--phi"),
+        ("trace --algo single --stopping 99", "--stopping"),
+        ("sweep --algo mda --phi 4", "--phi"),
+        ("sweep --algo single --phi 4", "--phi"),
+        ("sweep --algo single --stopping 99", "--stopping"),
     ] {
         assert_refused(&args.split_whitespace().collect::<Vec<_>>(), flag);
     }

@@ -58,7 +58,7 @@ trace --topology meshed --algo mda --json                                  7eeee
 trace --topology fig1-meshed --loss 0.1 --json --seed 2                    e097a5738cd5be52
 trace --topology fig1-unmeshed --draw                                      a9a192cb74be299a
 trace --topology symmetric --algo mda --draw --seed 6                      230bdf6c423f120e
-trace --topology simplest --algo mda --stopping 99 --phi 4 --json --seed 9 d9b61832f9ef3f06
+trace --topology simplest --algo mda --stopping 99 --json --seed 9        d9b61832f9ef3f06
 trace --topology max-length-2 --algo mda --seed 3                          74c9113b8ba9d1a6
 multilevel --scenario 3 --rounds 5 --seed 2                                f7afe5a5b3cc56aa
 multilevel --scenario 17 --rounds 5                                        8a8ab747ffd1d78c
