@@ -4,9 +4,7 @@
 //! synthetic-Internet destinations traced with the full MDA. Timed runs:
 //!
 //! * the sequential full-trace loop, one `SimNetwork` per destination;
-//! * the streaming engine over one shared `MultiNetwork`, with 1 and
-//!   with N simulator worker threads spreading disjoint lanes inside
-//!   each crossing;
+//! * the streaming engine over one shared `MultiNetwork`;
 //! * the sharded engine at shard counts {1, 2, 4, host_cpus}. On a host
 //!   with more than one CPU, 2 shards must beat 1 (best sample against
 //!   best sample) or the bench fails; on one CPU the shard threads
@@ -79,7 +77,6 @@ fn main() {
     let quick = std::env::var("MLPT_BENCH_QUICK").is_ok_and(|v| !v.is_empty());
     let (samples, shard_samples) = if quick { (2, 1) } else { (5, 3) };
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = host_cpus.clamp(2, 16);
     let internet = SyntheticInternet::new(InternetConfig::default());
 
     let mut runs = Vec::new();
@@ -88,16 +85,11 @@ fn main() {
         (probes, crossings)
     });
     runs.push(record("sequential_full_trace_loop", &walls, counts));
-    for (id, workers) in [
-        ("streaming_engine", workers),
-        ("streaming_engine_1worker", 1),
-    ] {
-        let (walls, counts) = time(samples, || {
-            let (_, stats, _) = run_sweep(&internet, workers);
-            (stats.probes_sent, stats.dispatch_cycles)
-        });
-        runs.push(record(id, &walls, counts));
-    }
+    let (walls, counts) = time(samples, || {
+        let (_, stats, _) = run_sweep(&internet);
+        (stats.probes_sent, stats.dispatch_cycles)
+    });
+    runs.push(record("streaming_engine", &walls, counts));
 
     let mut shard_counts = vec![1usize, 2, 4, host_cpus];
     shard_counts.sort_unstable();
@@ -132,7 +124,6 @@ fn main() {
         ),
         "quick_mode": quick,
         "host_cpus": host_cpus,
-        "simulator_workers": workers,
         "multicore_gate_armed": gate_armed,
         "runs": runs,
     });

@@ -119,19 +119,13 @@ pub fn run_sequential(internet: &SyntheticInternet) -> (Vec<Trace>, u64, u64) {
     (traces, crossings, probes)
 }
 
-/// One streaming sweep over a shared network whose lanes `workers`
-/// simulator threads process: returns the traces, the stats and the
-/// per-cycle batch sizes.
-pub fn run_sweep(
-    internet: &SyntheticInternet,
-    workers: usize,
-) -> (Vec<Trace>, SweepStats, Vec<u32>) {
+/// One streaming sweep over a shared network: returns the traces, the
+/// stats and the per-cycle batch sizes.
+pub fn run_sweep(internet: &SyntheticInternet) -> (Vec<Trace>, SweepStats, Vec<u32>) {
     let lanes: Vec<SimNetwork> = (0..DESTINATIONS)
         .map(|id| build_lane(internet, id))
         .collect();
-    let net = MultiNetwork::new(lanes)
-        .expect("scenario destinations are unique")
-        .with_workers(workers);
+    let net = MultiNetwork::new(lanes).expect("scenario destinations are unique");
     let mut engine = SweepEngine::new(net, internet.scenario(0).source).with_config(SweepConfig {
         max_in_flight: MAX_IN_FLIGHT,
         admission: Admission::Streaming,

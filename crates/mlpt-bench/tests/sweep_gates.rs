@@ -25,8 +25,9 @@
 //!   width-16 figure at width 256.
 //! * **Sharded engine** (the streaming workload at shard counts
 //!   {1, 2, 4, host CPUs}): traces and wire work identical to the
-//!   unsharded baseline, per-shard probe counts summing to the total and
-//!   the four-bucket reply accounting exact on every shard.
+//!   unsharded baseline, every shard sending probes, per-shard probe
+//!   counts summing to the total and the four-bucket reply accounting
+//!   exact on every shard.
 //!
 //! The adaptive-backoff and chaos gates live in the root crate's
 //! `tests/adaptive_backoff.rs` and `tests/chaos.rs`.
@@ -54,8 +55,7 @@ fn internet() -> SyntheticInternet {
 fn streaming_sweep_matches_sequential_loop_and_keeps_batches_full() {
     let internet = internet();
     let (seq_traces, _, seq_probes) = run_sequential(&internet);
-    // Two simulator workers, so the lane pool's path is the one checked.
-    let (traces, stats, cycles) = run_sweep(&internet, 2);
+    let (traces, stats, cycles) = run_sweep(&internet);
     assert_eq!(seq_traces.len(), traces.len());
     for (a, b) in seq_traces.iter().zip(&traces) {
         assert_eq!(a, b, "streaming sweep diverged for {}", a.destination);
@@ -457,10 +457,15 @@ fn sharded_sweeps_match_unsharded_baseline() {
             assert_eq!(a, b, "{shards}-shard sweep diverged for {}", a.destination);
         }
         assert_eq!(stats.probes_sent, baseline_probes, "wire work diverged");
-        let summed: u64 = per_shard.iter().map(|s| s.probes_sent).sum();
+        let per_shard_probes: Vec<u64> = per_shard.iter().map(|s| s.probes_sent).collect();
         assert_eq!(
-            summed, stats.probes_sent,
+            per_shard_probes.iter().sum::<u64>(),
+            stats.probes_sent,
             "per-shard counters out of balance"
+        );
+        assert!(
+            per_shard_probes.iter().all(|&p| p > 0),
+            "every shard must trace: per-shard probes {per_shard_probes:?}"
         );
         for shard in &per_shard {
             assert_eq!(

@@ -1,9 +1,8 @@
 //! Sharded sweep engine: multicore scale-out of [`SweepEngine`].
 //!
-//! A single [`SweepEngine`] drives every session on one thread; the
-//! transport parallelises *within* a crossing (the simulator's lane
-//! worker pool, a real backend's `sendmmsg`), but session bookkeeping —
-//! demux, pending table, retry waves, AIMD — is serial. For
+//! A single [`SweepEngine`] drives every session and every transport
+//! crossing on one thread: session bookkeeping — demux, pending table,
+//! retry waves, AIMD — and, on the simulator, the lanes' own work. For
 //! million-destination sweeps that serial section dominates. The
 //! [`ShardedSweepEngine`] splits the destination space across N
 //! independent engine **shards**, each owning its own transport,
@@ -103,16 +102,18 @@ use std::sync::mpsc;
 /// The deterministic destination→shard partition function.
 ///
 /// A fixed multiplicative hash (Knuth's 2^32/φ constant) scrambles the
-/// address so adjacent prefixes spread across shards, then reduces mod
-/// `shards`. `shards <= 1` always maps to shard 0. The function is
-/// pure: the same `(destination, shards)` pair maps identically
-/// forever, on every platform — replays and transport splits agree by
-/// construction.
+/// address, and a multiply-shift maps the hash's *high* bits onto
+/// `0..shards`. The low k bits of the product depend only on the
+/// address's low k bits, so reducing them instead would put every
+/// address sharing its low bits (e.g. every `N.k.0.0` block) on one
+/// shard. `shards <= 1` always maps to shard 0. The function is pure:
+/// the same `(destination, shards)` pair maps identically forever, on
+/// every platform — replays and transport splits agree by construction.
 pub fn shard_of(destination: Ipv4Addr, shards: usize) -> usize {
     if shards <= 1 {
         return 0;
     }
-    (u32::from(destination).wrapping_mul(0x9E37_79B1) as usize) % shards
+    ((u64::from(u32::from(destination).wrapping_mul(0x9E37_79B1)) * shards as u64) >> 32) as usize
 }
 
 /// The stop-set generation coordinator (see module docs): pulls
@@ -494,12 +495,53 @@ mod tests {
         assert!(hit.iter().all(|&h| h), "all shards reachable: {hit:?}");
     }
 
-    /// `n` disjoint copies of the meshed Fig. 1 diamond. The `+ i` varies
-    /// the low address bits, which is what spreads the destinations over
-    /// 2 and 4 shards (`shard_of` keeps an address's parity).
+    /// Every shard gets at least half its fair share of 64 destinations
+    /// of each address family the sweeps build, at 2, 3 and 4 shards.
+    /// These families differ only in their high bits, so a partition
+    /// that reduced the hash's low bits would leave shards idle.
+    #[test]
+    fn shard_of_balances_every_lane_address_family() {
+        let translated = |topo: mlpt_topo::MultipathTopology| -> Vec<Ipv4Addr> {
+            (1..=64)
+                .map(|i| topo.translated(0x0100_0000 * i).destination())
+                .collect()
+        };
+        let families = [
+            // Synthetic-Internet scenarios: one 8192-address block per
+            // scenario from 64.0.0.0, 128 addresses per hop.
+            (
+                "scenario",
+                (0..64u32)
+                    .map(|i| Ipv4Addr::from(0x4000_0000 + i * 8192 + (10 + i % 9) * 128))
+                    .collect(),
+            ),
+            ("replica block", translated(canonical::meshed())),
+            ("translated lane", translated(canonical::fig1_meshed())),
+            (
+                "shared prefix",
+                (0..64)
+                    .map(|i| canonical::shared_prefix_lane(20, 4, i).destination())
+                    .collect(),
+            ),
+        ];
+        for (family, destinations) in &families {
+            for shards in 2..=4 {
+                let mut load = vec![0usize; shards];
+                for &d in destinations {
+                    load[shard_of(d, shards)] += 1;
+                }
+                assert!(
+                    load.iter().all(|&n| 2 * n * shards >= 64),
+                    "{family} destinations over {shards} shards: {load:?}"
+                );
+            }
+        }
+    }
+
+    /// `n` disjoint copies of the meshed Fig. 1 diamond.
     fn lane_topos(n: u32) -> Vec<mlpt_topo::MultipathTopology> {
         (0..n)
-            .map(|i| canonical::fig1_meshed().translated(0x0100_0000 * (i + 1) + i))
+            .map(|i| canonical::fig1_meshed().translated(0x0100_0000 * (i + 1)))
             .collect()
     }
 

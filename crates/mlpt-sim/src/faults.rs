@@ -249,6 +249,14 @@ impl FaultSchedule {
         self.steps.iter().any(|(_, spec)| spec.is_lossy())
     }
 
+    /// True if any step delays replies (nonzero latency or jitter): only
+    /// then can a reply miss a probe deadline that is not already gone.
+    pub fn delays_replies(&self) -> bool {
+        self.steps
+            .iter()
+            .any(|(_, spec)| spec.latency_ticks > 0 || spec.jitter_ticks > 0)
+    }
+
     /// Names of the built-in chaos presets, in [`preset`](Self::preset)
     /// order.
     pub fn preset_names() -> &'static [&'static str] {
@@ -595,5 +603,19 @@ mod tests {
         assert_eq!(schedule.spec_at(32).jitter_ticks, 12);
         assert_eq!(schedule.spec_at(32).latency_ticks, 1);
         assert_eq!(schedule.spec_at(96).jitter_ticks, 0);
+    }
+
+    #[test]
+    fn only_latency_or_jitter_delays_replies() {
+        let delaying: Vec<&str> = FaultSchedule::preset_names()
+            .iter()
+            .copied()
+            .filter(|&name| FaultSchedule::preset(name).unwrap().delays_replies())
+            .collect();
+        assert_eq!(delaying, ["congestion-ramp", "jitter-spread"]);
+        assert!(!FaultSchedule::from(FaultPlan::with_loss(0.3, 0.3)).delays_replies());
+        assert!(FaultSchedule::none()
+            .step(5, FaultSpec::none().with_jitter(1))
+            .delays_replies());
     }
 }

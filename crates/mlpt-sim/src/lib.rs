@@ -43,7 +43,6 @@ pub mod capture;
 pub mod faults;
 pub mod multi;
 pub mod network;
-pub(crate) mod pool;
 pub mod router;
 pub mod schedule;
 pub mod validation;
@@ -52,7 +51,7 @@ pub use analytic::{mda_failure_probability, vertex_failure_probability};
 pub use balance::{BalanceMode, FlowHasher};
 pub use capture::CapturingTransport;
 pub use faults::{FaultPlan, FaultSchedule, FaultSpec};
-pub use multi::{env_default_workers, MultiNetwork, MultiNetworkError};
+pub use multi::{MultiNetwork, MultiNetworkError};
 pub use network::{PacketTransport, SimNetwork, SimNetworkBuilder, TrafficCounters};
 pub use router::{
     CounterBehavior, IpIdEngine, IpIdProfile, MplsProfile, ReplyClass, RouterProfile,

@@ -19,44 +19,15 @@
 //! transport half of the sweep engine's headline invariant — concurrent
 //! sweeps reproduce sequential traces exactly.
 //!
-//! The vectorized [`SplitTransport::send_probes`] path can optionally
-//! process lanes on worker threads ([`MultiNetwork::with_workers`]):
-//! because lanes are disjoint, the merged reply batch is identical
-//! regardless of thread timing, so parallelism is invisible except in
-//! wall-clock time. The threads are a **persistent pool**
-//! ([`crate::pool`]) — long-lived workers parked between crossings —
-//! so the parallel path engages at any batch size instead of only
-//! above a spawn-amortization threshold.
+//! A crossing runs on the caller's thread: [`SplitTransport::send_probes`]
+//! routes each probe once and runs, on its lane, the same per-probe step a
+//! standalone `SimNetwork` runs. Sweeps that want more cores split the
+//! lanes across engine shards ([`MultiNetwork::split_by`]).
 
 use crate::network::{PendingBatch, SimNetwork, TrafficCounters};
-use crate::pool::WorkerPool;
 use mlpt_wire::ipv4::{Ipv4Header, PROTO_ICMP, PROTO_UDP};
 use mlpt_wire::transport::{PacketBatch, PacketTransport, ReplyBatch, SplitTransport};
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
-
-/// Minimum routed probes in a batch before the worker pool engages.
-///
-/// The old per-crossing `thread::scope` spawn only amortized above ~64
-/// probes *per worker* (a spawn/join costs ~10–30 µs); the persistent
-/// pool's per-crossing cost is two channel hops per worker (~1 µs), so
-/// the measured crossover drops to single-digit batches: any crossing
-/// with at least two probes to split between lanes is worth handing to
-/// the pool. Batches of one probe (and single-lane networks) keep the
-/// serial path — there is nothing to parallelize.
-const POOL_MIN_PROBES: usize = 2;
-
-/// The default simulator worker count: the `MLPT_SIM_WORKERS`
-/// environment variable when set (CI exercises the pool suite-wide
-/// with `MLPT_SIM_WORKERS=2`), else 1 (fully sequential). Worker count
-/// is purely a wall-clock knob — replies are bit-identical for any
-/// value — which is what makes an environment override safe.
-pub fn env_default_workers() -> usize {
-    std::env::var("MLPT_SIM_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(1, |w| w.max(1))
-}
 
 /// Errors detected while assembling a [`MultiNetwork`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,32 +51,16 @@ impl std::error::Error for MultiNetworkError {}
 
 /// One shared transport over per-destination [`SimNetwork`] lanes.
 pub struct MultiNetwork {
-    /// The lanes, shared with pool workers **only while a crossing is
-    /// in flight**: workers drop their `Arc` clone before acking, so
-    /// between crossings this is the unique reference and every `&mut
-    /// self` accessor recovers lock-free `&mut SimNetwork` access via
-    /// [`Arc::get_mut`].
-    lanes: Arc<Vec<Mutex<SimNetwork>>>,
+    lanes: Vec<SimNetwork>,
     /// Sorted (destination, lane) pairs for UDP routing.
     dests: Vec<(u32, usize)>,
     /// Sorted (interface, lane) pairs for echo routing; an interface
     /// shared by several lanes (e.g. a common core) routes to the first.
     interfaces: Vec<(u32, usize)>,
-    workers: usize,
-    /// The persistent worker pool, spawned lazily on the first parallel
-    /// crossing (serial-only networks never pay for threads).
-    pool: Option<WorkerPool>,
     /// Virtual ticks every lane's clock advances after each crossing.
     cycle_gap: u64,
     /// In-flight batch of the split (send/recv) transport exchange.
     pending: PendingBatch,
-}
-
-/// Unwraps a lane's mutex under the exclusive-between-crossings
-/// invariant (poisoning would mean a pool worker panicked mid-job,
-/// which already aborted the crossing).
-fn unpoisoned(lane: &mut Mutex<SimNetwork>) -> &mut SimNetwork {
-    lane.get_mut().expect("lane mutex poisoned")
 }
 
 impl MultiNetwork {
@@ -132,27 +87,20 @@ impl MultiNetwork {
         interfaces.sort_unstable();
         interfaces.dedup_by_key(|&mut (addr, _)| addr);
         Ok(Self {
-            lanes: Arc::new(lanes.into_iter().map(Mutex::new).collect()),
+            lanes,
             dests,
             interfaces,
-            workers: env_default_workers(),
-            pool: None,
             cycle_gap: 0,
             pending: PendingBatch::default(),
         })
     }
 
-    /// Sets how many worker threads a crossing may spread lanes over
-    /// (default: [`env_default_workers`] — 1 unless `MLPT_SIM_WORKERS`
-    /// overrides it). Purely a wall-clock knob: the replies are
-    /// identical for any worker count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        let workers = workers.max(1);
-        if workers != self.workers {
-            self.workers = workers;
-            // Resized pools respawn lazily on the next parallel crossing.
-            self.pool = None;
-        }
+    /// Returns `self` unchanged: a crossing always runs on the caller's
+    /// thread. Kept only because the repository benchmark (`surveybench`)
+    /// still calls it.
+    #[deprecated(note = "the simulator has no worker threads; split lanes across engine shards")]
+    #[doc(hidden)]
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -160,10 +108,10 @@ impl MultiNetwork {
     /// owning the lanes `assign` maps to it (by the lane's traced
     /// destination, so a sharded sweep's sessions and their lanes land
     /// on the same shard). The handoff for
-    /// `mlpt_core::shard::ShardedSweepEngine`: lane state, worker count
-    /// and cycle gap carry over verbatim; shards the assignment leaves
-    /// empty are valid (they simply answer nothing). Lane order within
-    /// a shard preserves this network's lane order.
+    /// `mlpt_core::shard::ShardedSweepEngine`: lane state and cycle gap
+    /// carry over verbatim; shards the assignment leaves empty are valid
+    /// (they simply answer nothing). Lane order within a shard preserves
+    /// this network's lane order.
     ///
     /// Sharding assumes the standard per-destination lane construction
     /// (disjoint address blocks): an interface shared by lanes on
@@ -175,29 +123,20 @@ impl MultiNetwork {
         F: Fn(Ipv4Addr) -> usize,
     {
         let shards = shards.max(1);
-        let MultiNetwork {
-            lanes,
-            workers,
-            cycle_gap,
-            ..
-        } = self;
-        let lanes = Arc::try_unwrap(lanes)
-            .map_err(|_| ())
-            .expect("a crossing is still in flight")
-            .into_iter()
-            .map(|m| m.into_inner().expect("lane mutex poisoned"));
         let mut per_shard: Vec<Vec<SimNetwork>> = (0..shards).map(|_| Vec::new()).collect();
-        for lane in lanes {
+        for lane in self.lanes {
             let shard = assign(lane.topology().destination()) % shards;
             per_shard[shard].push(lane);
         }
         per_shard
             .into_iter()
-            .map(|sub| {
+            .map(|mut sub| {
+                // A shard keeps its lanes for the whole sweep; growth by
+                // pushing may have left up to twice their size allocated.
+                sub.shrink_to_fit();
                 MultiNetwork::new(sub)
                     .expect("a subset of unique destinations stays unique")
-                    .with_workers(workers)
-                    .with_cycle_gap(cycle_gap)
+                    .with_cycle_gap(self.cycle_gap)
             })
             .collect()
     }
@@ -224,24 +163,15 @@ impl MultiNetwork {
         self.lanes.len()
     }
 
-    /// A lane's simulator. (`&mut self` because lane access recovers
-    /// exclusive ownership from the pool-shared storage; no lock is
-    /// taken.)
-    pub fn lane(&mut self, index: usize) -> &SimNetwork {
-        self.lane_mut(index)
-    }
-
-    /// Mutable access to a lane's simulator.
-    pub fn lane_mut(&mut self, index: usize) -> &mut SimNetwork {
-        let lanes = Arc::get_mut(&mut self.lanes).expect("a crossing is still in flight");
-        unpoisoned(&mut lanes[index])
+    /// A lane's simulator.
+    pub fn lane(&self, index: usize) -> &SimNetwork {
+        &self.lanes[index]
     }
 
     /// Aggregated traffic counters across all lanes.
     pub fn counters(&self) -> TrafficCounters {
         let mut total = TrafficCounters::default();
-        for lane in self.lanes.iter() {
-            let lane = lane.lock().expect("lane mutex poisoned");
+        for lane in &self.lanes {
             let c = lane.counters();
             total.probes_received += c.probes_received;
             total.probes_lost += c.probes_lost;
@@ -253,18 +183,6 @@ impl MultiNetwork {
             total.mutations_rejected += c.mutations_rejected;
         }
         total
-    }
-
-    /// Advances every lane's clock by the configured inter-cycle gap
-    /// (no-op at the default gap of 0).
-    fn apply_cycle_gap(&mut self) {
-        if self.cycle_gap > 0 {
-            let gap = self.cycle_gap;
-            let lanes = Arc::get_mut(&mut self.lanes).expect("a crossing is still in flight");
-            for lane in lanes.iter_mut() {
-                unpoisoned(lane).advance_clock(gap);
-            }
-        }
     }
 
     /// The lane a packet routes to, if any: UDP probes go to the lane
@@ -287,116 +205,17 @@ impl MultiNetwork {
             _ => None,
         }
     }
-
-    /// The send half's crossing: routes each packet to its lane and
-    /// stamps each reply slot with the *lane's* clock, so a session's
-    /// observations carry the same timestamps a dedicated
-    /// per-destination simulator would produce. With more than one
-    /// worker, disjoint lanes are processed in parallel and the replies
-    /// merged back in slot order.
-    fn send_batch(&mut self, probes: &PacketBatch, replies: &mut ReplyBatch) {
-        replies.clear();
-        let lane_of: Vec<Option<usize>> = probes.iter().map(|p| self.lane_for(p)).collect();
-
-        // The persistent pool engages at any batch worth splitting (see
-        // [`POOL_MIN_PROBES`]); one worker, one lane or a single probe
-        // keeps the lock-free sequential path.
-        if self.workers <= 1 || self.lanes.len() <= 1 || probes.len() < POOL_MIN_PROBES {
-            let lanes = Arc::get_mut(&mut self.lanes).expect("a crossing is still in flight");
-            for (slot, packet) in probes.iter().enumerate() {
-                match lane_of[slot] {
-                    Some(l) => {
-                        let lane = unpoisoned(&mut lanes[l]);
-                        let mut answered = false;
-                        replies.push_with(0, |buf| {
-                            answered = lane.send_packet_into(packet, buf);
-                            answered
-                        });
-                        let t = unpoisoned(&mut lanes[l]).clock();
-                        replies.set_last_timestamp(t);
-                    }
-                    None => replies.push_with(0, |_| false),
-                }
-            }
-            self.apply_cycle_gap();
-            return;
-        }
-
-        // Parallel path: per-lane slot lists, disjoint lane sets handed
-        // to the persistent workers, outputs merged in slot order. Lane
-        // state is disjoint, so the result is identical to the
-        // sequential path whatever the thread timing.
-        let num_lanes = self.lanes.len();
-        let mut slots_of: Vec<Vec<usize>> = vec![Vec::new(); num_lanes];
-        for (slot, lane) in lane_of.iter().enumerate() {
-            if let Some(l) = lane {
-                slots_of[*l].push(slot);
-            }
-        }
-        // Only lanes with routed probes are assigned; contiguous chunks
-        // of them spread across the workers (deterministic assignment,
-        // though any assignment would merge identically).
-        let busy: Vec<(usize, Vec<usize>)> = slots_of
-            .into_iter()
-            .enumerate()
-            .filter(|(_, slots)| !slots.is_empty())
-            .collect();
-        let workers = self.workers;
-        let pool = self.pool.get_or_insert_with(|| WorkerPool::new(workers));
-        let chunk = busy.len().div_ceil(pool.len()).max(1);
-        let mut per_worker: Vec<Vec<(usize, Vec<usize>)>> = Vec::with_capacity(pool.len());
-        let mut busy = busy.into_iter();
-        loop {
-            let assignments: Vec<(usize, Vec<usize>)> = busy.by_ref().take(chunk).collect();
-            if assignments.is_empty() {
-                break;
-            }
-            per_worker.push(assignments);
-        }
-        let mut outputs: Vec<Option<(Option<Vec<u8>>, u64)>> = vec![None; probes.len()];
-        pool.dispatch(
-            &self.lanes,
-            Arc::new(probes.clone()),
-            per_worker,
-            |records| {
-                for (slot, reply, clock) in records {
-                    outputs[slot] = Some((reply, clock));
-                }
-            },
-        );
-        for (slot, out) in outputs.into_iter().enumerate() {
-            match out {
-                Some((Some(bytes), t)) => {
-                    replies.push_with(t, |buf| {
-                        buf.extend_from_slice(&bytes);
-                        true
-                    });
-                }
-                // Routed but unanswered: the slot still carries its
-                // lane's clock, as the sequential path stamps it.
-                Some((None, t)) => replies.push_with(t, |_| false),
-                None => {
-                    debug_assert!(
-                        lane_of[slot].is_none(),
-                        "routed slot missing a reply record"
-                    );
-                    replies.push_with(0, |_| false);
-                }
-            }
-        }
-        self.apply_cycle_gap();
-    }
 }
 
 impl PacketTransport for MultiNetwork {
     fn send_packet(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
         let lane = self.lane_for(packet)?;
-        self.lane_mut(lane).send_packet(packet)
+        self.lanes[lane].send_packet(packet)
     }
 
     fn send_packet_into(&mut self, packet: &[u8], reply: &mut Vec<u8>) -> bool {
         match self.lane_for(packet) {
-            Some(lane) => self.lane_mut(lane).send_packet_into(packet, reply),
+            Some(lane) => self.lanes[lane].send_packet_into(packet, reply),
             None => false,
         }
     }
@@ -405,50 +224,37 @@ impl PacketTransport for MultiNetwork {
     /// its own packets). Per-probe timestamps — the values observations
     /// carry — come from the owning lane via the split exchange.
     fn now(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.lock().expect("lane mutex poisoned").clock())
-            .sum()
+        self.lanes.iter().map(SimNetwork::clock).sum()
     }
 }
 
-/// The split exchange rides the vectorized `send_batch` path (worker
-/// threads included): the send half runs the whole batch and records
-/// each slot's lane-local send tick and the reply latency its lane's
-/// schedule imposed at that tick; the recv half suppresses replies that
-/// missed their per-probe deadline. Receiving advances no lane clocks,
-/// so with latency-free schedules the exchange is byte-identical to
-/// `send_batch` — the lane-isolation invariant is untouched.
+/// The send half routes each probe once and runs the standalone
+/// simulator's per-probe step on its lane: the reply slot carries the
+/// *lane's* clock, so a session's observations bear the timestamps a
+/// dedicated per-destination simulator would produce, and the reply
+/// latency comes from the lane's own schedule and jitter stream at that
+/// tick. Slots visit each lane in its own dispatch order, so the draws a
+/// lane consumes are a pure function of its probe sequence. After the
+/// batch every lane's clock advances by the cycle gap. The recv half
+/// suppresses replies that missed their per-probe deadline and advances
+/// no lane clocks, so the lane-isolation invariant is untouched.
 impl SplitTransport for MultiNetwork {
     fn send_probes(&mut self, probes: &PacketBatch, timeouts: &[u64]) {
         debug_assert_eq!(probes.len(), timeouts.len(), "one timeout per probe");
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.clear();
-        pending.timeouts.extend_from_slice(timeouts);
-        self.send_batch(probes, &mut pending.replies);
-        for (slot, packet) in probes.iter().enumerate() {
-            let latency = match self.lane_for(packet) {
-                // The slot's timestamp is its lane-local processing tick
-                // (stamped by send_batch); the schedule step in force at
-                // that tick dictates the reply's lateness, spread by the
-                // lane's own jitter stream. Slots visit each lane in its
-                // own dispatch order, so the draws a lane consumes are a
-                // pure function of its probe sequence.
-                Some(lane) => {
-                    let at = pending.replies.timestamp(slot);
-                    self.lane_mut(lane).sample_latency_at(at)
-                }
-                None => 0,
-            };
-            pending.latencies.push(latency);
+        self.pending.begin(timeouts);
+        for packet in probes.iter() {
+            let lane = self.lane_for(packet);
+            self.pending.send(lane.map(|l| &mut self.lanes[l]), packet);
         }
-        self.pending = pending;
+        if self.cycle_gap > 0 {
+            for lane in &mut self.lanes {
+                lane.advance_clock(self.cycle_gap);
+            }
+        }
     }
 
     fn recv_replies(&mut self, replies: &mut ReplyBatch) {
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.resolve_into(replies);
-        self.pending = pending;
+        self.pending.resolve_into(replies);
     }
 }
 
@@ -485,6 +291,14 @@ mod tests {
             &mut buf,
         );
         buf
+    }
+
+    /// One crossing of the split exchange, with deadlines no reply misses.
+    fn cross(net: &mut MultiNetwork, batch: &PacketBatch) -> ReplyBatch {
+        net.send_probes(batch, &vec![u64::MAX; batch.len()]);
+        let mut replies = ReplyBatch::new();
+        net.recv_replies(&mut replies);
+        replies
     }
 
     #[test]
@@ -550,7 +364,7 @@ mod tests {
         assert_eq!(multi.lane(0).counters(), standalone.counters());
     }
 
-    /// send_batch stamps each slot with the owning lane's clock and is
+    /// A crossing stamps each slot with the owning lane's clock and is
     /// identical to sequential single-packet dispatch.
     #[test]
     fn batch_matches_sequential_with_lane_clocks() {
@@ -563,10 +377,11 @@ mod tests {
                 batch.push(&probe_bytes(dst, flow, (round % 4 + 1) as u8, flow));
             }
         }
+        // One unroutable packet mid-batch.
+        batch.push(&probe_bytes(Ipv4Addr::new(9, 9, 9, 9), 0, 1, 0));
 
         let mut batched = MultiNetwork::new(all).expect("unique destinations");
-        let mut replies = ReplyBatch::new();
-        batched.send_batch(&batch, &mut replies);
+        let replies = cross(&mut batched, &batch);
 
         let mut sequential = MultiNetwork::new(lanes(3, 9)).expect("unique destinations");
         for (slot, packet) in batch.iter().enumerate() {
@@ -587,114 +402,51 @@ mod tests {
         }
     }
 
-    /// Worker threads change nothing but wall-clock time.
+    /// Under a schedule that delays and jitters replies, a lane's split
+    /// exchange (replies, deadlines, resolved timestamps) is the one a
+    /// standalone `SimNetwork` with the same seed produces for the same
+    /// probes, however other lanes' probes share its crossings.
     #[test]
-    fn parallel_workers_are_invisible() {
-        let dests: Vec<Ipv4Addr> = lanes(4, 21)
-            .iter()
-            .map(|l| l.topology().destination())
-            .collect();
-        let mut batch = PacketBatch::new();
-        // A large batch: plenty of lane work to spread over the pool.
-        for round in 0..64u16 {
-            for (i, &dst) in dests.iter().enumerate() {
-                batch.push(&probe_bytes(
-                    dst,
-                    round,
-                    (round % 4 + 1) as u8,
-                    round * 7 + i as u16,
-                ));
+    fn split_exchange_matches_standalone_lane_under_jitter() {
+        let schedule = crate::FaultSchedule::preset("jitter-spread").expect("preset");
+        let build = |i: u32| {
+            let topo = canonical::fig1_meshed().translated(0x0100_0000 * (i + 1));
+            SimNetwork::builder(topo)
+                .fault_schedule(schedule.clone())
+                .seed(60 + u64::from(i))
+                .build()
+        };
+        let d0 = build(0).topology().destination();
+        let d1 = build(1).topology().destination();
+        let mut multi = MultiNetwork::new(vec![build(0), build(1)]).expect("unique");
+        let mut standalone = build(0);
+        let mut seq = 0u16;
+        for crossing in 0..24u16 {
+            let (mut mixed, mut own) = (PacketBatch::new(), PacketBatch::new());
+            for i in 0..=(crossing % 5) {
+                seq += 1;
+                let probe = probe_bytes(d0, seq, (i % 4 + 1) as u8, seq);
+                mixed.push(&probe_bytes(d1, seq, 2, seq));
+                mixed.push(&probe);
+                own.push(&probe);
+            }
+            let timeouts = |n: usize| vec![6; n];
+            multi.send_probes(&mixed, &timeouts(mixed.len()));
+            standalone.send_probes(&own, &timeouts(own.len()));
+            let (mut got, mut want) = (ReplyBatch::new(), ReplyBatch::new());
+            multi.recv_replies(&mut got);
+            standalone.recv_replies(&mut want);
+            for k in 0..want.len() {
+                let slot = 2 * k + 1;
+                assert_eq!(got.get(slot), want.get(k), "crossing {crossing} probe {k}");
+                assert_eq!(
+                    got.timestamp(slot),
+                    want.timestamp(k),
+                    "crossing {crossing} probe {k} timestamp"
+                );
             }
         }
-        // One unroutable packet mid-batch.
-        batch.push(&probe_bytes(Ipv4Addr::new(9, 9, 9, 9), 0, 1, 0));
-
-        let mut seq_replies = ReplyBatch::new();
-        MultiNetwork::new(lanes(4, 21))
-            .expect("unique")
-            .send_batch(&batch, &mut seq_replies);
-
-        let mut par_replies = ReplyBatch::new();
-        MultiNetwork::new(lanes(4, 21))
-            .expect("unique")
-            .with_workers(3)
-            .send_batch(&batch, &mut par_replies);
-
-        assert_eq!(seq_replies.len(), par_replies.len());
-        for slot in 0..seq_replies.len() {
-            assert_eq!(
-                seq_replies.get(slot),
-                par_replies.get(slot),
-                "slot {slot} reply"
-            );
-            assert_eq!(
-                seq_replies.timestamp(slot),
-                par_replies.timestamp(slot),
-                "slot {slot} timestamp"
-            );
-        }
-    }
-
-    /// Satellite regression for the persistent pool: with spawn
-    /// amortization gone, the parallel path engages at any batch size —
-    /// so 1-worker and N-worker crossings must stay bit-identical at
-    /// *every* batch size, including a single probe, and across
-    /// repeated crossings of one long-lived pool.
-    #[test]
-    fn worker_counts_bit_identical_at_every_batch_size() {
-        let dests: Vec<Ipv4Addr> = lanes(4, 33)
-            .iter()
-            .map(|l| l.topology().destination())
-            .collect();
-        for batch_size in [1usize, 2, 3, 5, 9, 17, 64] {
-            let batches: Vec<PacketBatch> = (0..3u16)
-                .map(|crossing| {
-                    let mut batch = PacketBatch::new();
-                    for i in 0..batch_size {
-                        let seq = crossing * 100 + i as u16;
-                        batch.push(&probe_bytes(
-                            dests[i % dests.len()],
-                            seq,
-                            (i % 4 + 1) as u8,
-                            seq,
-                        ));
-                    }
-                    batch
-                })
-                .collect();
-            let run = |workers: usize| -> Vec<ReplyBatch> {
-                let mut net = MultiNetwork::new(lanes(4, 33))
-                    .expect("unique")
-                    .with_workers(workers);
-                batches
-                    .iter()
-                    .map(|batch| {
-                        let mut replies = ReplyBatch::new();
-                        net.send_batch(batch, &mut replies);
-                        replies
-                    })
-                    .collect()
-            };
-            let baseline = run(1);
-            for workers in [2usize, 3, 8] {
-                let parallel = run(workers);
-                for (crossing, (want, got)) in baseline.iter().zip(&parallel).enumerate() {
-                    assert_eq!(want.len(), got.len());
-                    for slot in 0..want.len() {
-                        assert_eq!(
-                            want.get(slot),
-                            got.get(slot),
-                            "workers {workers} batch {batch_size} crossing {crossing} slot {slot} reply"
-                        );
-                        assert_eq!(
-                            want.timestamp(slot),
-                            got.timestamp(slot),
-                            "workers {workers} batch {batch_size} crossing {crossing} slot {slot} timestamp"
-                        );
-                    }
-                }
-            }
-        }
+        assert_eq!(multi.lane(0).counters(), standalone.counters());
     }
 
     /// `split_by` hands each lane (with its full state) to the shard its
@@ -760,8 +512,7 @@ mod tests {
 
         // One burst of 8 into a capacity-2 bucket: most suppressed.
         let mut burst_net = MultiNetwork::new(vec![build()]).expect("unique");
-        let mut replies = ReplyBatch::new();
-        burst_net.send_batch(&batch_of(8), &mut replies);
+        cross(&mut burst_net, &batch_of(8));
         let burst_suppressed = burst_net.counters().replies_rate_limited;
         assert!(burst_suppressed >= 5, "suppressed {burst_suppressed}");
 
@@ -776,7 +527,7 @@ mod tests {
                 let seq = c * 2 + i;
                 batch.push(&probe_bytes(d, seq, 3, seq + 1));
             }
-            paced_net.send_batch(&batch, &mut replies);
+            cross(&mut paced_net, &batch);
         }
         assert_eq!(paced_net.counters().replies_rate_limited, 0);
         assert_eq!(paced_net.counters().replies_sent, 8);
@@ -822,8 +573,7 @@ mod tests {
 
         // One burst of 8 echoes into a capacity-2 bucket: most dropped.
         let mut burst_net = MultiNetwork::new(vec![build()]).expect("unique");
-        let mut replies = ReplyBatch::new();
-        burst_net.send_batch(&echo_batch(8), &mut replies);
+        let replies = cross(&mut burst_net, &echo_batch(8));
         let suppressed = burst_net.counters().replies_rate_limited;
         assert!(suppressed >= 5, "suppressed {suppressed}");
         // The answered ones are real Echo Replies from the targets.
@@ -850,7 +600,7 @@ mod tests {
                     64,
                 ));
             }
-            paced_net.send_batch(&batch, &mut replies);
+            cross(&mut paced_net, &batch);
         }
         assert_eq!(paced_net.counters().replies_rate_limited, 0);
         assert_eq!(paced_net.counters().replies_sent, 8);

@@ -407,6 +407,29 @@ impl PendingBatch {
         self.latencies.clear();
     }
 
+    /// Starts a crossing whose probes carry `timeouts`.
+    pub(crate) fn begin(&mut self, timeouts: &[u64]) {
+        self.clear();
+        self.timeouts.extend_from_slice(timeouts);
+    }
+
+    /// The send half's per-probe step, shared by every simulated
+    /// transport: `lane` takes the packet, its reply slot is stamped with
+    /// the lane's clock, and the reply's latency is sampled from the
+    /// lane's schedule at that tick. A probe no lane owns (`None`) gets
+    /// an empty slot stamped 0 with latency 0.
+    pub(crate) fn send(&mut self, lane: Option<&mut SimNetwork>, packet: &[u8]) {
+        let Some(lane) = lane else {
+            self.replies.push_with(0, |_| false);
+            self.latencies.push(0);
+            return;
+        };
+        self.replies
+            .push_with(0, |buf| lane.send_packet_into(packet, buf));
+        self.replies.set_last_timestamp(lane.clock);
+        self.latencies.push(lane.sample_latency_at(lane.clock));
+    }
+
     /// Drains the pending batch into `out`, applying deadline semantics:
     /// a reply counts only if its latency fits inside the probe's
     /// timeout; answered slots are stamped `send + latency`, unanswered
@@ -883,15 +906,9 @@ impl SplitTransport for SimNetwork {
     fn send_probes(&mut self, probes: &PacketBatch, timeouts: &[u64]) {
         debug_assert_eq!(probes.len(), timeouts.len(), "one timeout per probe");
         let mut pending = std::mem::take(&mut self.pending);
-        pending.clear();
-        pending.timeouts.extend_from_slice(timeouts);
+        pending.begin(timeouts);
         for packet in probes.iter() {
-            pending
-                .replies
-                .push_with(0, |buf| self.send_packet_into(packet, buf));
-            pending.replies.set_last_timestamp(self.clock);
-            let latency = self.sample_latency_at(self.clock);
-            pending.latencies.push(latency);
+            pending.send(Some(self), packet);
         }
         self.pending = pending;
     }

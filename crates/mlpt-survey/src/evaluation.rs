@@ -24,7 +24,7 @@ use crate::generator::{SyntheticInternet, TraceScenario};
 use crate::sweep::{in_chunks, SweepPlan};
 use mlpt_core::prelude::*;
 use mlpt_core::TraceSession;
-use mlpt_sim::{env_default_workers, FaultPlan};
+use mlpt_sim::FaultPlan;
 use mlpt_stats::{EmpiricalCdf, RatioSummary};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -228,7 +228,6 @@ pub fn evaluate_scenarios(
             ..SweepConfig::default()
         },
         shards: 1,
-        workers: env_default_workers(),
         cycle_gap: 0,
     };
     let chunk = |ids: Range<usize>| {

@@ -28,7 +28,7 @@ use crate::generator::{SyntheticInternet, TraceScenario};
 use crate::sweep::{in_chunks, SweepPlan};
 use mlpt_core::prelude::*;
 use mlpt_core::{MdaSession, TraceSession};
-use mlpt_sim::{env_default_workers, FaultPlan};
+use mlpt_sim::FaultPlan;
 use mlpt_stats::{EmpiricalCdf, Histogram, JointHistogram};
 use mlpt_topo::diamond::{all_diamond_metrics, find_diamonds, meshing_miss_probability};
 use serde::{Deserialize, Serialize};
@@ -244,7 +244,6 @@ pub fn run_ip_survey(internet: &SyntheticInternet, config: &IpSurveyConfig) -> I
             ..SweepConfig::default()
         },
         shards: config.sweep_shards,
-        workers: env_default_workers(),
         cycle_gap: 0,
     };
     let chunk = |ids: Range<usize>| {

@@ -35,7 +35,7 @@ use mlpt_alias::multilevel::{MultilevelConfig, MultilevelOutcome, MultilevelSess
 use mlpt_alias::resolver::{judge_set, SeriesSource, SetVerdict};
 use mlpt_alias::rounds::{ProbeMethod, RoundsConfig};
 use mlpt_core::prelude::*;
-use mlpt_sim::{env_default_workers, FaultPlan};
+use mlpt_sim::FaultPlan;
 use mlpt_stats::{Histogram, JointHistogram};
 use mlpt_topo::diamond::{all_diamond_metrics, find_diamonds};
 use mlpt_topo::{DiamondKey, MultipathTopology, RouterMap};
@@ -468,7 +468,6 @@ pub fn run_router_survey(
             ..SweepConfig::default()
         },
         shards: config.sweep_shards,
-        workers: env_default_workers(),
         cycle_gap: 0,
     };
     // Every diamond-carrying scenario of a chunk becomes a

@@ -7,8 +7,8 @@
 //! group; echo probes route by interface address, so an echo-probing
 //! sweep needs address-disjoint groups
 //! ([`crate::router_survey::disjoint_scenario_groups`]). [`in_chunks`]
-//! fans sweeps out over worker threads. Chunks, groups, shards and
-//! simulator workers are scheduling: they never change a result.
+//! fans sweeps out over worker threads. Chunks, groups and shards are
+//! scheduling: they never change a result.
 
 use crate::parallel::ordered_parallel_map;
 use mlpt_core::{shard_of, ShardedSweepEngine, SweepConfig, SweepStats};
@@ -30,9 +30,6 @@ pub struct SweepPlan {
     /// Engine shards per group (0 counts as 1). Destinations and their
     /// lanes partition by [`shard_of`].
     pub shards: usize,
-    /// Simulator worker threads per transport crossing (see
-    /// [`MultiNetwork::with_workers`]).
-    pub workers: usize,
     /// Virtual ticks every lane's clock advances between dispatch
     /// cycles (see [`MultiNetwork::with_cycle_gap`]).
     pub cycle_gap: u64,
@@ -88,9 +85,7 @@ impl SweepPlan {
                 sources.iter().all(|&s| s == source),
                 "a sweep assumes a single vantage point"
             );
-            let net = MultiNetwork::new(networks)?
-                .with_workers(self.workers)
-                .with_cycle_gap(self.cycle_gap);
+            let net = MultiNetwork::new(networks)?.with_cycle_gap(self.cycle_gap);
             let mut engine =
                 ShardedSweepEngine::new(net.split_by(shards, |d| shard_of(d, shards)), source)
                     .with_config(self.config);

@@ -22,7 +22,6 @@ fn plan(shards: usize) -> SweepPlan {
     SweepPlan {
         config: SweepConfig::default(),
         shards,
-        workers: 1,
         cycle_gap: 0,
     }
 }

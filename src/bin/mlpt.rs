@@ -22,7 +22,6 @@ use mlpt::alias::multilevel::{MultilevelOutcome, MultilevelSession};
 use mlpt::alias::rounds::{ProbeMethod, RoundsConfig};
 use mlpt::core::TraceReport;
 use mlpt::prelude::*;
-use mlpt::sim::env_default_workers;
 use mlpt::survey::sweep::{SweepOutput, SweepPlan};
 use mlpt::survey::{disjoint_scenario_groups, scenario_cost_hint};
 use mlpt::survey::{InternetConfig, SyntheticInternet, TraceScenario};
@@ -204,12 +203,6 @@ const FLAGS: &[Flag] = &[
         set: |o, _, _| o.fanout = true,
     },
     Flag {
-        usage: "--workers W",
-        commands: SWEEP,
-        help: "simulator worker threads (default 1)",
-        set: |o, f, v| o.workers = number(f, v, 1..),
-    },
-    Flag {
         usage: "--shards N",
         commands: SWEEP | ALIAS,
         help: "engine shards, split by destination\n\
@@ -273,8 +266,8 @@ const FLAGS: &[Flag] = &[
         commands: SWEEP | ALIAS,
         help: "base probe deadline in virtual ticks\n\
                (default 4096, backing off on lossy\n\
-               retry waves); binds when a\n\
-               --fault-schedule delays replies",
+               retry waves); needs a --fault-schedule\n\
+               that delays replies",
         set: |o, f, v| o.probe_timeout = number(f, v, 1..),
     },
     Flag {
@@ -396,7 +389,6 @@ struct Options {
     stop_set: bool,
     start_ttl: Option<u8>,
     fanout: bool,
-    workers: usize,
     shards: usize,
     cycle_gap: u64,
     loss: f64,
@@ -424,7 +416,6 @@ impl Options {
             replies: 30,
             method: "indirect".into(),
             budget: 1024,
-            workers: 1,
             shards: 1,
             probe_timeout: RetryPolicy::default().base_timeout,
             seed: 1,
@@ -437,6 +428,7 @@ impl Options {
 /// status 2 and a message naming the flag on an unknown flag, a flag
 /// the command does not take, a missing or bad value, or a flag another
 /// flag leaves without effect (`--start-ttl` without `--stop-set`,
+/// `--probe-timeout` without a `--fault-schedule` that delays replies,
 /// `--phi` or `--stopping` with an `--algo` that does not read it, or a
 /// pair of [`CANCELS`]).
 fn parse_options(name: &str, bit: u8, args: &[String]) -> Options {
@@ -481,6 +473,12 @@ fn parse_options(name: &str, bit: u8, args: &[String]) -> Options {
     }
     if given("--start-ttl") && !given("--stop-set") {
         eprintln!("--start-ttl has no effect without --stop-set");
+        exit(2);
+    }
+    // A deadline binds only on a reply that can arrive late.
+    let delays = FaultSchedule::delays_replies;
+    if given("--probe-timeout") && !opts.fault_schedule.as_ref().is_some_and(delays) {
+        eprintln!("--probe-timeout has no effect unless --fault-schedule delays replies");
         exit(2);
     }
     // Only MDA-Lite reads φ; the single-flow tracer reads no stopping
@@ -685,7 +683,6 @@ fn sweep_plan(opts: &Options) -> SweepPlan {
     SweepPlan {
         config: sweep_config(opts),
         shards: opts.shards,
-        workers: opts.workers,
         cycle_gap: opts.cycle_gap,
     }
 }
@@ -1130,13 +1127,8 @@ fn cmd_alias(opts: Options) {
         trace: trace_config(&opts, opts.seed),
         rounds: rounds_config(&opts),
     };
-    // Outcomes are bit-identical for any shard count; `alias` takes no
-    // `--workers`, so the simulator keeps its default worker count.
-    let plan = SweepPlan {
-        workers: env_default_workers(),
-        ..sweep_plan(&opts)
-    };
-    let output = plan
+    // Outcomes are bit-identical for any shard count.
+    let output = sweep_plan(&opts)
         .run(lanes, &groups, |engine, members, emit| {
             let sessions = members.iter().map(|&i| {
                 let mut config = multilevel.clone();

@@ -139,7 +139,6 @@ fn unknown_arguments_rejected() {
                 "--reprobe-budget 8",
                 "--probe-timeout 64",
                 "--stdin",
-                "--workers 2",
                 "--shards 2",
             ],
         ),
@@ -164,7 +163,6 @@ fn unknown_arguments_rejected() {
                 "--reprobe-budget 8",
                 "--probe-timeout 64",
                 "--stdin",
-                "--workers 2",
                 "--shards 2",
             ],
         ),
@@ -177,10 +175,7 @@ fn unknown_arguments_rejected() {
                 "--pcap capture.pcap",
             ],
         ),
-        (
-            "alias",
-            &["--topology simplest", "--loss 0.1", "--workers 2"],
-        ),
+        ("alias", &["--topology simplest", "--loss 0.1"]),
         ("topologies", &["--json"]),
     ];
     for (command, flags) in not_taken {
@@ -215,9 +210,29 @@ fn unknown_arguments_rejected() {
         ("sweep --algo mda --phi 4", "--phi"),
         ("sweep --algo single --phi 4", "--phi"),
         ("sweep --algo single --stopping 99", "--stopping"),
+        // A deadline binds only on a reply that can arrive late; `flap`
+        // and static loss or rate limits only drop packets.
+        ("sweep --probe-timeout 2", "--probe-timeout"),
+        ("sweep --loss 0.3 --probe-timeout 2", "--probe-timeout"),
+        (
+            "sweep --fault-schedule flap --probe-timeout 2",
+            "--probe-timeout",
+        ),
+        ("alias 3 --probe-timeout 2", "--probe-timeout"),
+        (
+            "alias 3 --rate-limit 3/12 --probe-timeout 2",
+            "--probe-timeout",
+        ),
+        (
+            "alias 3 --fault-schedule flap --probe-timeout 2",
+            "--probe-timeout",
+        ),
     ] {
         assert_refused(&args.split_whitespace().collect::<Vec<_>>(), flag);
     }
+
+    // The simulator has no worker threads to size.
+    assert_refused(&["sweep", "--workers", "2"], "--workers");
 }
 
 /// `mlpt help` lists, under each command, exactly the flags the command
@@ -249,7 +264,7 @@ fn usage_lists_exactly_the_accepted_flags() {
     let mut every: Vec<&String> = listed.iter().flat_map(|(_, flags)| flags).collect();
     every.sort();
     every.dedup();
-    assert!(every.len() >= 30, "{every:?}");
+    assert!(every.len() >= 29, "{every:?}");
     for (command, flags) in &listed {
         for flag in &every {
             // No value follows, so an accepted flag either runs the
@@ -287,7 +302,6 @@ fn bad_numeric_values_rejected() {
         // Zero acted as one; it is out of range now.
         &["sweep", "--shards", "0"],
         &["alias", "3", "--shards", "0"],
-        &["sweep", "--workers", "0"],
         &["sweep", "--max-in-flight", "0"],
         &["alias", "3", "--budget", "0"],
         &["sweep", "--probe-timeout", "0"],
@@ -740,6 +754,26 @@ fn sweep_probe_timeout_bounds_reply_latency() {
         .success());
 }
 
+/// `--probe-timeout` is accepted under a `--fault-schedule` that delays
+/// replies; without one it is refused (`unknown_arguments_rejected`).
+#[test]
+fn probe_timeout_accepted_when_replies_are_delayed() {
+    for args in [
+        "sweep --destinations 2 --algo mda --fault-schedule jitter-spread --probe-timeout 2",
+        "alias 3 --rounds 1 --replies 4 --fault-schedule jitter-spread --probe-timeout 2",
+    ] {
+        let out = mlpt()
+            .args(args.split_whitespace())
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "mlpt {args}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
 /// The alias sweep grows the same robustness surface: a chaos preset is
 /// selectable, the text report carries the robustness line and the JSON
 /// report the new counters.
@@ -775,8 +809,6 @@ fn alias_fault_schedule_and_robustness_counters() {
             "flap",
             "--max-retries",
             "1",
-            "--probe-timeout",
-            "64",
             "--json",
         ])
         .output()

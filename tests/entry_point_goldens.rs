@@ -8,9 +8,9 @@
 //! The single-trace grid covers all three tracers, the stopping tables,
 //! `--phi`, reply loss, synthetic-Internet scenarios, `--json`, `--draw`
 //! and the multilevel pipeline; the sweep grid covers the tracers,
-//! shards, simulator workers, admission modes, the stop set, the
-//! adaptive budget, fault and topology schedules, retries, alias
-//! methods, hop fan-out and address-disjoint sub-sweeps. A digest
+//! shards, admission modes, the stop set, the adaptive budget, fault
+//! and topology schedules, retries, probe deadlines, alias methods, hop
+//! fan-out and address-disjoint sub-sweeps. A digest
 //! mismatch means a trace, its probe accounting or its packet sequence
 //! changed, not only its rendering.
 
@@ -70,23 +70,24 @@ const SWEEP_GOLDENS: &str = "\
 sweep --topology fig1-meshed --destinations 6 --algo mda --seed 4                         f7e8e027fc1f1955
 sweep --topology simplest --destinations 3 --algo single --seed 2                         ac5f34dcb677c919
 sweep --destinations 3 --seed 2                                                           053b2f80a3287125
-sweep --topology shared-prefix --destinations 12 --stop-set --shards 2 --seed 3           acd2cfdd02774c28
+sweep --topology shared-prefix --destinations 12 --stop-set --shards 2 --seed 3           a3f292751b1c28d9
 sweep --topology shared-prefix --destinations 8 --stop-set --start-ttl 12 --algo single   acfb472cbe67723b
-sweep --topology meshed --destinations 3 --budget 64 --workers 2                          f0a532d227bbeb6b
+sweep --topology meshed --destinations 3 --budget 64                                      f0a532d227bbeb6b
 sweep --topology symmetric --destinations 5 --admission cost-aware --json                 a80ec7251f606b13
-sweep --topology fig1-meshed --destinations 9 --stop-set --shards 2 --seed 5 --json       247ac0ca4e62c12a
+sweep --topology fig1-meshed --destinations 9 --stop-set --shards 2 --seed 5 --json       adf0021d983761a9
 sweep --topology fig1-meshed --destinations 4 --adaptive-budget --rate-limit 3/12 --cycle-gap 12 --max-in-flight 64 a14c3c6901b149ab
 sweep --destinations 2 --algo mda --fault-schedule midtrace-blackhole --max-retries 1 --seed 3 c241b6a9fd1f52b4
 sweep --destinations 4 --algo mda --topology-schedule route-flap --max-retries 1 --seed 3 e17a68b4d7d64d19
-sweep --topology fig1-meshed --destinations 3 --algo mda --loss 0.3 --max-retries 2 --probe-timeout 64 --seed 7 9b3249e5db86923a
+sweep --topology fig1-meshed --destinations 3 --algo mda --loss 0.3 --max-retries 2 --seed 7 9b3249e5db86923a
+sweep --destinations 3 --algo mda --fault-schedule jitter-spread --max-retries 2 --probe-timeout 2 --seed 3 66cc979468225919
 sweep --topology asymmetric --destinations 2 --reprobe-budget 32 --admission cost-aware-windowed:1 --seed 6 480aff851d1ea5e2
 alias 3 5 --rounds 2 --replies 6                                                          6c0e7192a012dd22
 alias 3 --method direct --rounds 2 --replies 6 --json                                     8c8dfbd03be677c6
-alias 3 5 9 --fanout --shards 2 --stop-set --rounds 2 --replies 6                         87ef32bba99942b9
-alias 3 5 9 --stop-set --shards 2 --rounds 2 --replies 6 --json                           2a7d7fb3d0b9315d
-alias 62 129 --shards 2 --rounds 2 --replies 6 --json                                     60b8ef1f00daf389
+alias 3 5 9 --fanout --shards 2 --stop-set --rounds 2 --replies 6                         6be01d8a2e81df67
+alias 3 5 9 --stop-set --shards 2 --rounds 2 --replies 6 --json                           f358d621d1fa1c01
+alias 62 129 --shards 2 --rounds 2 --replies 6 --json                                     677fbcb549c5527e
 alias 3 5 --admission cost-aware --adaptive-budget --rate-limit 3/12 --cycle-gap 12 --max-in-flight 64 --rounds 2 --replies 6 05b0c40c66b84542
-alias 3 --fault-schedule flap --max-retries 1 --probe-timeout 64 --rounds 2 --replies 6 --seed 2 27d9cc3114a961f3";
+alias 3 --fault-schedule flap --max-retries 1 --rounds 2 --replies 6 --seed 2 27d9cc3114a961f3";
 
 /// The lines of a golden table whose invocation's digest changed, with
 /// the digest it has now.
