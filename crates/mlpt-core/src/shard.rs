@@ -235,11 +235,6 @@ impl<T: SplitTransport> ShardedSweepEngine<T> {
         self
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.engines.len()
-    }
-
     /// Per-shard dispatch statistics, in shard order. Protocol-level
     /// counters sum to the unsharded equivalents; scheduling counters
     /// (dispatch cycles, batch sizes, backoffs) are per-shard facts.
@@ -259,15 +254,6 @@ impl<T: SplitTransport> ShardedSweepEngine<T> {
     /// contract as [`SweepEngine::stop_snapshot`].
     pub fn stop_snapshot(&self) -> Option<&StopSnapshot> {
         self.last_stop_snapshot.as_ref()
-    }
-
-    /// Consumes the engine, returning the shard transports in shard
-    /// order.
-    pub fn into_transports(self) -> Vec<T> {
-        self.engines
-            .into_iter()
-            .map(|e| e.into_transport())
-            .collect()
     }
 }
 

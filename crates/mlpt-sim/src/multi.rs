@@ -67,15 +67,17 @@ impl MultiNetwork {
     /// Builds the shared transport over `lanes`. Destinations must be
     /// unique across lanes.
     pub fn new(lanes: Vec<SimNetwork>) -> Result<Self, MultiNetworkError> {
-        let mut dests: Vec<(u32, usize)> = Vec::with_capacity(lanes.len());
-        for (i, lane) in lanes.iter().enumerate() {
-            let d = u32::from(lane.topology().destination());
-            if dests.iter().any(|&(existing, _)| existing == d) {
-                return Err(MultiNetworkError::DuplicateDestination(Ipv4Addr::from(d)));
-            }
-            dests.push((d, i));
-        }
+        let mut dests: Vec<(u32, usize)> = lanes
+            .iter()
+            .enumerate()
+            .map(|(i, lane)| (u32::from(lane.topology().destination()), i))
+            .collect();
         dests.sort_unstable();
+        if let Some(pair) = dests.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(MultiNetworkError::DuplicateDestination(Ipv4Addr::from(
+                pair[0].0,
+            )));
+        }
         let mut interfaces: Vec<(u32, usize)> = Vec::new();
         for (i, lane) in lanes.iter().enumerate() {
             for addr in lane.topology().all_addresses() {
@@ -304,13 +306,22 @@ mod tests {
     #[test]
     fn duplicate_destinations_rejected() {
         let topo = canonical::simplest_diamond();
-        let lanes = vec![
+        let twins = vec![
             SimNetwork::new(topo.clone(), 1),
             SimNetwork::new(topo.clone(), 2),
         ];
         assert_eq!(
-            MultiNetwork::new(lanes).err(),
+            MultiNetwork::new(twins).err(),
             Some(MultiNetworkError::DuplicateDestination(topo.destination()))
+        );
+        // Lanes A, B, A: the duplicate is found though it is not next to
+        // its twin.
+        let mut apart = lanes(2, 7);
+        let twin = apart[0].topology().clone();
+        apart.push(SimNetwork::new(twin.clone(), 9));
+        assert_eq!(
+            MultiNetwork::new(apart).err(),
+            Some(MultiNetworkError::DuplicateDestination(twin.destination()))
         );
     }
 

@@ -326,14 +326,12 @@ impl SimNetworkBuilder {
             .max()
             .unwrap_or(0);
         let mut assignment: BTreeMap<Ipv4Addr, RouterId> = BTreeMap::new();
-        let mut full_map = self.routers.clone();
         for addr in self.topology.all_addresses() {
             let id = match self.routers.router_of(addr) {
                 Some(id) => id,
                 None => {
                     let id = RouterId(next_id);
                     next_id += 1;
-                    full_map.assign(addr, id);
                     id
                 }
             };
@@ -367,7 +365,6 @@ impl SimNetworkBuilder {
             topology: self.topology,
             addrs,
             routes,
-            ground_truth: full_map,
             assignment,
             next_router_id: next_id,
             weight_map: self.weights,
@@ -470,7 +467,6 @@ pub struct SimNetwork {
     topology: MultipathTopology,
     addrs: AddrTable,
     routes: RouteTable,
-    ground_truth: RouterMap,
     /// Interface → router assignment, kept so mutated topologies can
     /// rebuild the routing tables (fresh interfaces are assigned here).
     assignment: BTreeMap<Ipv4Addr, RouterId>,
@@ -518,19 +514,9 @@ impl SimNetwork {
         &self.topology
     }
 
-    /// Ground-truth alias map (every interface assigned to its router).
-    pub fn ground_truth_routers(&self) -> &RouterMap {
-        &self.ground_truth
-    }
-
     /// Traffic counters so far.
     pub fn counters(&self) -> TrafficCounters {
         self.counters
-    }
-
-    /// Resets traffic counters (not clocks or counter state).
-    pub fn reset_counters(&mut self) {
-        self.counters = TrafficCounters::default();
     }
 
     /// Current virtual clock (ticks; one tick per injected packet).
@@ -553,12 +539,6 @@ impl SimNetwork {
     /// The topology-mutation schedule in force.
     pub fn topology_schedule(&self) -> &TopologySchedule {
         &self.topo_schedule
-    }
-
-    /// Reply latency (ticks) the schedule imposes at clock tick `tick`,
-    /// before any jitter spread.
-    pub fn latency_at(&self, tick: u64) -> u64 {
-        self.schedule.spec_at(tick).latency_ticks
     }
 
     /// Samples one reply's delivery latency at clock tick `tick`: the
@@ -605,7 +585,6 @@ impl SimNetwork {
             let id = RouterId(self.next_router_id);
             self.next_router_id += 1;
             self.assignment.insert(addr, id);
-            self.ground_truth.assign(addr, id);
         }
         self.weight_map.retain(|&(hop, vertex), w| {
             topology.contains(hop, vertex) && topology.successors(hop, vertex).len() == w.len()

@@ -74,11 +74,6 @@ impl Summary {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum sample (None if empty).
     pub fn min(&self) -> Option<f64> {
         if self.n == 0 {

@@ -86,11 +86,6 @@ impl SurveyAccumulator {
     pub fn measured_series<F: Fn(&DiamondMetrics) -> f64>(&self, f: F) -> Vec<f64> {
         self.measured.iter().map(|o| f(&o.metrics)).collect()
     }
-
-    /// Extracts a metric series over the distinct population.
-    pub fn distinct_series<F: Fn(&DiamondMetrics) -> f64>(&self, f: F) -> Vec<f64> {
-        self.distinct.values().map(f).collect()
-    }
 }
 
 #[cfg(test)]

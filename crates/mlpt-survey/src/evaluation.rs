@@ -9,11 +9,12 @@
 
 //! The five variant runs of every diamond-bearing scenario execute on
 //! the **concurrent sweep engine**, through the scenario-sweep driver
-//! ([`crate::sweep`]): scenarios are chunked, each chunk shares one
-//! [`mlpt_sim::MultiNetwork`] per variant pass (a fresh same-seeded
-//! network per run, so every run sees the same network conditions, like
-//! back-to-back runs on a stable network), and the chunk's sessions
-//! stream into one one-shard engine per pass. Because
+//! ([`crate::sweep`]): scenarios are cut into chunks of at most
+//! `CHUNK` that worker threads claim ([`in_chunks`]), each chunk
+//! shares one [`mlpt_sim::MultiNetwork`] per variant pass (a fresh
+//! same-seeded network per run, so every run sees the same network
+//! conditions, like back-to-back runs on a stable network), and the
+//! chunk's sessions stream into one one-shard engine per pass. Because
 //! sweep traces are bit-identical to sequential ones and traces are
 //! reported under their stream index, the ratios are identical to the
 //! thread-per-scenario implementation this replaced (a golden digest of
@@ -21,7 +22,7 @@
 //! and admission order.
 
 use crate::generator::{SyntheticInternet, TraceScenario};
-use crate::sweep::{in_chunks, SweepPlan};
+use crate::sweep::{default_workers, in_chunks, SweepPlan};
 use mlpt_core::prelude::*;
 use mlpt_core::TraceSession;
 use mlpt_sim::FaultPlan;
@@ -84,6 +85,12 @@ pub struct RunCounts {
     pub packets: u64,
 }
 
+/// Scenarios per sweep chunk (each chunk shares one network per variant
+/// pass and streams its sessions into one engine).
+const CHUNK: usize = 64;
+/// In-flight probe budget per sweep engine.
+const MAX_IN_FLIGHT: usize = 256;
+
 /// Configuration of the evaluation campaign.
 #[derive(Debug, Clone)]
 pub struct EvaluationConfig {
@@ -91,25 +98,15 @@ pub struct EvaluationConfig {
     /// mirroring the paper's "pairs … for which diamonds had been
     /// discovered").
     pub scenarios: usize,
-    /// Worker threads.
-    pub workers: usize,
     /// Seed for the tracing side.
     pub trace_seed: u64,
-    /// Scenarios per sweep chunk (each chunk shares one network per
-    /// variant pass and streams its sessions into one engine).
-    pub sweep_chunk: usize,
-    /// In-flight probe budget per sweep engine.
-    pub sweep_in_flight: usize,
 }
 
 impl Default for EvaluationConfig {
     fn default() -> Self {
         Self {
             scenarios: 500,
-            workers: crate::parallel::default_workers(),
             trace_seed: 0xE7A1,
-            sweep_chunk: 64,
-            sweep_in_flight: 256,
         }
     }
 }
@@ -224,7 +221,7 @@ pub fn evaluate_scenarios(
     // the chunk.
     let plan = SweepPlan {
         config: SweepConfig {
-            max_in_flight: config.sweep_in_flight.max(1),
+            max_in_flight: MAX_IN_FLIGHT,
             ..SweepConfig::default()
         },
         shards: 1,
@@ -264,7 +261,7 @@ pub fn evaluate_scenarios(
             })
             .collect::<Vec<_>>()
     };
-    let rows = in_chunks(config.scenarios, config.sweep_chunk, config.workers, chunk);
+    let rows = in_chunks(config.scenarios, CHUNK, default_workers(), chunk);
 
     let mut ratios: Vec<Vec<TraceRatios>> = vec![Vec::new(); 4];
     let mut aggregates: Vec<(RatioSummary, RatioSummary, RatioSummary)> =
@@ -308,17 +305,9 @@ mod tests {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(9));
         let config = EvaluationConfig {
             scenarios: 60,
-            workers: 4,
             trace_seed: 5,
-            ..EvaluationConfig::default()
         };
         evaluate_scenarios(&internet, &config)
-    }
-
-    fn outcomes_equal(a: &EvaluationOutcome, b: &EvaluationOutcome) {
-        assert_eq!(a.measured_traces, b.measured_traces);
-        assert_eq!(a.ratios, b.ratios);
-        assert_eq!(a.aggregates, b.aggregates);
     }
 
     /// The sweep-engine path reproduces the legacy thread-per-scenario
@@ -330,37 +319,10 @@ mod tests {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(21));
         let config = EvaluationConfig {
             scenarios: 30,
-            workers: 2,
             trace_seed: 11,
-            sweep_chunk: 7, // deliberately uneven chunks
-            sweep_in_flight: 32,
         };
         let sweep = evaluate_scenarios(&internet, &config);
         assert_eq!(crate::debug_digest(&sweep), 0x62e7_8e4b_707a_fdd2);
-    }
-
-    /// Regression for the ordering audit: scenario/variant output order
-    /// is pinned by stream indices, so the outcome is identical however
-    /// admission interleaves — across worker counts, chunk sizes and
-    /// in-flight budgets.
-    #[test]
-    fn outcome_independent_of_admission_order() {
-        let internet = SyntheticInternet::new(InternetConfig::with_seed(23));
-        let run = |workers: usize, sweep_chunk: usize, sweep_in_flight: usize| {
-            evaluate_scenarios(
-                &internet,
-                &EvaluationConfig {
-                    scenarios: 24,
-                    workers,
-                    trace_seed: 3,
-                    sweep_chunk,
-                    sweep_in_flight,
-                },
-            )
-        };
-        let a = run(1, 24, 8); // one chunk, tight budget: heavy streaming
-        let b = run(4, 5, 512); // many chunks, everything admitted at once
-        outcomes_equal(&a, &b);
     }
 
     #[test]

@@ -136,9 +136,15 @@ struct CoreStructure {
     alias_groups: Vec<Vec<Ipv4Addr>>,
 }
 
+/// Scenario ids the generator can address: one block of 8192 addresses
+/// per scenario, from 64.0.0.0 to the top of the IPv4 space, makes
+/// (2³² − 2³⁰) / 8192 scenarios.
+pub const SCENARIO_CAPACITY: usize = 393_216;
+
 /// Address of a scenario-local interface. Scenario blocks are 8192
 /// addresses apart starting at 64.0.0.0; hop index (< 64) and position
-/// (< 128) pack below that, leaving room for ~390 000 scenarios.
+/// (< 128) pack below that, leaving room for [`SCENARIO_CAPACITY`]
+/// scenarios.
 fn scenario_addr(id: usize, hop: usize, idx: usize) -> Ipv4Addr {
     debug_assert!(hop < 64 && idx < 128, "hop {hop} idx {idx} out of range");
     let v: u32 = 0x4000_0000 + (id as u32) * 8192 + (hop as u32) * 128 + idx as u32;
@@ -205,7 +211,16 @@ impl SyntheticInternet {
     }
 
     /// Generates scenario `id` deterministically.
+    ///
+    /// # Panics
+    ///
+    /// If `id` is [`SCENARIO_CAPACITY`] or more: its interfaces would lie
+    /// past the IPv4 address space.
     pub fn scenario(&self, id: usize) -> TraceScenario {
+        assert!(
+            id < SCENARIO_CAPACITY,
+            "scenario {id} is past the generator's capacity of {SCENARIO_CAPACITY} scenarios"
+        );
         let mut rng = ChaCha8Rng::seed_from_u64(
             self.config
                 .seed
@@ -554,6 +569,16 @@ mod tests {
         assert_eq!(a.routers, b.routers);
     }
 
+    /// Past the last scenario, ids would wrap around to scenario 0's
+    /// address block.
+    #[test]
+    #[should_panic(
+        expected = "scenario 393216 is past the generator's capacity of 393216 scenarios"
+    )]
+    fn scenario_past_capacity_panics() {
+        internet().scenario(SCENARIO_CAPACITY);
+    }
+
     #[test]
     fn scenarios_are_distinct() {
         let net = internet();
@@ -565,7 +590,7 @@ mod tests {
     #[test]
     fn topologies_are_valid_and_bounded() {
         let net = internet();
-        for id in 0..200 {
+        for id in (0..200).chain([SCENARIO_CAPACITY - 1]) {
             let s = net.scenario(id);
             assert!(s.topology.num_hops() >= 3, "scenario {id} too short");
             assert!(s.topology.num_hops() <= 64, "scenario {id} too long");

@@ -7,25 +7,23 @@
 //!
 //! Scenarios are traced by the **concurrent sweep engine**, through the
 //! scenario-sweep driver ([`crate::sweep`]): destinations are grouped
-//! into chunks of [`IpSurveyConfig::sweep_batch`], each chunk shares one
+//! into chunks of at most `CHUNK`, each chunk shares one
 //! [`mlpt_sim::MultiNetwork`] whose lanes are the per-scenario
-//! simulators, and one sweep engine *streams* the chunk's
-//! [`MdaSession`]s over it (a [`mlpt_core::ShardedSweepEngine`], with one
-//! shard unless [`IpSurveyConfig::sweep_shards`] asks for more): sessions
-//! are admitted as in-flight tokens free up rather than entering a fixed
-//! table up front, so cross-destination batches stay full until the
-//! chunk's destination list runs dry instead of collapsing into a tail of
-//! tiny dispatches.
-//! Worker threads scale across *networks* (chunks), not across
-//! individual traces. Because sweeps are bit-identical to sequential
-//! tracing (per-lane RNG streams, tag-based reply demux, admission-order
-//! independence), the survey's numbers are unchanged from the
-//! thread-per-scenario implementation it replaced; a golden digest of
-//! that implementation's report pins them.
+//! simulators, and one single-shard sweep engine *streams* the chunk's
+//! [`MdaSession`]s over it: sessions are admitted as in-flight tokens
+//! free up rather than entering a fixed table up front, so
+//! cross-destination batches stay full until the chunk's destination
+//! list runs dry instead of collapsing into a tail of tiny dispatches.
+//! Worker threads ([`in_chunks`]) scale across *networks* (chunks), not
+//! across individual traces. Because sweeps are bit-identical to
+//! sequential tracing (per-lane RNG streams, tag-based reply demux,
+//! admission-order independence), the survey's numbers are unchanged
+//! from the thread-per-scenario implementation it replaced; a golden
+//! digest of that implementation's report pins them.
 
 use crate::accounting::SurveyAccumulator;
 use crate::generator::{SyntheticInternet, TraceScenario};
-use crate::sweep::{in_chunks, SweepPlan};
+use crate::sweep::{default_workers, in_chunks, SweepPlan};
 use mlpt_core::prelude::*;
 use mlpt_core::{MdaSession, TraceSession};
 use mlpt_sim::FaultPlan;
@@ -34,42 +32,31 @@ use mlpt_topo::diamond::{all_diamond_metrics, find_diamonds, meshing_miss_probab
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
+/// Destinations sharing one simulated network per worker chunk; the
+/// chunk's sessions *stream* into the sweep engine under the in-flight
+/// budget.
+const CHUNK: usize = 128;
+/// In-flight probe budget per sweep engine (the streaming-admission
+/// headroom).
+const MAX_IN_FLIGHT: usize = 256;
+
 /// Configuration of an IP-level survey run.
 #[derive(Debug, Clone)]
 pub struct IpSurveyConfig {
     /// Number of scenarios (source-destination pairs) to trace.
     pub scenarios: usize,
-    /// Worker threads (each drives a whole sweep batch).
-    pub workers: usize,
     /// Seed for the tracing side (independent of the generator seed).
     pub trace_seed: u64,
     /// φ used when computing Fig. 2's meshing-miss probabilities.
     pub phi: u32,
-    /// Destinations sharing one simulated network per worker chunk; the
-    /// chunk's sessions *stream* into the sweep engine under the
-    /// in-flight budget.
-    pub sweep_batch: usize,
-    /// In-flight probe budget per sweep engine (the streaming-admission
-    /// headroom).
-    pub sweep_in_flight: usize,
-    /// Engine shards per sweep chunk (`1` = the single engine). With
-    /// more, each chunk's lanes and sessions are partitioned by
-    /// [`mlpt_core::shard_of`] across a
-    /// [`mlpt_core::ShardedSweepEngine`] — scheduling only, the report
-    /// is bit-identical for any shard count.
-    pub sweep_shards: usize,
 }
 
 impl Default for IpSurveyConfig {
     fn default() -> Self {
         Self {
             scenarios: 1000,
-            workers: crate::parallel::default_workers(),
             trace_seed: 0xA11A,
             phi: 2,
-            sweep_batch: 128,
-            sweep_in_flight: 256,
-            sweep_shards: 1,
         }
     }
 }
@@ -240,10 +227,10 @@ pub fn run_ip_survey(internet: &SyntheticInternet, config: &IpSurveyConfig) -> I
     // independence makes the output independent of scheduling.
     let plan = SweepPlan {
         config: SweepConfig {
-            max_in_flight: config.sweep_in_flight.max(1),
+            max_in_flight: MAX_IN_FLIGHT,
             ..SweepConfig::default()
         },
-        shards: config.sweep_shards,
+        shards: 1,
         cycle_gap: 0,
     };
     let chunk = |ids: Range<usize>| {
@@ -274,7 +261,7 @@ pub fn run_ip_survey(internet: &SyntheticInternet, config: &IpSurveyConfig) -> I
         .expect("synthetic-Internet destinations are scenario-unique")
         .results
     };
-    let per_trace = in_chunks(config.scenarios, config.sweep_batch, config.workers, chunk);
+    let per_trace = in_chunks(config.scenarios, CHUNK, default_workers(), chunk);
 
     let mut report = IpSurveyReport {
         traces: config.scenarios,
@@ -313,12 +300,8 @@ mod tests {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(5));
         let config = IpSurveyConfig {
             scenarios: 120,
-            workers: 4,
             trace_seed: 77,
             phi: 2,
-            sweep_batch: 16,
-            sweep_in_flight: 64,
-            ..IpSurveyConfig::default()
         };
         run_ip_survey(&internet, &config)
     }
@@ -331,77 +314,11 @@ mod tests {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(11));
         let config = IpSurveyConfig {
             scenarios: 40,
-            workers: 2,
             trace_seed: 5,
             phi: 2,
-            sweep_batch: 7,      // deliberately uneven chunks
-            sweep_in_flight: 24, // small enough that admission actually streams
-            ..IpSurveyConfig::default()
         };
         let sweep = run_ip_survey(&internet, &config);
         assert_eq!(crate::debug_digest(&sweep), 0x7561_26a2_1d08_12fc);
-    }
-
-    /// Chunking, worker counts and the streaming-admission budget are
-    /// pure scheduling: the report is identical however the sweep is
-    /// sliced.
-    #[test]
-    fn report_independent_of_chunking_and_budget() {
-        let internet = SyntheticInternet::new(InternetConfig::with_seed(13));
-        let run = |sweep_batch: usize, sweep_in_flight: usize, workers: usize| {
-            run_ip_survey(
-                &internet,
-                &IpSurveyConfig {
-                    scenarios: 30,
-                    workers,
-                    trace_seed: 9,
-                    phi: 2,
-                    sweep_batch,
-                    sweep_in_flight,
-                    ..IpSurveyConfig::default()
-                },
-            )
-        };
-        let a = run(30, 8, 1); // one chunk, tight budget: heavy streaming
-        let b = run(5, 512, 4); // many chunks, budget admits whole chunks
-        assert_eq!(a.exploitable, b.exploitable);
-        assert_eq!(a.load_balanced, b.load_balanced);
-        assert_eq!(a.diamonds.measured_count(), b.diamonds.measured_count());
-        assert_eq!(a.meshing_miss_measured, b.meshing_miss_measured);
-        assert_eq!(a.meshing_miss_distinct, b.meshing_miss_distinct);
-    }
-
-    /// Engine sharding is pure scheduling too: the report is identical
-    /// for any shard count.
-    #[test]
-    fn report_independent_of_shard_count() {
-        let internet = SyntheticInternet::new(InternetConfig::with_seed(21));
-        let run = |sweep_shards: usize| {
-            run_ip_survey(
-                &internet,
-                &IpSurveyConfig {
-                    scenarios: 24,
-                    workers: 2,
-                    trace_seed: 3,
-                    phi: 2,
-                    sweep_batch: 12,
-                    sweep_in_flight: 32,
-                    sweep_shards,
-                },
-            )
-        };
-        let one = run(1);
-        for shards in [2usize, 3] {
-            let many = run(shards);
-            assert_eq!(one.exploitable, many.exploitable);
-            assert_eq!(one.load_balanced, many.load_balanced);
-            assert_eq!(
-                one.diamonds.measured_count(),
-                many.diamonds.measured_count()
-            );
-            assert_eq!(one.meshing_miss_measured, many.meshing_miss_measured);
-            assert_eq!(one.meshing_miss_distinct, many.meshing_miss_distinct);
-        }
     }
 
     #[test]

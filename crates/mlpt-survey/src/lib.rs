@@ -21,21 +21,20 @@
 //!   Tables 2–3), streamed through the sweep engine as sessionized
 //!   multilevel traces.
 //! * [`sweep`] — the scenario-sweep driver every many-destination sweep
-//!   runs through (the surveys and the CLI's `sweep` and `alias`).
-//! * [`parallel`] — a small deterministic fork-join helper, which the
-//!   driver uses to fan sweep chunks over threads.
+//!   runs through (the surveys and the CLI's `sweep` and `alias`), and
+//!   the surveys' one thread fan-out, which hands chunks of scenarios
+//!   to worker threads.
 
 pub mod accounting;
 pub mod evaluation;
 pub mod generator;
 pub mod ip_survey;
-pub mod parallel;
 pub mod router_survey;
 pub mod sweep;
 
 pub use accounting::{DiamondObservation, SurveyAccumulator};
 pub use evaluation::{evaluate_scenarios, EvaluationConfig, EvaluationOutcome, TraceRatios};
-pub use generator::{InternetConfig, SyntheticInternet, TraceScenario};
+pub use generator::{InternetConfig, SyntheticInternet, TraceScenario, SCENARIO_CAPACITY};
 pub use ip_survey::{run_ip_survey, IpSurveyConfig, IpSurveyReport};
 pub use router_survey::{
     disjoint_scenario_groups, run_router_survey, scenario_cost_hint, ResolutionCase,

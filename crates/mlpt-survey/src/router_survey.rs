@@ -15,12 +15,14 @@
 //! * Figs. 13 & 14 — max-width distributions before/after resolution.
 //!
 //! Scenarios run through the **concurrent sweep engine**, through the
-//! scenario-sweep driver ([`crate::sweep`]): each worker chunk builds
+//! scenario-sweep driver ([`crate::sweep`]): worker threads claim chunks
+//! of at most `CHUNK` scenarios ([`in_chunks`]), and each chunk builds
 //! one [`mlpt_sim::MultiNetwork`] per sub-sweep whose lanes are the
 //! per-scenario simulators and streams one [`MultilevelSession`] per
-//! destination — trace, Round 0–10 alias rounds and (optionally) the
-//! direct comparator campaigns all interleaved across destinations
-//! under the engine's streaming admission and in-flight budget.
+//! destination into a single-shard engine — trace, Round 0–10 alias
+//! rounds and (optionally) the direct comparator campaigns all
+//! interleaved across destinations under the engine's streaming
+//! admission and in-flight budget.
 //! Scenarios whose topologies share interface addresses (the
 //! 48/56/96-wide core structures are shared across routes by
 //! construction) are split into address-disjoint sub-sweeps, because
@@ -29,7 +31,7 @@
 //! loop this replaced (a golden digest of its report pins them).
 
 use crate::generator::{SyntheticInternet, TraceScenario};
-use crate::sweep::{in_chunks, SweepPlan};
+use crate::sweep::{default_workers, in_chunks, SweepPlan};
 use mlpt_alias::evidence::EvidenceBase;
 use mlpt_alias::multilevel::{MultilevelConfig, MultilevelOutcome, MultilevelSession};
 use mlpt_alias::resolver::{judge_set, SeriesSource, SetVerdict};
@@ -168,13 +170,17 @@ impl VerdictMatrix {
     }
 }
 
+/// Scenarios sharing one simulated network per worker chunk.
+const CHUNK: usize = 32;
+/// In-flight probe budget per sweep engine (the streaming-admission
+/// headroom).
+const MAX_IN_FLIGHT: usize = 512;
+
 /// Configuration of the router-level survey.
 #[derive(Debug, Clone)]
 pub struct RouterSurveyConfig {
     /// Scenarios to re-trace.
     pub scenarios: usize,
-    /// Worker threads (each drives a whole sweep chunk).
-    pub workers: usize,
     /// Seed for the tracing side.
     pub trace_seed: u64,
     /// Alias-resolution protocol (rounds, replies, MBT parameters).
@@ -182,48 +188,23 @@ pub struct RouterSurveyConfig {
     /// Whether to run the direct-probing comparator for Table 2
     /// (roughly doubles alias probing cost).
     pub with_direct_comparison: bool,
-    /// Destinations sharing one simulated network per worker chunk.
-    pub sweep_batch: usize,
-    /// In-flight probe budget per sweep engine (the streaming-admission
-    /// headroom).
-    pub sweep_in_flight: usize,
-    /// How the sweep engines admit sessions. [`Admission::CostAware`]
-    /// starts likely-expensive alias destinations first — each session
-    /// carries a cost hint computed from its scenario's hop widths under
-    /// the configured rounds — so the heavy Round 0–10 campaigns
-    /// amortize across the sweep instead of serializing at the tail.
-    /// Pure scheduling: every aggregate is bit-identical across modes
-    /// (regression-tested).
-    pub admission: Admission,
     /// Run each destination's per-hop alias stages as one fanned wave
     /// phase instead of hop after hop (see
     /// [`MultilevelSession::with_hop_fanout`]). A deterministic protocol
     /// variant, not a scheduling knob: fanned surveys differ from
     /// hop-sequential ones (per-hop evidence seeds from the wave start),
-    /// but are themselves bit-identical across admission modes and
-    /// budgets.
+    /// but trace the same scenarios.
     pub hop_fanout: bool,
-    /// Engine shards per sub-sweep (`1` = the single engine). With
-    /// more, each sub-sweep's lanes and sessions are partitioned by
-    /// [`mlpt_core::shard_of`] across a
-    /// [`mlpt_core::ShardedSweepEngine`] — scheduling only, the report
-    /// is bit-identical for any shard count.
-    pub sweep_shards: usize,
 }
 
 impl Default for RouterSurveyConfig {
     fn default() -> Self {
         Self {
             scenarios: 300,
-            workers: crate::parallel::default_workers(),
             trace_seed: 0x5E52,
             rounds: RoundsConfig::default(),
             with_direct_comparison: true,
-            sweep_batch: 32,
-            sweep_in_flight: 512,
-            admission: Admission::Streaming,
             hop_fanout: false,
-            sweep_shards: 1,
         }
     }
 }
@@ -463,11 +444,10 @@ pub fn run_router_survey(
     // is sliced.
     let plan = SweepPlan {
         config: SweepConfig {
-            max_in_flight: config.sweep_in_flight.max(1),
-            admission: config.admission,
+            max_in_flight: MAX_IN_FLIGHT,
             ..SweepConfig::default()
         },
-        shards: config.sweep_shards,
+        shards: 1,
         cycle_gap: 0,
     };
     // Every diamond-carrying scenario of a chunk becomes a
@@ -498,7 +478,7 @@ pub fn run_router_survey(
             .results;
         scenarios.iter().map(|s| s.id).zip(rows).collect::<Vec<_>>()
     };
-    let rows = in_chunks(config.scenarios, config.sweep_batch, config.workers, chunk);
+    let rows = in_chunks(config.scenarios, CHUNK, default_workers(), chunk);
 
     // Aggregate.
     let mut global_pairs: Vec<BTreeSet<(Ipv4Addr, Ipv4Addr)>> =
@@ -687,13 +667,13 @@ mod tests {
     /// and the Fig. 13/14 width histograms — is identical to the legacy
     /// thread-per-scenario blocking loop, bit for bit: the report is
     /// that loop's, frozen as a golden digest (FNV-1a-64 of its `Debug`
-    /// rendering).
+    /// rendering). Rows come back under source indices, so scenarios
+    /// are reported in ascending order.
     #[test]
     fn streamed_and_legacy_paths_agree() {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(3));
         let config = RouterSurveyConfig {
             scenarios: 24,
-            workers: 2,
             trace_seed: 99,
             rounds: RoundsConfig {
                 rounds: 3,
@@ -701,93 +681,20 @@ mod tests {
                 ..RoundsConfig::default()
             },
             with_direct_comparison: true,
-            sweep_batch: 7,      // deliberately uneven chunks
-            sweep_in_flight: 48, // small enough that admission actually streams
             ..RouterSurveyConfig::default()
         };
         let streamed = run_router_survey(&internet, &config);
         assert!(streamed.traces > 3, "population too small to mean much");
         assert!(
+            streamed.scenario_ids.windows(2).all(|w| w[0] < w[1]),
+            "rows must be in ascending source order: {:?}",
+            streamed.scenario_ids
+        );
+        assert!(
             streamed.verdicts.total > 0,
             "the comparator must have judged some sets"
         );
         assert_eq!(crate::debug_digest(&streamed), 0x2b8c_a784_7f9f_3cc6);
-    }
-
-    /// Chunking, worker counts and the in-flight budget are pure
-    /// scheduling on the streamed path: rows come back under source
-    /// indices, so scenarios are reported in source order and the report
-    /// is identical however the sweep is sliced.
-    #[test]
-    fn streamed_rows_keep_source_order() {
-        let internet = SyntheticInternet::new(InternetConfig::with_seed(7));
-        let run = |sweep_batch: usize, sweep_in_flight: usize, workers: usize| {
-            run_router_survey(
-                &internet,
-                &RouterSurveyConfig {
-                    scenarios: 18,
-                    workers,
-                    trace_seed: 5,
-                    rounds: RoundsConfig {
-                        rounds: 2,
-                        replies_per_round: 6,
-                        ..RoundsConfig::default()
-                    },
-                    with_direct_comparison: false,
-                    sweep_batch,
-                    sweep_in_flight,
-                    ..RouterSurveyConfig::default()
-                },
-            )
-        };
-        let a = run(18, 16, 1); // one chunk, tight budget: heavy streaming
-        let b = run(5, 512, 4); // many chunks, budget admits whole chunks
-        assert!(
-            a.scenario_ids.windows(2).all(|w| w[0] < w[1]),
-            "rows must be in ascending source order: {:?}",
-            a.scenario_ids
-        );
-        assert_eq!(a.scenario_ids, b.scenario_ids);
-        assert_eq!(a.round_metrics, b.round_metrics);
-        assert_eq!(a.router_sizes_distinct, b.router_sizes_distinct);
-        assert_eq!(a.resolution_counts, b.resolution_counts);
-    }
-
-    /// Engine sharding is pure scheduling on the survey too: every
-    /// aggregate matches the single-engine run bit for bit.
-    #[test]
-    fn sharded_survey_matches_single_engine() {
-        let internet = SyntheticInternet::new(InternetConfig::with_seed(9));
-        let run = |sweep_shards: usize| {
-            run_router_survey(
-                &internet,
-                &RouterSurveyConfig {
-                    scenarios: 14,
-                    workers: 2,
-                    trace_seed: 31,
-                    rounds: RoundsConfig {
-                        rounds: 2,
-                        replies_per_round: 6,
-                        ..RoundsConfig::default()
-                    },
-                    with_direct_comparison: false,
-                    sweep_batch: 7,
-                    sweep_in_flight: 48,
-                    sweep_shards,
-                    ..RouterSurveyConfig::default()
-                },
-            )
-        };
-        let one = run(1);
-        for shards in [2usize, 3] {
-            let many = run(shards);
-            assert_eq!(one.scenario_ids, many.scenario_ids, "shards={shards}");
-            assert_eq!(one.round_metrics, many.round_metrics);
-            assert_eq!(one.router_sizes_distinct, many.router_sizes_distinct);
-            assert_eq!(one.router_sizes_aggregated, many.router_sizes_aggregated);
-            assert_eq!(one.resolution_counts, many.resolution_counts);
-            assert_eq!(one.verdicts, many.verdicts);
-        }
     }
 
     /// Scenarios that traverse the shared core structures overlap in
@@ -831,16 +738,13 @@ mod tests {
         assert_eq!(all, vec![0, 1]);
     }
 
-    /// Cost-aware admission is pure scheduling on the survey too: every
-    /// aggregate matches the default streaming run bit for bit, and the
-    /// fanned survey — a deterministic protocol variant — is itself
-    /// identical across admission policies.
+    /// The hop fan-out changes per-destination wire order, never which
+    /// scenarios trace.
     #[test]
-    fn cost_aware_survey_matches_streaming() {
+    fn fanned_survey_traces_the_same_scenarios() {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(5));
-        let base = RouterSurveyConfig {
+        let sequential = RouterSurveyConfig {
             scenarios: 16,
-            workers: 2,
             trace_seed: 42,
             rounds: RoundsConfig {
                 rounds: 2,
@@ -848,54 +752,17 @@ mod tests {
                 ..RoundsConfig::default()
             },
             with_direct_comparison: true,
-            sweep_batch: 8,
-            sweep_in_flight: 48,
-            ..RouterSurveyConfig::default()
+            hop_fanout: false,
         };
-        let assert_same = |a: &RouterSurveyReport, b: &RouterSurveyReport| {
-            assert_eq!(a.traces, b.traces);
-            assert_eq!(a.scenario_ids, b.scenario_ids);
-            assert_eq!(a.traces_with_aliases, b.traces_with_aliases);
-            assert_eq!(a.router_sizes_distinct, b.router_sizes_distinct);
-            assert_eq!(a.router_sizes_aggregated, b.router_sizes_aggregated);
-            assert_eq!(a.round_metrics, b.round_metrics);
-            assert_eq!(a.verdicts, b.verdicts);
-            assert_eq!(a.resolution_counts, b.resolution_counts);
-            assert_eq!(a.width_before, b.width_before);
-            assert_eq!(a.width_after, b.width_after);
-            assert_eq!(a.width_change, b.width_change);
+        let fanned = RouterSurveyConfig {
+            hop_fanout: true,
+            ..sequential.clone()
         };
-        let streaming = run_router_survey(&internet, &base);
-        assert!(streaming.traces > 2, "population too small to mean much");
-        let cost_aware = run_router_survey(
-            &internet,
-            &RouterSurveyConfig {
-                admission: Admission::CostAware,
-                ..base.clone()
-            },
-        );
-        assert_same(&streaming, &cost_aware);
-
-        let fanned_streaming = run_router_survey(
-            &internet,
-            &RouterSurveyConfig {
-                hop_fanout: true,
-                ..base.clone()
-            },
-        );
-        let fanned_cost_aware = run_router_survey(
-            &internet,
-            &RouterSurveyConfig {
-                hop_fanout: true,
-                admission: Admission::CostAware,
-                ..base.clone()
-            },
-        );
-        assert_same(&fanned_streaming, &fanned_cost_aware);
-        // The fan-out changes per-destination wire order, never which
-        // scenarios trace or how much the trace phase costs.
-        assert_eq!(fanned_streaming.traces, streaming.traces);
-        assert_eq!(fanned_streaming.scenario_ids, streaming.scenario_ids);
+        let sequential = run_router_survey(&internet, &sequential);
+        let fanned = run_router_survey(&internet, &fanned);
+        assert!(sequential.traces > 2, "population too small to mean much");
+        assert_eq!(fanned.traces, sequential.traces);
+        assert_eq!(fanned.scenario_ids, sequential.scenario_ids);
     }
 
     /// Small end-to-end survey exercising the whole pipeline.
@@ -904,7 +771,6 @@ mod tests {
         let internet = SyntheticInternet::new(InternetConfig::with_seed(3));
         let config = RouterSurveyConfig {
             scenarios: 30,
-            workers: 4,
             trace_seed: 99,
             rounds: RoundsConfig {
                 rounds: 4,

@@ -6,15 +6,19 @@
 //! files results under their lanes' source indices. A UDP sweep is one
 //! group; echo probes route by interface address, so an echo-probing
 //! sweep needs address-disjoint groups
-//! ([`crate::router_survey::disjoint_scenario_groups`]). [`in_chunks`]
-//! fans sweeps out over worker threads. Chunks, groups and shards are
-//! scheduling: they never change a result.
+//! ([`crate::router_survey::disjoint_scenario_groups`]).
+//!
+//! [`in_chunks`] is the surveys' one thread fan-out: it cuts a scenario
+//! range into chunks, and worker threads claim one chunk at a time,
+//! front to back. Results come back in chunk order. Chunks, groups and
+//! shards are scheduling: they never change a result.
 
-use crate::parallel::ordered_parallel_map;
 use mlpt_core::{shard_of, ShardedSweepEngine, SweepConfig, SweepStats};
 use mlpt_sim::{MultiNetwork, MultiNetworkError, SimNetwork};
 use std::net::Ipv4Addr;
 use std::ops::Range;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One destination's simulator and the vantage point that probes it.
 pub type Lane = (Ipv4Addr, SimNetwork);
@@ -108,21 +112,52 @@ impl SweepPlan {
     }
 }
 
+/// The worker threads a survey fans its chunks over: the host's
+/// available parallelism, at most 16.
+pub(crate) fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map_or(4, |n| n.get())
+        .min(16)
+}
+
 /// Runs `sweep` over chunks of the indices `0..count` on `workers`
 /// threads and concatenates the chunks' results in index order. A chunk
 /// holds at most `chunk` indices, and fewer when that leaves a worker
-/// idle: chunks are the unit of thread parallelism, and chunking is pure
-/// scheduling.
+/// idle. Threads (the caller is one) claim one chunk at a time, front to
+/// back, so chunking is pure scheduling.
+///
+/// # Panics
+///
+/// If `sweep` panics, with its payload.
 pub fn in_chunks<T, F>(count: usize, chunk: usize, workers: usize, sweep: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Range<usize>) -> Vec<T> + Sync,
 {
     let size = chunk.max(1).min(count.div_ceil(workers.max(1)).max(1));
-    ordered_parallel_map(count.div_ceil(size), workers, |c| {
-        sweep(c * size..((c + 1) * size).min(count))
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    let chunks = count.div_ceil(size);
+    // The counter hands out distinct chunk numbers and publishes nothing
+    // else (results come back through `join`), so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    // Claims chunks until none is left; returns them with their numbers.
+    let claim = || {
+        std::iter::from_fn(|| {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            (c < chunks).then(|| (c, sweep(c * size..((c + 1) * size).min(count))))
+        })
+        .collect::<Vec<_>>()
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(chunks))
+            .map(|_| scope.spawn(claim))
+            .collect();
+        let mine = claim();
+        helpers
+            .into_iter()
+            .flat_map(|helper| helper.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .chain(mine)
+            .collect::<Vec<_>>()
+    });
+    done.sort_unstable_by_key(|&(c, _)| c);
+    done.into_iter().flat_map(|(_, results)| results).collect()
 }

@@ -24,7 +24,7 @@ use mlpt::core::TraceReport;
 use mlpt::prelude::*;
 use mlpt::survey::sweep::{SweepOutput, SweepPlan};
 use mlpt::survey::{disjoint_scenario_groups, scenario_cost_hint};
-use mlpt::survey::{InternetConfig, SyntheticInternet, TraceScenario};
+use mlpt::survey::{InternetConfig, SyntheticInternet, TraceScenario, SCENARIO_CAPACITY};
 use mlpt::topo::{canonical, is_star};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -102,7 +102,7 @@ const FLAGS: &[Flag] = &[
         usage: "--scenario N",
         commands: TRACE | MULTILEVEL,
         help: "synthetic-Internet scenario number",
-        set: |o, f, v| o.scenario = Some(number(f, v, 0..)),
+        set: |o, f, v| o.scenario = Some(number(f, v, 0..SCENARIO_CAPACITY)),
     },
     Flag {
         usage: "--destinations N",
@@ -440,8 +440,11 @@ fn parse_options(name: &str, bit: u8, args: &[String]) -> Options {
             arg => arg,
         };
         let Some(flag) = FLAGS.iter().find(|flag| flag.name() == wanted) else {
-            match arg.parse() {
-                Ok(target) if bit == ALIAS => opts.targets.push(target),
+            match arg.parse::<usize>() {
+                Ok(_) if bit == ALIAS => {
+                    opts.targets
+                        .push(number("alias target", arg, 0..SCENARIO_CAPACITY));
+                }
                 _ => {
                     eprintln!("unknown option: {arg}");
                     exit(2);
@@ -848,7 +851,10 @@ fn cmd_topologies() {
     println!("  meshed         five multi-vertex hops, 48 wide, meshed (Sec. 2.4.1)");
     println!("  shared-prefix  sweep-only family: 20 common hops + a 4-hop private");
     println!("                 suffix per destination (Doubletree stop-set workload)");
-    println!("\nsynthetic scenarios: any index, e.g. `mlpt trace --scenario 7`");
+    println!(
+        "\nsynthetic scenarios: 0 to {}, e.g. `mlpt trace --scenario 7`",
+        SCENARIO_CAPACITY - 1
+    );
 }
 
 /// Renders a hop line in classic traceroute style.
@@ -1102,7 +1108,7 @@ fn cmd_sweep(opts: Options) {
 fn cmd_alias(opts: Options) {
     let mut targets = opts.targets.clone();
     for line in opts.stdin_list.then(stdin_lines).unwrap_or_default() {
-        targets.push(number("--stdin", &line, 0..));
+        targets.push(number("--stdin", &line, 0..SCENARIO_CAPACITY));
     }
     if targets.is_empty() {
         eprintln!("no targets: pass scenario numbers as arguments or via --stdin");

@@ -1,9 +1,25 @@
 //! Integration tests for the `mlpt` command-line tool.
 
-use std::process::Command;
+use std::io::Write;
+use std::process::{Command, Output, Stdio};
 
 fn mlpt() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mlpt"))
+}
+
+/// Runs `mlpt args` with `input` on its stdin.
+fn mlpt_with_stdin(args: &[&str], input: &[u8]) -> Output {
+    let mut child = mlpt()
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    stdin.write_all(input).expect("write input");
+    drop(stdin);
+    child.wait_with_output().expect("binary exits")
 }
 
 #[test]
@@ -309,6 +325,9 @@ fn bad_numeric_values_rejected() {
         &["sweep", "--stop-set", "--start-ttl", "0"],
         &["alias", "3", "--stop-set", "--start-ttl", "0"],
         &["sweep", "--destinations", "201"],
+        // The synthetic Internet has 393,216 scenarios.
+        &["trace", "--scenario", "393216"],
+        &["multilevel", "--scenario", "393216"],
     ] {
         let out = mlpt().args(args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "mlpt {args:?}");
@@ -316,6 +335,26 @@ fn bad_numeric_values_rejected() {
         let flag = args[args.len() - 2];
         assert!(stderr.contains(flag), "mlpt {args:?}: {stderr}");
     }
+}
+
+/// `alias` targets past the synthetic Internet's capacity (393,216
+/// scenarios) exit 2 naming the target or `--stdin`; the last id still
+/// traces.
+#[test]
+fn scenario_ids_past_capacity_rejected() {
+    assert_refused(&["alias", "393216"], "alias target");
+    let out = mlpt_with_stdin(&["alias", "--stdin"], b"3\n393216\n");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("--stdin"), "{stderr}");
+
+    let out = mlpt()
+        .args(["trace", "--scenario", "393215"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("destination reached"), "{stdout}");
 }
 
 #[test]
@@ -333,6 +372,7 @@ fn topologies_lists_all_seven() {
     ] {
         assert!(stdout.contains(name), "missing {name}");
     }
+    assert!(stdout.contains("scenarios: 0 to 393215"), "{stdout}");
 }
 
 #[test]
@@ -401,22 +441,10 @@ fn sweep_rejects_zero_destinations() {
 /// line; blanks and comments skipped) into the engine.
 #[test]
 fn sweep_reads_destination_list_from_stdin() {
-    use std::io::Write;
-    use std::process::Stdio;
-    let mut child = mlpt()
-        .args(["sweep", "--stdin", "--json", "--max-in-flight", "16"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("binary runs");
-    child
-        .stdin
-        .take()
-        .expect("piped stdin")
-        .write_all(b"simplest\n# a comment\n\nfig1-meshed\nasymmetric\n")
-        .expect("write list");
-    let out = child.wait_with_output().expect("binary exits");
+    let out = mlpt_with_stdin(
+        &["sweep", "--stdin", "--json", "--max-in-flight", "16"],
+        b"simplest\n# a comment\n\nfig1-meshed\nasymmetric\n",
+    );
     assert!(out.status.success());
     let report: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
     assert_eq!(report["topologies"].as_array().expect("array").len(), 3);
@@ -944,10 +972,8 @@ fn alias_json_reports_rounds_and_counters() {
 /// input and empty target lists are rejected.
 #[test]
 fn alias_reads_targets_from_stdin() {
-    use std::io::Write;
-    use std::process::Stdio;
-    let mut child = mlpt()
-        .args([
+    let out = mlpt_with_stdin(
+        &[
             "alias",
             "--stdin",
             "--rounds",
@@ -955,19 +981,9 @@ fn alias_reads_targets_from_stdin() {
             "--replies",
             "4",
             "--json",
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("binary runs");
-    child
-        .stdin
-        .take()
-        .expect("piped stdin")
-        .write_all(b"# targets\n3\n\n5\n")
-        .expect("write list");
-    let out = child.wait_with_output().expect("binary exits");
+        ],
+        b"# targets\n3\n\n5\n",
+    );
     assert!(out.status.success());
     let report: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
     assert_eq!(report["scenarios"].as_array().expect("array").len(), 2);

@@ -15,9 +15,7 @@ fn evaluation_orderings_hold() {
         &internet,
         &EvaluationConfig {
             scenarios: 80,
-            workers: 4,
             trace_seed: 1,
-            ..EvaluationConfig::default()
         },
     );
     let (v_lite, e_lite, p_lite) = out.aggregate_of(Variant::MdaLitePhi2);
