@@ -20,10 +20,10 @@
 //!    towards the session's destination and ICMP Echo Requests aimed at
 //!    individual interfaces share one batch;
 //! 3. crosses the shared [`SplitTransport`] **once** — every probe
-//!    carries a virtual-clock deadline drawn from the sweep's
-//!    [`RetryPolicy`] (see [`crate::pending`]), and a probe whose reply
-//!    misses its deadline resolves as a typed timeout instead of
-//!    blocking the sweep;
+//!    carries a virtual-clock deadline, [`SweepConfig::probe_timeout`]
+//!    doubled per retry wave and per step of its lane's backoff depth,
+//!    and a probe whose reply misses its deadline resolves as a typed
+//!    timeout instead of blocking the sweep;
 //! 4. **demultiplexes** replies back to their sessions by slot: the
 //!    transport puts probe *i*'s reply in slot *i*, and the engine
 //!    accepts it only if the tag it gives back (kind, address,
@@ -101,7 +101,7 @@
 //!   longer instead of re-probing into the fault; clean waves decay the
 //!   depth back towards zero.
 
-use crate::pending::{ProbeTimer, RetryPolicy};
+use crate::pending::probe_deadline;
 use crate::prober::{DirectObservation, ProbeObservation, ECHO_IDENTIFIER, ECHO_TTL};
 use crate::session::TraceSession;
 use crate::session::{ProbeOutcome, ProbeRequest, ProbeSession, SessionState, TraceProbeSession};
@@ -227,10 +227,13 @@ pub struct SweepConfig {
     /// AIMD budget controller; `None` keeps the budget fixed at
     /// [`max_in_flight`](Self::max_in_flight).
     pub adaptive: Option<AdaptiveBudget>,
-    /// Deadline policy for the pending table: every dispatched probe's
-    /// timeout (ticks from its send instant) is drawn from this policy
-    /// by the session's own [`ProbeTimer`].
-    pub retry: RetryPolicy,
+    /// Deadline, in virtual-clock ticks from its send instant, of a
+    /// first-attempt probe at backoff depth 0; each retry wave and each
+    /// step of the lane's backoff depth doubles it, up to 64 × (values
+    /// below 1 count as 1). The simulator's clock ticks once per packet,
+    /// so the default of 4096 is generous: a reply beats it unless the
+    /// schedule delays replies by thousands of ticks.
+    pub probe_timeout: u64,
     /// Stall watchdog: a session whose last `stall_rounds` rounds each
     /// resolved with **zero** replies is aborted and reported as
     /// [`TraceOutcome::Partial`](crate::trace::TraceOutcome::Partial).
@@ -270,7 +273,7 @@ impl Default for SweepConfig {
             retries: 0,
             admission: Admission::default(),
             adaptive: None,
-            retry: RetryPolicy::default(),
+            probe_timeout: 4096,
             stall_rounds: 0,
             stop_set: None,
         }
@@ -564,8 +567,6 @@ struct SessionSlot<S> {
     dispatched_cycle: u32,
     /// Replies delivered to this lane in the current cycle.
     delivered_cycle: u32,
-    /// Deadline source for this session's probes (jitter RNG included).
-    timer: ProbeTimer,
     /// Deadline-backoff exponent: consecutive lossy retry waves deepen
     /// it, fully-answered waves decay it. Wave-granular, so it is
     /// protocol state — a cycle's slicing cannot move it.
@@ -807,7 +808,7 @@ impl<T: SplitTransport> SweepEngine<T> {
     pub fn with_config(mut self, config: SweepConfig) -> Self {
         self.config = config;
         self.config.max_in_flight = self.config.max_in_flight.max(1);
-        self.config.retry.base_timeout = self.config.retry.base_timeout.max(1);
+        self.config.probe_timeout = self.config.probe_timeout.max(1);
         if let Some(adaptive) = &mut self.config.adaptive {
             adaptive.min_in_flight = adaptive.min_in_flight.clamp(1, self.config.max_in_flight);
             adaptive.increase = adaptive.increase.max(1);
@@ -1251,7 +1252,6 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
             allowance: self.eng.config.max_in_flight,
             dispatched_cycle: 0,
             delivered_cycle: 0,
-            timer: ProbeTimer::new(self.eng.config.retry, destination),
             backoff_depth: 0,
             silent_rounds: 0,
             partial: None,
@@ -1329,6 +1329,7 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
     /// cycle batch (bounded by the global budget).
     fn dispatch_slot(&mut self, i: usize, cap: usize, budget: usize) {
         let source = self.eng.source;
+        let probe_timeout = self.eng.config.probe_timeout;
         let slot = &mut self.slots[i];
         let mut taken = 0usize;
         while taken < cap && slot.cursor < slot.wave.len() && self.eng.packets.len() < budget {
@@ -1340,13 +1341,14 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
             };
             let sequence = slot.next_sequence();
             // The deadline is protocol state: attempt and backoff depth
-            // advance on wave boundaries, and the jitter RNG advances
-            // once per probe in wave order — so however the budget
-            // slices this wave across cycles, the deadline sequence is
+            // advance on wave boundaries, so however the budget slices
+            // this wave across cycles, the deadline sequence is
             // identical (determinism rule 5).
-            self.eng
-                .timeouts
-                .push(slot.timer.next_timeout(slot.attempt, slot.backoff_depth));
+            self.eng.timeouts.push(probe_deadline(
+                probe_timeout,
+                slot.attempt,
+                slot.backoff_depth,
+            ));
             let tag = match request {
                 ProbeRequest::Udp(spec) => {
                     let probe = ProbePacket {
@@ -2490,11 +2492,11 @@ mod tests {
     #[test]
     fn stall_watchdog_reports_partial_outcome() {
         use crate::trace::{PartialReason, TraceOutcome};
-        use mlpt_sim::{FaultSchedule, FaultSpec};
+        use mlpt_sim::FaultPlan;
         let topo = canonical::fig1_unmeshed();
         let d = topo.destination();
         let net = SimNetwork::builder(topo)
-            .fault_schedule(FaultSchedule::constant(FaultSpec::none().with_blackhole(3)))
+            .faults(FaultPlan::none().with_blackhole(3))
             .seed(5)
             .build();
         let mut engine = SweepEngine::new(net, SRC).with_config(SweepConfig {
@@ -2555,7 +2557,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, t)| {
                     SimNetwork::builder(t.clone())
-                        .fault_schedule(FaultSchedule::preset("flap").expect("known preset"))
+                        .faults(FaultSchedule::preset("flap").expect("known preset"))
                         .seed(17 + i as u64)
                         .build()
                 })

@@ -65,7 +65,7 @@ pub mod discovery;
 pub mod engine;
 pub mod mda;
 pub mod mda_lite;
-pub mod pending;
+mod pending;
 pub mod prober;
 pub mod report;
 pub mod session;
@@ -81,7 +81,6 @@ pub use discovery::{Discovery, FlowAllocator};
 pub use engine::{AdaptiveBudget, Admission, SweepConfig, SweepEngine, SweepStats};
 pub use mda::trace_mda;
 pub use mda_lite::trace_mda_lite;
-pub use pending::{ProbeTimer, RetryPolicy};
 pub use prober::{DirectObservation, LoggedSession, ProbeLog, ProbeObservation};
 pub use report::TraceReport;
 pub use session::{
@@ -104,7 +103,6 @@ pub mod prelude {
     pub use crate::engine::{AdaptiveBudget, Admission, SweepConfig, SweepEngine, SweepStats};
     pub use crate::mda::trace_mda;
     pub use crate::mda_lite::trace_mda_lite;
-    pub use crate::pending::RetryPolicy;
     pub use crate::prober::LoggedSession;
     pub use crate::session::{
         MdaLiteSession, MdaSession, ProbeOutcome, ProbeRequest, ProbeSession, SessionState,

@@ -6,183 +6,58 @@
 //! contract ([`mlpt_wire::SplitTransport`]): every probe carries a
 //! timeout measured in virtual-clock ticks from its own send instant,
 //! and a probe whose reply misses that deadline resolves as a typed
-//! timeout that feeds the retry machinery. [`RetryPolicy`] is the knob
-//! set governing those deadlines; [`ProbeTimer`] is the per-session
-//! state that draws them.
+//! timeout that feeds the retry machinery. The one knob is
+//! [`SweepConfig::probe_timeout`](crate::SweepConfig::probe_timeout);
+//! [`probe_deadline`] doubles it per retry wave and per step of the
+//! lane's backoff depth.
 //!
 //! # Determinism (rule 5)
 //!
-//! Deadlines and retry counts are **protocol state, never scheduler
-//! state**. Everything a timeout depends on is derived from quantities
-//! identical across admission modes, in-flight budgets and dispatch
-//! orders:
-//!
-//! * the probe's *attempt* number (which retry wave it belongs to) and
-//!   the lane's *backoff depth* (how many consecutive lossy waves this
-//!   session has seen) — both advance only on session-round boundaries;
-//! * the jitter draw, taken from a per-session RNG seeded by
-//!   `jitter_seed ^ destination` and advanced once per probe in wave
-//!   order — never from any shared or scheduler-owned RNG.
-//!
-//! How a scheduler slices a wave across dispatch cycles therefore
-//! cannot change a single deadline, which is what keeps concurrent
-//! sweeps bit-identical to sequential traces under fault schedules.
+//! Deadlines are **protocol state, never scheduler state**. A deadline
+//! depends only on the probe's *attempt* number (which retry wave it
+//! belongs to) and the lane's *backoff depth* (how many consecutive
+//! lossy waves this session has seen), and both advance only on
+//! session-round boundaries. How a scheduler slices a wave across
+//! dispatch cycles therefore cannot change a single deadline, which is
+//! what keeps concurrent sweeps bit-identical to sequential traces under
+//! fault schedules.
 
-use rand::Rng;
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use std::net::Ipv4Addr;
+/// Cap on the doubling exponent: no deadline exceeds 64 × the probe
+/// timeout, so no schedule can push a deadline towards infinity.
+const MAX_EXPONENT: u32 = 6;
 
-/// Bounded-retry deadline policy: base timeout, exponential backoff and
-/// optional jitter.
-///
-/// The deadline for a probe on attempt `a` while its lane sits at
-/// backoff depth `d` is
-///
-/// ```text
-/// base_timeout * backoff^min(a + d, max_exponent) + jitter_draw
-/// ```
-///
-/// where `jitter_draw` is uniform in `0..=jitter` from the session's
-/// jitter RNG. The exponent cap bounds the worst-case wait so no
-/// schedule can push a deadline towards infinity; the depth term reuses
-/// the AIMD loss signal (per-wave, so protocol state) to give lossy
-/// lanes breathing room without a config change.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Deadline, in virtual-clock ticks, for a first-attempt probe at
-    /// backoff depth 0. The simulator's clock ticks once per packet, so
-    /// the default is generous: a reply beats it unless the schedule
-    /// delays replies by thousands of ticks.
-    pub base_timeout: u64,
-    /// Multiplier applied per attempt/backoff step (exponential
-    /// backoff). Values below 1.0 are clamped to 1.0.
-    pub backoff: f64,
-    /// Cap on the backoff exponent: bounds the largest deadline at
-    /// `base_timeout * backoff^max_exponent` (+ jitter).
-    pub max_exponent: u32,
-    /// Maximum jitter ticks added per probe (0 = no jitter).
-    pub jitter: u64,
-    /// Seed for the per-session jitter RNG (combined with the session's
-    /// destination, so sessions jitter independently but
-    /// reproducibly).
-    pub jitter_seed: u64,
-}
-
-impl RetryPolicy {
-    /// The deadline for attempt `attempt` at lane backoff depth `depth`,
-    /// before jitter.
-    pub fn timeout_ticks(&self, attempt: u8, depth: u32) -> u64 {
-        let exponent = (u32::from(attempt) + depth).min(self.max_exponent);
-        let factor = self.backoff.max(1.0).powi(exponent as i32);
-        // Saturate rather than overflow: the cap keeps factor finite,
-        // but base_timeout is caller-controlled.
-        let scaled = (self.base_timeout as f64 * factor).min(u64::MAX as f64);
-        scaled as u64
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            base_timeout: 4096,
-            backoff: 2.0,
-            max_exponent: 6,
-            jitter: 0,
-            jitter_seed: 0,
-        }
-    }
-}
-
-/// Per-session deadline state: the jitter RNG plus the policy it draws
-/// under. One timer lives in each engine session slot; its draw
-/// sequence advances once per dispatched probe in wave order, so it is
-/// identical however the scheduler slices the wave into cycles.
-#[derive(Debug, Clone)]
-pub struct ProbeTimer {
-    policy: RetryPolicy,
-    jitter_rng: ChaCha8Rng,
-}
-
-impl ProbeTimer {
-    /// A timer for the session probing `destination`.
-    pub fn new(policy: RetryPolicy, destination: Ipv4Addr) -> Self {
-        let seed = policy.jitter_seed ^ u64::from(u32::from(destination));
-        Self {
-            policy,
-            jitter_rng: ChaCha8Rng::seed_from_u64(seed),
-        }
-    }
-
-    /// The deadline (ticks from send) for the next probe of attempt
-    /// `attempt` at lane backoff depth `depth`. Advances the jitter RNG
-    /// by exactly one draw when jitter is enabled.
-    pub fn next_timeout(&mut self, attempt: u8, depth: u32) -> u64 {
-        let base = self.policy.timeout_ticks(attempt, depth);
-        if self.policy.jitter == 0 {
-            return base;
-        }
-        base.saturating_add(self.jitter_rng.gen_range(0..=self.policy.jitter))
-    }
+/// The deadline, in ticks from its send instant, of a probe on attempt
+/// `attempt` while its lane sits at backoff depth `depth`:
+/// `probe_timeout × 2^min(attempt + depth, 6)`, saturating. The depth
+/// term reuses the AIMD loss signal (per wave, so protocol state) to
+/// give lossy lanes breathing room without a config change.
+pub(crate) fn probe_deadline(probe_timeout: u64, attempt: u8, depth: u32) -> u64 {
+    let exponent = depth.saturating_add(u32::from(attempt)).min(MAX_EXPONENT);
+    probe_timeout.saturating_mul(1 << exponent)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SweepConfig;
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let policy = RetryPolicy {
-            base_timeout: 10,
-            backoff: 2.0,
-            max_exponent: 3,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(policy.timeout_ticks(0, 0), 10);
-        assert_eq!(policy.timeout_ticks(1, 0), 20);
-        assert_eq!(policy.timeout_ticks(0, 1), 20);
-        assert_eq!(policy.timeout_ticks(1, 1), 40);
-        assert_eq!(policy.timeout_ticks(3, 0), 80);
-        // Capped at backoff^3 however deep attempt + depth go.
-        assert_eq!(policy.timeout_ticks(9, 9), 80);
-    }
-
-    #[test]
-    fn sub_unit_backoff_never_shrinks_deadlines() {
-        let policy = RetryPolicy {
-            base_timeout: 100,
-            backoff: 0.5,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(policy.timeout_ticks(0, 0), 100);
-        assert_eq!(policy.timeout_ticks(4, 0), 100);
-    }
-
-    #[test]
-    fn jitter_is_deterministic_per_destination() {
-        let policy = RetryPolicy {
-            base_timeout: 50,
-            jitter: 16,
-            jitter_seed: 7,
-            ..RetryPolicy::default()
-        };
-        let dest = Ipv4Addr::new(10, 0, 0, 1);
-        let draw =
-            |mut t: ProbeTimer| -> Vec<u64> { (0..8).map(|_| t.next_timeout(0, 0)).collect() };
-        let a = draw(ProbeTimer::new(policy, dest));
-        let b = draw(ProbeTimer::new(policy, dest));
-        assert_eq!(a, b, "same destination, same draws");
-        assert!(a.iter().all(|&t| (50..=66).contains(&t)));
-        let c = draw(ProbeTimer::new(policy, Ipv4Addr::new(10, 0, 0, 2)));
-        assert_ne!(a, c, "destinations jitter independently");
-    }
-
-    #[test]
-    fn zero_jitter_skips_the_rng() {
-        let mut timer = ProbeTimer::new(RetryPolicy::default(), Ipv4Addr::new(10, 0, 0, 1));
-        assert_eq!(timer.next_timeout(0, 0), 4096);
-        assert_eq!(timer.next_timeout(1, 0), 8192);
-        assert_eq!(timer.next_timeout(0, 6), 4096 * 64);
-        assert_eq!(timer.next_timeout(0, 7), 4096 * 64);
+        assert_eq!(probe_deadline(10, 0, 0), 10);
+        assert_eq!(probe_deadline(10, 1, 0), 20);
+        assert_eq!(probe_deadline(10, 0, 1), 20);
+        assert_eq!(probe_deadline(10, 1, 1), 40);
+        assert_eq!(probe_deadline(10, 3, 0), 80);
+        // Capped at 2^6 however deep attempt + depth go.
+        assert_eq!(probe_deadline(10, 9, 9), 640);
+        assert_eq!(probe_deadline(10, u8::MAX, u32::MAX), 640);
+        // The default timeout, doubled and capped.
+        let timeout = SweepConfig::default().probe_timeout;
+        assert_eq!(probe_deadline(timeout, 0, 0), 4096);
+        assert_eq!(probe_deadline(timeout, 1, 0), 8192);
+        assert_eq!(probe_deadline(timeout, 0, 7), 4096 * 64);
+        // Saturates rather than overflows: the timeout is caller-set.
+        assert_eq!(probe_deadline(u64::MAX, 0, 0), u64::MAX);
+        assert_eq!(probe_deadline(u64::MAX / 2 + 1, 1, 0), u64::MAX);
     }
 }

@@ -3,34 +3,49 @@
 //! The MDA's idealised model assumes every probe receives a response
 //! (assumption 4). The paper's future-work list (Sec. 7, item 2) calls for
 //! a simulator that can violate that assumption — in particular ICMP rate
-//! limiting, "one common cause of a lack of replies". Two layers:
+//! limiting, "one common cause of a lack of replies". Two types:
 //!
-//! * [`FaultPlan`] — the legacy static knob set: probabilistic probe loss
-//!   (the forward packet vanishes), probabilistic reply loss (the ICMP
-//!   reply vanishes), and per-router ICMP rate limiting via a token
-//!   bucket. Kept as the stable config surface; it converts into —
-//! * [`FaultSpec`] — the full impairment vocabulary at one instant:
-//!   everything a plan expresses plus reply **latency** (ticks added to
+//! * [`FaultPlan`] — the impairments in force at one instant:
+//!   probabilistic probe loss (the forward packet vanishes),
+//!   probabilistic reply loss (the ICMP reply vanishes), per-router ICMP
+//!   rate limiting via a token bucket, reply **latency** (ticks added to
 //!   each reply's delivery time, so a deadline-driven prober can see
-//!   late replies) and a **blackhole** (all probes to TTLs at or beyond
-//!   a threshold vanish — a destination or path segment going dark).
-//! * [`FaultSchedule`] — a stepped timeline of specs: the network's
-//!   impairments *change at named virtual-clock ticks*, which is what a
-//!   static plan can never express (a destination going dark mid-trace,
-//!   loss that flaps, congestion that ramps). Presets for the canonical
-//!   chaos scenarios live in [`FaultSchedule::preset`].
+//!   late replies) with an optional seeded **jitter**, and a
+//!   **blackhole** (all probes to TTLs at or beyond a threshold vanish —
+//!   a destination or path segment going dark).
+//! * [`FaultSchedule`] — a stepped timeline of plans: the network's
+//!   impairments *change at named virtual-clock ticks* (a destination
+//!   going dark mid-trace, loss that flaps, congestion that ramps). A
+//!   plan converts into the schedule that holds it forever. Presets for
+//!   the canonical chaos scenarios live in [`FaultSchedule::preset`].
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Configuration of injected faults. The default plan injects nothing.
+/// The impairments in force at one instant of virtual time. The default
+/// plan injects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Probability a probe is dropped before reaching any router.
     pub probe_loss: f64,
     /// Probability a generated reply is dropped on the way back.
     pub reply_loss: f64,
+    /// Virtual-clock ticks added to every reply's delivery time. A
+    /// deadline-driven prober observes a reply only if
+    /// `latency_ticks <= timeout`; the synchronous prober (which cannot
+    /// express deadlines) still sees the reply, just later-stamped.
+    pub latency_ticks: u64,
+    /// Seeded per-probe latency spread: each reply's delivery time gains
+    /// a uniform draw from `0..=jitter_ticks` on top of `latency_ticks`.
+    /// Zero (the default) means perfectly flat latency — and draws
+    /// nothing from the jitter stream, so jitter-free schedules stay
+    /// bit-identical to builds that predate the knob.
+    pub jitter_ticks: u64,
+    /// Blackhole threshold: probes addressed to hops at or beyond this
+    /// TTL silently vanish (no reply, ever). `Some(1)` darkens the whole
+    /// path; `Some(k)` models a failure after hop `k - 1`.
+    pub blackhole_min_ttl: Option<u8>,
     /// ICMP rate limit: token bucket capacity per router
     /// (None = unlimited).
     pub icmp_bucket_capacity: Option<u32>,
@@ -44,6 +59,9 @@ impl FaultPlan {
         Self {
             probe_loss: 0.0,
             reply_loss: 0.0,
+            latency_ticks: 0,
+            jitter_ticks: 0,
+            blackhole_min_ttl: None,
             icmp_bucket_capacity: None,
             icmp_tokens_per_tick: 0.0,
         }
@@ -81,84 +99,30 @@ impl FaultPlan {
     pub fn with_rate_limit_window(replies: u32, window_ticks: u64) -> Self {
         assert!(replies > 0);
         assert!(window_ticks > 0);
-        Self {
-            icmp_bucket_capacity: Some(replies),
-            icmp_tokens_per_tick: f64::from(replies) / window_ticks as f64,
-            ..Self::none()
-        }
+        Self::with_rate_limit(replies, f64::from(replies) / window_ticks as f64)
     }
 
-    /// True if this plan can suppress packets at all.
-    pub fn is_lossy(&self) -> bool {
-        self.probe_loss > 0.0 || self.reply_loss > 0.0 || self.icmp_bucket_capacity.is_some()
-    }
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        Self::none()
-    }
-}
-
-/// The complete impairment vocabulary at one instant of virtual time.
-///
-/// A [`FaultPlan`] converts losslessly into a spec (no latency, no
-/// blackhole); a [`FaultSchedule`] is a timeline of specs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FaultSpec {
-    /// Probability a probe is dropped before reaching any router.
-    pub probe_loss: f64,
-    /// Probability a generated reply is dropped on the way back.
-    pub reply_loss: f64,
-    /// Virtual-clock ticks added to every reply's delivery time. A
-    /// deadline-driven prober observes a reply only if
-    /// `latency_ticks <= timeout`; the synchronous prober (which cannot
-    /// express deadlines) still sees the reply, just later-stamped.
-    pub latency_ticks: u64,
-    /// Seeded per-probe latency spread: each reply's delivery time gains
-    /// a uniform draw from `0..=jitter_ticks` on top of `latency_ticks`.
-    /// Zero (the default) means perfectly flat latency — and draws
-    /// nothing from the jitter stream, so jitter-free schedules stay
-    /// bit-identical to builds that predate the knob.
-    pub jitter_ticks: u64,
-    /// Blackhole threshold: probes addressed to hops at or beyond this
-    /// TTL silently vanish (no reply, ever). `Some(1)` darkens the whole
-    /// path; `Some(k)` models a failure after hop `k - 1`.
-    pub blackhole_min_ttl: Option<u8>,
-    /// ICMP rate limit: token bucket capacity per router
-    /// (None = unlimited).
-    pub icmp_bucket_capacity: Option<u32>,
-    /// Tokens refilled per clock tick.
-    pub icmp_tokens_per_tick: f64,
-}
-
-impl FaultSpec {
-    /// No impairments: the MDA's ideal world.
-    pub fn none() -> Self {
-        FaultPlan::none().into()
-    }
-
-    /// Spec with reply latency added.
+    /// This plan with reply latency added.
     pub fn with_latency(mut self, ticks: u64) -> Self {
         self.latency_ticks = ticks;
         self
     }
 
-    /// Spec with a blackhole from the given TTL onward.
+    /// This plan with a per-probe latency spread of `0..=ticks` added on
+    /// top of the fixed reply latency.
+    pub fn with_jitter(mut self, ticks: u64) -> Self {
+        self.jitter_ticks = ticks;
+        self
+    }
+
+    /// This plan with a blackhole from the given TTL onward.
     pub fn with_blackhole(mut self, min_ttl: u8) -> Self {
         assert!(min_ttl > 0, "TTL 0 never carries probes");
         self.blackhole_min_ttl = Some(min_ttl);
         self
     }
 
-    /// Spec with a per-probe latency spread of `0..=ticks` added on top
-    /// of the fixed reply latency.
-    pub fn with_jitter(mut self, ticks: u64) -> Self {
-        self.jitter_ticks = ticks;
-        self
-    }
-
-    /// True if this spec can suppress or delay packets at all.
+    /// True if this plan can suppress or delay packets at all.
     pub fn is_lossy(&self) -> bool {
         self.probe_loss > 0.0
             || self.reply_loss > 0.0
@@ -169,54 +133,33 @@ impl FaultSpec {
     }
 }
 
-impl Default for FaultSpec {
+impl Default for FaultPlan {
     fn default() -> Self {
         Self::none()
     }
 }
 
-impl From<FaultPlan> for FaultSpec {
-    fn from(plan: FaultPlan) -> Self {
-        Self {
-            probe_loss: plan.probe_loss,
-            reply_loss: plan.reply_loss,
-            latency_ticks: 0,
-            jitter_ticks: 0,
-            blackhole_min_ttl: None,
-            icmp_bucket_capacity: plan.icmp_bucket_capacity,
-            icmp_tokens_per_tick: plan.icmp_tokens_per_tick,
-        }
-    }
-}
-
-/// A time-scheduled sequence of impairments: the spec in force is a step
+/// A time-scheduled sequence of impairments: the plan in force is a step
 /// function of the simulator's virtual clock.
 ///
-/// Steps are `(tick, spec)` pairs sorted by tick; the spec at tick `t`
+/// Steps are `(tick, plan)` pairs sorted by tick; the plan at tick `t`
 /// is the last step at or before `t`. A schedule always covers tick 0
 /// (an implicit no-fault step is inserted if the first explicit step
-/// starts later), so [`spec_at`](Self::spec_at) is total.
+/// starts later), so [`plan_at`](Self::plan_at) is total.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultSchedule {
-    steps: Vec<(u64, FaultSpec)>,
+    steps: Vec<(u64, FaultPlan)>,
 }
 
 impl FaultSchedule {
-    /// The same spec forever — how a static [`FaultPlan`] embeds.
-    pub fn constant(spec: FaultSpec) -> Self {
-        Self {
-            steps: vec![(0, spec)],
-        }
-    }
-
     /// No impairments, ever.
     pub fn none() -> Self {
-        Self::constant(FaultSpec::none())
+        FaultPlan::none().into()
     }
 
-    /// Appends a step: from `tick` onward, `spec` is in force. Ticks
+    /// Appends a step: from `tick` onward, `plan` is in force. Ticks
     /// must be appended in strictly increasing order.
-    pub fn step(mut self, tick: u64, spec: FaultSpec) -> Self {
+    pub fn step(mut self, tick: u64, plan: FaultPlan) -> Self {
         if let Some(&(last, _)) = self.steps.last() {
             assert!(
                 tick > last || (self.steps.len() == 1 && tick == 0),
@@ -228,25 +171,20 @@ impl FaultSchedule {
                 self.steps.clear();
             }
         }
-        self.steps.push((tick, spec));
+        self.steps.push((tick, plan));
         self
     }
 
-    /// The spec in force at virtual-clock tick `tick`.
-    pub fn spec_at(&self, tick: u64) -> &FaultSpec {
+    /// The plan in force at virtual-clock tick `tick`.
+    pub fn plan_at(&self, tick: u64) -> &FaultPlan {
         let idx = self.steps.partition_point(|&(t, _)| t <= tick);
         // Index 0 always has tick 0, so idx >= 1.
         &self.steps[idx - 1].1
     }
 
-    /// The steps, in tick order.
-    pub fn steps(&self) -> &[(u64, FaultSpec)] {
-        &self.steps
-    }
-
     /// True if any step can suppress or delay packets.
     pub fn is_lossy(&self) -> bool {
-        self.steps.iter().any(|(_, spec)| spec.is_lossy())
+        self.steps.iter().any(|(_, plan)| plan.is_lossy())
     }
 
     /// True if any step delays replies (nonzero latency or jitter): only
@@ -254,7 +192,7 @@ impl FaultSchedule {
     pub fn delays_replies(&self) -> bool {
         self.steps
             .iter()
-            .any(|(_, spec)| spec.latency_ticks > 0 || spec.jitter_ticks > 0)
+            .any(|(_, plan)| plan.latency_ticks > 0 || plan.jitter_ticks > 0)
     }
 
     /// Names of the built-in chaos presets, in [`preset`](Self::preset)
@@ -285,37 +223,27 @@ impl FaultSchedule {
     ///   then settles at tick 96: the bufferbloat profile where some
     ///   replies straggle past their deadline and some squeak in.
     pub fn preset(name: &str) -> Option<Self> {
+        let clean = FaultPlan::none();
         let schedule = match name {
-            "midtrace-blackhole" => {
-                FaultSchedule::none().step(48, FaultSpec::none().with_blackhole(1))
-            }
+            "midtrace-blackhole" => FaultSchedule::none().step(48, clean.with_blackhole(1)),
             "flap" => {
-                let lossy = FaultSpec::from(FaultPlan::with_loss(0.6, 0.6));
+                let lossy = FaultPlan::with_loss(0.6, 0.6);
                 FaultSchedule::none()
                     .step(32, lossy)
-                    .step(64, FaultSpec::none())
+                    .step(64, clean)
                     .step(96, lossy)
-                    .step(128, FaultSpec::none())
+                    .step(128, clean)
             }
             "congestion-ramp" => FaultSchedule::none()
-                .step(
-                    32,
-                    FaultSpec::from(FaultPlan::with_loss(0.0, 0.05)).with_latency(2),
-                )
-                .step(
-                    64,
-                    FaultSpec::from(FaultPlan::with_loss(0.0, 0.15)).with_latency(8),
-                )
-                .step(
-                    96,
-                    FaultSpec::from(FaultPlan::with_loss(0.0, 0.35)).with_latency(32),
-                ),
+                .step(32, FaultPlan::with_loss(0.0, 0.05).with_latency(2))
+                .step(64, FaultPlan::with_loss(0.0, 0.15).with_latency(8))
+                .step(96, FaultPlan::with_loss(0.0, 0.35).with_latency(32)),
             "rate-limit-burst" => FaultSchedule::none()
-                .step(16, FaultPlan::with_rate_limit(2, 0.05).into())
-                .step(96, FaultSpec::none()),
+                .step(16, FaultPlan::with_rate_limit(2, 0.05))
+                .step(96, clean),
             "jitter-spread" => FaultSchedule::none()
-                .step(32, FaultSpec::none().with_latency(1).with_jitter(12))
-                .step(96, FaultSpec::none()),
+                .step(32, clean.with_latency(1).with_jitter(12))
+                .step(96, clean),
             _ => return None,
         };
         Some(schedule)
@@ -328,15 +256,12 @@ impl Default for FaultSchedule {
     }
 }
 
+/// The schedule that holds `plan` forever.
 impl From<FaultPlan> for FaultSchedule {
     fn from(plan: FaultPlan) -> Self {
-        Self::constant(plan.into())
-    }
-}
-
-impl From<FaultSpec> for FaultSchedule {
-    fn from(spec: FaultSpec) -> Self {
-        Self::constant(spec)
+        Self {
+            steps: vec![(0, plan)],
+        }
     }
 }
 
@@ -359,35 +284,35 @@ impl FaultState {
     }
 
     /// Rolls the probe-loss dice.
-    pub fn drop_probe<R: Rng>(&self, spec: &FaultSpec, rng: &mut R) -> bool {
-        spec.probe_loss > 0.0 && rng.gen::<f64>() < spec.probe_loss
+    pub fn drop_probe<R: Rng>(&self, plan: &FaultPlan, rng: &mut R) -> bool {
+        plan.probe_loss > 0.0 && rng.gen::<f64>() < plan.probe_loss
     }
 
     /// Rolls the reply-loss dice.
-    pub fn drop_reply<R: Rng>(&self, spec: &FaultSpec, rng: &mut R) -> bool {
-        spec.reply_loss > 0.0 && rng.gen::<f64>() < spec.reply_loss
+    pub fn drop_reply<R: Rng>(&self, plan: &FaultPlan, rng: &mut R) -> bool {
+        plan.reply_loss > 0.0 && rng.gen::<f64>() < plan.reply_loss
     }
 
     /// True if the blackhole swallows a probe addressed to hop `ttl`.
-    pub fn blackholed(&self, spec: &FaultSpec, ttl: u8) -> bool {
-        spec.blackhole_min_ttl.is_some_and(|min| ttl >= min)
+    pub fn blackholed(&self, plan: &FaultPlan, ttl: u8) -> bool {
+        plan.blackhole_min_ttl.is_some_and(|min| ttl >= min)
     }
 
     /// Samples one reply's delivery latency: the fixed base plus a
-    /// uniform jitter draw. A jitter-free spec consumes nothing from
+    /// uniform jitter draw. A jitter-free plan consumes nothing from
     /// `rng`, so schedules without jitter keep their historical RNG
     /// streams intact.
-    pub fn sample_latency<R: Rng>(&self, spec: &FaultSpec, rng: &mut R) -> u64 {
-        if spec.jitter_ticks == 0 {
-            spec.latency_ticks
+    pub fn sample_latency<R: Rng>(&self, plan: &FaultPlan, rng: &mut R) -> u64 {
+        if plan.jitter_ticks == 0 {
+            plan.latency_ticks
         } else {
-            spec.latency_ticks + rng.gen_range(0..=spec.jitter_ticks)
+            plan.latency_ticks + rng.gen_range(0..=plan.jitter_ticks)
         }
     }
 
     /// Asks the router's ICMP token bucket for permission to reply.
-    pub fn allow_icmp(&mut self, spec: &FaultSpec, router: u32, now: u64) -> bool {
-        let Some(capacity) = spec.icmp_bucket_capacity else {
+    pub fn allow_icmp(&mut self, plan: &FaultPlan, router: u32, now: u64) -> bool {
+        let Some(capacity) = plan.icmp_bucket_capacity else {
             return true;
         };
         let bucket = self.buckets.entry(router).or_insert(Bucket {
@@ -396,7 +321,7 @@ impl FaultState {
         });
         let elapsed = now.saturating_sub(bucket.last_tick) as f64;
         bucket.tokens =
-            (bucket.tokens + elapsed * spec.icmp_tokens_per_tick).min(f64::from(capacity));
+            (bucket.tokens + elapsed * plan.icmp_tokens_per_tick).min(f64::from(capacity));
         bucket.last_tick = now;
         if bucket.tokens >= 1.0 {
             bucket.tokens -= 1.0;
@@ -416,65 +341,64 @@ mod tests {
     #[test]
     fn no_faults_never_drop() {
         let plan = FaultPlan::none();
-        let spec = FaultSpec::from(plan);
         let mut state = FaultState::new();
         let mut rng = StdRng::seed_from_u64(1);
         for t in 0..100 {
-            assert!(!state.drop_probe(&spec, &mut rng));
-            assert!(!state.drop_reply(&spec, &mut rng));
-            assert!(!state.blackholed(&spec, 1));
-            assert!(state.allow_icmp(&spec, 1, t));
+            assert!(!state.drop_probe(&plan, &mut rng));
+            assert!(!state.drop_reply(&plan, &mut rng));
+            assert!(!state.blackholed(&plan, 1));
+            assert!(state.allow_icmp(&plan, 1, t));
         }
         assert!(!plan.is_lossy());
-        assert!(!spec.is_lossy());
+        assert_eq!(plan, FaultPlan::default());
     }
 
     #[test]
     fn loss_rates_are_respected() {
-        let spec = FaultSpec::from(FaultPlan::with_loss(0.3, 0.0));
+        let plan = FaultPlan::with_loss(0.3, 0.0);
         let state = FaultState::new();
         let mut rng = StdRng::seed_from_u64(2);
         let drops = (0..20_000)
-            .filter(|_| state.drop_probe(&spec, &mut rng))
+            .filter(|_| state.drop_probe(&plan, &mut rng))
             .count();
         let rate = drops as f64 / 20_000.0;
         assert!((rate - 0.3).abs() < 0.02, "observed loss {rate}");
-        assert!(spec.is_lossy());
+        assert!(plan.is_lossy());
     }
 
     #[test]
     fn token_bucket_exhausts_and_refills() {
-        let spec = FaultSpec::from(FaultPlan::with_rate_limit(3, 0.5));
+        let plan = FaultPlan::with_rate_limit(3, 0.5);
         let mut state = FaultState::new();
         // Burst at t=0: 3 allowed, 4th denied.
-        assert!(state.allow_icmp(&spec, 1, 0));
-        assert!(state.allow_icmp(&spec, 1, 0));
-        assert!(state.allow_icmp(&spec, 1, 0));
-        assert!(!state.allow_icmp(&spec, 1, 0));
+        assert!(state.allow_icmp(&plan, 1, 0));
+        assert!(state.allow_icmp(&plan, 1, 0));
+        assert!(state.allow_icmp(&plan, 1, 0));
+        assert!(!state.allow_icmp(&plan, 1, 0));
         // After 2 ticks, one token has refilled.
-        assert!(state.allow_icmp(&spec, 1, 2));
-        assert!(!state.allow_icmp(&spec, 1, 2));
+        assert!(state.allow_icmp(&plan, 1, 2));
+        assert!(!state.allow_icmp(&plan, 1, 2));
     }
 
     #[test]
     fn buckets_are_per_router() {
-        let spec = FaultSpec::from(FaultPlan::with_rate_limit(1, 0.0));
+        let plan = FaultPlan::with_rate_limit(1, 0.0);
         let mut state = FaultState::new();
-        assert!(state.allow_icmp(&spec, 1, 0));
-        assert!(!state.allow_icmp(&spec, 1, 0));
+        assert!(state.allow_icmp(&plan, 1, 0));
+        assert!(!state.allow_icmp(&plan, 1, 0));
         // Router 2 has its own bucket.
-        assert!(state.allow_icmp(&spec, 2, 0));
+        assert!(state.allow_icmp(&plan, 2, 0));
     }
 
     #[test]
     fn bucket_caps_at_capacity() {
-        let spec = FaultSpec::from(FaultPlan::with_rate_limit(2, 10.0));
+        let plan = FaultPlan::with_rate_limit(2, 10.0);
         let mut state = FaultState::new();
-        assert!(state.allow_icmp(&spec, 1, 0));
+        assert!(state.allow_icmp(&plan, 1, 0));
         // Long idle: refill must cap at 2, not accumulate unboundedly.
-        assert!(state.allow_icmp(&spec, 1, 1000));
-        assert!(state.allow_icmp(&spec, 1, 1000));
-        assert!(!state.allow_icmp(&spec, 1, 1000));
+        assert!(state.allow_icmp(&plan, 1, 1000));
+        assert!(state.allow_icmp(&plan, 1, 1000));
+        assert!(!state.allow_icmp(&plan, 1, 1000));
     }
 
     #[test]
@@ -483,16 +407,15 @@ mod tests {
         let plan = FaultPlan::with_rate_limit_window(4, 16);
         assert_eq!(plan.icmp_bucket_capacity, Some(4));
         assert!((plan.icmp_tokens_per_tick - 0.25).abs() < 1e-12);
-        let spec = FaultSpec::from(plan);
         let mut state = FaultState::new();
         // A burst of 4 at t=0 drains the bucket; the 5th is suppressed.
         for _ in 0..4 {
-            assert!(state.allow_icmp(&spec, 1, 0));
+            assert!(state.allow_icmp(&plan, 1, 0));
         }
-        assert!(!state.allow_icmp(&spec, 1, 0));
+        assert!(!state.allow_icmp(&plan, 1, 0));
         // A full window later the bucket has refilled completely.
-        assert!(state.allow_icmp(&spec, 1, 16));
-        assert!(state.allow_icmp(&spec, 1, 16));
+        assert!(state.allow_icmp(&plan, 1, 16));
+        assert!(state.allow_icmp(&plan, 1, 16));
     }
 
     #[test]
@@ -503,26 +426,26 @@ mod tests {
 
     #[test]
     fn blackhole_threshold_semantics() {
-        let spec = FaultSpec::none().with_blackhole(4);
+        let plan = FaultPlan::none().with_blackhole(4);
         let state = FaultState::new();
-        assert!(!state.blackholed(&spec, 3));
-        assert!(state.blackholed(&spec, 4));
-        assert!(state.blackholed(&spec, 255));
-        assert!(spec.is_lossy());
-        assert!(FaultSpec::none().with_latency(3).is_lossy());
+        assert!(!state.blackholed(&plan, 3));
+        assert!(state.blackholed(&plan, 4));
+        assert!(state.blackholed(&plan, 255));
+        assert!(plan.is_lossy());
+        assert!(FaultPlan::none().with_latency(3).is_lossy());
     }
 
     #[test]
     fn schedule_steps_resolve_by_tick() {
-        let lossy = FaultSpec::from(FaultPlan::with_loss(0.5, 0.0));
-        let dark = FaultSpec::none().with_blackhole(1);
+        let lossy = FaultPlan::with_loss(0.5, 0.0);
+        let dark = FaultPlan::none().with_blackhole(1);
         let schedule = FaultSchedule::none().step(10, lossy).step(20, dark);
-        assert_eq!(*schedule.spec_at(0), FaultSpec::none());
-        assert_eq!(*schedule.spec_at(9), FaultSpec::none());
-        assert_eq!(*schedule.spec_at(10), lossy);
-        assert_eq!(*schedule.spec_at(19), lossy);
-        assert_eq!(*schedule.spec_at(20), dark);
-        assert_eq!(*schedule.spec_at(u64::MAX), dark);
+        assert_eq!(*schedule.plan_at(0), FaultPlan::none());
+        assert_eq!(*schedule.plan_at(9), FaultPlan::none());
+        assert_eq!(*schedule.plan_at(10), lossy);
+        assert_eq!(*schedule.plan_at(19), lossy);
+        assert_eq!(*schedule.plan_at(20), dark);
+        assert_eq!(*schedule.plan_at(u64::MAX), dark);
         assert!(schedule.is_lossy());
         assert!(!FaultSchedule::none().is_lossy());
     }
@@ -531,16 +454,16 @@ mod tests {
     #[should_panic]
     fn schedule_rejects_out_of_order_steps() {
         let _ = FaultSchedule::none()
-            .step(20, FaultSpec::none())
-            .step(10, FaultSpec::none());
+            .step(20, FaultPlan::none())
+            .step(10, FaultPlan::none());
     }
 
     #[test]
     fn schedule_embeds_static_plan() {
         let plan = FaultPlan::with_rate_limit(2, 0.25);
         let schedule = FaultSchedule::from(plan);
-        assert_eq!(*schedule.spec_at(0), FaultSpec::from(plan));
-        assert_eq!(*schedule.spec_at(1_000_000), FaultSpec::from(plan));
+        assert_eq!(*schedule.plan_at(0), plan);
+        assert_eq!(*schedule.plan_at(1_000_000), plan);
     }
 
     #[test]
@@ -550,8 +473,8 @@ mod tests {
                 FaultSchedule::preset(name).unwrap_or_else(|| panic!("preset {name} must exist"));
             assert!(schedule.is_lossy(), "{name} must impair something");
             assert_eq!(
-                *schedule.spec_at(0),
-                FaultSpec::none(),
+                *schedule.plan_at(0),
+                FaultPlan::none(),
                 "{name} starts clean"
             );
             let json = serde_json::to_string(&schedule).unwrap();
@@ -564,19 +487,19 @@ mod tests {
     #[test]
     fn midtrace_blackhole_goes_dark_at_48() {
         let schedule = FaultSchedule::preset("midtrace-blackhole").unwrap();
-        assert_eq!(schedule.spec_at(47).blackhole_min_ttl, None);
-        assert_eq!(schedule.spec_at(48).blackhole_min_ttl, Some(1));
+        assert_eq!(schedule.plan_at(47).blackhole_min_ttl, None);
+        assert_eq!(schedule.plan_at(48).blackhole_min_ttl, Some(1));
     }
 
     #[test]
     fn jitter_sampling_spreads_within_bounds() {
-        let spec = FaultSpec::none().with_latency(3).with_jitter(5);
-        assert!(spec.is_lossy());
+        let plan = FaultPlan::none().with_latency(3).with_jitter(5);
+        assert!(plan.is_lossy());
         let state = FaultState::new();
         let mut rng = StdRng::seed_from_u64(7);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..200 {
-            let lat = state.sample_latency(&spec, &mut rng);
+            let lat = state.sample_latency(&plan, &mut rng);
             assert!((3..=8).contains(&lat), "latency {lat} out of bounds");
             seen.insert(lat);
         }
@@ -585,12 +508,12 @@ mod tests {
 
     #[test]
     fn zero_jitter_consumes_no_randomness() {
-        let spec = FaultSpec::none().with_latency(4);
+        let plan = FaultPlan::none().with_latency(4);
         let state = FaultState::new();
         let mut a = StdRng::seed_from_u64(9);
         let mut b = StdRng::seed_from_u64(9);
         for _ in 0..50 {
-            assert_eq!(state.sample_latency(&spec, &mut a), 4);
+            assert_eq!(state.sample_latency(&plan, &mut a), 4);
         }
         // The stream is untouched: both rngs still agree.
         assert_eq!(a.gen::<u64>(), b.gen::<u64>());
@@ -599,10 +522,10 @@ mod tests {
     #[test]
     fn jitter_spread_preset_windows() {
         let schedule = FaultSchedule::preset("jitter-spread").unwrap();
-        assert_eq!(schedule.spec_at(31).jitter_ticks, 0);
-        assert_eq!(schedule.spec_at(32).jitter_ticks, 12);
-        assert_eq!(schedule.spec_at(32).latency_ticks, 1);
-        assert_eq!(schedule.spec_at(96).jitter_ticks, 0);
+        assert_eq!(schedule.plan_at(31).jitter_ticks, 0);
+        assert_eq!(schedule.plan_at(32).jitter_ticks, 12);
+        assert_eq!(schedule.plan_at(32).latency_ticks, 1);
+        assert_eq!(schedule.plan_at(96).jitter_ticks, 0);
     }
 
     #[test]
@@ -615,7 +538,7 @@ mod tests {
         assert_eq!(delaying, ["congestion-ramp", "jitter-spread"]);
         assert!(!FaultSchedule::from(FaultPlan::with_loss(0.3, 0.3)).delays_replies());
         assert!(FaultSchedule::none()
-            .step(5, FaultSpec::none().with_jitter(1))
+            .step(5, FaultPlan::none().with_jitter(1))
             .delays_replies());
     }
 }

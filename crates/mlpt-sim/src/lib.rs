@@ -20,8 +20,9 @@
 //! * [`balance`] — the load-balancing hash: per-flow (default),
 //!   per-packet and per-destination modes, with optional non-uniform
 //!   weights (the paper's future-work item 1).
-//! * [`faults`] — fault injection: probe/reply loss and per-router ICMP
-//!   rate limiting (the paper's future-work item 2).
+//! * [`faults`] — fault injection: probe/reply loss, per-router ICMP
+//!   rate limiting, reply latency and blackholes (the paper's
+//!   future-work item 2), fixed or stepped over the virtual clock.
 //! * [`schedule`] — scheduled topology mutations: routes flap, load
 //!   balancers reconfigure and MPLS tunnels reveal themselves at named
 //!   virtual-clock ticks, violating MDA assumption (1) the way real
@@ -50,7 +51,7 @@ pub mod validation;
 pub use analytic::{mda_failure_probability, vertex_failure_probability};
 pub use balance::{BalanceMode, FlowHasher};
 pub use capture::CapturingTransport;
-pub use faults::{FaultPlan, FaultSchedule, FaultSpec};
+pub use faults::{FaultPlan, FaultSchedule};
 pub use multi::{MultiNetwork, MultiNetworkError};
 pub use network::{PacketTransport, SimNetwork, SimNetworkBuilder, TrafficCounters};
 pub use router::{

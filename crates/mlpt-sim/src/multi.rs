@@ -423,7 +423,7 @@ mod tests {
         let build = |i: u32| {
             let topo = canonical::fig1_meshed().translated(0x0100_0000 * (i + 1));
             SimNetwork::builder(topo)
-                .fault_schedule(schedule.clone())
+                .faults(schedule.clone())
                 .seed(60 + u64::from(i))
                 .build()
         };

@@ -11,6 +11,13 @@
 //! All randomness is seeded; two simulators constructed with the same
 //! arguments behave identically.
 //!
+//! Impairments come from one [`FaultSchedule`] set with
+//! [`SimNetworkBuilder::faults`] (a [`FaultPlan`] becomes the schedule
+//! that holds it forever): the plan in force at a packet's processing
+//! tick decides whether the probe or its reply is lost, rate-limited,
+//! blackholed or delayed. Echo Requests are read through
+//! [`IcmpView`], the one ICMP validator.
+//!
 //! # Hot-path engineering
 //!
 //! The per-packet path is allocation-free and hash-free: at construction
@@ -24,12 +31,12 @@
 //! remains as the boxed-reply convenience wrapper.
 
 use crate::balance::{BalanceMode, FlowHasher};
-use crate::faults::{FaultPlan, FaultSchedule, FaultSpec, FaultState};
+use crate::faults::{FaultPlan, FaultSchedule, FaultState};
 use crate::router::{IpIdEngine, ReplyClass, RouterProfile};
 use crate::schedule::TopologySchedule;
 use mlpt_topo::{MultipathTopology, RouterId, RouterMap};
 use mlpt_wire::icmp::{
-    emit_echo_into, emit_error_into, IcmpMessage, IcmpType, MplsLabelStackEntry,
+    emit_echo_into, emit_error_into, IcmpType, IcmpView, MplsLabelStackEntry,
     CODE_PORT_UNREACHABLE, CODE_TTL_EXCEEDED,
 };
 use mlpt_wire::ipv4::{Ipv4Header, PROTO_ICMP, PROTO_UDP};
@@ -276,16 +283,11 @@ impl SimNetworkBuilder {
         self
     }
 
-    /// Sets a static fault plan (the same impairments for the whole run).
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
+    /// Sets the injected faults: a [`FaultPlan`] holds for the whole
+    /// run, a [`FaultSchedule`]'s steps take over as the virtual clock
+    /// advances.
+    pub fn faults(mut self, faults: impl Into<FaultSchedule>) -> Self {
         self.schedule = faults.into();
-        self
-    }
-
-    /// Sets a time-scheduled fault scenario: the impairments in force
-    /// follow the schedule's steps as the virtual clock advances.
-    pub fn fault_schedule(mut self, schedule: FaultSchedule) -> Self {
-        self.schedule = schedule;
         self
     }
 
@@ -531,23 +533,13 @@ impl SimNetwork {
         self.apply_due_mutations();
     }
 
-    /// The fault schedule in force.
-    pub fn fault_schedule(&self) -> &FaultSchedule {
-        &self.schedule
-    }
-
-    /// The topology-mutation schedule in force.
-    pub fn topology_schedule(&self) -> &TopologySchedule {
-        &self.topo_schedule
-    }
-
     /// Samples one reply's delivery latency at clock tick `tick`: the
     /// scheduled base latency plus a draw from the dedicated jitter
-    /// stream. Jitter-free specs draw nothing, so schedules without
+    /// stream. Jitter-free plans draw nothing, so schedules without
     /// jitter keep their historical reply timing bit-for-bit.
-    pub fn sample_latency_at(&mut self, tick: u64) -> u64 {
-        let spec = *self.schedule.spec_at(tick);
-        self.fault_state.sample_latency(&spec, &mut self.jitter_rng)
+    pub(crate) fn sample_latency_at(&mut self, tick: u64) -> u64 {
+        let plan = *self.schedule.plan_at(tick);
+        self.fault_state.sample_latency(&plan, &mut self.jitter_rng)
     }
 
     /// Applies every topology-schedule step whose tick the clock has
@@ -648,7 +640,7 @@ impl SimNetwork {
     }
 
     /// Handles a UDP probe, appending the reply datagram to `out`.
-    fn handle_udp_into(&mut self, spec: &FaultSpec, packet: &[u8], out: &mut Vec<u8>) -> bool {
+    fn handle_udp_into(&mut self, plan: &FaultPlan, packet: &[u8], out: &mut Vec<u8>) -> bool {
         let Ok(probe) = parse_udp_probe(packet) else {
             return false;
         };
@@ -660,7 +652,7 @@ impl SimNetwork {
         }
         // A scheduled blackhole swallows the probe in the forward
         // direction: nothing downstream of the cut ever sees it.
-        if self.fault_state.blackholed(spec, probe.ttl) {
+        if self.fault_state.blackholed(plan, probe.ttl) {
             self.counters.probes_blackholed += 1;
             return false;
         }
@@ -676,7 +668,7 @@ impl SimNetwork {
         let profile = *self.profile_of(router);
 
         // Rate limiting applies to all ICMP generation.
-        if !self.fault_state.allow_icmp(spec, router.0, self.clock) {
+        if !self.fault_state.allow_icmp(plan, router.0, self.clock) {
             self.counters.replies_rate_limited += 1;
             return false;
         }
@@ -729,13 +721,16 @@ impl SimNetwork {
     /// the reply to `out`.
     fn handle_echo_into(
         &mut self,
-        spec: &FaultSpec,
+        plan: &FaultPlan,
         packet: &[u8],
         header: &Ipv4Header,
         ihl: usize,
         out: &mut Vec<u8>,
     ) -> bool {
-        let Ok((identifier, sequence, payload)) = IcmpMessage::parse_echo_request(&packet[ihl..])
+        let Some((identifier, sequence, payload)) = IcmpView::parse(&packet[ihl..])
+            .ok()
+            .filter(|view| view.icmp_type() == IcmpType::EchoRequest)
+            .and_then(|view| view.echo())
         else {
             return false;
         };
@@ -747,7 +742,7 @@ impl SimNetwork {
         // them off by the target's hop distance from the source.
         if self
             .fault_state
-            .blackholed(spec, self.addrs.distance[target_id as usize].max(1))
+            .blackholed(plan, self.addrs.distance[target_id as usize].max(1))
         {
             self.counters.probes_blackholed += 1;
             return false;
@@ -757,7 +752,7 @@ impl SimNetwork {
         if !profile.responds_to_direct {
             return false;
         }
-        if !self.fault_state.allow_icmp(spec, router.0, self.clock) {
+        if !self.fault_state.allow_icmp(plan, router.0, self.clock) {
             self.counters.replies_rate_limited += 1;
             return false;
         }
@@ -843,9 +838,9 @@ impl PacketTransport for SimNetwork {
         }
 
         // The impairments in force at this packet's processing tick.
-        let spec = *self.schedule.spec_at(self.clock);
+        let plan = *self.schedule.plan_at(self.clock);
 
-        if self.fault_state.drop_probe(&spec, &mut self.rng) {
+        if self.fault_state.drop_probe(&plan, &mut self.rng) {
             self.counters.probes_lost += 1;
             return false;
         }
@@ -855,8 +850,8 @@ impl PacketTransport for SimNetwork {
         };
         let mark = reply.len();
         let answered = match header.protocol {
-            PROTO_UDP => self.handle_udp_into(&spec, packet, reply),
-            PROTO_ICMP => self.handle_echo_into(&spec, packet, &header, ihl, reply),
+            PROTO_UDP => self.handle_udp_into(&plan, packet, reply),
+            PROTO_ICMP => self.handle_echo_into(&plan, packet, &header, ihl, reply),
             _ => false,
         };
         if !answered {
@@ -864,7 +859,7 @@ impl PacketTransport for SimNetwork {
             return false;
         }
 
-        if self.fault_state.drop_reply(&spec, &mut self.rng) {
+        if self.fault_state.drop_reply(&plan, &mut self.rng) {
             self.counters.replies_lost += 1;
             reply.truncate(mark);
             return false;
@@ -1237,15 +1232,11 @@ mod tests {
 
     #[test]
     fn scheduled_blackhole_cuts_by_ttl() {
-        use crate::faults::{FaultSchedule, FaultSpec};
         let topo = canonical::simplest_diamond();
         let dst = topo.destination();
         // Clean until tick 4, then everything at hop >= 2 goes dark.
-        let schedule = FaultSchedule::none().step(4, FaultSpec::none().with_blackhole(2));
-        let mut net = SimNetwork::builder(topo)
-            .fault_schedule(schedule)
-            .seed(1)
-            .build();
+        let schedule = FaultSchedule::none().step(4, FaultPlan::none().with_blackhole(2));
+        let mut net = SimNetwork::builder(topo).faults(schedule).seed(1).build();
         // Ticks 1..=3: clean.
         assert!(net.send_packet(&probe(0, 1, dst)).is_some());
         assert!(net.send_packet(&probe(0, 2, dst)).is_some());
@@ -1299,16 +1290,12 @@ mod tests {
 
     #[test]
     fn scheduled_latency_expires_deadlines() {
-        use crate::faults::{FaultSchedule, FaultSpec};
         use mlpt_wire::transport::SplitTransport;
         let topo = canonical::simplest_diamond();
         let dst = topo.destination();
         // From tick 3 every reply arrives 10 ticks late.
-        let schedule = FaultSchedule::none().step(3, FaultSpec::none().with_latency(10));
-        let mut net = SimNetwork::builder(topo)
-            .fault_schedule(schedule)
-            .seed(1)
-            .build();
+        let schedule = FaultSchedule::none().step(3, FaultPlan::none().with_latency(10));
+        let mut net = SimNetwork::builder(topo).faults(schedule).seed(1).build();
         let mut batch = PacketBatch::new();
         for flow in 0..4u16 {
             batch.push(&probe(flow, 1, dst));
@@ -1329,7 +1316,7 @@ mod tests {
         assert_eq!(net.counters().replies_sent, 4);
         // A generous deadline sees them again.
         let mut net2 = SimNetwork::builder(canonical::simplest_diamond())
-            .fault_schedule(FaultSchedule::none().step(3, FaultSpec::none().with_latency(10)))
+            .faults(FaultSchedule::none().step(3, FaultPlan::none().with_latency(10)))
             .seed(1)
             .build();
         net2.send_probes(&batch, &[20, 20, 20, 20]);
@@ -1445,14 +1432,11 @@ mod tests {
 
     #[test]
     fn jitter_spreads_reply_latencies_deterministically() {
-        use crate::faults::{FaultSchedule, FaultSpec};
         use mlpt_wire::transport::SplitTransport;
         let dst = canonical::simplest_diamond().destination();
         let build = |seed| {
             SimNetwork::builder(canonical::simplest_diamond())
-                .fault_schedule(FaultSchedule::constant(
-                    FaultSpec::none().with_latency(1).with_jitter(6),
-                ))
+                .faults(FaultPlan::none().with_latency(1).with_jitter(6))
                 .seed(seed)
                 .build()
         };

@@ -111,7 +111,7 @@ impl TraceScenario {
     pub fn build_network(&self, seed: u64, faults: impl Into<FaultSchedule>) -> SimNetwork {
         let mut builder = SimNetwork::builder(self.topology.clone())
             .routers(self.routers.clone())
-            .fault_schedule(faults.into())
+            .faults(faults)
             .seed(seed);
         for (router, profile) in &self.profiles {
             builder = builder.profile(*router, *profile);

@@ -188,13 +188,6 @@ pub struct RouterSurveyConfig {
     /// Whether to run the direct-probing comparator for Table 2
     /// (roughly doubles alias probing cost).
     pub with_direct_comparison: bool,
-    /// Run each destination's per-hop alias stages as one fanned wave
-    /// phase instead of hop after hop (see
-    /// [`MultilevelSession::with_hop_fanout`]). A deterministic protocol
-    /// variant, not a scheduling knob: fanned surveys differ from
-    /// hop-sequential ones (per-hop evidence seeds from the wave start),
-    /// but trace the same scenarios.
-    pub hop_fanout: bool,
 }
 
 impl Default for RouterSurveyConfig {
@@ -204,7 +197,6 @@ impl Default for RouterSurveyConfig {
             trace_seed: 0x5E52,
             rounds: RoundsConfig::default(),
             with_direct_comparison: true,
-            hop_fanout: false,
         }
     }
 }
@@ -421,7 +413,6 @@ fn multilevel_session(scenario: &TraceScenario, config: &RouterSurveyConfig) -> 
             rounds: config.rounds.clone(),
         },
     )
-    .with_hop_fanout(config.hop_fanout)
     .with_cost_hint(scenario_cost_hint(scenario, &config.rounds, comparator));
     if !comparator {
         return session;
@@ -681,7 +672,6 @@ mod tests {
                 ..RoundsConfig::default()
             },
             with_direct_comparison: true,
-            ..RouterSurveyConfig::default()
         };
         let streamed = run_router_survey(&internet, &config);
         assert!(streamed.traces > 3, "population too small to mean much");
@@ -738,33 +728,6 @@ mod tests {
         assert_eq!(all, vec![0, 1]);
     }
 
-    /// The hop fan-out changes per-destination wire order, never which
-    /// scenarios trace.
-    #[test]
-    fn fanned_survey_traces_the_same_scenarios() {
-        let internet = SyntheticInternet::new(InternetConfig::with_seed(5));
-        let sequential = RouterSurveyConfig {
-            scenarios: 16,
-            trace_seed: 42,
-            rounds: RoundsConfig {
-                rounds: 2,
-                replies_per_round: 6,
-                ..RoundsConfig::default()
-            },
-            with_direct_comparison: true,
-            hop_fanout: false,
-        };
-        let fanned = RouterSurveyConfig {
-            hop_fanout: true,
-            ..sequential.clone()
-        };
-        let sequential = run_router_survey(&internet, &sequential);
-        let fanned = run_router_survey(&internet, &fanned);
-        assert!(sequential.traces > 2, "population too small to mean much");
-        assert_eq!(fanned.traces, sequential.traces);
-        assert_eq!(fanned.scenario_ids, sequential.scenario_ids);
-    }
-
     /// Small end-to-end survey exercising the whole pipeline.
     #[test]
     fn small_router_survey() {
@@ -778,7 +741,6 @@ mod tests {
                 ..RoundsConfig::default()
             },
             with_direct_comparison: true,
-            ..RouterSurveyConfig::default()
         };
         let report = run_router_survey(&internet, &config);
         assert!(report.traces > 5, "some scenarios must carry diamonds");

@@ -13,6 +13,10 @@
 //! * **Echo / Echo Reply** (types 8 / 0) implement *direct probing* for the
 //!   MIDAR-style comparison of Table 2 and Network Fingerprinting's
 //!   ping-style probe.
+//!
+//! Messages are written from borrowed parts into a caller's buffer
+//! ([`emit_error_into`], [`emit_echo_into`], [`emit_extensions_into`])
+//! and read in place through [`IcmpView`], the one validator.
 
 use crate::checksum::internet_checksum;
 use crate::{WireError, WireResult};
@@ -94,18 +98,6 @@ impl MplsLabelStackEntry {
         word.to_be_bytes()
     }
 
-    /// Parses one 4-byte entry.
-    pub fn parse(data: &[u8]) -> WireResult<Self> {
-        if data.len() < 4 {
-            return Err(WireError::Truncated {
-                what: "MPLS label stack entry",
-                needed: 4,
-                got: data.len(),
-            });
-        }
-        Ok(Self::from_word([data[0], data[1], data[2], data[3]]))
-    }
-
     /// Decodes one 4-byte entry.
     fn from_word(bytes: [u8; 4]) -> Self {
         let word = u32::from_be_bytes(bytes);
@@ -115,37 +107,6 @@ impl MplsLabelStackEntry {
             bottom_of_stack: (word >> 8) & 0x1 == 1,
             ttl: (word & 0xFF) as u8,
         }
-    }
-}
-
-/// RFC 4884 extension structure carried by Time Exceeded / Destination
-/// Unreachable. Only the MPLS label-stack object (class 1, c-type 1) is
-/// modelled; unknown objects are preserved opaquely on parse.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct IcmpExtensions {
-    /// MPLS label stack, outermost first, if present.
-    pub mpls_stack: Vec<MplsLabelStackEntry>,
-}
-
-impl IcmpExtensions {
-    /// True if there is nothing to emit.
-    pub fn is_empty(&self) -> bool {
-        self.mpls_stack.is_empty()
-    }
-
-    /// Emits the extension structure (header + objects) with checksum.
-    pub fn emit(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        emit_extensions_into(&self.mpls_stack, &mut buf);
-        buf
-    }
-
-    /// Parses an extension structure, verifying version and checksum.
-    pub fn parse(data: &[u8]) -> WireResult<Self> {
-        validate_extensions(data)?;
-        Ok(IcmpExtensions {
-            mpls_stack: mpls_entries(data).collect(),
-        })
     }
 }
 
@@ -210,9 +171,8 @@ fn mpls_entries(data: &[u8]) -> impl Iterator<Item = MplsLabelStackEntry> + '_ {
         })
 }
 
-/// Appends an RFC 4884 extension structure (header + MPLS object) to a
-/// reusable buffer — the allocation-free sibling of
-/// [`IcmpExtensions::emit`], taking the stack by slice.
+/// Appends an RFC 4884 extension structure (header, then one MPLS
+/// label-stack object unless the stack is empty) to a reusable buffer.
 pub fn emit_extensions_into(mpls_stack: &[MplsLabelStackEntry], out: &mut Vec<u8>) {
     let start = out.len();
     // Extension header: version 2 in the top nibble, reserved zero,
@@ -244,8 +204,8 @@ pub const RFC4884_QUOTE_LEN: usize = 128;
 /// messages the RFC 4884 length and the extension structure (version,
 /// checksum, object lengths). The accessors then read the quote, the
 /// echo fields and the MPLS entries in place, so a view allocates
-/// nothing. [`IcmpMessage::parse`] builds its owned message from a view,
-/// and [`crate::probe::parse_reply`] reads replies through one.
+/// nothing. [`crate::probe::parse_reply`] reads replies through one,
+/// and the simulator reads Echo Requests through one.
 #[derive(Debug, Clone, Copy)]
 pub struct IcmpView<'a> {
     icmp_type: IcmpType,
@@ -339,176 +299,12 @@ impl<'a> IcmpView<'a> {
     pub fn mpls_stack(&self) -> impl Iterator<Item = MplsLabelStackEntry> + 'a {
         mpls_entries(self.extensions)
     }
-
-    /// The owned form of the message.
-    fn to_message(self) -> IcmpMessage {
-        let extensions = || IcmpExtensions {
-            mpls_stack: self.mpls_stack().collect(),
-        };
-        let (identifier, sequence, payload) = self.echo().unwrap_or_default();
-        match self.icmp_type {
-            IcmpType::TimeExceeded => IcmpMessage::TimeExceeded {
-                quoted: self.body.to_vec(),
-                extensions: extensions(),
-            },
-            IcmpType::DestinationUnreachable => IcmpMessage::DestinationUnreachable {
-                code: self.code(),
-                quoted: self.body.to_vec(),
-                extensions: extensions(),
-            },
-            IcmpType::EchoRequest => IcmpMessage::EchoRequest {
-                identifier,
-                sequence,
-                payload: payload.to_vec(),
-            },
-            IcmpType::EchoReply => IcmpMessage::EchoReply {
-                identifier,
-                sequence,
-                payload: payload.to_vec(),
-            },
-        }
-    }
-}
-
-/// A parsed or buildable ICMP message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IcmpMessage {
-    /// Type 11 code 0: a router dropped the probe because TTL expired.
-    TimeExceeded {
-        /// The quoted offending datagram (IP header + ≥ 8 payload bytes).
-        quoted: Vec<u8>,
-        /// RFC 4884 extensions (MPLS stack), if any.
-        extensions: IcmpExtensions,
-    },
-    /// Type 3: the probe reached a host/port that rejected it.
-    DestinationUnreachable {
-        /// Unreachable code (3 = port unreachable).
-        code: u8,
-        /// The quoted offending datagram.
-        quoted: Vec<u8>,
-        /// RFC 4884 extensions, if any.
-        extensions: IcmpExtensions,
-    },
-    /// Type 8: direct probe.
-    EchoRequest {
-        /// Echo identifier (per-tool value).
-        identifier: u16,
-        /// Echo sequence number.
-        sequence: u16,
-        /// Optional payload.
-        payload: Vec<u8>,
-    },
-    /// Type 0: direct probe response.
-    EchoReply {
-        /// Echo identifier, copied from the request.
-        identifier: u16,
-        /// Echo sequence, copied from the request.
-        sequence: u16,
-        /// Payload, copied from the request.
-        payload: Vec<u8>,
-    },
-}
-
-impl IcmpMessage {
-    /// The message's ICMP type.
-    pub fn icmp_type(&self) -> IcmpType {
-        match self {
-            IcmpMessage::TimeExceeded { .. } => IcmpType::TimeExceeded,
-            IcmpMessage::DestinationUnreachable { .. } => IcmpType::DestinationUnreachable,
-            IcmpMessage::EchoRequest { .. } => IcmpType::EchoRequest,
-            IcmpMessage::EchoReply { .. } => IcmpType::EchoReply,
-        }
-    }
-
-    /// Emits the complete ICMP message (header + body) with checksum.
-    pub fn emit(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.emit_into(&mut buf);
-        buf
-    }
-
-    /// Appends the complete ICMP message to a reusable buffer — the
-    /// allocation-free path used by batched probe building and the
-    /// simulator's reply assembly.
-    pub fn emit_into(&self, out: &mut Vec<u8>) {
-        match self {
-            IcmpMessage::TimeExceeded { quoted, extensions } => {
-                emit_error_into(
-                    IcmpType::TimeExceeded,
-                    CODE_TTL_EXCEEDED,
-                    quoted,
-                    &extensions.mpls_stack,
-                    out,
-                );
-            }
-            IcmpMessage::DestinationUnreachable {
-                code,
-                quoted,
-                extensions,
-            } => {
-                emit_error_into(
-                    IcmpType::DestinationUnreachable,
-                    *code,
-                    quoted,
-                    &extensions.mpls_stack,
-                    out,
-                );
-            }
-            IcmpMessage::EchoRequest {
-                identifier,
-                sequence,
-                payload,
-            } => emit_echo_into(IcmpType::EchoRequest, *identifier, *sequence, payload, out),
-            IcmpMessage::EchoReply {
-                identifier,
-                sequence,
-                payload,
-            } => emit_echo_into(IcmpType::EchoReply, *identifier, *sequence, payload, out),
-        }
-    }
-
-    /// Parses a complete ICMP message, verifying its checksum: the owned
-    /// form of [`IcmpView::parse`].
-    pub fn parse(data: &[u8]) -> WireResult<Self> {
-        IcmpView::parse(data).map(|view| view.to_message())
-    }
-
-    /// Reads an Echo Request's fields without copying the payload — the
-    /// allocation-free parse the simulator uses on its hot path.
-    /// Validates like [`IcmpMessage::parse`].
-    pub fn parse_echo_request(data: &[u8]) -> WireResult<(u16, u16, &[u8])> {
-        let view = IcmpView::parse(data)?;
-        match view.echo() {
-            Some(echo) if view.icmp_type() == IcmpType::EchoRequest => Ok(echo),
-            _ => Err(WireError::Unsupported {
-                what: "ICMP type (expected echo request)",
-                value: u16::from(data[0]),
-            }),
-        }
-    }
-
-    /// For error messages, the quoted datagram; None for echo messages.
-    pub fn quoted(&self) -> Option<&[u8]> {
-        match self {
-            IcmpMessage::TimeExceeded { quoted, .. }
-            | IcmpMessage::DestinationUnreachable { quoted, .. } => Some(quoted),
-            _ => None,
-        }
-    }
-
-    /// For error messages, the MPLS stack if one was attached.
-    pub fn mpls_stack(&self) -> &[MplsLabelStackEntry] {
-        match self {
-            IcmpMessage::TimeExceeded { extensions, .. }
-            | IcmpMessage::DestinationUnreachable { extensions, .. } => &extensions.mpls_stack,
-            _ => &[],
-        }
-    }
 }
 
 /// Appends a complete ICMP error message (Time Exceeded or Destination
-/// Unreachable) built from borrowed parts — no intermediate
-/// [`IcmpMessage`] or quote buffer required.
+/// Unreachable) built from borrowed parts. A nonempty `mpls_stack` pads
+/// the quote to [`RFC4884_QUOTE_LEN`] and follows it with an RFC 4884
+/// extension structure.
 pub fn emit_error_into(
     icmp_type: IcmpType,
     code: u8,
@@ -575,52 +371,70 @@ mod tests {
         (0u8..28).collect()
     }
 
+    fn error(icmp_type: IcmpType, quoted: &[u8], mpls_stack: &[MplsLabelStackEntry]) -> Vec<u8> {
+        let code = match icmp_type {
+            IcmpType::DestinationUnreachable => CODE_PORT_UNREACHABLE,
+            _ => CODE_TTL_EXCEEDED,
+        };
+        let mut bytes = Vec::new();
+        emit_error_into(icmp_type, code, quoted, mpls_stack, &mut bytes);
+        bytes
+    }
+
+    fn echo(icmp_type: IcmpType, identifier: u16, sequence: u16, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        emit_echo_into(icmp_type, identifier, sequence, payload, &mut bytes);
+        bytes
+    }
+
+    /// Recomputes the ICMP checksum after a test edits the message.
+    fn fix_checksum(bytes: &mut [u8]) {
+        bytes[2..4].fill(0);
+        let csum = internet_checksum(bytes);
+        bytes[2..4].copy_from_slice(&csum.to_be_bytes());
+    }
+
+    fn two_entry_stack() -> [MplsLabelStackEntry; 2] {
+        [
+            MplsLabelStackEntry::new(100, 0, false, 250),
+            MplsLabelStackEntry::new(200, 1, true, 249),
+        ]
+    }
+
     #[test]
     fn time_exceeded_roundtrip_plain() {
-        let msg = IcmpMessage::TimeExceeded {
-            quoted: sample_quote(),
-            extensions: IcmpExtensions::default(),
-        };
-        let bytes = msg.emit();
+        let bytes = error(IcmpType::TimeExceeded, &sample_quote(), &[]);
         assert_eq!(internet_checksum(&bytes), 0);
-        let parsed = IcmpMessage::parse(&bytes).unwrap();
-        assert_eq!(parsed, msg);
+        let view = IcmpView::parse(&bytes).unwrap();
+        assert_eq!(view.icmp_type(), IcmpType::TimeExceeded);
+        assert_eq!(view.code(), CODE_TTL_EXCEEDED);
+        assert_eq!(view.quoted(), Some(&sample_quote()[..]));
+        assert_eq!(view.mpls_stack().count(), 0);
     }
 
     #[test]
     fn port_unreachable_roundtrip() {
-        let msg = IcmpMessage::DestinationUnreachable {
-            code: CODE_PORT_UNREACHABLE,
-            quoted: sample_quote(),
-            extensions: IcmpExtensions::default(),
-        };
-        let parsed = IcmpMessage::parse(&msg.emit()).unwrap();
-        assert_eq!(parsed, msg);
+        let bytes = error(IcmpType::DestinationUnreachable, &sample_quote(), &[]);
+        let view = IcmpView::parse(&bytes).unwrap();
+        assert_eq!(view.icmp_type(), IcmpType::DestinationUnreachable);
+        assert_eq!(view.code(), CODE_PORT_UNREACHABLE);
+        assert_eq!(view.quoted(), Some(&sample_quote()[..]));
     }
 
     #[test]
     fn echo_roundtrip() {
-        let msg = IcmpMessage::EchoRequest {
-            identifier: 0x1234,
-            sequence: 7,
-            payload: vec![9, 9, 9],
-        };
-        let parsed = IcmpMessage::parse(&msg.emit()).unwrap();
-        assert_eq!(parsed, msg);
-        let reply = IcmpMessage::EchoReply {
-            identifier: 0x1234,
-            sequence: 7,
-            payload: vec![9, 9, 9],
-        };
-        let parsed = IcmpMessage::parse(&reply.emit()).unwrap();
-        assert_eq!(parsed, reply);
+        for icmp_type in [IcmpType::EchoRequest, IcmpType::EchoReply] {
+            let bytes = echo(icmp_type, 0x1234, 7, &[9, 9, 9]);
+            let view = IcmpView::parse(&bytes).unwrap();
+            assert_eq!(view.icmp_type(), icmp_type);
+            assert_eq!(view.echo(), Some((0x1234, 7, &[9u8, 9, 9][..])));
+        }
     }
 
     #[test]
     fn mpls_entry_roundtrip() {
         let e = MplsLabelStackEntry::new(0xABCDE, 5, true, 64);
-        let parsed = MplsLabelStackEntry::parse(&e.emit()).unwrap();
-        assert_eq!(parsed, e);
+        assert_eq!(MplsLabelStackEntry::from_word(e.emit()), e);
     }
 
     #[test]
@@ -632,93 +446,69 @@ mod tests {
 
     #[test]
     fn time_exceeded_with_mpls_roundtrip() {
-        let msg = IcmpMessage::TimeExceeded {
-            quoted: sample_quote(),
-            extensions: IcmpExtensions {
-                mpls_stack: vec![
-                    MplsLabelStackEntry::new(100, 0, false, 250),
-                    MplsLabelStackEntry::new(200, 1, true, 249),
-                ],
-            },
-        };
-        let bytes = msg.emit();
-        let parsed = IcmpMessage::parse(&bytes).unwrap();
+        let stack = two_entry_stack();
+        let bytes = error(IcmpType::TimeExceeded, &sample_quote(), &stack);
+        let view = IcmpView::parse(&bytes).unwrap();
         // The quote comes back padded to 128 bytes per RFC 4884; compare
         // prefix and stack.
-        assert_eq!(&parsed.quoted().unwrap()[..28], &sample_quote()[..]);
-        assert_eq!(parsed.quoted().unwrap().len(), RFC4884_QUOTE_LEN);
-        assert_eq!(parsed.mpls_stack(), msg.mpls_stack());
+        let quoted = view.quoted().unwrap();
+        assert_eq!(&quoted[..28], &sample_quote()[..]);
+        assert_eq!(quoted.len(), RFC4884_QUOTE_LEN);
+        assert_eq!(view.mpls_stack().collect::<Vec<_>>(), stack);
     }
 
     /// The view borrows the quote and the echo payload from the message
-    /// bytes and decodes the MPLS stack the owned parse returns.
+    /// bytes.
     #[test]
     fn view_reads_in_place() {
-        let stack = vec![
-            MplsLabelStackEntry::new(100, 0, false, 250),
-            MplsLabelStackEntry::new(200, 1, true, 249),
-        ];
-        let bytes = IcmpMessage::TimeExceeded {
-            quoted: sample_quote(),
-            extensions: IcmpExtensions {
-                mpls_stack: stack.clone(),
-            },
-        }
-        .emit();
+        let bytes = error(IcmpType::TimeExceeded, &sample_quote(), &two_entry_stack());
         let view = IcmpView::parse(&bytes).unwrap();
-        assert_eq!(view.icmp_type(), IcmpType::TimeExceeded);
         let quoted = view.quoted().unwrap();
-        assert_eq!(quoted.len(), RFC4884_QUOTE_LEN);
         assert!(std::ptr::eq(quoted, &bytes[8..8 + RFC4884_QUOTE_LEN]));
-        assert_eq!(view.mpls_stack().collect::<Vec<_>>(), stack);
         assert_eq!(view.echo(), None);
 
-        let bytes = IcmpMessage::EchoReply {
-            identifier: 9,
-            sequence: 4,
-            payload: vec![1, 2],
-        }
-        .emit();
+        let bytes = echo(IcmpType::EchoReply, 9, 4, &[1, 2]);
         let view = IcmpView::parse(&bytes).unwrap();
-        assert_eq!(view.echo(), Some((9, 4, &bytes[8..])));
+        let (_, _, payload) = view.echo().unwrap();
+        assert!(std::ptr::eq(payload, &bytes[8..]));
         assert_eq!(view.quoted(), None);
         assert_eq!(view.mpls_stack().count(), 0);
     }
 
     #[test]
     fn corrupt_checksum_rejected() {
-        let msg = IcmpMessage::EchoReply {
-            identifier: 1,
-            sequence: 2,
-            payload: vec![],
-        };
-        let mut bytes = msg.emit();
+        let mut bytes = echo(IcmpType::EchoReply, 1, 2, &[]);
         bytes[4] ^= 0xFF;
         assert!(matches!(
-            IcmpMessage::parse(&bytes),
+            IcmpView::parse(&bytes),
             Err(WireError::BadChecksum { .. })
         ));
     }
 
     #[test]
     fn extension_checksum_verified() {
-        let ext = IcmpExtensions {
-            mpls_stack: vec![MplsLabelStackEntry::new(7, 0, true, 255)],
-        };
-        let mut bytes = ext.emit();
-        assert!(IcmpExtensions::parse(&bytes).is_ok());
-        bytes[5] ^= 0x01;
-        assert!(IcmpExtensions::parse(&bytes).is_err());
+        let stack = [MplsLabelStackEntry::new(7, 0, true, 255)];
+        let mut bytes = error(IcmpType::TimeExceeded, &sample_quote(), &stack);
+        assert!(IcmpView::parse(&bytes).is_ok());
+        // Corrupt the extension, then repair the message checksum so
+        // only the extension's own checksum can catch it.
+        bytes[8 + RFC4884_QUOTE_LEN + 5] ^= 0x01;
+        fix_checksum(&mut bytes);
+        assert_eq!(
+            IcmpView::parse(&bytes).unwrap_err(),
+            WireError::BadChecksum {
+                what: "ICMP extension"
+            }
+        );
     }
 
     #[test]
     fn unknown_type_rejected() {
         // Type 42 with valid checksum.
         let mut bytes = vec![42u8, 0, 0, 0, 0, 0, 0, 0];
-        let csum = internet_checksum(&bytes);
-        bytes[2..4].copy_from_slice(&csum.to_be_bytes());
+        fix_checksum(&mut bytes);
         assert!(matches!(
-            IcmpMessage::parse(&bytes),
+            IcmpView::parse(&bytes),
             Err(WireError::Unsupported { .. })
         ));
     }
@@ -726,38 +516,26 @@ mod tests {
     #[test]
     fn truncated_rejected() {
         assert!(matches!(
-            IcmpMessage::parse(&[11, 0, 0]),
+            IcmpView::parse(&[11, 0, 0]),
             Err(WireError::Truncated { .. })
         ));
     }
 
     #[test]
     fn bad_rfc4884_length_rejected() {
-        let msg = IcmpMessage::TimeExceeded {
-            quoted: sample_quote(),
-            extensions: IcmpExtensions::default(),
-        };
-        let mut bytes = msg.emit();
+        let mut bytes = error(IcmpType::TimeExceeded, &sample_quote(), &[]);
         // Claim a quote longer than the body.
         bytes[5] = 200;
-        // Fix checksum.
-        bytes[2] = 0;
-        bytes[3] = 0;
-        let csum = internet_checksum(&bytes);
-        bytes[2..4].copy_from_slice(&csum.to_be_bytes());
+        fix_checksum(&mut bytes);
         assert!(matches!(
-            IcmpMessage::parse(&bytes),
+            IcmpView::parse(&bytes),
             Err(WireError::BadLength { .. })
         ));
     }
 
     #[test]
     fn empty_extension_not_emitted() {
-        let msg = IcmpMessage::TimeExceeded {
-            quoted: vec![0; 28],
-            extensions: IcmpExtensions::default(),
-        };
-        let bytes = msg.emit();
+        let bytes = error(IcmpType::TimeExceeded, &[0; 28], &[]);
         // 8 header bytes + 28 quote, no padding, no extension.
         assert_eq!(bytes.len(), 36);
         assert_eq!(bytes[5], 0, "length field must be 0 without extensions");

@@ -103,9 +103,42 @@ impl Ipv4Header {
     /// header checksum. Returns the header and its length in bytes (IHL×4),
     /// so callers can locate the payload even when options are present.
     pub fn parse(data: &[u8]) -> WireResult<(Self, usize)> {
+        let (header, ihl) = Self::decode(data, "IPv4 header")?;
+        if data.len() < ihl {
+            return Err(WireError::Truncated {
+                what: "IPv4 header (options)",
+                needed: ihl,
+                got: data.len(),
+            });
+        }
+        if internet_checksum(&data[..ihl]) != 0 {
+            return Err(WireError::BadChecksum {
+                what: "IPv4 header",
+            });
+        }
+        Ok((header, ihl))
+    }
+
+    /// Parses without verifying the checksum. ICMP error messages quote the
+    /// offending datagram's header as the *router* saw it — with a
+    /// decremented TTL the checksum may have been recomputed or left stale
+    /// by sloppy implementations, so quotes are parsed leniently.
+    pub fn parse_lenient(data: &[u8]) -> WireResult<(Self, usize)> {
+        let (header, ihl) = Self::decode(data, "quoted IPv4 header")?;
+        if data.len() < ihl {
+            return Err(WireError::BadLength { what: "IPv4 IHL" });
+        }
+        Ok((header, ihl))
+    }
+
+    /// Decodes the 20 fixed header bytes at the front of `data` after
+    /// checking their length (`what` names the header if they are
+    /// short), the version and the IHL's range. Returns the header and
+    /// the IHL in bytes, which `data` may not cover.
+    fn decode(data: &[u8], what: &'static str) -> WireResult<(Self, usize)> {
         if data.len() < MIN_HEADER_LEN {
             return Err(WireError::Truncated {
-                what: "IPv4 header",
+                what,
                 needed: MIN_HEADER_LEN,
                 got: data.len(),
             });
@@ -119,54 +152,6 @@ impl Ipv4Header {
         }
         let ihl = usize::from(data[0] & 0x0F) * 4;
         if !(MIN_HEADER_LEN..=60).contains(&ihl) {
-            return Err(WireError::BadLength { what: "IPv4 IHL" });
-        }
-        if data.len() < ihl {
-            return Err(WireError::Truncated {
-                what: "IPv4 header (options)",
-                needed: ihl,
-                got: data.len(),
-            });
-        }
-        if internet_checksum(&data[..ihl]) != 0 {
-            return Err(WireError::BadChecksum {
-                what: "IPv4 header",
-            });
-        }
-        let header = Self {
-            dscp_ecn: data[1],
-            total_length: u16::from_be_bytes([data[2], data[3]]),
-            identification: u16::from_be_bytes([data[4], data[5]]),
-            flags_fragment: u16::from_be_bytes([data[6], data[7]]),
-            ttl: data[8],
-            protocol: data[9],
-            source: Ipv4Addr::new(data[12], data[13], data[14], data[15]),
-            destination: Ipv4Addr::new(data[16], data[17], data[18], data[19]),
-        };
-        Ok((header, ihl))
-    }
-
-    /// Parses without verifying the checksum. ICMP error messages quote the
-    /// offending datagram's header as the *router* saw it — with a
-    /// decremented TTL the checksum may have been recomputed or left stale
-    /// by sloppy implementations, so quotes are parsed leniently.
-    pub fn parse_lenient(data: &[u8]) -> WireResult<(Self, usize)> {
-        if data.len() < MIN_HEADER_LEN {
-            return Err(WireError::Truncated {
-                what: "quoted IPv4 header",
-                needed: MIN_HEADER_LEN,
-                got: data.len(),
-            });
-        }
-        let version = data[0] >> 4;
-        if version != 4 {
-            return Err(WireError::Unsupported {
-                what: "IP version",
-                value: u16::from(version),
-            });
-        }
-        let ihl = usize::from(data[0] & 0x0F) * 4;
-        if !(MIN_HEADER_LEN..=60).contains(&ihl) || data.len() < ihl {
             return Err(WireError::BadLength { what: "IPv4 IHL" });
         }
         let header = Self {
@@ -273,6 +258,59 @@ mod tests {
         let (parsed, len) = Ipv4Header::parse(&buf).unwrap();
         assert_eq!(len, 24);
         assert_eq!(parsed.source, h.source);
+    }
+
+    /// Both parsers share every check but the checksum; the strict one
+    /// reports short options as truncation, the lenient one as a bad IHL.
+    #[test]
+    fn errors_name_the_failed_check() {
+        let bytes = sample().emit();
+        let with = |byte0: u8| {
+            let mut edited = bytes;
+            edited[0] = byte0;
+            edited
+        };
+        let ihl = WireError::BadLength { what: "IPv4 IHL" };
+        let version = WireError::Unsupported {
+            what: "IP version",
+            value: 6,
+        };
+        let short = |what| WireError::Truncated {
+            what,
+            needed: MIN_HEADER_LEN,
+            got: 10,
+        };
+        let cases = [
+            (
+                &bytes[..10],
+                short("IPv4 header"),
+                short("quoted IPv4 header"),
+            ),
+            (&with(0x65)[..], version.clone(), version),
+            (&with(0x44)[..], ihl.clone(), ihl.clone()),
+            (
+                &with(0x46)[..],
+                WireError::Truncated {
+                    what: "IPv4 header (options)",
+                    needed: 24,
+                    got: MIN_HEADER_LEN,
+                },
+                ihl,
+            ),
+        ];
+        for (data, strict, lenient) in cases {
+            assert_eq!(Ipv4Header::parse(data).unwrap_err(), strict);
+            assert_eq!(Ipv4Header::parse_lenient(data).unwrap_err(), lenient);
+        }
+        let mut stale = bytes;
+        stale[8] = 1;
+        assert_eq!(
+            Ipv4Header::parse(&stale).unwrap_err(),
+            WireError::BadChecksum {
+                what: "IPv4 header"
+            }
+        );
+        assert_eq!(Ipv4Header::parse_lenient(&stale).unwrap().0.ttl, 1);
     }
 
     #[test]

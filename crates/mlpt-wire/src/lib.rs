@@ -31,7 +31,7 @@ pub mod transport;
 pub mod udp;
 
 pub use flow::{FlowId, PARIS_BASE_SPORT, PARIS_DPORT};
-pub use icmp::{IcmpMessage, IcmpType, IcmpView, MplsLabelStackEntry};
+pub use icmp::{IcmpType, IcmpView, MplsLabelStackEntry};
 pub use ipv4::Ipv4Header;
 pub use probe::{
     build_echo_probe, build_echo_probe_into, build_udp_probe, build_udp_probe_into, parse_reply,

@@ -249,7 +249,7 @@ fn parse_quote(quoted: &[u8]) -> Option<QuoteInfo> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::icmp::{IcmpExtensions, IcmpMessage};
+    use crate::icmp::{emit_echo_into, emit_error_into, CODE_TTL_EXCEEDED};
 
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const DST: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 9);
@@ -265,20 +265,37 @@ mod tests {
         }
     }
 
-    /// Helper constructing a router reply quoting the given probe bytes.
-    fn make_time_exceeded(probe_bytes: &[u8], mpls: Vec<MplsLabelStackEntry>) -> Vec<u8> {
-        // Routers quote the IP header + at least 8 bytes of payload.
-        let quote_len = 28.min(probe_bytes.len());
-        let icmp = IcmpMessage::TimeExceeded {
-            quoted: probe_bytes[..quote_len].to_vec(),
-            extensions: IcmpExtensions { mpls_stack: mpls },
-        };
-        let icmp_bytes = icmp.emit();
-        let ip = Ipv4Header::new(ROUTER, SRC, PROTO_ICMP, 61, 4242, icmp_bytes.len());
-        let mut packet = Vec::new();
-        packet.extend_from_slice(&ip.emit());
-        packet.extend_from_slice(&icmp_bytes);
+    /// An IPv4 datagram from `from` to `SRC` carrying the ICMP message
+    /// `emit` writes.
+    fn reply_from(from: Ipv4Addr, ttl: u8, ip_id: u16, emit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut icmp = Vec::new();
+        emit(&mut icmp);
+        let ip = Ipv4Header::new(from, SRC, PROTO_ICMP, ttl, ip_id, icmp.len());
+        let mut packet = ip.emit().to_vec();
+        packet.extend_from_slice(&icmp);
         packet
+    }
+
+    /// Helper constructing a router reply quoting the given probe bytes.
+    fn make_time_exceeded(probe_bytes: &[u8], mpls: &[MplsLabelStackEntry]) -> Vec<u8> {
+        // Routers quote the IP header + at least 8 bytes of payload.
+        let quote = &probe_bytes[..28.min(probe_bytes.len())];
+        reply_from(ROUTER, 61, 4242, |buf| {
+            emit_error_into(IcmpType::TimeExceeded, CODE_TTL_EXCEEDED, quote, mpls, buf);
+        })
+    }
+
+    /// The responder's side of an echo exchange: the fields of the Echo
+    /// Request `request` carries, echoed back in an Echo Reply.
+    fn echo_reply_to(request: &[u8], ttl: u8, ip_id: u16) -> Vec<u8> {
+        let (ip, ihl) = Ipv4Header::parse(request).unwrap();
+        assert_eq!(ip.protocol, PROTO_ICMP);
+        let view = IcmpView::parse(&request[ihl..]).unwrap();
+        assert_eq!(view.icmp_type(), IcmpType::EchoRequest);
+        let (identifier, sequence, payload) = view.echo().unwrap();
+        reply_from(ROUTER, ttl, ip_id, |buf| {
+            emit_echo_into(IcmpType::EchoReply, identifier, sequence, payload, buf);
+        })
     }
 
     #[test]
@@ -299,7 +316,7 @@ mod tests {
     fn time_exceeded_reply_recovers_probe_fields() {
         let p = probe();
         let probe_bytes = build_udp_probe(&p);
-        let reply_bytes = make_time_exceeded(&probe_bytes, vec![]);
+        let reply_bytes = make_time_exceeded(&probe_bytes, &[]);
         let reply = parse_reply(&reply_bytes).unwrap();
         assert_eq!(reply.responder, ROUTER);
         assert_eq!(reply.kind, ReplyKind::TimeExceeded);
@@ -316,7 +333,7 @@ mod tests {
         let p = probe();
         let probe_bytes = build_udp_probe(&p);
         let stack = vec![MplsLabelStackEntry::new(16001, 0, true, 254)];
-        let reply_bytes = make_time_exceeded(&probe_bytes, stack.clone());
+        let reply_bytes = make_time_exceeded(&probe_bytes, &stack);
         let reply = parse_reply(&reply_bytes).unwrap();
         assert_eq!(reply.mpls_stack, stack);
         // Flow recovery still works through the padded quote.
@@ -327,16 +344,16 @@ mod tests {
     fn port_unreachable_reply() {
         let p = probe();
         let probe_bytes = build_udp_probe(&p);
-        let icmp = IcmpMessage::DestinationUnreachable {
-            code: CODE_PORT_UNREACHABLE,
-            quoted: probe_bytes[..28].to_vec(),
-            extensions: IcmpExtensions::default(),
-        };
-        let icmp_bytes = icmp.emit();
-        let ip = Ipv4Header::new(DST, SRC, PROTO_ICMP, 60, 1, icmp_bytes.len());
-        let mut packet = Vec::new();
-        packet.extend_from_slice(&ip.emit());
-        packet.extend_from_slice(&icmp_bytes);
+        let packet = reply_from(DST, 60, 1, |buf| {
+            let quote = &probe_bytes[..28];
+            emit_error_into(
+                IcmpType::DestinationUnreachable,
+                CODE_PORT_UNREACHABLE,
+                quote,
+                &[],
+                buf,
+            );
+        });
 
         let reply = parse_reply(&packet).unwrap();
         assert_eq!(reply.kind, ReplyKind::PortUnreachable);
@@ -347,29 +364,7 @@ mod tests {
     #[test]
     fn echo_probe_and_reply() {
         let req = build_echo_probe(SRC, ROUTER, 0xCAFE, 3, 64);
-        // Parse the request side as IP+ICMP to simulate the responder.
-        let (ip, ihl) = Ipv4Header::parse(&req).unwrap();
-        assert_eq!(ip.protocol, PROTO_ICMP);
-        let msg = IcmpMessage::parse(&req[ihl..]).unwrap();
-        let IcmpMessage::EchoRequest {
-            identifier,
-            sequence,
-            payload,
-        } = msg
-        else {
-            panic!("expected echo request");
-        };
-        // Build the reply.
-        let reply_icmp = IcmpMessage::EchoReply {
-            identifier,
-            sequence,
-            payload,
-        }
-        .emit();
-        let reply_ip = Ipv4Header::new(ROUTER, SRC, PROTO_ICMP, 61, 999, reply_icmp.len());
-        let mut packet = Vec::new();
-        packet.extend_from_slice(&reply_ip.emit());
-        packet.extend_from_slice(&reply_icmp);
+        let packet = echo_reply_to(&req, 61, 999);
 
         let reply = parse_reply(&packet).unwrap();
         assert_eq!(reply.kind, ReplyKind::EchoReply);
@@ -387,28 +382,10 @@ mod tests {
         let mut req = Vec::new();
         build_echo_probe_into(SRC, ROUTER, 0x4D4C, 0xBEEF, 64, &mut req);
         assert_eq!(req, build_echo_probe(SRC, ROUTER, 0x4D4C, 0xBEEF, 64));
-        let (ip, ihl) = Ipv4Header::parse(&req).unwrap();
-        let IcmpMessage::EchoRequest {
-            identifier,
-            sequence,
-            payload,
-        } = IcmpMessage::parse(&req[ihl..]).unwrap()
-        else {
-            panic!("expected echo request");
-        };
         // The probe's IP ID also carries the sequence (fingerprinting
         // needs it to detect id-echoing routers).
-        assert_eq!(ip.identification, 0xBEEF);
-
-        let reply_icmp = IcmpMessage::EchoReply {
-            identifier,
-            sequence,
-            payload,
-        }
-        .emit();
-        let reply_ip = Ipv4Header::new(ROUTER, SRC, PROTO_ICMP, 60, 7, reply_icmp.len());
-        let mut packet = reply_ip.emit().to_vec();
-        packet.extend_from_slice(&reply_icmp);
+        assert_eq!(Ipv4Header::parse(&req).unwrap().0.identification, 0xBEEF);
+        let packet = echo_reply_to(&req, 60, 7);
 
         let parsed = parse_reply(&packet).unwrap();
         assert_eq!(parsed.kind, ReplyKind::EchoReply);
@@ -440,7 +417,7 @@ mod tests {
         let p = probe();
         let mut probe_bytes = build_udp_probe(&p);
         probe_bytes[8] = 0; // TTL expired at the router
-        let reply_bytes = make_time_exceeded(&probe_bytes, vec![]);
+        let reply_bytes = make_time_exceeded(&probe_bytes, &[]);
         let reply = parse_reply(&reply_bytes).unwrap();
         assert_eq!(reply.probe_flow, Some(FlowId(12)));
         assert_eq!(reply.quoted_ttl, Some(0));

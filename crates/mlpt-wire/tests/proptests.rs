@@ -2,7 +2,9 @@
 //! invariants over the whole field space.
 
 use mlpt_wire::checksum::internet_checksum;
-use mlpt_wire::icmp::{IcmpExtensions, IcmpMessage, MplsLabelStackEntry};
+use mlpt_wire::icmp::{
+    emit_error_into, IcmpType, IcmpView, MplsLabelStackEntry, CODE_TTL_EXCEEDED,
+};
 use mlpt_wire::ipv4::{Ipv4Header, PROTO_UDP};
 use mlpt_wire::probe::{build_udp_probe, parse_reply, parse_udp_probe, ProbePacket};
 use mlpt_wire::udp::UdpHeader;
@@ -78,8 +80,10 @@ proptest! {
     #[test]
     fn mpls_entry_roundtrip(label in 0u32..(1 << 20), exp in 0u8..8, s in any::<bool>(), ttl in any::<u8>()) {
         let e = MplsLabelStackEntry::new(label, exp, s, ttl);
-        let parsed = MplsLabelStackEntry::parse(&e.emit()).unwrap();
-        prop_assert_eq!(parsed, e);
+        let mut bytes = Vec::new();
+        emit_error_into(IcmpType::TimeExceeded, CODE_TTL_EXCEEDED, &[0; 28], &[e], &mut bytes);
+        let parsed: Vec<_> = IcmpView::parse(&bytes).unwrap().mpls_stack().collect();
+        prop_assert_eq!(parsed, vec![e]);
     }
 
     #[test]
@@ -119,11 +123,8 @@ proptest! {
             .enumerate()
             .map(|(i, (l, e, t))| MplsLabelStackEntry::new(l, e, i + 1 == n, t))
             .collect();
-        let icmp = IcmpMessage::TimeExceeded {
-            quoted: probe_bytes[..28].to_vec(),
-            extensions: IcmpExtensions { mpls_stack: stack.clone() },
-        };
-        let icmp_bytes = icmp.emit();
+        let mut icmp_bytes = Vec::new();
+        emit_error_into(IcmpType::TimeExceeded, CODE_TTL_EXCEEDED, &probe_bytes[..28], &stack, &mut icmp_bytes);
         let ip = Ipv4Header::new(router, src, 1, reply_ttl, reply_id, icmp_bytes.len());
         let mut packet = Vec::new();
         packet.extend_from_slice(&ip.emit());

@@ -417,7 +417,7 @@ impl Options {
             method: "indirect".into(),
             budget: 1024,
             shards: 1,
-            probe_timeout: RetryPolicy::default().base_timeout,
+            probe_timeout: SweepConfig::default().probe_timeout,
             seed: 1,
             ..Self::default()
         }
@@ -440,16 +440,14 @@ fn parse_options(name: &str, bit: u8, args: &[String]) -> Options {
             arg => arg,
         };
         let Some(flag) = FLAGS.iter().find(|flag| flag.name() == wanted) else {
-            match arg.parse::<usize>() {
-                Ok(_) if bit == ALIAS => {
-                    opts.targets
-                        .push(number("alias target", arg, 0..SCENARIO_CAPACITY));
-                }
-                _ => {
-                    eprintln!("unknown option: {arg}");
-                    exit(2);
-                }
+            // An all-digit argument is an alias target however large;
+            // `number` reports one out of range.
+            if bit != ALIAS || arg.is_empty() || !arg.bytes().all(|b| b.is_ascii_digit()) {
+                eprintln!("unknown option: {arg}");
+                exit(2);
             }
+            opts.targets
+                .push(number("alias target", arg, 0..SCENARIO_CAPACITY));
             continue;
         };
         if flag.commands & bit == 0 {
@@ -653,10 +651,7 @@ fn sweep_config(opts: &Options) -> SweepConfig {
         admission: opts.admission,
         adaptive: opts.adaptive.then(AdaptiveBudget::default),
         retries: opts.max_retries,
-        retry: RetryPolicy {
-            base_timeout: opts.probe_timeout,
-            ..RetryPolicy::default()
-        },
+        probe_timeout: opts.probe_timeout,
         // A hostile schedule can black-hole a lane mid-trace; arm the
         // stall watchdog so that lane degrades to a partial trace
         // instead of burning its whole retry budget into the dark.
@@ -714,7 +709,7 @@ fn build_network(opts: &Options) -> (SimNetwork, Ipv4Addr, Option<RouterMap>) {
     let topology = canonical_topology(opts.topology.as_deref().unwrap_or("fig1-unmeshed"));
     let destination = topology.destination();
     let net = SimNetwork::builder(topology)
-        .fault_schedule(lane_faults(opts))
+        .faults(lane_faults(opts))
         .seed(opts.seed)
         .build();
     (net, destination, None)
@@ -982,7 +977,7 @@ fn cmd_sweep(opts: Options) {
         .map(|(i, topo)| {
             let mut builder = SimNetwork::builder(topo.clone())
                 .seed(opts.seed.wrapping_add(i as u64))
-                .fault_schedule(faults.clone());
+                .faults(faults.clone());
             if let Some(schedule) = &opts.topology_schedule {
                 builder = builder.topology_schedule(schedule.clone());
             }

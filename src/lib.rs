@@ -57,8 +57,6 @@ pub use mlpt_wire as wire;
 pub mod prelude {
     pub use mlpt_alias::multilevel::{trace_multilevel, MultilevelConfig};
     pub use mlpt_core::prelude::*;
-    pub use mlpt_sim::{
-        FaultPlan, FaultSchedule, FaultSpec, SimNetwork, TopoMutation, TopologySchedule,
-    };
+    pub use mlpt_sim::{FaultPlan, FaultSchedule, SimNetwork, TopoMutation, TopologySchedule};
     pub use mlpt_topo::{MultipathTopology, RouterMap};
 }

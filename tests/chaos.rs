@@ -29,7 +29,7 @@ fn chaos_sweep(preset: &str, lanes: u32) -> (Vec<Trace>, SweepStats) {
             .enumerate()
             .map(|(i, t)| {
                 SimNetwork::builder(t.clone())
-                    .fault_schedule(FaultSchedule::preset(preset).expect("known preset"))
+                    .faults(FaultSchedule::preset(preset).expect("known preset"))
                     .seed(29 + i as u64)
                     .build()
             })

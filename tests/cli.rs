@@ -343,6 +343,12 @@ fn bad_numeric_values_rejected() {
 #[test]
 fn scenario_ids_past_capacity_rejected() {
     assert_refused(&["alias", "393216"], "alias target");
+    // Past usize too: still a target out of range, not an unknown option.
+    assert_refused(
+        &["alias", "3", "99999999999999999999999"],
+        "alias target needs a number in 0..393216",
+    );
+    assert_refused(&["alias", "3", "+5"], "unknown option: +5");
     let out = mlpt_with_stdin(&["alias", "--stdin"], b"3\n393216\n");
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8(out.stderr).unwrap();

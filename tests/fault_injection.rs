@@ -99,10 +99,7 @@ fn maximal_probe_timeout_survives_reply_loss() {
         .build();
     let config = SweepConfig {
         retries: 1,
-        retry: mlpt::core::RetryPolicy {
-            base_timeout: u64::MAX,
-            ..mlpt::core::RetryPolicy::default()
-        },
+        probe_timeout: u64::MAX,
         ..SweepConfig::default()
     };
     let mut engine = SweepEngine::new(net, SRC).with_config(config);
@@ -151,7 +148,7 @@ fn midsweep_blackhole_partials_only_the_dark_lane() {
                 .map(|(i, t)| {
                     let builder = SimNetwork::builder(t.clone()).seed(29 + i as u64);
                     let builder = if dark_on && i == DARK {
-                        builder.fault_schedule(
+                        builder.faults(
                             FaultSchedule::preset("midtrace-blackhole").expect("known preset"),
                         )
                     } else {

@@ -25,7 +25,7 @@ mod support;
 use mlpt::core::engine::{AdaptiveBudget, Admission, SweepConfig, SweepEngine};
 use mlpt::core::prelude::*;
 use mlpt::core::session::TraceSession;
-use mlpt::sim::{FaultPlan, FaultSchedule, FaultSpec, MultiNetwork, SimNetwork};
+use mlpt::sim::{FaultPlan, FaultSchedule, MultiNetwork, SimNetwork};
 use mlpt::topo::graph::addr;
 use mlpt::topo::{canonical, MultipathTopology, TopologyBuilder};
 use proptest::prelude::*;
@@ -290,18 +290,19 @@ proptest! {
     }
 }
 
-/// One impairment spec drawn from the property inputs. The vocabulary
-/// covers everything [`FaultSpec`] can express: loss on either
-/// direction, reply latency, mid-path blackholes and ICMP rate limits.
-fn arbitrary_spec(kind: u8, magnitude: u8) -> FaultSpec {
+/// One impairment plan drawn from the property inputs. The vocabulary
+/// covers everything [`FaultPlan`] can express but jitter: loss on
+/// either direction, reply latency, mid-path blackholes and ICMP rate
+/// limits.
+fn arbitrary_plan(kind: u8, magnitude: u8) -> FaultPlan {
     let m = f64::from(magnitude % 10) / 10.0;
     match kind % 6 {
-        0 => FaultSpec::none(),
-        1 => FaultPlan::with_loss(m, 0.0).into(),
-        2 => FaultPlan::with_loss(0.0, m).into(),
-        3 => FaultSpec::none().with_latency(u64::from(magnitude % 16)),
-        4 => FaultSpec::none().with_blackhole(magnitude % 4 + 1),
-        _ => FaultPlan::with_rate_limit(u32::from(magnitude % 5) + 1, 0.1).into(),
+        0 => FaultPlan::none(),
+        1 => FaultPlan::with_loss(m, 0.0),
+        2 => FaultPlan::with_loss(0.0, m),
+        3 => FaultPlan::none().with_latency(u64::from(magnitude % 16)),
+        4 => FaultPlan::none().with_blackhole(magnitude % 4 + 1),
+        _ => FaultPlan::with_rate_limit(u32::from(magnitude % 5) + 1, 0.1),
     }
 }
 
@@ -312,7 +313,7 @@ fn arbitrary_schedule(steps: &[(u8, u8, u8)]) -> FaultSchedule {
     let mut tick = 0u64;
     for &(delta, kind, magnitude) in steps {
         tick += u64::from(delta) + 1;
-        schedule = schedule.step(tick, arbitrary_spec(kind, magnitude));
+        schedule = schedule.step(tick, arbitrary_plan(kind, magnitude));
     }
     schedule
 }
@@ -354,7 +355,7 @@ proptest! {
                     .iter()
                     .map(|l| {
                         SimNetwork::builder(l.topology.clone())
-                            .fault_schedule(schedule.clone())
+                            .faults(schedule.clone())
                             .seed(l.sim_seed)
                             .build()
                     })
@@ -781,9 +782,7 @@ proptest! {
             let mut builder = SimNetwork::builder(topologies[i].clone())
                 .seed(base_seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9));
             if i == 0 {
-                builder = builder.fault_schedule(FaultSchedule::constant(
-                    FaultSpec::none().with_blackhole(blackhole_ttl),
-                ));
+                builder = builder.faults(FaultPlan::none().with_blackhole(blackhole_ttl));
             }
             builder.build()
         };
@@ -868,7 +867,7 @@ fn sharded_run(
             .iter()
             .map(|l| {
                 SimNetwork::builder(l.topology.clone())
-                    .fault_schedule(faults.clone())
+                    .faults(faults.clone())
                     .topology_schedule(topo.clone())
                     .seed(l.sim_seed)
                     .build()
@@ -917,7 +916,7 @@ fn plain_run(
             .iter()
             .map(|l| {
                 SimNetwork::builder(l.topology.clone())
-                    .fault_schedule(faults.clone())
+                    .faults(faults.clone())
                     .topology_schedule(topo.clone())
                     .seed(l.sim_seed)
                     .build()
