@@ -51,13 +51,19 @@ mod tests {
         // Capped at 2^6 however deep attempt + depth go.
         assert_eq!(probe_deadline(10, 9, 9), 640);
         assert_eq!(probe_deadline(10, u8::MAX, u32::MAX), 640);
-        // The default timeout, doubled and capped.
-        let timeout = SweepConfig::default().probe_timeout;
-        assert_eq!(probe_deadline(timeout, 0, 0), 4096);
-        assert_eq!(probe_deadline(timeout, 1, 0), 8192);
-        assert_eq!(probe_deadline(timeout, 0, 7), 4096 * 64);
         // Saturates rather than overflows: the timeout is caller-set.
         assert_eq!(probe_deadline(u64::MAX, 0, 0), u64::MAX);
         assert_eq!(probe_deadline(u64::MAX / 2 + 1, 1, 0), u64::MAX);
+    }
+
+    #[test]
+    fn zero_jitter_skips_the_rng() {
+        // Deadlines draw no randomness: the default timeout's deadlines
+        // are exact doublings, capped at 64x.
+        let timeout = SweepConfig::default().probe_timeout;
+        assert_eq!(probe_deadline(timeout, 0, 0), 4096);
+        assert_eq!(probe_deadline(timeout, 1, 0), 8192);
+        assert_eq!(probe_deadline(timeout, 0, 6), 4096 * 64);
+        assert_eq!(probe_deadline(timeout, 0, 7), 4096 * 64);
     }
 }
