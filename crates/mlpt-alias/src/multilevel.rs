@@ -19,7 +19,7 @@ use mlpt_core::session::{
     TraceSession,
 };
 use mlpt_core::stopset::{StopContribution, StopSnapshot};
-use mlpt_core::trace::Trace;
+use mlpt_core::trace::{PartialReason, Trace, TraceOutcome};
 use mlpt_topo::router::collapse;
 use mlpt_topo::{MultipathTopology, RouterMap};
 use mlpt_wire::transport::SplitTransport;
@@ -103,99 +103,72 @@ pub struct MultilevelOutcome {
     /// Per-hop direct comparator campaigns (empty unless enabled via
     /// [`MultilevelSession::with_direct_comparison`]).
     pub direct: BTreeMap<u8, DirectComparison>,
-    /// The full observation log, in probing order.
-    pub log: ProbeLog,
-    /// Wire-level packets spent on the direct comparator campaigns.
-    pub direct_wire_probes: u64,
 }
 
 /// Internal stage of a [`MultilevelSession`].
 enum Phase {
     /// MDA-Lite tracing (boxed: the trace state machine is much larger
-    /// than the rounds stage, and the phase moves through
-    /// `mem::replace` on every poll).
+    /// than an alias wave, and the phase moves through `mem::replace`
+    /// at every stage change).
     Trace(Box<TraceProbeSession<MdaLiteSession>>),
-    /// One hop's alias-resolution rounds (`comparator` = the Table 2
-    /// direct campaign rather than the trace's own indirect rounds).
-    Rounds {
-        ttl: u8,
-        session: AliasRoundsSession,
-        comparator: bool,
-    },
-    /// Every remaining hop's rounds session at once, advanced in
-    /// lockstep waves (see [`MultilevelSession::with_hop_fanout`]).
-    Fanned(FannedRounds),
+    /// One wave of alias-resolution rounds.
+    Alias(AliasWave),
     Done,
 }
 
-/// The per-hop fan-out stage: one [`AliasRoundsSession`] per
-/// multi-candidate hop, all in flight at once. Each parent round is the
-/// concatenation of every live sub-session's current protocol round, in
-/// ascending-TTL order — a *protocol-fixed* interleaving, so any
-/// conforming driver (and any admission policy, budget or retry
-/// schedule of the sweep engine) produces the identical per-destination
-/// wire sequence. The parent slices the delivered results back to the
-/// sub-sessions span by span; each sub-session observes exactly the
-/// slots of its own requests, in its own request order, just as it
-/// would alone.
-struct FannedRounds {
+/// One alias stage: an [`AliasRoundsSession`] per hop of the wave, all
+/// in flight at once. A wave is one hop wide unless
+/// [`MultilevelSession::with_hop_fanout`] widens it to every remaining
+/// hop. Each parent round is the concatenation of every live hop's
+/// current protocol round, in ascending-TTL order — a *protocol-fixed*
+/// interleaving, so any conforming driver (and any admission policy,
+/// budget or retry schedule of the sweep engine) produces the identical
+/// per-destination wire sequence, and a one-hop wave's rounds are
+/// exactly that hop's own. The parent slices the delivered results back
+/// span by span; each hop observes exactly the slots of its own
+/// requests, in its own request order, just as it would alone.
+struct AliasWave {
     /// Whether these are the Table 2 direct-comparator campaigns.
     comparator: bool,
-    /// `(ttl, session)` in ascending-TTL order — also the wave's
-    /// concatenation order.
-    subs: Vec<(u8, AliasRoundsSession)>,
-    /// Request spans of the armed wave: `(sub index, start, end)`.
+    /// `(ttl, session)` in ascending-TTL order — also the concatenation
+    /// order.
+    hops: Vec<(u8, AliasRoundsSession)>,
+    /// Request spans of the armed round: `(hop index, start, end)`.
     spans: Vec<(usize, usize, usize)>,
-    /// The armed wave's concatenated request list.
+    /// The armed round's concatenated request list; empty while no
+    /// round is armed.
     requests: Vec<ProbeRequest>,
-    /// True while a wave is armed and awaiting replies.
-    armed: bool,
 }
 
-impl FannedRounds {
-    fn new(comparator: bool, subs: Vec<(u8, AliasRoundsSession)>) -> Self {
-        Self {
-            comparator,
-            subs,
-            spans: Vec::new(),
-            requests: Vec::new(),
-            armed: false,
-        }
-    }
-
-    /// Arms the next wave: polls every sub-session and concatenates the
-    /// live ones's rounds. Returns false once every sub-session has
-    /// finished.
+impl AliasWave {
+    /// Arms the next round: polls every hop and concatenates the live
+    /// ones' rounds. Returns false once every hop has finished.
     fn arm(&mut self) -> bool {
-        if self.armed {
-            return true;
-        }
-        self.requests.clear();
-        self.spans.clear();
-        for (idx, (_ttl, session)) in self.subs.iter_mut().enumerate() {
-            if session.poll() == SessionState::Probing {
-                let start = self.requests.len();
-                self.requests.extend_from_slice(session.next_rounds());
-                self.spans.push((idx, start, self.requests.len()));
+        if self.requests.is_empty() {
+            for (idx, (_ttl, session)) in self.hops.iter_mut().enumerate() {
+                if session.poll() == SessionState::Probing {
+                    let start = self.requests.len();
+                    self.requests.extend_from_slice(session.next_rounds());
+                    self.spans.push((idx, start, self.requests.len()));
+                }
             }
         }
-        self.armed = !self.requests.is_empty();
-        self.armed
+        !self.requests.is_empty()
     }
 
-    /// Distributes one delivered wave back to its sub-sessions.
+    /// Distributes one delivered round back to its hops.
     fn deliver(&mut self, results: &mut [Option<ProbeOutcome>]) {
         debug_assert_eq!(
             results.len(),
             self.requests.len(),
-            "one result slot per fanned request"
+            "one result slot per wave request"
         );
-        for &(idx, start, end) in &self.spans {
+        for (idx, start, end) in self.spans.drain(..) {
             if let Some(slice) = results.get_mut(start..end) {
-                self.subs[idx].1.on_replies(slice);
+                self.hops[idx].1.on_replies(slice);
             }
         }
-        self.armed = false;
+        self.requests.clear();
     }
 }
 
@@ -207,15 +180,22 @@ impl FannedRounds {
 /// destinations.
 ///
 /// The session keeps its own [`ProbeLog`] of every observation it
-/// received, so each alias stage seeds its evidence base from exactly
+/// received, so each alias wave seeds its evidence base from exactly
 /// the data the legacy implementation saw at the same point: trace
-/// observations plus every earlier stage's probing.
+/// observations plus every earlier wave's probing.
+///
+/// An [`abort`](ProbeSession::abort) (the sweep engine's stall
+/// watchdog) finishes the session where it stands and marks the trace
+/// [`TraceOutcome::Partial`]: during the trace phase the trace is taken
+/// as it is and alias resolution is skipped; during an alias wave each
+/// of its hops keeps the rounds it completed and later hops are not
+/// resolved.
 pub struct MultilevelSession {
     destination: Ipv4Addr,
     config: MultilevelConfig,
     comparator: Option<RoundsConfig>,
-    /// Run all of a phase's per-hop rounds sessions concurrently instead
-    /// of hop after hop (see [`with_hop_fanout`](Self::with_hop_fanout)).
+    /// Widen each alias wave to every remaining hop instead of one (see
+    /// [`with_hop_fanout`](Self::with_hop_fanout)).
     hop_fanout: bool,
     /// Caller-supplied admission cost hint, used until the trace phase
     /// discovers the real hop widths.
@@ -230,10 +210,10 @@ pub struct MultilevelSession {
     hop_reports: BTreeMap<u8, Vec<RoundReport>>,
     hop_evidence: BTreeMap<u8, EvidenceBase>,
     direct: BTreeMap<u8, DirectComparison>,
-    /// Wire packets per protocol phase, fed by `note_wire_probes`.
+    /// Wire packets of the trace and of the indirect alias rounds, fed
+    /// by `note_wire_probes`.
     trace_wire: u64,
     alias_wire: u64,
-    direct_wire: u64,
     /// The trace phase's shared-stop-set contribution, stashed when the
     /// trace session is consumed so the sweep engine can still harvest
     /// it after the alias phases finish.
@@ -262,7 +242,6 @@ impl MultilevelSession {
             direct: BTreeMap::new(),
             trace_wire: 0,
             alias_wire: 0,
-            direct_wire: 0,
             trace_stops: None,
         }
     }
@@ -276,28 +255,29 @@ impl MultilevelSession {
         self
     }
 
-    /// Enables per-hop fan-out: once the trace completes, every
-    /// multi-candidate hop's Round 0–10 session starts at once and the
-    /// session emits *waves* — each parent round concatenates every
-    /// hop's current protocol round in ascending-TTL order — instead of
-    /// finishing one hop before starting the next. Round 0 is
-    /// probe-free, so a destination with H wide hops needs `rounds`
-    /// round-trips instead of `H × rounds`, which is what stops a
-    /// single wide destination from serializing a sweep's tail. The comparator campaigns (if
-    /// enabled) fan out the same way, in a second wave phase after every
-    /// indirect hop has finished.
+    /// Enables per-hop fan-out, which sets only the alias waves' width:
+    /// once the trace completes, one wave starts every multi-candidate
+    /// hop's Round 0–10 session at once (each parent round concatenates
+    /// every hop's current protocol round in ascending-TTL order)
+    /// instead of one wave per hop. Round 0 is probe-free, so a
+    /// destination with H wide hops needs `rounds` round-trips instead
+    /// of `H × rounds`, which is what stops a single wide destination
+    /// from serializing a sweep's tail. The comparator campaigns (if
+    /// enabled) run as a second wave after every indirect hop has
+    /// finished.
     ///
     /// The interleaving is part of the protocol, not the schedule (the
     /// same argument as the MBT's within-hop probe order): the wave
     /// sequence is fixed by the trace outcome alone, so fanned results
     /// are bit-identical across admission policies, budgets and retry
     /// schedules — property-tested in `tests/alias_equivalence.rs`.
-    /// Relative to the hop-sequential pipeline the per-destination wire
-    /// *order* does change, so fanned and sequential runs are distinct
+    /// Relative to one-hop waves the per-destination wire *order* does
+    /// change, so fanned and hop-by-hop runs are distinct
     /// (deterministic) protocol variants: every hop's evidence base
-    /// seeds from the wave phase's start (trace evidence for the
-    /// indirect waves; trace + all indirect rounds for the comparator
-    /// waves) rather than from whatever earlier hops had probed.
+    /// seeds from the log as it stands when its wave starts (trace
+    /// evidence for the indirect wave; trace + all indirect rounds for
+    /// the comparator wave) rather than from whatever earlier hops had
+    /// probed.
     pub fn with_hop_fanout(mut self, enabled: bool) -> Self {
         self.hop_fanout = enabled;
         self
@@ -336,97 +316,84 @@ impl MultilevelSession {
         hops
     }
 
-    /// Selects the next stage after the trace or a finished rounds
-    /// stage: remaining indirect hops first, then comparator hops.
-    fn next_stage(&mut self) -> Phase {
-        if self.hop_fanout {
-            return self.next_fanned_stage();
-        }
-        let trace = self.trace.as_ref().expect("stage selection after trace");
-        if self.next_alias < self.hops.len() {
-            let (ttl, candidates) = &self.hops[self.next_alias];
-            self.next_alias += 1;
-            let base = EvidenceBase::from_log(&self.log, candidates);
-            return Phase::Rounds {
-                ttl: *ttl,
-                session: AliasRoundsSession::new(
-                    trace,
-                    candidates,
-                    base,
-                    self.config.rounds.clone(),
-                ),
-                comparator: false,
-            };
-        }
-        if let Some(rounds) = &self.comparator {
-            if self.next_direct < self.hops.len() {
-                let (ttl, candidates) = &self.hops[self.next_direct];
-                self.next_direct += 1;
-                let base = EvidenceBase::from_log(&self.log, candidates);
-                return Phase::Rounds {
-                    ttl: *ttl,
-                    session: AliasRoundsSession::new(trace, candidates, base, rounds.clone()),
-                    comparator: true,
-                };
+    /// Closes the current stage, finished or cut short: the trace phase
+    /// hands over its trace, its stop-set contribution and the hops to
+    /// resolve; an alias wave files the rounds each of its hops
+    /// completed.
+    fn end_stage(&mut self) {
+        match std::mem::replace(&mut self.phase, Phase::Done) {
+            Phase::Trace(mut session) => {
+                self.trace_stops = session.stop_contribution();
+                let trace = session.into_inner().take_trace(self.trace_wire);
+                self.hops = Self::hop_candidates(&trace);
+                self.trace = Some(trace);
             }
+            Phase::Alias(wave) => {
+                for (ttl, session) in wave.hops {
+                    let (reports, evidence) = session.into_parts();
+                    if wave.comparator {
+                        self.direct
+                            .insert(ttl, DirectComparison { reports, evidence });
+                    } else {
+                        self.hop_reports.insert(ttl, reports);
+                        self.hop_evidence.insert(ttl, evidence);
+                    }
+                }
+            }
+            Phase::Done => {}
         }
-        Phase::Done
     }
 
-    /// The fan-out counterpart of [`next_stage`](Self::next_stage): all
-    /// remaining indirect hops start at once, then (after every one of
-    /// them finished) all comparator hops at once.
-    fn next_fanned_stage(&mut self) -> Phase {
+    /// Starts the next alias wave after the trace or a finished wave:
+    /// remaining indirect hops first, then comparator hops. The only
+    /// fan-out decision is the wave's width — one hop, or every
+    /// remaining hop of the campaign under fan-out. Each hop seeds its
+    /// evidence base from the log as it stands when the wave starts.
+    fn next_stage(&mut self) -> Phase {
         let trace = self.trace.as_ref().expect("stage selection after trace");
-        if self.next_alias < self.hops.len() {
-            let subs: Vec<(u8, AliasRoundsSession)> = self.hops[self.next_alias..]
-                .iter()
-                .map(|(ttl, candidates)| {
-                    let base = EvidenceBase::from_log(&self.log, candidates);
-                    (
-                        *ttl,
-                        AliasRoundsSession::new(
-                            trace,
-                            candidates,
-                            base,
-                            self.config.rounds.clone(),
-                        ),
-                    )
-                })
-                .collect();
-            self.next_alias = self.hops.len();
-            return Phase::Fanned(FannedRounds::new(false, subs));
-        }
-        if let Some(rounds) = &self.comparator {
-            if self.next_direct < self.hops.len() {
-                let subs: Vec<(u8, AliasRoundsSession)> = self.hops[self.next_direct..]
-                    .iter()
-                    .map(|(ttl, candidates)| {
-                        let base = EvidenceBase::from_log(&self.log, candidates);
-                        (
-                            *ttl,
-                            AliasRoundsSession::new(trace, candidates, base, rounds.clone()),
-                        )
-                    })
-                    .collect();
-                self.next_direct = self.hops.len();
-                return Phase::Fanned(FannedRounds::new(true, subs));
+        let (comparator, rounds, next) = if self.next_alias < self.hops.len() {
+            (false, &self.config.rounds, &mut self.next_alias)
+        } else {
+            match &self.comparator {
+                Some(rounds) if self.next_direct < self.hops.len() => {
+                    (true, rounds, &mut self.next_direct)
+                }
+                _ => return Phase::Done,
             }
-        }
-        Phase::Done
+        };
+        let start = *next;
+        *next = if self.hop_fanout {
+            self.hops.len()
+        } else {
+            start + 1
+        };
+        let hops = self.hops[start..*next]
+            .iter()
+            .map(|(ttl, candidates)| {
+                let base = EvidenceBase::from_log(&self.log, candidates);
+                let session = AliasRoundsSession::new(trace, candidates, base, rounds.clone());
+                (*ttl, session)
+            })
+            .collect();
+        Phase::Alias(AliasWave {
+            comparator,
+            hops,
+            spans: Vec::new(),
+            requests: Vec::new(),
+        })
     }
 
     /// Consumes the finished session into its outcome. Call only after
     /// [`poll`](ProbeSession::poll) has returned
-    /// [`SessionState::Finished`].
-    pub fn finish(mut self) -> MultilevelOutcome {
+    /// [`SessionState::Finished`] or the session was
+    /// [aborted](ProbeSession::abort).
+    pub fn finish(self) -> MultilevelOutcome {
         debug_assert!(
             matches!(self.phase, Phase::Done),
             "finish on an unfinished session"
         );
         let trace = self
             .trace
-            .take()
             .expect("a finished multilevel session holds its trace");
 
         // An address can appear at several hops; transitive closure
@@ -454,8 +421,6 @@ impl MultilevelSession {
             },
             hop_evidence: self.hop_evidence,
             direct: self.direct,
-            log: self.log,
-            direct_wire_probes: self.direct_wire,
         }
     }
 }
@@ -463,70 +428,23 @@ impl MultilevelSession {
 impl ProbeSession for MultilevelSession {
     fn poll(&mut self) -> SessionState {
         loop {
-            match std::mem::replace(&mut self.phase, Phase::Done) {
+            let probing = match &mut self.phase {
+                Phase::Trace(session) => session.poll() == SessionState::Probing,
+                Phase::Alias(wave) => wave.arm(),
                 Phase::Done => return SessionState::Finished,
-                Phase::Trace(mut session) => {
-                    if session.poll() == SessionState::Probing {
-                        self.phase = Phase::Trace(session);
-                        return SessionState::Probing;
-                    }
-                    self.trace_stops = session.stop_contribution();
-                    let trace = session.into_inner().take_trace(self.trace_wire);
-                    self.hops = Self::hop_candidates(&trace);
-                    self.trace = Some(trace);
-                    self.phase = self.next_stage();
-                }
-                Phase::Rounds {
-                    ttl,
-                    mut session,
-                    comparator,
-                } => {
-                    if session.poll() == SessionState::Probing {
-                        self.phase = Phase::Rounds {
-                            ttl,
-                            session,
-                            comparator,
-                        };
-                        return SessionState::Probing;
-                    }
-                    let (reports, evidence) = session.into_parts();
-                    if comparator {
-                        self.direct
-                            .insert(ttl, DirectComparison { reports, evidence });
-                    } else {
-                        self.hop_reports.insert(ttl, reports);
-                        self.hop_evidence.insert(ttl, evidence);
-                    }
-                    self.phase = self.next_stage();
-                }
-                Phase::Fanned(mut fanned) => {
-                    if fanned.arm() {
-                        self.phase = Phase::Fanned(fanned);
-                        return SessionState::Probing;
-                    }
-                    // Every hop finished: harvest in TTL order.
-                    let comparator = fanned.comparator;
-                    for (ttl, session) in fanned.subs {
-                        let (reports, evidence) = session.into_parts();
-                        if comparator {
-                            self.direct
-                                .insert(ttl, DirectComparison { reports, evidence });
-                        } else {
-                            self.hop_reports.insert(ttl, reports);
-                            self.hop_evidence.insert(ttl, evidence);
-                        }
-                    }
-                    self.phase = self.next_stage();
-                }
+            };
+            if probing {
+                return SessionState::Probing;
             }
+            self.end_stage();
+            self.phase = self.next_stage();
         }
     }
 
     fn next_rounds(&self) -> &[ProbeRequest] {
         match &self.phase {
             Phase::Trace(session) => session.next_rounds(),
-            Phase::Rounds { session, .. } => session.next_rounds(),
-            Phase::Fanned(fanned) => &fanned.requests,
+            Phase::Alias(wave) => &wave.requests,
             Phase::Done => &[],
         }
     }
@@ -543,8 +461,7 @@ impl ProbeSession for MultilevelSession {
         }
         match &mut self.phase {
             Phase::Trace(session) => session.on_replies(results),
-            Phase::Rounds { session, .. } => session.on_replies(results),
-            Phase::Fanned(fanned) => fanned.deliver(results),
+            Phase::Alias(wave) => wave.deliver(results),
             Phase::Done => {}
         }
     }
@@ -556,19 +473,15 @@ impl ProbeSession for MultilevelSession {
     fn note_wire_probes(&mut self, count: u64) {
         match &self.phase {
             Phase::Trace(_) => self.trace_wire += count,
-            Phase::Rounds {
-                comparator: false, ..
-            }
-            | Phase::Fanned(FannedRounds {
-                comparator: false, ..
-            }) => self.alias_wire += count,
-            Phase::Rounds {
-                comparator: true, ..
-            }
-            | Phase::Fanned(FannedRounds {
-                comparator: true, ..
-            }) => self.direct_wire += count,
-            Phase::Done => {}
+            Phase::Alias(wave) if !wave.comparator => self.alias_wire += count,
+            Phase::Alias(_) | Phase::Done => {}
+        }
+    }
+
+    fn abort(&mut self, reason: PartialReason) {
+        self.end_stage();
+        if let Some(trace) = &mut self.trace {
+            trace.outcome = TraceOutcome::Partial { reason };
         }
     }
 
@@ -595,28 +508,26 @@ impl ProbeSession for MultilevelSession {
     }
 
     fn predicted_cost(&self) -> u64 {
-        if self.trace.is_none() {
+        let wave = match &self.phase {
             // Hop widths unknown until the trace completes: report the
             // caller's hint (0 = no estimate, sorts last).
-            return self.cost_hint.unwrap_or(0);
-        }
-        // The exact remaining campaign cost from the discovered widths:
-        // the in-flight stage's own estimate plus every not-yet-started
-        // hop under the indirect and (if enabled) comparator configs.
-        let mut cost = match &self.phase {
-            Phase::Rounds { session, .. } => session.predicted_cost(),
-            Phase::Fanned(fanned) => fanned
-                .subs
-                .iter()
-                .map(|(_, session)| session.predicted_cost())
-                .sum(),
-            Phase::Trace(_) | Phase::Done => 0,
+            Phase::Trace(_) => return self.cost_hint.unwrap_or(0),
+            Phase::Alias(wave) => wave,
+            Phase::Done => return 0,
         };
-        for (_, candidates) in &self.hops[self.next_alias.min(self.hops.len())..] {
+        // The exact remaining campaign cost from the discovered widths:
+        // the wave's own estimate plus every not-yet-started hop under
+        // the indirect and (if enabled) comparator configs.
+        let mut cost: u64 = wave
+            .hops
+            .iter()
+            .map(|(_, session)| session.predicted_cost())
+            .sum();
+        for (_, candidates) in &self.hops[self.next_alias..] {
             cost += self.config.rounds.predicted_probes(candidates.len());
         }
         if let Some(rounds) = &self.comparator {
-            for (_, candidates) in &self.hops[self.next_direct.min(self.hops.len())..] {
+            for (_, candidates) in &self.hops[self.next_direct..] {
                 cost += rounds.predicted_probes(candidates.len());
             }
         }
@@ -638,7 +549,8 @@ pub fn trace_multilevel<T: SplitTransport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlpt_sim::{RouterProfile, SimNetwork};
+    use mlpt_core::engine::SweepConfig;
+    use mlpt_sim::{FaultPlan, FaultSchedule, RouterProfile, SimNetwork};
     use mlpt_topo::diamond::{all_diamond_metrics, find_diamonds};
     use mlpt_topo::graph::addr;
     use mlpt_topo::RouterId;
@@ -764,8 +676,8 @@ mod tests {
     }
 
     /// With a single multi-candidate hop there is nothing to interleave:
-    /// the fanned wave sequence degenerates to the hop's own rounds, so
-    /// fan-out is bit-identical to the hop-sequential pipeline.
+    /// the fanned wave is that hop's one-hop wave, so fan-out is
+    /// bit-identical to the default.
     #[test]
     fn single_hop_fanout_is_bit_identical() {
         let (topo, routers) = grouped();
@@ -883,6 +795,43 @@ mod tests {
             .multilevel
             .router_map
             .are_aliases(addr(1, 0), addr(1, 2)));
+    }
+
+    /// The stall watchdog finishes the session wherever the network goes
+    /// dark: the trace comes back partial, and alias resolution keeps
+    /// only the rounds that completed before the abort.
+    #[test]
+    fn watchdog_abort_finishes_partial() {
+        let (topo, routers) = grouped();
+        let run = |cut: u64| {
+            let dark = FaultPlan::none().with_blackhole(1);
+            let net = SimNetwork::builder(topo.clone())
+                .routers(routers.clone())
+                .faults(FaultSchedule::none().step(cut, dark))
+                .seed(21)
+                .build();
+            let config = SweepConfig {
+                stall_rounds: 2,
+                ..SweepConfig::default()
+            };
+            let session = MultilevelSession::new(topo.destination(), MultilevelConfig::new(21));
+            let mut engine = SweepEngine::new(net, SRC).with_config(config);
+            engine.run_session(session).0.finish().multilevel
+        };
+        let stalled = TraceOutcome::Partial {
+            reason: PartialReason::Stalled { silent_rounds: 2 },
+        };
+
+        // Dark from tick 5: the trace phase stalls, no alias round runs.
+        let in_trace = run(5);
+        assert_eq!(in_trace.trace.outcome, stalled);
+        assert!(in_trace.hop_reports.is_empty());
+
+        // Dark from tick 60: the abort lands mid-alias, and hop 2 keeps
+        // the rounds it completed of its 11.
+        let in_alias = run(60);
+        assert_eq!(in_alias.trace.outcome, stalled);
+        assert_eq!(in_alias.hop_reports[&2].len(), 4);
     }
 
     #[test]

@@ -286,7 +286,7 @@ fn cost_aware_admission_cuts_straggler_makespan() {
         (outcomes, *engine.stats(), engine.cycle_batches().to_vec())
     };
     let (fifo_outcomes, fifo_stats, fifo_cycles) = run(Admission::Streaming);
-    let (ca_outcomes, ca_stats, ca_cycles) = run(Admission::CostAware);
+    let (ca_outcomes, ca_stats, ca_cycles) = run(Admission::CostAware(usize::MAX));
 
     // Cost-aware admission may only move probes in time.
     assert_eq!(fifo_stats.probes_sent, ca_stats.probes_sent);
@@ -413,7 +413,7 @@ fn stop_set_savings_compound_with_sweep_width() {
             "probe ledger out of balance at width {width}"
         );
         // Admission modes replay the identical sweep.
-        for admission in [Admission::CostAware, Admission::CostAwareWindowed(32)] {
+        for admission in [Admission::CostAware(usize::MAX), Admission::CostAware(32)] {
             let (again, again_stats, _) = run(width, admission, Some(stop_cfg));
             assert_eq!(
                 again, traces,

@@ -123,51 +123,44 @@ pub enum Admission {
     /// in-flight budget, keeping batches full until the source runs dry.
     #[default]
     Streaming,
-    /// Streaming admission, heaviest first: the source is drained up
-    /// front (memory linear in the source buys the lookahead), ordered
-    /// by descending [`ProbeSession::predicted_cost`] (ties by source
-    /// index), and admitted under the same in-flight gating as
+    /// Streaming admission, heaviest first: the source is staged `K`
+    /// sessions at a time, each chunk ordered by descending
+    /// [`ProbeSession::predicted_cost`] (ties by source index) and
+    /// admitted under the same in-flight gating as
     /// [`Streaming`](Self::Streaming); deferred sessions re-enter
-    /// heaviest-first too. Likely-expensive destinations — above all
-    /// wide-hop alias resolution, whose Round 0–10 campaigns dwarf their
-    /// neighbours — start early and amortize across the whole sweep
-    /// instead of serializing at the tail, which is what sets a survey's
-    /// makespan (Donnet et al., "Efficient Route Tracing from a Single
-    /// Source", make the same argument for probe scheduling at scale).
+    /// heaviest-first too. `K = usize::MAX` drains the whole source up
+    /// front (memory linear in the source buys the lookahead); a finite
+    /// window gives unbounded `--stdin` streams cost-aware ordering in
+    /// `O(K)` memory, though a chunk never sees costs beyond its
+    /// horizon. Likely-expensive destinations — above all wide-hop alias
+    /// resolution, whose Round 0–10 campaigns dwarf their neighbours —
+    /// start early and amortize across the whole sweep instead of
+    /// serializing at the tail, which is what sets a survey's makespan
+    /// (Donnet et al., "Efficient Route Tracing from a Single Source",
+    /// make the same argument for probe scheduling at scale).
     ///
     /// Determinism rule 5 still holds: the policy decides *when* a
     /// session starts, never *what* it observes. Sessions sharing a
     /// destination keep their source order (a shared lane makes their
     /// relative order observable), so per-destination outcomes are
-    /// bit-identical to FIFO admission — property-tested in
-    /// `tests/sweep_equivalence.rs` and `tests/alias_equivalence.rs`.
-    CostAware,
-    /// Cost-aware admission over a sliding window: the source is staged
-    /// `K` sessions at a time and each chunk is reordered by descending
-    /// [`ProbeSession::predicted_cost`] before admission, so unbounded
-    /// `--stdin` streams get cost-aware ordering in `O(K)` memory
-    /// instead of [`CostAware`](Self::CostAware)'s full-source drain.
-    /// The admission *order* can differ from the full drain (a chunk
-    /// never sees costs beyond its horizon), but rule 5 makes the
-    /// per-destination results bit-identical either way —
-    /// property-tested in `tests/sweep_equivalence.rs`.
-    CostAwareWindowed(usize),
+    /// bit-identical to FIFO admission for every window —
+    /// property-tested in `tests/sweep_equivalence.rs` and
+    /// `tests/alias_equivalence.rs`.
+    CostAware(usize),
 }
 
 impl Admission {
-    /// True for the variants that order admission by predicted cost.
+    /// True for the variant that orders admission by predicted cost.
     pub fn is_cost_aware(self) -> bool {
-        matches!(self, Self::CostAware | Self::CostAwareWindowed(_))
+        matches!(self, Self::CostAware(_))
     }
 
-    /// Sessions pulled from the source per staging chunk: the full
-    /// source for [`CostAware`](Self::CostAware) (its documented
-    /// lookahead), `K` for the windowed variant. The FIFO mode stages
-    /// nothing and admits straight from the source (`None`).
+    /// Sessions pulled from the source per staging chunk: the
+    /// [`CostAware`](Self::CostAware) window (at least 1). The FIFO mode
+    /// stages nothing and admits straight from the source (`None`).
     fn chunk_len(self) -> Option<usize> {
         match self {
-            Self::CostAware => Some(usize::MAX),
-            Self::CostAwareWindowed(window) => Some(window.max(1)),
+            Self::CostAware(window) => Some(window.max(1)),
             Self::Streaming => None,
         }
     }
@@ -715,8 +708,8 @@ impl<S: ProbeSession> DeferredSessions<S> {
 /// shared lane observes its sessions in exactly the sequence the caller
 /// supplied, which is what keeps cost-aware outcomes bit-identical to
 /// FIFO admission. `base` is the source index of the chunk's first
-/// session ([`Admission::CostAware`] stages the whole source as one
-/// chunk; [`Admission::CostAwareWindowed`] stages `K` at a time).
+/// session ([`Admission::CostAware`] stages `K` sessions at a time, the
+/// whole source for `K = usize::MAX`).
 fn reorder_by_cost<S: ProbeSession>(sessions: Vec<S>, base: usize) -> VecDeque<(usize, S)> {
     let costs: Vec<u64> = sessions.iter().map(ProbeSession::predicted_cost).collect();
     let dests: Vec<u32> = sessions
@@ -1000,10 +993,9 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
     ) {
         let mut next_out = 0usize;
         let mut source_done = false;
-        // Sessions pulled from the source but not yet admitted: the
-        // cost-aware modes stage (and reorder) whole chunks at a time —
-        // the full source under `CostAware`, `K` under
-        // `CostAwareWindowed(K)`. FIFO admission stages nothing.
+        // Sessions pulled from the source but not yet admitted:
+        // `CostAware(K)` stages (and reorders) `K` sessions at a time.
+        // FIFO admission stages nothing.
         let mut staged: VecDeque<(usize, S)> = VecDeque::new();
 
         loop {
@@ -1075,7 +1067,7 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
     }
 
     /// Hands out the next session to admit: under FIFO admission straight
-    /// from the source; under the cost-aware modes the staged chunk
+    /// from the source; under cost-aware admission the staged chunk
     /// first, then a fresh chunk pulled from the source.
     fn pull_next(
         &mut self,
@@ -2296,7 +2288,7 @@ mod tests {
         let net = mlpt_sim::MultiNetwork::new(nets).expect("unique destinations");
         let mut engine = SweepEngine::new(net, SRC).with_config(SweepConfig {
             max_in_flight: 1, // admit strictly one session per cycle
-            admission: Admission::CostAware,
+            admission: Admission::CostAware(usize::MAX),
             ..SweepConfig::default()
         });
         let log = Rc::new(RefCell::new(Vec::new()));
@@ -2352,7 +2344,7 @@ mod tests {
             (traces, *engine.stats())
         };
         let (fifo, fifo_stats) = run(Admission::Streaming);
-        let (cost, cost_stats) = run(Admission::CostAware);
+        let (cost, cost_stats) = run(Admission::CostAware(usize::MAX));
         assert_eq!(fifo.len(), SESSIONS);
         assert_eq!(fifo, cost, "same-destination sessions must stay FIFO");
         assert_eq!(fifo_stats.probes_sent, cost_stats.probes_sent);
@@ -2397,7 +2389,7 @@ mod tests {
             (traces, *engine.stats())
         };
         let (streaming, streaming_stats) = run(Admission::Streaming);
-        let (cost_aware, cost_stats) = run(Admission::CostAware);
+        let (cost_aware, cost_stats) = run(Admission::CostAware(usize::MAX));
         assert_eq!(streaming, cost_aware);
         assert_eq!(streaming_stats.probes_sent, cost_stats.probes_sent);
         assert_eq!(cost_stats.sessions_admitted, 10);
@@ -2587,7 +2579,7 @@ mod tests {
         let (all_in, all_in_stats) = run(Admission::Streaming, ALL_IN);
         assert!(all_in_stats.probes_sent < ALL_IN as u64);
         let (streaming, _) = run(Admission::Streaming, 16);
-        let (cost_aware, cost_stats) = run(Admission::CostAware, 48);
+        let (cost_aware, cost_stats) = run(Admission::CostAware(usize::MAX), 48);
         assert_eq!(all_in, streaming);
         assert_eq!(all_in, cost_aware);
         assert_eq!(all_in_stats.probes_sent, cost_stats.probes_sent);
@@ -2676,9 +2668,9 @@ mod tests {
         }
     }
 
-    /// `CostAwareWindowed(K)` reorders only a sliding window, yet —
-    /// determinism rule 5 — every trace and wire total matches the
-    /// full-drain `CostAware` run (and the windowed run admits the same
+    /// `CostAware(K)` reorders only a sliding window, yet — determinism
+    /// rule 5 — every trace and wire total matches the full-drain
+    /// `CostAware(usize::MAX)` run (and the windowed run admits the same
     /// session count).
     #[test]
     fn windowed_cost_aware_matches_full_drain() {
@@ -2708,9 +2700,9 @@ mod tests {
             let traces = engine.run_stream(sessions);
             (traces, *engine.stats())
         };
-        let (full, full_stats) = run(Admission::CostAware);
+        let (full, full_stats) = run(Admission::CostAware(usize::MAX));
         for window in [1usize, 3, 100] {
-            let (windowed, windowed_stats) = run(Admission::CostAwareWindowed(window));
+            let (windowed, windowed_stats) = run(Admission::CostAware(window));
             assert_eq!(full, windowed, "window {window} must not change results");
             assert_eq!(full_stats.probes_sent, windowed_stats.probes_sent);
             assert_eq!(windowed_stats.sessions_admitted, 10);

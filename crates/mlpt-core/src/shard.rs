@@ -596,7 +596,7 @@ mod tests {
             commit_width: 4,
             ..StopSetConfig::default()
         });
-        for admission in [Admission::Streaming, Admission::CostAware] {
+        for admission in [Admission::Streaming, Admission::CostAware(usize::MAX)] {
             for stop_cfg in [None, stop] {
                 let cfg = config(admission, stop_cfg);
                 // Unsharded reference.

@@ -20,12 +20,11 @@
 //!   the canonical chaos scenarios live in [`FaultSchedule::preset`].
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The impairments in force at one instant of virtual time. The default
 /// plan injects nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Probability a probe is dropped before reaching any router.
     pub probe_loss: f64,
@@ -145,8 +144,10 @@ impl Default for FaultPlan {
 /// Steps are `(tick, plan)` pairs sorted by tick; the plan at tick `t`
 /// is the last step at or before `t`. A schedule always covers tick 0
 /// (an implicit no-fault step is inserted if the first explicit step
-/// starts later), so [`plan_at`](Self::plan_at) is total.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// starts later), so [`plan_at`](Self::plan_at) is total. The only
+/// constructors ([`none`](Self::none), [`step`](Self::step) and
+/// `From<FaultPlan>`) keep that invariant.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     steps: Vec<(u64, FaultPlan)>,
 }
@@ -477,9 +478,6 @@ mod tests {
                 FaultPlan::none(),
                 "{name} starts clean"
             );
-            let json = serde_json::to_string(&schedule).unwrap();
-            let back: FaultSchedule = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, schedule, "{name} must round-trip through serde");
         }
         assert!(FaultSchedule::preset("no-such-preset").is_none());
     }

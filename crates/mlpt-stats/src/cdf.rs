@@ -73,15 +73,6 @@ impl EmpiricalCdf {
         count as f64 / self.sorted.len() as f64
     }
 
-    /// Fraction of samples strictly below `x`.
-    pub fn fraction_below(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let count = self.sorted.partition_point(|&s| s < x);
-        count as f64 / self.sorted.len() as f64
-    }
-
     /// The `q`-quantile (`0.0 ..= 1.0`) using the nearest-rank method,
     /// matching how CDF plot crossings are usually read off.
     ///
@@ -114,24 +105,6 @@ impl EmpiricalCdf {
             return 0.0;
         }
         self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
-    }
-
-    /// Emits `(x, F(x))` points suitable for plotting: one point per
-    /// distinct sample value, with `F` the fraction at-or-below.
-    pub fn plot_points(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len();
-        let mut points = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let x = self.sorted[i];
-            let mut j = i;
-            while j < n && self.sorted[j] == x {
-                j += 1;
-            }
-            points.push((x, j as f64 / n as f64));
-            i = j;
-        }
-        points
     }
 
     /// Evaluates the CDF on a fixed grid of `x` values; convenient for
@@ -174,7 +147,6 @@ mod tests {
     #[test]
     fn strict_vs_inclusive() {
         let cdf = EmpiricalCdf::new(vec![1.0, 1.0, 2.0]);
-        assert_eq!(cdf.fraction_below(1.0), 0.0);
         assert!((cdf.fraction_at_or_below(1.0) - 2.0 / 3.0).abs() < 1e-12);
     }
 
@@ -192,16 +164,6 @@ mod tests {
     fn unsorted_input_is_sorted() {
         let cdf = EmpiricalCdf::new(vec![3.0, 1.0, 2.0]);
         assert_eq!(cdf.samples(), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn plot_points_deduplicate() {
-        let cdf = EmpiricalCdf::new(vec![1.0, 1.0, 2.0, 3.0, 3.0, 3.0]);
-        let pts = cdf.plot_points();
-        assert_eq!(pts.len(), 3);
-        assert!((pts[0].1 - 1.0 / 3.0).abs() < 1e-12);
-        assert!((pts[1].1 - 0.5).abs() < 1e-12);
-        assert_eq!(pts[2].1, 1.0);
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl Histogram {
         self.counts.keys().next_back().copied()
     }
 
-    /// Smallest recorded value.
-    pub fn min_value(&self) -> Option<u64> {
-        self.counts.keys().next().copied()
-    }
-
     /// Portion of observations equal to `value` (0.0 for empty histogram).
     pub fn portion(&self, value: u64) -> f64 {
         if self.total == 0 {
@@ -183,7 +178,6 @@ mod tests {
         assert_eq!(h.count(5), 1);
         assert_eq!(h.count(7), 0);
         assert_eq!(h.max_value(), Some(5));
-        assert_eq!(h.min_value(), Some(2));
     }
 
     #[test]

@@ -50,39 +50,12 @@ impl JointHistogram {
         self.counts.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// Marginal histogram over `x`.
-    pub fn marginal_x(&self) -> crate::Histogram {
-        let mut h = crate::Histogram::new();
-        for (&(x, _), &c) in &self.counts {
-            h.record_n(x, c);
-        }
-        h
-    }
-
-    /// Marginal histogram over `y`.
-    pub fn marginal_y(&self) -> crate::Histogram {
-        let mut h = crate::Histogram::new();
-        for (&(_, y), &c) in &self.counts {
-            h.record_n(y, c);
-        }
-        h
-    }
-
     /// Count of observations strictly below the diagonal (`y < x`): for
     /// Fig. 14 this is the mass where alias resolution reduced the width.
     pub fn below_diagonal(&self) -> u64 {
         self.counts
             .iter()
             .filter(|(&(x, y), _)| y < x)
-            .map(|(_, &c)| c)
-            .sum()
-    }
-
-    /// Count of observations on the diagonal (`y == x`).
-    pub fn on_diagonal(&self) -> u64 {
-        self.counts
-            .iter()
-            .filter(|(&(x, y), _)| y == x)
             .map(|(_, &c)| c)
             .sum()
     }
@@ -106,20 +79,6 @@ mod tests {
     }
 
     #[test]
-    fn marginals() {
-        let mut j = JointHistogram::new();
-        j.record(1, 10);
-        j.record(1, 20);
-        j.record(2, 10);
-        let mx = j.marginal_x();
-        assert_eq!(mx.count(1), 2);
-        assert_eq!(mx.count(2), 1);
-        let my = j.marginal_y();
-        assert_eq!(my.count(10), 2);
-        assert_eq!(my.count(20), 1);
-    }
-
-    #[test]
     fn diagonal_accounting() {
         let mut j = JointHistogram::new();
         j.record(56, 49); // reduced
@@ -127,7 +86,6 @@ mod tests {
         j.record(48, 48); // unchanged
         j.record(10, 2); // reduced
         assert_eq!(j.below_diagonal(), 2);
-        assert_eq!(j.on_diagonal(), 2);
     }
 
     #[test]

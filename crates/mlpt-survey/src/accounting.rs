@@ -81,11 +81,6 @@ impl SurveyAccumulator {
     pub fn encounters(&self, key: &DiamondKey) -> u64 {
         self.encounter_counts.get(key).copied().unwrap_or(0)
     }
-
-    /// Extracts a metric series over the measured population.
-    pub fn measured_series<F: Fn(&DiamondMetrics) -> f64>(&self, f: F) -> Vec<f64> {
-        self.measured.iter().map(|o| f(&o.metrics)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -133,15 +128,6 @@ mod tests {
         acc.record(1, metrics(1, 2, 9));
         let widths: Vec<usize> = acc.distinct().map(|m| m.max_width).collect();
         assert_eq!(widths, vec![4]);
-    }
-
-    #[test]
-    fn series_extraction() {
-        let mut acc = SurveyAccumulator::new();
-        acc.record(0, metrics(1, 2, 4));
-        acc.record(0, metrics(5, 6, 10));
-        let widths = acc.measured_series(|m| m.max_width as f64);
-        assert_eq!(widths, vec![4.0, 10.0]);
     }
 
     #[test]

@@ -39,52 +39,42 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
-/// Calibration knobs for the synthetic Internet.
+/// Probability a route crosses at least one load balancer.
+const P_LOAD_BALANCED: f64 = 0.526;
+/// Probability a load-balanced route carries a second diamond.
+const P_SECOND_DIAMOND: f64 = 0.30;
+/// Probability a load-balanced route carries a third diamond.
+const P_THIRD_DIAMOND: f64 = 0.12;
+/// Probability a diamond has maximum length 2.
+const P_LENGTH_TWO: f64 = 0.48;
+/// Probability a diamond is one of the shared core structures.
+const P_CORE_STRUCTURE: f64 = 0.035;
+/// Probability a (non-core) diamond is width-asymmetric.
+const P_ASYMMETRIC: f64 = 0.11;
+/// Probability an eligible hop pair is meshed.
+const P_MESHED_PAIR: f64 = 0.40;
+/// Probability an interface pair at a hop shares a router.
+const P_PAIRED_INTERFACES: f64 = 0.32;
+
+/// Configuration of the synthetic Internet. The calibration
+/// probabilities against the paper's marginals (see the module docs)
+/// are constants of the generator; only the seed varies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InternetConfig {
     /// Master seed: scenario `i` derives from `(seed, i)`.
     pub seed: u64,
-    /// Probability a route crosses at least one load balancer.
-    pub p_load_balanced: f64,
-    /// Probability a load-balanced route carries a second diamond.
-    pub p_second_diamond: f64,
-    /// Probability a load-balanced route carries a third diamond.
-    pub p_third_diamond: f64,
-    /// Probability a diamond has maximum length 2.
-    pub p_length_two: f64,
-    /// Probability a diamond is one of the shared core structures.
-    pub p_core_structure: f64,
-    /// Probability a (non-core) diamond is width-asymmetric.
-    pub p_asymmetric: f64,
-    /// Probability an eligible hop pair is meshed.
-    pub p_meshed_pair: f64,
-    /// Probability an interface pair at a hop shares a router.
-    pub p_paired_interfaces: f64,
 }
 
 impl Default for InternetConfig {
     fn default() -> Self {
-        Self {
-            seed: 0x1917_2018,
-            p_load_balanced: 0.526,
-            p_second_diamond: 0.30,
-            p_third_diamond: 0.12,
-            p_length_two: 0.48,
-            p_core_structure: 0.035,
-            p_asymmetric: 0.11,
-            p_meshed_pair: 0.40,
-            p_paired_interfaces: 0.32,
-        }
+        Self::with_seed(0x1917_2018)
     }
 }
 
 impl InternetConfig {
-    /// Creates a config with a specific seed and default calibration.
+    /// Creates a config with a specific seed.
     pub fn with_seed(seed: u64) -> Self {
-        Self {
-            seed,
-            ..Self::default()
-        }
+        Self { seed }
     }
 }
 
@@ -123,7 +113,8 @@ impl TraceScenario {
 /// The deterministic scenario factory.
 #[derive(Debug, Clone)]
 pub struct SyntheticInternet {
-    config: InternetConfig,
+    /// The configuration's master seed.
+    seed: u64,
     cores: Vec<CoreStructure>,
 }
 
@@ -202,12 +193,10 @@ impl SyntheticInternet {
             alias_groups: groups,
         });
 
-        Self { config, cores }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &InternetConfig {
-        &self.config
+        Self {
+            seed: config.seed,
+            cores,
+        }
     }
 
     /// Generates scenario `id` deterministically.
@@ -222,12 +211,10 @@ impl SyntheticInternet {
             "scenario {id} is past the generator's capacity of {SCENARIO_CAPACITY} scenarios"
         );
         let mut rng = ChaCha8Rng::seed_from_u64(
-            self.config
-                .seed
+            self.seed
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(id as u64),
         );
-        let cfg = &self.config;
 
         // Plan the hop widths first, as a vector of per-hop widths with
         // diamond spans remembered.
@@ -239,13 +226,13 @@ impl SyntheticInternet {
         let lead = rng.gen_range(4..=8);
         widths.extend(std::iter::repeat_n(1, lead));
 
-        let has_lb = rng.gen::<f64>() < cfg.p_load_balanced;
+        let has_lb = rng.gen::<f64>() < P_LOAD_BALANCED;
         let mut diamonds = 0usize;
         if has_lb {
             diamonds = 1;
-            if rng.gen::<f64>() < cfg.p_second_diamond {
+            if rng.gen::<f64>() < P_SECOND_DIAMOND {
                 diamonds += 1;
-                if rng.gen::<f64>() < cfg.p_third_diamond {
+                if rng.gen::<f64>() < P_THIRD_DIAMOND {
                     diamonds += 1;
                 }
             }
@@ -255,7 +242,7 @@ impl SyntheticInternet {
         let mut meshed_planned: Vec<usize> = Vec::new();
 
         for _ in 0..diamonds {
-            if rng.gen::<f64>() < cfg.p_core_structure {
+            if rng.gen::<f64>() < P_CORE_STRUCTURE {
                 // A shared core structure; the 96-wide extreme is rare.
                 let roll: f64 = rng.gen();
                 let core_id = if roll < 0.45 {
@@ -271,7 +258,7 @@ impl SyntheticInternet {
                 }
             } else {
                 let start = widths.len();
-                let interior_hops = if rng.gen::<f64>() < cfg.p_length_two {
+                let interior_hops = if rng.gen::<f64>() < P_LENGTH_TWO {
                     1
                 } else {
                     // Geometric tail: 2.. up to ~12 interior hops.
@@ -290,10 +277,10 @@ impl SyntheticInternet {
                     let w = ((max_width as f64) * (0.55 + 0.45 * scale)).round() as usize;
                     widths.push(w.clamp(2, max_width));
                 }
-                if rng.gen::<f64>() < cfg.p_asymmetric {
+                if rng.gen::<f64>() < P_ASYMMETRIC {
                     asymmetric_planned.push(start);
                 }
-                if interior_hops >= 2 && rng.gen::<f64>() < cfg.p_meshed_pair {
+                if interior_hops >= 2 && rng.gen::<f64>() < P_MESHED_PAIR {
                     meshed_planned.push(start);
                 }
             }
@@ -360,9 +347,9 @@ impl SyntheticInternet {
             // paper finds that case rare (Table 3: 5.8%), so pairing is
             // suppressed on the narrowest hops.
             let pair_probability = if hop.len() == 2 {
-                cfg.p_paired_interfaces * 0.25
+                P_PAIRED_INTERFACES * 0.25
             } else {
-                cfg.p_paired_interfaces
+                P_PAIRED_INTERFACES
             };
             let mut i = 0;
             while i + 1 < hop.len() {

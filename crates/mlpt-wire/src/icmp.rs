@@ -197,6 +197,10 @@ pub fn emit_extensions_into(mpls_stack: &[MplsLabelStackEntry], out: &mut Vec<u8
 /// extensions follow it.
 pub const RFC4884_QUOTE_LEN: usize = 128;
 
+/// Longest quoted datagram an RFC 4884 length field can describe: 255
+/// 32-bit words.
+const RFC4884_MAX_QUOTE_LEN: usize = 255 * 4;
+
 /// A validated ICMP message, borrowed from the datagram that carries it.
 ///
 /// [`IcmpView::parse`] is the single ICMP validator: it checks the
@@ -303,8 +307,9 @@ impl<'a> IcmpView<'a> {
 
 /// Appends a complete ICMP error message (Time Exceeded or Destination
 /// Unreachable) built from borrowed parts. A nonempty `mpls_stack` pads
-/// the quote to [`RFC4884_QUOTE_LEN`] and follows it with an RFC 4884
-/// extension structure.
+/// the quote to [`RFC4884_QUOTE_LEN`], cuts it to 1,020 bytes (255
+/// words, the most the one-byte length field describes) and follows it
+/// with an RFC 4884 extension structure.
 pub fn emit_error_into(
     icmp_type: IcmpType,
     code: u8,
@@ -326,6 +331,7 @@ pub fn emit_error_into(
     } else {
         // RFC 4884: the length field (in 32-bit words) sits in the
         // second byte of the rest-of-header for both type 3 and 11.
+        let quoted = &quoted[..quoted.len().min(RFC4884_MAX_QUOTE_LEN)];
         let padded_len = quoted.len().max(RFC4884_QUOTE_LEN).div_ceil(4) * 4;
         out.push(0);
         out.push((padded_len / 4) as u8);
@@ -444,17 +450,28 @@ mod tests {
         assert_eq!(e.exp, 7);
     }
 
+    /// The quote comes back zero-padded to 128 bytes per RFC 4884 and,
+    /// past the length field's 255 words, cut to 1,020 bytes, so the
+    /// length never wraps and the extension still parses.
     #[test]
     fn time_exceeded_with_mpls_roundtrip() {
         let stack = two_entry_stack();
-        let bytes = error(IcmpType::TimeExceeded, &sample_quote(), &stack);
-        let view = IcmpView::parse(&bytes).unwrap();
-        // The quote comes back padded to 128 bytes per RFC 4884; compare
-        // prefix and stack.
-        let quoted = view.quoted().unwrap();
-        assert_eq!(&quoted[..28], &sample_quote()[..]);
-        assert_eq!(quoted.len(), RFC4884_QUOTE_LEN);
-        assert_eq!(view.mpls_stack().collect::<Vec<_>>(), stack);
+        for len in std::iter::once(28).chain(1016..=1100) {
+            let quote: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let bytes = error(IcmpType::TimeExceeded, &quote, &stack);
+            let view = IcmpView::parse(&bytes).unwrap_or_else(|e| panic!("quote of {len}: {e}"));
+            let kept = len.min(RFC4884_MAX_QUOTE_LEN);
+            let quoted = view.quoted().unwrap();
+            let padded = kept.max(RFC4884_QUOTE_LEN).div_ceil(4) * 4;
+            assert_eq!(quoted.len(), padded, "quote of {len}");
+            assert_eq!(&quoted[..kept], &quote[..kept], "quote of {len}");
+            assert!(quoted[kept..].iter().all(|&b| b == 0), "quote of {len}");
+            assert_eq!(
+                view.mpls_stack().collect::<Vec<_>>(),
+                stack,
+                "quote of {len}"
+            );
+        }
     }
 
     /// The view borrows the quote and the echo payload from the message

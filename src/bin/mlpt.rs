@@ -549,9 +549,9 @@ fn parse_rate_limit(value: &str) -> (u32, u64) {
 fn parse_admission(value: &str) -> Admission {
     match value.split_once(':') {
         None if value == "streaming" => Admission::Streaming,
-        None if value == "cost-aware" => Admission::CostAware,
+        None if value == "cost-aware" => Admission::CostAware(usize::MAX),
         Some(("cost-aware-windowed", window)) => {
-            Admission::CostAwareWindowed(number("cost-aware-windowed", window, 1..))
+            Admission::CostAware(number("cost-aware-windowed", window, 1..))
         }
         _ => {
             eprintln!(
@@ -565,8 +565,8 @@ fn parse_admission(value: &str) -> Admission {
 fn admission_name(admission: Admission) -> String {
     match admission {
         Admission::Streaming => "streaming".into(),
-        Admission::CostAware => "cost-aware".into(),
-        Admission::CostAwareWindowed(window) => format!("cost-aware-windowed:{window}"),
+        Admission::CostAware(usize::MAX) => "cost-aware".into(),
+        Admission::CostAware(window) => format!("cost-aware-windowed:{window}"),
     }
 }
 

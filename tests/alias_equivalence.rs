@@ -357,7 +357,7 @@ proptest! {
             max_in_flight,
             admission: match admission_kind % 2 {
                 0 => Admission::Streaming,
-                _ => Admission::CostAware,
+                _ => Admission::CostAware(usize::MAX),
             },
             adaptive: adaptive_on.then(|| AdaptiveBudget {
                 min_in_flight: 2,
@@ -460,7 +460,7 @@ proptest! {
             max_in_flight,
             admission: match admission_kind % 2 {
                 0 => Admission::Streaming,
-                _ => Admission::CostAware,
+                _ => Admission::CostAware(usize::MAX),
             },
             adaptive: adaptive_on.then(|| AdaptiveBudget {
                 min_in_flight: 2,

@@ -218,8 +218,8 @@ fn every_topology_preset_terminates_with_golden_artifact_counts() {
 fn topology_sweeps_agree_across_admission_modes_and_replay() {
     let modes = [
         Admission::Streaming,
-        Admission::CostAware,
-        Admission::CostAwareWindowed(2),
+        Admission::CostAware(usize::MAX),
+        Admission::CostAware(2),
     ];
     for &preset in TopologySchedule::preset_names() {
         let (baseline, base_stats) = topology_sweep(preset, Admission::Streaming);

@@ -684,6 +684,30 @@ fn sweep_fault_schedule_reports_partials_deterministically() {
         .iter()
         .any(|d| d["partial"] == serde_json::Value::Bool(true)));
 
+    // The watchdog finishes a multilevel session as partial too.
+    let alias_args = [
+        "alias",
+        "3",
+        "--rounds",
+        "2",
+        "--replies",
+        "6",
+        "--fault-schedule",
+        "midtrace-blackhole",
+        "--seed",
+        "3",
+    ];
+    let run = || mlpt().args(alias_args).output().expect("binary runs");
+    let first = run();
+    assert!(first.status.success(), "{first:?}");
+    let stdout = String::from_utf8(first.stdout.clone()).unwrap();
+    assert!(stdout.contains("1 partial sessions"), "{stdout}");
+    assert_eq!(
+        first.stdout,
+        run().stdout,
+        "chaos alias runs must be replayable"
+    );
+
     // Unknown presets are rejected with the list of known ones.
     let bad = mlpt()
         .args(["sweep", "--fault-schedule", "nope"])

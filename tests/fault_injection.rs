@@ -187,7 +187,7 @@ fn midsweep_blackhole_partials_only_the_dark_lane() {
     let (all_in, stats) = sweep(Admission::Streaming, ALL_IN, true);
     assert!(stats.probes_sent < ALL_IN as u64);
     let (streaming, _) = sweep(Admission::Streaming, 16, true);
-    let (cost_aware, _) = sweep(Admission::CostAware, 48, true);
+    let (cost_aware, _) = sweep(Admission::CostAware(usize::MAX), 48, true);
 
     // The dark destination: terminated, honest partial, prefix intact.
     assert!(

@@ -187,8 +187,8 @@ fn stop_set_sweeps_match_golden_digests() {
         for tracer in 0..3 {
             for admission in [
                 Admission::Streaming,
-                Admission::CostAware,
-                Admission::CostAwareWindowed(3),
+                Admission::CostAware(usize::MAX),
+                Admission::CostAware(3),
             ] {
                 for commit_width in [1, 4, 16] {
                     for lossy in [false, true] {

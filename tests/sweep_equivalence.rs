@@ -208,7 +208,7 @@ proptest! {
         // predicted cost internally, which must stay pure scheduling.
         let (cost_aware, cost_stats) = sweep(
             &lanes, &order, &faults, algo, probe_budget, retries,
-            max_in_flight, Admission::CostAware, adaptive,
+            max_in_flight, Admission::CostAware(usize::MAX), adaptive,
         );
 
         // Sequential baseline, destination by destination.
@@ -387,7 +387,7 @@ proptest! {
         // all is the liveness claim; the watchdog is what guarantees it
         // when the schedule goes dark).
         let (streaming, streaming_stats) = run(Admission::Streaming);
-        let (cost_aware, cost_stats) = run(Admission::CostAware);
+        let (cost_aware, cost_stats) = run(Admission::CostAware(usize::MAX));
 
         // Bit-for-bit agreement across admission modes.
         prop_assert_eq!(&streaming, &cost_aware);
@@ -528,8 +528,8 @@ proptest! {
         // the liveness claim: bounded audits, bounded recoveries, and
         // flow hunts that survive a route that keeps changing).
         let (streaming, streaming_stats) = run(Admission::Streaming);
-        let (cost_aware, cost_stats) = run(Admission::CostAware);
-        let (windowed, windowed_stats) = run(Admission::CostAwareWindowed(2));
+        let (cost_aware, cost_stats) = run(Admission::CostAware(usize::MAX));
+        let (windowed, windowed_stats) = run(Admission::CostAware(2));
 
         // Bit-for-bit agreement across all three admission modes.
         prop_assert_eq!(&streaming, &cost_aware);
@@ -721,8 +721,8 @@ proptest! {
         // Determinism rule 5: stop-set contents are protocol state, so
         // every admission mode replays the identical sweep.
         for admission in [
-            Admission::CostAware,
-            Admission::CostAwareWindowed(window),
+            Admission::CostAware(usize::MAX),
+            Admission::CostAware(window),
             Admission::Streaming, // the replay-from-seed case
         ] {
             let (again, again_stats, again_snap) = stop_sweep(
@@ -982,8 +982,8 @@ proptest! {
 
         for admission in [
             Admission::Streaming,
-            Admission::CostAware,
-            Admission::CostAwareWindowed(2),
+            Admission::CostAware(usize::MAX),
+            Admission::CostAware(2),
         ] {
             // A 1-shard engine and the drawn N-shard split must both
             // reproduce the baseline.
