@@ -35,6 +35,10 @@ fn time(samples: usize, mut run: impl FnMut() -> (u64, u64)) -> (Vec<f64>, (u64,
     let counts = run();
     let mut walls: Vec<f64> = (0..samples)
         .map(|_| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a bench measures the host's wall clock"
+            )]
             let started = Instant::now();
             black_box(run());
             started.elapsed().as_secs_f64()

@@ -101,6 +101,14 @@
 //!   longer instead of re-probing into the fault; clean waves decay the
 //!   depth back towards zero.
 
+// Engine surface: no panic-class call without a reasoned `#[expect]` (README, "Static analysis").
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::pending::probe_deadline;
 use crate::prober::{DirectObservation, ProbeObservation, ECHO_IDENTIFIER, ECHO_TTL};
 use crate::session::TraceSession;
@@ -112,7 +120,7 @@ use mlpt_wire::probe::{
     build_echo_probe_into, build_udp_probe_into, parse_reply, ProbePacket, ReplyKind, ReplyPacket,
 };
 use mlpt_wire::transport::{PacketBatch, ReplyBatch, SplitTransport};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::Ipv4Addr;
 
 /// How sessions enter the engine's live table.
@@ -624,7 +632,7 @@ enum Pumped {
 /// pick.
 struct DeferredSessions<S> {
     /// Waiting sessions per destination, each queue in source order.
-    by_dest: HashMap<u32, VecDeque<(usize, S)>>,
+    by_dest: BTreeMap<u32, VecDeque<(usize, S)>>,
     /// Sessions whose destination has been freed, awaiting admission —
     /// kept sorted by ascending source index (FIFO modes, matching the
     /// old scan's arrival-order pick) or by descending predicted cost
@@ -637,7 +645,7 @@ struct DeferredSessions<S> {
 impl<S: ProbeSession> DeferredSessions<S> {
     fn new() -> Self {
         Self {
-            by_dest: HashMap::new(),
+            by_dest: BTreeMap::new(),
             ready: VecDeque::new(),
             len: 0,
         }
@@ -670,7 +678,7 @@ impl<S: ProbeSession> DeferredSessions<S> {
     /// the remaining queue stays parked until that one's own slot frees
     /// the destination again.
     fn on_destination_freed(&mut self, dest: u32, cost_aware: bool) {
-        let std::collections::hash_map::Entry::Occupied(mut queue) = self.by_dest.entry(dest)
+        let std::collections::btree_map::Entry::Occupied(mut queue) = self.by_dest.entry(dest)
         else {
             return;
         };
@@ -719,7 +727,7 @@ fn reorder_by_cost<S: ProbeSession>(sessions: Vec<S>, base: usize) -> VecDeque<(
     let mut order: Vec<usize> = (0..sessions.len()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
 
-    let mut per_dest: HashMap<u32, VecDeque<usize>> = HashMap::new();
+    let mut per_dest: BTreeMap<u32, VecDeque<usize>> = BTreeMap::new();
     for (i, &dest) in dests.iter().enumerate() {
         per_dest.entry(dest).or_default().push_back(i);
     }
@@ -727,12 +735,18 @@ fn reorder_by_cost<S: ProbeSession>(sessions: Vec<S>, base: usize) -> VecDeque<(
     order
         .into_iter()
         .map(|position| {
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: per_dest holds one queue entry per session and each position is visited once"
+            )]
             let source_index = per_dest
                 .get_mut(&dests[position])
                 .and_then(VecDeque::pop_front)
-                // mlpt: allow(MLPT-W004, reason = "invariant: per_dest holds one queue entry per session and each position is visited once")
                 .expect("one queue entry per session");
-            // mlpt: allow(MLPT-W004, reason = "invariant: source_index values are distinct, so each slot is taken exactly once")
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: source_index values are distinct, so each slot is taken exactly once"
+            )]
             let session = slots[source_index].take().expect("each session taken once");
             (base + source_index, session)
         })
@@ -769,7 +783,7 @@ struct SweepRun<'e, T: SplitTransport, S: ProbeSession> {
     /// Live sessions only; finished slots are removed immediately.
     slots: Vec<SessionSlot<S>>,
     /// Destinations of live sessions (admission defers duplicates).
-    live_dests: HashSet<u32>,
+    live_dests: BTreeSet<u32>,
     /// Sessions waiting for a live slot to release their destination.
     deferred: DeferredSessions<S>,
     /// Undispatched probes across all live sessions' current waves.
@@ -885,12 +899,15 @@ impl<T: SplitTransport> SweepEngine<T> {
     /// on it (retries included). This is how every single-destination
     /// entry point ([`trace_mda`](crate::mda::trace_mda) and its
     /// siblings, `mlpt_alias::multilevel::trace_multilevel`) runs.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: run_sessions_with hands every session of its source to the sink"
+    )]
     pub fn run_session<S: ProbeSession>(&mut self, session: S) -> (S, u64) {
         let mut finished = None;
         self.run_sessions_with(std::iter::once(session), |_, session, probes_sent| {
             finished = Some((session, probes_sent));
         });
-        // mlpt: allow(MLPT-W004, reason = "invariant: run_sessions_with hands every session of its source to the sink")
         finished.expect("the sink received the session")
     }
 
@@ -941,7 +958,7 @@ impl<T: SplitTransport> SweepEngine<T> {
         let mut run = SweepRun {
             eng: self,
             slots: Vec::new(),
-            live_dests: HashSet::new(),
+            live_dests: BTreeSet::new(),
             deferred: DeferredSessions::new(),
             pending: 0,
             cycle_delivered: 0,
@@ -1974,8 +1991,8 @@ mod tests {
         // the merge drops or mis-routes shows up as a wrong value. The
         // result is destructured with NO `..`: adding a field to
         // `SweepStats` breaks this test at compile time until its merge
-        // semantics are asserted here. This is the compile-time twin of
-        // the MLPT-W005 analyzer lint.
+        // semantics are asserted here (`merge` destructures its argument
+        // the same way).
         let mut merged = SweepStats {
             dispatch_cycles: 1,
             probes_sent: 2,

@@ -115,3 +115,31 @@ pub mod prelude {
     pub use crate::trace::{Algorithm, PartialReason, SwitchReason, Trace, TraceOutcome};
     pub use mlpt_wire::FlowId;
 }
+
+#[cfg(test)]
+mod tests {
+    /// The executable spec of the workspace's `clippy.toml`: one
+    /// statement per kind of ban, each expecting the lint it raises.
+    /// Dropping a ban leaves its expectation unfulfilled, which fails
+    /// `cargo clippy --all-targets -- -D warnings`. The closing `for`
+    /// only shows that `iter_over_hash_type` fires on such a loop: an
+    /// expectation turns its lint on where it stands, so it does not
+    /// guard the lint's entry in `[workspace.lints.clippy]`.
+    #[test]
+    fn clippy_canary() {
+        #[expect(clippy::disallowed_methods, reason = "canary: wall clock")]
+        let _ = std::time::Instant::now();
+        #[expect(clippy::disallowed_methods, reason = "canary: wall clock")]
+        let _ = std::time::SystemTime::now();
+        #[expect(clippy::disallowed_types, reason = "canary: OS-seeded hasher")]
+        let _ = std::hash::RandomState::new();
+        #[expect(clippy::disallowed_types, reason = "canary: hash map")]
+        let map = std::collections::HashMap::from([(1u32, 1u32)]);
+        #[expect(clippy::disallowed_types, reason = "canary: hash set")]
+        let set = std::collections::HashSet::from([1u32]);
+        #[expect(clippy::disallowed_methods, reason = "canary: hash-order iteration")]
+        let _ = map.values();
+        #[expect(clippy::iter_over_hash_type, reason = "canary: `for` over a hash set")]
+        for _ in &set {}
+    }
+}

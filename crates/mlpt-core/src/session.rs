@@ -41,6 +41,14 @@
 //! [`trace_mda_lite`]: crate::mda_lite::trace_mda_lite
 //! [`trace_single_flow`]: crate::single_flow::trace_single_flow
 
+// Engine surface: no panic-class call without a reasoned `#[expect]` (README, "Static analysis").
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::artifact::{AuditVerdict, RouteAudit, RouteHealth};
 use crate::config::TraceConfig;
 use crate::discovery::{Discovery, FlowAllocator};
@@ -916,7 +924,10 @@ impl TraceSession for MdaSession {
         if self.auditing {
             self.auditing = false;
             let round = std::mem::take(&mut self.core.round);
-            // mlpt: allow(MLPT-W004, reason = "invariant: `auditing` is only set true in the branch that saw `audit` as Some, and `audit` is never cleared")
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: `auditing` is only set true in the branch that saw `audit` as Some, and `audit` is never cleared"
+            )]
             let audit = self.audit.as_mut().expect("auditing without an audit");
             let verdict = audit.absorb(
                 &round,
@@ -1358,7 +1369,10 @@ impl TraceSession for MdaLiteSession {
         if self.auditing {
             self.auditing = false;
             let round = std::mem::take(&mut self.core.round);
-            // mlpt: allow(MLPT-W004, reason = "invariant: `auditing` is only set true in the branch that saw `audit` as Some, and `audit` is never cleared")
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: `auditing` is only set true in the branch that saw `audit` as Some, and `audit` is never cleared"
+            )]
             let audit = self.audit.as_mut().expect("auditing without an audit");
             let verdict = audit.absorb(
                 &round,
@@ -1725,7 +1739,10 @@ impl TraceSession for SingleFlowSession {
             self.auditing = false;
             let round = std::mem::take(&mut self.round);
             let adopted = self.adopted_map();
-            // mlpt: allow(MLPT-W004, reason = "invariant: `auditing` is only set true in the branch that saw `audit` as Some, and `audit` is never cleared")
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: `auditing` is only set true in the branch that saw `audit` as Some, and `audit` is never cleared"
+            )]
             let audit = self.audit.as_mut().expect("auditing without an audit");
             let verdict =
                 audit.absorb(&round, results, &mut self.state, self.destination, &adopted);

@@ -91,6 +91,14 @@
 //!
 //! [`MultiNetwork::split_by`]: ../../mlpt_sim/struct.MultiNetwork.html
 
+// Engine surface: no panic-class call without a reasoned `#[expect]` (README, "Static analysis").
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::engine::{finish_trace, in_source_order, SweepConfig, SweepEngine, SweepStats};
 use crate::session::{ProbeSession, TraceProbeSession, TraceSession};
 use crate::stopset::{SharedStopSet, StopContribution, StopSetConfig, StopSnapshot};
@@ -401,10 +409,13 @@ fn fan_out<T: SplitTransport, S: ProbeSession>(
         cycles.push(spent);
     }
     for worker in busy {
+        #[expect(
+            clippy::expect_used,
+            reason = "recv() fails only if the worker panicked; panicking here unwinds the scope, which joins every worker"
+        )]
         let (out, spent) = worker
             .results
             .recv()
-            // mlpt: allow(MLPT-W004, reason = "recv() fails only if the worker panicked; panicking here unwinds the scope, which joins every worker")
             .expect("a sweep shard worker panicked");
         results.extend(out);
         cycles.push(spent);
@@ -447,7 +458,6 @@ mod tests {
     use crate::session::{MdaLiteSession, ProbeOutcome, ProbeRequest, SessionState};
     use mlpt_sim::{MultiNetwork, SimNetwork};
     use mlpt_topo::canonical;
-    use std::collections::HashSet;
     use std::sync::{Arc, Mutex};
     use std::thread::ThreadId;
 
@@ -697,11 +707,18 @@ mod tests {
         assert_eq!(pulled.get(), topos.len());
     }
 
+    /// The threads that polled a sweep's sessions.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "`ThreadId` is not `Ord`; the tests only count and probe the set"
+    )]
+    type Threads = Arc<Mutex<std::collections::HashSet<ThreadId>>>;
+
     /// A trace session that records the thread of every `poll` and, when
     /// told to, panics as its first replies arrive.
     struct Watched {
         inner: TraceProbeSession<Box<dyn TraceSession>>,
-        threads: Arc<Mutex<HashSet<ThreadId>>>,
+        threads: Threads,
         explode: bool,
     }
 
@@ -740,7 +757,7 @@ mod tests {
     /// `explode`, if any, panics.
     fn watched(
         topos: &[mlpt_topo::MultipathTopology],
-        threads: &Arc<Mutex<HashSet<ThreadId>>>,
+        threads: &Threads,
         explode: Option<usize>,
     ) -> Vec<Watched> {
         sessions_for(topos)
@@ -772,7 +789,7 @@ mod tests {
     fn shard_workers_last_the_whole_sweep() {
         let topos = lane_topos(16);
         let mut engine = two_shards_eight_generations(&topos);
-        let threads = Arc::new(Mutex::new(HashSet::new()));
+        let threads = Threads::default();
         let mut finished = 0;
         engine.run_sessions_with(watched(&topos, &threads, None), |_, _, _| finished += 1);
         assert_eq!(finished, topos.len());
@@ -795,7 +812,7 @@ mod tests {
             .position(|t| shard_of(t.destination(), 2) == 1)
             .expect("shard 1 owns a lane");
         let mut engine = two_shards_eight_generations(&topos);
-        let threads = Arc::new(Mutex::new(HashSet::new()));
+        let threads = Threads::default();
         engine.run_sessions_with(watched(&topos, &threads, Some(victim)), |_, _, _| {});
     }
 
@@ -806,7 +823,7 @@ mod tests {
     fn sink_panic_joins_the_workers() {
         let topos = lane_topos(16);
         let mut engine = two_shards_eight_generations(&topos);
-        let threads = Arc::new(Mutex::new(HashSet::new()));
+        let threads = Threads::default();
         engine.run_sessions_with(watched(&topos, &threads, None), |index, _, _| {
             assert!(index < 4, "sink exploded");
         });

@@ -49,6 +49,14 @@
 //! honest prefix it really saw and cannot poison the shared set
 //! (property-tested in `tests/sweep_equivalence.rs`).
 
+// Engine surface: no panic-class call without a reasoned `#[expect]` (README, "Static analysis").
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use crate::discovery::Discovery;
 use mlpt_wire::FlowId;
 use std::collections::BTreeMap;

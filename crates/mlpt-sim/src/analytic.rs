@@ -61,7 +61,10 @@ pub fn vertex_failure_probability(k_successors: usize, nks: &[u64]) -> f64 {
     // The process cannot outlive n_k probes.
     while t < n(k) {
         // Terminate states whose stopping point equals the current count.
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "`j` is both the state index and `n`'s argument"
+        )]
         for j in 1..k {
             if t >= n(j) && alive[j] > 0.0 {
                 failure += alive[j];
@@ -75,7 +78,6 @@ pub fn vertex_failure_probability(k_successors: usize, nks: &[u64]) -> f64 {
 
         // One more probe for every still-alive state.
         let mut next = vec![0.0f64; k + 1];
-        #[allow(clippy::needless_range_loop)]
         for j in 1..k {
             let p = alive[j];
             if p == 0.0 {

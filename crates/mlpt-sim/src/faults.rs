@@ -20,7 +20,7 @@
 //!   the canonical chaos scenarios live in [`FaultSchedule::preset`].
 
 use rand::Rng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The impairments in force at one instant of virtual time. The default
 /// plan injects nothing.
@@ -269,7 +269,7 @@ impl From<FaultPlan> for FaultSchedule {
 /// Runtime state of fault injection (token buckets per router).
 #[derive(Debug, Default)]
 pub struct FaultState {
-    buckets: HashMap<u32, Bucket>,
+    buckets: BTreeMap<u32, Bucket>,
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -21,7 +21,6 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// How a router generates IP IDs for one class of replies.
@@ -166,7 +165,11 @@ struct CounterState {
 /// Runtime IP-ID state for all routers of a simulation.
 #[derive(Debug, Default)]
 pub struct IpIdEngine {
-    counters: HashMap<CounterKey, CounterState>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "looked up on every reply and never iterated, so hash order reaches no output"
+    )]
+    counters: std::collections::HashMap<CounterKey, CounterState>,
 }
 
 /// Which reply class a sample is for.
@@ -189,7 +192,10 @@ impl IpIdEngine {
     ///
     /// Returns `None` if the behaviour is `Unresponsive` (no reply should
     /// be sent at all).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one sample needs the router, interface, profile, class, probe IP ID and clock"
+    )]
     pub fn sample<R: Rng>(
         &mut self,
         rng: &mut R,

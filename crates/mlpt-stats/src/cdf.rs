@@ -31,7 +31,10 @@ impl EmpiricalCdf {
     }
 
     /// Builds a CDF from any iterator of samples.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "an inherent constructor; no caller collects into an `EmpiricalCdf`"
+    )]
     pub fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
         Self::new(iter.into_iter().collect())
     }

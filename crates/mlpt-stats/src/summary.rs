@@ -31,7 +31,10 @@ impl Summary {
     }
 
     /// Builds a summary from an iterator of samples.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "an inherent constructor; no caller collects into a `Summary`"
+    )]
     pub fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
         let mut s = Self::new();
         for x in iter {

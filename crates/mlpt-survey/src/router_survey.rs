@@ -42,7 +42,7 @@ use mlpt_stats::{Histogram, JointHistogram};
 use mlpt_topo::diamond::{all_diamond_metrics, find_diamonds};
 use mlpt_topo::{DiamondKey, MultipathTopology, RouterMap};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::ops::Range;
 
@@ -379,7 +379,12 @@ pub fn scenario_cost_hint(
 /// interface, and the synthetic Internet deliberately shares its wide
 /// core structures across routes.
 /// Returns indices into `scenarios`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "set algebra only (`is_disjoint`, `extend`); no set is iterated in hash order"
+)]
 pub fn disjoint_scenario_groups(scenarios: &[&TraceScenario]) -> Vec<Vec<usize>> {
+    use std::collections::HashSet;
     let mut groups: Vec<(Vec<usize>, HashSet<u32>)> = Vec::new();
     for (i, scenario) in scenarios.iter().enumerate() {
         let addrs: HashSet<u32> = scenario

@@ -22,6 +22,14 @@
 //! socket and against the in-process Fakeroute simulator (which is how the
 //! rest of the workspace uses them).
 
+// Engine surface: no panic-class call without a reasoned `#[expect]` (README, "Static analysis").
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod checksum;
 pub mod flow;
 pub mod icmp;

@@ -18,6 +18,14 @@
 //! does not accept, or one another flag would leave without effect,
 //! exits with status 2 and names itself.
 
+// Engine surface: no panic-class call without a reasoned `#[expect]` (README, "Static analysis").
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use mlpt::alias::multilevel::{MultilevelOutcome, MultilevelSession};
 use mlpt::alias::rounds::{ProbeMethod, RoundsConfig};
 use mlpt::core::TraceReport;
@@ -728,12 +736,24 @@ fn stdin_lines() -> Vec<String> {
 }
 
 /// Prints a report as indented JSON.
+#[expect(
+    clippy::expect_used,
+    reason = "report types serialize infallibly (no maps with non-string keys, no custom Serialize)"
+)]
 fn print_json(report: &serde_json::Value) {
     println!(
         "{}",
-        // mlpt: allow(MLPT-W004, reason = "report types serialize infallibly (no maps with non-string keys, no custom Serialize)")
         serde_json::to_string_pretty(report).expect("serializable")
     );
+}
+
+/// The `  [partial: reason]` suffix of a partial trace's line; empty for
+/// a complete one.
+fn partial_mark(outcome: &TraceOutcome) -> String {
+    match outcome {
+        TraceOutcome::Complete => String::new(),
+        TraceOutcome::Partial { reason } => format!("  [partial: {reason}]"),
+    }
 }
 
 /// A sweep report's `per_shard` counters: `null` with one shard.
@@ -1068,10 +1088,7 @@ fn cmd_sweep(opts: Options) {
             } else {
                 ""
             },
-            match trace.outcome {
-                TraceOutcome::Complete => String::new(),
-                TraceOutcome::Partial { reason } => format!("  [partial: {reason}]"),
-            },
+            partial_mark(&trace.outcome),
         );
     }
     println!(
@@ -1181,6 +1198,7 @@ fn cmd_alias(opts: Options) {
                     "trace_probes": outcome.multilevel.trace.probes_sent,
                     "alias_probes": outcome.multilevel.alias_probes,
                     "router_sizes": outcome.multilevel.router_sizes(),
+                    "partial": outcome.multilevel.trace.outcome.is_partial(),
                     "hops": hops,
                 })
             })
@@ -1222,10 +1240,11 @@ fn cmd_alias(opts: Options) {
     );
     for (&id, outcome) in targets.iter().zip(outcomes) {
         println!(
-            "scenario {id} ({}): trace {} probes, alias {} probes",
+            "scenario {id} ({}): trace {} probes, alias {} probes{}",
             outcome.multilevel.trace.destination,
             outcome.multilevel.trace.probes_sent,
             outcome.multilevel.alias_probes,
+            partial_mark(&outcome.multilevel.trace.outcome),
         );
         if outcome.multilevel.hop_reports.is_empty() {
             println!("  no multi-interface hops (nothing to resolve)");

@@ -702,11 +702,22 @@ fn sweep_fault_schedule_reports_partials_deterministically() {
     assert!(first.status.success(), "{first:?}");
     let stdout = String::from_utf8(first.stdout.clone()).unwrap();
     assert!(stdout.contains("1 partial sessions"), "{stdout}");
+    assert!(stdout.contains("[partial: stalled"), "{stdout}");
     assert_eq!(
         first.stdout,
         run().stdout,
         "chaos alias runs must be replayable"
     );
+    let json = mlpt()
+        .args(alias_args)
+        .arg("--json")
+        .output()
+        .expect("binary runs");
+    let report: serde_json::Value = serde_json::from_slice(&json.stdout).expect("valid JSON");
+    let scenarios = report["scenarios"].as_array().expect("array");
+    assert!(scenarios
+        .iter()
+        .any(|s| s["partial"] == serde_json::Value::Bool(true)));
 
     // Unknown presets are rejected with the list of known ones.
     let bad = mlpt()

@@ -82,10 +82,10 @@ sweep --topology fig1-meshed --destinations 3 --algo mda --loss 0.3 --max-retrie
 sweep --destinations 3 --algo mda --fault-schedule jitter-spread --max-retries 2 --probe-timeout 2 --seed 3 66cc979468225919
 sweep --topology asymmetric --destinations 2 --reprobe-budget 32 --admission cost-aware-windowed:1 --seed 6 480aff851d1ea5e2
 alias 3 5 --rounds 2 --replies 6                                                          6c0e7192a012dd22
-alias 3 --method direct --rounds 2 --replies 6 --json                                     8c8dfbd03be677c6
+alias 3 --method direct --rounds 2 --replies 6 --json                                     9efcae6c27bc988c
 alias 3 5 9 --fanout --shards 2 --stop-set --rounds 2 --replies 6                         6be01d8a2e81df67
-alias 3 5 9 --stop-set --shards 2 --rounds 2 --replies 6 --json                           f358d621d1fa1c01
-alias 62 129 --shards 2 --rounds 2 --replies 6 --json                                     677fbcb549c5527e
+alias 3 5 9 --stop-set --shards 2 --rounds 2 --replies 6 --json                           d9d9d6446e166943
+alias 62 129 --shards 2 --rounds 2 --replies 6 --json                                     3927ade105c1b72e
 alias 3 5 --admission cost-aware --adaptive-budget --rate-limit 3/12 --cycle-gap 12 --max-in-flight 64 --rounds 2 --replies 6 05b0c40c66b84542
 alias 3 --fault-schedule flap --max-retries 1 --rounds 2 --replies 6 --seed 2 27d9cc3114a961f3";
 

@@ -110,7 +110,10 @@ fn sequential_trace(
 /// Runs one sweep over the lanes, with sessions fed to the engine in
 /// `order` (a permutation of lane indices); returns the traces mapped
 /// back to lane order plus the stats.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one axis the equivalence properties vary"
+)]
 fn sweep(
     lanes: &[Lane],
     order: &[usize],
