@@ -579,6 +579,16 @@ struct SessionSlot<S> {
     partial: Option<PartialReason>,
 }
 
+/// A finished slot's round, result and wave buffers, kept by the engine
+/// for the next admitted session, so their capacity outlives the
+/// destination that grew it.
+#[derive(Default)]
+struct SlotBuffers {
+    round: Vec<ProbeRequest>,
+    results: Vec<Option<ProbeOutcome>>,
+    wave: Vec<usize>,
+}
+
 impl<S> SessionSlot<S> {
     fn next_sequence(&mut self) -> u16 {
         self.sequence = self.sequence.wrapping_add(1);
@@ -772,6 +782,9 @@ pub struct SweepEngine<T: SplitTransport> {
     /// Final shared-stop-set snapshot of the last run (when
     /// [`SweepConfig::stop_set`] was active).
     last_stop_snapshot: Option<StopSnapshot>,
+    /// Buffers of finished session slots, emptied, for the next
+    /// admissions of this or a later run.
+    spare_buffers: Vec<SlotBuffers>,
 }
 
 /// Per-run scheduler state: the live session table is generic over the
@@ -808,6 +821,7 @@ impl<T: SplitTransport> SweepEngine<T> {
             dispatch: Vec::new(),
             cycle_sizes: Vec::new(),
             last_stop_snapshot: None,
+            spare_buffers: Vec::new(),
         }
     }
 
@@ -1052,7 +1066,7 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
             self.live_dests.remove(&u32::from(slot.destination));
             self.eng.stats.sessions_completed += 1;
             self.collect_route_health(&slot);
-            sink(slot.out_index, slot.session, slot.probes_sent);
+            self.emit(slot, sink);
         }
         self.eng.stats.final_in_flight_budget = self.eng.current_budget();
     }
@@ -1164,7 +1178,7 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
                 self.deferred.on_destination_freed(dest, cost_aware);
                 self.eng.stats.sessions_completed += 1;
                 self.collect_route_health(&slot);
-                sink(slot.out_index, slot.session, slot.probes_sent);
+                self.emit(slot, sink);
                 Pumped::Finished
             }
             SessionState::Probing => {
@@ -1239,12 +1253,44 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
         }
     }
 
+    /// Hands a finished slot's session to `sink` and keeps its buffers
+    /// for a later admission.
+    fn emit(&mut self, slot: SessionSlot<S>, sink: &mut dyn FnMut(usize, S, u64)) {
+        let SessionSlot {
+            session,
+            out_index,
+            probes_sent,
+            mut round,
+            mut results,
+            mut wave,
+            ..
+        } = slot;
+        round.clear();
+        results.clear();
+        wave.clear();
+        // Room for every buffer set the run holds (the spares, the live
+        // slots' and this one), so the pool grows with the live table
+        // rather than doubling its way up.
+        self.eng.spare_buffers.reserve(self.slots.len() + 1);
+        self.eng.spare_buffers.push(SlotBuffers {
+            round,
+            results,
+            wave,
+        });
+        sink(out_index, session, probes_sent);
+    }
+
     /// Installs one session as a live slot and arms its first round (or
     /// emits its result immediately if it finishes without probing).
     fn admit_one(&mut self, out_index: usize, session: S, sink: &mut dyn FnMut(usize, S, u64)) {
         self.eng.stats.sessions_admitted += 1;
         let destination = session.destination();
         self.live_dests.insert(u32::from(destination));
+        let SlotBuffers {
+            round,
+            results,
+            wave,
+        } = self.eng.spare_buffers.pop().unwrap_or_default();
         self.slots.push(SessionSlot {
             session,
             destination,
@@ -1252,9 +1298,9 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
             sequence: 0,
             probes_sent: 0,
             round_wire: 0,
-            round: Vec::new(),
-            results: Vec::new(),
-            wave: Vec::new(),
+            round,
+            results,
+            wave,
             cursor: 0,
             attempt: 0,
             active: false,

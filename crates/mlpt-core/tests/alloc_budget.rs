@@ -1,5 +1,5 @@
 //! Allocation gates for the session layer, the stop-set coordinator,
-//! the reply parser and the sweep engine.
+//! the reply parser, the simulator and the sweep engine.
 //!
 //! A per-thread counting global allocator charges every allocation made
 //! inside a session's `poll`, `next_rounds`, `on_replies` and
@@ -11,8 +11,10 @@
 //! more per probe fails here before any wall clock notices; one that
 //! makes it allocate less should lower the bound. The stop-set gate
 //! counts the shared set's `commit` and `snapshot` calls the same way,
-//! the reply gate a single `parse_reply`, and the engine gate a whole
-//! sweep with the sessions' and the transport's calls uncounted.
+//! the reply gate a single `parse_reply`, the simulator gates a
+//! topology clone and a lane's replies, and the engine gates a whole
+//! sweep and a single-destination run with the sessions' and the
+//! transport's calls uncounted.
 
 use mlpt_core::prelude::*;
 use mlpt_core::prober::{ProbeSpec, ECHO_IDENTIFIER, ECHO_TTL};
@@ -224,7 +226,7 @@ fn single_flow_with_stop_set_on_shared_prefix_lanes() {
 /// The contribution a lossless single-flow session reports for a
 /// single-path lane: every hop, each with its predecessor.
 fn lane_contribution(lane: &MultipathTopology) -> StopContribution {
-    let path: Vec<Ipv4Addr> = lane.hops().iter().map(|hop| hop[0]).collect();
+    let path: Vec<Ipv4Addr> = lane.hops().map(|hop| hop[0]).collect();
     let entries = path
         .iter()
         .enumerate()
@@ -305,7 +307,7 @@ fn stop_set_generations_commit_in_place() {
 fn parse_reply_allocates_nothing_without_mpls() {
     let topology = canonical::fig1_unmeshed();
     let destination = topology.destination();
-    let first_hop = topology.hops()[0][0];
+    let first_hop = topology.hop(0)[0];
     let mut net = SimNetwork::new(topology, 1);
     let udp = |ttl| {
         build_udp_probe(&ProbePacket {
@@ -330,6 +332,55 @@ fn parse_reply_allocates_nothing_without_mpls() {
         assert!(parsed.mpls_stack.is_empty());
         assert_eq!(made, 0, "{kind:?}: parse_reply allocated {made} times");
     }
+}
+
+/// A topology is one shared graph: cloning it for a simulator lane, a
+/// validation run or a sweep's ground truth bumps a reference count.
+#[test]
+fn topology_clone_allocates_nothing() {
+    let topology = canonical::shared_prefix_lane(20, 4, 7);
+    let before = allocs();
+    let copy = counted(|| topology.clone());
+    let made = allocs() - before;
+    assert_eq!(copy, topology);
+    assert_eq!(made, 0, "clone() allocated {made} times");
+}
+
+/// A built lane answers without allocating: its address, route and
+/// IP-ID counter tables are laid out when it is built, so even a
+/// router's first reply, which seeds its counter, writes into the
+/// caller's buffer and nothing else. TTL 1..=25 reaches each of the
+/// lane's 25 routers once.
+#[test]
+fn sim_lane_replies_allocate_nothing() {
+    let topology = canonical::shared_prefix_lane(20, 4, 7);
+    let destination = topology.destination();
+    let mut net = SimNetwork::new(topology, 7);
+    let probes: Vec<Vec<u8>> = (1..=25u8)
+        .map(|ttl| {
+            build_udp_probe(&ProbePacket {
+                source: SRC,
+                destination,
+                flow: FlowId(1),
+                ttl,
+                sequence: u16::from(ttl),
+            })
+        })
+        .collect();
+    let mut reply = Vec::with_capacity(256);
+    let mut responders = Vec::new();
+    for (ttl, probe) in (1..).zip(&probes) {
+        reply.clear();
+        let before = allocs();
+        let answered = counted(|| net.send_packet_into(probe, &mut reply));
+        let made = allocs() - before;
+        assert!(answered, "TTL {ttl} unanswered");
+        assert_eq!(made, 0, "TTL {ttl}: the reply allocated {made} times");
+        responders.push(parse_reply(&reply).expect("a valid reply").responder);
+    }
+    responders.sort_unstable();
+    responders.dedup();
+    assert_eq!(responders.len(), 25, "one first reply per router");
 }
 
 /// A session or a transport whose calls are counted (`true`) or not,
@@ -430,9 +481,11 @@ fn engine_sweep_allocations() {
         retries: 2,
         ..SweepConfig::default()
     });
-    // Measured: 456, 438 and 408 allocations over 3633, 3640 and 3631
-    // probes. The first sweep also grows the engine's reusable buffers.
-    for (sweep, bound) in [0.126, 0.121, 0.113].into_iter().enumerate() {
+    // Measured: 456, 286 and 247 allocations over 3633, 3640 and 3631
+    // probes. The first sweep also grows the engine's reusable buffers,
+    // finished sessions' round buffers among them, which later sweeps'
+    // sessions take over.
+    for (sweep, bound) in [0.126, 0.079, 0.069].into_iter().enumerate() {
         let sessions: Vec<Box<dyn TraceSession>> = destinations
             .iter()
             .enumerate()
@@ -456,5 +509,33 @@ fn engine_sweep_allocations() {
         };
         assert_eq!(reached, destinations.len());
         assert_within(&format!("engine sweep {sweep}"), cost, bound);
+    }
+}
+
+/// The engine's own allocations for one single-destination trace
+/// (`run_session`, through `run_trace`) on a reused engine: MDA-Lite over
+/// `fig1_meshed`, session and transport uncounted. The first run also
+/// grows the engine's reusable buffers.
+#[test]
+fn one_session_on_a_reused_engine() {
+    let topology = canonical::fig1_meshed();
+    let destination = topology.destination();
+    let net = SimNetwork::new(topology, 1);
+    let mut engine = SweepEngine::new(Metered(net, false), SRC);
+    // Measured: 34, 11, 8 and 7 allocations.
+    for (run, bound) in [34, 11, 8, 7].into_iter().enumerate() {
+        let session = Metered(
+            MdaLiteSession::new(destination, TraceConfig::new(run as u64)),
+            false,
+        );
+        let before = allocs();
+        let (trace, _) = counted(|| engine.run_trace(session));
+        let made = allocs() - before;
+        eprintln!("one session {run}: {made} allocations (bound {bound})");
+        assert!(trace.reached_destination);
+        assert!(
+            made <= bound,
+            "run {run}: {made} engine allocations exceed the bound {bound}"
+        );
     }
 }

@@ -70,7 +70,7 @@ impl MultiNetwork {
         let mut dests: Vec<(u32, usize)> = lanes
             .iter()
             .enumerate()
-            .map(|(i, lane)| (u32::from(lane.topology().destination()), i))
+            .map(|(i, lane)| (u32::from(lane.destination()), i))
             .collect();
         dests.sort_unstable();
         if let Some(pair) = dests.windows(2).find(|pair| pair[0].0 == pair[1].0) {
@@ -80,9 +80,7 @@ impl MultiNetwork {
         }
         let mut interfaces: Vec<(u32, usize)> = Vec::new();
         for (i, lane) in lanes.iter().enumerate() {
-            for addr in lane.topology().all_addresses() {
-                interfaces.push((u32::from(addr), i));
-            }
+            interfaces.extend(lane.interfaces().map(|addr| (u32::from(addr), i)));
         }
         // First lane wins for shared interfaces: sort by (addr, lane) and
         // keep the first entry per address.
@@ -127,7 +125,7 @@ impl MultiNetwork {
         let shards = shards.max(1);
         let mut per_shard: Vec<Vec<SimNetwork>> = (0..shards).map(|_| Vec::new()).collect();
         for lane in self.lanes {
-            let shard = assign(lane.topology().destination()) % shards;
+            let shard = assign(lane.destination()) % shards;
             per_shard[shard].push(lane);
         }
         per_shard
@@ -187,37 +185,33 @@ impl MultiNetwork {
         total
     }
 
-    /// The lane a packet routes to, if any: UDP probes go to the lane
-    /// simulating their destination, echoes to the lane owning the
-    /// target interface.
-    fn lane_for(&self, packet: &[u8]) -> Option<usize> {
-        let (header, _) = Ipv4Header::parse(packet).ok()?;
+    /// The lane a packet routes to, if any, with the packet's parsed IPv4
+    /// header and its length: UDP probes go to the lane simulating their
+    /// destination, echoes to the lane owning the target interface.
+    fn lane_for(&self, packet: &[u8]) -> Option<(usize, Ipv4Header, usize)> {
+        let (header, ihl) = Ipv4Header::parse(packet).ok()?;
         let dest = u32::from(header.destination);
-        match header.protocol {
-            PROTO_UDP => self
-                .dests
-                .binary_search_by_key(&dest, |&(d, _)| d)
-                .ok()
-                .map(|i| self.dests[i].1),
-            PROTO_ICMP => self
-                .interfaces
-                .binary_search_by_key(&dest, |&(a, _)| a)
-                .ok()
-                .map(|i| self.interfaces[i].1),
-            _ => None,
-        }
+        let table = match header.protocol {
+            PROTO_UDP => &self.dests,
+            PROTO_ICMP => &self.interfaces,
+            _ => return None,
+        };
+        let i = table.binary_search_by_key(&dest, |&(a, _)| a).ok()?;
+        Some((table[i].1, header, ihl))
     }
 }
 
 impl PacketTransport for MultiNetwork {
     fn send_packet(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
-        let lane = self.lane_for(packet)?;
-        self.lanes[lane].send_packet(packet)
+        let mut reply = Vec::new();
+        self.send_packet_into(packet, &mut reply).then_some(reply)
     }
 
     fn send_packet_into(&mut self, packet: &[u8], reply: &mut Vec<u8>) -> bool {
         match self.lane_for(packet) {
-            Some(lane) => self.lanes[lane].send_packet_into(packet, reply),
+            Some((lane, header, ihl)) => {
+                self.lanes[lane].send_parsed_into(packet, Some((header, ihl)), reply)
+            }
             None => false,
         }
     }
@@ -245,8 +239,13 @@ impl SplitTransport for MultiNetwork {
         debug_assert_eq!(probes.len(), timeouts.len(), "one timeout per probe");
         self.pending.begin(timeouts);
         for packet in probes.iter() {
-            let lane = self.lane_for(packet);
-            self.pending.send(lane.map(|l| &mut self.lanes[l]), packet);
+            match self.lane_for(packet) {
+                Some((lane, header, ihl)) => {
+                    self.pending
+                        .send(Some(&mut self.lanes[lane]), packet, Some((header, ihl)))
+                }
+                None => self.pending.send(None, packet, None),
+            }
         }
         if self.cycle_gap > 0 {
             for lane in &mut self.lanes {
@@ -403,7 +402,7 @@ mod tests {
                 "slot {slot}"
             );
             if expected.is_some() {
-                let lane = sequential.lane_for(packet).expect("routed");
+                let (lane, _, _) = sequential.lane_for(packet).expect("routed");
                 assert_eq!(
                     replies.timestamp(slot),
                     sequential.lane(lane).clock(),

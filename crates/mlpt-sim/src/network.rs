@@ -20,19 +20,30 @@
 //!
 //! # Hot-path engineering
 //!
-//! The per-packet path is allocation-free and hash-free: at construction
-//! every interface address is *interned* into a dense `u32` id
-//! ([`AddrTable`]), and the routing state the walk consults — successor
-//! lists, balancing weights, router ownership, hop distance — lives in
-//! flat `Vec`s indexed by `(hop, id)`. Replies are written straight into
-//! the caller's reusable buffer via
-//! [`PacketTransport::send_packet_into`], so a batched probe round costs
-//! zero allocations after warm-up. [`PacketTransport::send_packet`]
-//! remains as the boxed-reply convenience wrapper.
+//! The per-packet path neither allocates nor hashes. A lane shares its
+//! route's [`MultipathTopology`] (an `Arc` clone) and builds three small
+//! tables from it once, each `O(V + E)` or smaller:
+//!
+//! * `AddrTable` interns every interface address into a dense `u32` id
+//!   (binary search over a sorted `u32` array), with the router and hop
+//!   distance of each id beside it;
+//! * `RouteTable` holds each vertex's successors as vertex numbers, in
+//!   the topology's hop-major vertex order, with optional balancing
+//!   weights, so a walk is one load per hop;
+//! * [`IpIdEngine`] keeps one dense slot per IP-ID counter the routers'
+//!   profiles can use, sized at build and addressed by interface id.
+//!
+//! Replies are written straight into the caller's reusable buffer via
+//! [`PacketTransport::send_packet_into`], so a reply, a router's first
+//! one included, allocates nothing once that buffer has room.
+//! [`PacketTransport::send_packet`] remains as the boxed-reply
+//! convenience wrapper. A
+//! [`crate::MultiNetwork`] parses each probe's IPv4 header once to route
+//! it and hands the parsed header to the lane.
 
 use crate::balance::{BalanceMode, FlowHasher};
 use crate::faults::{FaultPlan, FaultSchedule, FaultState};
-use crate::router::{IpIdEngine, ReplyClass, RouterProfile};
+use crate::router::{IpIdEngine, IpIdProfile, ReplyClass, RouterProfile};
 use crate::schedule::TopologySchedule;
 use mlpt_topo::{MultipathTopology, RouterId, RouterMap};
 use mlpt_wire::icmp::{
@@ -40,7 +51,8 @@ use mlpt_wire::icmp::{
     CODE_PORT_UNREACHABLE, CODE_TTL_EXCEEDED,
 };
 use mlpt_wire::ipv4::{Ipv4Header, PROTO_ICMP, PROTO_UDP};
-use mlpt_wire::probe::parse_udp_probe;
+use mlpt_wire::udp::UdpHeader;
+use mlpt_wire::FlowId;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -81,8 +93,6 @@ pub struct TrafficCounters {
 struct AddrTable {
     /// Sorted address values; the index of an address is its id.
     sorted: Vec<u32>,
-    /// id → address (same order as `sorted`, kept for mixed callers).
-    addrs: Vec<Ipv4Addr>,
     /// id → owning router.
     router_of: Vec<RouterId>,
     /// id → hop distance from the source (first hop of appearance + 1).
@@ -90,37 +100,28 @@ struct AddrTable {
 }
 
 impl AddrTable {
-    fn build(topology: &MultipathTopology, assignment: &BTreeMap<Ipv4Addr, RouterId>) -> Self {
-        let mut sorted: Vec<u32> = topology.all_addresses().iter().map(|&a| a.into()).collect();
+    /// Interns `topology`'s addresses, asking `router` for each one's
+    /// router in ascending address order.
+    fn build(topology: &MultipathTopology, router: impl FnMut(Ipv4Addr) -> RouterId) -> Self {
+        let mut sorted: Vec<u32> = topology.vertices().iter().map(|&a| a.into()).collect();
         sorted.sort_unstable();
         sorted.dedup();
-        let addrs: Vec<Ipv4Addr> = sorted.iter().map(|&v| Ipv4Addr::from(v)).collect();
-
-        let lookup = |addr: Ipv4Addr| -> usize {
-            sorted
-                .binary_search(&u32::from(addr))
-                .expect("address from topology")
-        };
-
-        let mut router_of = vec![RouterId(0); sorted.len()];
-        for (&addr, &router) in assignment {
-            // The assignment may cover interfaces a topology mutation has
-            // since removed; only map the ones still present.
-            if let Ok(i) = sorted.binary_search(&u32::from(addr)) {
-                router_of[i] = router;
-            }
-        }
-
+        let router_of = sorted
+            .iter()
+            .map(|&a| Ipv4Addr::from(a))
+            .map(router)
+            .collect();
         let mut distance = vec![0u8; sorted.len()];
-        for i in (0..topology.num_hops()).rev() {
-            for &a in topology.hop(i) {
-                distance[lookup(a)] = (i + 1) as u8;
+        for (hop, vertices) in topology.hops().enumerate().rev() {
+            for &a in vertices {
+                let id = sorted
+                    .binary_search(&u32::from(a))
+                    .expect("address from topology");
+                distance[id] = (hop + 1) as u8;
             }
         }
-
         Self {
             sorted,
-            addrs,
             router_of,
             distance,
         }
@@ -138,29 +139,41 @@ impl AddrTable {
     /// Address of a dense id.
     #[inline]
     fn addr(&self, id: u32) -> Ipv4Addr {
-        self.addrs[id as usize]
+        Ipv4Addr::from(self.sorted[id as usize])
     }
 
-    #[inline]
-    fn len(&self) -> usize {
-        self.sorted.len()
+    /// Router of `addr`, if it belongs to the topology.
+    fn router(&self, addr: Ipv4Addr) -> Option<RouterId> {
+        self.id(addr).map(|id| self.router_of[id as usize])
+    }
+
+    /// Every interface as `(address, router)`, in id order.
+    fn interfaces(&self) -> impl Iterator<Item = (Ipv4Addr, RouterId)> + '_ {
+        self.sorted
+            .iter()
+            .zip(&self.router_of)
+            .map(|(&a, &r)| (Ipv4Addr::from(a), r))
     }
 }
 
-/// Flat successor/weight tables indexed by `(hop, interface id)`.
+/// Flat routing tables indexed by vertex number, the topology's
+/// hop-major vertex order ([`MultipathTopology::vertex_index`]).
 #[derive(Debug, Clone)]
 struct RouteTable {
-    num_addrs: usize,
-    /// `(hop * num_addrs + id)` → range into `succ_ids`.
-    succ_ranges: Vec<(u32, u32)>,
-    /// Successor ids, ascending by address within each range (matching
-    /// the `BTreeSet` iteration order the hasher indexes against).
-    succ_ids: Vec<u32>,
-    /// `(hop * num_addrs + id)` → range into `weights`; empty = uniform.
-    weight_ranges: Vec<(u32, u32)>,
+    /// Vertex `v`'s successors are `succ[succ_start[v]..succ_start[v + 1]]`.
+    succ_start: Vec<u32>,
+    /// Successor vertex numbers, ascending by address within each run
+    /// (the order the flow hasher indexes against).
+    succ: Vec<u32>,
+    /// Vertex → interned interface id.
+    ids: Vec<u32>,
+    /// Vertex `v`'s balancing weights are
+    /// `weights[weight_start[v]..weight_start[v + 1]]`, an empty run
+    /// meaning uniform; empty when no vertex has weights.
+    weight_start: Vec<u32>,
     weights: Vec<u32>,
-    /// Interned hop-0 entry vertices, in topology hop order.
-    entry_ids: Vec<u32>,
+    /// Entry vertices: hop 0 holds vertices `0..entries`.
+    entries: usize,
 }
 
 impl RouteTable {
@@ -169,63 +182,119 @@ impl RouteTable {
         addrs: &AddrTable,
         weight_map: &BTreeMap<(usize, Ipv4Addr), Vec<u32>>,
     ) -> Self {
-        let num_addrs = addrs.len();
-        let slots = topology.num_hops() * num_addrs;
-        let mut succ_ranges = vec![(0u32, 0u32); slots];
-        let mut succ_ids = Vec::new();
-        let mut weight_ranges = vec![(0u32, 0u32); slots];
+        let vertices = topology.total_vertices();
+        let mut succ_start = Vec::with_capacity(vertices + 1);
+        let mut succ = Vec::with_capacity(topology.total_edges());
+        let mut weight_start = Vec::new();
         let mut weights = Vec::new();
-
-        for hop in 0..topology.num_hops().saturating_sub(1) {
-            for &from in topology.hop(hop) {
-                let id = addrs.id(from).expect("topology address") as usize;
-                let slot = hop * num_addrs + id;
-                let start = succ_ids.len() as u32;
-                // BTreeSet iterates ascending: preserved, so the flow
-                // hasher's index selects the same successor as before.
+        succ_start.push(0);
+        if !weight_map.is_empty() {
+            weight_start.reserve_exact(vertices + 1);
+            weight_start.push(0);
+        }
+        for (hop, hop_vertices) in topology.hops().enumerate() {
+            for &from in hop_vertices {
                 for &to in topology.successors(hop, from) {
-                    succ_ids.push(addrs.id(to).expect("topology address"));
+                    let v = topology.vertex_index(hop + 1, to).expect("validated edge");
+                    succ.push(v as u32);
                 }
-                succ_ranges[slot] = (start, succ_ids.len() as u32);
-
-                if let Some(w) = weight_map.get(&(hop, from)) {
-                    let wstart = weights.len() as u32;
-                    weights.extend_from_slice(w);
-                    weight_ranges[slot] = (wstart, weights.len() as u32);
+                succ_start.push(succ.len() as u32);
+                if !weight_map.is_empty() {
+                    if let Some(w) = weight_map.get(&(hop, from)) {
+                        weights.extend_from_slice(w);
+                    }
+                    weight_start.push(weights.len() as u32);
                 }
             }
         }
-
-        let entry_ids = topology
-            .hop(0)
+        let ids = topology
+            .vertices()
             .iter()
             .map(|&a| addrs.id(a).expect("topology address"))
             .collect();
-
         Self {
-            num_addrs,
-            succ_ranges,
-            succ_ids,
-            weight_ranges,
+            succ_start,
+            succ,
+            ids,
+            weight_start,
             weights,
-            entry_ids,
+            entries: topology.hop(0).len(),
         }
     }
 
     #[inline]
-    fn successors(&self, hop: usize, id: u32) -> &[u32] {
-        let (start, end) = self.succ_ranges[hop * self.num_addrs + id as usize];
-        &self.succ_ids[start as usize..end as usize]
+    fn successors(&self, vertex: u32) -> &[u32] {
+        let v = vertex as usize;
+        &self.succ[self.succ_start[v] as usize..self.succ_start[v + 1] as usize]
     }
 
     #[inline]
-    fn weights(&self, hop: usize, id: u32) -> Option<&[u32]> {
-        let (start, end) = self.weight_ranges[hop * self.num_addrs + id as usize];
+    fn weights(&self, vertex: u32) -> Option<&[u32]> {
+        let v = vertex as usize;
+        let (&start, &end) = (self.weight_start.get(v)?, self.weight_start.get(v + 1)?);
         if start == end {
             None
         } else {
             Some(&self.weights[start as usize..end as usize])
         }
+    }
+}
+
+/// Router profiles: a dense table for router ids up to the largest one
+/// given an explicit profile, a sparse overflow for hand-made large
+/// ids, and the default for everything else.
+#[derive(Debug)]
+struct Profiles {
+    table: Vec<RouterProfile>,
+    overflow: BTreeMap<u32, RouterProfile>,
+    default: RouterProfile,
+}
+
+impl Profiles {
+    /// `dense_limit` caps the table's length, so a huge hand-made id
+    /// lands in the overflow instead of sizing the table.
+    fn new(
+        explicit: &BTreeMap<RouterId, RouterProfile>,
+        default: RouterProfile,
+        dense_limit: usize,
+    ) -> Self {
+        let len = explicit
+            .keys()
+            .map(|r| r.0 as usize + 1)
+            .filter(|&len| len <= dense_limit)
+            .max()
+            .unwrap_or(0);
+        let mut table = vec![default; len];
+        let mut overflow = BTreeMap::new();
+        for (router, profile) in explicit {
+            match table.get_mut(router.0 as usize) {
+                Some(slot) => *slot = *profile,
+                None => {
+                    overflow.insert(router.0, *profile);
+                }
+            }
+        }
+        Self {
+            table,
+            overflow,
+            default,
+        }
+    }
+
+    #[inline]
+    fn of(&self, router: RouterId) -> &RouterProfile {
+        self.table
+            .get(router.0 as usize)
+            .or_else(|| self.overflow.get(&router.0))
+            .unwrap_or(&self.default)
+    }
+
+    /// The IP-ID engine's view of `addrs`' interfaces.
+    fn ipid_interfaces<'a>(
+        &'a self,
+        addrs: &'a AddrTable,
+    ) -> impl Iterator<Item = (Ipv4Addr, u32, IpIdProfile)> + 'a {
+        addrs.interfaces().map(|(a, r)| (a, r.0, self.of(r).ipid))
     }
 }
 
@@ -327,58 +396,44 @@ impl SimNetworkBuilder {
             .map(|r| r.0 + 1)
             .max()
             .unwrap_or(0);
-        let mut assignment: BTreeMap<Ipv4Addr, RouterId> = BTreeMap::new();
-        for addr in self.topology.all_addresses() {
-            let id = match self.routers.router_of(addr) {
-                Some(id) => id,
-                None => {
-                    let id = RouterId(next_id);
-                    next_id += 1;
-                    id
-                }
-            };
-            assignment.insert(addr, id);
-        }
-
+        let addrs = AddrTable::build(&self.topology, |addr| {
+            self.routers.router_of(addr).unwrap_or_else(|| {
+                next_id += 1;
+                RouterId(next_id - 1)
+            })
+        });
         // Dense per-router profile table for the fast path. Router ids
         // are usually contiguous from 0 (RouterMap::from_alias_sets plus
         // the fresh assignments above), but RouterId is public and a
         // caller may hand in arbitrarily large ids — those fall back to
         // the sparse overflow map rather than sizing the Vec by the id.
-        let dense_len = assignment.len() + self.profiles.len() + 1;
-        let mut profile_table = vec![self.default_profile; dense_len];
-        let mut profile_overflow: BTreeMap<u32, RouterProfile> = BTreeMap::new();
-        for (router, profile) in &self.profiles {
-            match profile_table.get_mut(router.0 as usize) {
-                Some(slot) => *slot = *profile,
-                None => {
-                    profile_overflow.insert(router.0, *profile);
-                }
-            }
-        }
-
-        let addrs = AddrTable::build(&self.topology, &assignment);
+        let profiles = Profiles::new(
+            &self.profiles,
+            self.default_profile,
+            addrs.sorted.len() + self.profiles.len() + 1,
+        );
         let routes = RouteTable::build(&self.topology, &addrs, &self.weights);
+        let ipid = IpIdEngine::new(profiles.ipid_interfaces(&addrs));
 
         SimNetwork {
             hasher: FlowHasher::new(self.seed),
             rng: ChaCha8Rng::seed_from_u64(self.seed ^ 0xF1E2_D3C4_B5A6_9788),
             jitter_rng: ChaCha8Rng::seed_from_u64(self.seed ^ 0x4A17_7E12_B0B5_1DE5),
+            destination: self.topology.destination(),
+            last_hop: self.topology.num_hops() - 1,
             topology: self.topology,
             addrs,
             routes,
-            assignment,
+            retired: Vec::new(),
             next_router_id: next_id,
             weight_map: self.weights,
-            profile_table,
-            profile_overflow,
-            default_profile: self.default_profile,
+            profiles,
             mode: self.mode,
             schedule: self.schedule,
             topo_schedule: self.topo_schedule,
             next_mutation: 0,
             fault_state: FaultState::new(),
-            ipid: IpIdEngine::new(),
+            ipid,
             clock: 0,
             packet_counter: 0,
             counters: TrafficCounters::default(),
@@ -417,14 +472,21 @@ impl PendingBatch {
     /// the lane's clock, and the reply's latency is sampled from the
     /// lane's schedule at that tick. A probe no lane owns (`None`) gets
     /// an empty slot stamped 0 with latency 0.
-    pub(crate) fn send(&mut self, lane: Option<&mut SimNetwork>, packet: &[u8]) {
+    /// `header` is the packet's parsed IPv4 header and its length, or
+    /// `None` if it did not parse.
+    pub(crate) fn send(
+        &mut self,
+        lane: Option<&mut SimNetwork>,
+        packet: &[u8],
+        header: Option<(Ipv4Header, usize)>,
+    ) {
         let Some(lane) = lane else {
             self.replies.push_with(0, |_| false);
             self.latencies.push(0);
             return;
         };
         self.replies
-            .push_with(0, |buf| lane.send_packet_into(packet, buf));
+            .push_with(0, |buf| lane.send_parsed_into(packet, header, buf));
         self.replies.set_last_timestamp(lane.clock);
         self.latencies.push(lane.sample_latency_at(lane.clock));
     }
@@ -467,20 +529,20 @@ impl PendingBatch {
 /// The simulated network (see module docs).
 pub struct SimNetwork {
     topology: MultipathTopology,
+    /// The topology's destination and last hop index, read for every
+    /// UDP probe, kept beside the shared graph.
+    destination: Ipv4Addr,
+    last_hop: usize,
     addrs: AddrTable,
     routes: RouteTable,
-    /// Interface → router assignment, kept so mutated topologies can
-    /// rebuild the routing tables (fresh interfaces are assigned here).
-    assignment: BTreeMap<Ipv4Addr, RouterId>,
+    /// Routers of interfaces a topology mutation removed, so an
+    /// interface that returns keeps its router.
+    retired: Vec<(Ipv4Addr, RouterId)>,
     /// Next unassigned router id for freshly minted interfaces.
     next_router_id: u32,
     /// Non-uniform balancing weights, revalidated after each mutation.
     weight_map: BTreeMap<(usize, Ipv4Addr), Vec<u32>>,
-    profile_table: Vec<RouterProfile>,
-    /// Profiles for router ids beyond the dense table (rare: only when a
-    /// caller constructs sparse large RouterIds by hand).
-    profile_overflow: BTreeMap<u32, RouterProfile>,
-    default_profile: RouterProfile,
+    profiles: Profiles,
     hasher: FlowHasher,
     mode: BalanceMode,
     schedule: FaultSchedule,
@@ -564,36 +626,36 @@ impl SimNetwork {
 
     /// Swaps in a mutated topology: freshly minted interfaces get their
     /// own router ids (in address order, deterministically), balancing
-    /// weights the new shape invalidates are dropped, and the interned
-    /// address/route tables are rebuilt.
+    /// weights the new shape invalidates are dropped, the interned
+    /// address and route tables are rebuilt, and the IP-ID counters are
+    /// re-keyed to the new interface ids.
     fn install_topology(&mut self, topology: MultipathTopology) {
-        let mut fresh: Vec<Ipv4Addr> = topology
-            .all_addresses()
-            .into_iter()
-            .filter(|a| !self.assignment.contains_key(a))
+        let (old, retired, next_id) = (&self.addrs, &self.retired, &mut self.next_router_id);
+        let addrs = AddrTable::build(&topology, |addr| {
+            let known = old.router(addr).or_else(|| {
+                let (_, router) = retired.iter().find(|&&(a, _)| a == addr)?;
+                Some(*router)
+            });
+            known.unwrap_or_else(|| {
+                *next_id += 1;
+                RouterId(*next_id - 1)
+            })
+        });
+        let removed: Vec<(Ipv4Addr, RouterId)> = old
+            .interfaces()
+            .filter(|&(a, _)| addrs.id(a).is_none())
             .collect();
-        fresh.sort_unstable();
-        for addr in fresh {
-            let id = RouterId(self.next_router_id);
-            self.next_router_id += 1;
-            self.assignment.insert(addr, id);
-        }
+        self.retired.retain(|&(a, _)| addrs.id(a).is_none());
+        self.retired.extend(removed);
         self.weight_map.retain(|&(hop, vertex), w| {
             topology.contains(hop, vertex) && topology.successors(hop, vertex).len() == w.len()
         });
-        self.addrs = AddrTable::build(&topology, &self.assignment);
-        self.routes = RouteTable::build(&topology, &self.addrs, &self.weight_map);
+        self.routes = RouteTable::build(&topology, &addrs, &self.weight_map);
+        self.ipid.rekey(self.profiles.ipid_interfaces(&addrs));
+        self.addrs = addrs;
+        self.destination = topology.destination();
+        self.last_hop = topology.num_hops() - 1;
         self.topology = topology;
-    }
-
-    /// Profile of a router: dense table on the fast path, sparse
-    /// overflow for hand-made large ids.
-    #[inline]
-    fn profile_of(&self, router: RouterId) -> &RouterProfile {
-        self.profile_table
-            .get(router.0 as usize)
-            .or_else(|| self.profile_overflow.get(&router.0))
-            .unwrap_or(&self.default_profile)
     }
 
     /// The balancing selector for a probe per the configured mode.
@@ -606,20 +668,19 @@ impl SimNetwork {
     }
 
     /// Walks a flow to the vertex at hop index `target_hop`, entirely over
-    /// interned ids. Returns the vertex reached (which answers TTL
-    /// `target_hop + 1`).
-    fn walk(&mut self, flow: u64, nonce: u64, target_hop: usize) -> u32 {
+    /// vertex numbers. Returns the interned id of the interface reached
+    /// (which answers TTL `target_hop + 1`).
+    fn walk(&self, flow: u64, nonce: u64, target_hop: usize) -> u32 {
         // Entry: the source balances over hop-0 vertices.
-        let entry = &self.routes.entry_ids;
-        let mut current = if entry.len() == 1 {
-            entry[0]
+        let entries = self.routes.entries;
+        let mut current = if entries == 1 {
+            0
         } else {
-            entry[self
-                .hasher
-                .choose(usize::MAX, Ipv4Addr::UNSPECIFIED, flow, nonce, entry.len())]
+            self.hasher
+                .choose(usize::MAX, Ipv4Addr::UNSPECIFIED, flow, nonce, entries) as u32
         };
         for i in 0..target_hop {
-            let succs = self.routes.successors(i, current);
+            let succs = self.routes.successors(current);
             debug_assert!(!succs.is_empty(), "validated topology");
             if succs.len() == 1 {
                 // No balancing decision to make (and `choose` over one
@@ -629,43 +690,54 @@ impl SimNetwork {
                 current = succs[0];
                 continue;
             }
-            let vertex = self.addrs.addr(current);
-            let idx = match self.routes.weights(i, current) {
+            let vertex = self.topology.vertices()[current as usize];
+            let idx = match self.routes.weights(current) {
                 Some(w) => self.hasher.choose_weighted(i, vertex, flow, nonce, w),
                 None => self.hasher.choose(i, vertex, flow, nonce, succs.len()),
             };
             current = succs[idx];
         }
-        current
+        self.routes.ids[current as usize]
     }
 
-    /// Handles a UDP probe, appending the reply datagram to `out`.
-    fn handle_udp_into(&mut self, plan: &FaultPlan, packet: &[u8], out: &mut Vec<u8>) -> bool {
-        let Ok(probe) = parse_udp_probe(packet) else {
+    /// Handles a UDP probe whose IPv4 header (`ihl` bytes) the caller
+    /// parsed, appending the reply datagram to `out`.
+    fn handle_udp_into(
+        &mut self,
+        plan: &FaultPlan,
+        packet: &[u8],
+        header: &Ipv4Header,
+        ihl: usize,
+        out: &mut Vec<u8>,
+    ) -> bool {
+        let Some(flow) = UdpHeader::parse(&packet[ihl..])
+            .ok()
+            .and_then(|udp| FlowId::from_source_port(udp.source_port))
+        else {
             return false;
         };
-        if probe.destination != self.topology.destination() {
+        if header.destination != self.destination {
             return false; // not routed by this simulation
         }
-        if probe.ttl == 0 {
+        if header.ttl == 0 {
             return false;
         }
         // A scheduled blackhole swallows the probe in the forward
         // direction: nothing downstream of the cut ever sees it.
-        if self.fault_state.blackholed(plan, probe.ttl) {
+        if self.fault_state.blackholed(plan, header.ttl) {
             self.counters.probes_blackholed += 1;
             return false;
         }
-        let (flow_sel, nonce) = self.selector(u64::from(probe.flow.value()), probe.destination);
+        let (flow_sel, nonce) = self.selector(u64::from(flow.value()), header.destination);
 
-        let last_hop = self.topology.num_hops() - 1;
-        let target_hop = usize::from(probe.ttl - 1).min(last_hop);
+        let last_hop = self.last_hop;
+        let target_hop = usize::from(header.ttl - 1).min(last_hop);
         let responder_id = self.walk(flow_sel, nonce, target_hop);
         let responder = self.addrs.addr(responder_id);
 
         let reached_destination = target_hop == last_hop;
         let router = self.addrs.router_of[responder_id as usize];
-        let profile = *self.profile_of(router);
+        let profile = *self.profiles.of(router);
 
         // Rate limiting applies to all ICMP generation.
         if !self.fault_state.allow_icmp(plan, router.0, self.clock) {
@@ -677,11 +749,10 @@ impl SimNetwork {
         // anonymous router (never replies to expired probes).
         let Some(ip_id) = self.ipid.sample(
             &mut self.rng,
-            router.0,
-            responder,
+            responder_id as usize,
             &profile.ipid,
             ReplyClass::Indirect,
-            probe.sequence,
+            header.identification,
             self.clock,
         ) else {
             return false;
@@ -711,7 +782,7 @@ impl SimNetwork {
 
         let hop_distance = (target_hop + 1) as u8;
         let reply_ttl = profile.initial_ttl_indirect.saturating_sub(hop_distance);
-        self.emit_reply_into(responder, probe.source, reply_ttl, ip_id, out, |buf| {
+        self.emit_reply_into(responder, header.source, reply_ttl, ip_id, out, |buf| {
             emit_error_into(icmp_type, code, &quote_buf[..quote_len], mpls_slice, buf);
         });
         true
@@ -748,7 +819,7 @@ impl SimNetwork {
             return false;
         }
         let router = self.addrs.router_of[target_id as usize];
-        let profile = *self.profile_of(router);
+        let profile = *self.profiles.of(router);
         if !profile.responds_to_direct {
             return false;
         }
@@ -758,8 +829,7 @@ impl SimNetwork {
         }
         let Some(ip_id) = self.ipid.sample(
             &mut self.rng,
-            router.0,
-            target,
+            target_id as usize,
             &profile.ipid,
             ReplyClass::Direct,
             header.identification,
@@ -828,6 +898,21 @@ impl PacketTransport for SimNetwork {
 
     /// The allocation-free reply path: everything is written into `reply`.
     fn send_packet_into(&mut self, packet: &[u8], reply: &mut Vec<u8>) -> bool {
+        self.send_parsed_into(packet, Ipv4Header::parse(packet).ok(), reply)
+    }
+}
+
+impl SimNetwork {
+    /// [`PacketTransport::send_packet_into`] for a packet whose IPv4
+    /// header and its length the caller already parsed (`None` if it did
+    /// not parse): a [`crate::MultiNetwork`] parses each probe once, to
+    /// route it, and hands the header on.
+    pub(crate) fn send_parsed_into(
+        &mut self,
+        packet: &[u8],
+        header: Option<(Ipv4Header, usize)>,
+        reply: &mut Vec<u8>,
+    ) -> bool {
         self.clock += 1;
         self.packet_counter += 1;
         self.counters.probes_received += 1;
@@ -845,12 +930,12 @@ impl PacketTransport for SimNetwork {
             return false;
         }
 
-        let Ok((header, ihl)) = Ipv4Header::parse(packet) else {
+        let Some((header, ihl)) = header else {
             return false;
         };
         let mark = reply.len();
         let answered = match header.protocol {
-            PROTO_UDP => self.handle_udp_into(&plan, packet, reply),
+            PROTO_UDP => self.handle_udp_into(&plan, packet, &header, ihl, reply),
             PROTO_ICMP => self.handle_echo_into(&plan, packet, &header, ihl, reply),
             _ => false,
         };
@@ -867,6 +952,16 @@ impl PacketTransport for SimNetwork {
         self.counters.replies_sent += 1;
         true
     }
+
+    /// The traced destination.
+    pub(crate) fn destination(&self) -> Ipv4Addr {
+        self.destination
+    }
+
+    /// Every interface address, ascending.
+    pub(crate) fn interfaces(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
+        self.addrs.interfaces().map(|(a, _)| a)
+    }
 }
 
 /// Native deadline semantics: the send half routes every probe and
@@ -882,7 +977,7 @@ impl SplitTransport for SimNetwork {
         let mut pending = std::mem::take(&mut self.pending);
         pending.begin(timeouts);
         for packet in probes.iter() {
-            pending.send(Some(self), packet);
+            pending.send(Some(self), packet, Ipv4Header::parse(packet).ok());
         }
         self.pending = pending;
     }
@@ -1427,6 +1522,47 @@ mod tests {
                     scheduled.send_packet(&probe(flow, ttl, dst))
                 );
             }
+        }
+    }
+
+    /// IP-ID counters are keyed by interface, and a route change
+    /// renumbers interfaces: `lb-shrink` removes hop 1's second branch,
+    /// so the destination's interface id drops by one. Its per-interface
+    /// counter must carry on across the mutation, every step within the
+    /// counter's velocity bound (one tick at `rate` plus up to `jitter`).
+    #[test]
+    fn ipid_series_survives_route_change() {
+        use crate::router::IpIdProfile;
+        use crate::schedule::TopologySchedule;
+        let topo = canonical::simplest_diamond();
+        let dst = topo.destination();
+        assert!(topo.hop(1)[1] < dst, "the removed branch sorts below");
+        let (rate, jitter) = (2u16, 3u16);
+        let mut net = SimNetwork::builder(topo)
+            .default_profile(RouterProfile {
+                ipid: IpIdProfile::per_interface_indirect(rate, jitter),
+                ..RouterProfile::well_behaved()
+            })
+            .topology_schedule(TopologySchedule::preset("lb-shrink").expect("preset"))
+            .seed(4)
+            .build();
+        let mut series = Vec::new();
+        for flow in 0..80u16 {
+            let reply = net.send_packet(&probe(flow, 3, dst)).expect("answered");
+            let parsed = parse_reply(&reply).unwrap();
+            assert_eq!(parsed.responder, dst);
+            series.push(parsed.reply_ip_id);
+        }
+        assert_eq!(net.counters().mutations_applied, 1);
+        for (i, pair) in series.windows(2).enumerate() {
+            let step = pair[1].wrapping_sub(pair[0]);
+            assert!(
+                (1..=rate + jitter).contains(&step),
+                "IP-ID jumped {} -> {} at probe {}",
+                pair[0],
+                pair[1],
+                i + 1
+            );
         }
     }
 

@@ -144,8 +144,8 @@ impl Default for RouterProfile {
     }
 }
 
-/// Key identifying one hardware counter inside the state store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Key identifying one hardware counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum CounterKey {
     /// Router-wide counter shared by all classes.
     Unified(u32),
@@ -162,18 +162,35 @@ struct CounterState {
     last_tick: u64,
 }
 
-/// Runtime IP-ID state for all routers of a simulation.
+/// The slot of a reply class whose behaviour keeps no counter.
+const NO_COUNTER: u32 = u32::MAX;
+
+/// Runtime IP-ID state for the interfaces of one simulation.
+///
+/// The counters live in dense slots laid out once, when the engine is
+/// built over its interfaces: one slot per counter their routers'
+/// profiles can use (a router-wide counter is one slot shared by its
+/// interfaces, a per-interface counter one slot per interface and
+/// class). Each interface records the slot each reply class samples, so
+/// a reply costs two array loads, and neither hashes nor allocates. A
+/// counter takes its seeded initial value on its first sample, so a
+/// counter never sampled draws nothing from the RNG.
 #[derive(Debug, Default)]
 pub struct IpIdEngine {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "looked up on every reply and never iterated, so hash order reaches no output"
-    )]
-    counters: std::collections::HashMap<CounterKey, CounterState>,
+    /// Per interface, the slot each reply class (indirect, direct)
+    /// samples, or [`NO_COUNTER`].
+    slot_of: Vec<[u32; 2]>,
+    /// Each slot's counter key, ascending; `counters` is aligned with it.
+    keys: Vec<CounterKey>,
+    /// `None` until the counter's first sample.
+    counters: Vec<Option<CounterState>>,
+    /// Sampled counters whose interfaces a route change removed, kept
+    /// so that they resume if their interfaces return.
+    retired: Vec<(CounterKey, CounterState)>,
 }
 
 /// Which reply class a sample is for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ReplyClass {
     /// Time Exceeded / Destination Unreachable.
     Indirect,
@@ -181,55 +198,118 @@ pub enum ReplyClass {
     Direct,
 }
 
-impl IpIdEngine {
-    /// Creates an empty engine; counters materialise lazily with seeded
-    /// initial values so distinct counters start apart.
-    pub fn new() -> Self {
-        Self::default()
+impl ReplyClass {
+    /// Index of the class in per-class tables and counter keys.
+    fn index(self) -> usize {
+        match self {
+            ReplyClass::Indirect => 0,
+            ReplyClass::Direct => 1,
+        }
+    }
+}
+
+impl IpIdProfile {
+    fn behavior(&self, class: ReplyClass) -> CounterBehavior {
+        match class {
+            ReplyClass::Indirect => self.indirect,
+            ReplyClass::Direct => self.direct,
+        }
     }
 
-    /// Samples the IP ID a router stamps on a reply.
+    /// The counter replies of `class` from `interface` (of `router`)
+    /// advance, if the class's behaviour keeps one.
+    fn counter(&self, router: u32, interface: Ipv4Addr, class: ReplyClass) -> Option<CounterKey> {
+        let tag = class.index() as u8;
+        match self.behavior(class) {
+            CounterBehavior::SharedCounter if self.unified_counter => {
+                Some(CounterKey::Unified(router))
+            }
+            CounterBehavior::SharedCounter => Some(CounterKey::PerClass(router, tag)),
+            CounterBehavior::PerInterfaceCounter => {
+                Some(CounterKey::PerInterface(router, interface, tag))
+            }
+            _ => None,
+        }
+    }
+}
+
+impl IpIdEngine {
+    /// Lays out the counters of `interfaces`: interface `i` is the
+    /// `i`-th item, given as its address, its router and that router's
+    /// IP-ID profile (the profile every later sample for it passes).
+    pub fn new(interfaces: impl IntoIterator<Item = (Ipv4Addr, u32, IpIdProfile)>) -> Self {
+        let mut uses: Vec<(CounterKey, usize, ReplyClass)> = Vec::new();
+        let mut count = 0;
+        for (i, (address, router, profile)) in interfaces.into_iter().enumerate() {
+            count = i + 1;
+            for class in [ReplyClass::Indirect, ReplyClass::Direct] {
+                if let Some(key) = profile.counter(router, address, class) {
+                    uses.push((key, i, class));
+                }
+            }
+        }
+        uses.sort_unstable();
+        let distinct = uses.windows(2).filter(|w| w[0].0 != w[1].0).count() + 1;
+        let mut keys: Vec<CounterKey> = Vec::with_capacity(distinct.min(uses.len()));
+        let mut slot_of = vec![[NO_COUNTER; 2]; count];
+        for (key, i, class) in uses {
+            if keys.last() != Some(&key) {
+                keys.push(key);
+            }
+            slot_of[i][class.index()] = (keys.len() - 1) as u32;
+        }
+        Self {
+            slot_of,
+            counters: vec![None; keys.len()],
+            keys,
+            retired: Vec::new(),
+        }
+    }
+
+    /// Lays the slots out afresh over a changed interface set (a route
+    /// change renumbers interfaces), keeping every sampled counter's
+    /// state under its key: the router-wide counters and the
+    /// per-interface counters of surviving interfaces carry on where
+    /// they were, and those of removed interfaces resume if their
+    /// interfaces return.
+    pub fn rekey(&mut self, interfaces: impl IntoIterator<Item = (Ipv4Addr, u32, IpIdProfile)>) {
+        let old = std::mem::replace(self, Self::new(interfaces));
+        let sampled = old
+            .keys
+            .into_iter()
+            .zip(old.counters)
+            .filter_map(|(key, state)| Some((key, state?)));
+        for (key, state) in old.retired.into_iter().chain(sampled) {
+            match self.keys.binary_search(&key) {
+                Ok(slot) => self.counters[slot] = Some(state),
+                Err(_) => self.retired.push((key, state)),
+            }
+        }
+    }
+
+    /// Samples the IP ID interface `interface` stamps on a reply of
+    /// `class`.
     ///
     /// Returns `None` if the behaviour is `Unresponsive` (no reply should
     /// be sent at all).
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one sample needs the router, interface, profile, class, probe IP ID and clock"
-    )]
     pub fn sample<R: Rng>(
         &mut self,
         rng: &mut R,
-        router: u32,
-        interface: Ipv4Addr,
+        interface: usize,
         profile: &IpIdProfile,
         class: ReplyClass,
         probe_ip_id: u16,
         now: u64,
     ) -> Option<u16> {
-        let behavior = match class {
-            ReplyClass::Indirect => profile.indirect,
-            ReplyClass::Direct => profile.direct,
-        };
-        let class_tag = match class {
-            ReplyClass::Indirect => 0u8,
-            ReplyClass::Direct => 1u8,
-        };
-        match behavior {
+        match profile.behavior(class) {
             CounterBehavior::Constant(v) => Some(v),
             CounterBehavior::Random => Some(rng.gen()),
             CounterBehavior::CopyProbe => Some(probe_ip_id),
             CounterBehavior::Unresponsive => None,
-            CounterBehavior::SharedCounter => {
-                let key = if profile.unified_counter {
-                    CounterKey::Unified(router)
-                } else {
-                    CounterKey::PerClass(router, class_tag)
-                };
-                Some(self.advance(rng, key, profile, now))
-            }
-            CounterBehavior::PerInterfaceCounter => {
-                let key = CounterKey::PerInterface(router, interface, class_tag);
-                Some(self.advance(rng, key, profile, now))
+            CounterBehavior::SharedCounter | CounterBehavior::PerInterfaceCounter => {
+                let slot = self.slot_of[interface][class.index()];
+                debug_assert_ne!(slot, NO_COUNTER, "profile differs from the layout's");
+                Some(self.advance(rng, slot as usize, profile, now))
             }
         }
     }
@@ -240,11 +320,11 @@ impl IpIdEngine {
     fn advance<R: Rng>(
         &mut self,
         rng: &mut R,
-        key: CounterKey,
+        slot: usize,
         profile: &IpIdProfile,
         now: u64,
     ) -> u16 {
-        let state = self.counters.entry(key).or_insert_with(|| CounterState {
+        let state = self.counters[slot].get_or_insert_with(|| CounterState {
             value: rng.gen(),
             last_tick: now,
         });
@@ -277,6 +357,11 @@ mod tests {
         StdRng::seed_from_u64(7)
     }
 
+    /// An engine over `interfaces` (address, router), all with profile `p`.
+    fn engine(p: IpIdProfile, interfaces: &[(Ipv4Addr, u32)]) -> IpIdEngine {
+        IpIdEngine::new(interfaces.iter().map(|&(a, r)| (a, r, p)))
+    }
+
     /// Wraparound-aware forward distance.
     fn fwd(a: u16, b: u16) -> u16 {
         b.wrapping_sub(a)
@@ -284,14 +369,14 @@ mod tests {
 
     #[test]
     fn shared_counter_interleaved_monotonic() {
-        let mut eng = IpIdEngine::new();
-        let mut r = rng();
         let p = IpIdProfile::shared(2, 3);
+        let mut eng = engine(p, &[(IF_A, 1), (IF_B, 1)]);
+        let mut r = rng();
         let mut last: Option<u16> = None;
         for t in 0..200u64 {
-            let iface = if t % 2 == 0 { IF_A } else { IF_B };
+            let iface = (t % 2) as usize;
             let id = eng
-                .sample(&mut r, 1, iface, &p, ReplyClass::Indirect, 0, t)
+                .sample(&mut r, iface, &p, ReplyClass::Indirect, 0, t)
                 .unwrap();
             if let Some(prev) = last {
                 // Forward distance must be small (counter velocity bound).
@@ -304,14 +389,14 @@ mod tests {
 
     #[test]
     fn per_interface_counters_independent() {
-        let mut eng = IpIdEngine::new();
-        let mut r = rng();
         let p = IpIdProfile::per_interface_indirect(2, 3);
+        let mut eng = engine(p, &[(IF_A, 1), (IF_B, 1)]);
+        let mut r = rng();
         let a0 = eng
-            .sample(&mut r, 1, IF_A, &p, ReplyClass::Indirect, 0, 0)
+            .sample(&mut r, 0, &p, ReplyClass::Indirect, 0, 0)
             .unwrap();
         let b0 = eng
-            .sample(&mut r, 1, IF_B, &p, ReplyClass::Indirect, 0, 1)
+            .sample(&mut r, 1, &p, ReplyClass::Indirect, 0, 1)
             .unwrap();
         // Counters are seeded independently: the two interleaved series
         // almost surely do not interleave monotonically with small steps.
@@ -319,34 +404,30 @@ mod tests {
         assert!(fwd(a0, b0) > 64 || fwd(b0, a0) > 64);
         // But each interface's own series is monotonic.
         let a1 = eng
-            .sample(&mut r, 1, IF_A, &p, ReplyClass::Indirect, 0, 2)
+            .sample(&mut r, 0, &p, ReplyClass::Indirect, 0, 2)
             .unwrap();
         assert!(fwd(a0, a1) >= 1 && fwd(a0, a1) <= 16);
     }
 
     #[test]
     fn per_interface_indirect_direct_shared() {
-        let mut eng = IpIdEngine::new();
-        let mut r = rng();
         let p = IpIdProfile::per_interface_indirect(2, 2);
+        let mut eng = engine(p, &[(IF_A, 1), (IF_B, 1)]);
+        let mut r = rng();
         // Direct samples from different interfaces share a counter.
-        let d0 = eng
-            .sample(&mut r, 1, IF_A, &p, ReplyClass::Direct, 0, 0)
-            .unwrap();
-        let d1 = eng
-            .sample(&mut r, 1, IF_B, &p, ReplyClass::Direct, 0, 1)
-            .unwrap();
+        let d0 = eng.sample(&mut r, 0, &p, ReplyClass::Direct, 0, 0).unwrap();
+        let d1 = eng.sample(&mut r, 1, &p, ReplyClass::Direct, 0, 1).unwrap();
         assert!(fwd(d0, d1) >= 1 && fwd(d0, d1) <= 16);
     }
 
     #[test]
     fn constant_zero_always_zero() {
-        let mut eng = IpIdEngine::new();
-        let mut r = rng();
         let p = IpIdProfile::constant_zero();
+        let mut eng = engine(p, &[(IF_A, 1)]);
+        let mut r = rng();
         for t in 0..10 {
             assert_eq!(
-                eng.sample(&mut r, 1, IF_A, &p, ReplyClass::Indirect, 99, t),
+                eng.sample(&mut r, 0, &p, ReplyClass::Indirect, 99, t),
                 Some(0)
             );
         }
@@ -354,42 +435,39 @@ mod tests {
 
     #[test]
     fn copy_probe_echoes() {
-        let mut eng = IpIdEngine::new();
-        let mut r = rng();
         let p = IpIdProfile {
             direct: CounterBehavior::CopyProbe,
             ..IpIdProfile::default()
         };
+        let mut eng = engine(p, &[(IF_A, 1)]);
+        let mut r = rng();
         assert_eq!(
-            eng.sample(&mut r, 1, IF_A, &p, ReplyClass::Direct, 0xABCD, 5),
+            eng.sample(&mut r, 0, &p, ReplyClass::Direct, 0xABCD, 5),
             Some(0xABCD)
         );
     }
 
     #[test]
     fn unresponsive_returns_none() {
-        let mut eng = IpIdEngine::new();
-        let mut r = rng();
         let p = IpIdProfile {
             direct: CounterBehavior::Unresponsive,
             ..IpIdProfile::default()
         };
-        assert_eq!(
-            eng.sample(&mut r, 1, IF_A, &p, ReplyClass::Direct, 0, 5),
-            None
-        );
+        let mut eng = engine(p, &[(IF_A, 1)]);
+        let mut r = rng();
+        assert_eq!(eng.sample(&mut r, 0, &p, ReplyClass::Direct, 0, 5), None);
     }
 
     #[test]
     fn different_routers_independent_counters() {
-        let mut eng = IpIdEngine::new();
-        let mut r = rng();
         let p = IpIdProfile::shared(2, 2);
+        let mut eng = engine(p, &[(IF_A, 1), (IF_B, 2)]);
+        let mut r = rng();
         let a = eng
-            .sample(&mut r, 1, IF_A, &p, ReplyClass::Indirect, 0, 0)
+            .sample(&mut r, 0, &p, ReplyClass::Indirect, 0, 0)
             .unwrap();
         let b = eng
-            .sample(&mut r, 2, IF_A, &p, ReplyClass::Indirect, 0, 1)
+            .sample(&mut r, 1, &p, ReplyClass::Indirect, 0, 1)
             .unwrap();
         assert!(fwd(a, b) > 64 || fwd(b, a) > 64);
     }
@@ -397,17 +475,17 @@ mod tests {
     #[test]
     fn wraparound_still_advances() {
         // Force a counter near the top of the range and step it across.
-        let mut eng = IpIdEngine::new();
-        let mut r = rng();
         let p = IpIdProfile::shared(1, 0);
+        let mut eng = engine(p, &[(IF_A, 3)]);
+        let mut r = rng();
         // Warm the counter, then find its value and advance until wrap.
         let mut prev = eng
-            .sample(&mut r, 3, IF_A, &p, ReplyClass::Indirect, 0, 0)
+            .sample(&mut r, 0, &p, ReplyClass::Indirect, 0, 0)
             .unwrap();
         let mut wrapped = false;
         for t in 1..200_000u64 {
             let id = eng
-                .sample(&mut r, 3, IF_A, &p, ReplyClass::Indirect, 0, t)
+                .sample(&mut r, 0, &p, ReplyClass::Indirect, 0, t)
                 .unwrap();
             if id < prev {
                 wrapped = true;
@@ -422,18 +500,67 @@ mod tests {
 
     #[test]
     fn random_behavior_varies() {
-        let mut eng = IpIdEngine::new();
-        let mut r = rng();
         let p = IpIdProfile {
             indirect: CounterBehavior::Random,
             ..IpIdProfile::default()
         };
+        let mut eng = engine(p, &[(IF_A, 1)]);
+        let mut r = rng();
         let values: std::collections::BTreeSet<u16> = (0..32u64)
             .map(|t| {
-                eng.sample(&mut r, 1, IF_A, &p, ReplyClass::Indirect, 0, t)
+                eng.sample(&mut r, 0, &p, ReplyClass::Indirect, 0, t)
                     .unwrap()
             })
             .collect();
         assert!(values.len() > 16, "random IDs must vary");
+    }
+
+    /// One slot per counter a profile can use: a unified router is one
+    /// slot for all its interfaces and both classes, a per-interface
+    /// indirect profile one slot per interface plus the router's direct
+    /// counter, and constant behaviours none.
+    #[test]
+    fn slots_follow_the_profiles() {
+        let shared = engine(IpIdProfile::shared(2, 3), &[(IF_A, 1), (IF_B, 1)]);
+        assert_eq!(shared.counters.len(), 1);
+        let split = engine(
+            IpIdProfile::per_interface_indirect(2, 3),
+            &[(IF_A, 1), (IF_B, 1)],
+        );
+        assert_eq!(split.counters.len(), 3);
+        let constant = engine(IpIdProfile::constant_zero(), &[(IF_A, 1)]);
+        assert!(constant.counters.is_empty());
+    }
+
+    /// Re-keying keeps each counter's state under its key: the survivor
+    /// moves to its new slot, a removed interface's counter waits aside
+    /// and resumes when the interface returns.
+    #[test]
+    fn rekey_carries_counters_by_key() {
+        let p = IpIdProfile::per_interface_indirect(1, 0);
+        let mut eng = engine(p, &[(IF_A, 1), (IF_B, 1)]);
+        let mut r = rng();
+        let a0 = eng
+            .sample(&mut r, 0, &p, ReplyClass::Indirect, 0, 0)
+            .unwrap();
+        let b0 = eng
+            .sample(&mut r, 1, &p, ReplyClass::Indirect, 0, 0)
+            .unwrap();
+        // IF_A leaves: IF_B becomes interface 0.
+        eng.rekey([(IF_B, 1, p)]);
+        let b1 = eng
+            .sample(&mut r, 0, &p, ReplyClass::Indirect, 0, 4)
+            .unwrap();
+        assert_eq!(fwd(b0, b1), 4);
+        // IF_A returns below IF_B.
+        eng.rekey([(IF_A, 1, p), (IF_B, 1, p)]);
+        let a1 = eng
+            .sample(&mut r, 0, &p, ReplyClass::Indirect, 0, 10)
+            .unwrap();
+        assert_eq!(fwd(a0, a1), 10);
+        let b2 = eng
+            .sample(&mut r, 1, &p, ReplyClass::Indirect, 0, 10)
+            .unwrap();
+        assert_eq!(fwd(b1, b2), 6);
     }
 }

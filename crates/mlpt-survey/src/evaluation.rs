@@ -153,9 +153,8 @@ fn counts(trace: &Trace) -> RunCounts {
     match trace.to_topology() {
         Some(topo) => {
             let vertices = topo
-                .hops()
+                .vertices()
                 .iter()
-                .flatten()
                 .filter(|a| !mlpt_topo::is_star(**a))
                 .count() as u64;
             RunCounts {

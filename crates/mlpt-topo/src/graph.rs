@@ -17,10 +17,20 @@
 //! Together these guarantee that *every flow from the source reaches the
 //! destination* — assumption (1) of the MDA model (no routing changes, all
 //! paths converge).
+//!
+//! A built topology is one immutable, flat graph behind an [`Arc`]:
+//! vertices numbered hop-major in a single array, and each vertex's
+//! successors and predecessors as one address-sorted run of a shared
+//! list (compressed sparse rows). Cloning shares it, so a simulator
+//! lane, a sweep's ground truth and a validation run over the same
+//! route all read one copy. Queries by `(hop, address)` binary-search
+//! the hop; [`MultipathTopology::vertex_index`] exposes the vertex
+//! numbering to callers that index their own tables by it.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Errors detected while building a topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,13 +112,61 @@ impl std::error::Error for TopologyError {}
 ///
 /// Hop indices are zero-based; hop `i` is what a probe with TTL `i + 1`
 /// reveals. The last hop holds the destination.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The graph is immutable and shared: it lives behind an [`Arc`], so
+/// `clone()` bumps a reference count, and every simulator lane of a
+/// route reads the one copy. The `with_*` mutations return a new graph
+/// and leave this one untouched.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultipathTopology {
-    hops: Vec<Vec<Ipv4Addr>>,
-    /// `edges[i]` maps a hop-`i` vertex to its hop-`i+1` successors.
-    edges: Vec<BTreeMap<Ipv4Addr, BTreeSet<Ipv4Addr>>>,
-    /// `reverse[i]` maps a hop-`i+1` vertex to its hop-`i` predecessors.
-    reverse: Vec<BTreeMap<Ipv4Addr, BTreeSet<Ipv4Addr>>>,
+    graph: Arc<Graph>,
+}
+
+/// The flat layout behind [`MultipathTopology`]. Vertices are numbered
+/// hop-major: hop `i` holds vertices `hop_start[i]..hop_start[i + 1]`,
+/// in insertion order. Vertex `v`'s successors are
+/// `succ[succ_start[v]..succ_start[v + 1]]`, ascending by address, and
+/// its predecessors are laid out the same way in `pred`.
+#[derive(Debug, PartialEq, Eq)]
+struct Graph {
+    vertices: Vec<Ipv4Addr>,
+    /// `num_hops + 1` offsets into `vertices`.
+    hop_start: Vec<u32>,
+    /// Each hop's vertex numbers in ascending address order, aligned
+    /// with `vertices`: address lookups binary-search their hop's run.
+    by_address: Vec<u32>,
+    /// `vertices.len() + 1` offsets into `succ`.
+    succ_start: Vec<u32>,
+    succ: Vec<Ipv4Addr>,
+    /// `vertices.len() + 1` offsets into `pred`.
+    pred_start: Vec<u32>,
+    pred: Vec<Ipv4Addr>,
+}
+
+impl Graph {
+    fn hop_range(&self, hop: usize) -> Range<usize> {
+        self.hop_start[hop] as usize..self.hop_start[hop + 1] as usize
+    }
+
+    /// The number of `addr`'s vertex at `hop`, if it has one.
+    fn vertex(&self, hop: usize, addr: Ipv4Addr) -> Option<usize> {
+        if hop + 1 >= self.hop_start.len() {
+            return None;
+        }
+        let sorted = &self.by_address[self.hop_range(hop)];
+        sorted
+            .binary_search_by_key(&addr, |&v| self.vertices[v as usize])
+            .ok()
+            .map(|k| sorted[k] as usize)
+    }
+
+    fn successors_of(&self, v: usize) -> &[Ipv4Addr] {
+        &self.succ[self.succ_start[v] as usize..self.succ_start[v + 1] as usize]
+    }
+
+    fn predecessors_of(&self, v: usize) -> &[Ipv4Addr] {
+        &self.pred[self.pred_start[v] as usize..self.pred_start[v + 1] as usize]
+    }
 }
 
 impl MultipathTopology {
@@ -119,22 +177,35 @@ impl MultipathTopology {
 
     /// Number of hops (≥ 2). The destination is at hop `num_hops() - 1`.
     pub fn num_hops(&self) -> usize {
-        self.hops.len()
+        self.graph.hop_start.len() - 1
     }
 
     /// Vertices at hop `i`, in deterministic (insertion) order.
     pub fn hop(&self, i: usize) -> &[Ipv4Addr] {
-        &self.hops[i]
+        &self.graph.vertices[self.graph.hop_range(i)]
     }
 
-    /// All hops.
-    pub fn hops(&self) -> &[Vec<Ipv4Addr>] {
-        &self.hops
+    /// All hops, in hop order.
+    pub fn hops(&self) -> impl DoubleEndedIterator<Item = &[Ipv4Addr]> + ExactSizeIterator + '_ {
+        (0..self.num_hops()).map(|i| self.hop(i))
+    }
+
+    /// Every vertex, hop by hop: the hops' vertex lists concatenated.
+    /// A vertex's position here is its vertex number
+    /// ([`vertex_index`](Self::vertex_index)).
+    pub fn vertices(&self) -> &[Ipv4Addr] {
+        &self.graph.vertices
+    }
+
+    /// The vertex number of `addr` at hop `hop` (its position in
+    /// [`vertices`](Self::vertices)), if `addr` is a vertex there.
+    pub fn vertex_index(&self, hop: usize, addr: Ipv4Addr) -> Option<usize> {
+        self.graph.vertex(hop, addr)
     }
 
     /// The destination address.
     pub fn destination(&self) -> Ipv4Addr {
-        self.hops.last().expect("validated: >= 2 hops")[0]
+        self.graph.vertices[self.graph.vertices.len() - 1]
     }
 
     /// The TTL at which hop `i` responds.
@@ -144,28 +215,23 @@ impl MultipathTopology {
 
     /// True if `addr` is a vertex at hop `i`.
     pub fn contains(&self, hop: usize, addr: Ipv4Addr) -> bool {
-        self.hops.get(hop).is_some_and(|h| h.contains(&addr))
+        self.graph.vertex(hop, addr).is_some()
     }
 
-    /// Successors of `addr` at hop `i` (vertices at hop `i + 1`).
-    pub fn successors(&self, hop: usize, addr: Ipv4Addr) -> &BTreeSet<Ipv4Addr> {
-        static EMPTY: std::sync::OnceLock<BTreeSet<Ipv4Addr>> = std::sync::OnceLock::new();
-        self.edges
-            .get(hop)
-            .and_then(|m| m.get(&addr))
-            .unwrap_or_else(|| EMPTY.get_or_init(BTreeSet::new))
+    /// Successors of `addr` at hop `i` (vertices at hop `i + 1`), in
+    /// ascending address order.
+    pub fn successors(&self, hop: usize, addr: Ipv4Addr) -> &[Ipv4Addr] {
+        self.graph
+            .vertex(hop, addr)
+            .map_or(&[], |v| self.graph.successors_of(v))
     }
 
-    /// Predecessors of `addr` at hop `i` (vertices at hop `i - 1`).
-    pub fn predecessors(&self, hop: usize, addr: Ipv4Addr) -> &BTreeSet<Ipv4Addr> {
-        static EMPTY: std::sync::OnceLock<BTreeSet<Ipv4Addr>> = std::sync::OnceLock::new();
-        if hop == 0 {
-            return EMPTY.get_or_init(BTreeSet::new);
-        }
-        self.reverse
-            .get(hop - 1)
-            .and_then(|m| m.get(&addr))
-            .unwrap_or_else(|| EMPTY.get_or_init(BTreeSet::new))
+    /// Predecessors of `addr` at hop `i` (vertices at hop `i - 1`), in
+    /// ascending address order.
+    pub fn predecessors(&self, hop: usize, addr: Ipv4Addr) -> &[Ipv4Addr] {
+        self.graph
+            .vertex(hop, addr)
+            .map_or(&[], |v| self.graph.predecessors_of(v))
     }
 
     /// Out-degree of a vertex.
@@ -181,28 +247,31 @@ impl MultipathTopology {
     /// Total number of vertices (summed over hops; an address appearing at
     /// two hops counts twice, since it is two topological vertices).
     pub fn total_vertices(&self) -> usize {
-        self.hops.iter().map(Vec::len).sum()
+        self.graph.vertices.len()
     }
 
     /// Total number of edges.
     pub fn total_edges(&self) -> usize {
-        self.edges
-            .iter()
-            .map(|m| m.values().map(BTreeSet::len).sum::<usize>())
-            .sum()
+        self.graph.succ.len()
     }
 
-    /// Iterator over all edges as `(hop, from, to)`.
+    /// Iterator over all edges as `(hop, from, to)`: by hop, then source,
+    /// then target, addresses ascending.
     pub fn edges(&self) -> impl Iterator<Item = (usize, Ipv4Addr, Ipv4Addr)> + '_ {
-        self.edges.iter().enumerate().flat_map(|(i, m)| {
-            m.iter()
-                .flat_map(move |(&from, tos)| tos.iter().map(move |&to| (i, from, to)))
+        let g = &*self.graph;
+        (0..self.num_hops()).flat_map(move |hop| {
+            g.by_address[g.hop_range(hop)].iter().flat_map(move |&v| {
+                let from = g.vertices[v as usize];
+                g.successors_of(v as usize)
+                    .iter()
+                    .map(move |&to| (hop, from, to))
+            })
         })
     }
 
     /// The set of distinct addresses appearing anywhere in the topology.
     pub fn all_addresses(&self) -> BTreeSet<Ipv4Addr> {
-        self.hops.iter().flatten().copied().collect()
+        self.graph.vertices.iter().copied().collect()
     }
 
     /// Probability, under uniform-at-random per-flow load balancing, that a
@@ -214,16 +283,16 @@ impl MultipathTopology {
     /// paper's "maximum probability difference" (Fig. 8) and behind the
     /// definition of a *uniform hop* (every vertex equally likely).
     pub fn reach_probabilities(&self) -> Vec<BTreeMap<Ipv4Addr, f64>> {
-        let mut probs: Vec<BTreeMap<Ipv4Addr, f64>> = Vec::with_capacity(self.hops.len());
+        let mut probs: Vec<BTreeMap<Ipv4Addr, f64>> = Vec::with_capacity(self.num_hops());
         let first: BTreeMap<Ipv4Addr, f64> = {
-            let n = self.hops[0].len() as f64;
-            self.hops[0].iter().map(|&a| (a, 1.0 / n)).collect()
+            let n = self.hop(0).len() as f64;
+            self.hop(0).iter().map(|&a| (a, 1.0 / n)).collect()
         };
         probs.push(first);
-        for i in 1..self.hops.len() {
+        for i in 1..self.num_hops() {
             let mut layer: BTreeMap<Ipv4Addr, f64> =
-                self.hops[i].iter().map(|&a| (a, 0.0)).collect();
-            for &u in &self.hops[i - 1] {
+                self.hop(i).iter().map(|&a| (a, 0.0)).collect();
+            for &u in self.hop(i - 1) {
                 let p_u = probs[i - 1][&u];
                 let succs = self.successors(i - 1, u);
                 if succs.is_empty() {
@@ -243,8 +312,8 @@ impl MultipathTopology {
     /// the first hop at which `target` appears, scanning forward. Returns
     /// `None` if `target` never appears after `from_hop`.
     pub fn hops_until(&self, from_hop: usize, target: Ipv4Addr) -> Option<usize> {
-        (from_hop + 1..self.hops.len())
-            .find(|&i| self.hops[i].contains(&target))
+        (from_hop + 1..self.num_hops())
+            .find(|&i| self.contains(i, target))
             .map(|i| i - from_hop)
     }
 
@@ -258,7 +327,7 @@ impl MultipathTopology {
     pub fn translated(&self, offset: u32) -> MultipathTopology {
         let shift = |a: Ipv4Addr| Ipv4Addr::from(u32::from(a).wrapping_add(offset));
         let mut b = TopologyBuilder::default();
-        for hop in &self.hops {
+        for hop in self.hops() {
             b.add_hop(hop.iter().copied().map(shift));
         }
         for (hop, from, to) in self.edges() {
@@ -268,24 +337,14 @@ impl MultipathTopology {
             .expect("translation preserves topology invariants")
     }
 
-    /// Re-validates a mutated copy through the builder, so every mutation
-    /// below returns a topology satisfying the full invariant set.
-    fn rebuilt(
-        hops: Vec<Vec<Ipv4Addr>>,
-        edges: Vec<BTreeMap<Ipv4Addr, BTreeSet<Ipv4Addr>>>,
-    ) -> Result<MultipathTopology, TopologyError> {
-        let mut b = TopologyBuilder::default();
-        for hop in &hops {
-            b.add_hop(hop.iter().copied());
+    /// An editable copy: the mutations below change it and re-validate
+    /// it through [`TopologyBuilder::build`], so each returns a topology
+    /// satisfying the full invariant set.
+    fn to_builder(&self) -> TopologyBuilder {
+        TopologyBuilder {
+            hops: self.hops().map(<[Ipv4Addr]>::to_vec).collect(),
+            edges: self.edges().collect(),
         }
-        for (i, m) in edges.iter().enumerate() {
-            for (&from, tos) in m {
-                for &to in tos {
-                    b.add_edge(i, from, to);
-                }
-            }
-        }
-        b.build()
     }
 
     /// The numerically smallest address not yet used anywhere in the
@@ -294,9 +353,9 @@ impl MultipathTopology {
     /// their own disjoint blocks.
     pub fn next_free_address(&self) -> Ipv4Addr {
         let max = self
-            .hops
+            .graph
+            .vertices
             .iter()
-            .flatten()
             .map(|&a| u32::from(a))
             .max()
             .expect("validated: >= 2 hops");
@@ -313,48 +372,47 @@ impl MultipathTopology {
         a: usize,
         b: usize,
     ) -> Result<MultipathTopology, TopologyError> {
-        if hop + 1 >= self.hops.len() {
+        if hop + 1 >= self.num_hops() {
             return Err(TopologyError::BadMutation {
                 reason: "swap hop out of range (destination hop has no successors)",
             });
         }
-        let vertices = &self.hops[hop];
+        let vertices = self.hop(hop);
         if a == b || a >= vertices.len() || b >= vertices.len() {
             return Err(TopologyError::BadMutation {
                 reason: "swap needs two distinct in-range vertex indices",
             });
         }
         let (va, vb) = (vertices[a], vertices[b]);
-        let mut edges = self.edges.clone();
-        let sa = edges[hop].remove(&va).unwrap_or_default();
-        let sb = edges[hop].remove(&vb).unwrap_or_default();
-        edges[hop].insert(va, sb);
-        edges[hop].insert(vb, sa);
-        Self::rebuilt(self.hops.clone(), edges)
+        let mut edited = self.to_builder();
+        for (h, from, _) in &mut edited.edges {
+            if *h == hop && (*from == va || *from == vb) {
+                *from = if *from == va { vb } else { va };
+            }
+        }
+        edited.build()
     }
 
     /// Load-balancer regrow: adds one freshly minted vertex at hop `hop`,
     /// wired in parallel with that hop's first vertex (same predecessors,
     /// same successors) — a new branch appearing in an existing diamond.
     pub fn with_added_branch(&self, hop: usize) -> Result<MultipathTopology, TopologyError> {
-        if hop + 1 >= self.hops.len() {
+        if hop + 1 >= self.num_hops() {
             return Err(TopologyError::BadMutation {
                 reason: "cannot grow the destination hop",
             });
         }
-        let template = self.hops[hop][0];
+        let template = self.hop(hop)[0];
         let fresh = self.next_free_address();
-        let mut hops = self.hops.clone();
-        hops[hop].push(fresh);
-        let mut edges = self.edges.clone();
-        let succs = self.successors(hop, template).clone();
-        edges[hop].insert(fresh, succs);
-        if hop > 0 {
-            for &p in self.predecessors(hop, template).clone().iter() {
-                edges[hop - 1].entry(p).or_default().insert(fresh);
-            }
+        let mut edited = self.to_builder();
+        edited.hops[hop].push(fresh);
+        for &s in self.successors(hop, template) {
+            edited.edges.push((hop, fresh, s));
         }
-        Self::rebuilt(hops, edges)
+        for &p in self.predecessors(hop, template) {
+            edited.edges.push((hop - 1, p, fresh));
+        }
+        edited.build()
     }
 
     /// Load-balancer shrink: removes the vertex at position `index` of hop
@@ -366,12 +424,12 @@ impl MultipathTopology {
         hop: usize,
         index: usize,
     ) -> Result<MultipathTopology, TopologyError> {
-        if hop + 1 >= self.hops.len() {
+        if hop + 1 >= self.num_hops() {
             return Err(TopologyError::BadMutation {
                 reason: "cannot shrink the destination hop",
             });
         }
-        let vertices = &self.hops[hop];
+        let vertices = self.hop(hop);
         if index >= vertices.len() {
             return Err(TopologyError::BadMutation {
                 reason: "shrink vertex index out of range",
@@ -383,36 +441,33 @@ impl MultipathTopology {
             });
         }
         let removed = vertices[index];
-        let mut hops = self.hops.clone();
-        hops[hop].remove(index);
-        let fallback = hops[hop][0];
-        let mut edges = self.edges.clone();
-        let orphaned_succs = edges[hop].remove(&removed).unwrap_or_default();
-        if hop > 0 {
-            for set in edges[hop - 1].values_mut() {
-                set.remove(&removed);
-            }
-        }
+        let mut edited = self.to_builder();
+        edited.hops[hop].remove(index);
+        let fallback = edited.hops[hop][0];
+        edited.edges.retain(|&(h, from, to)| {
+            !((h == hop && from == removed) || (h + 1 == hop && to == removed))
+        });
         // Re-home flows: predecessors that only fed the removed branch
         // fall back to the first surviving sibling ...
         if hop > 0 {
-            let starved: Vec<Ipv4Addr> = self.hops[hop - 1]
-                .iter()
-                .copied()
-                .filter(|p| edges[hop - 1].get(p).is_none_or(BTreeSet::is_empty))
-                .collect();
-            for p in starved {
-                edges[hop - 1].entry(p).or_default().insert(fallback);
+            for &p in self.hop(hop - 1) {
+                let fed = edited
+                    .edges
+                    .iter()
+                    .any(|&(h, from, _)| h + 1 == hop && from == p);
+                if !fed {
+                    edited.edges.push((hop - 1, p, fallback));
+                }
             }
         }
         // ... and successors only the removed branch fed are adopted by it.
-        for s in orphaned_succs {
-            let reachable = edges[hop].values().any(|set| set.contains(&s));
+        for &s in self.successors(hop, removed) {
+            let reachable = edited.edges.iter().any(|&(h, _, to)| h == hop && to == s);
             if !reachable {
-                edges[hop].entry(fallback).or_default().insert(s);
+                edited.edges.push((hop, fallback, s));
             }
         }
-        Self::rebuilt(hops, edges)
+        edited.build()
     }
 
     /// MPLS tunnel reveal: interposes a single freshly minted vertex as a
@@ -420,54 +475,56 @@ impl MultipathTopology {
     /// neighbouring hops (the hidden label-switching router becoming
     /// visible). Everything from hop `at` on shifts one TTL deeper.
     pub fn with_inserted_hop(&self, at: usize) -> Result<MultipathTopology, TopologyError> {
-        if at == 0 || at >= self.hops.len() {
+        if at == 0 || at >= self.num_hops() {
             return Err(TopologyError::BadMutation {
                 reason: "hop insertion point must be between two existing hops",
             });
         }
         let fresh = self.next_free_address();
-        let mut hops = self.hops.clone();
-        hops.insert(at, vec![fresh]);
-        let mut edges = self.edges.clone();
+        let mut edited = self.to_builder();
+        edited.hops.insert(at, vec![fresh]);
         // The interposed router absorbs the old at-1 -> at wiring: every
         // upstream vertex feeds it, and it fans out to the whole old hop.
-        edges[at - 1] = self.hops[at - 1]
-            .iter()
-            .map(|&p| (p, BTreeSet::from([fresh])))
-            .collect();
-        edges.insert(
-            at,
-            std::iter::once((fresh, self.hops[at].iter().copied().collect())).collect(),
-        );
-        Self::rebuilt(hops, edges)
+        edited.edges.retain(|&(h, _, _)| h + 1 != at);
+        for (h, _, _) in &mut edited.edges {
+            if *h >= at {
+                *h += 1;
+            }
+        }
+        for &p in self.hop(at - 1) {
+            edited.edges.push((at - 1, p, fresh));
+        }
+        for &v in self.hop(at) {
+            edited.edges.push((at, fresh, v));
+        }
+        edited.build()
     }
 
     /// Tunnel hide: removes the hop at index `at`, splicing its
     /// neighbours together (predecessor -> removed -> successor paths
     /// become direct edges). Everything after `at` shifts one TTL up.
     pub fn with_removed_hop(&self, at: usize) -> Result<MultipathTopology, TopologyError> {
-        if at == 0 || at + 1 >= self.hops.len() {
+        if at == 0 || at + 1 >= self.num_hops() {
             return Err(TopologyError::BadMutation {
                 reason: "only interior hops can be removed",
             });
         }
-        let mut hops = self.hops.clone();
-        hops.remove(at);
-        let mut edges = self.edges.clone();
-        let spliced: BTreeMap<Ipv4Addr, BTreeSet<Ipv4Addr>> = self.hops[at - 1]
-            .iter()
-            .map(|&p| {
-                let through: BTreeSet<Ipv4Addr> = self
-                    .successors(at - 1, p)
-                    .iter()
-                    .flat_map(|&v| self.successors(at, v).iter().copied())
-                    .collect();
-                (p, through)
-            })
-            .collect();
-        edges[at - 1] = spliced;
-        edges.remove(at);
-        Self::rebuilt(hops, edges)
+        let mut edited = self.to_builder();
+        edited.hops.remove(at);
+        edited.edges.retain(|&(h, _, _)| h + 1 != at && h != at);
+        for (h, _, _) in &mut edited.edges {
+            if *h > at {
+                *h -= 1;
+            }
+        }
+        for &p in self.hop(at - 1) {
+            for &v in self.successors(at - 1, p) {
+                for &w in self.successors(at, v) {
+                    edited.edges.push((at - 1, p, w));
+                }
+            }
+        }
+        edited.build()
     }
 }
 
@@ -475,21 +532,21 @@ impl MultipathTopology {
 #[derive(Debug, Clone, Default)]
 pub struct TopologyBuilder {
     hops: Vec<Vec<Ipv4Addr>>,
-    edges: Vec<BTreeMap<Ipv4Addr, BTreeSet<Ipv4Addr>>>,
+    /// `(hop, from, to)` triples, in any order; repeats collapse.
+    edges: Vec<(usize, Ipv4Addr, Ipv4Addr)>,
 }
 
 impl TopologyBuilder {
     /// Appends a hop with the given vertices; returns its index.
     pub fn add_hop<I: IntoIterator<Item = Ipv4Addr>>(&mut self, vertices: I) -> usize {
         self.hops.push(vertices.into_iter().collect());
-        self.edges.push(BTreeMap::new());
         self.hops.len() - 1
     }
 
     /// Adds an edge from `from` at `hop` to `to` at `hop + 1`.
     pub fn add_edge(&mut self, hop: usize, from: Ipv4Addr, to: Ipv4Addr) -> &mut Self {
         assert!(hop < self.hops.len(), "edge hop out of range");
-        self.edges[hop].entry(from).or_default().insert(to);
+        self.edges.push((hop, from, to));
         self
     }
 
@@ -534,76 +591,109 @@ impl TopologyBuilder {
         self
     }
 
-    /// Validates and freezes the topology.
-    pub fn build(self) -> Result<MultipathTopology, TopologyError> {
-        if self.hops.len() < 2 {
+    /// Validates the topology and lays it out flat.
+    pub fn build(mut self) -> Result<MultipathTopology, TopologyError> {
+        let num_hops = self.hops.len();
+        if num_hops < 2 {
             return Err(TopologyError::TooFewHops);
         }
+        let total: usize = self.hops.iter().map(Vec::len).sum();
+        let mut vertices: Vec<Ipv4Addr> = Vec::with_capacity(total);
+        let mut hop_start: Vec<u32> = Vec::with_capacity(num_hops + 1);
+        let mut by_address: Vec<u32> = Vec::with_capacity(total);
         for (i, hop) in self.hops.iter().enumerate() {
             if hop.is_empty() {
                 return Err(TopologyError::EmptyHop { hop: i });
             }
-            let mut seen = BTreeSet::new();
-            for &a in hop {
-                if !seen.insert(a) {
-                    return Err(TopologyError::DuplicateVertex { hop: i, addr: a });
-                }
+            let first = vertices.len();
+            hop_start.push(first as u32);
+            vertices.extend_from_slice(hop);
+            by_address.extend(first as u32..vertices.len() as u32);
+            let sorted = &mut by_address[first..];
+            sorted.sort_unstable_by_key(|&v| vertices[v as usize]);
+            if sorted
+                .windows(2)
+                .any(|w| vertices[w[0] as usize] == vertices[w[1] as usize])
+            {
+                // Report the first address that repeats, in hop order.
+                let (_, &addr) = hop
+                    .iter()
+                    .enumerate()
+                    .find(|&(k, a)| hop[..k].contains(a))
+                    .expect("a hop with a repeated address");
+                return Err(TopologyError::DuplicateVertex { hop: i, addr });
             }
         }
-        if self.hops.last().expect(">=2 hops").len() != 1 {
+        hop_start.push(total as u32);
+        if self.hops[num_hops - 1].len() != 1 {
             return Err(TopologyError::BadFinalHop);
         }
 
-        // Edge endpoint validity.
-        let hop_sets: Vec<BTreeSet<Ipv4Addr>> = self
-            .hops
-            .iter()
-            .map(|h| h.iter().copied().collect())
-            .collect();
-        for (i, edge_map) in self.edges.iter().enumerate() {
-            for (&from, tos) in edge_map {
-                if !hop_sets[i].contains(&from) {
-                    return Err(TopologyError::DanglingEdge { hop: i, addr: from });
-                }
-                for &to in tos {
-                    if i + 1 >= hop_sets.len() || !hop_sets[i + 1].contains(&to) {
-                        return Err(TopologyError::DanglingEdge { hop: i, addr: to });
-                    }
-                }
-            }
+        let mut graph = Graph {
+            vertices,
+            hop_start,
+            by_address,
+            succ_start: vec![0; total + 1],
+            succ: Vec::new(),
+            pred_start: vec![0; total + 1],
+            pred: Vec::new(),
+        };
+        // Sorted by hop, then source, then target: each source's targets
+        // and each target's sources come out ascending.
+        self.edges.sort_unstable();
+        self.edges.dedup();
+        let mut ends: Vec<(u32, u32)> = Vec::with_capacity(self.edges.len());
+        for &(hop, from, to) in &self.edges {
+            let f = graph
+                .vertex(hop, from)
+                .ok_or(TopologyError::DanglingEdge { hop, addr: from })?;
+            let t = graph
+                .vertex(hop + 1, to)
+                .ok_or(TopologyError::DanglingEdge { hop, addr: to })?;
+            graph.succ_start[f + 1] += 1;
+            graph.pred_start[t + 1] += 1;
+            ends.push((f as u32, t as u32));
+        }
+        for v in 0..total {
+            graph.succ_start[v + 1] += graph.succ_start[v];
+            graph.pred_start[v + 1] += graph.pred_start[v];
+        }
+        graph.succ = vec![Ipv4Addr::UNSPECIFIED; ends.len()];
+        graph.pred = vec![Ipv4Addr::UNSPECIFIED; ends.len()];
+        let mut cursor: Vec<u32> = graph.succ_start[..total].to_vec();
+        for (&(_, _, to), &(f, _)) in self.edges.iter().zip(&ends) {
+            graph.succ[cursor[f as usize] as usize] = to;
+            cursor[f as usize] += 1;
+        }
+        cursor.copy_from_slice(&graph.pred_start[..total]);
+        for (&(_, from, _), &(_, t)) in self.edges.iter().zip(&ends) {
+            graph.pred[cursor[t as usize] as usize] = from;
+            cursor[t as usize] += 1;
         }
 
-        // Reverse index + connectivity checks.
-        let mut reverse: Vec<BTreeMap<Ipv4Addr, BTreeSet<Ipv4Addr>>> =
-            vec![BTreeMap::new(); self.hops.len().saturating_sub(1)];
-        for (i, edge_map) in self.edges.iter().enumerate() {
-            for (&from, tos) in edge_map {
-                for &to in tos {
-                    reverse[i].entry(to).or_default().insert(from);
-                }
-            }
-        }
-        for (i, hop) in self.hops.iter().enumerate() {
-            if i + 1 < self.hops.len() {
-                for &a in hop {
-                    if self.edges[i].get(&a).is_none_or(BTreeSet::is_empty) {
-                        return Err(TopologyError::NoSuccessor { hop: i, addr: a });
-                    }
+        // Connectivity: every flow from the source reaches the destination.
+        for i in 0..num_hops {
+            let range = graph.hop_range(i);
+            if i + 1 < num_hops {
+                if let Some(v) = range.clone().find(|&v| graph.successors_of(v).is_empty()) {
+                    return Err(TopologyError::NoSuccessor {
+                        hop: i,
+                        addr: graph.vertices[v],
+                    });
                 }
             }
             if i > 0 {
-                for &a in hop {
-                    if reverse[i - 1].get(&a).is_none_or(BTreeSet::is_empty) {
-                        return Err(TopologyError::NoPredecessor { hop: i, addr: a });
-                    }
+                if let Some(v) = range.clone().find(|&v| graph.predecessors_of(v).is_empty()) {
+                    return Err(TopologyError::NoPredecessor {
+                        hop: i,
+                        addr: graph.vertices[v],
+                    });
                 }
             }
         }
 
         Ok(MultipathTopology {
-            hops: self.hops,
-            edges: self.edges,
-            reverse,
+            graph: Arc::new(graph),
         })
     }
 }
@@ -833,24 +923,12 @@ mod tests {
     #[test]
     fn swap_successors_reroutes_and_validates() {
         let t = unmeshed();
-        let old_succ_0: Vec<_> = t.successors(1, addr(1, 0)).iter().copied().collect();
-        let old_succ_1: Vec<_> = t.successors(1, addr(1, 1)).iter().copied().collect();
+        let old_succ_0 = t.successors(1, addr(1, 0)).to_vec();
+        let old_succ_1 = t.successors(1, addr(1, 1)).to_vec();
         assert_ne!(old_succ_0, old_succ_1);
         let m = t.with_swapped_successors(1, 0, 1).unwrap();
-        assert_eq!(
-            m.successors(1, addr(1, 0))
-                .iter()
-                .copied()
-                .collect::<Vec<_>>(),
-            old_succ_1
-        );
-        assert_eq!(
-            m.successors(1, addr(1, 1))
-                .iter()
-                .copied()
-                .collect::<Vec<_>>(),
-            old_succ_0
-        );
+        assert_eq!(m.successors(1, addr(1, 0)), old_succ_1);
+        assert_eq!(m.successors(1, addr(1, 1)), old_succ_0);
         // Swapping back restores the original topology exactly.
         assert_eq!(m.with_swapped_successors(1, 0, 1).unwrap(), t);
         assert!(matches!(
@@ -902,10 +980,7 @@ mod tests {
         let fresh = t.next_free_address();
         assert_eq!(m.hop(2), &[fresh]);
         for &p in m.hop(1) {
-            assert_eq!(
-                m.successors(1, p).iter().copied().collect::<Vec<_>>(),
-                vec![fresh]
-            );
+            assert_eq!(m.successors(1, p), [fresh]);
         }
         assert_eq!(m.successors(2, fresh).len(), t.hop(2).len());
         assert_eq!(m.destination(), t.destination());

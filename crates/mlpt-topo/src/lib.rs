@@ -6,7 +6,11 @@
 //!
 //! * [`graph`] — [`MultipathTopology`]: the hop-structured DAG itself, with
 //!   a validating builder, successor/predecessor queries and
-//!   reach-probability analysis under uniform load balancing.
+//!   reach-probability analysis under uniform load balancing. A built
+//!   topology is immutable and shared: one flat graph (a hop-major
+//!   vertex array and address-sorted adjacency runs) behind an `Arc`,
+//!   so cloning it for a simulator lane or a sweep's ground truth
+//!   copies nothing.
 //! * [`diamond`] — diamond extraction and every diamond metric the paper
 //!   defines (Fig. 6): maximum width, maximum length, maximum width
 //!   asymmetry, meshing of hop pairs and the ratio of meshed hops, plus

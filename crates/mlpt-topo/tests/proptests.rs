@@ -7,6 +7,7 @@ use mlpt_topo::graph::addr;
 use mlpt_topo::router::collapse;
 use mlpt_topo::{MultipathTopology, RouterMap, TopologyBuilder};
 use proptest::prelude::*;
+use std::net::Ipv4Addr;
 
 /// Strategy: a random valid hop-width profile (1, w1, ..., wn, 1) and a
 /// wiring seed; builds the topology with even unmeshed wiring plus
@@ -35,6 +36,55 @@ fn arb_topology() -> impl Strategy<Value = MultipathTopology> {
     })
 }
 
+/// Hops, the edges fed to the builder, and the topology it built.
+type Wired = (
+    Vec<Vec<Ipv4Addr>>,
+    Vec<(usize, Ipv4Addr, Ipv4Addr)>,
+    MultipathTopology,
+);
+
+/// Strategy: hops whose vertices are inserted in descending address
+/// order, wired unmeshed plus random extra edges (repeats included).
+fn arb_wired() -> impl Strategy<Value = Wired> {
+    (
+        proptest::collection::vec(1usize..=6, 1..6),
+        proptest::collection::vec((any::<usize>(), any::<usize>(), any::<usize>()), 0..24),
+    )
+        .prop_map(|(mut widths, extra)| {
+            widths.insert(0, 1);
+            widths.push(1);
+            let hops: Vec<Vec<Ipv4Addr>> = widths
+                .iter()
+                .enumerate()
+                .map(|(h, &w)| (0..w).rev().map(|i| addr(h, i)).collect())
+                .collect();
+            let mut edges = Vec::new();
+            for h in 0..hops.len() - 1 {
+                let (from, to) = (&hops[h], &hops[h + 1]);
+                for j in 0..from.len().max(to.len()) {
+                    edges.push((h, from[j % from.len()], to[j % to.len()]));
+                }
+            }
+            for (h, f, t) in extra {
+                let h = h % (hops.len() - 1);
+                edges.push((
+                    h,
+                    hops[h][f % hops[h].len()],
+                    hops[h + 1][t % hops[h + 1].len()],
+                ));
+            }
+            let mut b = TopologyBuilder::default();
+            for hop in &hops {
+                b.add_hop(hop.iter().copied());
+            }
+            for &(h, f, t) in &edges {
+                b.add_edge(h, f, t);
+            }
+            let topo = b.build().expect("every vertex is wired both ways");
+            (hops, edges, topo)
+        })
+}
+
 proptest! {
     /// Reach probabilities are a distribution at every hop.
     #[test]
@@ -45,6 +95,34 @@ proptest! {
             for &p in layer.values() {
                 prop_assert!(p > 0.0 && p <= 1.0 + 1e-12);
             }
+        }
+    }
+
+    /// The flat layout answers every query as the edges it was built
+    /// from say, whatever the insertion order: `hop(i)` keeps insertion
+    /// order, `edges()` is the deduplicated input sorted by hop, source
+    /// and target, successors and predecessors are ascending, and
+    /// `vertex_index` points into `vertices()`.
+    #[test]
+    fn flat_layout_matches_its_edges((hops, mut edges, topo) in arb_wired()) {
+        edges.sort_unstable();
+        edges.dedup();
+        prop_assert_eq!(topo.edges().collect::<Vec<_>>(), edges.clone());
+        prop_assert_eq!(topo.total_edges(), edges.len());
+        prop_assert_eq!(topo.hops().collect::<Vec<_>>(), hops.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        prop_assert_eq!(topo.vertices(), hops.concat());
+        for (h, hop) in hops.iter().enumerate() {
+            for &v in hop {
+                let succ: Vec<Ipv4Addr> =
+                    edges.iter().filter(|e| e.0 == h && e.1 == v).map(|e| e.2).collect();
+                let pred: Vec<Ipv4Addr> =
+                    edges.iter().filter(|e| e.0 + 1 == h && e.2 == v).map(|e| e.1).collect();
+                prop_assert_eq!(topo.successors(h, v), &succ[..]);
+                prop_assert_eq!(topo.predecessors(h, v), &pred[..]);
+                let index = topo.vertex_index(h, v);
+                prop_assert_eq!(index.map(|i| topo.vertices()[i]), Some(v));
+            }
+            prop_assert!(!topo.contains(h, addr(h, 99)));
         }
     }
 

@@ -55,7 +55,7 @@ fn main() {
 
     println!("IP-level view (what classic MDA-Lite reports):");
     let ip = result.ip_topology.as_ref().expect("destination reached");
-    for (i, hop) in ip.hops().iter().enumerate() {
+    for (i, hop) in ip.hops().enumerate() {
         let labels: Vec<String> = hop.iter().map(|v| v.to_string()).collect();
         println!("  hop {:>2}  {}", i + 1, labels.join("  "));
     }
@@ -70,7 +70,7 @@ fn main() {
 
     println!("\nrouter-level view:");
     let router = result.router_topology.as_ref().expect("collapsed");
-    for (i, hop) in router.hops().iter().enumerate() {
+    for (i, hop) in router.hops().enumerate() {
         let labels: Vec<String> = hop.iter().map(|v| v.to_string()).collect();
         println!("  hop {:>2}  {}", i + 1, labels.join("  "));
     }
