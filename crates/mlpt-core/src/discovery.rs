@@ -190,10 +190,24 @@ fn span<T: Copy, P: Ord>(entries: &[T], prefix: P, prefix_of: impl Fn(T) -> P) -
     start..start + len
 }
 
+/// Entries an evidence vector makes room for when it first allocates.
+/// Growing from empty would allocate at 4, 8 and 16 entries; a
+/// single-flow trace of a 16-hop path fills 16 in every vector.
+const FIRST_CAPACITY: usize = 16;
+
+/// Inserts `value` at `at`, taking `entries`' first allocation at
+/// [`FIRST_CAPACITY`].
+pub(crate) fn insert_at<T>(entries: &mut Vec<T>, at: usize, value: T) {
+    if entries.capacity() == 0 {
+        entries.reserve_exact(FIRST_CAPACITY);
+    }
+    entries.insert(at, value);
+}
+
 /// Inserts `value` into the sorted `entries` unless already present.
 fn insert_sorted<T: Ord>(entries: &mut Vec<T>, value: T) {
     if let Err(at) = entries.binary_search(&value) {
-        entries.insert(at, value);
+        insert_at(entries, at, value);
     }
 }
 
@@ -209,6 +223,11 @@ impl Discovery {
         assert!(ttl >= 1);
         let h = usize::from(ttl - 1);
         if self.probes_per_hop.len() <= h {
+            if self.probes_per_hop.capacity() == 0 {
+                // The first hop probed may lie mid-path (a stop-set
+                // start TTL): make room for it and the hops after it.
+                self.probes_per_hop.reserve_exact(h + 1 + FIRST_CAPACITY);
+            }
             self.probes_per_hop.resize(h + 1, 0);
         }
         self.probes_per_hop[h] += 1;
@@ -238,10 +257,10 @@ impl Discovery {
             // A vertex exists exactly while some flow is listed under it.
             if !listed(at) && !at.checked_sub(1).is_some_and(listed) {
                 let end = self.vertex_ttls.partition_point(|&t| t <= ttl);
-                self.vertex_ttls.insert(end, ttl);
-                self.vertices.insert(end, responder);
+                insert_at(&mut self.vertex_ttls, end, ttl);
+                insert_at(&mut self.vertices, end, responder);
             }
-            self.reaching.insert(at, listing);
+            insert_at(&mut self.reaching, at, listing);
         }
         match self.binding(ttl, flow) {
             Ok(i) if key::binding_responder(self.bindings[i]) == responder => {}
@@ -250,7 +269,7 @@ impl Discovery {
                 self.rebuild_edges_around(ttl);
             }
             Err(i) => {
-                self.bindings.insert(i, key::binding(ttl, flow, responder));
+                insert_at(&mut self.bindings, i, key::binding(ttl, flow, responder));
                 if let Some(prev) = self.flow_vertex(ttl - 1, flow) {
                     self.add_edge(ttl - 1, prev, responder);
                 }
@@ -278,7 +297,7 @@ impl Discovery {
     fn add_edge(&mut self, ttl: u8, from: Ipv4Addr, to: Ipv4Addr) {
         let out = key::edge(ttl, from, to);
         if let Err(at) = self.edges_out.binary_search(&out) {
-            self.edges_out.insert(at, out);
+            insert_at(&mut self.edges_out, at, out);
             insert_sorted(&mut self.edges_in, key::edge(ttl + 1, to, from));
         }
     }

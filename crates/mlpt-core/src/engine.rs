@@ -120,7 +120,7 @@ use mlpt_wire::probe::{
     build_echo_probe_into, build_udp_probe_into, parse_reply, ProbePacket, ReplyKind, ReplyPacket,
 };
 use mlpt_wire::transport::{PacketBatch, ReplyBatch, SplitTransport};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
 /// How sessions enter the engine's live table.
@@ -787,16 +787,41 @@ pub struct SweepEngine<T: SplitTransport> {
     spare_buffers: Vec<SlotBuffers>,
 }
 
-/// Per-run scheduler state: the live session table is generic over the
-/// session type, so one engine serves trace sweeps (boxed
-/// [`TraceSession`]s behind the adapter) and alias sweeps (concrete
-/// [`ProbeSession`] types) without boxing the latter.
-struct SweepRun<'e, T: SplitTransport, S: ProbeSession> {
+/// Destinations of live sessions, ascending. A sorted vector keeps its
+/// capacity when it empties, so a run refills it without allocating.
+#[derive(Default)]
+struct LiveDests(Vec<u32>);
+
+impl LiveDests {
+    fn contains(&self, dest: u32) -> bool {
+        self.0.binary_search(&dest).is_ok()
+    }
+
+    fn insert(&mut self, dest: u32) {
+        if let Err(at) = self.0.binary_search(&dest) {
+            self.0.insert(at, dest);
+        }
+    }
+
+    fn remove(&mut self, dest: u32) {
+        if let Ok(at) = self.0.binary_search(&dest) {
+            self.0.remove(at);
+        }
+    }
+}
+
+/// The scheduler over one engine for one call: the live session table
+/// is generic over the session type, so one engine serves trace sweeps
+/// (boxed [`TraceSession`]s behind the adapter) and alias sweeps
+/// (concrete [`ProbeSession`] types) without boxing the latter. The
+/// generation coordinator runs every generation of the call through the
+/// same run, so its tables and their capacity outlive each generation.
+pub(crate) struct SweepRun<'e, T: SplitTransport, S: ProbeSession> {
     eng: &'e mut SweepEngine<T>,
     /// Live sessions only; finished slots are removed immediately.
     slots: Vec<SessionSlot<S>>,
     /// Destinations of live sessions (admission defers duplicates).
-    live_dests: BTreeSet<u32>,
+    live_dests: LiveDests,
     /// Sessions waiting for a live slot to release their destination.
     deferred: DeferredSessions<S>,
     /// Undispatched probes across all live sessions' current waves.
@@ -950,34 +975,16 @@ impl<T: SplitTransport> SweepEngine<T> {
         I: IntoIterator<Item = S>,
         F: FnMut(usize, S, u64),
     {
+        let stop_set = self.config.stop_set;
+        let mut run = SweepRun::new(self);
         let (counters, snapshot) = run_generations(
-            self.config.stop_set,
+            stop_set,
             sessions,
-            |generation, emit| self.stream_sessions(generation, emit),
+            |generation, emit| run.run_source(generation, emit),
             sink,
         );
         self.stats.merge(&counters);
         self.last_stop_snapshot = snapshot;
-    }
-
-    /// The plain streaming loop: drives `source` to completion, handing
-    /// each finished session to `sink` under its position in `source`.
-    /// Knows nothing of stop sets; the generation coordinator calls it
-    /// once per generation.
-    pub(crate) fn stream_sessions<S: ProbeSession>(
-        &mut self,
-        source: &mut dyn Iterator<Item = S>,
-        sink: &mut dyn FnMut(usize, S, u64),
-    ) {
-        let mut run = SweepRun {
-            eng: self,
-            slots: Vec::new(),
-            live_dests: BTreeSet::new(),
-            deferred: DeferredSessions::new(),
-            pending: 0,
-            cycle_delivered: 0,
-        };
-        run.run_source(source, sink);
     }
 
     /// The config in force (after [`with_config`](Self::with_config)'s
@@ -1015,9 +1022,30 @@ pub(crate) fn finish_trace<S: TraceSession>(
     (trace, session.into_inner())
 }
 
-impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
-    /// The scheduler loop shared by every entry point.
-    fn run_source(
+impl<'e, T: SplitTransport, S: ProbeSession> SweepRun<'e, T, S> {
+    /// A run over `eng` with empty tables.
+    pub(crate) fn new(eng: &'e mut SweepEngine<T>) -> Self {
+        Self {
+            eng,
+            slots: Vec::new(),
+            live_dests: LiveDests::default(),
+            deferred: DeferredSessions::new(),
+            pending: 0,
+            cycle_delivered: 0,
+        }
+    }
+
+    /// The engine's dispatch statistics so far.
+    pub(crate) fn stats(&self) -> &SweepStats {
+        &self.eng.stats
+    }
+
+    /// The plain streaming loop, shared by every entry point: drives
+    /// `source` to completion, handing each finished session to `sink`
+    /// under its position in `source`. Knows nothing of stop sets; the
+    /// generation coordinator calls it once per generation, and each
+    /// call leaves the tables empty for the next.
+    pub(crate) fn run_source(
         &mut self,
         source: &mut dyn Iterator<Item = S>,
         sink: &mut dyn FnMut(usize, S, u64),
@@ -1063,7 +1091,7 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
         // Defensive drain: a session that wedged in the empty-round path
         // still reports a result rather than vanishing.
         while let Some(slot) = self.slots.pop() {
-            self.live_dests.remove(&u32::from(slot.destination));
+            self.live_dests.remove(u32::from(slot.destination));
             self.eng.stats.sessions_completed += 1;
             self.collect_route_health(&slot);
             self.emit(slot, sink);
@@ -1172,7 +1200,7 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
                 let cost_aware = self.cost_aware();
                 let slot = self.slots.swap_remove(i);
                 let dest = u32::from(slot.destination);
-                self.live_dests.remove(&dest);
+                self.live_dests.remove(dest);
                 // The destination is free again: release its next waiter
                 // (if any) towards admission.
                 self.deferred.on_destination_freed(dest, cost_aware);
@@ -1233,7 +1261,7 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
             // modes).
             if let Some((out, session)) = self.deferred.next_ready() {
                 debug_assert!(
-                    !self.live_dests.contains(&u32::from(session.destination())),
+                    !self.live_dests.contains(u32::from(session.destination())),
                     "a freed session's destination must be free"
                 );
                 self.admit_one(out, session, sink);
@@ -1244,7 +1272,7 @@ impl<T: SplitTransport, S: ProbeSession> SweepRun<'_, T, S> {
                 return;
             };
             let dest = u32::from(session.destination());
-            if self.live_dests.contains(&dest) || self.deferred.holds(dest) {
+            if self.live_dests.contains(dest) || self.deferred.holds(dest) {
                 self.eng.stats.sessions_deferred += 1;
                 self.deferred.defer(out, session);
                 continue;

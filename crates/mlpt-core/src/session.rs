@@ -51,7 +51,7 @@
 
 use crate::artifact::{AuditVerdict, RouteAudit, RouteHealth};
 use crate::config::TraceConfig;
-use crate::discovery::{Discovery, FlowAllocator};
+use crate::discovery::{insert_at, Discovery, FlowAllocator};
 use crate::prober::{DirectObservation, ProbeObservation, ProbeSpec};
 use crate::stopset::{contribution_from_discovery, StopContribution, StopSeen, StopSnapshot};
 use crate::trace::{Algorithm, PartialReason, SwitchReason, Trace, TraceOutcome};
@@ -1411,15 +1411,21 @@ impl TraceSession for MdaLiteSession {
                     self.phase = LitePhase::HopStart;
                     return;
                 };
-                let hit = self
-                    .core
-                    .state
-                    .flow_vertex(ttl, scout)
-                    .is_some_and(|v| stops.snap.contains(ttl, v));
+                let seen = self.core.state.flow_vertex(ttl, scout);
+                let destination = Some(self.core.destination);
+                if seen == destination && self.core.state.flow_vertex(ttl + 1, scout) == destination
+                {
+                    // The destination answered one TTL lower: it sits
+                    // at the lowest TTL it answers, so the scout's
+                    // record above goes.
+                    self.core.state.remove_record(scout, ttl + 1);
+                }
+                let hit = seen.is_some_and(|v| stops.snap.contains(ttl, v));
                 if hit {
                     // The set already knows this hop, so the prefix
                     // below is reconstructable from it; the hop loop
-                    // resumes just above the hit. The scout's
+                    // resumes just above the hit, unless the hit is the
+                    // destination, above which nothing lies. The scout's
                     // observation stays in the evidence base and counts
                     // towards the stopping rule like any other probe.
                     stops.stop_hits += 1;
@@ -1428,8 +1434,12 @@ impl TraceSession for MdaLiteSession {
                         .config
                         .stopping
                         .elision_estimate(u64::from(ttl - 1));
-                    self.ttl = ttl + 1;
-                    self.phase = LitePhase::HopStart;
+                    if seen == destination {
+                        self.end_of_hops();
+                    } else {
+                        self.ttl = ttl + 1;
+                        self.phase = LitePhase::HopStart;
+                    }
                 } else if ttl <= 1 {
                     // Scanned to the bottom without a hit: probe
                     // classically from TTL 1 over the scout's evidence.
@@ -1604,18 +1614,64 @@ enum SfDir {
     Backward,
 }
 
+/// Firsthand `(TTL, responder)` observations of one flow, ascending by
+/// TTL, one per TTL.
+#[derive(Default)]
+struct SeenPath(Vec<(u8, Ipv4Addr)>);
+
+impl SeenPath {
+    fn position(&self, ttl: u8) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&ttl, |&(t, _)| t)
+    }
+
+    /// The responder observed at `ttl`.
+    fn get(&self, ttl: u8) -> Option<Ipv4Addr> {
+        self.position(ttl).ok().map(|i| self.0[i].1)
+    }
+
+    /// Notes `responder` at `ttl`, replacing an earlier observation
+    /// there.
+    fn insert(&mut self, ttl: u8, responder: Ipv4Addr) {
+        match self.position(ttl) {
+            Ok(i) => self.0[i].1 = responder,
+            Err(i) => insert_at(&mut self.0, i, (ttl, responder)),
+        }
+    }
+
+    /// Forgets every observation at or beyond `ttl`.
+    fn truncate_from(&mut self, ttl: u8) {
+        self.0.truncate(self.0.partition_point(|&(t, _)| t < ttl));
+    }
+}
+
 /// Stop-set state of a [`SingleFlowSession`].
 struct SfStops {
     snap: StopSnapshot,
     start: u8,
     dir: SfDir,
-    /// Firsthand observations (TTL → responder) — the honest basis of
-    /// the contribution; adopted responders never enter it.
-    seen: BTreeMap<u8, Ipv4Addr>,
+    /// Firsthand observations — the honest basis of the contribution;
+    /// adopted responders never enter it.
+    seen: SeenPath,
     /// Smallest TTL at which this session *itself* saw the destination.
     seen_dest_ttl: Option<u8>,
+    /// A destination reply not yet recorded, with its TTL and whether it
+    /// was firsthand: the destination answered with the hop below
+    /// unknown, so it may sit lower. The backward leg lowers it while
+    /// the destination keeps answering, and records it once a hop that
+    /// is not the destination answers or the leg ends.
+    held: Option<(u8, Ipv4Addr, bool)>,
     probes_elided: u64,
     stop_hits: u64,
+}
+
+impl SfStops {
+    /// Adds a firsthand observation to the contribution basis.
+    fn see(&mut self, ttl: u8, responder: Ipv4Addr, at_destination: bool) {
+        self.seen.insert(ttl, responder);
+        if at_destination {
+            self.seen_dest_ttl = Some(self.seen_dest_ttl.map_or(ttl, |t| t.min(ttl)));
+        }
+    }
 }
 
 /// Paris traceroute with one flow identifier as a [`TraceSession`]: one
@@ -1685,12 +1741,41 @@ impl SingleFlowSession {
         };
         for ttl in 1..=self.state.max_observed_ttl() {
             if let Some(vertex) = self.state.flow_vertex(ttl, self.flow) {
-                if stops.seen.get(&ttl) != Some(&vertex) {
+                if stops.seen.get(ttl) != Some(vertex) {
                     adopted.insert(ttl, vertex);
                 }
             }
         }
         adopted
+    }
+
+    /// Records an observation of this session's flow; a firsthand one
+    /// also joins the contribution basis.
+    fn note(&mut self, ttl: u8, responder: Ipv4Addr, at_destination: bool, firsthand: bool) {
+        self.state.record(self.flow, ttl, responder, at_destination);
+        if let Some(stops) = self.stops.as_mut().filter(|_| firsthand) {
+            stops.see(ttl, responder, at_destination);
+        }
+    }
+
+    /// Whether a destination reply at `ttl` must be held back (see
+    /// [`SfStops::held`]): in the forward leg while the hop below is
+    /// unknown and a backward leg will probe below it, and in the
+    /// backward leg while one is held already.
+    fn holds_destination(&self, ttl: u8) -> bool {
+        self.stops.as_ref().is_some_and(|stops| match stops.dir {
+            SfDir::Forward => {
+                stops.start > 1 && self.state.flow_vertex(ttl - 1, self.flow).is_none()
+            }
+            SfDir::Backward => stops.held.is_some(),
+        })
+    }
+
+    /// Records the held destination reply, if any.
+    fn release_destination(&mut self) {
+        if let Some((ttl, responder, firsthand)) = self.stops.as_mut().and_then(|s| s.held.take()) {
+            self.note(ttl, responder, true, firsthand);
+        }
     }
 }
 
@@ -1767,7 +1852,7 @@ impl TraceSession for SingleFlowSession {
                 // hop describe the pre-change world: they leave the
                 // contribution too.
                 if let Some(stops) = self.stops.as_mut() {
-                    let _ = stops.seen.split_off(&at_ttl);
+                    stops.seen.truncate_from(at_ttl);
                     if stops.seen_dest_ttl.is_some_and(|t| t >= at_ttl) {
                         stops.seen_dest_ttl = None;
                     }
@@ -1783,13 +1868,7 @@ impl TraceSession for SingleFlowSession {
                     if self.state.flow_vertex(spec.ttl, spec.flow) != Some(obs.responder) {
                         continue;
                     }
-                    stops.seen.insert(spec.ttl, obs.responder);
-                    if obs.at_destination {
-                        stops.seen_dest_ttl = Some(match stops.seen_dest_ttl {
-                            Some(t) => t.min(spec.ttl),
-                            None => spec.ttl,
-                        });
-                    }
+                    stops.see(spec.ttl, obs.responder, obs.at_destination);
                 }
             }
             return;
@@ -1813,20 +1892,17 @@ impl TraceSession for SingleFlowSession {
                 false,
             ),
         };
-        if let Some((responder, at_destination)) = observed {
-            self.state
-                .record(spec.flow, spec.ttl, responder, at_destination);
-            if firsthand {
+        match observed {
+            Some((responder, true)) if self.holds_destination(spec.ttl) => {
                 if let Some(stops) = self.stops.as_mut() {
-                    stops.seen.insert(spec.ttl, responder);
-                    if at_destination {
-                        stops.seen_dest_ttl = Some(match stops.seen_dest_ttl {
-                            Some(t) => t.min(spec.ttl),
-                            None => spec.ttl,
-                        });
-                    }
+                    stops.held = Some((spec.ttl, responder, firsthand));
                 }
             }
+            Some((responder, at_destination)) => {
+                self.release_destination();
+                self.note(spec.ttl, responder, at_destination, firsthand);
+            }
+            None => {}
         }
         if let Some(stops) = self
             .stops
@@ -1848,6 +1924,9 @@ impl TraceSession for SingleFlowSession {
                 self.done = true;
             } else {
                 self.ttl = spec.ttl - 1;
+            }
+            if self.done {
+                self.release_destination();
             }
             return;
         }
@@ -1908,8 +1987,9 @@ impl TraceSession for SingleFlowSession {
             snap: snapshot.clone(),
             start,
             dir: SfDir::Forward,
-            seen: BTreeMap::new(),
+            seen: SeenPath::default(),
             seen_dest_ttl: None,
+            held: None,
             probes_elided: 0,
             stop_hits: 0,
         });
@@ -1919,14 +1999,15 @@ impl TraceSession for SingleFlowSession {
         let stops = self.stops.as_ref()?;
         let entries = stops
             .seen
+            .0
             .iter()
-            .map(|(&ttl, &interface)| StopSeen {
+            .map(|&(ttl, interface)| StopSeen {
                 ttl,
                 interface,
                 predecessor: ttl
                     .checked_sub(1)
                     .filter(|&p| p >= 1)
-                    .and_then(|p| stops.seen.get(&p).copied()),
+                    .and_then(|p| stops.seen.get(p)),
             })
             .collect();
         Some(StopContribution {

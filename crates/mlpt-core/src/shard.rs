@@ -43,14 +43,17 @@
 //!    [`ShardedSweepEngine`]) streams the generation through its plain
 //!    scheduler loop; several shards partition it by [`shard_of`], send
 //!    each worker its slice over a channel, and run shard 0's slice on
-//!    the calling thread meanwhile. No thread is spawned per generation.
+//!    the calling thread meanwhile. No thread is spawned per generation,
+//!    and nothing is rebuilt per generation either: each shard's
+//!    scheduler tables, its slice buffers and the coordinator's staging
+//!    buffers last the whole call.
 //! 3. Each finished session's contribution is harvested before the
 //!    caller's sink sees the session; at the barrier the generation's
 //!    snapshot is dropped, the contributions commit in **source-index
 //!    order** (first-writer-wins per `(TTL, interface)`, evictions
 //!    first), and generation *g+1* takes its snapshot. Both steps are
 //!    cheap: with no older snapshot alive the commits write the shared
-//!    map in place, and a snapshot is an `Arc` clone.
+//!    table in place, and a snapshot is an `Arc` clone.
 //!
 //! Same generation boundaries, same commit order, same snapshots for
 //! any shard count, admission mode and budget, so every
@@ -99,7 +102,9 @@
     clippy::unreachable
 )]
 
-use crate::engine::{finish_trace, in_source_order, SweepConfig, SweepEngine, SweepStats};
+use crate::engine::{
+    finish_trace, in_source_order, SweepConfig, SweepEngine, SweepRun, SweepStats,
+};
 use crate::session::{ProbeSession, TraceProbeSession, TraceSession};
 use crate::stopset::{SharedStopSet, StopContribution, StopSetConfig, StopSnapshot};
 use crate::trace::Trace;
@@ -153,9 +158,10 @@ where
     let mut snapshot = stop_set.map(|_| StopSnapshot::empty());
     let mut counters = SweepStats::default();
     let mut base = 0usize;
+    // The open generation's contributions, by source index.
+    let mut staged: Vec<(usize, StopContribution)> = Vec::new();
     loop {
         let mut pulled = 0usize;
-        let mut staged: Vec<(usize, StopContribution)> = Vec::new();
         let mut generation = source.by_ref().take(width).map(|mut session| {
             pulled += 1;
             if let Some(snapshot) = &snapshot {
@@ -176,11 +182,11 @@ where
         if let Some(cfg) = &stop_set {
             // Every session of the generation has been through `sink`, so
             // dropping the open snapshot lets the commits below write the
-            // map in place (a caller still holding sessions pays a copy).
+            // table in place (a caller still holding sessions pays a copy).
             snapshot.take();
             staged.sort_unstable_by_key(|&(index, _)| index);
-            for (index, contribution) in &staged {
-                set.commit(*index, contribution);
+            for (index, contribution) in staged.drain(..) {
+                set.commit(index, &contribution);
             }
             snapshot = Some(set.snapshot(cfg));
         }
@@ -312,17 +318,18 @@ impl<T: SplitTransport + Send> ShardedSweepEngine<T> {
             return; // unreachable: `new` rejects an empty transport vector
         };
         let stop_set = local.config().stop_set;
+        let mut local = SweepRun::new(local);
         let (counters, snapshot) = if rest.is_empty() {
             run_generations(
                 stop_set,
                 sessions,
-                |generation, emit| local.stream_sessions(generation, emit),
+                |generation, emit| local.run_source(generation, emit),
                 sink,
             )
         } else {
             let stalls = &mut self.extra.generation_barrier_stalls;
             std::thread::scope(|scope| {
-                let workers: Vec<Worker<S>> = rest
+                let mut workers: Vec<Worker<S>> = rest
                     .iter_mut()
                     .map(|engine| {
                         let (jobs, inbox) = mpsc::channel();
@@ -330,19 +337,30 @@ impl<T: SplitTransport + Send> ShardedSweepEngine<T> {
                         // The worker ends when the caller drops `jobs`,
                         // normally or while unwinding.
                         scope.spawn(move || {
-                            for slice in inbox {
-                                if outbox.send(run_shard(engine, slice)).is_err() {
+                            let mut run = SweepRun::new(engine);
+                            for mut slice in inbox {
+                                let spent = run_shard(&mut run, &mut slice);
+                                if outbox.send((slice, spent)).is_err() {
                                     break;
                                 }
                             }
                         });
-                        Worker { jobs, results }
+                        Worker {
+                            jobs,
+                            results,
+                            slice: Slice::default(),
+                            busy: false,
+                        }
                     })
                     .collect();
+                let mut buffers = FanOut::default();
                 run_generations(
                     stop_set,
                     sessions,
-                    |generation, emit| *stalls += fan_out(local, &workers, generation, emit),
+                    |generation, emit| {
+                        *stalls +=
+                            fan_out(&mut local, &mut workers, &mut buffers, generation, emit);
+                    },
                     sink,
                 )
             })
@@ -357,17 +375,60 @@ impl<T: SplitTransport + Send> ShardedSweepEngine<T> {
     }
 }
 
-/// What one shard hands back for its slice of a generation: `(generation
-/// index, session, probes sent)` per session, and the dispatch cycles
-/// the slice took.
-type SliceOutput<S> = (Vec<(usize, S, u64)>, u64);
+/// One shard's slice of a generation, with the buffers it runs
+/// through. A shard keeps its slice from generation to generation, so
+/// their capacity does too.
+struct Slice<S> {
+    /// `(generation index, session)`, in source order.
+    sessions: Vec<(usize, S)>,
+    /// The generation index of each session, by position in the slice.
+    indices: Vec<usize>,
+    /// `(generation index, session, probes sent)`, in completion order.
+    finished: Vec<(usize, S, u64)>,
+}
+
+impl<S> Default for Slice<S> {
+    fn default() -> Self {
+        Self {
+            sessions: Vec::new(),
+            indices: Vec::new(),
+            finished: Vec::new(),
+        }
+    }
+}
 
 /// The caller's end of one shard's sweep-long worker thread.
 struct Worker<S> {
     /// One generation slice per job.
-    jobs: mpsc::Sender<Vec<(usize, S)>>,
-    /// One output per job, in job order.
-    results: mpsc::Receiver<SliceOutput<S>>,
+    jobs: mpsc::Sender<Slice<S>>,
+    /// Each job's slice back, run, with the dispatch cycles it took; in
+    /// job order.
+    results: mpsc::Receiver<(Slice<S>, u64)>,
+    /// The worker's slice between jobs.
+    slice: Slice<S>,
+    /// Whether the worker holds a job of the open generation.
+    busy: bool,
+}
+
+/// The calling thread's buffers for the generations of a multi-shard
+/// call.
+struct FanOut<S> {
+    /// Shard 0's slice.
+    own: Slice<S>,
+    /// The generation's sessions from every shard, then in source order.
+    finished: Vec<(usize, S, u64)>,
+    /// Dispatch cycles each busy shard took.
+    cycles: Vec<u64>,
+}
+
+impl<S> Default for FanOut<S> {
+    fn default() -> Self {
+        Self {
+            own: Slice::default(),
+            finished: Vec::new(),
+            cycles: Vec::new(),
+        }
+    }
 }
 
 /// Runs one generation across several shards: partitions it by
@@ -378,46 +439,49 @@ struct Worker<S> {
 /// stalls: busy shards that finished in fewer dispatch cycles than the
 /// slowest one idled at the barrier.
 fn fan_out<T: SplitTransport, S: ProbeSession>(
-    local: &mut SweepEngine<T>,
-    workers: &[Worker<S>],
+    local: &mut SweepRun<'_, T, S>,
+    workers: &mut [Worker<S>],
+    buffers: &mut FanOut<S>,
     generation: &mut dyn Iterator<Item = S>,
     emit: &mut dyn FnMut(usize, S, u64),
 ) -> u64 {
+    let FanOut {
+        own,
+        finished,
+        cycles,
+    } = buffers;
     let shards = workers.len() + 1;
-    let mut own = Vec::new();
-    let mut slices: Vec<Vec<(usize, S)>> = workers.iter().map(|_| Vec::new()).collect();
     for (index, session) in generation.enumerate() {
         match shard_of(session.destination(), shards) {
-            0 => own.push((index, session)),
-            shard => slices[shard - 1].push((index, session)),
+            0 => own.sessions.push((index, session)),
+            shard => workers[shard - 1].slice.sessions.push((index, session)),
         }
     }
-    let mut busy = Vec::new();
-    for (worker, slice) in workers.iter().zip(slices) {
-        if !slice.is_empty() {
+    for worker in workers.iter_mut() {
+        if !worker.slice.sessions.is_empty() {
             // A worker that panicked drops its inbox; the receive below
             // reports it.
-            let _ = worker.jobs.send(slice);
-            busy.push(worker);
+            let _ = worker.jobs.send(std::mem::take(&mut worker.slice));
+            worker.busy = true;
         }
     }
-    let mut results = Vec::new();
-    let mut cycles = Vec::new();
-    if !own.is_empty() {
-        let (out, spent) = run_shard(local, own);
-        results = out;
-        cycles.push(spent);
+    cycles.clear();
+    if !own.sessions.is_empty() {
+        cycles.push(run_shard(local, own));
+        finished.append(&mut own.finished);
     }
-    for worker in busy {
+    for worker in workers.iter_mut().filter(|worker| worker.busy) {
         #[expect(
             clippy::expect_used,
             reason = "recv() fails only if the worker panicked; panicking here unwinds the scope, which joins every worker"
         )]
-        let (out, spent) = worker
+        let (mut slice, spent) = worker
             .results
             .recv()
             .expect("a sweep shard worker panicked");
-        results.extend(out);
+        finished.append(&mut slice.finished);
+        worker.slice = slice;
+        worker.busy = false;
         cycles.push(spent);
     }
     let slowest = cycles.iter().copied().max().unwrap_or(0);
@@ -425,29 +489,35 @@ fn fan_out<T: SplitTransport, S: ProbeSession>(
 
     // Emit in source order within the generation: determinism of the
     // emission sequence, not just of its contents.
-    results.sort_by_key(|&(index, _, _)| index);
-    for (index, session, probes_sent) in results {
+    finished.sort_by_key(|&(index, _, _)| index);
+    for (index, session, probes_sent) in finished.drain(..) {
         emit(index, session, probes_sent);
     }
     stalls
 }
 
 /// Runs one shard's slice of a generation to completion on its own
-/// engine. Shard state is engine state: budgets, stats and dispatch
-/// buffers persist across generations on their own shard, untouched by
-/// the others.
+/// engine, leaving the sessions in `slice.finished`, and returns the
+/// dispatch cycles it took. Shard state is engine state: budgets, stats
+/// and dispatch buffers persist across generations on their own shard,
+/// untouched by the others.
 fn run_shard<T: SplitTransport, S: ProbeSession>(
-    engine: &mut SweepEngine<T>,
-    slice: Vec<(usize, S)>,
-) -> SliceOutput<S> {
-    let cycles_before = engine.stats().dispatch_cycles;
-    let indices: Vec<usize> = slice.iter().map(|&(index, _)| index).collect();
-    let mut out = Vec::with_capacity(indices.len());
-    engine.stream_sessions(
-        &mut slice.into_iter().map(|(_, session)| session),
-        &mut |local, session, probes_sent| out.push((indices[local], session, probes_sent)),
+    run: &mut SweepRun<'_, T, S>,
+    slice: &mut Slice<S>,
+) -> u64 {
+    let cycles_before = run.stats().dispatch_cycles;
+    let Slice {
+        sessions,
+        indices,
+        finished,
+    } = slice;
+    indices.clear();
+    indices.extend(sessions.iter().map(|&(index, _)| index));
+    run.run_source(
+        &mut sessions.drain(..).map(|(_, session)| session),
+        &mut |local, session, probes_sent| finished.push((indices[local], session, probes_sent)),
     );
-    (out, engine.stats().dispatch_cycles - cycles_before)
+    run.stats().dispatch_cycles - cycles_before
 }
 
 #[cfg(test)]

@@ -16,14 +16,34 @@
 //!   order.
 //! * [`StopSnapshot`] is the cheap, immutable view a session adopts at
 //!   admission: membership lookups plus the sweep's current mid-path
-//!   start TTL. Snapshots share the master copy's `Arc`-backed map, so
-//!   taking one is O(1) and allocation-free, and so is handing it to
+//!   start TTL. Snapshots share the master copy's `Arc`-backed table,
+//!   so taking one is O(1) and allocation-free, and so is handing it to
 //!   every session of a generation. The master copy is copy-on-write:
-//!   a commit copies the map only while an older snapshot is still
+//!   a commit copies the table only while an older snapshot is still
 //!   alive, and the coordinator drops the open generation's snapshot
 //!   before it commits, so sweeps commit in place.
 //! * [`StopSetConfig`] is the knob set: the (configurable or adaptive)
 //!   start TTL and the commit width.
+//!
+//! # Layout
+//!
+//! The table is flat: one vector of entries in commit order, each a
+//! `(TTL, interface)` pair packed into one `u64` with its [`StopMeta`],
+//! and two open-addressing indexes of `u32` positions over it (linear
+//! probing from a Fibonacci hash, at most three quarters full). One
+//! index finds a pair; the other finds, per `(TTL, destination, flow)`
+//! route step, the lowest-interface entry whose contributor probed that
+//! destination with that one flow, which is what
+//! [`StopSnapshot::predicted_responder`] answers. A lookup is a hash
+//! and a short probe run; committing a pair is a lookup plus, for a new
+//! pair, a push and two slot writes. The entries grow by a quarter at a
+//! time and the indexes double, so the table takes no more memory than
+//! the ordered map it replaced. An eviction is rare (a firsthand
+//! contradiction): it compacts the entries and rebuilds both indexes.
+//! `Debug` renders the pairs as that ordered map did, ascending by
+//! `(TTL, interface)`, so golden digests of snapshots did not move;
+//! `tests/stopset_oracle.rs` checks every query against a copy of the
+//! map.
 //!
 //! # Determinism (rule 5, extended)
 //!
@@ -59,7 +79,7 @@
 
 use crate::discovery::Discovery;
 use mlpt_wire::FlowId;
-use std::collections::BTreeMap;
+use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -148,10 +168,205 @@ pub struct StopContribution {
     pub evict: Vec<(u8, Ipv4Addr)>,
 }
 
+/// Packs a `(TTL, interface)` pair into one word that sorts like the
+/// pair.
+fn pair_key(ttl: u8, interface: Ipv4Addr) -> u64 {
+    (u64::from(ttl) << 32) | u64::from(interface.to_bits())
+}
+
+/// Packs a `(TTL, destination, flow)` route step into one word.
+fn route_key(ttl: u8, toward: Ipv4Addr, flow: FlowId) -> u64 {
+    (u64::from(ttl) << 48) | (u64::from(toward.to_bits()) << 16) | u64::from(flow.0)
+}
+
+/// A key no pair packs to: [`Table::evict`] marks entries with it.
+const EVICTED: u64 = u64::MAX;
+
+/// One committed pair.
+#[derive(Clone, Copy)]
+struct Entry {
+    /// The pair, as a [`pair_key`].
+    key: u64,
+    meta: StopMeta,
+}
+
+impl Entry {
+    fn ttl(&self) -> u8 {
+        (self.key >> 32) as u8
+    }
+
+    fn interface(&self) -> Ipv4Addr {
+        Ipv4Addr::from_bits(self.key as u32)
+    }
+
+    /// The route step this entry can predict, when its contributor
+    /// probed with one flow.
+    fn route(&self) -> Option<u64> {
+        let flow = self.meta.flow?;
+        Some(route_key(self.ttl(), self.meta.toward, flow))
+    }
+}
+
+/// The home slot of `key` in an index of `slots` slots (a power of two,
+/// at least 2): the top bits of a Fibonacci hash.
+fn home(key: u64, slots: usize) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - slots.trailing_zeros())) as usize
+}
+
+/// The committed pairs (see module docs, "Layout"): entries in commit
+/// order, plus two open-addressing indexes of equal power-of-two length
+/// that [`Table::reserve`] keeps at most three quarters full. A slot
+/// holds an entry's position plus one as a `u32`; 0 marks it empty.
+#[derive(Clone, Default)]
+struct Table {
+    entries: Vec<Entry>,
+    /// By [`pair_key`]: every entry.
+    by_pair: Vec<u32>,
+    /// By [`route_key`]: the lowest-interface entry of each route step.
+    by_route: Vec<u32>,
+}
+
+impl Table {
+    /// Linear probing from `key`'s home slot in `index` (not empty):
+    /// `Ok` with the slot of the first entry `hit` accepts, or `Err`
+    /// with the empty slot that ends the search.
+    fn probe(&self, index: &[u32], key: u64, hit: impl Fn(&Entry) -> bool) -> Result<usize, usize> {
+        let mask = index.len() - 1;
+        let mut slot = home(key, index.len());
+        loop {
+            match index[slot] {
+                0 => return Err(slot),
+                held if hit(&self.entries[held as usize - 1]) => return Ok(slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// The `by_pair` slot of the pair `key`.
+    fn pair_slot(&self, key: u64) -> Option<usize> {
+        if self.by_pair.is_empty() {
+            return None;
+        }
+        self.probe(&self.by_pair, key, |e| e.key == key).ok()
+    }
+
+    /// The entry of the pair `key`.
+    fn get(&self, key: u64) -> Option<&Entry> {
+        let slot = self.pair_slot(key)?;
+        Some(&self.entries[self.by_pair[slot] as usize - 1])
+    }
+
+    /// The lowest-interface entry of the route step `key`.
+    fn route(&self, key: u64) -> Option<&Entry> {
+        if self.by_route.is_empty() {
+            return None;
+        }
+        let slot = self
+            .probe(&self.by_route, key, |e| e.route() == Some(key))
+            .ok()?;
+        Some(&self.entries[self.by_route[slot] as usize - 1])
+    }
+
+    /// Makes room for `additional` entries: the entries grow by at least
+    /// a quarter, and the indexes double (rebuilt) before they would
+    /// pass three quarters full.
+    fn reserve(&mut self, additional: usize) {
+        let needed = self.entries.len() + additional;
+        if needed > self.entries.capacity() {
+            self.entries
+                .reserve_exact(additional.max(self.entries.len() / 4));
+        }
+        if needed * 4 > self.by_pair.len() * 3 {
+            self.reindex((needed * 4 / 3 + 1).next_power_of_two().max(16));
+        }
+    }
+
+    /// Commits `meta` under the pair `key` unless the pair is taken:
+    /// the first writer wins. Room must be reserved.
+    fn insert(&mut self, key: u64, meta: StopMeta) {
+        let Err(slot) = self.probe(&self.by_pair, key, |e| e.key == key) else {
+            return;
+        };
+        self.entries.push(Entry { key, meta });
+        let position = self.entries.len() as u32;
+        self.by_pair[slot] = position;
+        self.index_route(position);
+    }
+
+    /// Lists the entry at `position` (plus one) under its route step,
+    /// unless a lower interface already answers for that step.
+    fn index_route(&mut self, position: u32) {
+        let entry = self.entries[position as usize - 1];
+        let Some(route) = entry.route() else {
+            return;
+        };
+        match self.probe(&self.by_route, route, |e| e.route() == Some(route)) {
+            Err(slot) => self.by_route[slot] = position,
+            Ok(slot) => {
+                // Same TTL, so the lower key is the lower interface.
+                if entry.key < self.entries[self.by_route[slot] as usize - 1].key {
+                    self.by_route[slot] = position;
+                }
+            }
+        }
+    }
+
+    /// Drops the entries of `pairs` and returns how many there were.
+    /// Rare (a firsthand contradiction), so it compacts the entries and
+    /// rebuilds both indexes rather than deleting slot by slot.
+    fn evict(&mut self, pairs: &[(u8, Ipv4Addr)]) -> u64 {
+        let mut evicted = 0;
+        for &(ttl, interface) in pairs {
+            if let Some(slot) = self.pair_slot(pair_key(ttl, interface)) {
+                // The index still leads here, but no pair matches the
+                // mark, so a repeated pair finds nothing.
+                self.entries[self.by_pair[slot] as usize - 1].key = EVICTED;
+                evicted += 1;
+            }
+        }
+        if evicted > 0 {
+            self.entries.retain(|e| e.key != EVICTED);
+            self.reindex(self.by_pair.len());
+        }
+        evicted
+    }
+
+    /// Rebuilds both indexes at `slots` slots each.
+    fn reindex(&mut self, slots: usize) {
+        self.by_pair.clear();
+        self.by_pair.resize(slots, 0);
+        self.by_route.clear();
+        self.by_route.resize(slots, 0);
+        for position in 1..=self.entries.len() as u32 {
+            let key = self.entries[position as usize - 1].key;
+            if let Err(slot) = self.probe(&self.by_pair, key, |e| e.key == key) {
+                self.by_pair[slot] = position;
+            }
+            self.index_route(position);
+        }
+    }
+}
+
+impl fmt::Debug for Table {
+    /// A map from `(ttl, interface as u32)` to [`StopMeta`], ascending:
+    /// the rendering `tests/stop_set_goldens.rs` pins.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut sorted: Vec<&Entry> = self.entries.iter().collect();
+        sorted.sort_unstable_by_key(|e| e.key);
+        f.debug_map()
+            .entries(
+                sorted
+                    .into_iter()
+                    .map(|e| ((e.ttl(), e.key as u32), &e.meta)),
+            )
+            .finish()
+    }
+}
+
 /// The immutable stop-set view one generation's sessions adopt.
 #[derive(Debug, Clone)]
 pub struct StopSnapshot {
-    entries: Arc<BTreeMap<(u8, u32), StopMeta>>,
+    entries: Arc<Table>,
     start_ttl: u8,
 }
 
@@ -159,7 +374,7 @@ impl StopSnapshot {
     /// The empty snapshot generation 0 adopts (classic behaviour).
     pub fn empty() -> Self {
         Self {
-            entries: Arc::new(BTreeMap::new()),
+            entries: Arc::default(),
             start_ttl: 1,
         }
     }
@@ -167,12 +382,12 @@ impl StopSnapshot {
     /// True when the set holds no entries — sessions then probe
     /// classically from TTL 1.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.entries.is_empty()
     }
 
     /// Number of `(TTL, interface)` pairs in the snapshot.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.entries.len()
     }
 
     /// The mid-path TTL stop-set-aware sessions should start at.
@@ -182,7 +397,9 @@ impl StopSnapshot {
 
     /// Membership lookup.
     pub fn get(&self, ttl: u8, interface: Ipv4Addr) -> Option<&StopMeta> {
-        self.entries.get(&(ttl, u32::from(interface)))
+        self.entries
+            .get(pair_key(ttl, interface))
+            .map(|entry| &entry.meta)
     }
 
     /// True when `(ttl, interface)` is a confirmed pair.
@@ -193,7 +410,8 @@ impl StopSnapshot {
     /// The interface a probe at `ttl` with `flow` towards `toward`
     /// would observe, according to a same-destination same-flow entry —
     /// the only evidence strong enough to elide a retry (Paris flow
-    /// determinism: same destination + same flow ⇒ same path).
+    /// determinism: same destination + same flow ⇒ same path). Of
+    /// several such entries, the lowest interface answers.
     pub fn predicted_responder(
         &self,
         ttl: u8,
@@ -201,9 +419,8 @@ impl StopSnapshot {
         flow: FlowId,
     ) -> Option<(Ipv4Addr, &StopMeta)> {
         self.entries
-            .range((ttl, 0)..=(ttl, u32::MAX))
-            .find(|(_, meta)| meta.toward == toward && meta.flow == Some(flow))
-            .map(|(&(_, iface), meta)| (Ipv4Addr::from(iface), meta))
+            .route(route_key(ttl, toward, flow))
+            .map(|entry| (entry.interface(), &entry.meta))
     }
 
     /// Walks predecessor links downward from `(ttl, interface)`,
@@ -237,7 +454,7 @@ impl StopSnapshot {
 pub struct SharedStopSet {
     /// Shared with every live snapshot; commits write through
     /// [`Arc::make_mut`].
-    entries: Arc<BTreeMap<(u8, u32), StopMeta>>,
+    entries: Arc<Table>,
     /// Committed destination TTLs, counted per TTL value.
     dest_ttl_counts: [usize; 256],
     /// Sum of `dest_ttl_counts`.
@@ -264,12 +481,12 @@ impl SharedStopSet {
 
     /// Number of committed `(TTL, interface)` pairs.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.entries.len()
     }
 
     /// True before any commit added an entry.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.entries.is_empty()
     }
 
     /// Commits one contribution. The caller (the engine) is responsible
@@ -278,29 +495,27 @@ impl SharedStopSet {
     /// order is what makes the merged contents deterministic.
     ///
     /// Writes in place unless a snapshot taken earlier is still alive;
-    /// then the map is copied first, so that snapshot never sees this
+    /// then the table is copied first, so that snapshot never sees this
     /// commit.
     pub fn commit(&mut self, contributor: usize, contribution: &StopContribution) {
-        let entries = Arc::make_mut(&mut self.entries);
+        let table = Arc::make_mut(&mut self.entries);
         // Firsthand contradictions first: an evicted key freed here may
         // legitimately be re-claimed by this same contribution's fresh
         // post-change evidence below.
-        for &(ttl, interface) in &contribution.evict {
-            if entries.remove(&(ttl, u32::from(interface))).is_some() {
-                self.evictions += 1;
-            }
-        }
+        self.evictions += table.evict(&contribution.evict);
+        table.reserve(contribution.entries.len());
         for seen in &contribution.entries {
-            entries
-                .entry((seen.ttl, u32::from(seen.interface)))
-                .or_insert(StopMeta {
+            table.insert(
+                pair_key(seen.ttl, seen.interface),
+                StopMeta {
                     predecessor: seen.predecessor,
                     contributor,
                     toward: contribution.destination.unwrap_or(Ipv4Addr::UNSPECIFIED),
                     flow: contribution.flow,
                     reached: contribution.reached,
                     dest_ttl: contribution.dest_ttl,
-                });
+                },
+            );
         }
         if contribution.reached {
             if let Some(dt) = contribution.dest_ttl {
@@ -318,8 +533,8 @@ impl SharedStopSet {
     /// The immutable snapshot the next generation adopts, with the start
     /// TTL per `config` (fixed, or adaptive from the median committed
     /// destination TTL). O(1) and allocation-free: the snapshot shares
-    /// the committed map, and a later [`commit`](Self::commit) copies it
-    /// only while this snapshot is still alive.
+    /// the committed table, and a later [`commit`](Self::commit) copies
+    /// it only while this snapshot is still alive.
     pub fn snapshot(&self, config: &StopSetConfig) -> StopSnapshot {
         let start_ttl = match self.median_dest_ttl() {
             Some(median) if config.adaptive_start => (median / 2).max(2),

@@ -840,6 +840,98 @@ proptest! {
     }
 }
 
+/// A start TTL past the destination: the forward leg's first probe
+/// (single-flow) or the descending scout scan (MDA-Lite) meets the
+/// destination above its distance. Each destination must still be
+/// recorded, and contributed to the set, at its own distance only, so
+/// every lane testifies to exactly its classic path.
+#[test]
+fn start_ttl_past_the_destination_records_it_once() {
+    // Five hops: the destination answers from TTL 5.
+    let topologies: Vec<MultipathTopology> = (0..6)
+        .map(|i| canonical::shared_prefix_lane(4, 0, i))
+        .collect();
+    let net_of = |i: usize| SimNetwork::new(topologies[i].clone(), 11 + i as u64);
+    let trace_seed_of = |i: usize| 40 + i as u64;
+    let stop_cfg = StopSetConfig {
+        start_ttl: 9,
+        adaptive_start: false,
+        commit_width: 2,
+    };
+    for algo in 0..2u8 {
+        let (classic, _, _) = stop_sweep(
+            &topologies,
+            &net_of,
+            &trace_seed_of,
+            algo,
+            Admission::Streaming,
+            64,
+            None,
+        );
+        let (stopped, _, snap) = stop_sweep(
+            &topologies,
+            &net_of,
+            &trace_seed_of,
+            algo,
+            Admission::Streaming,
+            64,
+            Some(stop_cfg),
+        );
+        let snap = snap.expect("stop-set run publishes a snapshot");
+        for (classic_trace, stopped_trace) in classic.iter().zip(&stopped) {
+            let destination = classic_trace.destination;
+            assert!(stopped_trace.reached_destination);
+            assert_eq!(stopped_trace.discovery.destination_ttl(), Some(5));
+            assert_eq!(
+                reconstructed_path(stopped_trace, &snap),
+                path_of(classic_trace),
+                "algo {algo}: destination {destination} gained hops under the stop set"
+            );
+            for ttl in 6..=9 {
+                assert!(
+                    stopped_trace.discovery.vertices_at(ttl).is_empty(),
+                    "algo {algo}: {destination} recorded at TTL {ttl}"
+                );
+                assert!(
+                    !snap.contains(ttl, destination),
+                    "algo {algo}: ({ttl}, {destination}) committed to the stop set"
+                );
+            }
+        }
+        // A second session towards each destination adopts a set that
+        // already holds the destination at its distance: its hit there
+        // must not send it probing above the destination.
+        let net = MultiNetwork::new((0..topologies.len()).map(net_of).collect())
+            .expect("per-lane destinations are unique");
+        let mut engine = SweepEngine::new(net, SRC).with_config(SweepConfig {
+            stop_set: Some(stop_cfg),
+            ..SweepConfig::default()
+        });
+        let sessions: Vec<Box<dyn TraceSession>> = topologies
+            .iter()
+            .chain(&topologies)
+            .enumerate()
+            .map(|(i, t)| {
+                let config = TraceConfig::new(trace_seed_of(i));
+                match algo {
+                    0 => Box::new(SingleFlowSession::new(t.destination(), config, FlowId(7)))
+                        as Box<dyn TraceSession>,
+                    _ => Box::new(MdaLiteSession::new(t.destination(), config)),
+                }
+            })
+            .collect();
+        for trace in engine.run_stream(sessions) {
+            assert!(trace.reached_destination);
+            assert_eq!(
+                trace.discovery.max_observed_ttl(),
+                5,
+                "algo {algo}: {}",
+                trace.destination
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Sharded engine: the destination space partitioned across N engine
 // shards on worker threads must stay pure *scheduling* — bit-identical
